@@ -19,7 +19,12 @@ import numpy as np
 from . import __version__
 from .coeffs import check_alpha, check_condition7, preset_coefficients
 from .grid import Field, make_grid, save_field
-from .multiplier import build_abc, boundary_form_report, interior_form_report
+from .multiplier import (
+    AlphaConditionError,
+    boundary_form_report,
+    build_abc,
+    interior_form_report,
+)
 from .nonlinear import (
     GraphSurface,
     NonlinearParams,
@@ -30,6 +35,7 @@ from .nonlinear import (
 from .operators import aux_equation_residual, aux_solve_report
 from .solver import (
     LinearProblem,
+    PreconditionError,
     energy_certificate,
     mms_convergence,
     polynomial_sine_solution,
@@ -384,7 +390,13 @@ def run(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_manifest(cfg, outdir, args.command)
         return _COMMANDS[args.command](cfg, outdir)
-    except (ConfigError, OSError) as exc:
+    except (AlphaConditionError, PreconditionError) as exc:
+        # a failed admissibility gate: the message is the ConditionReport
+        print(exc)
+        return 1
+    except (ValueError, OSError) as exc:
+        # the library raises ValueError (ConfigError among them) for input
+        # it cannot take: an unknown preset, a grid too small for a solver
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

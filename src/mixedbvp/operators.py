@@ -232,22 +232,101 @@ def adjoint_defect(cs: CoefficientSet, u: Field, v: Field) -> float:
 # semi-Lagrangian transport
 # ---------------------------------------------------------------------------
 
-def _interp_periodic(row: np.ndarray, pos: np.ndarray, hx: float) -> np.ndarray:
-    """Cubic Lagrange interpolation of a periodic nodal row at positions pos."""
-    nx = row.shape[0]
+def _cubic_stencil(pos: np.ndarray, hx: float, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of cubic periodic Lagrange interpolation at pos.
+
+    pos has shape (..., nx); nodes and weights come back with shape
+    (..., 4, nx), the nodes i-1..i+2 around the cell i that holds pos.
+    """
     t = (pos + 1.0) / hx
     i1 = np.floor(t).astype(int)
     s = t - i1
-    w_m1 = -s * (s - 1.0) * (s - 2.0) / 6.0
-    w_0 = (s * s - 1.0) * (s - 2.0) / 2.0
-    w_p1 = -s * (s + 1.0) * (s - 2.0) / 2.0
-    w_p2 = s * (s * s - 1.0) / 6.0
-    return (
-        w_m1 * row[(i1 - 1) % nx]
-        + w_0 * row[i1 % nx]
-        + w_p1 * row[(i1 + 1) % nx]
-        + w_p2 * row[(i1 + 2) % nx]
+    idx = np.stack([(i1 + k) % nx for k in (-1, 0, 1, 2)], axis=-2)
+    wts = np.stack(
+        [
+            -s * (s - 1.0) * (s - 2.0) / 6.0,
+            (s * s - 1.0) * (s - 2.0) / 2.0,
+            -s * (s + 1.0) * (s - 2.0) / 2.0,
+            s * (s * s - 1.0) / 6.0,
+        ],
+        axis=-2,
     )
+    return idx, wts
+
+
+def _combine(wts: np.ndarray, nodal: np.ndarray) -> np.ndarray:
+    # keep this summation order: the tests compare bit for bit against a
+    # per-row march that sums the four terms left to right
+    return (
+        wts[..., 0, :] * nodal[..., 0, :]
+        + wts[..., 1, :] * nodal[..., 1, :]
+        + wts[..., 2, :] * nodal[..., 2, :]
+        + wts[..., 3, :] * nodal[..., 3, :]
+    )
+
+
+class TransportPlan:
+    """Semi-Lagrangian plan for a*w_x + b*w_y + c*w = rhs, w(x, 1) = top.
+
+    The march runs from y = 1 downward.  Per step the characteristic foot
+    on the upper level is located with a Heun predictor and the ODE along
+    the characteristic is closed with the trapezoid rule, giving
+    second-order accuracy in hy.  Everything that depends only on
+    (a, b, c) -- the feet, their cubic periodic interpolation stencils,
+    c/b at the feet and the trapezoid factors -- is computed once here,
+    for all rows at once, so solve() is left with one 4-point gather per
+    row and residual() with none.
+
+    Arrays are stored row first, shape (ny, ..., nx): row j holds the
+    step from level j + 1 down to level j.
+    """
+
+    def __init__(self, a: Field, b: Field, c: Field):
+        g = a.grid
+        bvals = b.values
+        if np.any(bvals == 0.0) or (bvals.min() < 0.0 < bvals.max()):
+            raise TransportError("b must be nonzero of one sign throughout the cylinder")
+        at = (a.values / bvals).T
+        ct = (c.values / bvals).T
+        hx, hy = g.hx, g.hy
+        beta = 0.5 * hy
+        self._upper = np.arange(1, g.ny + 1)[:, None, None]
+        k1 = at[:-1]
+        idx, wts = _cubic_stencil(g.x + hy * k1, hx, g.nx)
+        k2 = _combine(wts, at[self._upper, idx])
+        self._idx, self._wts = _cubic_stencil(g.x + beta * (k1 + k2), hx, g.nx)
+        self.grid = g
+        self._b = bvals
+        self._beta = beta
+        self._up = 1.0 + beta * self._at_feet(ct)
+        self._down = 1.0 - beta * ct[:-1]
+
+    def _at_feet(self, rows: np.ndarray) -> np.ndarray:
+        """Level j + 1 of rows (shape (ny+1, nx)) at the feet of row j, all j."""
+        return _combine(self._wts, rows[self._upper, self._idx])
+
+    def _source(self, rhs: Field) -> np.ndarray:
+        rt = (rhs.values / self._b).T
+        return self._beta * (rt[:-1] + self._at_feet(rt))
+
+    def solve(self, rhs: Field, top: np.ndarray | None = None) -> Field:
+        g = self.grid
+        src = self._source(rhs)
+        w = np.empty((g.ny + 1, g.nx))
+        w[-1] = 0.0 if top is None else np.asarray(top, dtype=float)
+        for j in range(g.ny - 1, -1, -1):
+            wf = _combine(self._wts[j], w[j + 1][self._idx[j]])
+            w[j] = (wf * self._up[j] - src[j]) / self._down[j]
+        return Field(g, w.T.copy())
+
+    def residual(self, rhs: Field, w: Field) -> Field:
+        """Residual of the discrete transport recurrence at w, per unit hy."""
+        rows = w.values.T
+        res = np.zeros(rows.shape)
+        res[:-1] = (
+            rows[:-1] * self._down - self._at_feet(rows) * self._up + self._source(rhs)
+        ) / self.grid.hy
+        return Field(self.grid, res.T.copy())
 
 
 def transport_solve(
@@ -257,64 +336,8 @@ def transport_solve(
     rhs: Field,
     top: np.ndarray | None = None,
 ) -> Field:
-    """Solve a*w_x + b*w_y + c*w = rhs with w(x, 1) = top (default 0).
-
-    Marches from y = 1 downward; per step the characteristic foot on the
-    upper level is located with a Heun predictor and the ODE along the
-    characteristic is closed with the trapezoid rule, giving second-order
-    accuracy in hy.
-    """
-    g = a.grid
-    bvals = b.values
-    if np.any(bvals == 0.0) or (bvals.min() < 0.0 < bvals.max()):
-        raise TransportError("b must be nonzero of one sign throughout the cylinder")
-    at = a.values / bvals
-    ct = c.values / bvals
-    rt = rhs.values / bvals
-    hx, hy = g.hx, g.hy
-    x = g.x
-    beta = 0.5 * hy
-
-    w = np.empty(g.shape)
-    w[:, -1] = 0.0 if top is None else np.asarray(top, dtype=float)
-    for j in range(g.ny - 1, -1, -1):
-        k1 = at[:, j]
-        k2 = _interp_periodic(at[:, j + 1], x + hy * k1, hx)
-        foot = x + beta * (k1 + k2)
-        wf = _interp_periodic(w[:, j + 1], foot, hx)
-        cf = _interp_periodic(ct[:, j + 1], foot, hx)
-        rf = _interp_periodic(rt[:, j + 1], foot, hx)
-        w[:, j] = (wf * (1.0 + beta * cf) - beta * (rt[:, j] + rf)) / (
-            1.0 - beta * ct[:, j]
-        )
-    return Field(g, w)
-
-
-def _transport_equation_residual(
-    a: Field, b: Field, c: Field, rhs: Field, w: Field
-) -> Field:
-    """Residual of the discrete transport recurrence, per unit hy."""
-    g = a.grid
-    at = a.values / b.values
-    ct = c.values / b.values
-    rt = rhs.values / b.values
-    hx, hy = g.hx, g.hy
-    x = g.x
-    beta = 0.5 * hy
-    res = np.zeros(g.shape)
-    for j in range(g.ny - 1, -1, -1):
-        k1 = at[:, j]
-        k2 = _interp_periodic(at[:, j + 1], x + hy * k1, hx)
-        foot = x + beta * (k1 + k2)
-        wf = _interp_periodic(w.values[:, j + 1], foot, hx)
-        cf = _interp_periodic(ct[:, j + 1], foot, hx)
-        rf = _interp_periodic(rt[:, j + 1], foot, hx)
-        res[:, j] = (
-            w.values[:, j] * (1.0 - beta * ct[:, j])
-            - wf * (1.0 + beta * cf)
-            + beta * (rt[:, j] + rf)
-        ) / hy
-    return Field(g, res)
+    """Solve a*w_x + b*w_y + c*w = rhs with w(x, 1) = top (default 0)."""
+    return TransportPlan(a, b, c).solve(rhs, top)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +404,13 @@ def aux_solve_report(
     """
     g = v.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
+    plan = TransportPlan(mt.a, mt.b, mt.c)
 
     def recover(w: Field) -> np.ndarray:
         return np.real(np.fft.ifft(np.fft.fft(w.values, axis=0) / denom, axis=0))
 
     if mt.m == 0:
-        w = transport_solve(mt.a, mt.b, mt.c, v)
+        w = plan.solve(v)
         return AuxReport(Field(g, w.values.copy()), 1, [], [], True)
 
     u_vals = np.zeros(g.shape)
@@ -396,7 +420,7 @@ def aux_solve_report(
     bad_streak = 0
     for it in range(1, max_iter + 1):
         rhs = Field(g, v.values - _coupling_rhs(u_vals, mt.a, mt.lam, mt.m))
-        w = transport_solve(mt.a, mt.b, mt.c, rhs)
+        w = plan.solve(rhs)
         new_vals = recover(w)
         delta = l2_norm(Field(g, new_vals - u_vals))
         increments.append(delta)
@@ -430,6 +454,6 @@ def aux_equation_residual(u: Field, v: Field, mt: MultiplierTriple) -> float:
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
     w = Field(g, np.real(np.fft.ifft(np.fft.fft(u.values, axis=0) * denom, axis=0)))
     rhs = Field(g, v.values - _coupling_rhs(u.values, mt.a, mt.lam, mt.m))
-    res = _transport_equation_residual(mt.a, mt.b, mt.c, rhs, w)
+    res = TransportPlan(mt.a, mt.b, mt.c).residual(rhs, w)
     scale = l2_norm(v)
     return l2_norm(res) / scale if scale > 0 else l2_norm(res)

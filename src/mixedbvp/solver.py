@@ -35,6 +35,7 @@ from .operators import (
     apply_Lstar,
     assemble_L,
     aux_solve_report,
+    boundary_residual,
 )
 
 
@@ -272,14 +273,11 @@ def _enforce_boundary(grid: GridSpec, w: np.ndarray, alpha: float, sign: float) 
     sign=+1 enforces alpha*u_x + u_y = 0, sign=-1 the adjoint version;
     the top row is forced to zero exactly.
     """
-    from .operators import _BOTTOM_DY
-
     w = w.copy()
     w[:, -1] = 0.0
     chi, d0 = _bottom_corrector(grid)
-    ux0 = (np.roll(w[:, 0], -1) - np.roll(w[:, 0], 1)) / (2.0 * grid.hx)
-    uy0 = w[:, :4] @ _BOTTOM_DY / grid.hy
-    r = alpha * ux0 + sign * uy0
+    bc = BoundarySpec("oblique" if sign > 0 else "adjoint_oblique", alpha)
+    _, r = boundary_residual(Field(grid, w), bc)
     w -= np.outer(r, chi) * (sign / d0)
     return Field(grid, w)
 

@@ -150,3 +150,25 @@ def test_cli_config_with_flag_override(tmp_path):
     manifest = (out / "run.manifest").read_text()
     assert "alpha=0.06" in manifest
     assert "eps=0.001" in manifest
+
+
+def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
+    code = run(["check", "--preset", "bogus", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown preset") and err.count("\n") == 1
+
+
+def test_failed_alpha_gate_exits_1_with_condition_report(tmp_path, capsys):
+    code = run(["energy", "--preset", "tricomi", "--alpha", "1e-4",
+                "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "alpha_condition: FAIL" in out and "min margin" in out
+
+
+def test_grid_too_small_for_seam_carrier_is_a_usage_error(tmp_path, capsys):
+    code = run(["ma", "--nx", "8", "--ny", "8", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nx >= 14" in err and err.count("\n") == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mixedbvp.grid import Field, derivative_st, inner_product, l2_norm, make_grid
 from mixedbvp.norms import (
+    GramSolveError,
     NormOrder,
     NormOrderError,
     derivative_matrix,
@@ -40,6 +41,44 @@ def dense_negative_norm(v: Field, m: int, l: int) -> float:
     mv = W * v.values.ravel()
     x = la.solve(G, mv)
     return float(np.sqrt(x @ mv))
+
+
+def _ld_solve(A, B):
+    """Gaussian elimination with partial pivoting, in the arrays' precision."""
+    A, B = A.copy(), B.copy()
+    n = A.shape[0]
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, p]], B[[k, p]] = A[[p, k]], B[[p, k]]
+        f = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :, k:] -= f[:, None] * A[k, k:]
+        B[k + 1 :] -= f[:, None] * B[k]
+    X = np.empty_like(B)
+    for k in range(n - 1, -1, -1):
+        X[k] = (B[k] - A[k, k + 1 :] @ X[k + 1 :]) / A[k, k]
+    return X
+
+
+def longdouble_negative_norm(v: Field, m: int, l: int) -> float:
+    """Dual norm from the Kronecker system (hx Cx) X Cy = M v in long double.
+
+    Cx = sum_s Dx_s' Dx_s and Cy = sum_t Dy_t' W_y Dy_t are dense, built
+    by applying the grid stencils to long-double identities, and solved by
+    elimination: no FFT, no symbol, no float64 factorization.
+    """
+    from mixedbvp.grid import _dx1, _dx2, _dy1, _dy2
+
+    ld = np.longdouble
+    g = v.grid
+    ex, ey = np.eye(g.nx, dtype=ld), np.eye(g.ny + 1, dtype=ld)
+    dx = [ex, _dx1(ex, g.hx), _dx2(ex, g.hx)]
+    dy = [ey, _dy1(ey, g.hy).T, _dy2(ey, g.hy).T]
+    wy = np.asarray(g.y_weights(), dtype=ld)
+    cx = sum(dx[s].T @ dx[s] for s in range(m + 1))
+    cy = sum(dy[t].T @ (wy[:, None] * dy[t]) for t in range(l + 1))
+    mv = np.asarray(v.values, dtype=ld) * (ld(g.hx) * wy)
+    x = _ld_solve(cy, _ld_solve(ld(g.hx) * cx, mv).T).T
+    return float(np.sqrt(np.sum(x * mv)))
 
 
 def test_norm_order_validation():
@@ -91,6 +130,32 @@ def test_negative_norm_against_dense_oracle(order):
     fast = negative_norm(v, NormOrder(-m, -l))
     slow = dense_negative_norm(v, m, l)
     assert abs(fast - slow) <= 1e-10 * max(1.0, slow)
+
+
+@pytest.mark.parametrize("order", [(1, 0), (2, 0), (1, 1), (2, 1)])
+def test_negative_norm_against_longdouble_kronecker(order):
+    m, l = order
+    g = make_grid(64, 64)
+    v = Field(g, np.random.default_rng(21).standard_normal(g.shape))
+    fast = negative_norm(v, NormOrder(-m, -l))
+    ref = longdouble_negative_norm(v, m, l)
+    assert abs(fast - ref) <= 1e-11 * ref
+
+
+def test_gram_gate_checks_the_explicit_factors(monkeypatch):
+    # a wrong symbol gives a wrong solve; the gate must see it because it
+    # applies G through the stencil-built Cx and Cy, not through the symbol
+    import dataclasses
+
+    from mixedbvp import norms
+
+    g = make_grid(16, 16)
+    v = Field(g, np.random.default_rng(22).standard_normal(g.shape))
+    good = norms._gram_factors(g, 1, 1)
+    bad = dataclasses.replace(good, symbol=good.symbol * np.linspace(1.0, 2.0, good.symbol.size))
+    monkeypatch.setattr(norms, "_gram_factors", lambda grid, m, l: bad)
+    with pytest.raises(GramSolveError):
+        negative_norm(v, NormOrder(-1, -1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

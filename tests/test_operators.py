@@ -220,6 +220,110 @@ def test_transport_rejects_bad_b():
         transport_solve(zero, Field.from_function(g, lambda X, Y: Y), zero, one)
 
 
+# the per-row semi-Lagrangian march that TransportPlan replaced, kept as
+# the oracle: same arithmetic in the same order, one row at a time
+
+def _interp_periodic(row, pos, hx):
+    nx = row.shape[0]
+    t = (pos + 1.0) / hx
+    i1 = np.floor(t).astype(int)
+    s = t - i1
+    w_m1 = -s * (s - 1.0) * (s - 2.0) / 6.0
+    w_0 = (s * s - 1.0) * (s - 2.0) / 2.0
+    w_p1 = -s * (s + 1.0) * (s - 2.0) / 2.0
+    w_p2 = s * (s * s - 1.0) / 6.0
+    return (
+        w_m1 * row[(i1 - 1) % nx]
+        + w_0 * row[i1 % nx]
+        + w_p1 * row[(i1 + 1) % nx]
+        + w_p2 * row[(i1 + 2) % nx]
+    )
+
+
+def _row_march(a, b, c, rhs, top=None, w_known=None):
+    """Per-row march; with w_known, the recurrence residual at it instead."""
+    g = a.grid
+    at, ct, rt = a.values / b.values, c.values / b.values, rhs.values / b.values
+    hx, hy, x = g.hx, g.hy, g.x
+    beta = 0.5 * hy
+    w = np.empty(g.shape) if w_known is None else w_known.values
+    res = np.zeros(g.shape)
+    if w_known is None:
+        w[:, -1] = 0.0 if top is None else top
+    for j in range(g.ny - 1, -1, -1):
+        k1 = at[:, j]
+        k2 = _interp_periodic(at[:, j + 1], x + hy * k1, hx)
+        foot = x + beta * (k1 + k2)
+        wf = _interp_periodic(w[:, j + 1], foot, hx)
+        cf = _interp_periodic(ct[:, j + 1], foot, hx)
+        rf = _interp_periodic(rt[:, j + 1], foot, hx)
+        if w_known is None:
+            w[:, j] = (wf * (1.0 + beta * cf) - beta * (rt[:, j] + rf)) / (
+                1.0 - beta * ct[:, j]
+            )
+        else:
+            res[:, j] = (
+                w[:, j] * (1.0 - beta * ct[:, j]) - wf * (1.0 + beta * cf) + beta * (rt[:, j] + rf)
+            ) / hy
+    return w if w_known is None else res
+
+
+class _RowMarchPlan:
+    """Stands in for TransportPlan inside aux_solve_report."""
+
+    def __init__(self, a, b, c):
+        self.abc = (a, b, c)
+
+    def solve(self, rhs, top=None):
+        return Field(rhs.grid, _row_march(*self.abc, rhs, top))
+
+
+def _lower_order_case(n, negate_b=False):
+    g = make_grid(n, n)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    b = Field(g, -mt.b.values) if negate_b else mt.b
+    rng = np.random.default_rng(n)
+    rhs = Field(g, rng.standard_normal(g.shape))
+    return g, mt, b, rhs
+
+
+@pytest.mark.parametrize(
+    "n,with_top,negate_b",
+    [(32, False, False), (64, False, False), (64, True, False), (64, False, True)],
+)
+def test_transport_plan_matches_row_march(n, with_top, negate_b):
+    g, mt, b, rhs = _lower_order_case(n, negate_b)
+    top = 0.3 * np.sin(PI * g.x) + 0.1 if with_top else None
+    oracle = _row_march(mt.a, b, mt.c, rhs, top)
+    assert np.array_equal(transport_solve(mt.a, b, mt.c, rhs, top).values, oracle)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_aux_solve_report_matches_row_march(n, monkeypatch):
+    from mixedbvp import operators
+    from mixedbvp.solver import random_smooth_samples
+
+    g, mt, _, _ = _lower_order_case(n)
+    v = random_smooth_samples(g, 0.02, 1, seed=n)[0]
+    fast = aux_solve_report(v, mt)
+    monkeypatch.setattr(operators, "TransportPlan", _RowMarchPlan)
+    slow = aux_solve_report(v, mt)
+    assert fast.iterations == slow.iterations > 1
+    assert np.array_equal(fast.u.values, slow.u.values)
+
+
+@pytest.mark.parametrize("negate_b", [False, True])
+def test_transport_plan_residual_matches_row_loop(negate_b):
+    from mixedbvp.operators import TransportPlan
+
+    g, mt, b, rhs = _lower_order_case(64, negate_b)
+    w = Field(g, np.random.default_rng(5).standard_normal(g.shape))
+    oracle = _row_march(mt.a, b, mt.c, rhs, w_known=w)
+    res = TransportPlan(mt.a, b, mt.c).residual(rhs, w).values
+    assert np.abs(res - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
 # ---------------------------------------------------------------------------
 # auxiliary problem
 # ---------------------------------------------------------------------------

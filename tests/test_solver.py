@@ -151,6 +151,35 @@ def test_enforced_samples_satisfy_discrete_bcs():
             assert np.abs(bottom).max() < 1e-12
 
 
+def _inline_projection(grid, w, alpha, sign):
+    # the projection with its bottom residual written out, as it was
+    # before it called boundary_residual
+    from mixedbvp.operators import _BOTTOM_DY
+    from mixedbvp.solver import _bottom_corrector
+
+    w = w.copy()
+    w[:, -1] = 0.0
+    chi, d0 = _bottom_corrector(grid)
+    ux0 = (np.roll(w[:, 0], -1) - np.roll(w[:, 0], 1)) / (2.0 * grid.hx)
+    uy0 = w[:, :4] @ _BOTTOM_DY / grid.hy
+    r = alpha * ux0 + sign * uy0
+    w -= np.outer(r, chi) * (sign / d0)
+    return Field(grid, w)
+
+
+def test_samples_bit_identical_to_inline_projection(monkeypatch):
+    from mixedbvp import solver
+
+    g = make_grid(40, 24)
+    for adjoint in (True, False):
+        shared = random_smooth_samples(g, 0.03, 4, seed=8, adjoint=adjoint)
+        monkeypatch.setattr(solver, "_enforce_boundary", _inline_projection)
+        inline = random_smooth_samples(g, 0.03, 4, seed=8, adjoint=adjoint)
+        monkeypatch.undo()
+        for a, b in zip(shared, inline):
+            assert np.array_equal(a.values, b.values)
+
+
 def test_energy_certificate_positive_on_tricomi():
     g = make_grid(48, 48)
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
