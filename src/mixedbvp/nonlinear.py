@@ -18,14 +18,13 @@ residuals.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .coeffs import CoefficientSet, condition7prime_margin
 from .grid import Field, GridSpec, differentiate, l2_norm
-from .solver import LinearProblem, solve_linear
+from .solver import direct_solve
 
 
 class CurvatureGateError(RuntimeError):
@@ -87,7 +86,7 @@ class NonlinearParams:
     tol: float = 1e-8
     max_iter: int = 50
     stagnation_window: int = 8
-    smoothing_fraction: float = 0.25  # x-mode band kept in each update
+    smoothing_modes: int = 16  # x-modes |k| kept in each update (see _smooth_update)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +333,18 @@ class _SplitDerivatives:
         }
 
 
-def _smooth_update(u: np.ndarray, fraction: float) -> np.ndarray:
-    """Low-pass the x-spectrum of an update, keeping |k| <= fraction * nx.
+def _smooth_update(u: np.ndarray, modes: int) -> np.ndarray:
+    """Low-pass the x-spectrum of an update: keep |k| <= min(modes, max(2, nx // 4)).
 
     The determinant nonlinearity amplifies mode k noise by O(k^2), so
     unfiltered Picard updates self-excite at high frequency; this is the
     desk-scale stand-in for the smoothing operators of a Nash-Moser
-    scheme.
+    scheme.  The band is fixed in k, not a fraction of nx, so refinement
+    does not let the amplified modes in; the nx // 4 cap keeps the
+    filter active on coarse grids, where a bare band of 16 diverges.
     """
     nx = u.shape[0]
-    kcut = max(2, int(fraction * nx))
+    kcut = min(modes, max(2, nx // 4))
     spec = np.fft.rfft(u, axis=0)
     spec[kcut + 1 :] = 0.0
     return np.fft.irfft(spec, n=nx, axis=0)
@@ -357,6 +358,13 @@ def _picard(
     params: NonlinearParams,
     extra_guard=None,
 ) -> IterationReport:
+    """Damped frozen-coefficient iteration; each step is one direct_solve.
+
+    The normal form is x-averaged, so with psi = None or an
+    x-independent psi every step takes the Fourier-mode banded solve.
+    diagnostics carries the interior residual of each linear solve, the
+    solve method and, when the iteration gives up, the reason.
+    """
     grid = z0.z.grid
     rho = z0.domain_scale
     alpha = np.sqrt(rho) * params.alpha0
@@ -365,6 +373,14 @@ def _picard(
 
     d = np.zeros(grid.shape)
     history: list[float] = []
+    diagnostics: dict = {"linear_residuals": [], "solve_method": None}
+
+    def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
+        if reason is not None:
+            diagnostics["reason"] = reason
+        surface = GraphSurface(Field(grid, split.base + d), rho)
+        return IterationReport(it, history, converged, surface, diagnostics)
+
     for it in range(params.max_iter + 1):
         derivs = split.at(d)
         if extra_guard is not None:
@@ -374,36 +390,21 @@ def _picard(
         history.append(res_norm)
         tol = params.tol * 10.0 if it == 0 else params.tol
         if res_norm <= tol:
-            return IterationReport(
-                it, history, True, GraphSurface(Field(grid, split.base + d), rho)
-            )
+            return report(it, True)
         if it == params.max_iter:
             break
         if (
             len(history) > params.stagnation_window
             and history[-1] >= history[-params.stagnation_window]
         ):
-            return IterationReport(
-                it,
-                history,
-                False,
-                GraphSurface(Field(grid, split.base + d), rho),
-                {"reason": "residual stagnation"},
-            )
+            return report(it, False, "residual stagnation")
         P, Q = principal_from_derivs(derivs)
         cs = _normal_form_coefficients(grid, P, Q, rho, psi, alpha)
-        f = Field(grid, -res / Q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
-        d = d + params.theta * _smooth_update(rep.u.values, params.smoothing_fraction)
-    return IterationReport(
-        params.max_iter,
-        history,
-        False,
-        GraphSurface(Field(grid, split.base + d), rho),
-        {"reason": "max_iter"},
-    )
+        rep = direct_solve(cs, Field(grid, -res / Q))
+        diagnostics["linear_residuals"].append(rep.residual_norm)
+        diagnostics["solve_method"] = rep.solver_stats["method"]
+        d = d + params.theta * _smooth_update(rep.u.values, params.smoothing_modes)
+    return report(params.max_iter, False, "max_iter")
 
 
 def solve_prescribed_curvature(

@@ -72,6 +72,28 @@ class DiscreteOperator:
 # assembly
 # ---------------------------------------------------------------------------
 
+def _interior_stencil(K, Ax, By, zero_order, eps: float, hx: float, hy: float):
+    """East, west, north, south and centre weights of the interior stencil
+    of eps*K*u_xx + u_yy + eps*Ax*u_x + eps*By*u_y + zero_order*u."""
+    east = eps * K / hx**2 + eps * Ax / (2 * hx)
+    west = eps * K / hx**2 - eps * Ax / (2 * hx)
+    north = 1.0 / hy**2 + eps * By / (2 * hy)
+    south = 1.0 / hy**2 - eps * By / (2 * hy)
+    centre = -2.0 * eps * K / hx**2 - 2.0 / hy**2 + zero_order
+    return east, west, north, south, centre
+
+
+def _bottom_stencil(boundary: BoundarySpec, hx: float, hy: float):
+    """East and west weights and the four y-weights of the bottom row.
+
+    alpha*u_x +/- u_y with one-sided third-order u_y (the extra order
+    keeps the oblique row from dominating the global error budget).
+    """
+    sgn = 1.0 if boundary.bottom == "oblique" else -1.0
+    half = boundary.alpha / (2 * hx)
+    return half, -half, sgn * _BOTTOM_DY / hy
+
+
 def _assemble(
     grid: GridSpec,
     K: np.ndarray,
@@ -84,7 +106,6 @@ def _assemble(
     """Shared assembly for eps*K*u_xx + u_yy + eps*Ax*u_x + eps*By*u_y + z*u."""
     nx, nyp = grid.shape
     hx, hy = grid.hx, grid.hy
-    alpha = boundary.alpha
 
     rows, cols, vals = [], [], []
 
@@ -93,10 +114,9 @@ def _assemble(
 
     I, J = np.meshgrid(np.arange(nx), np.arange(1, nyp - 1), indexing="ij")
     I, J = I.ravel(), J.ravel()
-    Kf = K[I, J]
-    Af = Ax[I, J]
-    Bf = By[I, J]
-    Zf = zero_order[I, J]
+    east, west, north, south, centre = _interior_stencil(
+        K[I, J], Ax[I, J], By[I, J], zero_order[I, J], eps, hx, hy
+    )
     center = idx(I, J)
 
     def add(r, c, v):
@@ -104,22 +124,20 @@ def _assemble(
         cols.append(c)
         vals.append(v)
 
-    add(center, idx(I + 1, J), eps * Kf / hx**2 + eps * Af / (2 * hx))
-    add(center, idx(I - 1, J), eps * Kf / hx**2 - eps * Af / (2 * hx))
-    add(center, idx(I, J + 1), np.full_like(Kf, 1.0 / hy**2) + eps * Bf / (2 * hy))
-    add(center, idx(I, J - 1), np.full_like(Kf, 1.0 / hy**2) - eps * Bf / (2 * hy))
-    add(center, center, -2.0 * eps * Kf / hx**2 - 2.0 / hy**2 + Zf)
+    add(center, idx(I + 1, J), east)
+    add(center, idx(I - 1, J), west)
+    add(center, idx(I, J + 1), north)
+    add(center, idx(I, J - 1), south)
+    add(center, center, centre)
 
     ii = np.arange(nx)
     # top: identity row
     add(idx(ii, nyp - 1), idx(ii, nyp - 1), np.ones(nx))
-    # bottom: alpha*u_x +/- u_y with one-sided third-order u_y (the extra
-    # order keeps the oblique row from dominating the global error budget)
-    sgn = 1.0 if boundary.bottom == "oblique" else -1.0
-    add(idx(ii, 0), idx(ii + 1, 0), np.full(nx, alpha / (2 * hx)))
-    add(idx(ii, 0), idx(ii - 1, 0), np.full(nx, -alpha / (2 * hx)))
-    for j_off, coef in enumerate(_BOTTOM_DY):
-        add(idx(ii, 0), idx(ii, j_off), np.full(nx, sgn * coef / hy))
+    b_east, b_west, b_dy = _bottom_stencil(boundary, hx, hy)
+    add(idx(ii, 0), idx(ii + 1, 0), np.full(nx, b_east))
+    add(idx(ii, 0), idx(ii - 1, 0), np.full(nx, b_west))
+    for j_off, coef in enumerate(b_dy):
+        add(idx(ii, 0), idx(ii, j_off), np.full(nx, coef))
 
     n = nx * nyp
     mat = sp.coo_matrix(
@@ -127,6 +145,35 @@ def _assemble(
         shape=(n, n),
     )
     return mat.tocsr()
+
+
+def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
+    """Band storage of L on the x-modes exp(i*theta*i), one (ny+1)-system each.
+
+    For coefficients that do not depend on x (row 0 of each field is
+    used), L maps the mode exp(i*theta*i) times a y-profile to the same
+    mode: the x-neighbours of the assembled stencils become the symbol
+    east*exp(i*theta) + west*exp(-i*theta).  What is left in y is
+    tridiagonal, plus the identity top row and the 4-point oblique
+    bottom row.  The layout is LAPACK's for zgbtrf with kl = 1, ku = 3:
+    entry (r, c) of mode k sits at [k, 4 + r - c, c], and row 0 is the
+    room that partial pivoting fills.
+    """
+    g = cs.grid
+    east, west, north, south, centre = _interior_stencil(
+        cs.K.values[0], cs.A.values[0], cs.B.values[0], 0.0, cs.eps, g.hx, g.hy
+    )
+    shift = np.exp(1j * theta)[:, None]
+    ab = np.zeros((theta.size, 6, g.ny + 1), dtype=complex)
+    ab[:, 4, 1:-1] = (centre + east * shift + west * np.conj(shift))[:, 1:-1]
+    ab[:, 3, 2:] = north[1:-1]
+    ab[:, 5, :-2] = south[1:-1]
+    ab[:, 4, -1] = 1.0
+    b_east, b_west, b_dy = _bottom_stencil(BoundarySpec("oblique", cs.alpha), g.hx, g.hy)
+    ab[:, 4, 0] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
+    for j_off in (1, 2, 3):
+        ab[:, 4 - j_off, j_off] = b_dy[j_off]
+    return ab
 
 
 def assemble_L(cs: CoefficientSet) -> DiscreteOperator:
@@ -359,18 +406,24 @@ def _recovery_denominator(grid: GridSpec, lam: float, m: int) -> np.ndarray:
     return sum(lam**-s * xi ** (2 * s) for s in range(m + 1))
 
 
-def _coupling_rhs(u_vals: np.ndarray, a: Field, lam: float, m: int) -> np.ndarray:
-    """Lagged terms sum_{s,l>=1} C(s,l) (-1)^s lam^-s (d_x^l a)(d_x^{2s-l+1} u)."""
-    if m == 0:
-        return np.zeros_like(u_vals)
-    g = a.grid
-    xi = _wavenumbers(g)
+def _a_derivatives(a: Field, m: int) -> list[np.ndarray]:
+    """Spectral d_x^l a for l = 1..m: the fixed factors of the coupling terms."""
+    xi = _wavenumbers(a.grid)
+    return [_spectral_dx(a.values, xi, l) for l in range(1, m + 1)]
+
+
+def _coupling_rhs(
+    u_vals: np.ndarray, da: list[np.ndarray], xi: np.ndarray, lam: float
+) -> np.ndarray:
+    """Lagged terms sum_{s,l>=1} C(s,l) (-1)^s lam^-s (d_x^l a)(d_x^{2s-l+1} u).
+
+    da[l - 1] is d_x^l a (see _a_derivatives), so m = len(da).
+    """
     out = np.zeros_like(u_vals)
-    for s in range(1, m + 1):
+    for s in range(1, len(da) + 1):
         for l in range(1, s + 1):
-            da = _spectral_dx(a.values, xi, l)
             du = _spectral_dx(u_vals, xi, 2 * s - l + 1)
-            out += comb(s, l) * (-1.0) ** s * lam**-s * da * du
+            out += comb(s, l) * (-1.0) ** s * lam**-s * da[l - 1] * du
     return out
 
 
@@ -393,6 +446,7 @@ def aux_solve_report(
     mt: MultiplierTriple,
     tol: float = 1e-10,
     max_iter: int = 200,
+    plan: TransportPlan | None = None,
 ) -> AuxReport:
     """Fixed-point solve of the auxiliary problem M u = v with u(x,1) = 0.
 
@@ -400,11 +454,13 @@ def aux_solve_report(
     d_x^{2s} u downward and recovers u per Fourier mode through the
     symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
     passes runs through x-derivatives of a, so x-independent multipliers
-    converge immediately.
+    converge immediately.  plan, when given, is TransportPlan(mt.a, mt.b,
+    mt.c) built once by a caller that solves for many v.
     """
     g = v.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
-    plan = TransportPlan(mt.a, mt.b, mt.c)
+    if plan is None:
+        plan = TransportPlan(mt.a, mt.b, mt.c)
 
     def recover(w: Field) -> np.ndarray:
         return np.real(np.fft.ifft(np.fft.fft(w.values, axis=0) / denom, axis=0))
@@ -418,8 +474,10 @@ def aux_solve_report(
     ratios: list[float] = []
     ref = None
     bad_streak = 0
+    xi = _wavenumbers(g)
+    da = _a_derivatives(mt.a, mt.m)
     for it in range(1, max_iter + 1):
-        rhs = Field(g, v.values - _coupling_rhs(u_vals, mt.a, mt.lam, mt.m))
+        rhs = Field(g, v.values - _coupling_rhs(u_vals, da, xi, mt.lam))
         w = plan.solve(rhs)
         new_vals = recover(w)
         delta = l2_norm(Field(g, new_vals - u_vals))
@@ -453,7 +511,8 @@ def aux_equation_residual(u: Field, v: Field, mt: MultiplierTriple) -> float:
     g = u.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
     w = Field(g, np.real(np.fft.ifft(np.fft.fft(u.values, axis=0) * denom, axis=0)))
-    rhs = Field(g, v.values - _coupling_rhs(u.values, mt.a, mt.lam, mt.m))
+    coupling = _coupling_rhs(u.values, _a_derivatives(mt.a, mt.m), _wavenumbers(g), mt.lam)
+    rhs = Field(g, v.values - coupling)
     res = TransportPlan(mt.a, mt.b, mt.c).residual(rhs, w)
     scale = l2_norm(v)
     return l2_norm(res) / scale if scale > 0 else l2_norm(res)

@@ -1,12 +1,14 @@
 """Linear BVP solver, manufactured-solution verification, energy certificates.
 
-solve_linear factors the assembled operator once and back-substitutes;
-the a priori constant of the well-posedness estimate is reported as the
-measured ratio ||u||_{H^m} / ||f||_{H^{m+1}}.  energy_certificate drives
-the duality chain: for adjoint-admissible samples v it solves the
-auxiliary problem M u = v and tests positivity of (L* v, u) against the
-anisotropic (m,1) energy of u, then reports the measured constant of the
-negative-norm inequality that yields existence of weak solutions.
+solve_linear factors the operator once and back-substitutes: per x-mode
+banded LUs when the coefficients do not depend on x, a sparse LU of the
+assembled matrix otherwise.  The a priori constant of the well-posedness
+estimate is reported as the measured ratio ||u||_{H^m} / ||f||_{H^{m+1}}.
+energy_certificate drives the duality chain: for adjoint-admissible
+samples v it solves the auxiliary problem M u = v and tests positivity
+of (L* v, u) against the anisotropic (m,1) energy of u, then reports the
+measured constant of the negative-norm inequality that yields existence
+of weak solutions.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .coeffs import CoefficientSet, check_alpha, check_condition7
 from .grid import (
@@ -31,11 +34,13 @@ from .multiplier import FormEntry, FormReport, MultiplierTriple, a_y_field
 from .norms import NormOrder, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     BoundarySpec,
+    TransportPlan,
     apply_L,
     apply_Lstar,
     assemble_L,
     aux_solve_report,
     boundary_residual,
+    mode_bands,
 )
 
 
@@ -62,9 +67,15 @@ class LinearProblem:
 
 @dataclass
 class SolveReport:
+    """Solution, interior residual and what the solve did.
+
+    apriori_ratio is None when the a priori norms were not computed
+    (direct_solve); solver_stats["method"] names the factorization.
+    """
+
     u: Field
     residual_norm: float
-    apriori_ratio: float
+    apriori_ratio: float | None = None
     solver_stats: dict = dc_field(default_factory=dict)
 
 
@@ -92,28 +103,80 @@ class ConvergenceTable:
         return [r.observed_order for r in self.rows if r.observed_order is not None]
 
 
+def _x_independent(cs: CoefficientSet) -> bool:
+    return all(np.ptp(c.values, axis=0).max() == 0.0 for c in (cs.K, cs.A, cs.B))
+
+
 class FactorizedOperator:
-    """Cached LU factorization of the assembled operator for many right sides."""
+    """Factorization of L, reused for every right-hand side.
+
+    When K, A and B do not depend on x at all, L is block-circulant in
+    x: the rfft in x splits it into nx//2 + 1 banded systems in y (see
+    operators.mode_bands), each factored by LAPACK's zgbtrf.  Partial
+    pivoting is needed because the diagonal is not dominant where K < 0.
+    Any other coefficient set takes a sparse LU of the assembled matrix.
+    method is "fourier_banded" or "splu".  A singular factorization
+    raises PreconditionError (WELLPOSEDNESS_SUSPECT).
+    """
 
     def __init__(self, cs: CoefficientSet):
         self.cs = cs
-        self.op = assemble_L(cs)
-        self._lu = spla.splu(self.op.matrix.tocsc())
+        if _x_independent(cs):
+            self.method = "fourier_banded"
+            theta = 2.0 * np.pi * np.arange(cs.grid.nx // 2 + 1) / cs.grid.nx
+            self._modes = []
+            for k, ab in enumerate(mode_bands(cs, theta)):
+                lu, piv, info = lapack.zgbtrf(ab, 1, 3)
+                if info > 0:
+                    raise PreconditionError(
+                        f"WELLPOSEDNESS_SUSPECT: x-mode {k} is exactly singular"
+                    )
+                self._modes.append((lu, piv))
+        else:
+            self.method = "splu"
+            try:
+                self._lu = spla.splu(assemble_L(cs).matrix.tocsc())
+            except RuntimeError as exc:  # singular factorization
+                raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
 
     def solve(self, f: Field) -> Field:
+        g = self.cs.grid
         rhs = f.values.copy()
         rhs[:, -1] = 0.0
         rhs[:, 0] = 0.0
-        sol = self._lu.solve(rhs.ravel())
-        return Field(self.cs.grid, sol.reshape(self.cs.grid.shape))
+        if self.method == "splu":
+            sol = self._lu.solve(rhs.ravel()).reshape(g.shape)
+        else:
+            spec = np.fft.rfft(rhs, axis=0)
+            for k, (lu, piv) in enumerate(self._modes):
+                spec[k] = lapack.zgbtrs(lu, 1, 3, spec[k], piv)[0]
+            sol = np.fft.irfft(spec, n=g.nx, axis=0)
+        return Field(g, sol)
 
     def interior_residual(self, u: Field, f: Field) -> float:
-        """Quadrature norm of the matrix residual over the interior rows."""
-        g = self.cs.grid
-        res = (self.op.matrix @ u.values.ravel()).reshape(g.shape) - f.values
+        """Quadrature norm of L u - f over the interior rows."""
+        res = apply_L(self.cs, u).values - f.values
         res[:, 0] = 0.0
         res[:, -1] = 0.0
-        return l2_norm(Field(g, res))
+        return l2_norm(Field(u.grid, res))
+
+
+def direct_solve(cs: CoefficientSet, f: Field, tol: float = 1e-10) -> SolveReport:
+    """Factor L, solve L u = f and gate the interior residual at tol*||f||.
+
+    No admissibility gates and no a priori norms: callers that need
+    them go through solve_linear.  A residual above the gate raises
+    PreconditionError (WELLPOSEDNESS_SUSPECT).
+    """
+    fac = FactorizedOperator(cs)
+    u = fac.solve(f)
+    res = fac.interior_residual(u, f)
+    fnorm = l2_norm(f)
+    if fnorm > 0 and res > tol * fnorm:
+        raise PreconditionError(
+            f"WELLPOSEDNESS_SUSPECT: solve residual {res / fnorm:.2e} exceeds {tol:.1e}"
+        )
+    return SolveReport(u, res, solver_stats={"method": fac.method, "n": u.values.size})
 
 
 def solve_linear(
@@ -123,37 +186,22 @@ def solve_linear(
     require_conditions: bool = True,
     tol: float = 1e-10,
 ) -> SolveReport:
-    """Direct sparse solve of the closed boundary value problem.
+    """Direct solve of the closed boundary value problem (see direct_solve).
 
     The admissibility gates are checked first; require_conditions=False
     downgrades a failed gate to a warning for counterexample probing.
     A singular factorization is surfaced as WELLPOSEDNESS_SUSPECT.
     """
-    for rep in (check_condition7(p.cs), check_alpha(p.cs)):
-        if not rep.passed:
+    for gate in (check_condition7(p.cs), check_alpha(p.cs)):
+        if not gate.passed:
             if require_conditions:
-                raise PreconditionError(str(rep))
-            warnings.warn(f"proceeding despite failed gate: {rep}", stacklevel=2)
-    try:
-        fac = FactorizedOperator(p.cs)
-        u = fac.solve(p.f)
-    except RuntimeError as exc:  # singular factorization
-        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
-
-    res = fac.interior_residual(u, p.f)
-    fnorm = l2_norm(p.f)
-    if fnorm > 0 and res > tol * fnorm:
-        raise PreconditionError(
-            f"WELLPOSEDNESS_SUSPECT: solve residual {res / fnorm:.2e} exceeds {tol:.1e}"
-        )
+                raise PreconditionError(str(gate))
+            warnings.warn(f"proceeding despite failed gate: {gate}", stacklevel=2)
+    rep = direct_solve(p.cs, p.f, tol)
     fden = isotropic_norm(p.f, min(m_order + 1, 2))
-    ratio = isotropic_norm(u, m_order) / fden if fden > 0 else 0.0
-    return SolveReport(
-        u,
-        res,
-        ratio,
-        {"method": "splu", "n": int(np.prod(p.cs.grid.shape)), "m_order": m_order},
-    )
+    rep.apriori_ratio = isotropic_norm(rep.u, m_order) / fden if fden > 0 else 0.0
+    rep.solver_stats["m_order"] = m_order
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +384,12 @@ def energy_certificate(
     ratio is the certificate.
     """
     m = mt.m
+    plan = TransportPlan(mt.a, mt.b, mt.c)
     samples: list[EnergySample] = []
     for v in v_samples:
         if l2_norm(v) == 0.0:
             continue
-        aux = aux_solve_report(v, mt)
+        aux = aux_solve_report(v, mt, plan=plan)
         u = aux.u
         lsv = apply_Lstar(cs, v)
         num = inner_product(lsv, u)

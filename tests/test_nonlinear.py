@@ -201,3 +201,35 @@ def test_graph_surface_scale_validation():
     g = make_grid(16, 16)
     with pytest.raises(ValueError):
         GraphSurface(Field.zeros(g), 0.0)
+
+
+@pytest.mark.parametrize("solve", ["ma", "darboux"])
+def test_picard_converges_under_refinement(solve):
+    # the smoothing band is fixed in k, so refining the grid does not let
+    # the modes the determinant amplifies into the update
+    errors = {}
+    for n in (128, 256):
+        g = make_grid(n, n)
+        pair = manufactured_curvature_pair if solve == "ma" else manufactured_darboux_pair
+        z_star, K = pair(g, RHO)
+        z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
+        if solve == "ma":
+            rep = solve_prescribed_curvature(K, z0)
+        else:
+            rep = solve_darboux(K, flat_metric(g), z0)
+        assert rep.converged, (n, rep.diagnostics)
+        assert rep.diagnostics["solve_method"] == "fourier_banded"
+        assert len(rep.diagnostics["linear_residuals"]) == rep.iterations
+        errors[n] = np.abs(rep.final_z.z.values - z_star.values).max()
+    if solve == "ma":
+        assert errors[256] < errors[128]
+
+
+def test_smoothing_band_is_mesh_independent():
+    from mixedbvp.nonlinear import _smooth_update
+
+    rng = np.random.default_rng(0)
+    for nx, kept in ((16, 4), (32, 8), (64, 16), (128, 16), (256, 16)):
+        spec = np.fft.rfft(_smooth_update(rng.standard_normal((nx, 3)), 16), axis=0)
+        assert np.abs(spec[kept]).min() > 0.0
+        assert np.abs(spec[kept + 1 :]).max() < 1e-12

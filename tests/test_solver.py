@@ -12,6 +12,7 @@ from mixedbvp.solver import (
     ManufacturedSolution,
     PreconditionError,
     _enforce_boundary,
+    direct_solve,
     energy_certificate,
     identity18_residual,
     mms_convergence,
@@ -53,6 +54,128 @@ def test_solver_residual_is_tiny():
     rep = solve_linear(LinearProblem(cs, f))
     assert rep.residual_norm <= 1e-10 * l2_norm(f)
     assert rep.apriori_ratio > 0
+
+
+def _splu_reference(cs, f):
+    # the sparse LU of the assembled matrix, the path the Fourier solve replaced
+    import scipy.sparse.linalg as spla
+
+    from mixedbvp.operators import assemble_L
+
+    rhs = f.values.copy()
+    rhs[:, 0] = 0.0
+    rhs[:, -1] = 0.0
+    lu = spla.splu(assemble_L(cs).matrix.tocsc())
+    return lu.solve(rhs.ravel()).reshape(cs.grid.shape)
+
+
+def _x_independent_lower_order(g):
+    # A and B nonzero, so the mode symbols are complex and the y band is
+    # not symmetric
+    K = Field.from_function(g, lambda X, Y: Y + 0.2 * Y**2)
+    A = Field.from_function(g, lambda X, Y: 0.3 + 0.1 * Y)
+    B = Field.from_function(g, lambda X, Y: 0.05 * (1.0 + Y))
+    return CoefficientSet(K, A, B, 1e-2, 0.2)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("preset", ["tricomi", "chaplygin", "infinite_order", "hand_built"])
+def test_fourier_solve_matches_splu(preset, n):
+    g = make_grid(n, n)
+    if preset == "hand_built":
+        cs = _x_independent_lower_order(g)
+    else:
+        cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    f = Field.from_function(
+        g, lambda X, Y: np.sin(PI * X) * (1 + Y) + np.cos(3 * PI * X) * Y**2 + 0.3
+    )
+    fac = FactorizedOperator(cs)
+    assert fac.method == "fourier_banded"
+    ref = _splu_reference(cs, f)
+    err = np.abs(fac.solve(f).values - ref).max() / np.abs(ref).max()
+    assert err <= 1e-11
+
+
+def test_x_dependent_coefficients_take_splu():
+    g = make_grid(32, 32)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    for preset in ("lower_order", "wedge"):
+        cs = preset_coefficients(preset, g, 1e-4, 0.02)
+        rep = solve_linear(LinearProblem(cs, f))
+        assert rep.solver_stats["method"] == "splu", preset
+        assert np.array_equal(rep.u.values, _splu_reference(cs, f))
+    rep = solve_linear(LinearProblem(preset_coefficients("tricomi", g, 1e-4, 0.02), f))
+    assert rep.solver_stats["method"] == "fourier_banded"
+
+
+def test_residual_gate_raises_on_both_paths():
+    g = make_grid(32, 32)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    for preset in ("tricomi", "lower_order"):
+        cs = preset_coefficients(preset, g, 1e-4, 0.02)
+        assert direct_solve(cs, f).residual_norm <= 1e-10 * l2_norm(f)
+        with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT"):
+            direct_solve(cs, f, tol=1e-30)
+
+
+def test_singular_mode_is_wellposedness_suspect():
+    # B = -2/(eps*hy) on row 3 zeroes its coupling to row 4, which cuts
+    # rows 0..3 off from the Dirichlet top; on mode 0 the bottom row and
+    # the y second difference both annihilate constants there, so that
+    # mode's system is exactly singular
+    g = make_grid(8, 8)
+    eps = 0.5
+    B = np.zeros(g.shape)
+    B[:, 3] = -2.0 / (eps * g.hy)
+    K = Field.from_function(g, lambda X, Y: Y)
+    cs = CoefficientSet(K, Field.zeros(g), Field(g, B), eps, 0.02)
+    with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0"):
+        FactorizedOperator(cs)
+
+
+def _cli_start(g, pair):
+    from mixedbvp.cli import _perturbation
+    from mixedbvp.nonlinear import GraphSurface
+
+    z_star, K = pair(g, 0.25)
+    return K, GraphSurface(Field(g, z_star.values + _perturbation(g).values), 0.25)
+
+
+def test_picard_fourier_matches_splu_path(monkeypatch):
+    from mixedbvp import solver
+    from mixedbvp.cli import manufactured_curvature_pair, manufactured_darboux_pair
+    from mixedbvp.nonlinear import flat_metric, solve_darboux, solve_prescribed_curvature
+
+    g = make_grid(64, 64)
+
+    def run_both():
+        K, z0 = _cli_start(g, manufactured_curvature_pair)
+        ma = solve_prescribed_curvature(K, z0)
+        K, z0 = _cli_start(g, manufactured_darboux_pair)
+        return ma, solve_darboux(K, flat_metric(g), z0)
+
+    fast = run_both()
+    monkeypatch.setattr(solver, "_x_independent", lambda cs: False)
+    slow = run_both()
+    for a, b in zip(fast, slow):
+        assert a.diagnostics["solve_method"] == "fourier_banded"
+        assert b.diagnostics["solve_method"] == "splu"
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert np.abs(a.final_z.z.values - b.final_z.z.values).max() < 1e-10
+    # the counts the solve_linear-based iteration reported before
+    assert [(r.iterations, r.converged) for r in fast] == [(31, True), (24, True)]
+
+
+def test_picard_with_x_dependent_psi_takes_splu():
+    from mixedbvp.cli import manufactured_curvature_pair
+    from mixedbvp.nonlinear import NonlinearParams, solve_prescribed_curvature
+
+    g = make_grid(32, 32)
+    K, z0 = _cli_start(g, manufactured_curvature_pair)
+    psi = Field.from_function(g, lambda X, Y: 0.1 * np.cos(PI * X))
+    rep = solve_prescribed_curvature(K, z0, psi, NonlinearParams(max_iter=1))
+    assert rep.diagnostics["solve_method"] == "splu"
+    assert len(rep.diagnostics["linear_residuals"]) == 1
 
 
 def test_mms_recovery_and_orders():
@@ -190,6 +313,28 @@ def test_energy_certificate_positive_on_tricomi():
         e = rep.entries["energy_ratio"]
         assert e.passed and e.min > 0
         assert all(np.isfinite(s.dual_constant) for s in samples)
+
+
+def test_energy_certificate_builds_one_transport_plan(monkeypatch):
+    from mixedbvp import operators, solver
+
+    built = []
+
+    class CountingPlan(operators.TransportPlan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    vs = random_smooth_samples(g, cs.alpha, 4, seed=2)
+    own_plans = [operators.aux_solve_report(v, mt) for v in vs]
+    monkeypatch.setattr(solver, "TransportPlan", CountingPlan)
+    monkeypatch.setattr(operators, "TransportPlan", CountingPlan)
+    _, samples = energy_certificate(cs, mt, vs)
+    assert len(built) == 1
+    assert [s.aux_iterations for s in samples] == [r.iterations for r in own_plans]
 
 
 def test_energy_certificate_skips_zero_samples():
