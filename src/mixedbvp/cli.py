@@ -15,10 +15,11 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .coeffs import check_alpha, check_condition7, preset_coefficients
-from .grid import Field, make_grid, save_field
+from .grid import Field, load_field, make_grid, save_field
 from .multiplier import (
     AlphaConditionError,
     boundary_form_report,
@@ -26,6 +27,8 @@ from .multiplier import (
     interior_form_report,
 )
 from .nonlinear import (
+    CurvatureGateError,
+    DegenerateLinearizationError,
     GraphSurface,
     NonlinearParams,
     flat_metric,
@@ -140,8 +143,6 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write_manifest(cfg: RunConfig, outdir: Path, command: str) -> None:
-    import scipy
-
     lines = [f"command={command}", f"version={__version__}"]
     lines += [f"{f.name}={getattr(cfg, f.name)}" for f in dc_fields(cfg)]
     lines += [f"numpy={np.__version__}", f"scipy={scipy.__version__}"]
@@ -194,8 +195,6 @@ def _cmd_solve(cfg: RunConfig, outdir: Path) -> int:
     if cfg.rhs == "sine":
         f = Field.from_function(cs.grid, lambda X, Y: np.sin(np.pi * X) * (1.0 + Y))
     elif cfg.rhs.startswith("csv:"):
-        from .grid import load_field
-
         f = load_field(cfg.rhs[4:])
     else:
         raise ConfigError(f"unknown rhs {cfg.rhs!r} (use 'sine' or 'csv:<path>')")
@@ -245,7 +244,6 @@ def _cmd_energy(cfg: RunConfig, outdir: Path) -> int:
 
 def _cmd_aux(cfg: RunConfig, outdir: Path) -> int:
     cs = _coeffs(cfg)
-    mt = build_abc(cs, cfg.lam, cfg.m, require_alpha=False)
     rng = np.random.default_rng(cfg.seed)
     coef = rng.standard_normal(3)
     v = Field.from_function(
@@ -299,41 +297,34 @@ def _perturbation(grid, amplitude: float = 0.01):
     )
 
 
-def _write_iteration(outdir: Path, rep) -> None:
+def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
+    """Recover pair's manufactured surface from the perturbed start with solve."""
+    grid = make_grid(cfg.nx, cfg.ny)
+    z_star, K = pair(grid, cfg.rho)
+    z0 = Field(grid, z_star.values + _perturbation(grid).values)
+    params = NonlinearParams(
+        alpha0=cfg.alpha0, theta=cfg.theta, tol=cfg.tol, max_iter=cfg.max_iter
+    )
+    psi = None if cfg.psi == 0.0 else Field.constant(grid, cfg.psi)
+    rep = solve(K, GraphSurface(z0, cfg.rho), psi, params)
     rows = ["iteration,residual"]
     rows += [f"{i},{r:.8e}" for i, r in enumerate(rep.residual_history)]
     (outdir / "iteration.csv").write_text("\n".join(rows) + "\n")
     save_field(rep.final_z.z, outdir / "z_final.csv")
+    err = np.abs(rep.final_z.z.values - z_star.values).max()
+    print(f"converged={rep.converged} iterations={rep.iterations} sup_error={err:.3e}")
+    return 0 if rep.converged else 1
 
 
 def _cmd_ma(cfg: RunConfig, outdir: Path) -> int:
-    grid = make_grid(cfg.nx, cfg.ny)
-    z_star, K = manufactured_curvature_pair(grid, cfg.rho)
-    z0 = Field(grid, z_star.values + _perturbation(grid).values)
-    params = NonlinearParams(
-        alpha0=cfg.alpha0, theta=cfg.theta, tol=cfg.tol, max_iter=cfg.max_iter
-    )
-    psi = None if cfg.psi == 0.0 else Field.constant(grid, cfg.psi)
-    rep = solve_prescribed_curvature(K, GraphSurface(z0, cfg.rho), psi, params)
-    _write_iteration(outdir, rep)
-    err = np.abs(rep.final_z.z.values - z_star.values).max()
-    print(f"converged={rep.converged} iterations={rep.iterations} sup_error={err:.3e}")
-    return 0 if rep.converged else 1
+    return _run_picard(cfg, outdir, manufactured_curvature_pair, solve_prescribed_curvature)
 
 
 def _cmd_darboux(cfg: RunConfig, outdir: Path) -> int:
-    grid = make_grid(cfg.nx, cfg.ny)
-    z_star, K = manufactured_darboux_pair(grid, cfg.rho)
-    z0 = Field(grid, z_star.values + _perturbation(grid).values)
-    params = NonlinearParams(
-        alpha0=cfg.alpha0, theta=cfg.theta, tol=cfg.tol, max_iter=cfg.max_iter
-    )
-    psi = None if cfg.psi == 0.0 else Field.constant(grid, cfg.psi)
-    rep = solve_darboux(K, flat_metric(grid), GraphSurface(z0, cfg.rho), psi, params)
-    _write_iteration(outdir, rep)
-    err = np.abs(rep.final_z.z.values - z_star.values).max()
-    print(f"converged={rep.converged} iterations={rep.iterations} sup_error={err:.3e}")
-    return 0 if rep.converged else 1
+    def solve(K, z0, psi, params):
+        return solve_darboux(K, flat_metric(K.grid), z0, psi, params)
+
+    return _run_picard(cfg, outdir, manufactured_darboux_pair, solve)
 
 
 _COMMANDS = {
@@ -390,8 +381,14 @@ def run(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_manifest(cfg, outdir, args.command)
         return _COMMANDS[args.command](cfg, outdir)
-    except (AlphaConditionError, PreconditionError) as exc:
-        # a failed admissibility gate: the message is the ConditionReport
+    except (
+        AlphaConditionError,
+        PreconditionError,
+        CurvatureGateError,
+        DegenerateLinearizationError,
+    ) as exc:
+        # a failed admissibility gate or a solver that cannot proceed: the
+        # message says which condition failed
         print(exc)
         return 1
     except (ValueError, OSError) as exc:

@@ -113,11 +113,20 @@ def _check_same_grid(*fields: Field) -> GridSpec:
 # differentiation
 # ---------------------------------------------------------------------------
 
+def _dx1_3(v: np.ndarray, hx: float) -> np.ndarray:
+    # 3-point centered, periodic: the x-stencil of the assembled operator
+    return (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * hx)
+
+
+def _dx2_3(v: np.ndarray, hx: float) -> np.ndarray:
+    return (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / (hx * hx)
+
+
 def _dx1(v: np.ndarray, hx: float) -> np.ndarray:
     # fourth-order centered, periodic; the wide stencil aliases itself on
     # fewer than 5 columns, so the minimal grid falls back to second order
     if v.shape[0] < 5:
-        return (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * hx)
+        return _dx1_3(v, hx)
     return (
         np.roll(v, 2, axis=0)
         - 8.0 * np.roll(v, 1, axis=0)
@@ -128,9 +137,7 @@ def _dx1(v: np.ndarray, hx: float) -> np.ndarray:
 
 def _dx2(v: np.ndarray, hx: float) -> np.ndarray:
     if v.shape[0] < 5:
-        return (
-            np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)
-        ) / (hx * hx)
+        return _dx2_3(v, hx)
     return (
         -np.roll(v, 2, axis=0)
         + 16.0 * np.roll(v, 1, axis=0)

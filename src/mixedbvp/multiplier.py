@@ -186,6 +186,29 @@ def a_y_field(mt: MultiplierTriple, cs: CoefficientSet) -> Field:
     return Field(cs.grid, vals)
 
 
+def _interior_coefficients(mt: MultiplierTriple, cs: CoefficientSet):
+    """The u_x^2, u_x u_y, u_y^2 and u^2 coefficients of the interior form.
+
+    The energy identity weights them by eps/2, eps, eps/2 and eps/2.
+    """
+    eps = cs.eps
+    g = cs.grid
+    a, b, c = mt.a.values, mt.b.values, mt.c.values
+    K, A, B = cs.K.values, cs.A.values, cs.B.values
+
+    def dx(vals, order=1):
+        return differentiate(Field(g, vals), "x", order).values
+
+    def dy(vals, order=1):
+        return differentiate(Field(g, vals), "y", order).values
+
+    ux2 = dy(b * K) - 2.0 * c * K - dx(a * K) + 2.0 * a * A
+    mixed = b * A - dx(b * K) - a_y_field(mt, cs).values / eps - a * B
+    uy2 = (dx(a) - dy(b) - 2.0 * c) / eps + 2.0 * b * B
+    u2 = dx(c * K, 2) + dy(c, 2) / eps - dx(c * A) - dy(c * B)
+    return ux2, mixed, uy2, u2
+
+
 def interior_form_report(
     mt: MultiplierTriple, cs: CoefficientSet, *, slack: float = 0.5
 ) -> FormReport:
@@ -196,32 +219,7 @@ def interior_form_report(
     budget since its cancellation is exact.
     """
     eps = cs.eps
-    g = cs.grid
-    a, b, c = mt.a, mt.b, mt.c
-    K, A, B = cs.K, cs.A, cs.B
-
-    def dx(f: Field, order=1) -> np.ndarray:
-        return differentiate(f, "x", order).values
-
-    def dy(f: Field, order=1) -> np.ndarray:
-        return differentiate(f, "y", order).values
-
-    bK = Field(g, b.values * K.values)
-    aK = Field(g, a.values * K.values)
-    cK = Field(g, c.values * K.values)
-    cA = Field(g, c.values * A.values)
-    cB = Field(g, c.values * B.values)
-
-    ux2 = dy(bK) - 2.0 * c.values * K.values - dx(aK) + 2.0 * a.values * A.values
-    mixed = (
-        b.values * A.values
-        - dx(bK)
-        - a_y_field(mt, cs).values / eps
-        - a.values * B.values
-    )
-    uy2 = (dx(a) - dy(b) - 2.0 * c.values) / eps + 2.0 * b.values * B.values
-    u2 = dx(cK, 2) + dy(c, 2) / eps - dx(cA) - dy(cB)
-
+    ux2, mixed, uy2, u2 = _interior_coefficients(mt, cs)
     report = FormReport()
 
     def add_min(label, vals, bound):

@@ -19,6 +19,7 @@ residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import factorial
 
 import numpy as np
 
@@ -85,8 +86,13 @@ class NonlinearParams:
     theta: float = 0.5
     tol: float = 1e-8
     max_iter: int = 50
-    stagnation_window: int = 8
-    smoothing_modes: int = 16  # x-modes |k| kept in each update (see _smooth_update)
+
+
+# Picard gives up when the latest residual is no lower than the first of
+# its last STAGNATION_WINDOW residuals
+STAGNATION_WINDOW = 8
+# x-modes |k| kept in each update (see _smooth_update)
+SMOOTHING_MODES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +161,27 @@ def cutoff_profile(grid: GridSpec) -> np.ndarray:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _hessian(z: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    zxx = graph_dx(z, 2).values
-    zyy = graph_dy(z, 2).values
-    zxy = graph_dy(graph_dx(z, 1), 1).values
-    return zxx, zxy, zyy
+def _graph_derivatives(z: Field) -> dict[str, np.ndarray]:
+    """First and second derivatives of a graph height from the graph stencils."""
+    zx = graph_dx(z, 1)
+    return {
+        "zx": zx.values,
+        "zy": graph_dy(z, 1).values,
+        "zxx": graph_dx(z, 2).values,
+        "zxy": graph_dy(zx, 1).values,
+        "zyy": graph_dy(z, 2).values,
+    }
+
+
+def _curvature(dv: dict[str, np.ndarray], K: Field) -> np.ndarray:
+    det = dv["zxx"] * dv["zyy"] - dv["zxy"] ** 2
+    grad2 = dv["zx"] ** 2 + dv["zy"] ** 2
+    return det - K.values * (1.0 + grad2) ** 2
 
 
 def curvature_residual(z: GraphSurface, K: Field) -> Field:
     """det D^2 z - K (1 + |grad z|^2)^2, pointwise on the grid."""
-    zf = z.z
-    zxx, zxy, zyy = _hessian(zf)
-    zx = graph_dx(zf, 1).values
-    zy = graph_dy(zf, 1).values
-    det = zxx * zyy - zxy**2
-    grad2 = zx**2 + zy**2
-    return Field(zf.grid, det - K.values * (1.0 + grad2) ** 2)
+    return Field(z.z.grid, _curvature(_graph_derivatives(z.z), K))
 
 
 def christoffel_symbols(h: MetricData):
@@ -188,28 +199,36 @@ def christoffel_symbols(h: MetricData):
     return g1_11, g2_11, g1_12, g2_12, g1_22, g2_22
 
 
+def _cov_hessian(dv: dict[str, np.ndarray], gammas) -> tuple[np.ndarray, ...]:
+    g1_11, g2_11, g1_12, g2_12, g1_22, g2_22 = gammas
+    H11 = dv["zxx"] - g1_11 * dv["zx"] - g2_11 * dv["zy"]
+    H12 = dv["zxy"] - g1_12 * dv["zx"] - g2_12 * dv["zy"]
+    H22 = dv["zyy"] - g1_22 * dv["zx"] - g2_22 * dv["zy"]
+    return H11, H12, H22
+
+
+def _gradh2(dv: dict[str, np.ndarray], inv) -> np.ndarray:
+    """|grad_h z|^2 from the inverse metric entries (ih11, ih12, ih22)."""
+    ih11, ih12, ih22 = inv
+    zx, zy = dv["zx"], dv["zy"]
+    return ih11 * zx**2 + 2.0 * ih12 * zx * zy + ih22 * zy**2
+
+
+def _darboux(dv: dict[str, np.ndarray], K: Field, inv, gammas, deth) -> np.ndarray:
+    H11, H12, H22 = _cov_hessian(dv, gammas)
+    return H11 * H22 - H12**2 - K.values * deth * (1.0 - _gradh2(dv, inv))
+
+
 def covariant_hessian(z: Field, h: MetricData) -> tuple[Field, Field, Field]:
     """Second covariant derivatives of z in the metric h."""
-    g = z.grid
-    g1_11, g2_11, g1_12, g2_12, g1_22, g2_22 = christoffel_symbols(h)
-    zx = graph_dx(z).values
-    zy = graph_dy(z).values
-    zxx, zxy, zyy = _hessian(z)
-    H11 = zxx - g1_11 * zx - g2_11 * zy
-    H12 = zxy - g1_12 * zx - g2_12 * zy
-    H22 = zyy - g1_22 * zx - g2_22 * zy
-    return Field(g, H11), Field(g, H12), Field(g, H22)
+    H = _cov_hessian(_graph_derivatives(z), christoffel_symbols(h))
+    return tuple(Field(z.grid, v) for v in H)
 
 
 def darboux_residual(z: GraphSurface, K: Field, h: MetricData) -> Field:
     """det(cov Hessian) - K det(h) (1 - |grad_h z|^2)."""
-    H11, H12, H22 = covariant_hessian(z.z, h)
-    ih11, ih12, ih22 = h.inverse()
-    zx = graph_dx(z.z).values
-    zy = graph_dy(z.z).values
-    gradh2 = ih11 * zx**2 + 2.0 * ih12 * zx * zy + ih22 * zy**2
-    det = H11.values * H22.values - H12.values**2
-    return Field(z.z.grid, det - K.values * h.det() * (1.0 - gradh2))
+    dv = _graph_derivatives(z.z)
+    return Field(z.z.grid, _darboux(dv, K, h.inverse(), christoffel_symbols(h), h.det()))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +280,6 @@ def _normal_form_coefficients(
 
 def _stencil_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
     """Weights reproducing the deriv-th derivative at 0 from nodes at offsets."""
-    from math import factorial
-
     n = offsets.size
     V = np.vander(offsets, n, increasing=True).T
     rhs = np.zeros(n)
@@ -394,8 +411,8 @@ def _picard(
         if it == params.max_iter:
             break
         if (
-            len(history) > params.stagnation_window
-            and history[-1] >= history[-params.stagnation_window]
+            len(history) > STAGNATION_WINDOW
+            and history[-1] >= history[-STAGNATION_WINDOW]
         ):
             return report(it, False, "residual stagnation")
         P, Q = principal_from_derivs(derivs)
@@ -403,7 +420,7 @@ def _picard(
         rep = direct_solve(cs, Field(grid, -res / Q))
         diagnostics["linear_residuals"].append(rep.residual_norm)
         diagnostics["solve_method"] = rep.solver_stats["method"]
-        d = d + params.theta * _smooth_update(rep.u.values, params.smoothing_modes)
+        d = d + params.theta * _smooth_update(rep.u.values, SMOOTHING_MODES)
     return report(params.max_iter, False, "max_iter")
 
 
@@ -421,16 +438,13 @@ def solve_prescribed_curvature(
     """
     params = params or NonlinearParams()
     _gate_condition7prime(K, V, z0.domain_scale)
-
-    def residual_from_derivs(dv):
-        det = dv["zxx"] * dv["zyy"] - dv["zxy"] ** 2
-        grad2 = dv["zx"] ** 2 + dv["zy"] ** 2
-        return det - K.values * (1.0 + grad2) ** 2
-
-    def principal_from_derivs(dv):
-        return dv["zyy"], dv["zxx"]
-
-    return _picard(z0, residual_from_derivs, principal_from_derivs, psi, params)
+    return _picard(
+        z0,
+        lambda dv: _curvature(dv, K),
+        lambda dv: (dv["zyy"], dv["zxx"]),
+        psi,
+        params,
+    )
 
 
 def solve_darboux(
@@ -448,37 +462,28 @@ def solve_darboux(
     """
     params = params or NonlinearParams()
     _gate_condition7prime(K, V, z0.domain_scale)
-    ih11, ih12, ih22 = h.inverse()
+    inv = h.inverse()
     gammas = christoffel_symbols(h)
     deth = h.det()
 
-    def cov_hessian(dv):
-        g1_11, g2_11, g1_12, g2_12, g1_22, g2_22 = gammas
-        H11 = dv["zxx"] - g1_11 * dv["zx"] - g2_11 * dv["zy"]
-        H12 = dv["zxy"] - g1_12 * dv["zx"] - g2_12 * dv["zy"]
-        H22 = dv["zyy"] - g1_22 * dv["zx"] - g2_22 * dv["zy"]
-        return H11, H12, H22
-
     def guard(dv) -> None:
-        zx, zy = dv["zx"], dv["zy"]
-        gradh2 = ih11 * zx**2 + 2.0 * ih12 * zx * zy + ih22 * zy**2
+        gradh2 = _gradh2(dv, inv)
         if gradh2.max() >= 1.0:
             raise DegenerateLinearizationError(
                 f"|grad_h z|^2 reached {gradh2.max():.3f}; right-hand side degenerates"
             )
 
-    def residual_from_derivs(dv):
-        H11, H12, H22 = cov_hessian(dv)
-        zx, zy = dv["zx"], dv["zy"]
-        gradh2 = ih11 * zx**2 + 2.0 * ih12 * zx * zy + ih22 * zy**2
-        return H11 * H22 - H12**2 - K.values * deth * (1.0 - gradh2)
-
     def principal_from_derivs(dv):
-        H11, _, H22 = cov_hessian(dv)
+        H11, _, H22 = _cov_hessian(dv, gammas)
         return H22, H11
 
     return _picard(
-        z0, residual_from_derivs, principal_from_derivs, psi, params, extra_guard=guard
+        z0,
+        lambda dv: _darboux(dv, K, inv, gammas, deth),
+        principal_from_derivs,
+        psi,
+        params,
+        extra_guard=guard,
     )
 
 

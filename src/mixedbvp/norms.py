@@ -142,6 +142,12 @@ def isotropic_norm(u: Field, m: int) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
+def _frobenius(a: np.ndarray) -> float:
+    # np.linalg.norm goes through a BLAS dot, whose thread hand-off costs
+    # far more than the arithmetic on arrays this small; einsum stays serial
+    return float(np.sqrt(np.einsum("ij,ij->", a, a)))
+
+
 def negative_norm(v: Field, order: NormOrder) -> float:
     """Dual norm ||v||_(-m,-l), exact on the discrete space via a Gram solve.
 
@@ -158,9 +164,9 @@ def negative_norm(v: Field, order: NormOrder) -> float:
     x = np.fft.irfft(np.fft.rfft(y, axis=0) / f.symbol[:, None], n=grid.nx, axis=0)
     # normwise backward error of x in G x = M v, with G applied through
     # its explicit 1-D factors rather than the symbol the solve trusted
-    res = np.linalg.norm(f.hcx @ x @ f.cy - mv)
-    scale = np.linalg.norm(mv)
-    floor = f.inf_norm * np.linalg.norm(x) + scale
+    res = _frobenius(f.hcx @ x @ f.cy - mv)
+    scale = _frobenius(mv)
+    floor = f.inf_norm * _frobenius(x) + scale
     if scale > 0 and res > 1e-8 * floor:
         raise GramSolveError(
             f"Gram solve backward error {res / floor:.2e} above tolerance"

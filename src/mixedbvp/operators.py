@@ -18,7 +18,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeffs import CoefficientSet
-from .grid import Field, GridSpec, boundary_integral, inner_product, l2_norm
+from .grid import (
+    Field,
+    GridSpec,
+    _dx1_3,
+    _dx2_3,
+    _dy1,
+    _dy2,
+    boundary_integral,
+    differentiate,
+    inner_product,
+    l2_norm,
+)
 from .multiplier import MultiplierTriple
 
 
@@ -41,13 +52,10 @@ class BoundarySpec:
 
     bottom: str  # "oblique" (alpha*u_x + u_y = 0) or "adjoint_oblique" (alpha*v_x - v_y = 0)
     alpha: float
-    top: str = "dirichlet_zero"
 
     def __post_init__(self):
         if self.bottom not in ("oblique", "adjoint_oblique"):
             raise ValueError(f"unsupported bottom condition {self.bottom!r}")
-        if self.top != "dirichlet_zero":
-            raise ValueError(f"unsupported top condition {self.top!r}")
 
 
 # third-order one-sided first-derivative weights used by the oblique rows
@@ -185,8 +193,6 @@ def assemble_L(cs: CoefficientSet) -> DiscreteOperator:
 
 
 def _adjoint_pieces(cs: CoefficientSet):
-    from .grid import differentiate
-
     Kx = differentiate(cs.K, "x", 1).values
     Kxx = differentiate(cs.K, "x", 2).values
     Axd = differentiate(cs.A, "x", 1).values
@@ -209,47 +215,32 @@ def assemble_Lstar(cs: CoefficientSet) -> DiscreteOperator:
 # differential application (all rows, one-sided at the walls)
 # ---------------------------------------------------------------------------
 
-def _d1x3(v: np.ndarray, hx: float) -> np.ndarray:
-    return (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * hx)
+def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> Field:
+    """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
 
-
-def _d2x3(v: np.ndarray, hx: float) -> np.ndarray:
-    return (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / (hx * hx)
+    The x-stencils are the 3-point ones of the assembled matrix, the
+    y-stencils the grid module's (one-sided at the walls).  zero_order
+    None leaves the last term out rather than adding zeros.
+    """
+    out = (
+        eps * K * _dx2_3(v, grid.hx)
+        + _dy2(v, grid.hy)
+        + eps * first_x * _dx1_3(v, grid.hx)
+        + eps * first_y * _dy1(v, grid.hy)
+    )
+    if zero_order is not None:
+        out = out + zero_order * v
+    return Field(grid, out)
 
 
 def apply_L(cs: CoefficientSet, u: Field) -> Field:
-    """Pointwise application of the operator at every node (no boundary rows).
-
-    Uses the same 3-point x-stencils as the assembled matrix; y-stencils
-    are the grid module's (one-sided at the walls).
-    """
-    from .grid import _dy1, _dy2
-
-    g = u.grid
-    v = u.values
-    out = (
-        cs.eps * cs.K.values * _d2x3(v, g.hx)
-        + _dy2(v, g.hy)
-        + cs.eps * cs.A.values * _d1x3(v, g.hx)
-        + cs.eps * cs.B.values * _dy1(v, g.hy)
-    )
-    return Field(g, out)
+    """Pointwise application of the operator at every node (no boundary rows)."""
+    return _apply(u.grid, cs.K.values, cs.A.values, cs.B.values, None, cs.eps, u.values)
 
 
 def apply_Lstar(cs: CoefficientSet, v: Field) -> Field:
-    from .grid import _dy1, _dy2
-
-    g = v.grid
-    first_x, first_y, zero_order = _adjoint_pieces(cs)
-    w = v.values
-    out = (
-        cs.eps * cs.K.values * _d2x3(w, g.hx)
-        + _dy2(w, g.hy)
-        + cs.eps * first_x * _d1x3(w, g.hx)
-        + cs.eps * first_y * _dy1(w, g.hy)
-        + zero_order * w
-    )
-    return Field(g, out)
+    """Pointwise application of the formal adjoint at every node."""
+    return _apply(v.grid, cs.K.values, *_adjoint_pieces(cs), cs.eps, v.values)
 
 
 def boundary_residual(u: Field, bc: BoundarySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +248,7 @@ def boundary_residual(u: Field, bc: BoundarySpec) -> tuple[np.ndarray, np.ndarra
     g = u.grid
     top = u.values[:, -1].copy()
     uy0 = u.values[:, :4] @ _BOTTOM_DY / g.hy
-    ux0 = _d1x3(u.values, g.hx)[:, 0]
+    ux0 = _dx1_3(u.values, g.hx)[:, 0]
     sgn = 1.0 if bc.bottom == "oblique" else -1.0
     bottom = bc.alpha * ux0 + sgn * uy0
     return top, bottom

@@ -30,9 +30,10 @@ from .grid import (
     inner_product,
     l2_norm,
 )
-from .multiplier import FormEntry, FormReport, MultiplierTriple, a_y_field
+from .multiplier import FormEntry, FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
+    _BOTTOM_DY,
     BoundarySpec,
     TransportPlan,
     apply_L,
@@ -56,13 +57,10 @@ class BoundaryCompatibilityError(ValueError):
 class LinearProblem:
     cs: CoefficientSet
     f: Field
-    boundary: BoundarySpec | None = None
 
     def __post_init__(self):
         if self.f.grid != self.cs.grid:
             raise ValueError("right-hand side must share the coefficient grid")
-        if self.boundary is None:
-            self.boundary = BoundarySpec("oblique", self.cs.alpha)
 
 
 @dataclass
@@ -307,8 +305,6 @@ def mms_convergence(
 
 def _bottom_corrector(grid: GridSpec) -> tuple[np.ndarray, float]:
     """Profile chi with chi(-1) = chi(1) = 0 plus its discrete y-derivative at -1."""
-    from .operators import _BOTTOM_DY
-
     y = grid.y
     chi = -(1.0 + y) * (1.0 - y) ** 2 / 4.0
     d0 = float(chi[:4] @ _BOTTOM_DY / grid.hy)
@@ -428,7 +424,7 @@ def identity18_residual(cs: CoefficientSet, mt: MultiplierTriple, u: Field) -> f
     g = cs.grid
     eps = cs.eps
     a, b, c = mt.a.values, mt.b.values, mt.c.values
-    K, A, B = cs.K.values, cs.A.values, cs.B.values
+    K, B = cs.K.values, cs.B.values
 
     ux = differentiate(u, "x", 1).values
     uy = differentiate(u, "y", 1).values
@@ -436,17 +432,7 @@ def identity18_residual(cs: CoefficientSet, mt: MultiplierTriple, u: Field) -> f
     mult = Field(g, a * ux + b * uy + c * u.values)
     lhs = inner_product(mult, lu)
 
-    def dx(vals, order=1):
-        return differentiate(Field(g, vals), "x", order).values
-
-    def dy(vals, order=1):
-        return differentiate(Field(g, vals), "y", order).values
-
-    g1 = dy(b * K) - 2.0 * c * K - dx(a * K) + 2.0 * a * A
-    gmix = b * A - dx(b * K) - a_y_field(mt, cs).values / eps - a * B
-    g2 = (dx(a) - dy(b) - 2.0 * c) / eps + 2.0 * b * B
-    g0 = dx(c * K, 2) + dy(c, 2) / eps - dx(c * A) - dy(c * B)
-
+    g1, gmix, g2, g0 = _interior_coefficients(mt, cs)
     interior = eps * (
         inner_product(Field(g, 0.5 * g1 * ux), Field(g, ux))
         + inner_product(Field(g, gmix * ux), Field(g, uy))
@@ -454,7 +440,7 @@ def identity18_residual(cs: CoefficientSet, mt: MultiplierTriple, u: Field) -> f
         + inner_product(Field(g, 0.5 * g0 * u.values), Field(g, u.values))
     )
 
-    cy = dy(c)
+    cy = differentiate(mt.c, "y", 1).values
     uu = u.values
     # n2-signed boundary integrand, evaluated on each wall row
     integrand = (

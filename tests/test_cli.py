@@ -128,6 +128,14 @@ def test_ma_subcommand(tmp_path):
     assert (tmp_path / "z_final.csv").exists()
 
 
+def test_darboux_subcommand(tmp_path, capsys):
+    code = run(["darboux", "--nx", "32", "--ny", "32", "--tol", "1e-6", "--out", str(tmp_path)])
+    assert code == 0
+    assert "converged=True" in capsys.readouterr().out
+    assert (tmp_path / "iteration.csv").exists()
+    assert (tmp_path / "z_final.csv").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -172,3 +180,12 @@ def test_grid_too_small_for_seam_carrier_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nx >= 14" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+def test_failed_curvature_gate_exits_1_with_one_line(tmp_path, capsys, command):
+    code = run([command, "--rho", "1.0", "--nx", "32", "--ny", "32", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("directional curvature condition fails")
+    assert captured.out.count("\n") == 1 and captured.err == ""

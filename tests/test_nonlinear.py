@@ -233,3 +233,26 @@ def test_smoothing_band_is_mesh_independent():
         spec = np.fft.rfft(_smooth_update(rng.standard_normal((nx, 3)), 16), axis=0)
         assert np.abs(spec[kept]).min() > 0.0
         assert np.abs(spec[kept + 1 :]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_picard_residual_is_the_public_residual(n):
+    # Picard evaluates the shared residuals on the seam-split derivatives;
+    # away from the seam they agree with the public residuals, which use
+    # one-sided graph stencils
+    from mixedbvp.nonlinear import _curvature, _darboux, _SplitDerivatives, christoffel_symbols
+
+    g = make_grid(n, n)
+    inner = np.abs(g.x) <= 0.5
+    h = flat_metric(g)
+    for pair in (manufactured_curvature_pair, manufactured_darboux_pair):
+        z_star, K = pair(g, RHO)
+        z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
+        dv = _SplitDerivatives(z0.z).at(0)
+        if pair is manufactured_curvature_pair:
+            picard = _curvature(dv, K)
+            public = curvature_residual(z0, K).values
+        else:
+            picard = _darboux(dv, K, h.inverse(), christoffel_symbols(h), h.det())
+            public = darboux_residual(z0, K, h).values
+        assert np.abs(picard - public)[inner].max() <= 1e-11
