@@ -238,9 +238,15 @@ def apply_L(cs: CoefficientSet, u: Field) -> Field:
     return _apply(u.grid, cs.K.values, cs.A.values, cs.B.values, None, cs.eps, u.values)
 
 
-def apply_Lstar(cs: CoefficientSet, v: Field) -> Field:
-    """Pointwise application of the formal adjoint at every node."""
-    return _apply(v.grid, cs.K.values, *_adjoint_pieces(cs), cs.eps, v.values)
+def apply_Lstar(cs: CoefficientSet, v: Field, pieces: tuple | None = None) -> Field:
+    """Pointwise application of the formal adjoint at every node.
+
+    pieces, when given, is _adjoint_pieces(cs), computed once by a caller
+    that applies L* to many v.
+    """
+    if pieces is None:
+        pieces = _adjoint_pieces(cs)
+    return _apply(v.grid, cs.K.values, *pieces, cs.eps, v.values)
 
 
 def boundary_residual(u: Field, bc: BoundarySpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """Linear BVP solver, manufactured-solution verification, energy certificates.
 
 solve_linear factors the operator once and back-substitutes: per x-mode
-banded LUs when the coefficients do not depend on x, a sparse LU of the
-assembled matrix otherwise.  The a priori constant of the well-posedness
-estimate is reported as the measured ratio ||u||_{H^m} / ||f||_{H^{m+1}}.
+banded LUs when the coefficients do not depend on x; otherwise GMRES
+preconditioned by those LUs for the x-averaged operator, with a sparse
+LU of the assembled matrix as the fallback.  The a priori constant of
+the well-posedness estimate is reported as the measured ratio
+||u||_{H^m} / ||f||_{H^{m+1}}.
 energy_certificate drives the duality chain: for adjoint-admissible
 samples v it solves the auxiliary problem M u = v and tests positivity
 of (L* v, u) against the anisotropic (m,1) energy of u, then reports the
@@ -36,6 +38,7 @@ from .operators import (
     _BOTTOM_DY,
     BoundarySpec,
     TransportPlan,
+    _adjoint_pieces,
     apply_L,
     apply_Lstar,
     assemble_L,
@@ -68,7 +71,8 @@ class SolveReport:
     """Solution, interior residual and what the solve did.
 
     apriori_ratio is None when the a priori norms were not computed
-    (direct_solve); solver_stats["method"] names the factorization.
+    (direct_solve); solver_stats["method"] names the path the solve took
+    (see FactorizedOperator), plus the operator's stats.
     """
 
     u: Field
@@ -105,6 +109,65 @@ def _x_independent(cs: CoefficientSet) -> bool:
     return all(np.ptp(c.values, axis=0).max() == 0.0 for c in (cs.K, cs.A, cs.B))
 
 
+def _x_mean(cs: CoefficientSet) -> CoefficientSet:
+    """K, A and B averaged over x: the operator the Krylov path preconditions with."""
+    g = cs.grid
+    K, A, B = (
+        Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)
+    )
+    return CoefficientSet(K, A, B, cs.eps, cs.alpha)
+
+
+def _factor_modes(cs: CoefficientSet) -> list:
+    """zgbtrf LUs of the x-mode systems of mode_bands(cs), one per rfft mode."""
+    theta = 2.0 * np.pi * np.arange(cs.grid.nx // 2 + 1) / cs.grid.nx
+    modes = []
+    for k, ab in enumerate(mode_bands(cs, theta)):
+        lu, piv, info = lapack.zgbtrf(ab, 1, 3)
+        if info > 0:
+            raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {k} is exactly singular")
+        modes.append((lu, piv))
+    return modes
+
+
+# Krylov steps before the Fourier-preconditioned path gives up for splu
+GMRES_MAX_ITER = 40
+# the Krylov residual estimate is driven this far below the gate: at the
+# gate itself the answer can sit 5e-11 away from the LU solution
+GMRES_MARGIN = 1e-2
+
+
+def _gmres(apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter: int):
+    """Right-preconditioned GMRES (Saad-Schultz 1986) from x = 0.
+
+    The inner product is weighted by w, so the least-squares residual is
+    the quadrature norm of b - apply(x) in exact arithmetic.  Stops when
+    that estimate is <= target, at a breakdown or after maxiter steps,
+    and returns (x, steps).  No restarts: the basis holds at most maxiter + 1 vectors.
+    """
+    beta = float(np.sqrt(b @ (w * b)))
+    if beta <= target:
+        return np.zeros_like(b), 0
+    V = np.empty((maxiter + 1, b.size))
+    H = np.zeros((maxiter + 1, maxiter))
+    V[0] = b / beta
+    y = np.zeros(0)
+    for k in range(maxiter):
+        v = apply(precond(V[k]))
+        for _ in range(2):  # classical Gram-Schmidt, twice for orthogonality
+            h = V[: k + 1] @ (w * v)
+            v -= h @ V[: k + 1]
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.sqrt(v @ (w * v))
+        rhs = np.zeros(k + 2)
+        rhs[0] = beta
+        y = np.linalg.lstsq(H[: k + 2, : k + 1], rhs, rcond=None)[0]
+        if np.linalg.norm(H[: k + 2, : k + 1] @ y - rhs) <= target or H[k + 1, k] == 0.0:
+            return precond(y @ V[: k + 1]), k + 1
+        V[k + 1] = v / H[k + 1, k]
+    return precond(y @ V[:maxiter]), maxiter
+
+
 class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
@@ -112,43 +175,95 @@ class FactorizedOperator:
     x: the rfft in x splits it into nx//2 + 1 banded systems in y (see
     operators.mode_bands), each factored by LAPACK's zgbtrf.  Partial
     pivoting is needed because the diagonal is not dominant where K < 0.
-    Any other coefficient set takes a sparse LU of the assembled matrix.
-    method is "fourier_banded" or "splu".  A singular factorization
-    raises PreconditionError (WELLPOSEDNESS_SUSPECT).
+
+    Otherwise the same per-mode LUs, built from the x-mean of K, A and
+    B, precondition GMRES on L applied matrix-free (apply_L on the
+    interior rows, boundary_residual on the walls).  It stops when the
+    residual over every row, walls included, passes the gate tol*||f||
+    of direct_solve.  Past GMRES_MAX_ITER steps, or when the gate
+    fails, the operator falls back to a sparse LU of the assembled
+    matrix for good; stats["fallback_reason"] says why.
+
+    method is "fourier_banded", "fourier_gmres" or "splu".  stats holds
+    what the Krylov path did on the last solve: gmres_iterations,
+    gmres_residual (over every row, relative to ||f||) and, after a
+    fallback, fallback_reason.  A singular factorization of L raises
+    PreconditionError (WELLPOSEDNESS_SUSPECT).
     """
 
-    def __init__(self, cs: CoefficientSet):
+    def __init__(self, cs: CoefficientSet, tol: float = 1e-10):
         self.cs = cs
+        self.tol = tol
+        self.stats: dict = {}
         if _x_independent(cs):
             self.method = "fourier_banded"
-            theta = 2.0 * np.pi * np.arange(cs.grid.nx // 2 + 1) / cs.grid.nx
-            self._modes = []
-            for k, ab in enumerate(mode_bands(cs, theta)):
-                lu, piv, info = lapack.zgbtrf(ab, 1, 3)
-                if info > 0:
-                    raise PreconditionError(
-                        f"WELLPOSEDNESS_SUSPECT: x-mode {k} is exactly singular"
-                    )
-                self._modes.append((lu, piv))
+            self._modes = _factor_modes(cs)
+            return
+        self.method = "fourier_gmres"
+        try:
+            self._modes = _factor_modes(_x_mean(cs))
+        except PreconditionError:
+            self._fall_back("the x-averaged operator has an exactly singular mode")
+
+    def _fall_back(self, reason: str) -> None:
+        self.method = "splu"
+        self.stats["fallback_reason"] = reason
+        try:
+            self._lu = spla.splu(assemble_L(self.cs).matrix.tocsc())
+        except RuntimeError as exc:  # singular factorization
+            raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
+
+    def _mode_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Back-substitution through the mode LUs, every row of rhs included."""
+        spec = np.fft.rfft(rhs, axis=0)
+        for k, (lu, piv) in enumerate(self._modes):
+            spec[k] = lapack.zgbtrs(lu, 1, 3, spec[k], piv)[0]
+        return np.fft.irfft(spec, n=self.cs.grid.nx, axis=0)
+
+    def _rows(self, u: np.ndarray) -> np.ndarray:
+        """Every row of the assembled L times u, applied matrix-free."""
+        field = Field(self.cs.grid, u)
+        out = apply_L(self.cs, field).values
+        out[:, -1], out[:, 0] = boundary_residual(field, BoundarySpec("oblique", self.cs.alpha))
+        return out
+
+    def _krylov(self, rhs: np.ndarray, fnorm: float) -> np.ndarray | None:
+        """GMRES to the gate, or None after falling back to splu."""
+        g = self.cs.grid
+        shape = g.shape
+        w = np.broadcast_to(g.hx * g.y_weights(), shape).ravel()
+        x, steps = _gmres(
+            lambda v: self._rows(v.reshape(shape)).ravel(),
+            lambda v: self._mode_solve(v.reshape(shape)).ravel(),
+            rhs.ravel(),
+            w,
+            GMRES_MARGIN * self.tol * fnorm,
+            GMRES_MAX_ITER,
+        )
+        r = rhs.ravel() - self._rows(x.reshape(shape)).ravel()
+        res = float(np.sqrt(r @ (w * r)))
+        self.stats.update(gmres_iterations=steps, gmres_residual=res / fnorm if fnorm > 0 else res)
+        if res <= self.tol * fnorm:
+            return x.reshape(shape)
+        if steps == GMRES_MAX_ITER:
+            self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
         else:
-            self.method = "splu"
-            try:
-                self._lu = spla.splu(assemble_L(cs).matrix.tocsc())
-            except RuntimeError as exc:  # singular factorization
-                raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
+            self._fall_back(f"GMRES stopped above the residual gate {self.tol:.1e}")
+        return None
 
     def solve(self, f: Field) -> Field:
         g = self.cs.grid
         rhs = f.values.copy()
         rhs[:, -1] = 0.0
         rhs[:, 0] = 0.0
+        if self.method == "fourier_gmres":
+            sol = self._krylov(rhs, l2_norm(f))
+            if sol is not None:
+                return Field(g, sol)
         if self.method == "splu":
             sol = self._lu.solve(rhs.ravel()).reshape(g.shape)
         else:
-            spec = np.fft.rfft(rhs, axis=0)
-            for k, (lu, piv) in enumerate(self._modes):
-                spec[k] = lapack.zgbtrs(lu, 1, 3, spec[k], piv)[0]
-            sol = np.fft.irfft(spec, n=g.nx, axis=0)
+            sol = self._mode_solve(rhs)
         return Field(g, sol)
 
     def interior_residual(self, u: Field, f: Field) -> float:
@@ -166,7 +281,7 @@ def direct_solve(cs: CoefficientSet, f: Field, tol: float = 1e-10) -> SolveRepor
     them go through solve_linear.  A residual above the gate raises
     PreconditionError (WELLPOSEDNESS_SUSPECT).
     """
-    fac = FactorizedOperator(cs)
+    fac = FactorizedOperator(cs, tol)
     u = fac.solve(f)
     res = fac.interior_residual(u, f)
     fnorm = l2_norm(f)
@@ -174,7 +289,8 @@ def direct_solve(cs: CoefficientSet, f: Field, tol: float = 1e-10) -> SolveRepor
         raise PreconditionError(
             f"WELLPOSEDNESS_SUSPECT: solve residual {res / fnorm:.2e} exceeds {tol:.1e}"
         )
-    return SolveReport(u, res, solver_stats={"method": fac.method, "n": u.values.size})
+    stats = {"method": fac.method, "n": u.values.size, **fac.stats}
+    return SolveReport(u, res, solver_stats=stats)
 
 
 def solve_linear(
@@ -381,13 +497,14 @@ def energy_certificate(
     """
     m = mt.m
     plan = TransportPlan(mt.a, mt.b, mt.c)
+    pieces = _adjoint_pieces(cs)
     samples: list[EnergySample] = []
     for v in v_samples:
         if l2_norm(v) == 0.0:
             continue
         aux = aux_solve_report(v, mt, plan=plan)
         u = aux.u
-        lsv = apply_Lstar(cs, v)
+        lsv = apply_Lstar(cs, v, pieces)
         num = inner_product(lsv, u)
         den = sobolev_norm(u, NormOrder(m, 1)) ** 2
         ratio = num / den if den > 0 else np.inf

@@ -105,6 +105,26 @@ def test_solve_subcommand_writes_solution(tmp_path):
     assert u.grid.nx == 24
 
 
+def test_solve_report_names_the_krylov_path(tmp_path):
+    import ast
+
+    from mixedbvp.coeffs import preset_coefficients
+    from mixedbvp.grid import Field, make_grid
+    from mixedbvp.solver import LinearProblem, solve_linear
+
+    code = run(["solve", "--preset", "lower_order", "--nx", "32", "--ny", "32",
+                "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "solve_report.txt").read_text()
+    stats = ast.literal_eval(text.split("stats=", 1)[1].strip())
+    assert stats["method"] == "fourier_gmres"
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    f = Field.from_function(g, lambda X, Y: np.sin(np.pi * X) * (1.0 + Y))
+    rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
+    assert stats["gmres_iterations"] == rep.solver_stats["gmres_iterations"] >= 1
+
+
 def test_energy_subcommand(tmp_path):
     code = run(["energy", "--preset", "tricomi", "--eps", "1e-4", "--alpha", "0.02",
                 "--nx", "32", "--ny", "32", "--samples", "5", "--m", "0",

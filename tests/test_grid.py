@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from mixedbvp.grid import (
     Field,
     GridError,
+    _dx1_3,
+    _dx2_3,
     boundary_integral,
     diff_quotient,
     differentiate,
@@ -18,6 +20,19 @@ from mixedbvp.grid import (
 )
 
 PI = np.pi
+
+
+@pytest.mark.parametrize("nx", [4, 5, 128])
+def test_three_point_x_stencils_bit_identical_to_roll(nx):
+    # the np.roll forms the slice-based stencils replaced
+    rng = np.random.default_rng(nx)
+    v = rng.standard_normal((nx, 7))
+    hx = 2.0 / nx
+    d1 = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * hx)
+    d2 = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / (hx * hx)
+    assert np.array_equal(_dx1_3(v, hx), d1)
+    assert np.array_equal(_dx2_3(v, hx), d2)
+    assert np.array_equal(_dx1_3(v[:, 0], hx), d1[:, 0])
 
 
 def test_make_grid_spacings():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixedbvp import solver
 from mixedbvp.coeffs import CoefficientSet, preset_coefficients
 from mixedbvp.grid import Field, differentiate, l2_norm, make_grid
 from mixedbvp.multiplier import build_abc
@@ -96,9 +97,39 @@ def test_fourier_solve_matches_splu(preset, n):
     assert err <= 1e-11
 
 
-def test_x_dependent_coefficients_take_splu():
+@pytest.mark.parametrize("eps", [1e-4, 1e-2])
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("preset", ["lower_order", "wedge"])
+def test_fourier_gmres_matches_splu(preset, n, eps):
+    g = make_grid(n, n)
+    cs = preset_coefficients(preset, g, eps, 0.02)
+    f = Field.from_function(
+        g, lambda X, Y: np.sin(PI * X) * (1 + Y) + np.cos(3 * PI * X) * Y**2 + 0.3
+    )
+    rep = direct_solve(cs, f)
+    stats = rep.solver_stats
+    assert stats["method"] == "fourier_gmres"
+    assert 1 <= stats["gmres_iterations"] < solver.GMRES_MAX_ITER
+    # the Krylov gate counts the wall rows too, so it bounds the interior one
+    assert rep.residual_norm <= stats["gmres_residual"] * l2_norm(f) <= 1e-10 * l2_norm(f)
+    ref = _splu_reference(cs, f)
+    assert np.abs(rep.u.values - ref).max() / np.abs(ref).max() <= 1e-11
+
+
+def test_x_dependent_coefficients_fall_back_to_splu(monkeypatch):
+    g = make_grid(128, 128)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    # at eps = 0.1 the cap leaves the residual near 1e-7, far above the gate
+    cs = preset_coefficients("lower_order", g, 0.1, 0.02)
+    rep = direct_solve(cs, f)
+    assert rep.solver_stats["method"] == "splu"
+    assert rep.solver_stats["gmres_iterations"] == solver.GMRES_MAX_ITER
+    assert "cap" in rep.solver_stats["fallback_reason"]
+    assert np.array_equal(rep.u.values, _splu_reference(cs, f))
+    # a cap of 0 sends every x-dependent set to the sparse LU
     g = make_grid(32, 32)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
     for preset in ("lower_order", "wedge"):
         cs = preset_coefficients(preset, g, 1e-4, 0.02)
         rep = solve_linear(LinearProblem(cs, f))
@@ -111,9 +142,13 @@ def test_x_dependent_coefficients_take_splu():
 def test_residual_gate_raises_on_both_paths():
     g = make_grid(32, 32)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
-    for preset in ("tricomi", "lower_order"):
+    for preset, method in (("tricomi", "fourier_banded"), ("lower_order", "fourier_gmres")):
         cs = preset_coefficients(preset, g, 1e-4, 0.02)
-        assert direct_solve(cs, f).residual_norm <= 1e-10 * l2_norm(f)
+        rep = direct_solve(cs, f)
+        assert rep.solver_stats["method"] == method
+        assert rep.residual_norm <= 1e-10 * l2_norm(f)
+        # the Krylov path cannot reach this gate either: it falls back to
+        # splu, whose residual fails it
         with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT"):
             direct_solve(cs, f, tol=1e-30)
 
@@ -131,6 +166,21 @@ def test_singular_mode_is_wellposedness_suspect():
     cs = CoefficientSet(K, Field.zeros(g), Field(g, B), eps, 0.02)
     with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0"):
         FactorizedOperator(cs)
+
+
+def test_singular_averaged_mode_falls_back_to_splu():
+    # the singular set above plus an A of exactly zero x-mean: the
+    # x-averaged preconditioner is that singular set, so the operator
+    # goes straight to the sparse LU
+    g = make_grid(8, 8)
+    eps = 0.5
+    B = np.zeros(g.shape)
+    B[:, 3] = -2.0 / (eps * g.hy)
+    K = Field.from_function(g, lambda X, Y: Y)
+    A = Field(g, np.outer(0.3 * (-1.0) ** np.arange(g.nx), np.ones(g.ny + 1)))
+    fac = FactorizedOperator(CoefficientSet(K, A, Field(g, B), eps, 0.02))
+    assert fac.method == "splu"
+    assert "singular mode" in fac.stats["fallback_reason"]
 
 
 def _cli_start(g, pair):
@@ -156,6 +206,7 @@ def test_picard_fourier_matches_splu_path(monkeypatch):
 
     fast = run_both()
     monkeypatch.setattr(solver, "_x_independent", lambda cs: False)
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
     slow = run_both()
     for a, b in zip(fast, slow):
         assert a.diagnostics["solve_method"] == "fourier_banded"
@@ -166,16 +217,21 @@ def test_picard_fourier_matches_splu_path(monkeypatch):
     assert [(r.iterations, r.converged) for r in fast] == [(31, True), (24, True)]
 
 
-def test_picard_with_x_dependent_psi_takes_splu():
+def test_picard_with_x_dependent_psi_takes_fourier_gmres(monkeypatch):
     from mixedbvp.cli import manufactured_curvature_pair
-    from mixedbvp.nonlinear import NonlinearParams, solve_prescribed_curvature
+    from mixedbvp.nonlinear import solve_prescribed_curvature
 
-    g = make_grid(32, 32)
+    g = make_grid(64, 64)
     K, z0 = _cli_start(g, manufactured_curvature_pair)
     psi = Field.from_function(g, lambda X, Y: 0.1 * np.cos(PI * X))
-    rep = solve_prescribed_curvature(K, z0, psi, NonlinearParams(max_iter=1))
-    assert rep.diagnostics["solve_method"] == "splu"
-    assert len(rep.diagnostics["linear_residuals"]) == 1
+    fast = solve_prescribed_curvature(K, z0, psi)
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
+    slow = solve_prescribed_curvature(K, z0, psi)
+    assert fast.diagnostics["solve_method"] == "fourier_gmres"
+    assert slow.diagnostics["solve_method"] == "splu"
+    assert len(fast.diagnostics["linear_residuals"]) == fast.iterations
+    assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged) == (31, True)
+    assert np.abs(fast.final_z.z.values - slow.final_z.z.values).max() <= 1e-11
 
 
 def test_mms_recovery_and_orders():
@@ -335,6 +391,33 @@ def test_energy_certificate_builds_one_transport_plan(monkeypatch):
     _, samples = energy_certificate(cs, mt, vs)
     assert len(built) == 1
     assert [s.aux_iterations for s in samples] == [r.iterations for r in own_plans]
+
+
+def test_energy_certificate_computes_adjoint_pieces_once(monkeypatch):
+    from mixedbvp import operators
+
+    calls = []
+    real = operators._adjoint_pieces
+
+    def counting(cs):
+        calls.append(cs)
+        return real(cs)
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    vs = random_smooth_samples(g, cs.alpha, 4, seed=2)
+    monkeypatch.setattr(solver, "_adjoint_pieces", counting)
+    monkeypatch.setattr(operators, "_adjoint_pieces", counting)
+    _, hoisted = energy_certificate(cs, mt, vs)
+    assert len(calls) == 1
+    # L* v with its pieces recomputed per sample gives the same bits
+    monkeypatch.setattr(solver, "apply_Lstar", lambda cs, v, pieces: operators.apply_Lstar(cs, v))
+    _, per_sample = energy_certificate(cs, mt, vs)
+    assert len(calls) == 2 + len(vs)
+    assert [(s.ratio, s.dual_constant, s.aux_iterations) for s in hoisted] == [
+        (s.ratio, s.dual_constant, s.aux_iterations) for s in per_sample
+    ]
 
 
 def test_energy_certificate_skips_zero_samples():
