@@ -378,8 +378,9 @@ def _picard(
     """Damped frozen-coefficient iteration; each step is one direct_solve.
 
     The normal form is x-averaged, so with psi = None or an
-    x-independent psi every step takes the Fourier-mode banded solve.
-    diagnostics carries the interior residual of each linear solve, the
+    x-independent psi every step is one back-substitution through the
+    Fourier-mode LUs, with no GMRES step.  diagnostics carries the
+    residual of each linear solve (every row, walls included), the
     solve method and, when the iteration gives up, the reason.
     """
     grid = z0.z.grid

@@ -158,19 +158,21 @@ def _assemble(
 def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     """Band storage of L on the x-modes exp(i*theta*i), one (ny+1)-system each.
 
-    For coefficients that do not depend on x (row 0 of each field is
-    used), L maps the mode exp(i*theta*i) times a y-profile to the same
-    mode: the x-neighbours of the assembled stencils become the symbol
-    east*exp(i*theta) + west*exp(-i*theta).  What is left in y is
-    tridiagonal, plus the identity top row and the 4-point oblique
-    bottom row.  The layout is LAPACK's for zgbtrf with kl = 1, ku = 3:
-    entry (r, c) of mode k sits at [k, 4 + r - c, c], and row 0 is the
-    room that partial pivoting fills.
+    K, A and B are averaged over x (a field constant in x keeps its own
+    row exactly), and the averaged L maps the mode exp(i*theta*i) times
+    a y-profile to the same mode: the x-neighbours of the assembled
+    stencils become the symbol east*exp(i*theta) + west*exp(-i*theta).
+    What is left in y is tridiagonal, plus the identity top row and the
+    4-point oblique bottom row.  The layout is LAPACK's for zgbtrf with
+    kl = 1, ku = 3: entry (r, c) of mode k sits at [k, 4 + r - c, c],
+    and row 0 is the room that partial pivoting fills.
     """
     g = cs.grid
-    east, west, north, south, centre = _interior_stencil(
-        cs.K.values[0], cs.A.values[0], cs.B.values[0], 0.0, cs.eps, g.hx, g.hy
+    K, A, B = (
+        c.values[0] if np.ptp(c.values, axis=0).max() == 0.0 else c.values.mean(axis=0)
+        for c in (cs.K, cs.A, cs.B)
     )
+    east, west, north, south, centre = _interior_stencil(K, A, B, 0.0, cs.eps, g.hx, g.hy)
     shift = np.exp(1j * theta)[:, None]
     ab = np.zeros((theta.size, 6, g.ny + 1), dtype=complex)
     ab[:, 4, 1:-1] = (centre + east * shift + west * np.conj(shift))[:, 1:-1]
@@ -254,7 +256,7 @@ def boundary_residual(u: Field, bc: BoundarySpec) -> tuple[np.ndarray, np.ndarra
     g = u.grid
     top = u.values[:, -1].copy()
     uy0 = u.values[:, :4] @ _BOTTOM_DY / g.hy
-    ux0 = _dx1_3(u.values, g.hx)[:, 0]
+    ux0 = _dx1_3(u.values[:, 0], g.hx)
     sgn = 1.0 if bc.bottom == "oblique" else -1.0
     bottom = bc.alpha * ux0 + sgn * uy0
     return top, bottom

@@ -1,9 +1,9 @@
 """Linear BVP solver, manufactured-solution verification, energy certificates.
 
-solve_linear factors the operator once and back-substitutes: per x-mode
-banded LUs when the coefficients do not depend on x; otherwise GMRES
-preconditioned by those LUs for the x-averaged operator, with a sparse
-LU of the assembled matrix as the fallback.  The a priori constant of
+solve_linear factors the x-averaged operator once per x-mode (banded
+LUs) and back-substitutes; when the coefficients depend on x, that step
+is the first of GMRES preconditioned by those LUs, with a sparse LU of
+the assembled matrix as the fallback.  The a priori constant of
 the well-posedness estimate is reported as the measured ratio
 ||u||_{H^m} / ||f||_{H^{m+1}}.
 energy_certificate drives the duality chain: for adjoint-admissible
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -68,11 +69,11 @@ class LinearProblem:
 
 @dataclass
 class SolveReport:
-    """Solution, interior residual and what the solve did.
+    """Solution, residual over every row (walls included) and what the solve did.
 
     apriori_ratio is None when the a priori norms were not computed
-    (direct_solve); solver_stats["method"] names the path the solve took
-    (see FactorizedOperator), plus the operator's stats.
+    (direct_solve); solver_stats holds method, n and the operator's
+    stats (see FactorizedOperator).
     """
 
     u: Field
@@ -109,15 +110,6 @@ def _x_independent(cs: CoefficientSet) -> bool:
     return all(np.ptp(c.values, axis=0).max() == 0.0 for c in (cs.K, cs.A, cs.B))
 
 
-def _x_mean(cs: CoefficientSet) -> CoefficientSet:
-    """K, A and B averaged over x: the operator the Krylov path preconditions with."""
-    g = cs.grid
-    K, A, B = (
-        Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)
-    )
-    return CoefficientSet(K, A, B, cs.eps, cs.alpha)
-
-
 def _factor_modes(cs: CoefficientSet) -> list:
     """zgbtrf LUs of the x-mode systems of mode_bands(cs), one per rfft mode."""
     theta = 2.0 * np.pi * np.arange(cs.grid.nx // 2 + 1) / cs.grid.nx
@@ -137,23 +129,26 @@ GMRES_MAX_ITER = 40
 GMRES_MARGIN = 1e-2
 
 
-def _gmres(apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter: int):
+def _gmres(
+    apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter: int, first: np.ndarray
+):
     """Right-preconditioned GMRES (Saad-Schultz 1986) from x = 0.
 
-    The inner product is weighted by w, so the least-squares residual is
-    the quadrature norm of b - apply(x) in exact arithmetic.  Stops when
-    that estimate is <= target, at a breakdown or after maxiter steps,
-    and returns (x, steps).  No restarts: the basis holds at most maxiter + 1 vectors.
+    first is apply(precond(b)), which the caller has formed already, so
+    the first step costs no matvec; apply's output is flattened.  The
+    inner product is weighted by w, so the least-squares residual is
+    the quadrature norm of b - apply(x) in exact arithmetic.  Stops
+    when that estimate is <= target, at a breakdown or after maxiter
+    steps, and returns (x, steps).  No restarts: the basis holds at
+    most maxiter + 1 vectors.
     """
     beta = float(np.sqrt(b @ (w * b)))
-    if beta <= target:
-        return np.zeros_like(b), 0
     V = np.empty((maxiter + 1, b.size))
     H = np.zeros((maxiter + 1, maxiter))
     V[0] = b / beta
     y = np.zeros(0)
     for k in range(maxiter):
-        v = apply(precond(V[k]))
+        v = first / beta if k == 0 else apply(precond(V[k])).ravel()
         for _ in range(2):  # classical Gram-Schmidt, twice for orthogonality
             h = V[: k + 1] @ (w * v)
             v -= h @ V[: k + 1]
@@ -171,39 +166,42 @@ def _gmres(apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter:
 class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
-    When K, A and B do not depend on x at all, L is block-circulant in
-    x: the rfft in x splits it into nx//2 + 1 banded systems in y (see
-    operators.mode_bands), each factored by LAPACK's zgbtrf.  Partial
-    pivoting is needed because the diagonal is not dominant where K < 0.
+    The rfft in x splits the x-averaged operator into nx//2 + 1 banded
+    systems in y (see operators.mode_bands), each factored once by
+    LAPACK's zgbtrf (partial pivoting: the diagonal is not dominant
+    where K < 0).  When K, A and B do not depend on x, that is L itself.
 
-    Otherwise the same per-mode LUs, built from the x-mean of K, A and
-    B, precondition GMRES on L applied matrix-free (apply_L on the
-    interior rows, boundary_residual on the walls).  It stops when the
+    solve back-substitutes through the mode LUs and stops when the
     residual over every row, walls included, passes the gate tol*||f||
-    of direct_solve.  Past GMRES_MAX_ITER steps, or when the gate
-    fails, the operator falls back to a sparse LU of the assembled
-    matrix for good; stats["fallback_reason"] says why.
+    of direct_solve, as every x-independent set does.  Otherwise that
+    was the first step of GMRES on L applied matrix-free (apply_L on the
+    interior rows, boundary_residual on the walls), right-preconditioned
+    by the mode LUs (Concus-Golub 1973).  Past GMRES_MAX_ITER steps, or
+    when the gate still fails, the operator falls back to a sparse LU of
+    the assembled matrix for good; stats["fallback_reason"] says why.
 
-    method is "fourier_banded", "fourier_gmres" or "splu".  stats holds
-    what the Krylov path did on the last solve: gmres_iterations,
-    gmres_residual (over every row, relative to ||f||) and, after a
-    fallback, fallback_reason.  A singular factorization of L raises
-    PreconditionError (WELLPOSEDNESS_SUSPECT).
+    method is "fourier" or "splu".  residual_norm is the last solve's
+    residual over every row; stats holds it relative to ||f|| as
+    residual, gmres_iterations (0 when the mode LUs alone passed the
+    gate) and the perf_counter timings factor_s and solve_s.  A singular
+    factorization of L raises PreconditionError (WELLPOSEDNESS_SUSPECT);
+    a singular mode of the averaged operator of an x-dependent L only
+    sends it to splu.
     """
 
     def __init__(self, cs: CoefficientSet, tol: float = 1e-10):
+        t0 = perf_counter()
         self.cs = cs
         self.tol = tol
         self.stats: dict = {}
-        if _x_independent(cs):
-            self.method = "fourier_banded"
-            self._modes = _factor_modes(cs)
-            return
-        self.method = "fourier_gmres"
+        self.method = "fourier"
         try:
-            self._modes = _factor_modes(_x_mean(cs))
+            self._modes = _factor_modes(cs)
         except PreconditionError:
+            if _x_independent(cs):
+                raise
             self._fall_back("the x-averaged operator has an exactly singular mode")
+        self.stats["factor_s"] = perf_counter() - t0
 
     def _fall_back(self, reason: str) -> None:
         self.method = "splu"
@@ -215,82 +213,72 @@ class FactorizedOperator:
 
     def _mode_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitution through the mode LUs, every row of rhs included."""
-        spec = np.fft.rfft(rhs, axis=0)
+        spec = np.fft.rfft(rhs.reshape(self.cs.grid.shape), axis=0)
         for k, (lu, piv) in enumerate(self._modes):
             spec[k] = lapack.zgbtrs(lu, 1, 3, spec[k], piv)[0]
         return np.fft.irfft(spec, n=self.cs.grid.nx, axis=0)
 
     def _rows(self, u: np.ndarray) -> np.ndarray:
         """Every row of the assembled L times u, applied matrix-free."""
-        field = Field(self.cs.grid, u)
+        field = Field(self.cs.grid, u.reshape(self.cs.grid.shape))
         out = apply_L(self.cs, field).values
         out[:, -1], out[:, 0] = boundary_residual(field, BoundarySpec("oblique", self.cs.alpha))
         return out
 
-    def _krylov(self, rhs: np.ndarray, fnorm: float) -> np.ndarray | None:
-        """GMRES to the gate, or None after falling back to splu."""
-        g = self.cs.grid
-        shape = g.shape
-        w = np.broadcast_to(g.hx * g.y_weights(), shape).ravel()
-        x, steps = _gmres(
-            lambda v: self._rows(v.reshape(shape)).ravel(),
-            lambda v: self._mode_solve(v.reshape(shape)).ravel(),
-            rhs.ravel(),
-            w,
-            GMRES_MARGIN * self.tol * fnorm,
-            GMRES_MAX_ITER,
-        )
-        r = rhs.ravel() - self._rows(x.reshape(shape)).ravel()
-        res = float(np.sqrt(r @ (w * r)))
-        self.stats.update(gmres_iterations=steps, gmres_residual=res / fnorm if fnorm > 0 else res)
-        if res <= self.tol * fnorm:
-            return x.reshape(shape)
-        if steps == GMRES_MAX_ITER:
-            self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
-        else:
-            self._fall_back(f"GMRES stopped above the residual gate {self.tol:.1e}")
-        return None
-
     def solve(self, f: Field) -> Field:
+        """u with L u = f on the interior rows and the homogeneous wall conditions."""
+        t0 = perf_counter()
         g = self.cs.grid
         rhs = f.values.copy()
         rhs[:, -1] = 0.0
         rhs[:, 0] = 0.0
-        if self.method == "fourier_gmres":
-            sol = self._krylov(rhs, l2_norm(f))
-            if sol is not None:
-                return Field(g, sol)
+        fnorm = l2_norm(f)
+        gate = self.tol * fnorm
+        steps = 0
+        if self.method == "fourier":
+            u = self._mode_solve(rhs)
+            Lu = self._rows(u)
+            res = l2_norm(Field(g, rhs - Lu))
+            # the gate, not the Krylov target: an exact LU's residual sits at a
+            # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
+            if res > gate:
+                w = np.broadcast_to(g.hx * g.y_weights(), g.shape).ravel()
+                u, steps = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
+                                  GMRES_MARGIN * gate, GMRES_MAX_ITER, Lu.ravel())
+                res = l2_norm(Field(g, rhs - self._rows(u)))
+            if res > gate:
+                if steps == GMRES_MAX_ITER:
+                    self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
+                else:
+                    self._fall_back(f"GMRES stopped above the residual gate {self.tol:.1e}")
         if self.method == "splu":
-            sol = self._lu.solve(rhs.ravel()).reshape(g.shape)
-        else:
-            sol = self._mode_solve(rhs)
-        return Field(g, sol)
-
-    def interior_residual(self, u: Field, f: Field) -> float:
-        """Quadrature norm of L u - f over the interior rows."""
-        res = apply_L(self.cs, u).values - f.values
-        res[:, 0] = 0.0
-        res[:, -1] = 0.0
-        return l2_norm(Field(u.grid, res))
+            u = self._lu.solve(rhs.ravel()).reshape(g.shape)
+            res = l2_norm(Field(g, rhs - self._rows(u)))
+        self.residual_norm = res
+        self.stats.update(
+            gmres_iterations=steps,
+            residual=res / fnorm if fnorm > 0 else res,
+            solve_s=perf_counter() - t0,
+        )
+        return Field(g, u)
 
 
 def direct_solve(cs: CoefficientSet, f: Field, tol: float = 1e-10) -> SolveReport:
-    """Factor L, solve L u = f and gate the interior residual at tol*||f||.
+    """Factor L, solve L u = f and gate the residual at tol*||f||.
 
-    No admissibility gates and no a priori norms: callers that need
-    them go through solve_linear.  A residual above the gate raises
-    PreconditionError (WELLPOSEDNESS_SUSPECT).
+    The residual is the one the solve formed, over every row, walls
+    included.  No admissibility gates and no a priori norms: callers
+    that need them go through solve_linear.  A residual above the gate
+    raises PreconditionError (WELLPOSEDNESS_SUSPECT).
     """
     fac = FactorizedOperator(cs, tol)
     u = fac.solve(f)
-    res = fac.interior_residual(u, f)
-    fnorm = l2_norm(f)
-    if fnorm > 0 and res > tol * fnorm:
+    if fac.stats["residual"] > tol:
         raise PreconditionError(
-            f"WELLPOSEDNESS_SUSPECT: solve residual {res / fnorm:.2e} exceeds {tol:.1e}"
+            f"WELLPOSEDNESS_SUSPECT: solve residual {fac.stats['residual']:.2e} exceeds {tol:.1e}"
         )
     stats = {"method": fac.method, "n": u.values.size, **fac.stats}
-    return SolveReport(u, res, solver_stats=stats)
+    return SolveReport(u, fac.residual_norm, solver_stats=stats)
 
 
 def solve_linear(

@@ -117,7 +117,9 @@ def test_solve_report_names_the_krylov_path(tmp_path):
     assert code == 0
     text = (tmp_path / "solve_report.txt").read_text()
     stats = ast.literal_eval(text.split("stats=", 1)[1].strip())
-    assert stats["method"] == "fourier_gmres"
+    assert stats["method"] == "fourier"
+    assert {"gmres_iterations", "residual", "factor_s", "solve_s"} <= stats.keys()
+    assert stats["residual"] <= 1e-10
     g = make_grid(32, 32)
     cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
     f = Field.from_function(g, lambda X, Y: np.sin(np.pi * X) * (1.0 + Y))

@@ -218,7 +218,7 @@ def test_picard_converges_under_refinement(solve):
         else:
             rep = solve_darboux(K, flat_metric(g), z0)
         assert rep.converged, (n, rep.diagnostics)
-        assert rep.diagnostics["solve_method"] == "fourier_banded"
+        assert rep.diagnostics["solve_method"] == "fourier"
         assert len(rep.diagnostics["linear_residuals"]) == rep.iterations
         errors[n] = np.abs(rep.final_z.z.values - z_star.values).max()
     if solve == "ma":

@@ -17,6 +17,7 @@ from mixedbvp.operators import (
     aux_solve,
     aux_solve_report,
     boundary_residual,
+    mode_bands,
     transport_solve,
 )
 
@@ -78,6 +79,19 @@ def test_matrix_matches_apply_on_interior_rows():
     mv = (assemble_L(cs).matrix @ u.values.ravel()).reshape(g.shape)
     av = apply_L(cs, u).values
     assert np.abs(mv[:, 1:-1] - av[:, 1:-1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("preset", ["lower_order", "wedge"])
+def test_mode_bands_average_over_x(preset):
+    # an x-dependent set gets the bands of its x-averaged copy, not of one row
+    g = make_grid(16, 16)
+    cs = preset_coefficients(preset, g, 0.01, 0.02)
+    K, A, B = (
+        Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)
+    )
+    theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
+    averaged = CoefficientSet(K, A, B, cs.eps, cs.alpha)
+    assert np.array_equal(mode_bands(cs, theta), mode_bands(averaged, theta))
 
 
 def test_boundary_rows_kill_compatible_field():

@@ -91,9 +91,11 @@ def test_fourier_solve_matches_splu(preset, n):
         g, lambda X, Y: np.sin(PI * X) * (1 + Y) + np.cos(3 * PI * X) * Y**2 + 0.3
     )
     fac = FactorizedOperator(cs)
-    assert fac.method == "fourier_banded"
+    u = fac.solve(f)
+    assert fac.method == "fourier"
+    assert fac.stats["gmres_iterations"] == 0
     ref = _splu_reference(cs, f)
-    err = np.abs(fac.solve(f).values - ref).max() / np.abs(ref).max()
+    err = np.abs(u.values - ref).max() / np.abs(ref).max()
     assert err <= 1e-11
 
 
@@ -108,10 +110,9 @@ def test_fourier_gmres_matches_splu(preset, n, eps):
     )
     rep = direct_solve(cs, f)
     stats = rep.solver_stats
-    assert stats["method"] == "fourier_gmres"
+    assert stats["method"] == "fourier"
     assert 1 <= stats["gmres_iterations"] < solver.GMRES_MAX_ITER
-    # the Krylov gate counts the wall rows too, so it bounds the interior one
-    assert rep.residual_norm <= stats["gmres_residual"] * l2_norm(f) <= 1e-10 * l2_norm(f)
+    assert rep.residual_norm <= 1e-10 * l2_norm(f)
     ref = _splu_reference(cs, f)
     assert np.abs(rep.u.values - ref).max() / np.abs(ref).max() <= 1e-11
 
@@ -136,19 +137,50 @@ def test_x_dependent_coefficients_fall_back_to_splu(monkeypatch):
         assert rep.solver_stats["method"] == "splu", preset
         assert np.array_equal(rep.u.values, _splu_reference(cs, f))
     rep = solve_linear(LinearProblem(preset_coefficients("tricomi", g, 1e-4, 0.02), f))
-    assert rep.solver_stats["method"] == "fourier_banded"
+    assert rep.solver_stats["method"] == "fourier"
+    assert rep.solver_stats["gmres_iterations"] == 0
+
+
+@pytest.mark.parametrize(
+    "preset, cap, method, krylov",
+    [
+        ("tricomi", 40, "fourier", False),
+        ("lower_order", 40, "fourier", True),
+        ("lower_order", 0, "splu", False),
+    ],
+)
+def test_reported_residual_is_the_assembled_one(preset, cap, method, krylov, monkeypatch):
+    # the gate reads the matrix-free residual, wall rows included; on every
+    # path it must be the residual of the assembled matrix
+    from mixedbvp.operators import assemble_L
+
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", cap)
+    g = make_grid(32, 32)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    f = Field.from_function(
+        g, lambda X, Y: np.sin(PI * X) * (1 + Y) + np.cos(3 * PI * X) * Y**2 + 0.3
+    )
+    rep = direct_solve(cs, f)
+    assert rep.solver_stats["method"] == method
+    assert (rep.solver_stats["gmres_iterations"] > 0) == krylov
+    rhs = f.values.copy()
+    rhs[:, 0] = 0.0
+    rhs[:, -1] = 0.0
+    r = (assemble_L(cs).matrix @ rep.u.values.ravel()).reshape(g.shape) - rhs
+    assert abs(rep.residual_norm - l2_norm(Field(g, r))) <= 1e-12 * l2_norm(f)
+    assert rep.solver_stats["residual"] == rep.residual_norm / l2_norm(f)
 
 
 def test_residual_gate_raises_on_both_paths():
     g = make_grid(32, 32)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
-    for preset, method in (("tricomi", "fourier_banded"), ("lower_order", "fourier_gmres")):
+    for preset in ("tricomi", "lower_order"):
         cs = preset_coefficients(preset, g, 1e-4, 0.02)
         rep = direct_solve(cs, f)
-        assert rep.solver_stats["method"] == method
+        assert rep.solver_stats["method"] == "fourier"
         assert rep.residual_norm <= 1e-10 * l2_norm(f)
-        # the Krylov path cannot reach this gate either: it falls back to
-        # splu, whose residual fails it
+        # neither path can reach this gate: GMRES falls back to splu,
+        # whose residual fails it
         with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT"):
             direct_solve(cs, f, tol=1e-30)
 
@@ -205,11 +237,16 @@ def test_picard_fourier_matches_splu_path(monkeypatch):
         return ma, solve_darboux(K, flat_metric(g), z0)
 
     fast = run_both()
+
+    def singular(cs):
+        raise PreconditionError("WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular")
+
+    # a singular mode of an x-dependent set sends every solve to splu
+    monkeypatch.setattr(solver, "_factor_modes", singular)
     monkeypatch.setattr(solver, "_x_independent", lambda cs: False)
-    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
     slow = run_both()
     for a, b in zip(fast, slow):
-        assert a.diagnostics["solve_method"] == "fourier_banded"
+        assert a.diagnostics["solve_method"] == "fourier"
         assert b.diagnostics["solve_method"] == "splu"
         assert (a.iterations, a.converged) == (b.iterations, b.converged)
         assert np.abs(a.final_z.z.values - b.final_z.z.values).max() < 1e-10
@@ -218,16 +255,26 @@ def test_picard_fourier_matches_splu_path(monkeypatch):
 
 
 def test_picard_with_x_dependent_psi_takes_fourier_gmres(monkeypatch):
+    from mixedbvp import nonlinear
     from mixedbvp.cli import manufactured_curvature_pair
     from mixedbvp.nonlinear import solve_prescribed_curvature
 
     g = make_grid(64, 64)
     K, z0 = _cli_start(g, manufactured_curvature_pair)
     psi = Field.from_function(g, lambda X, Y: 0.1 * np.cos(PI * X))
+    steps = []
+
+    def counted(cs, f):
+        rep = direct_solve(cs, f)
+        steps.append(rep.solver_stats["gmres_iterations"])
+        return rep
+
+    monkeypatch.setattr(nonlinear, "direct_solve", counted)
     fast = solve_prescribed_curvature(K, z0, psi)
     monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
     slow = solve_prescribed_curvature(K, z0, psi)
-    assert fast.diagnostics["solve_method"] == "fourier_gmres"
+    assert fast.diagnostics["solve_method"] == "fourier"
+    assert min(steps[: fast.iterations]) >= 1
     assert slow.diagnostics["solve_method"] == "splu"
     assert len(fast.diagnostics["linear_residuals"]) == fast.iterations
     assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged) == (31, True)
