@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import comb
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .coeffs import CoefficientSet
 from .grid import (
@@ -301,8 +303,6 @@ def _cubic_stencil(pos: np.ndarray, hx: float, nx: int) -> tuple[np.ndarray, np.
 
 
 def _combine(wts: np.ndarray, nodal: np.ndarray) -> np.ndarray:
-    # keep this summation order: the tests compare bit for bit against a
-    # per-row march that sums the four terms left to right
     return (
         wts[..., 0, :] * nodal[..., 0, :]
         + wts[..., 1, :] * nodal[..., 1, :]
@@ -317,14 +317,22 @@ class TransportPlan:
     The march runs from y = 1 downward.  Per step the characteristic foot
     on the upper level is located with a Heun predictor and the ODE along
     the characteristic is closed with the trapezoid rule, giving
-    second-order accuracy in hy.  Everything that depends only on
-    (a, b, c) -- the feet, their cubic periodic interpolation stencils,
-    c/b at the feet and the trapezoid factors -- is computed once here,
-    for all rows at once, so solve() is left with one 4-point gather per
-    row and residual() with none.
+    second-order accuracy in hy.  With P_j the cubic periodic
+    interpolation of level j + 1 at the feet of level j, the step from
+    level j + 1 down to level j is
 
-    Arrays are stored row first, shape (ny, ..., nx): row j holds the
-    step from level j + 1 down to level j.
+        (1 - beta*c_j/b_j) w_j - (1 + beta*P_j(c/b)) P_j w
+            = -beta*(r_j/b_j + P_j(r/b)),        beta = hy/2.
+
+    Over all levels, with the unknowns level by level (the column-major
+    order of a field), that is march @ w = -source @ r, with identity
+    rows for the top level.  Everything that depends only on (a, b, c)
+    is in these two sparse matrices, built once here.  Each level reads
+    only itself and the level above, so march is upper triangular with a
+    diagonal block per level: SuperLU in the natural order with no
+    pivoting factors it with no fill, and solve() is one compiled
+    back-substitution.  stats holds the factorization time factor_s and
+    the factor's nonzeros lu_nnz.
     """
 
     def __init__(self, a: Field, b: Field, c: Field):
@@ -334,45 +342,65 @@ class TransportPlan:
             raise TransportError("b must be nonzero of one sign throughout the cylinder")
         at = (a.values / bvals).T
         ct = (c.values / bvals).T
+        bt = bvals.T
         hx, hy = g.hx, g.hy
         beta = 0.5 * hy
-        self._upper = np.arange(1, g.ny + 1)[:, None, None]
+        upper = np.arange(1, g.ny + 1)[:, None, None]
         k1 = at[:-1]
         idx, wts = _cubic_stencil(g.x + hy * k1, hx, g.nx)
-        k2 = _combine(wts, at[self._upper, idx])
-        self._idx, self._wts = _cubic_stencil(g.x + beta * (k1 + k2), hx, g.nx)
+        k2 = _combine(wts, at[upper, idx])
+        idx, wts = _cubic_stencil(g.x + beta * (k1 + k2), hx, g.nx)
+        up = 1.0 + beta * _combine(wts, ct[upper, idx])
+        # the rows of the levels below the top, shape (ny, nx, 5): the node
+        # itself, then its four feet on the level above
+        nstep, n = g.ny * g.nx, (g.ny + 1) * g.nx
+        cols = np.empty((g.ny, g.nx, 5), dtype=np.int32)
+        cols[..., 0] = np.arange(nstep).reshape(g.ny, g.nx)
+        cols[..., 1:] = np.swapaxes(idx + g.nx * upper, 1, 2)
+        march = np.empty(cols.shape)
+        march[..., 0] = 1.0 - beta * ct[:-1]
+        march[..., 1:] = np.swapaxes(-up[:, None, :] * wts, 1, 2)
+        source = np.empty(cols.shape)
+        source[..., 0] = beta / bt[:-1]
+        source[..., 1:] = np.swapaxes(beta * wts / bt[upper, idx], 1, 2)
+        indptr = np.r_[np.arange(0, 5 * nstep, 5), np.arange(5 * nstep, 5 * nstep + g.nx + 1)]
+        indptr = indptr.astype(np.int32)
+        self.march = sp.csr_matrix(
+            (
+                np.concatenate([march.ravel(), np.ones(g.nx)]),
+                np.concatenate([cols.ravel(), np.arange(nstep, n, dtype=np.int32)]),
+                indptr,
+            ),
+            shape=(n, n),
+        )
+        self.source = sp.csr_matrix(
+            (source.ravel(), cols.ravel(), np.minimum(indptr, 5 * nstep)), shape=(n, n)
+        )
+        self.march.sort_indices()  # splu sorts what it is given in place
+        t0 = perf_counter()
+        # march's CSR arrays are the CSC arrays of its transpose, which is
+        # factored instead; solve() asks for the transposed system.  relax=1
+        # stores no padded supernodes; panel_size=1 keeps SuperLU's
+        # workspace to about 1 MB at 128^2, several times less than the default
+        self._lu = spla.splu(
+            self.march.T, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1
+        )
+        self.stats = {"factor_s": perf_counter() - t0, "lu_nnz": int(self._lu.nnz)}
         self.grid = g
-        self._b = bvals
-        self._beta = beta
-        self._up = 1.0 + beta * self._at_feet(ct)
-        self._down = 1.0 - beta * ct[:-1]
-
-    def _at_feet(self, rows: np.ndarray) -> np.ndarray:
-        """Level j + 1 of rows (shape (ny+1, nx)) at the feet of row j, all j."""
-        return _combine(self._wts, rows[self._upper, self._idx])
-
-    def _source(self, rhs: Field) -> np.ndarray:
-        rt = (rhs.values / self._b).T
-        return self._beta * (rt[:-1] + self._at_feet(rt))
 
     def solve(self, rhs: Field, top: np.ndarray | None = None) -> Field:
         g = self.grid
-        src = self._source(rhs)
-        w = np.empty((g.ny + 1, g.nx))
-        w[-1] = 0.0 if top is None else np.asarray(top, dtype=float)
-        for j in range(g.ny - 1, -1, -1):
-            wf = _combine(self._wts[j], w[j + 1][self._idx[j]])
-            w[j] = (wf * self._up[j] - src[j]) / self._down[j]
-        return Field(g, w.T.copy())
+        r = -(self.source @ rhs.values.ravel(order="F"))
+        r[-g.nx :] = 0.0 if top is None else top
+        w = self._lu.solve(r, trans="T")
+        return Field(g, np.ascontiguousarray(w.reshape(g.shape, order="F")))
 
     def residual(self, rhs: Field, w: Field) -> Field:
         """Residual of the discrete transport recurrence at w, per unit hy."""
-        rows = w.values.T
-        res = np.zeros(rows.shape)
-        res[:-1] = (
-            rows[:-1] * self._down - self._at_feet(rows) * self._up + self._source(rhs)
-        ) / self.grid.hy
-        return Field(self.grid, res.T.copy())
+        g = self.grid
+        res = self.march @ w.values.ravel(order="F") + self.source @ rhs.values.ravel(order="F")
+        res[-g.nx :] = 0.0
+        return Field(g, np.ascontiguousarray((res / g.hy).reshape(g.shape, order="F")))
 
 
 def transport_solve(
@@ -391,13 +419,17 @@ def transport_solve(
 # ---------------------------------------------------------------------------
 
 def _wavenumbers(grid: GridSpec) -> np.ndarray:
-    # modes exp(i pi n x) on the period-2 cylinder
-    return np.pi * np.fft.fftfreq(grid.nx, d=1.0 / grid.nx)
+    # the modes exp(i pi n x), n >= 0, of the real FFT on the period-2 cylinder
+    return np.pi * np.fft.rfftfreq(grid.nx, d=1.0 / grid.nx)
 
 
-def _spectral_dx(vals: np.ndarray, xi: np.ndarray, power: int) -> np.ndarray:
-    spec = np.fft.fft(vals, axis=0) * (1j * xi[:, None]) ** power
-    return np.real(np.fft.ifft(spec, axis=0))
+def _to_physical(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
+    return np.fft.irfft(spec, n=grid.nx, axis=0)
+
+
+def _spectral_dx(vals: np.ndarray, grid: GridSpec, power: int) -> np.ndarray:
+    spec = np.fft.rfft(vals, axis=0) * (1j * _wavenumbers(grid)[:, None]) ** power
+    return _to_physical(spec, grid)
 
 
 def _recovery_denominator(grid: GridSpec, lam: float, m: int) -> np.ndarray:
@@ -407,32 +439,46 @@ def _recovery_denominator(grid: GridSpec, lam: float, m: int) -> np.ndarray:
 
 def _a_derivatives(a: Field, m: int) -> list[np.ndarray]:
     """Spectral d_x^l a for l = 1..m: the fixed factors of the coupling terms."""
-    xi = _wavenumbers(a.grid)
-    return [_spectral_dx(a.values, xi, l) for l in range(1, m + 1)]
+    return [_spectral_dx(a.values, a.grid, l) for l in range(1, m + 1)]
 
 
 def _coupling_rhs(
-    u_vals: np.ndarray, da: list[np.ndarray], xi: np.ndarray, lam: float
+    spec: np.ndarray, da: list[np.ndarray], grid: GridSpec, lam: float
 ) -> np.ndarray:
     """Lagged terms sum_{s,l>=1} C(s,l) (-1)^s lam^-s (d_x^l a)(d_x^{2s-l+1} u).
 
-    da[l - 1] is d_x^l a (see _a_derivatives), so m = len(da).
+    spec is u's real spectrum along x, so no transform of u is taken:
+    near the Nyquist mode u's coefficients are w's divided by the
+    recovery symbol, and a round trip through physical space would put
+    round-off there that the coupling multiplies back up.  da[l - 1] is
+    d_x^l a (see _a_derivatives), so m = len(da); the terms that share
+    d_x^l a take one inverse transform.
     """
-    out = np.zeros_like(u_vals)
-    for s in range(1, len(da) + 1):
-        for l in range(1, s + 1):
-            du = _spectral_dx(u_vals, xi, 2 * s - l + 1)
-            out += comb(s, l) * (-1.0) ** s * lam**-s * da[l - 1] * du
+    ik = 1j * _wavenumbers(grid)[:, None]
+    m = len(da)
+    out = np.zeros(grid.shape)
+    for l in range(1, m + 1):
+        symbol = sum(
+            comb(s, l) * (-1.0) ** s * lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1)
+        )
+        out += da[l - 1] * _to_physical(symbol * spec, grid)
     return out
 
 
 @dataclass
 class AuxReport:
+    """What the auxiliary fixed point did.
+
+    stats holds perf_counter sums over the passes: transport_s in the
+    transport solves, spectral_s in the Fourier recovery and coupling.
+    """
+
     u: Field
     iterations: int
     increments: list[float]
     ratios: list[float]
     converged: bool
+    stats: dict
 
     @property
     def contraction_ratio(self) -> float:
@@ -450,35 +496,42 @@ def aux_solve_report(
     """Fixed-point solve of the auxiliary problem M u = v with u(x,1) = 0.
 
     Each pass transports the collapsed unknown w = sum_s (-1)^s lam^-s
-    d_x^{2s} u downward and recovers u per Fourier mode through the
-    symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
-    passes runs through x-derivatives of a, so x-independent multipliers
-    converge immediately.  plan, when given, is TransportPlan(mt.a, mt.b,
-    mt.c) built once by a caller that solves for many v.
+    d_x^{2s} u downward and recovers u's real spectrum along x through
+    the symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
+    passes runs through x-derivatives of a, taken from that spectrum, so
+    x-independent multipliers converge immediately.  plan, when given,
+    is TransportPlan(mt.a, mt.b, mt.c) built once by a caller that
+    solves for many v.
     """
     g = v.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
     if plan is None:
         plan = TransportPlan(mt.a, mt.b, mt.c)
-
-    def recover(w: Field) -> np.ndarray:
-        return np.real(np.fft.ifft(np.fft.fft(w.values, axis=0) / denom, axis=0))
+    stats = {"transport_s": 0.0, "spectral_s": 0.0}
 
     if mt.m == 0:
+        t0 = perf_counter()
         w = plan.solve(v)
-        return AuxReport(Field(g, w.values.copy()), 1, [], [], True)
+        stats["transport_s"] = perf_counter() - t0
+        return AuxReport(Field(g, w.values.copy()), 1, [], [], True, stats)
 
     u_vals = np.zeros(g.shape)
     increments: list[float] = []
     ratios: list[float] = []
     ref = None
     bad_streak = 0
-    xi = _wavenumbers(g)
     da = _a_derivatives(mt.a, mt.m)
+    spec = None  # the zero first iterate has no coupling
     for it in range(1, max_iter + 1):
-        rhs = Field(g, v.values - _coupling_rhs(u_vals, da, xi, mt.lam))
+        t0 = perf_counter()
+        rhs = v if spec is None else Field(g, v.values - _coupling_rhs(spec, da, g, mt.lam))
+        t1 = perf_counter()
         w = plan.solve(rhs)
-        new_vals = recover(w)
+        t2 = perf_counter()
+        spec = np.fft.rfft(w.values, axis=0) / denom
+        new_vals = _to_physical(spec, g)
+        stats["transport_s"] += t2 - t1
+        stats["spectral_s"] += (t1 - t0) + (perf_counter() - t2)
         delta = l2_norm(Field(g, new_vals - u_vals))
         increments.append(delta)
         if len(increments) >= 2 and increments[-2] > 0:
@@ -491,8 +544,8 @@ def aux_solve_report(
         if ref is None:
             ref = max(delta, np.finfo(float).tiny)
         if delta <= tol * ref:
-            return AuxReport(Field(g, u_vals), it, increments, ratios, True)
-    return AuxReport(Field(g, u_vals), max_iter, increments, ratios, False)
+            return AuxReport(Field(g, u_vals), it, increments, ratios, True, stats)
+    return AuxReport(Field(g, u_vals), max_iter, increments, ratios, False, stats)
 
 
 def aux_solve(v: Field, mt: MultiplierTriple, **kwargs) -> Field:
@@ -509,8 +562,9 @@ def aux_equation_residual(u: Field, v: Field, mt: MultiplierTriple) -> float:
     """
     g = u.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
-    w = Field(g, np.real(np.fft.ifft(np.fft.fft(u.values, axis=0) * denom, axis=0)))
-    coupling = _coupling_rhs(u.values, _a_derivatives(mt.a, mt.m), _wavenumbers(g), mt.lam)
+    spec = np.fft.rfft(u.values, axis=0)
+    w = Field(g, _to_physical(spec * denom, g))
+    coupling = _coupling_rhs(spec, _a_derivatives(mt.a, mt.m), g, mt.lam)
     rhs = Field(g, v.values - coupling)
     res = TransportPlan(mt.a, mt.b, mt.c).residual(rhs, w)
     scale = l2_norm(v)

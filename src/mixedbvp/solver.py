@@ -445,18 +445,19 @@ def random_smooth_samples(
     y with a top zero factor, then a bottom boundary corrector.
     """
     rng = np.random.default_rng(seed)
-    X, Y = grid.meshes()
+    # the same values as on the (nx, ny+1) meshes, built once as vectors
+    x, y = grid.x, grid.y
+    top_zero, y2, y3 = 1.0 - y, y**2, y**3
+    modes = [(np.sin(np.pi * k * x), np.cos(np.pi * k * x)) for k in range(kmax + 1)]
     sign = -1.0 if adjoint else 1.0
     out = []
     for _ in range(n):
         w = np.zeros(grid.shape)
-        for k in range(kmax + 1):
+        for k, (sin_k, cos_k) in enumerate(modes):
             ak, bk = rng.standard_normal(2) / (1 + k)
             coef = rng.standard_normal(4)
-            poly = (1.0 - Y) * (
-                coef[0] + coef[1] * Y + coef[2] * Y**2 + coef[3] * Y**3
-            )
-            w += (ak * np.sin(np.pi * k * X) + bk * np.cos(np.pi * k * X)) * poly
+            poly = top_zero * (coef[0] + coef[1] * y + coef[2] * y2 + coef[3] * y3)
+            w += (ak * sin_k + bk * cos_k)[:, None] * poly
         out.append(_enforce_boundary(grid, w, alpha, sign))
     return out
 

@@ -304,13 +304,21 @@ def _lower_order_case(n, negate_b=False):
 
 @pytest.mark.parametrize(
     "n,with_top,negate_b",
-    [(32, False, False), (64, False, False), (64, True, False), (64, False, True)],
+    [
+        (32, False, False),
+        (64, False, False),
+        (64, True, False),
+        (64, False, True),
+        (128, True, False),
+    ],
 )
 def test_transport_plan_matches_row_march(n, with_top, negate_b):
+    # the back-substitution sums each row in another order than the march
     g, mt, b, rhs = _lower_order_case(n, negate_b)
     top = 0.3 * np.sin(PI * g.x) + 0.1 if with_top else None
     oracle = _row_march(mt.a, b, mt.c, rhs, top)
-    assert np.array_equal(transport_solve(mt.a, b, mt.c, rhs, top).values, oracle)
+    w = transport_solve(mt.a, b, mt.c, rhs, top).values
+    assert np.abs(w - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -324,7 +332,41 @@ def test_aux_solve_report_matches_row_march(n, monkeypatch):
     monkeypatch.setattr(operators, "TransportPlan", _RowMarchPlan)
     slow = aux_solve_report(v, mt)
     assert fast.iterations == slow.iterations > 1
-    assert np.array_equal(fast.u.values, slow.u.values)
+    assert np.abs(fast.u.values - slow.u.values).max() <= 1e-12 * np.abs(slow.u.values).max()
+
+
+@pytest.mark.parametrize("preset", ["lower_order", "tricomi"])
+@pytest.mark.parametrize("m", [0, 1])
+def test_energy_certificate_matches_row_march(preset, m, monkeypatch):
+    from mixedbvp import operators, solver
+
+    g = make_grid(64, 64)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, m)
+    vs = solver.random_smooth_samples(g, cs.alpha, 4, seed=17)
+    _, fast = solver.energy_certificate(cs, mt, vs)
+    monkeypatch.setattr(solver, "TransportPlan", _RowMarchPlan)
+    monkeypatch.setattr(operators, "TransportPlan", _RowMarchPlan)
+    _, slow = solver.energy_certificate(cs, mt, vs)
+    for f, s in zip(fast, slow, strict=True):
+        assert abs(f.ratio - s.ratio) <= 1e-12 * abs(s.ratio)
+        assert f.dual_constant == s.dual_constant
+        assert f.aux_iterations == s.aux_iterations
+
+
+@pytest.mark.parametrize("negate_b", [False, True])
+def test_transport_plan_factor_has_no_fill(negate_b):
+    # the march matrix is triangular, so its LU in the natural order is
+    # the matrix itself plus a unit diagonal; an ordering that pivots or
+    # permutes would bring fill back
+    from mixedbvp.operators import TransportPlan
+
+    g, mt, b, _ = _lower_order_case(64, negate_b)
+    plan = TransportPlan(mt.a, b, mt.c)
+    n = g.nx * (g.ny + 1)
+    assert plan._lu.L.nnz + plan._lu.U.nnz == plan.march.nnz + n
+    assert plan.stats["lu_nnz"] == plan.march.nnz + n
+    assert plan.stats["factor_s"] >= 0.0
 
 
 @pytest.mark.parametrize("negate_b", [False, True])
@@ -415,13 +457,39 @@ def test_aux_top_row_zero_and_flat():
 
 
 def test_aux_non_contraction_detected():
-    # strong x-dependence of a with tiny lambda refuses to contract
+    # a strongly x-dependent a (amplitude 5 against a mean of 1) refuses to contract
+    g = make_grid(48, 48)
+    a = Field.from_function(g, lambda X, Y: 1.0 + 5.0 * np.sin(PI * X))
+    mt = _mt(g, a, Field.constant(g, -0.5), 1e-2, 2)
+    v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
+    with pytest.raises(AuxNonContractionError) as err:
+        aux_solve_report(v, mt, max_iter=60)
+    assert err.value.ratio > 1.2
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2])
+def test_aux_tiny_lambda_converges_below_round_off(lam):
+    # near Nyquist u's modes are w's over a symbol of about lam^-2 xi^4;
+    # the coupling reads them from the spectrum, so round-off of a
+    # physical-space round trip is not multiplied back up into a floor
     g = make_grid(48, 48)
     a = Field.from_function(g, lambda X, Y: 1.0 + 0.9 * np.sin(PI * X))
-    mt = _mt(g, a, Field.constant(g, -0.5), 1e-4, 2)
+    mt = _mt(g, a, Field.constant(g, -0.5), lam, 2)
     v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
-    with pytest.raises(AuxNonContractionError):
-        aux_solve_report(v, mt, max_iter=60)
+    rep = aux_solve_report(v, mt, max_iter=60)
+    assert rep.converged and rep.iterations < 60
+    assert rep.increments[-1] <= 1e-10 * rep.increments[0]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_aux_report_stats(m):
+    g = make_grid(32, 32)
+    mt = build_abc(preset_coefficients("lower_order", g, 1e-4, 0.02), 10.0, m)
+    v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
+    rep = aux_solve_report(v, mt)
+    assert set(rep.stats) == {"transport_s", "spectral_s"}
+    assert rep.stats["transport_s"] > 0.0
+    assert (rep.stats["spectral_s"] > 0.0) == (m > 0)
 
 
 def test_export_coo(tmp_path):

@@ -406,6 +406,35 @@ def test_samples_bit_identical_to_inline_projection(monkeypatch):
             assert np.array_equal(a.values, b.values)
 
 
+def _mesh_loop_samples(grid, alpha, n, seed, adjoint=True, kmax=4):
+    # random_smooth_samples as it was written on the full meshes
+    rng = np.random.default_rng(seed)
+    X, Y = grid.meshes()
+    sign = -1.0 if adjoint else 1.0
+    out = []
+    for _ in range(n):
+        w = np.zeros(grid.shape)
+        for k in range(kmax + 1):
+            ak, bk = rng.standard_normal(2) / (1 + k)
+            coef = rng.standard_normal(4)
+            poly = (1.0 - Y) * (
+                coef[0] + coef[1] * Y + coef[2] * Y**2 + coef[3] * Y**3
+            )
+            w += (ak * np.sin(np.pi * k * X) + bk * np.cos(np.pi * k * X)) * poly
+        out.append(_enforce_boundary(grid, w, alpha, sign))
+    return out
+
+
+@pytest.mark.parametrize("nx,ny", [(40, 24), (128, 128), (33, 17)])
+def test_samples_bit_identical_to_mesh_loop(nx, ny):
+    g = make_grid(nx, ny)
+    for adjoint in (True, False):
+        fast = random_smooth_samples(g, 0.02, 6, seed=nx, adjoint=adjoint)
+        loop = _mesh_loop_samples(g, 0.02, 6, seed=nx, adjoint=adjoint)
+        for a, b in zip(fast, loop):
+            assert np.array_equal(a.values, b.values)
+
+
 def test_energy_certificate_positive_on_tricomi():
     g = make_grid(48, 48)
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
