@@ -2,7 +2,9 @@
 
 Every certificate and solver is exposed as a subcommand writing CSV
 artifacts plus a human-readable summary under the output directory,
-together with a run.manifest recording inputs, seed and versions.
+together with a run.manifest recording inputs, seed and versions.  The
+Picard subcommands (ma, darboux) also write metrics.json: the
+iteration's stage timings, per-step band norms and why it stopped.
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error.
 """
@@ -10,6 +12,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -312,6 +315,14 @@ def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
     (outdir / "iteration.csv").write_text("\n".join(rows) + "\n")
     save_field(rep.final_z.z, outdir / "z_final.csv")
     err = np.abs(rep.final_z.z.values - z_star.values).max()
+    metrics = {
+        "converged": rep.converged,
+        "iterations": rep.iterations,
+        "sup_error": float(err),
+        "stats": rep.stats,
+        "diagnostics": {"reason": None, **rep.diagnostics},
+    }
+    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(f"converged={rep.converged} iterations={rep.iterations} sup_error={err:.3e}")
     return 0 if rep.converged else 1
 

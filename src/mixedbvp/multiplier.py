@@ -18,6 +18,7 @@ unnamed order constants exposed as a slack factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,18 @@ class MultiplierTriple:
             raise ValueError("m must be a nonnegative integer")
         if np.any(self.b.values == 0.0):
             raise ValueError("b must be nonzero everywhere")
+
+    @cached_property
+    def transport_plan(self):
+        """operators.TransportPlan(a, b, c), built on first use and kept.
+
+        Every auxiliary solve with this triple transports along the same
+        characteristics, so they share one plan.  a, b and c are not to
+        be changed in place once it is built.
+        """
+        from .operators import TransportPlan  # operators imports this module
+
+        return TransportPlan(self.a, self.b, self.c)
 
 
 @dataclass

@@ -19,12 +19,13 @@ residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import factorial
+from math import factorial, sqrt
+from time import perf_counter
 
 import numpy as np
 
 from .coeffs import CoefficientSet, condition7prime_margin
-from .grid import Field, GridSpec, differentiate, l2_norm
+from .grid import Field, GridSpec, _dx1, _dx2, l2_norm
 from .solver import direct_solve
 
 
@@ -73,11 +74,14 @@ class MetricData:
 
 @dataclass
 class IterationReport:
+    """What a Picard solve did; diagnostics and stats are described in _picard."""
+
     iterations: int
     residual_history: list[float]
     converged: bool
     final_z: GraphSurface
     diagnostics: dict = dc_field(default_factory=dict)
+    stats: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -99,43 +103,58 @@ SMOOTHING_MODES = 16
 # cubic-exact, non-periodic finite differences for graph quantities
 # ---------------------------------------------------------------------------
 
+def _edge_table(near: list[list[float]], far_sign: float) -> np.ndarray:
+    """(5, 4) table: entry [t, r] weights node t of edge row r in (0, 1, -2, -1).
+
+    near holds rows 0 and 1 over the nodes 0..4; the far rows -1 and -2
+    take the same weights over the mirrored nodes -1..-5, times far_sign.
+    """
+    near = np.array(near)
+    return np.stack([near[0], near[1], far_sign * near[1], far_sign * near[0]], axis=1)
+
+
+# the one-sided edge rows of _d1_line and _d2_line, times 12 h and 12 h^2
+_EDGE_WEIGHTS = {
+    1: _edge_table([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]], -1.0),
+    2: _edge_table([[35.0, -104.0, 114.0, -56.0, 11.0], [11.0, -20.0, 6.0, 4.0, -1.0]], 1.0),
+}
+_EDGE_ROWS = [0, 1, -2, -1]
+# node t of each edge row: t at the near edge, -1 - t at the far edge
+_EDGE_NODES = np.array([[t, t, -1 - t, -1 - t] for t in range(5)])
+
+
+def _edge_rows(v: np.ndarray, order: int) -> np.ndarray:
+    """Rows 0, 1, -2 and -1 of the order-th line stencil times 12 h^order.
+
+    Summed term by term in node order, as the per-row expressions are:
+    adding (-w)*x rounds as subtracting w*x does.
+    """
+    w = _EDGE_WEIGHTS[order].reshape((5, 4) + (1,) * (v.ndim - 1))
+    nodes = v[_EDGE_NODES]
+    acc = w[0] * nodes[0]
+    for t in range(1, 5):
+        acc += w[t] * nodes[t]
+    return acc
+
+
 def _d1_line(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # fourth order throughout; every stencil is exact on quartics
-    v = np.moveaxis(v, axis, 0)
+    # fourth order throughout; every stencil is exact on quartics.  v is
+    # 2-D, so swapping the axes moves the stencil's axis to the front
+    v = v.swapaxes(0, axis)
     out = np.empty_like(v)
     out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[0] = (
-        -25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]
-    ) / (12.0 * h)
-    out[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
-    out[-2] = (
-        3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]
-    ) / (12.0 * h)
-    out[-1] = (
-        25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
-    ) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    out[_EDGE_ROWS] = _edge_rows(v, 1) / (12.0 * h)
+    return out.swapaxes(0, axis)
 
 
 def _d2_line(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    v = np.moveaxis(v, axis, 0)
+    v = v.swapaxes(0, axis)
     out = np.empty_like(v)
     out[2:-2] = (
         -v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]
     ) / (12.0 * h * h)
-    out[0] = (
-        35.0 * v[0] - 104.0 * v[1] + 114.0 * v[2] - 56.0 * v[3] + 11.0 * v[4]
-    ) / (12.0 * h * h)
-    out[1] = (
-        11.0 * v[0] - 20.0 * v[1] + 6.0 * v[2] + 4.0 * v[3] - v[4]
-    ) / (12.0 * h * h)
-    out[-2] = (
-        11.0 * v[-1] - 20.0 * v[-2] + 6.0 * v[-3] + 4.0 * v[-4] - v[-5]
-    ) / (12.0 * h * h)
-    out[-1] = (
-        35.0 * v[-1] - 104.0 * v[-2] + 114.0 * v[-3] - 56.0 * v[-4] + 11.0 * v[-5]
-    ) / (12.0 * h * h)
-    return np.moveaxis(out, 0, axis)
+    out[_EDGE_ROWS] = _edge_rows(v, 2) / (12.0 * h * h)
+    return out.swapaxes(0, axis)
 
 
 def graph_dx(u: Field, order: int = 1) -> Field:
@@ -272,7 +291,7 @@ def _normal_form_coefficients(
     ck = P / Q
     inner = np.abs(grid.x) <= 0.5
     profile = ck[inner, :].mean(axis=0)[None, :]
-    Kt = Field(grid, np.broadcast_to(profile, grid.shape).copy() / eps)
+    Kt = Field(grid, np.broadcast_to(profile / eps, grid.shape).copy())
     psi_vals = 0.0 if psi is None else psi.values
     At = Field(grid, psi_vals * Kt.values)
     return CoefficientSet(Kt, At, Field.zeros(grid), eps, alpha)
@@ -337,20 +356,24 @@ class _SplitDerivatives:
         self._periodic_base = self.base - cz
 
     def at(self, d_vals: np.ndarray) -> dict[str, np.ndarray]:
+        # differentiate's and graph_dy's stencils on the bare arrays; the
+        # Field of the iterate checks that it is finite
         g = self.grid
-        p = Field(g, self._periodic_base + d_vals)
-        px = differentiate(p, "x", 1)
+        p = Field(g, self._periodic_base + d_vals).values
+        px = _dx1(p, g.hx)
         car = self._carrier
         return {
-            "zx": car["zx"] + px.values,
-            "zy": car["zy"] + graph_dy(p, 1).values,
-            "zxx": car["zxx"] + differentiate(p, "x", 2).values,
-            "zxy": car["zxy"] + graph_dy(px, 1).values,
-            "zyy": car["zyy"] + graph_dy(p, 2).values,
+            "zx": car["zx"] + px,
+            "zy": car["zy"] + _d1_line(p, g.hy, 1),
+            "zxx": car["zxx"] + _dx2(p, g.hx),
+            "zxy": car["zxy"] + _d1_line(px, g.hy, 1),
+            "zyy": car["zyy"] + _d2_line(p, g.hy, 1),
         }
 
 
-def _smooth_update(u: np.ndarray, modes: int) -> np.ndarray:
+def _smooth_update(
+    u: np.ndarray, modes: int, part_weights: np.ndarray
+) -> tuple[np.ndarray, float, float]:
     """Low-pass the x-spectrum of an update: keep |k| <= min(modes, max(2, nx // 4)).
 
     The determinant nonlinearity amplifies mode k noise by O(k^2), so
@@ -359,12 +382,25 @@ def _smooth_update(u: np.ndarray, modes: int) -> np.ndarray:
     scheme.  The band is fixed in k, not a fraction of nx, so refinement
     does not let the amplified modes in; the nx // 4 cap keeps the
     filter active on coarse grids, where a bare band of 16 diverges.
+
+    Also returns the quadrature norms of u's kept and filtered bands,
+    read off the same spectrum by Parseval.  part_weights weights the
+    real and imaginary parts of a spectrum row, side by side: the
+    quadrature weights along y times hx, each twice.  The two norms of a
+    grid field then square to l2_norm(u)**2 together.
     """
     nx = u.shape[0]
     kcut = min(modes, max(2, nx // 4))
     spec = np.fft.rfft(u, axis=0)
+    parts = np.ascontiguousarray(spec).view(float)
+    # the weighted sum over y of |X_k|^2; each rfft mode 0 < k < nx/2
+    # stands for itself and -k
+    power = (parts * parts) @ part_weights
+    power[1 : (nx + 1) // 2] *= 2.0
+    kept = sqrt(power[: kcut + 1].sum() / nx)
+    filtered = sqrt(power[kcut + 1 :].sum() / nx)
     spec[kcut + 1 :] = 0.0
-    return np.fft.irfft(spec, n=nx, axis=0)
+    return np.fft.irfft(spec, n=nx, axis=0), kept, filtered
 
 
 def _picard(
@@ -381,30 +417,46 @@ def _picard(
     x-independent psi every step is one back-substitution through the
     Fourier-mode LUs, with no GMRES step.  diagnostics carries the
     residual of each linear solve (every row, walls included), the
-    solve method and, when the iteration gives up, the reason.
+    solve method and, when the iteration gives up, the reason.  stats
+    holds the step count, the perf_counter sums residual_s (derivatives
+    and residual), factor_s (frozen normal form and its factorization),
+    solve_s and smooth_s, and per step the norms of the linear solve's
+    answer in the kept and the filtered band (kept_norm, filtered_norm).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
     alpha = np.sqrt(rho) * params.alpha0
     chi = cutoff_profile(grid)[:, None]
+    part_weights = np.repeat(grid.hx * grid.y_weights(), 2)
     split = _SplitDerivatives(z0.z)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
     diagnostics: dict = {"linear_residuals": [], "solve_method": None}
+    stats: dict = {
+        "steps": 0,
+        "residual_s": 0.0,
+        "factor_s": 0.0,
+        "solve_s": 0.0,
+        "smooth_s": 0.0,
+        "kept_norm": [],
+        "filtered_norm": [],
+    }
 
     def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
         if reason is not None:
             diagnostics["reason"] = reason
         surface = GraphSurface(Field(grid, split.base + d), rho)
-        return IterationReport(it, history, converged, surface, diagnostics)
+        return IterationReport(it, history, converged, surface, diagnostics, stats)
 
     for it in range(params.max_iter + 1):
+        t0 = perf_counter()
         derivs = split.at(d)
         if extra_guard is not None:
             extra_guard(derivs)
         res = residual_from_derivs(derivs)
         res_norm = l2_norm(Field(grid, chi * res))
+        stats["residual_s"] += perf_counter() - t0
         history.append(res_norm)
         tol = params.tol * 10.0 if it == 0 else params.tol
         if res_norm <= tol:
@@ -416,12 +468,22 @@ def _picard(
             and history[-1] >= history[-STAGNATION_WINDOW]
         ):
             return report(it, False, "residual stagnation")
+        t0 = perf_counter()
         P, Q = principal_from_derivs(derivs)
         cs = _normal_form_coefficients(grid, P, Q, rho, psi, alpha)
         rep = direct_solve(cs, Field(grid, -res / Q))
+        solve_s = rep.solver_stats["solve_s"]
+        t1 = perf_counter()
         diagnostics["linear_residuals"].append(rep.residual_norm)
         diagnostics["solve_method"] = rep.solver_stats["method"]
-        d = d + params.theta * _smooth_update(rep.u.values, SMOOTHING_MODES)
+        update, kept, filtered = _smooth_update(rep.u.values, SMOOTHING_MODES, part_weights)
+        d = d + params.theta * update
+        stats["smooth_s"] += perf_counter() - t1
+        stats["factor_s"] += t1 - t0 - solve_s
+        stats["solve_s"] += solve_s
+        stats["steps"] += 1
+        stats["kept_norm"].append(kept)
+        stats["filtered_norm"].append(filtered)
     return report(params.max_iter, False, "max_iter")
 
 

@@ -157,6 +157,11 @@ def _assemble(
     return mat.tocsr()
 
 
+def _x_constant(c: Field) -> bool:
+    """Does c take one value along every x-line?  (Its values are finite.)"""
+    return bool((c.values == c.values[0]).all())
+
+
 def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     """Band storage of L on the x-modes exp(i*theta*i), one (ny+1)-system each.
 
@@ -165,26 +170,30 @@ def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     a y-profile to the same mode: the x-neighbours of the assembled
     stencils become the symbol east*exp(i*theta) + west*exp(-i*theta).
     What is left in y is tridiagonal, plus the identity top row and the
-    4-point oblique bottom row.  The layout is LAPACK's for zgbtrf with
-    kl = 1, ku = 3: entry (r, c) of mode k sits at [k, 4 + r - c, c],
-    and row 0 is the room that partial pivoting fills.
+    4-point oblique bottom row.  The systems are the diagonal blocks of
+    one band matrix of order theta.size*(ny+1), in LAPACK's layout for
+    zgbtrf with kl = 1, ku = 3: entry (r, c) of mode k sits at
+    [4 + r - c, k*(ny+1) + c], and row 0 is the room that partial
+    pivoting fills.  Every entry that would couple two blocks is zero.
+    The array is Fortran-ordered, so LAPACK takes it without a copy.
     """
     g = cs.grid
     K, A, B = (
-        c.values[0] if np.ptp(c.values, axis=0).max() == 0.0 else c.values.mean(axis=0)
-        for c in (cs.K, cs.A, cs.B)
+        c.values[0] if _x_constant(c) else c.values.mean(axis=0) for c in (cs.K, cs.A, cs.B)
     )
     east, west, north, south, centre = _interior_stencil(K, A, B, 0.0, cs.eps, g.hx, g.hy)
     shift = np.exp(1j * theta)[:, None]
-    ab = np.zeros((theta.size, 6, g.ny + 1), dtype=complex)
-    ab[:, 4, 1:-1] = (centre + east * shift + west * np.conj(shift))[:, 1:-1]
-    ab[:, 3, 2:] = north[1:-1]
-    ab[:, 5, :-2] = south[1:-1]
-    ab[:, 4, -1] = 1.0
+    ab = np.zeros((6, theta.size * (g.ny + 1)), dtype=complex, order="F")
+    # the same memory as (mode, column, band row)
+    band = ab.T.reshape(theta.size, g.ny + 1, 6)
+    band[:, 1:-1, 4] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
+    band[:, 2:, 3] = north[1:-1]
+    band[:, :-2, 5] = south[1:-1]
+    band[:, -1, 4] = 1.0
     b_east, b_west, b_dy = _bottom_stencil(BoundarySpec("oblique", cs.alpha), g.hx, g.hy)
-    ab[:, 4, 0] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
+    band[:, 0, 4] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
     for j_off in (1, 2, 3):
-        ab[:, 4 - j_off, j_off] = b_dy[j_off]
+        band[:, j_off, 4 - j_off] = b_dy[j_off]
     return ab
 
 
@@ -491,7 +500,6 @@ def aux_solve_report(
     mt: MultiplierTriple,
     tol: float = 1e-10,
     max_iter: int = 200,
-    plan: TransportPlan | None = None,
 ) -> AuxReport:
     """Fixed-point solve of the auxiliary problem M u = v with u(x,1) = 0.
 
@@ -499,14 +507,12 @@ def aux_solve_report(
     d_x^{2s} u downward and recovers u's real spectrum along x through
     the symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
     passes runs through x-derivatives of a, taken from that spectrum, so
-    x-independent multipliers converge immediately.  plan, when given,
-    is TransportPlan(mt.a, mt.b, mt.c) built once by a caller that
-    solves for many v.
+    x-independent multipliers converge immediately.  The transport plan
+    is mt.transport_plan, built once per triple.
     """
     g = v.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
-    if plan is None:
-        plan = TransportPlan(mt.a, mt.b, mt.c)
+    plan = mt.transport_plan
     stats = {"transport_s": 0.0, "spectral_s": 0.0}
 
     if mt.m == 0:
@@ -566,6 +572,6 @@ def aux_equation_residual(u: Field, v: Field, mt: MultiplierTriple) -> float:
     w = Field(g, _to_physical(spec * denom, g))
     coupling = _coupling_rhs(spec, _a_derivatives(mt.a, mt.m), g, mt.lam)
     rhs = Field(g, v.values - coupling)
-    res = TransportPlan(mt.a, mt.b, mt.c).residual(rhs, w)
+    res = mt.transport_plan.residual(rhs, w)
     scale = l2_norm(v)
     return l2_norm(res) / scale if scale > 0 else l2_norm(res)

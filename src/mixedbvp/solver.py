@@ -38,8 +38,8 @@ from .norms import NormOrder, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
     BoundarySpec,
-    TransportPlan,
     _adjoint_pieces,
+    _x_constant,
     apply_L,
     apply_Lstar,
     assemble_L,
@@ -107,19 +107,24 @@ class ConvergenceTable:
 
 
 def _x_independent(cs: CoefficientSet) -> bool:
-    return all(np.ptp(c.values, axis=0).max() == 0.0 for c in (cs.K, cs.A, cs.B))
+    return all(_x_constant(c) for c in (cs.K, cs.A, cs.B))
 
 
-def _factor_modes(cs: CoefficientSet) -> list:
-    """zgbtrf LUs of the x-mode systems of mode_bands(cs), one per rfft mode."""
-    theta = 2.0 * np.pi * np.arange(cs.grid.nx // 2 + 1) / cs.grid.nx
-    modes = []
-    for k, ab in enumerate(mode_bands(cs, theta)):
-        lu, piv, info = lapack.zgbtrf(ab, 1, 3)
-        if info > 0:
-            raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {k} is exactly singular")
-        modes.append((lu, piv))
-    return modes
+def _factor_modes(cs: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
+    """One zgbtrf LU, with its pivots, of the stacked x-mode systems of mode_bands(cs).
+
+    The systems are the diagonal blocks of one band matrix, one per rfft
+    mode, with exact zeros between them.  Partial pivoting never takes a
+    zero over a nonzero, and with kl = 1 zgbtrf runs its unblocked code,
+    so the one call factors each block as a call of its own would.
+    """
+    g = cs.grid
+    theta = 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx
+    lu, piv, info = lapack.zgbtrf(mode_bands(cs, theta), 1, 3, overwrite_ab=True)
+    if info > 0:
+        mode = (info - 1) // (g.ny + 1)
+        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
+    return lu, piv
 
 
 # Krylov steps before the Fourier-preconditioned path gives up for splu
@@ -167,13 +172,14 @@ class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
     The rfft in x splits the x-averaged operator into nx//2 + 1 banded
-    systems in y (see operators.mode_bands), each factored once by
-    LAPACK's zgbtrf (partial pivoting: the diagonal is not dominant
-    where K < 0).  When K, A and B do not depend on x, that is L itself.
+    systems in y (see operators.mode_bands), factored once, all in one
+    call of LAPACK's zgbtrf (partial pivoting: the diagonal is not
+    dominant where K < 0).  When K, A and B do not depend on x, that is
+    L itself.
 
-    solve back-substitutes through the mode LUs and stops when the
-    residual over every row, walls included, passes the gate tol*||f||
-    of direct_solve, as every x-independent set does.  Otherwise that
+    solve back-substitutes through the mode LUs, in one zgbtrs call, and
+    stops when the residual over every row, walls included, passes the
+    gate tol*||f|| of direct_solve, as every x-independent set does.  Otherwise that
     was the first step of GMRES on L applied matrix-free (apply_L on the
     interior rows, boundary_residual on the walls), right-preconditioned
     by the mode LUs (Concus-Golub 1973).  Past GMRES_MAX_ITER steps, or
@@ -213,10 +219,11 @@ class FactorizedOperator:
 
     def _mode_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitution through the mode LUs, every row of rhs included."""
-        spec = np.fft.rfft(rhs.reshape(self.cs.grid.shape), axis=0)
-        for k, (lu, piv) in enumerate(self._modes):
-            spec[k] = lapack.zgbtrs(lu, 1, 3, spec[k], piv)[0]
-        return np.fft.irfft(spec, n=self.cs.grid.nx, axis=0)
+        g = self.cs.grid
+        spec = np.fft.rfft(rhs.reshape(g.shape), axis=0)
+        lu, piv = self._modes
+        spec = lapack.zgbtrs(lu, 1, 3, spec.ravel(), piv, overwrite_b=True)[0]
+        return np.fft.irfft(spec.reshape(spec.size // (g.ny + 1), g.ny + 1), n=g.nx, axis=0)
 
     def _rows(self, u: np.ndarray) -> np.ndarray:
         """Every row of the assembled L times u, applied matrix-free."""
@@ -485,13 +492,12 @@ def energy_certificate(
     ratio is the certificate.
     """
     m = mt.m
-    plan = TransportPlan(mt.a, mt.b, mt.c)
     pieces = _adjoint_pieces(cs)
     samples: list[EnergySample] = []
     for v in v_samples:
         if l2_norm(v) == 0.0:
             continue
-        aux = aux_solve_report(v, mt, plan=plan)
+        aux = aux_solve_report(v, mt)
         u = aux.u
         lsv = apply_Lstar(cs, v, pieces)
         num = inner_product(lsv, u)

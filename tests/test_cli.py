@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,27 @@ def test_darboux_subcommand(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
     assert (tmp_path / "iteration.csv").exists()
     assert (tmp_path / "z_final.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+def test_picard_metrics_json(tmp_path, command):
+    done, capped = tmp_path / "done", tmp_path / "capped"
+    assert run([command, "--nx", "32", "--ny", "32", "--tol", "1e-6", "--out", str(done)]) == 0
+    assert run([command, "--nx", "32", "--ny", "32", "--max-iter", "2", "--out", str(capped)]) == 1
+    for out, reason in ((done, None), (capped, "max_iter")):
+        assert (out / "run.manifest").exists()
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert set(metrics) == {"converged", "iterations", "sup_error", "stats", "diagnostics"}
+        stats, diag = metrics["stats"], metrics["diagnostics"]
+        assert set(stats) == {
+            "steps", "residual_s", "factor_s", "solve_s", "smooth_s", "kept_norm", "filtered_norm"
+        }
+        assert set(diag) == {"reason", "solve_method", "linear_residuals"}
+        assert diag["reason"] == reason
+        assert diag["solve_method"] == "fourier"
+        assert stats["steps"] == metrics["iterations"] == len(diag["linear_residuals"])
+        assert len(stats["kept_norm"]) == len(stats["filtered_norm"]) == stats["steps"]
+        assert min(stats[k] for k in ("residual_s", "factor_s", "solve_s", "smooth_s")) > 0.0
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from mixedbvp.grid import (
     Field,
     GridError,
+    _dx1,
     _dx1_3,
+    _dx2,
     _dx2_3,
     boundary_integral,
     diff_quotient,
@@ -33,6 +35,25 @@ def test_three_point_x_stencils_bit_identical_to_roll(nx):
     assert np.array_equal(_dx1_3(v, hx), d1)
     assert np.array_equal(_dx2_3(v, hx), d2)
     assert np.array_equal(_dx1_3(v[:, 0], hx), d1[:, 0])
+
+
+@pytest.mark.parametrize("nx", [5, 6, 64, 128])
+def test_five_point_x_stencils_bit_identical_to_roll(nx):
+    # the np.roll forms the padded-slice stencils replaced, term for term
+    rng = np.random.default_rng(nx)
+    v = rng.standard_normal((nx, 9))
+    hx = 2.0 / nx
+
+    def r(k):
+        return np.roll(v, k, axis=0)
+
+    d1 = (r(2) - 8.0 * r(1) + 8.0 * r(-1) - r(-2)) / (12.0 * hx)
+    d2 = (-r(2) + 16.0 * r(1) - 30.0 * v + 16.0 * r(-1) - r(-2)) / (12.0 * hx * hx)
+    assert np.array_equal(_dx1(v, hx), d1)
+    assert np.array_equal(_dx2(v, hx), d2)
+    g = make_grid(nx, 8)
+    assert np.array_equal(differentiate(Field(g, v), "x", 1).values, d1)
+    assert np.array_equal(differentiate(Field(g, v), "x", 2).values, d2)
 
 
 def test_make_grid_spacings():

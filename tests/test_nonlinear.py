@@ -29,6 +29,40 @@ PI = np.pi
 RHO = 0.25
 
 
+def _line_stencils_per_row(v, h, axis):
+    # the per-row expressions the vectorized edge rows replaced
+    v = np.moveaxis(v, axis, 0)
+    d1, d2 = np.empty_like(v), np.empty_like(v)
+    d1[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    d1[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
+    d1[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
+    d1[-2] = (3.0 * v[-1] + 10.0 * v[-2] - 18.0 * v[-3] + 6.0 * v[-4] - v[-5]) / (12.0 * h)
+    d1[-1] = (
+        25.0 * v[-1] - 48.0 * v[-2] + 36.0 * v[-3] - 16.0 * v[-4] + 3.0 * v[-5]
+    ) / (12.0 * h)
+    hh = 12.0 * h * h
+    d2[2:-2] = (-v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]) / hh
+    d2[0] = (35.0 * v[0] - 104.0 * v[1] + 114.0 * v[2] - 56.0 * v[3] + 11.0 * v[4]) / hh
+    d2[1] = (11.0 * v[0] - 20.0 * v[1] + 6.0 * v[2] + 4.0 * v[3] - v[4]) / hh
+    d2[-2] = (11.0 * v[-1] - 20.0 * v[-2] + 6.0 * v[-3] + 4.0 * v[-4] - v[-5]) / hh
+    d2[-1] = (
+        35.0 * v[-1] - 104.0 * v[-2] + 114.0 * v[-3] - 56.0 * v[-4] + 11.0 * v[-5]
+    ) / hh
+    return np.moveaxis(d1, 0, axis), np.moveaxis(d2, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (16, 9), (64, 65), (33, 128)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_line_stencils_bit_identical_to_per_row(shape, axis):
+    from mixedbvp.nonlinear import _d1_line, _d2_line
+
+    v = np.random.default_rng(shape[0] + axis).standard_normal(shape)
+    h = 2.0 / (shape[axis] - 1)
+    d1, d2 = _line_stencils_per_row(v, h, axis)
+    assert np.array_equal(_d1_line(v, h, axis), d1)
+    assert np.array_equal(_d2_line(v, h, axis), d2)
+
+
 def test_curvature_residual_manufactured_zero():
     g = make_grid(64, 64)
     z = Field.from_function(g, lambda X, Y: X**2 / 2 + Y**3 / 6)
@@ -230,9 +264,42 @@ def test_smoothing_band_is_mesh_independent():
 
     rng = np.random.default_rng(0)
     for nx, kept in ((16, 4), (32, 8), (64, 16), (128, 16), (256, 16)):
-        spec = np.fft.rfft(_smooth_update(rng.standard_normal((nx, 3)), 16), axis=0)
+        smoothed, _, _ = _smooth_update(rng.standard_normal((nx, 3)), 16, np.ones(6))
+        spec = np.fft.rfft(smoothed, axis=0)
         assert np.abs(spec[kept]).min() > 0.0
         assert np.abs(spec[kept + 1 :]).max() < 1e-12
+
+
+@pytest.mark.parametrize("nx", [16, 63, 64])
+def test_smooth_update_band_norms_split_the_l2_norm(nx):
+    from mixedbvp.grid import l2_norm
+    from mixedbvp.nonlinear import _smooth_update
+
+    g = make_grid(nx, 20)
+    u = Field(g, np.random.default_rng(nx).standard_normal(g.shape))
+    smoothed, kept, filtered = _smooth_update(u.values, 16, np.repeat(g.hx * g.y_weights(), 2))
+    assert abs(kept - l2_norm(Field(g, smoothed))) <= 1e-13 * kept
+    assert abs(kept**2 + filtered**2 - l2_norm(u) ** 2) <= 1e-13 * l2_norm(u) ** 2
+    assert filtered > 0.0
+
+
+@pytest.mark.parametrize("solve", ["ma", "darboux"])
+def test_picard_stats(solve):
+    g = make_grid(64, 64)
+    pair = manufactured_curvature_pair if solve == "ma" else manufactured_darboux_pair
+    z_star, K = pair(g, RHO)
+    z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
+    if solve == "ma":
+        rep = solve_prescribed_curvature(K, z0)
+    else:
+        rep = solve_darboux(K, flat_metric(g), z0)
+    stats = rep.stats
+    assert stats["steps"] == rep.iterations == len(rep.diagnostics["linear_residuals"])
+    assert len(stats["kept_norm"]) == len(stats["filtered_norm"]) == stats["steps"]
+    assert min(stats[k] for k in ("residual_s", "factor_s", "solve_s", "smooth_s")) > 0.0
+    # the updates shrink with the residual, and the filter discards a part
+    assert stats["kept_norm"][-1] < 1e-3 * stats["kept_norm"][0]
+    assert min(stats["filtered_norm"]) > 0.0
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

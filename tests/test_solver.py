@@ -200,6 +200,61 @@ def test_singular_mode_is_wellposedness_suspect():
         FactorizedOperator(cs)
 
 
+def _per_mode_factors(ab, ny):
+    """zgbtrf of each (ny+1)-block of the stacked bands, one call per x-mode."""
+    from scipy.linalg import lapack
+
+    nyp = ny + 1
+    return [lapack.zgbtrf(ab[:, k * nyp : (k + 1) * nyp], 1, 3) for k in range(ab.shape[1] // nyp)]
+
+
+@pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
+    # the stacked systems are decoupled blocks, so the one zgbtrf and the
+    # one zgbtrs over them do each mode's arithmetic exactly
+    from scipy.linalg import lapack
+
+    from mixedbvp.operators import mode_bands
+
+    g = make_grid(n, n)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
+    per_mode = _per_mode_factors(mode_bands(cs, theta), g.ny)
+    assert all(info == 0 for _, _, info in per_mode)
+    lu, piv = solver._factor_modes(cs)
+    assert np.array_equal(lu, np.concatenate([f[0] for f in per_mode], axis=1))
+    offsets = [k * (g.ny + 1) for k in range(len(per_mode))]
+    assert np.array_equal(piv, np.concatenate([f[1] + o for f, o in zip(per_mode, offsets)]))
+
+    rhs = np.random.default_rng(n).standard_normal(g.shape)
+    spec = np.fft.rfft(rhs, axis=0)
+    for k, (lu_k, piv_k, _) in enumerate(per_mode):
+        spec[k] = lapack.zgbtrs(lu_k, 1, 3, spec[k], piv_k)[0]
+    loop = np.fft.irfft(spec, n=g.nx, axis=0)
+    assert np.array_equal(FactorizedOperator(cs)._mode_solve(rhs), loop)
+
+
+@pytest.mark.parametrize("singular", [[(0, 0)], [(5, 7)], [(3, 32), (9, 0)], [(16, 32)]])
+def test_singular_stacked_mode_named_as_per_mode_loop(singular, monkeypatch):
+    # a zero column (mode k, y-node c) makes that mode exactly singular;
+    # the one-call factorization names the first such mode, as a loop
+    # over the modes does, also at the first and last column of a block
+    from mixedbvp.operators import mode_bands
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
+    theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
+    ab = mode_bands(cs, theta)
+    for k, c in singular:
+        ab[:, k * (g.ny + 1) + c] = 0.0
+    first = next(k for k, (_, _, info) in enumerate(_per_mode_factors(ab, g.ny)) if info > 0)
+    assert first == min(k for k, _ in singular)
+    monkeypatch.setattr(solver, "mode_bands", lambda cs, theta: ab.copy(order="F"))
+    with pytest.raises(PreconditionError, match=f"WELLPOSEDNESS_SUSPECT: x-mode {first} is"):
+        solver._factor_modes(cs)
+
+
 def test_singular_averaged_mode_falls_back_to_splu():
     # the singular set above plus an A of exactly zero x-mean: the
     # x-averaged preconditioner is that singular set, so the operator
@@ -448,7 +503,9 @@ def test_energy_certificate_positive_on_tricomi():
 
 
 def test_energy_certificate_builds_one_transport_plan(monkeypatch):
-    from mixedbvp import operators, solver
+    # the plan is cached on the triple: the auxiliary solves and both
+    # certificate calls below share one, and a second triple gets its own
+    from mixedbvp import operators
 
     built = []
 
@@ -457,16 +514,22 @@ def test_energy_certificate_builds_one_transport_plan(monkeypatch):
             built.append(args)
             super().__init__(*args)
 
+    monkeypatch.setattr(operators, "TransportPlan", CountingPlan)
     g = make_grid(32, 32)
     cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
     mt = build_abc(cs, 10.0, 1)
     vs = random_smooth_samples(g, cs.alpha, 4, seed=2)
-    own_plans = [operators.aux_solve_report(v, mt) for v in vs]
-    monkeypatch.setattr(solver, "TransportPlan", CountingPlan)
-    monkeypatch.setattr(operators, "TransportPlan", CountingPlan)
-    _, samples = energy_certificate(cs, mt, vs)
+    own = [operators.aux_solve_report(v, mt) for v in vs]
+    _, first = energy_certificate(cs, mt, vs)
+    _, second = energy_certificate(cs, mt, vs)
     assert len(built) == 1
-    assert [s.aux_iterations for s in samples] == [r.iterations for r in own_plans]
+    assert isinstance(mt.transport_plan, CountingPlan)
+    assert [s.aux_iterations for s in first] == [r.iterations for r in own]
+    assert [(s.ratio, s.dual_constant) for s in first] == [
+        (s.ratio, s.dual_constant) for s in second
+    ]
+    energy_certificate(cs, build_abc(cs, 10.0, 1), vs)
+    assert len(built) == 2
 
 
 def test_energy_certificate_computes_adjoint_pieces_once(monkeypatch):
