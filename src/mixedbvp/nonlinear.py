@@ -1,12 +1,18 @@
 """Desk-scale local solvers for the prescribed-curvature and Darboux equations.
 
-Both Monge-Ampere-type problems are attacked with a damped
-frozen-coefficient Picard iteration: at each step the seconds of the
-current graph supply the normal-form coefficients of the linear cylinder
-problem, every deviation from that normal form (the mixed u_xy term, the
+Both Monge-Ampere-type problems are attacked with a frozen-coefficient
+Picard iteration: at each step the seconds of the current graph supply
+the normal-form coefficients of the linear cylinder problem, every
+deviation from that normal form (the mixed u_xy term, the
 gradient-factor first-order terms, the Christoffel corrections) stays on
 the right-hand side through the full nonlinear residual, and the linear
-solve produces the update.  The domain-scale parameter rho plays the
+solve, low-passed in x, produces the update.  The step is type-II
+Anderson mixing of the map d -> d + update over the last ANDERSON_DEPTH
+steps, with mixing parameter theta; with no history, or with
+ANDERSON_DEPTH = 0, it is the damped step d + theta * update.  The
+report's stats record per step, among others, the wall-row part of the
+stopping residual (wall_norm) and the history the mixing used
+(mixing_depth).  The domain-scale parameter rho plays the
 coordinate-rescaling role: it becomes the eps of the linear operator and
 sets the oblique constant alpha = sqrt(rho) * alpha0.
 
@@ -23,6 +29,7 @@ from math import factorial, sqrt
 from time import perf_counter
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .coeffs import CoefficientSet, condition7prime_margin
 from .grid import Field, GridSpec, _dx1, _dx2, l2_norm
@@ -97,6 +104,9 @@ class NonlinearParams:
 STAGNATION_WINDOW = 8
 # x-modes |k| kept in each update (see _smooth_update)
 SMOOTHING_MODES = 16
+# past updates and iterates the Anderson mixing of a Picard step combines;
+# 0 is the plain damped step d + theta * update
+ANDERSON_DEPTH = 5
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +413,51 @@ def _smooth_update(
     return np.fft.irfft(spec, n=nx, axis=0), kept, filtered
 
 
+class _AndersonMixing:
+    """Type-II Anderson mixing (Anderson 1965, Walker-Ni 2011) of d -> d + f(d).
+
+    The last depth differences of iterates and of updates sit in two
+    preallocated ring buffers, dX and dF, and the Gram matrix of dF is
+    kept row by row as they enter; the order of the columns does not
+    matter to the least squares.  Each step solves min |f - dF^T gamma|
+    through the k x k Gram system with LAPACK's SVD-based dgelss, which
+    does not raise on a rank-deficient history, and returns
+    d + beta*f - (dX + beta*dF)^T gamma.  With an empty history that is
+    the damped step d + beta*f.
+    """
+
+    def __init__(self, size: int, depth: int, beta: float):
+        self.beta = beta
+        self.dX = np.empty((depth, size))
+        self.dF = np.empty((depth, size))
+        self.gram = np.empty((depth, depth))
+        self.last_x = np.empty(size)
+        self.last_f = np.empty(size)
+        self.count = 0
+
+    def step(self, x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
+        """The next iterate from x and its update f, and the columns it used."""
+        depth = len(self.dX)
+        k = min(self.count, depth)
+        xv, fv = x.ravel(), f.ravel()
+        if k:
+            slot = (self.count - 1) % depth
+            np.subtract(xv, self.last_x, out=self.dX[slot])
+            np.subtract(fv, self.last_f, out=self.dF[slot])
+            self.gram[slot, :k] = self.gram[:k, slot] = self.dF[:k] @ self.dF[slot]
+        self.last_x[:] = xv
+        self.last_f[:] = fv
+        self.count += 1
+        out = x + self.beta * f
+        if k:
+            dX, dF = self.dX[:k], self.dF[:k]
+            fit = lapack.dgelss(self.gram[:k, :k], dF @ fv, cond=k * np.finfo(float).eps)
+            gamma, info = fit[1], fit[-1]
+            if info == 0:  # else the SVD did not converge: take the damped step
+                out -= (gamma @ dX + self.beta * (gamma @ dF)).reshape(x.shape)
+        return out, k
+
+
 def _picard(
     z0: GraphSurface,
     residual_from_derivs,
@@ -411,7 +466,12 @@ def _picard(
     params: NonlinearParams,
     extra_guard=None,
 ) -> IterationReport:
-    """Damped frozen-coefficient iteration; each step is one direct_solve.
+    """Anderson-mixed frozen-coefficient iteration; each step is one direct_solve.
+
+    The fixed-point map is d -> d + update, update the smoothed linear
+    solve, and each step mixes it with up to ANDERSON_DEPTH past steps
+    (see _AndersonMixing, mixing parameter theta).  Every iterate is a
+    combination of smoothed updates, so it stays in their x-band.
 
     The normal form is x-averaged, so with psi = None or an
     x-independent psi every step is one back-substitution through the
@@ -420,15 +480,20 @@ def _picard(
     solve method and, when the iteration gives up, the reason.  stats
     holds the step count, the perf_counter sums residual_s (derivatives
     and residual), factor_s (frozen normal form and its factorization),
-    solve_s and smooth_s, and per step the norms of the linear solve's
-    answer in the kept and the filtered band (kept_norm, filtered_norm).
+    solve_s and smooth_s (smoothing and mixing), and per step the norms
+    of the linear solve's answer in the kept and the filtered band
+    (kept_norm, filtered_norm), the part of the step's stopping residual
+    on the wall rows 0 and ny (wall_norm) and the number of past steps
+    the mixing used (mixing_depth).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
     alpha = np.sqrt(rho) * params.alpha0
     chi = cutoff_profile(grid)[:, None]
     part_weights = np.repeat(grid.hx * grid.y_weights(), 2)
+    wall_weight = grid.hx * grid.y_weights()[0]
     split = _SplitDerivatives(z0.z)
+    mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
@@ -441,6 +506,8 @@ def _picard(
         "smooth_s": 0.0,
         "kept_norm": [],
         "filtered_norm": [],
+        "wall_norm": [],
+        "mixing_depth": [],
     }
 
     def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
@@ -455,7 +522,8 @@ def _picard(
         if extra_guard is not None:
             extra_guard(derivs)
         res = residual_from_derivs(derivs)
-        res_norm = l2_norm(Field(grid, chi * res))
+        weighted = chi * res
+        res_norm = l2_norm(Field(grid, weighted))
         stats["residual_s"] += perf_counter() - t0
         history.append(res_norm)
         tol = params.tol * 10.0 if it == 0 else params.tol
@@ -477,13 +545,16 @@ def _picard(
         diagnostics["linear_residuals"].append(rep.residual_norm)
         diagnostics["solve_method"] = rep.solver_stats["method"]
         update, kept, filtered = _smooth_update(rep.u.values, SMOOTHING_MODES, part_weights)
-        d = d + params.theta * update
+        d, depth = mixing.step(d, update)
         stats["smooth_s"] += perf_counter() - t1
         stats["factor_s"] += t1 - t0 - solve_s
         stats["solve_s"] += solve_s
         stats["steps"] += 1
         stats["kept_norm"].append(kept)
         stats["filtered_norm"].append(filtered)
+        walls = weighted[:, [0, -1]]
+        stats["wall_norm"].append(sqrt(wall_weight * np.sum(walls * walls)))
+        stats["mixing_depth"].append(depth)
     return report(params.max_iter, False, "max_iter")
 
 

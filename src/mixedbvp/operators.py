@@ -232,23 +232,30 @@ def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> 
     """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
 
     The x-stencils are the 3-point ones of the assembled matrix, the
-    y-stencils the grid module's (one-sided at the walls).  zero_order
-    None leaves the last term out rather than adding zeros.
+    y-stencils the grid module's (one-sided at the walls).  A coefficient
+    None leaves its term out rather than adding zeros.
     """
-    out = (
-        eps * K * _dx2_3(v, grid.hx)
-        + _dy2(v, grid.hy)
-        + eps * first_x * _dx1_3(v, grid.hx)
-        + eps * first_y * _dy1(v, grid.hy)
-    )
+    out = eps * K * _dx2_3(v, grid.hx) + _dy2(v, grid.hy)
+    if first_x is not None:
+        out += eps * first_x * _dx1_3(v, grid.hx)
+    if first_y is not None:
+        out += eps * first_y * _dy1(v, grid.hy)
     if zero_order is not None:
-        out = out + zero_order * v
+        out += zero_order * v
     return Field(grid, out)
 
 
+def _nonzero(values: np.ndarray) -> np.ndarray | None:
+    return values if values.any() else None
+
+
 def apply_L(cs: CoefficientSet, u: Field) -> Field:
-    """Pointwise application of the operator at every node (no boundary rows)."""
-    return _apply(u.grid, cs.K.values, cs.A.values, cs.B.values, None, cs.eps, u.values)
+    """Pointwise application of the operator at every node (no boundary rows).
+
+    A or B exactly zero, as in the Picard normal form, drops its term.
+    """
+    A, B = _nonzero(cs.A.values), _nonzero(cs.B.values)
+    return _apply(u.grid, cs.K.values, A, B, None, cs.eps, u.values)
 
 
 def apply_Lstar(cs: CoefficientSet, v: Field, pieces: tuple | None = None) -> Field:

@@ -171,13 +171,15 @@ def test_picard_metrics_json(tmp_path, command):
         assert set(metrics) == {"converged", "iterations", "sup_error", "stats", "diagnostics"}
         stats, diag = metrics["stats"], metrics["diagnostics"]
         assert set(stats) == {
-            "steps", "residual_s", "factor_s", "solve_s", "smooth_s", "kept_norm", "filtered_norm"
+            "steps", "residual_s", "factor_s", "solve_s", "smooth_s",
+            "kept_norm", "filtered_norm", "wall_norm", "mixing_depth",
         }
         assert set(diag) == {"reason", "solve_method", "linear_residuals"}
         assert diag["reason"] == reason
         assert diag["solve_method"] == "fourier"
         assert stats["steps"] == metrics["iterations"] == len(diag["linear_residuals"])
-        assert len(stats["kept_norm"]) == len(stats["filtered_norm"]) == stats["steps"]
+        for key in ("kept_norm", "filtered_norm", "wall_norm", "mixing_depth"):
+            assert len(stats[key]) == stats["steps"], key
         assert min(stats[k] for k in ("residual_s", "factor_s", "solve_s", "smooth_s")) > 0.0
 
 

@@ -237,26 +237,46 @@ def test_graph_surface_scale_validation():
         GraphSurface(Field.zeros(g), 0.0)
 
 
+def _cli_solve(solve, n):
+    g = make_grid(n, n)
+    pair = manufactured_curvature_pair if solve == "ma" else manufactured_darboux_pair
+    z_star, K = pair(g, RHO)
+    z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
+    if solve == "ma":
+        return z_star, solve_prescribed_curvature(K, z0)
+    return z_star, solve_darboux(K, flat_metric(g), z0)
+
+
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
 def test_picard_converges_under_refinement(solve):
     # the smoothing band is fixed in k, so refining the grid does not let
-    # the modes the determinant amplifies into the update
-    errors = {}
-    for n in (128, 256):
-        g = make_grid(n, n)
-        pair = manufactured_curvature_pair if solve == "ma" else manufactured_darboux_pair
-        z_star, K = pair(g, RHO)
-        z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
-        if solve == "ma":
-            rep = solve_prescribed_curvature(K, z0)
-        else:
-            rep = solve_darboux(K, flat_metric(g), z0)
+    # the modes the determinant amplifies into the update; the sup error
+    # is the stencils' discretization error and falls at about third order
+    errors = []
+    for n in (64, 128, 256):
+        z_star, rep = _cli_solve(solve, n)
         assert rep.converged, (n, rep.diagnostics)
         assert rep.diagnostics["solve_method"] == "fourier"
         assert len(rep.diagnostics["linear_residuals"]) == rep.iterations
-        errors[n] = np.abs(rep.final_z.z.values - z_star.values).max()
-    if solve == "ma":
-        assert errors[256] < errors[128]
+        errors.append(np.abs(rep.final_z.z.values - z_star.values).max())
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert orders.min() >= 2.5, (errors, orders)
+
+
+@pytest.mark.parametrize("solve", ["ma", "darboux"])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_mixed_picard_matches_damped_picard(monkeypatch, solve, n):
+    # ANDERSON_DEPTH = 0 is the damped iteration d + theta * update that
+    # the mixed one replaced: the same fixed point in fewer steps
+    from mixedbvp import nonlinear
+
+    _, mixed = _cli_solve(solve, n)
+    monkeypatch.setattr(nonlinear, "ANDERSON_DEPTH", 0)
+    _, damped = _cli_solve(solve, n)
+    assert mixed.converged and damped.converged
+    assert set(damped.stats["mixing_depth"]) == {0}
+    assert mixed.iterations < damped.iterations
+    assert np.abs(mixed.final_z.z.values - damped.final_z.z.values).max() <= 2e-8
 
 
 def test_smoothing_band_is_mesh_independent():
@@ -285,21 +305,43 @@ def test_smooth_update_band_norms_split_the_l2_norm(nx):
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
 def test_picard_stats(solve):
-    g = make_grid(64, 64)
-    pair = manufactured_curvature_pair if solve == "ma" else manufactured_darboux_pair
-    z_star, K = pair(g, RHO)
-    z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
-    if solve == "ma":
-        rep = solve_prescribed_curvature(K, z0)
-    else:
-        rep = solve_darboux(K, flat_metric(g), z0)
+    from mixedbvp.grid import l2_norm
+    from mixedbvp.nonlinear import (
+        ANDERSON_DEPTH,
+        _curvature,
+        _darboux,
+        _SplitDerivatives,
+        christoffel_symbols,
+    )
+
+    z_star, rep = _cli_solve(solve, 64)
     stats = rep.stats
-    assert stats["steps"] == rep.iterations == len(rep.diagnostics["linear_residuals"])
-    assert len(stats["kept_norm"]) == len(stats["filtered_norm"]) == stats["steps"]
+    steps = stats["steps"]
+    assert steps == rep.iterations == len(rep.diagnostics["linear_residuals"])
+    for key in ("kept_norm", "filtered_norm", "wall_norm", "mixing_depth"):
+        assert len(stats[key]) == steps, key
     assert min(stats[k] for k in ("residual_s", "factor_s", "solve_s", "smooth_s")) > 0.0
     # the updates shrink with the residual, and the filter discards a part
     assert stats["kept_norm"][-1] < 1e-3 * stats["kept_norm"][0]
     assert min(stats["filtered_norm"]) > 0.0
+    # the history fills up to ANDERSON_DEPTH columns, one per step
+    assert stats["mixing_depth"] == [min(i, ANDERSON_DEPTH) for i in range(steps)]
+    # wall_norm[i] is the wall-row part of residual_history[i]
+    assert all(0.0 < w < r for w, r in zip(stats["wall_norm"], rep.residual_history))
+    g = z_star.grid
+    z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
+    dv = _SplitDerivatives(z0.z).at(0)
+    if solve == "ma":
+        K = manufactured_curvature_pair(g, RHO)[1]
+        res = _curvature(dv, K)
+    else:
+        K, h = manufactured_darboux_pair(g, RHO)[1], flat_metric(g)
+        res = _darboux(dv, K, h.inverse(), christoffel_symbols(h), h.det())
+    weighted = cutoff_profile(g)[:, None] * res
+    walls = weighted.copy()
+    walls[:, 1:-1] = 0.0
+    assert rep.residual_history[0] == l2_norm(Field(g, weighted))
+    assert abs(stats["wall_norm"][0] - l2_norm(Field(g, walls))) <= 1e-13 * stats["wall_norm"][0]
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

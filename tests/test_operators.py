@@ -83,6 +83,39 @@ def test_matrix_matches_apply_on_interior_rows():
     assert np.abs(mv[:, 1:-1] - av[:, 1:-1]).max() < 1e-10
 
 
+def _four_term_L(cs, u):
+    # apply_L's formula with every term, zero coefficients included
+    from mixedbvp.grid import _dx1_3, _dx2_3, _dy1, _dy2
+
+    g, v = cs.grid, u.values
+    return (
+        cs.eps * cs.K.values * _dx2_3(v, g.hx)
+        + _dy2(v, g.hy)
+        + cs.eps * cs.A.values * _dx1_3(v, g.hx)
+        + cs.eps * cs.B.values * _dy1(v, g.hy)
+    )
+
+
+@pytest.mark.parametrize("preset", ["tricomi", "normal_form", "lower_order"])
+def test_apply_L_drops_only_zero_terms(preset):
+    g = make_grid(32, 24)
+    if preset == "normal_form":
+        # Picard's frozen normal form: A = 0*K holds -0.0 where K < 0
+        K = preset_coefficients("tricomi", g, 0.01, 0.02).K
+        cs = CoefficientSet(K, Field(g, 0.0 * K.values), Field.zeros(g), 0.01, 0.02)
+        assert np.signbit(cs.A.values).any()
+    else:
+        cs = preset_coefficients(preset, g, 0.01, 0.02)
+    u = Field(g, np.random.default_rng(5).standard_normal(g.shape))
+    # dropping a zero term may only turn a -0.0 into 0.0, which == ignores
+    assert np.all(apply_L(cs, u).values == _four_term_L(cs, u))
+    if preset == "lower_order":
+        assert cs.A.values.any() and cs.B.values.any()
+        assert np.array_equal(apply_L(cs, u).values, _four_term_L(cs, u))
+    else:
+        assert not (cs.A.values.any() or cs.B.values.any())
+
+
 @pytest.mark.parametrize("preset", ["lower_order", "wedge"])
 def test_mode_bands_average_over_x(preset):
     # an x-dependent set gets the bands of its x-averaged copy, not of one row

@@ -279,7 +279,7 @@ def _cli_start(g, pair):
 
 
 def test_picard_fourier_matches_splu_path(monkeypatch):
-    from mixedbvp import solver
+    from mixedbvp import nonlinear, solver
     from mixedbvp.cli import manufactured_curvature_pair, manufactured_darboux_pair
     from mixedbvp.nonlinear import flat_metric, solve_darboux, solve_prescribed_curvature
 
@@ -291,22 +291,26 @@ def test_picard_fourier_matches_splu_path(monkeypatch):
         K, z0 = _cli_start(g, manufactured_darboux_pair)
         return ma, solve_darboux(K, flat_metric(g), z0)
 
-    fast = run_both()
-
     def singular(cs):
         raise PreconditionError("WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular")
 
-    # a singular mode of an x-dependent set sends every solve to splu
-    monkeypatch.setattr(solver, "_factor_modes", singular)
-    monkeypatch.setattr(solver, "_x_independent", lambda cs: False)
-    slow = run_both()
-    for a, b in zip(fast, slow):
-        assert a.diagnostics["solve_method"] == "fourier"
-        assert b.diagnostics["solve_method"] == "splu"
-        assert (a.iterations, a.converged) == (b.iterations, b.converged)
-        assert np.abs(a.final_z.z.values - b.final_z.z.values).max() < 1e-10
-    # the counts the solve_linear-based iteration reported before
-    assert [(r.iterations, r.converged) for r in fast] == [(31, True), (24, True)]
+    # depth 0 is the damped iteration with the counts the solve_linear-based
+    # iteration reported before; the mixed one takes fewer steps
+    counts = {0: [(31, True), (24, True)], nonlinear.ANDERSON_DEPTH: [(17, True), (14, True)]}
+    for depth, expected in counts.items():
+        monkeypatch.setattr(nonlinear, "ANDERSON_DEPTH", depth)
+        fast = run_both()
+        # a singular mode of an x-dependent set sends every solve to splu
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_factor_modes", singular)
+            m.setattr(solver, "_x_independent", lambda cs: False)
+            slow = run_both()
+        for a, b in zip(fast, slow):
+            assert a.diagnostics["solve_method"] == "fourier"
+            assert b.diagnostics["solve_method"] == "splu"
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            assert np.abs(a.final_z.z.values - b.final_z.z.values).max() < 1e-10
+        assert [(r.iterations, r.converged) for r in fast] == expected, depth
 
 
 def test_picard_with_x_dependent_psi_takes_fourier_gmres(monkeypatch):
@@ -325,15 +329,21 @@ def test_picard_with_x_dependent_psi_takes_fourier_gmres(monkeypatch):
         return rep
 
     monkeypatch.setattr(nonlinear, "direct_solve", counted)
-    fast = solve_prescribed_curvature(K, z0, psi)
-    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
-    slow = solve_prescribed_curvature(K, z0, psi)
-    assert fast.diagnostics["solve_method"] == "fourier"
-    assert min(steps[: fast.iterations]) >= 1
-    assert slow.diagnostics["solve_method"] == "splu"
-    assert len(fast.diagnostics["linear_residuals"]) == fast.iterations
-    assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged) == (31, True)
-    assert np.abs(fast.final_z.z.values - slow.final_z.z.values).max() <= 1e-11
+    # the damped iteration (depth 0), then the mixed one
+    for depth, expected in ((0, 31), (nonlinear.ANDERSON_DEPTH, 17)):
+        monkeypatch.setattr(nonlinear, "ANDERSON_DEPTH", depth)
+        steps.clear()
+        fast = solve_prescribed_curvature(K, z0, psi)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "GMRES_MAX_ITER", 0)
+            slow = solve_prescribed_curvature(K, z0, psi)
+        assert fast.diagnostics["solve_method"] == "fourier"
+        assert min(steps[: fast.iterations]) >= 1
+        assert slow.diagnostics["solve_method"] == "splu"
+        assert len(fast.diagnostics["linear_residuals"]) == fast.iterations
+        assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
+        assert (fast.iterations, fast.converged) == (expected, True), depth
+        assert np.abs(fast.final_z.z.values - slow.final_z.z.values).max() <= 1e-11
 
 
 def test_mms_recovery_and_orders():
