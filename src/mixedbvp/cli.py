@@ -105,10 +105,18 @@ _SECTION_KEYS = {
 }
 
 
+# the type each RunConfig field parses to, read off its default
+_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
+
+
+def _attr(key: str) -> str:
+    """The RunConfig field of a config key."""
+    return "lam" if key == "lambda" else key
+
+
 def load_config(path) -> RunConfig:
     """Parse a key = value file with [section] headers into a RunConfig."""
     cfg = RunConfig()
-    types = {f.name: type(getattr(cfg, f.name)) for f in dc_fields(cfg)}
     section = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -129,9 +137,9 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{section}]"
                 )
-            attr = "lam" if key == "lambda" else key
+            attr = _attr(key)
             try:
-                setattr(cfg, attr, types[attr](value))
+                setattr(cfg, attr, _TYPES[attr](value))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     try:
@@ -152,9 +160,8 @@ def _write_manifest(cfg: RunConfig, outdir: Path, command: str) -> None:
     (outdir / "run.manifest").write_text("\n".join(lines) + "\n")
 
 
-def _coeffs(cfg: RunConfig, grid=None):
-    grid = grid or make_grid(cfg.nx, cfg.ny)
-    return preset_coefficients(cfg.preset, grid, cfg.eps, cfg.alpha)
+def _coeffs(cfg: RunConfig):
+    return preset_coefficients(cfg.preset, make_grid(cfg.nx, cfg.ny), cfg.eps, cfg.alpha)
 
 
 def _parse_grids(spec: str):
@@ -260,7 +267,7 @@ def _cmd_aux(cfg: RunConfig, outdir: Path) -> int:
     for lam in (cfg.lam / 10.0, cfg.lam, cfg.lam * 10.0):
         mt_l = build_abc(cs, lam, cfg.m, require_alpha=False)
         rep = aux_solve_report(v, mt_l)
-        resid = aux_equation_residual(rep.u, v, mt_l)
+        resid = aux_equation_residual(rep, v, mt_l)
         worst = max(worst, resid)
         ok = ok and rep.converged
         rows.append(
@@ -281,22 +288,22 @@ def manufactured_curvature_pair(grid, rho: float):
     return z, K
 
 
-def manufactured_darboux_pair(grid, rho: float, sigma: float = 0.5):
-    """Shrunk graph keeping |grad z|^2 < 1/2, with its flat-metric Darboux source."""
+def manufactured_darboux_pair(grid, rho: float):
+    """Graph shrunk by 1/2, keeping |grad z|^2 < 1/2, with its flat-metric Darboux source."""
     z = Field.from_function(
-        grid, lambda X, Y: sigma * (X**2 / 2.0 + rho * Y**3 / 6.0)
+        grid, lambda X, Y: 0.5 * (X**2 / 2.0 + rho * Y**3 / 6.0)
     )
     def kfun(X, Y):
-        grad2 = (sigma * X) ** 2 + (sigma * rho * Y**2 / 2.0) ** 2
-        return sigma**2 * rho * Y / (1.0 - grad2)
+        grad2 = (0.5 * X) ** 2 + (0.5 * rho * Y**2 / 2.0) ** 2
+        return 0.25 * rho * Y / (1.0 - grad2)
 
     return z, Field.from_function(grid, kfun)
 
 
-def _perturbation(grid, amplitude: float = 0.01):
+def _perturbation(grid):
     return Field.from_function(
         grid,
-        lambda X, Y: amplitude * (1.0 - Y**2) * (1.0 + Y) ** 2 * np.sin(np.pi * X),
+        lambda X, Y: 0.01 * (1.0 - Y**2) * (1.0 + Y) ** 2 * np.sin(np.pi * X),
     )
 
 
@@ -357,24 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="key = value file with [section] headers")
-    parser.add_argument("--preset")
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--nx", type=int)
-    parser.add_argument("--ny", type=int)
-    parser.add_argument("--grids")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--rho", type=float)
-    parser.add_argument("--alpha0", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--psi", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--rhs")
+    # one flag per config key, parsed to the type the config file gives it
+    for keys in _SECTION_KEYS.values():
+        for key in keys:
+            attr = _attr(key)
+            parser.add_argument("--" + key.replace("_", "-"), dest=attr, type=_TYPES[attr])
     return parser
 
 

@@ -12,7 +12,7 @@ which is exactly the choice that kills the mixed u_x u_y coefficient in
 the energy identity.  The report operations evaluate every interior and
 boundary quadratic-form coefficient appearing in that identity and
 compare the pointwise minima against the claimed lower bounds, with the
-unnamed order constants exposed as a slack factor.
+paper's unnamed order constants taken as the factor SLACK.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ import numpy as np
 
 from .coeffs import CoefficientSet, check_alpha
 from .grid import Field, differentiate
+
+
+# a claimed lower bound c*eps^p is tested as SLACK*eps^p, and the bottom
+# c-term as lying within (1 -/+ SLACK)*eps^{3/4}
+SLACK = 0.5
 
 
 class AlphaDegenerateError(ValueError):
@@ -222,12 +227,10 @@ def _interior_coefficients(mt: MultiplierTriple, cs: CoefficientSet):
     return ux2, mixed, uy2, u2
 
 
-def interior_form_report(
-    mt: MultiplierTriple, cs: CoefficientSet, *, slack: float = 0.5
-) -> FormReport:
+def interior_form_report(mt: MultiplierTriple, cs: CoefficientSet) -> FormReport:
     """Evaluate the four interior quadratic-form coefficients of the energy identity.
 
-    Lower-bound claims are tested against slack * (leading term); the
+    Lower-bound claims are tested against SLACK * (leading term); the
     mixed u_x u_y coefficient is tested against an absolute roundoff
     budget since its cancellation is exact.
     """
@@ -241,14 +244,12 @@ def interior_form_report(
     add_min("ux2_coeff", ux2, -1e-10)
     mx = float(np.max(np.abs(mixed)))
     report.add("mixed_coeff", FormEntry(float(mixed.min()), float(mixed.max()), 1e-8, mx <= 1e-8))
-    add_min("uy2_coeff", uy2, slack * eps**-0.5)
-    add_min("u2_coeff", u2, slack * eps**-0.25)
+    add_min("uy2_coeff", uy2, SLACK * eps**-0.5)
+    add_min("u2_coeff", u2, SLACK * eps**-0.25)
     return report
 
 
-def boundary_form_report(
-    mt: MultiplierTriple, cs: CoefficientSet, *, slack: float = 0.5
-) -> FormReport:
+def boundary_form_report(mt: MultiplierTriple, cs: CoefficientSet) -> FormReport:
     """Certify the bottom-wall 2x2 quadratic form and the c-term sign.
 
     The form matrix per x-node is [[alpha*a + eps*b*K/2, alpha*b/2],
@@ -282,8 +283,8 @@ def boundary_form_report(
         "bottom_min_eig",
         FormEntry(float(eig_min.min()), float(eig_min.max()), 0.0, float(eig_min.min()) > 0.0),
     )
-    lo = (1.0 - slack) * eps**0.75
-    hi = (1.0 + slack) * eps**0.75
+    lo = (1.0 - SLACK) * eps**0.75
+    hi = (1.0 + SLACK) * eps**0.75
     report.add(
         "bottom_cterm",
         FormEntry(

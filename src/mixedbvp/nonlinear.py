@@ -264,10 +264,10 @@ def darboux_residual(z: GraphSurface, K: Field, h: MetricData) -> Field:
 # frozen-coefficient Picard driver
 # ---------------------------------------------------------------------------
 
-def _gate_condition7prime(K: Field, V, eps: float) -> None:
-    if V is None:
-        g = K.grid
-        V = (Field.zeros(g), Field.constant(g, 1.0))
+def _gate_condition7prime(K: Field, eps: float) -> None:
+    """Condition 7' for K along the vertical field V = (0, 1), on |x| <= 3/4."""
+    g = K.grid
+    V = (Field.zeros(g), Field.constant(g, 1.0))
     margin = condition7prime_margin(K, V, eps).values
     inner = np.abs(K.grid.x) <= 0.75
     mn = float(margin[inner, :].min())
@@ -563,15 +563,14 @@ def solve_prescribed_curvature(
     z0: GraphSurface,
     psi: Field | None = None,
     params: NonlinearParams | None = None,
-    V: tuple[Field, Field] | None = None,
 ) -> IterationReport:
     """Local graph with prescribed Gaussian curvature K, seeded at z0.
 
-    The directional admissibility condition for K (with vector field V,
-    default vertical) is required on the inner region before any solve.
+    The directional admissibility condition for K (along the vertical
+    field) is required on the inner region before any solve.
     """
     params = params or NonlinearParams()
-    _gate_condition7prime(K, V, z0.domain_scale)
+    _gate_condition7prime(K, z0.domain_scale)
     return _picard(
         z0,
         lambda dv: _curvature(dv, K),
@@ -587,7 +586,6 @@ def solve_darboux(
     z0: GraphSurface,
     psi: Field | None = None,
     params: NonlinearParams | None = None,
-    V: tuple[Field, Field] | None = None,
 ) -> IterationReport:
     """Local solution of the Darboux equation in the metric h.
 
@@ -595,7 +593,7 @@ def solve_darboux(
     iteration rejects any iterate that leaves that regime.
     """
     params = params or NonlinearParams()
-    _gate_condition7prime(K, V, z0.domain_scale)
+    _gate_condition7prime(K, z0.domain_scale)
     inv = h.inverse()
     gammas = christoffel_symbols(h)
     deth = h.det()

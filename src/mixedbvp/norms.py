@@ -71,13 +71,6 @@ def _y_matrix(grid: GridSpec, order: int) -> np.ndarray:
     return eye if order == 0 else (_dy1, _dy2)[order - 1](eye, grid.hy).T
 
 
-def derivative_matrix(grid: GridSpec, s: int, t: int) -> sp.csr_matrix:
-    """Matrix form of derivative_st acting on row-major flattened fields."""
-    dx = sp.csr_matrix(_x_matrix(grid, s))
-    dy = sp.csr_matrix(_y_matrix(grid, t))
-    return sp.kron(dx, dy, format="csr")
-
-
 @dataclass(frozen=True)
 class _GramFactors:
     """The (m, l) Gram matrix as the Kronecker product (hx*Cx) (x) Cy.

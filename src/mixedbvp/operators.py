@@ -1,9 +1,10 @@
 """Discrete operators: assembly, adjoint pairing, transport, auxiliary solve.
 
-The second-order operator and its formal adjoint are assembled as sparse
-matrices with centered 3-point stencils per direction (at most 9 entries
-per row), Dirichlet top row, and a second-order one-sided discretization
-of the oblique condition on the bottom row.  The first-order transport
+The second-order operator is assembled as a sparse matrix with centered
+3-point stencils per direction, Dirichlet top row, and a third-order
+one-sided discretization of the oblique condition on the bottom row; it
+and its formal adjoint are also applied pointwise, matrix-free, with the
+same x-stencils.  The first-order transport
 solver marches downward from y = 1 with semi-Lagrangian steps and cubic
 periodic interpolation in x, which keeps the march stable for any
 characteristic slope a/b.
@@ -11,7 +12,7 @@ characteristic slope a/b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 from time import perf_counter
 
@@ -64,56 +65,34 @@ class BoundarySpec:
 _BOTTOM_DY = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
 
 
-@dataclass
-class DiscreteOperator:
-    matrix: sp.csr_matrix = dc_field(repr=False)
-    boundary: BoundarySpec
-    grid: GridSpec
-
-    def export_coo(self, path) -> None:
-        """Write the matrix as plain 'row col value' lines."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
-def _interior_stencil(K, Ax, By, zero_order, eps: float, hx: float, hy: float):
+def _interior_stencil(K, A, B, eps: float, hx: float, hy: float):
     """East, west, north, south and centre weights of the interior stencil
-    of eps*K*u_xx + u_yy + eps*Ax*u_x + eps*By*u_y + zero_order*u."""
-    east = eps * K / hx**2 + eps * Ax / (2 * hx)
-    west = eps * K / hx**2 - eps * Ax / (2 * hx)
-    north = 1.0 / hy**2 + eps * By / (2 * hy)
-    south = 1.0 / hy**2 - eps * By / (2 * hy)
-    centre = -2.0 * eps * K / hx**2 - 2.0 / hy**2 + zero_order
+    of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y."""
+    east = eps * K / hx**2 + eps * A / (2 * hx)
+    west = eps * K / hx**2 - eps * A / (2 * hx)
+    north = 1.0 / hy**2 + eps * B / (2 * hy)
+    south = 1.0 / hy**2 - eps * B / (2 * hy)
+    centre = -2.0 * eps * K / hx**2 - 2.0 / hy**2
     return east, west, north, south, centre
 
 
-def _bottom_stencil(boundary: BoundarySpec, hx: float, hy: float):
+def _bottom_stencil(alpha: float, hx: float, hy: float):
     """East and west weights and the four y-weights of the bottom row.
 
-    alpha*u_x +/- u_y with one-sided third-order u_y (the extra order
+    alpha*u_x + u_y with one-sided third-order u_y (the extra order
     keeps the oblique row from dominating the global error budget).
     """
-    sgn = 1.0 if boundary.bottom == "oblique" else -1.0
-    half = boundary.alpha / (2 * hx)
-    return half, -half, sgn * _BOTTOM_DY / hy
+    half = alpha / (2 * hx)
+    return half, -half, _BOTTOM_DY / hy
 
 
-def _assemble(
-    grid: GridSpec,
-    K: np.ndarray,
-    Ax: np.ndarray,
-    By: np.ndarray,
-    zero_order: np.ndarray,
-    eps: float,
-    boundary: BoundarySpec,
-) -> sp.csr_matrix:
-    """Shared assembly for eps*K*u_xx + u_yy + eps*Ax*u_x + eps*By*u_y + z*u."""
+def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
+    """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows."""
+    grid = cs.grid
     nx, nyp = grid.shape
     hx, hy = grid.hx, grid.hy
 
@@ -125,7 +104,7 @@ def _assemble(
     I, J = np.meshgrid(np.arange(nx), np.arange(1, nyp - 1), indexing="ij")
     I, J = I.ravel(), J.ravel()
     east, west, north, south, centre = _interior_stencil(
-        K[I, J], Ax[I, J], By[I, J], zero_order[I, J], eps, hx, hy
+        cs.K.values[I, J], cs.A.values[I, J], cs.B.values[I, J], cs.eps, hx, hy
     )
     center = idx(I, J)
 
@@ -143,7 +122,7 @@ def _assemble(
     ii = np.arange(nx)
     # top: identity row
     add(idx(ii, nyp - 1), idx(ii, nyp - 1), np.ones(nx))
-    b_east, b_west, b_dy = _bottom_stencil(boundary, hx, hy)
+    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, hx, hy)
     add(idx(ii, 0), idx(ii + 1, 0), np.full(nx, b_east))
     add(idx(ii, 0), idx(ii - 1, 0), np.full(nx, b_west))
     for j_off, coef in enumerate(b_dy):
@@ -181,7 +160,7 @@ def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     K, A, B = (
         c.values[0] if _x_constant(c) else c.values.mean(axis=0) for c in (cs.K, cs.A, cs.B)
     )
-    east, west, north, south, centre = _interior_stencil(K, A, B, 0.0, cs.eps, g.hx, g.hy)
+    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
     shift = np.exp(1j * theta)[:, None]
     ab = np.zeros((6, theta.size * (g.ny + 1)), dtype=complex, order="F")
     # the same memory as (mode, column, band row)
@@ -190,20 +169,16 @@ def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     band[:, 2:, 3] = north[1:-1]
     band[:, :-2, 5] = south[1:-1]
     band[:, -1, 4] = 1.0
-    b_east, b_west, b_dy = _bottom_stencil(BoundarySpec("oblique", cs.alpha), g.hx, g.hy)
+    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
     band[:, 0, 4] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
     for j_off in (1, 2, 3):
         band[:, j_off, 4 - j_off] = b_dy[j_off]
     return ab
 
 
-def assemble_L(cs: CoefficientSet) -> DiscreteOperator:
-    """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows."""
-    bc = BoundarySpec("oblique", cs.alpha)
-    zero = np.zeros(cs.grid.shape)
-    mat = _assemble(cs.grid, cs.K.values, cs.A.values, cs.B.values, zero, cs.eps, bc)
-    return DiscreteOperator(mat, bc, cs.grid)
-
+# ---------------------------------------------------------------------------
+# differential application (all rows, one-sided at the walls)
+# ---------------------------------------------------------------------------
 
 def _adjoint_pieces(cs: CoefficientSet):
     Kx = differentiate(cs.K, "x", 1).values
@@ -215,18 +190,6 @@ def _adjoint_pieces(cs: CoefficientSet):
     zero_order = cs.eps * (Kxx - Axd - Byd)
     return first_x, first_y, zero_order
 
-
-def assemble_Lstar(cs: CoefficientSet) -> DiscreteOperator:
-    """Formal adjoint with the adjoint oblique condition alpha*v_x - v_y = 0."""
-    bc = BoundarySpec("adjoint_oblique", cs.alpha)
-    first_x, first_y, zero_order = _adjoint_pieces(cs)
-    mat = _assemble(cs.grid, cs.K.values, first_x, first_y, zero_order, cs.eps, bc)
-    return DiscreteOperator(mat, bc, cs.grid)
-
-
-# ---------------------------------------------------------------------------
-# differential application (all rows, one-sided at the walls)
-# ---------------------------------------------------------------------------
 
 def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> Field:
     """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
@@ -434,6 +397,10 @@ def transport_solve(
 # auxiliary operator M and its fixed-point iteration
 # ---------------------------------------------------------------------------
 
+# the auxiliary passes stop once an increment is this small against the first
+AUX_TOL = 1e-10
+
+
 def _wavenumbers(grid: GridSpec) -> np.ndarray:
     # the modes exp(i pi n x), n >= 0, of the real FFT on the period-2 cylinder
     return np.pi * np.fft.rfftfreq(grid.nx, d=1.0 / grid.nx)
@@ -487,9 +454,12 @@ class AuxReport:
 
     stats holds perf_counter sums over the passes: transport_s in the
     transport solves, spectral_s in the Fourier recovery and coupling.
+    w is the collapsed unknown the last pass transported, from which u
+    was recovered.
     """
 
     u: Field
+    w: Field
     iterations: int
     increments: list[float]
     ratios: list[float]
@@ -502,20 +472,16 @@ class AuxReport:
         return max(self.ratios) if self.ratios else 0.0
 
 
-def aux_solve_report(
-    v: Field,
-    mt: MultiplierTriple,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> AuxReport:
+def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> AuxReport:
     """Fixed-point solve of the auxiliary problem M u = v with u(x,1) = 0.
 
     Each pass transports the collapsed unknown w = sum_s (-1)^s lam^-s
     d_x^{2s} u downward and recovers u's real spectrum along x through
     the symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
     passes runs through x-derivatives of a, taken from that spectrum, so
-    x-independent multipliers converge immediately.  The transport plan
-    is mt.transport_plan, built once per triple.
+    x-independent multipliers converge immediately.  The passes stop
+    when an increment falls to AUX_TOL times the first.  The transport
+    plan is mt.transport_plan, built once per triple.
     """
     g = v.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
@@ -526,7 +492,7 @@ def aux_solve_report(
         t0 = perf_counter()
         w = plan.solve(v)
         stats["transport_s"] = perf_counter() - t0
-        return AuxReport(Field(g, w.values.copy()), 1, [], [], True, stats)
+        return AuxReport(Field(g, w.values.copy()), w, 1, [], [], True, stats)
 
     u_vals = np.zeros(g.shape)
     increments: list[float] = []
@@ -556,29 +522,26 @@ def aux_solve_report(
         u_vals = new_vals
         if ref is None:
             ref = max(delta, np.finfo(float).tiny)
-        if delta <= tol * ref:
-            return AuxReport(Field(g, u_vals), it, increments, ratios, True, stats)
-    return AuxReport(Field(g, u_vals), max_iter, increments, ratios, False, stats)
+        if delta <= AUX_TOL * ref:
+            return AuxReport(Field(g, u_vals), w, it, increments, ratios, True, stats)
+    return AuxReport(Field(g, u_vals), w, max_iter, increments, ratios, False, stats)
 
 
-def aux_solve(v: Field, mt: MultiplierTriple, **kwargs) -> Field:
-    return aux_solve_report(v, mt, **kwargs).u
+def aux_equation_residual(rep: AuxReport, v: Field, mt: MultiplierTriple) -> float:
+    """Relative residual of the discrete auxiliary equation at rep's fixed point.
 
-
-def aux_equation_residual(u: Field, v: Field, mt: MultiplierTriple) -> float:
-    """Relative residual of the discrete auxiliary equation at u.
-
-    Reconstructs w from u through the recovery symbol, rebuilds the
-    right-hand side including the lagged coupling, and evaluates the
-    transport recurrence residual; small values certify that u is the
-    fixed point of the discretized problem.
+    Evaluates the transport recurrence at the w the last pass
+    transported, with the lagged coupling rebuilt from w's own spectrum
+    over the recovery symbol; small values certify that rep.u is the
+    fixed point of the discretized problem.  That is the well-conditioned
+    direction: rebuilding w from u instead multiplies u's round-off by
+    the symbol, up to 2.6e10 at 256^2 with lam = 1 and m = 2.
     """
-    g = u.grid
+    g = rep.w.grid
     denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
-    spec = np.fft.rfft(u.values, axis=0)
-    w = Field(g, _to_physical(spec * denom, g))
+    spec = np.fft.rfft(rep.w.values, axis=0) / denom
     coupling = _coupling_rhs(spec, _a_derivatives(mt.a, mt.m), g, mt.lam)
     rhs = Field(g, v.values - coupling)
-    res = mt.transport_plan.residual(rhs, w)
+    res = mt.transport_plan.residual(rhs, rep.w)
     scale = l2_norm(v)
     return l2_norm(res) / scale if scale > 0 else l2_norm(res)

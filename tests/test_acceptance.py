@@ -398,7 +398,7 @@ def test_criterion_11_aux_iteration():
     mt = build_abc(cs, 10.0, 1)
     v = Field.from_function(g, lambda X, Y: (1 - Y) * (np.cos(PI * X) + 0.3 * Y))
     rep = aux_solve_report(v, mt)
-    resid = aux_equation_residual(rep.u, v, mt)
+    resid = aux_equation_residual(rep, v, mt)
     converged = rep.converged
 
     # lambda sweep on an x-dependent variant, which exercises the coupling
@@ -410,7 +410,7 @@ def test_criterion_11_aux_iteration():
         mt_l = MultiplierTriple(a, one, mt.c, one, lam, 1)
         r = aux_solve_report(v, mt_l)
         ratios.append(r.contraction_ratio)
-        max_resid = max(max_resid, aux_equation_residual(r.u, v, mt_l))
+        max_resid = max(max_resid, aux_equation_residual(r, v, mt_l))
         converged = converged and r.converged
     decreasing = ratios[0] > ratios[1] > ratios[2]
     ok = converged and decreasing and max_resid <= 1e-6

@@ -145,6 +145,33 @@ def test_aux_subcommand(tmp_path):
     assert (tmp_path / "aux_sweep.csv").exists()
 
 
+def test_aux_m2_fine_grid_certifies_converged_solves(tmp_path):
+    # every solve converges; the equation residual read through u's
+    # recovery symbol (1.6e9 at 128^2, lambda = 1) was 1.4e-6, above the
+    # 1e-6 bound, and failed the subcommand
+    code = run(["aux", "--m", "2", "--nx", "128", "--ny", "128", "--out", str(tmp_path)])
+    assert code == 0
+
+
+def test_every_config_key_is_a_flag(tmp_path):
+    from dataclasses import fields
+
+    from mixedbvp.cli import _SECTION_KEYS, _build_parser
+
+    parser = _build_parser()
+    dests = {a.dest for a in parser._actions} - {"help", "command", "config"}
+    assert dests == {f.name for f in fields(RunConfig)}
+    for section, keys in _SECTION_KEYS.items():
+        for key in keys:
+            attr = "lam" if key == "lambda" else key
+            value = str(getattr(RunConfig(), attr))
+            flag = "--" + key.replace("_", "-")
+            parsed = getattr(parser.parse_args(["check", flag, value]), attr)
+            cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {value}\n"))
+            assert parsed == getattr(cfg, attr)
+            assert type(parsed) is type(getattr(cfg, attr))
+
+
 def test_ma_subcommand(tmp_path):
     code = run(["ma", "--nx", "32", "--ny", "32", "--tol", "1e-6", "--out", str(tmp_path)])
     assert code == 0

@@ -66,7 +66,7 @@ def _splu_reference(cs, f):
     rhs = f.values.copy()
     rhs[:, 0] = 0.0
     rhs[:, -1] = 0.0
-    lu = spla.splu(assemble_L(cs).matrix.tocsc())
+    lu = spla.splu(assemble_L(cs).tocsc())
     return lu.solve(rhs.ravel()).reshape(cs.grid.shape)
 
 
@@ -166,12 +166,12 @@ def test_reported_residual_is_the_assembled_one(preset, cap, method, krylov, mon
     rhs = f.values.copy()
     rhs[:, 0] = 0.0
     rhs[:, -1] = 0.0
-    r = (assemble_L(cs).matrix @ rep.u.values.ravel()).reshape(g.shape) - rhs
+    r = (assemble_L(cs) @ rep.u.values.ravel()).reshape(g.shape) - rhs
     assert abs(rep.residual_norm - l2_norm(Field(g, r))) <= 1e-12 * l2_norm(f)
     assert rep.solver_stats["residual"] == rep.residual_norm / l2_norm(f)
 
 
-def test_residual_gate_raises_on_both_paths():
+def test_residual_gate_raises_on_both_paths(monkeypatch):
     g = make_grid(32, 32)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
     for preset in ("tricomi", "lower_order"):
@@ -181,8 +181,23 @@ def test_residual_gate_raises_on_both_paths():
         assert rep.residual_norm <= 1e-10 * l2_norm(f)
         # neither path can reach this gate: GMRES falls back to splu,
         # whose residual fails it
-        with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT"):
-            direct_solve(cs, f, tol=1e-30)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "RESIDUAL_TOL", 1e-30)
+            with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT"):
+                direct_solve(cs, f)
+
+
+def test_factorized_operator_gates_its_splu_residual(monkeypatch):
+    # the gate is the operator's own, so a caller of solve() cannot skip it
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
+    fac = FactorizedOperator(cs)
+    with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: solve residual"):
+        fac.solve(f)
+    assert fac.method == "splu"
+    assert fac.stats["residual"] > 1e-30
 
 
 def test_singular_mode_is_wellposedness_suspect():

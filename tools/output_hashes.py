@@ -1,0 +1,129 @@
+"""Print one SHA-1 line per numeric output of mixedbvp, for bit-identity checks.
+
+    python tools/output_hashes.py <tree>
+
+imports mixedbvp from <tree>/src and the benchmark workloads from
+<tree>/perfbench, runs a fixed set of solves and prints
+"<output> <sha1 of its float64 bytes>" for each.  Run it on two
+checkouts and diff the printouts: an equal line is a bit-identical
+output.  Covered: the assembled L (data, indices, indptr) and the mode
+bands of every preset; solve_linear's u, residual and a priori ratio;
+the auxiliary solve's u and iterations; energy ratios, dual constants
+and auxiliary iterations; Picard ma and darboux from the CLI start;
+perfbench Linear(1) ops 0-9 and Picard(1) ops 0-13.  One BLAS thread,
+so a library's threading cannot make two runs differ.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import hashlib  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+PRESETS = ("tricomi", "infinite_order", "wedge", "chaplygin", "lower_order")
+EPS, ALPHA = 1e-4, 0.02
+
+
+def emit(name: str, *arrays) -> None:
+    h = hashlib.sha1()
+    for a in arrays:
+        a = np.asarray(a)
+        if np.iscomplexobj(a):
+            a = np.ascontiguousarray(a).view(float)
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    print(f"{name} {h.hexdigest()}")
+
+
+def main(tree: Path) -> None:
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    from mixedbvp import cli, coeffs, grid, multiplier, nonlinear, operators, solver
+    import workloads
+
+    warnings.simplefilter("ignore")  # failed gates warn under require_conditions=False
+
+    for n in (16, 48):
+        g = grid.make_grid(n, n)
+        theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        for name in PRESETS:
+            cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
+            mat = operators.assemble_L(cs)
+            mat = getattr(mat, "matrix", mat)  # older trees wrap the matrix
+            emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
+            emit(f"mode_bands/{name}/{n}", operators.mode_bands(cs, theta))
+
+    for n in (32, 64, 128):
+        g = grid.make_grid(n, n)
+        f = grid.Field.from_function(g, lambda X, Y: np.sin(np.pi * X) * (1.0 + Y))
+        for name in PRESETS:
+            cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
+            try:
+                rep = solver.solve_linear(solver.LinearProblem(cs, f), require_conditions=False)
+            except Exception as exc:  # a raised gate is an output too
+                print(f"solve_linear/{name}/{n} raised {type(exc).__name__}: {exc}")
+                continue
+            emit(f"solve_linear/{name}/{n}", rep.u.values, rep.residual_norm, rep.apriori_ratio)
+
+    g = grid.make_grid(64, 64)
+    v = grid.Field.from_function(g, lambda X, Y: (1.0 - Y) * (np.cos(np.pi * X) + 0.3 * Y))
+    for name in ("tricomi", "lower_order"):
+        cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
+        for m in (0, 1, 2):
+            for lam in (1.0, 10.0):
+                mt = multiplier.build_abc(cs, lam, m)
+                rep = operators.aux_solve_report(v, mt)
+                emit(f"aux/{name}/m{m}/lam{lam}", rep.u.values, rep.iterations, rep.increments)
+        samples = solver.random_smooth_samples(g, ALPHA, 10, 7, adjoint=True)
+        for m in (0, 1):
+            mt = multiplier.build_abc(cs, 10.0, m)
+            _, out = solver.energy_certificate(cs, mt, samples)
+            emit(f"energy/{name}/m{m}/ratio", [s.ratio for s in out])
+            emit(f"energy/{name}/m{m}/dual", [s.dual_constant for s in out])
+            emit(f"energy/{name}/m{m}/aux_iterations", [s.aux_iterations for s in out])
+
+    cfg = cli.RunConfig()
+    for n in (32, 64, 128):
+        g = grid.make_grid(n, n)
+        params = nonlinear.NonlinearParams(cfg.alpha0, cfg.theta, cfg.tol, cfg.max_iter)
+        metric = nonlinear.flat_metric(g)
+        runs = {
+            "ma": (cli.manufactured_curvature_pair, nonlinear.solve_prescribed_curvature),
+            "darboux": (
+                cli.manufactured_darboux_pair,
+                lambda K, z0, psi, p: nonlinear.solve_darboux(K, metric, z0, psi, p),
+            ),
+        }
+        for name, (pair, solve) in runs.items():
+            z_star, K = pair(g, cfg.rho)
+            z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
+            rep = solve(K, nonlinear.GraphSurface(z0, cfg.rho), None, params)
+            emit(f"picard/{name}/{n}", rep.final_z.z.values, rep.residual_history)
+
+    lin = workloads.Linear(1)
+    for i in range(10):
+        inp = lin.inputs(i)
+        rep = lin.steps(inp)[0]()
+        emit(f"perfbench/linear/{i}", rep.u.values, rep.residual_norm, rep.apriori_ratio)
+    pic = workloads.Picard(1)
+    for i in range(14):
+        inp = pic.inputs(i)
+        for k, step in enumerate(pic.steps(inp)):
+            try:
+                rep = step()
+            except Exception as exc:
+                print(f"perfbench/picard/{i}/{k} raised {type(exc).__name__}: {exc}")
+                continue
+            emit(f"perfbench/picard/{i}/{k}", rep.final_z.z.values, rep.residual_history)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/output_hashes.py <tree>")
+    main(Path(sys.argv[1]).resolve())
