@@ -56,6 +56,7 @@ class ConfigError(ValueError):
 
 _RANGES = {
     "eps": (lambda v: 0.0 < v < 1.0, "eps must lie in (0, 1)"),
+    "alpha": (np.isfinite, "alpha must be finite"),
     "lam": (lambda v: v > 0.0, "lambda must be positive"),
     "m": (lambda v: 0 <= v <= 2, "m must be 0, 1 or 2"),
     "nx": (lambda v: v >= 4, "nx must be at least 4"),

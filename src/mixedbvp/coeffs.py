@@ -86,7 +86,7 @@ def check_condition7(cs: CoefficientSet) -> ConditionReport:
 def check_alpha(cs: CoefficientSet) -> ConditionReport:
     """Strict bottom-wall condition alpha^2 > -eps * min_x K(x,-1)."""
     kmin = float(cs.K.values[:, 0].min())
-    margin = cs.alpha**2 + cs.eps * kmin
+    margin = cs.alpha * cs.alpha + cs.eps * kmin  # inf, not OverflowError, past 1.3e154
     i = int(np.argmin(cs.K.values[:, 0]))
     return ConditionReport(
         "alpha_condition",

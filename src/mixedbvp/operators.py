@@ -141,8 +141,10 @@ def _x_constant(c: Field) -> bool:
     return bool((c.values == c.values[0]).all())
 
 
-def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
-    """Band storage of L on the x-modes exp(i*theta*i), one (ny+1)-system each.
+def mode_bands(
+    cs: CoefficientSet, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """L on the x-modes exp(i*theta*i), one (ny+1)-system in y each.
 
     K, A and B are averaged over x (a field constant in x keeps its own
     row exactly), and the averaged L maps the mode exp(i*theta*i) times
@@ -150,11 +152,12 @@ def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     stencils become the symbol east*exp(i*theta) + west*exp(-i*theta).
     What is left in y is tridiagonal, plus the identity top row and the
     4-point oblique bottom row.  The systems are the diagonal blocks of
-    one band matrix of order theta.size*(ny+1), in LAPACK's layout for
-    zgbtrf with kl = 1, ku = 3: entry (r, c) of mode k sits at
-    [4 + r - c, k*(ny+1) + c], and row 0 is the room that partial
-    pivoting fills.  Every entry that would couple two blocks is zero.
-    The array is Fortran-ordered, so LAPACK takes it without a copy.
+    one matrix of order N = theta.size*(ny+1), returned as (dl, d, du,
+    far): its sub-, main and super-diagonal (lengths N-1, N, N-1; entry
+    (r, c) of mode k sits at index k*(ny+1) + min(r, c)), and far, of
+    shape (theta.size, 2), the entries of each bottom row at columns 2
+    and 3, which the tridiagonal part leaves out.  Every entry that
+    would couple two blocks is zero.
     """
     g = cs.grid
     K, A, B = (
@@ -162,18 +165,20 @@ def mode_bands(cs: CoefficientSet, theta: np.ndarray) -> np.ndarray:
     )
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
     shift = np.exp(1j * theta)[:, None]
-    ab = np.zeros((6, theta.size * (g.ny + 1)), dtype=complex, order="F")
-    # the same memory as (mode, column, band row)
-    band = ab.T.reshape(theta.size, g.ny + 1, 6)
-    band[:, 1:-1, 4] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
-    band[:, 2:, 3] = north[1:-1]
-    band[:, :-2, 5] = south[1:-1]
-    band[:, -1, 4] = 1.0
     b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
-    band[:, 0, 4] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
-    for j_off in (1, 2, 3):
-        band[:, j_off, 4 - j_off] = b_dy[j_off]
-    return ab
+    # one row per mode; the off-diagonals get one padding entry per block,
+    # which is the zero between blocks (the last block's is cut off)
+    d = np.empty((theta.size, g.ny + 1), dtype=complex)
+    d[:, 0] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
+    d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
+    d[:, -1] = 1.0
+    dl = np.zeros_like(d)
+    dl[:, :-2] = south[1:-1]
+    du = np.zeros_like(d)
+    du[:, 0] = b_dy[1]
+    du[:, 1:-1] = north[1:-1]
+    far = np.repeat(b_dy[None, 2:], theta.size, axis=0).astype(complex)
+    return dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], far
 
 
 # ---------------------------------------------------------------------------

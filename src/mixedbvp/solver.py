@@ -1,7 +1,8 @@
 """Linear BVP solver, manufactured-solution verification, energy certificates.
 
-solve_linear factors the x-averaged operator once per x-mode (banded
-LUs) and back-substitutes; when the coefficients depend on x, that step
+solve_linear factors the x-averaged operator once per x-mode
+(tridiagonal LUs, once the oblique bottom row is folded in) and
+back-substitutes; when the coefficients depend on x, that step
 is the first of GMRES preconditioned by those LUs, with a sparse LU of
 the assembled matrix as the fallback.  The a priori constant of
 the well-posedness estimate is reported as the measured ratio
@@ -110,21 +111,58 @@ def _x_independent(cs: CoefficientSet) -> bool:
     return all(_x_constant(c) for c in (cs.K, cs.A, cs.B))
 
 
-def _factor_modes(cs: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
-    """One zgbtrf LU, with its pivots, of the stacked x-mode systems of mode_bands(cs).
+def _fold_oblique_rows(dl, d, du, far):
+    """Fold each block's oblique bottom row into tridiagonal form, in place.
 
-    The systems are the diagonal blocks of one band matrix, one per rfft
-    mode, with exact zeros between them.  Partial pivoting never takes a
-    zero over a nonzero, and with kl = 1 zgbtrf runs its unblocked code,
-    so the one call factors each block as a call of its own would.
+    Row 0 of a block reaches columns 0..3 (far holds columns 2 and 3);
+    rows 1 and 2 reach columns 0..2 and 1..3.  Subtracting m3*(row 2)
+    and then m2*(row 1) from row 0 clears columns 3 and 2 and leaves a
+    tridiagonal system with the same solution, once the right-hand side
+    takes the same two row operations (FactorizedOperator._mode_solve).
+    Returns (m2, m3), one of each per mode, and whether each mode was
+    foldable: a mode whose divisor, the entry (1, 2) or (2, 3), is zero
+    keeps its row 0 and gets zero multipliers, with no division by zero.
+    """
+    nyp = d.size // far.shape[0]
+    n1, n2 = du[1::nyp], du[2::nyp]
+    foldable = (n1 != 0) & (n2 != 0)
+    m3 = np.divide(far[:, 1], n2, out=np.zeros_like(n2), where=foldable)
+    m2 = np.divide(far[:, 0] - m3 * d[2::nyp], n1, out=np.zeros_like(n1), where=foldable)
+    du[::nyp] -= m3 * dl[1::nyp]
+    du[::nyp] -= m2 * d[1::nyp]
+    d[::nyp] -= m2 * dl[::nyp]
+    return m2, m3, foldable
+
+
+def _factor_modes(cs: CoefficientSet):
+    """The fold and one zgttrf LU of the stacked x-mode systems of mode_bands(cs).
+
+    Returns the factors as zgttrs takes them (dl, d, du, du2, ipiv) and
+    the fold multipliers (m2, m3).  The systems are the diagonal blocks
+    of one tridiagonal matrix, one per rfft mode.  Each block ends in
+    the identity row, and the entries between blocks and beside that
+    row are exact zeros, so partial pivoting never swaps across a block
+    boundary and the one call factors each block as a call of its own
+    would, bit for bit.  A zero pivot of the fold or of the LU raises
+    PreconditionError naming the first mode that has one, as a loop
+    over the modes would.
     """
     g = cs.grid
+    nyp = g.ny + 1
     theta = 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx
-    lu, piv, info = lapack.zgbtrf(mode_bands(cs, theta), 1, 3, overwrite_ab=True)
+    dl, d, du, far = mode_bands(cs, theta)
+    m2, m3, foldable = _fold_oblique_rows(dl, d, du, far)
+    *lu, info = lapack.zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    singular = (info - 1) // nyp if info > 0 else theta.size
+    unfoldable = np.flatnonzero(~foldable)
+    if unfoldable.size and unfoldable[0] <= singular:
+        raise PreconditionError(
+            f"WELLPOSEDNESS_SUSPECT: x-mode {unfoldable[0]} is not foldable"
+            " to tridiagonal form (zero fold pivot)"
+        )
     if info > 0:
-        mode = (info - 1) // (g.ny + 1)
-        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
-    return lu, piv
+        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {singular} is exactly singular")
+    return lu, (m2, m3)
 
 
 # every solve's residual over all rows must be at most this times ||f||
@@ -173,13 +211,14 @@ def _gmres(
 class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
-    The rfft in x splits the x-averaged operator into nx//2 + 1 banded
-    systems in y (see operators.mode_bands), factored once, all in one
-    call of LAPACK's zgbtrf (partial pivoting: the diagonal is not
-    dominant where K < 0).  When K, A and B do not depend on x, that is
-    L itself.
+    The rfft in x splits the x-averaged operator into nx//2 + 1 systems
+    in y (see operators.mode_bands).  Each one's oblique bottom row is
+    folded into tridiagonal form, and all are factored once, in one call
+    of LAPACK's zgttrf (partial pivoting: the diagonal is not dominant
+    where K < 0).  When K, A and B do not depend on x, that is L itself.
 
-    solve back-substitutes through the mode LUs, in one zgbtrs call, and
+    solve folds the right-hand side's bottom row the same way and
+    back-substitutes through the mode LUs, in one zgttrs call, and
     stops when the residual over every row, walls included, passes the
     gate RESIDUAL_TOL*||f||, as every x-independent set does.  Otherwise
     that was the first step of GMRES on L applied matrix-free (apply_L on
@@ -194,9 +233,10 @@ class FactorizedOperator:
     residual over every row; stats holds it relative to ||f|| as
     residual, gmres_iterations (0 when the mode LUs alone passed the
     gate) and the perf_counter timings factor_s and solve_s.  A singular
-    factorization of L raises PreconditionError (WELLPOSEDNESS_SUSPECT);
-    a singular mode of the averaged operator of an x-dependent L only
-    sends it to splu.
+    factorization of L, or a zero pivot of the fold, raises
+    PreconditionError (WELLPOSEDNESS_SUSPECT) naming the mode; for an
+    x-dependent L, where those modes are the averaged operator's, it
+    only sends the operator to splu.
     """
 
     def __init__(self, cs: CoefficientSet):
@@ -206,10 +246,10 @@ class FactorizedOperator:
         self.method = "fourier"
         try:
             self._modes = _factor_modes(cs)
-        except PreconditionError:
+        except PreconditionError as exc:
             if _x_independent(cs):
                 raise
-            self._fall_back("the x-averaged operator has an exactly singular mode")
+            self._fall_back(f"the x-averaged operator has no mode LU ({exc})")
         self.stats["factor_s"] = perf_counter() - t0
 
     def _fall_back(self, reason: str) -> None:
@@ -224,9 +264,11 @@ class FactorizedOperator:
         """Back-substitution through the mode LUs, every row of rhs included."""
         g = self.cs.grid
         spec = np.fft.rfft(rhs.reshape(g.shape), axis=0)
-        lu, piv = self._modes
-        spec = lapack.zgbtrs(lu, 1, 3, spec.ravel(), piv, overwrite_b=True)[0]
-        return np.fft.irfft(spec.reshape(spec.size // (g.ny + 1), g.ny + 1), n=g.nx, axis=0)
+        lu, (m2, m3) = self._modes
+        spec[:, 0] -= m3 * spec[:, 2]
+        spec[:, 0] -= m2 * spec[:, 1]
+        spec = lapack.zgttrs(*lu, spec.reshape(-1, 1), overwrite_b=True)[0]
+        return np.fft.irfft(spec.reshape(-1, g.ny + 1), n=g.nx, axis=0)
 
     def _rows(self, u: np.ndarray) -> np.ndarray:
         """Every row of the assembled L times u, applied matrix-free."""

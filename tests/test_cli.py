@@ -263,3 +263,14 @@ def test_failed_curvature_gate_exits_1_with_one_line(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out.startswith("directional curvature condition fails")
     assert captured.out.count("\n") == 1 and captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "energy", "multiplier"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+def test_extreme_alpha_exits_with_a_code(tmp_path, capsys, command, alpha):
+    # check_alpha squared 1e308 as a Python float power, which raised
+    # OverflowError; a non-finite alpha is a configuration error
+    code = run([command, f"--alpha={alpha}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    assert code == 2 if alpha in ("nan", "inf") else code in (0, 1, 2)
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")

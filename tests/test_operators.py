@@ -124,7 +124,8 @@ def test_mode_bands_average_over_x(preset):
     )
     theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
     averaged = CoefficientSet(K, A, B, cs.eps, cs.alpha)
-    assert np.array_equal(mode_bands(cs, theta), mode_bands(averaged, theta))
+    for own, avg in zip(mode_bands(cs, theta), mode_bands(averaged, theta)):
+        assert np.array_equal(own, avg)
 
 
 def test_boundary_rows_kill_compatible_field():

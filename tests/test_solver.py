@@ -99,6 +99,19 @@ def test_fourier_solve_matches_splu(preset, n):
     assert err <= 1e-11
 
 
+@pytest.mark.parametrize("preset", ["tricomi", "chaplygin"])
+def test_x_independent_solve_takes_no_gmres_step_at_512(preset):
+    # the mode LUs' round-off floor grows like n^2 (2.2e-11 of ||f|| here,
+    # 9e-11 at 1024^2) against the fixed gate RESIDUAL_TOL
+    g = make_grid(512, 512)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    fac = FactorizedOperator(cs)
+    fac.solve(Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y)))
+    assert fac.method == "fourier"
+    assert fac.stats["gmres_iterations"] == 0
+    assert fac.stats["residual"] <= solver.RESIDUAL_TOL
+
+
 @pytest.mark.parametrize("eps", [1e-4, 1e-2])
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("preset", ["lower_order", "wedge"])
@@ -215,59 +228,175 @@ def test_singular_mode_is_wellposedness_suspect():
         FactorizedOperator(cs)
 
 
-def _per_mode_factors(ab, ny):
-    """zgbtrf of each (ny+1)-block of the stacked bands, one call per x-mode."""
+def _per_mode_factors(dl, d, du, far, nyp):
+    """The fold and zgttrf of each (ny+1)-block of the stacked systems, one call per x-mode."""
     from scipy.linalg import lapack
 
-    nyp = ny + 1
-    return [lapack.zgbtrf(ab[:, k * nyp : (k + 1) * nyp], 1, 3) for k in range(ab.shape[1] // nyp)]
+    out = []
+    for k in range(far.shape[0]):
+        diag, off = slice(k * nyp, (k + 1) * nyp), slice(k * nyp, (k + 1) * nyp - 1)
+        blk = dl[off].copy(), d[diag].copy(), du[off].copy()
+        m2, m3, foldable = solver._fold_oblique_rows(*blk, far[k : k + 1])
+        out.append((lapack.zgttrf(*blk), m2[0], m3[0], bool(foldable[0])))
+    return out
+
+
+def _x_modes(cs):
+    from mixedbvp.operators import mode_bands
+
+    g = cs.grid
+    return mode_bands(cs, 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx)
 
 
 @pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
 @pytest.mark.parametrize("n", [32, 64])
 def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
-    # the stacked systems are decoupled blocks, so the one zgbtrf and the
-    # one zgbtrs over them do each mode's arithmetic exactly
+    # the stacked systems are decoupled blocks, so the one fold, the one
+    # zgttrf and the one zgttrs over them do each mode's arithmetic exactly
     from scipy.linalg import lapack
 
-    from mixedbvp.operators import mode_bands
-
     g = make_grid(n, n)
+    nyp = g.ny + 1
     cs = preset_coefficients(preset, g, 1e-4, 0.02)
-    theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
-    per_mode = _per_mode_factors(mode_bands(cs, theta), g.ny)
-    assert all(info == 0 for _, _, info in per_mode)
-    lu, piv = solver._factor_modes(cs)
-    assert np.array_equal(lu, np.concatenate([f[0] for f in per_mode], axis=1))
-    offsets = [k * (g.ny + 1) for k in range(len(per_mode))]
-    assert np.array_equal(piv, np.concatenate([f[1] + o for f, o in zip(per_mode, offsets)]))
+    per_mode = _per_mode_factors(*_x_modes(cs), nyp)
+    assert all(lu[-1] == 0 and ok for lu, _, _, ok in per_mode)
+    (dl, d, du, du2, ipiv), (m2, m3) = solver._factor_modes(cs)
+
+    def stacked(i, pad):  # per-mode arrays with the zeros between blocks
+        parts = [np.append(lu[i], np.zeros(pad, lu[i].dtype)) for lu, _, _, _ in per_mode]
+        return np.concatenate(parts)[: len(parts) * nyp - pad]
+
+    assert np.array_equal(dl, stacked(0, 1))
+    assert np.array_equal(d, stacked(1, 0))
+    assert np.array_equal(du, stacked(2, 1))
+    assert np.array_equal(du2, stacked(3, 2))
+    offsets = [k * nyp for k in range(len(per_mode))]
+    assert np.array_equal(ipiv, np.concatenate([f[0][4] + o for f, o in zip(per_mode, offsets)]))
+    assert np.array_equal(m2, [f[1] for f in per_mode])
+    assert np.array_equal(m3, [f[2] for f in per_mode])
 
     rhs = np.random.default_rng(n).standard_normal(g.shape)
     spec = np.fft.rfft(rhs, axis=0)
-    for k, (lu_k, piv_k, _) in enumerate(per_mode):
-        spec[k] = lapack.zgbtrs(lu_k, 1, 3, spec[k], piv_k)[0]
+    for k, (lu, m2_k, m3_k, _) in enumerate(per_mode):
+        spec[k, 0] -= m3_k * spec[k, 2]
+        spec[k, 0] -= m2_k * spec[k, 1]
+        spec[k] = lapack.zgttrs(*lu[:5], spec[k])[0]
     loop = np.fft.irfft(spec, n=g.nx, axis=0)
     assert np.array_equal(FactorizedOperator(cs)._mode_solve(rhs), loop)
 
 
-@pytest.mark.parametrize("singular", [[(0, 0)], [(5, 7)], [(3, 32), (9, 0)], [(16, 32)]])
+def _dense_modes(cs):
+    """Each x-mode's (ny+1)-system read off the assembled L of the x-averaged set.
+
+    The oracle for the folded path: the unfolded system, 4-point bottom
+    row included, from the sparse assembly rather than from mode_bands.
+    """
+    from mixedbvp.operators import assemble_L
+
+    g = cs.grid
+    nyp = g.ny + 1
+    avg = CoefficientSet(
+        *(Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)),
+        cs.eps,
+        cs.alpha,
+    )
+    rows = assemble_L(avg)[:nyp].tocoo()  # the x-line i = 0; the others are its shifts
+    i, c = np.divmod(rows.col, nyp)
+    theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
+    mats = np.zeros((theta.size, nyp, nyp), dtype=complex)
+    for k, t in enumerate(theta):
+        np.add.at(mats[k], (rows.row, c), rows.data * np.exp(1j * t * i))
+    return mats
+
+
+@pytest.mark.parametrize("preset", ["tricomi", "infinite_order", "wedge", "chaplygin", "lower_order"])
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_mode_solve_matches_dense_unfolded_modes(preset, n):
+    # the folded tridiagonal path, which replaced the band LU, against
+    # each mode's full system, oblique row unfolded, solved densely
+    g = make_grid(n, n)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    rhs = np.random.default_rng(n).standard_normal(g.shape)
+    spec = np.fft.rfft(rhs, axis=0)
+    mats = _dense_modes(cs)
+    dense = np.stack([np.linalg.solve(m, s) for m, s in zip(mats, spec)])
+    ref = np.fft.irfft(dense, n=g.nx, axis=0)
+    u = FactorizedOperator(cs)._mode_solve(rhs)
+    # the forward error follows each mode's conditioning: wedge's Nyquist
+    # mode at 256^2 has condition ~1.7e7, where the two solves differ by
+    # 1.4e-12 and the replaced band LU and the dense solve by 1.2e-12
+    assert np.abs(u - ref).max() <= 2e-12 * np.abs(ref).max()
+    # normwise backward error of the folded solve on the unfolded systems
+    x = np.fft.rfft(u, axis=0)
+    res = np.abs((mats @ x[..., None])[..., 0] - spec).max(axis=1)
+    scale = np.abs(mats).sum(axis=2).max(axis=1) * np.abs(x).max(axis=1) + np.abs(spec).max(axis=1)
+    assert (res <= 1e-14 * scale).all()
+
+
+def _zero_column(dl, d, du, far, nyp, k, c):
+    """Zero column c of block k, in the tridiagonal part and in far."""
+    i = k * nyp + c
+    d[i] = 0.0
+    dl[i : i + 1] = 0.0  # below the diagonal; past the end for the last column
+    du[i - 1 : i] = 0.0  # above it; empty for column 0 of block 0
+    if c in (2, 3):
+        far[k, c - 2] = 0.0
+
+
+@pytest.mark.parametrize(
+    "singular",
+    [[(0, 0)], [(5, 7)], [(3, 32), (9, 0)], [(16, 32)], [(6, 2)], [(4, 3)], [(2, 32), (7, 3)],
+     [(8, 2), (12, 5)]],
+)
 def test_singular_stacked_mode_named_as_per_mode_loop(singular, monkeypatch):
     # a zero column (mode k, y-node c) makes that mode exactly singular;
     # the one-call factorization names the first such mode, as a loop
     # over the modes does, also at the first and last column of a block
-    from mixedbvp.operators import mode_bands
-
+    # and at columns 2 and 3, where the fold divides
     g = make_grid(32, 32)
+    nyp = g.ny + 1
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
-    theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
-    ab = mode_bands(cs, theta)
+    modes = _x_modes(cs)
     for k, c in singular:
-        ab[:, k * (g.ny + 1) + c] = 0.0
-    first = next(k for k, (_, _, info) in enumerate(_per_mode_factors(ab, g.ny)) if info > 0)
+        _zero_column(*modes, nyp, k, c)
+    per_mode = _per_mode_factors(*modes, nyp)
+    first = next(k for k, (lu, _, _, ok) in enumerate(per_mode) if lu[-1] > 0 or not ok)
     assert first == min(k for k, _ in singular)
-    monkeypatch.setattr(solver, "mode_bands", lambda cs, theta: ab.copy(order="F"))
+    monkeypatch.setattr(solver, "mode_bands", lambda cs, theta: [a.copy() for a in modes])
     with pytest.raises(PreconditionError, match=f"WELLPOSEDNESS_SUSPECT: x-mode {first} is"):
         solver._factor_modes(cs)
+
+
+def _fold_pivot_zero_set(row, x_dependent):
+    # B = -2/(eps*hy) on y-row 1 (or 2) zeroes its coupling to the row
+    # above, the entry (1, 2) (or (2, 3)) the fold divides by, in every mode
+    g = make_grid(8, 8)
+    eps = 0.5
+    B = np.zeros(g.shape)
+    B[:, row] = -2.0 / (eps * g.hy)
+    K = Field.from_function(g, lambda X, Y: Y)
+    A = np.outer(0.3 * (-1.0) ** np.arange(g.nx), np.ones(g.ny + 1)) if x_dependent else 0.0
+    return CoefficientSet(K, Field(g, A * np.ones(g.shape)), Field(g, B), eps, 0.02)
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_zero_fold_pivot_named_then_splu_for_x_dependent_sets(row):
+    cs = _fold_pivot_zero_set(row, x_dependent=False)
+    with np.errstate(all="raise"):  # no division by zero on the way
+        m2, m3, foldable = solver._fold_oblique_rows(*_x_modes(cs))
+    assert not foldable.any()
+    assert np.isfinite(m2).all() and np.isfinite(m3).all()
+    with pytest.raises(PreconditionError, match="x-mode 0 is not foldable"):
+        FactorizedOperator(cs)
+
+    cs = _fold_pivot_zero_set(row, x_dependent=True)
+    fac = FactorizedOperator(cs)
+    assert fac.method == "splu"
+    assert "x-mode 0 is not foldable" in fac.stats["fallback_reason"]
+    f = Field.from_function(cs.grid, lambda X, Y: np.sin(PI * X) * (1 - Y))
+    u = fac.solve(f)
+    assert np.isfinite(u.values).all()
+    assert fac.stats["residual"] <= solver.RESIDUAL_TOL
 
 
 def test_singular_averaged_mode_falls_back_to_splu():
@@ -282,7 +411,7 @@ def test_singular_averaged_mode_falls_back_to_splu():
     A = Field(g, np.outer(0.3 * (-1.0) ** np.arange(g.nx), np.ones(g.ny + 1)))
     fac = FactorizedOperator(CoefficientSet(K, A, Field(g, B), eps, 0.02))
     assert fac.method == "splu"
-    assert "singular mode" in fac.stats["fallback_reason"]
+    assert "x-mode 0 is exactly singular" in fac.stats["fallback_reason"]
 
 
 def _cli_start(g, pair):

@@ -6,9 +6,12 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 <tree>/perfbench, runs a fixed set of solves and prints
 "<output> <sha1 of its float64 bytes>" for each.  Run it on two
 checkouts and diff the printouts: an equal line is a bit-identical
-output.  Covered: the assembled L (data, indices, indptr) and the mode
-bands of every preset; solve_linear's u, residual and a priori ratio;
-the auxiliary solve's u and iterations; energy ratios, dual constants
+output.  Covered: the assembled L (data, indices, indptr) and the x-mode
+systems of every preset as zgttrf takes them (the three diagonals with
+the oblique row folded in, and the fold multipliers m2 and m3; older
+trees print their zgbtrf band array as mode_bands instead);
+solve_linear's u, residual and a priori ratio; the auxiliary solve's u
+and iterations; energy ratios, dual constants
 and auxiliary iterations; Picard ma and darboux from the CLI start;
 perfbench Linear(1) ops 0-9 and Picard(1) ops 0-13.  One BLAS thread,
 so a library's threading cannot make two runs differ.
@@ -57,7 +60,13 @@ def main(tree: Path) -> None:
             mat = operators.assemble_L(cs)
             mat = getattr(mat, "matrix", mat)  # older trees wrap the matrix
             emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
-            emit(f"mode_bands/{name}/{n}", operators.mode_bands(cs, theta))
+            systems = operators.mode_bands(cs, theta)
+            if isinstance(systems, np.ndarray):  # older trees: one band array for zgbtrf
+                emit(f"mode_bands/{name}/{n}", systems)
+                continue
+            dl, d, du, far = systems
+            m2, m3, _ = solver._fold_oblique_rows(dl, d, du, far)
+            emit(f"mode_systems/{name}/{n}", dl, d, du, m2, m3)
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
