@@ -13,10 +13,18 @@ condition on a raw curvature field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .grid import Field, GridSpec, differentiate
+
+
+class AlphaRangeError(ValueError):
+    """alpha is finite, but a quantity the program forms from it overflows."""
+
+    def __init__(self, alpha: float, quantity: str):
+        super().__init__(f"alpha = {alpha:g} overflows {quantity}")
 
 
 @dataclass
@@ -74,12 +82,15 @@ def check_condition7(cs: CoefficientSet) -> ConditionReport:
     Kx = differentiate(cs.K, "x", 1).values
     Ky = differentiate(cs.K, "y", 1).values
     K, A = cs.K.values, cs.A.values
-    margin = (
-        Ky
-        - cs.alpha * Kx
-        + 2.0 * cs.alpha * A
-        - cs.eps**0.25 * (np.abs(Kx) + np.abs(K) + np.abs(A))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = (
+            Ky
+            - cs.alpha * Kx
+            + 2.0 * cs.alpha * A
+            - cs.eps**0.25 * (np.abs(Kx) + np.abs(K) + np.abs(A))
+        )
+    if not np.isfinite(margin).all():
+        raise AlphaRangeError(cs.alpha, "the condition-7 margin")
     return _min_report("condition7", margin, cs.grid, strict=False)
 
 
@@ -87,6 +98,8 @@ def check_alpha(cs: CoefficientSet) -> ConditionReport:
     """Strict bottom-wall condition alpha^2 > -eps * min_x K(x,-1)."""
     kmin = float(cs.K.values[:, 0].min())
     margin = cs.alpha * cs.alpha + cs.eps * kmin  # inf, not OverflowError, past 1.3e154
+    if not isfinite(margin):
+        raise AlphaRangeError(cs.alpha, "alpha^2")
     i = int(np.argmin(cs.K.values[:, 0]))
     return ConditionReport(
         "alpha_condition",

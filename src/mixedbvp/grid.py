@@ -262,6 +262,27 @@ def boundary_integral(w: Field, side: str) -> float:
     return float(w.grid.hx * np.sum(row))
 
 
+def rfft_part_weights(grid: GridSpec) -> np.ndarray:
+    """Weights of the real and imaginary parts of one x-mode of a field's
+    rfft along x, side by side: the quadrature weights along y times hx,
+    each twice (see mode_power)."""
+    return np.repeat(grid.hx * grid.y_weights(), 2)
+
+
+def mode_power(spec: np.ndarray, nx: int, part_weights: np.ndarray) -> np.ndarray:
+    """Quadrature power of each x-mode of a field, from its rfft along x.
+
+    spec is np.fft.rfft(values, axis=0) of an (nx, ny+1) field and
+    part_weights is rfft_part_weights(grid).  Each rfft mode 0 < k < nx/2
+    stands for itself and -k, so by Parseval the powers sum to nx times
+    the field's l2_norm squared.
+    """
+    parts = np.ascontiguousarray(spec).view(float)
+    power = (parts * parts) @ part_weights
+    power[1 : (nx + 1) // 2] *= 2.0
+    return power
+
+
 # ---------------------------------------------------------------------------
 # difference quotients
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import CoefficientSet, check_alpha
+from .coeffs import AlphaRangeError, CoefficientSet, check_alpha
 from .grid import Field, differentiate
 
 
@@ -68,6 +68,18 @@ class MultiplierTriple:
 
         return TransportPlan(self.a, self.b, self.c)
 
+    @cached_property
+    def coupling(self):
+        """operators.CouplingFactors(a, lam, m), built on first use and kept.
+
+        The recovery symbol, the x-derivatives of a and the coupling
+        symbols of the auxiliary passes depend only on the triple, so
+        every auxiliary solve with it reads them from here.
+        """
+        from .operators import CouplingFactors
+
+        return CouplingFactors(self.a, self.lam, self.m)
+
 
 @dataclass
 class FormEntry:
@@ -79,7 +91,11 @@ class FormEntry:
 
 @dataclass
 class FormReport:
+    """Labelled form checks; stats holds what the producing call measured
+    (see solver.energy_certificate), and is empty otherwise."""
+
     entries: dict[str, FormEntry] = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
 
     def add(self, label: str, entry: FormEntry) -> None:
         self.entries[label] = entry
@@ -180,7 +196,16 @@ def build_abc(
         phi = Field.constant(g, 1.0)
     else:
         phi = solve_phi(cs)
-    a = Field(g, cs.alpha * phi.values)
+    with np.errstate(over="ignore"):
+        a_vals = cs.alpha * phi.values
+    # the auxiliary transport steps a foot by hy*a/b = hy*a along x per
+    # level; past 2**52 cells of width hx a double keeps no fraction of a
+    # cell to interpolate at
+    if not g.hy * np.abs(a_vals).max() < 2.0**52 * g.hx:
+        raise AlphaRangeError(
+            cs.alpha, f"the transport's step along x: 2**52 cells or more on the {g.nx}x{g.ny} grid"
+        )
+    a = Field(g, a_vals)
     b = Field.constant(g, 1.0)
     _, Y = g.meshes()
     c = Field(g, -cs.eps**0.5 + cs.eps**0.75 * (3.0 * Y + Y**2))

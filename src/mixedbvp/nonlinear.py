@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .coeffs import CoefficientSet, condition7prime_margin
-from .grid import Field, GridSpec, _dx1, _dx2, l2_norm
+from .grid import Field, GridSpec, _dx1, _dx2, l2_norm, mode_power, rfft_part_weights
 from .solver import direct_solve
 
 
@@ -394,19 +394,14 @@ def _smooth_update(
     filter active on coarse grids, where a bare band of 16 diverges.
 
     Also returns the quadrature norms of u's kept and filtered bands,
-    read off the same spectrum by Parseval.  part_weights weights the
-    real and imaginary parts of a spectrum row, side by side: the
-    quadrature weights along y times hx, each twice.  The two norms of a
-    grid field then square to l2_norm(u)**2 together.
+    read off the same spectrum by Parseval (part_weights is
+    rfft_part_weights(grid), see mode_power).  The two norms of a grid
+    field then square to l2_norm(u)**2 together.
     """
     nx = u.shape[0]
     kcut = min(modes, max(2, nx // 4))
     spec = np.fft.rfft(u, axis=0)
-    parts = np.ascontiguousarray(spec).view(float)
-    # the weighted sum over y of |X_k|^2; each rfft mode 0 < k < nx/2
-    # stands for itself and -k
-    power = (parts * parts) @ part_weights
-    power[1 : (nx + 1) // 2] *= 2.0
+    power = mode_power(spec, nx, part_weights)
     kept = sqrt(power[: kcut + 1].sum() / nx)
     filtered = sqrt(power[kcut + 1 :].sum() / nx)
     spec[kcut + 1 :] = 0.0
@@ -490,7 +485,7 @@ def _picard(
     rho = z0.domain_scale
     alpha = np.sqrt(rho) * params.alpha0
     chi = cutoff_profile(grid)[:, None]
-    part_weights = np.repeat(grid.hx * grid.y_weights(), 2)
+    part_weights = rfft_part_weights(grid)
     wall_weight = grid.hx * grid.y_weights()[0]
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)

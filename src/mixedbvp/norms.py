@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, derivative_st, inner_product
+from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, differentiate, inner_product
 
 MAX_ORDER = 2
 
@@ -111,28 +111,33 @@ def _gram_factors(grid: GridSpec, m: int, l: int) -> _GramFactors:
 # norms
 # ---------------------------------------------------------------------------
 
+def _derivative_norm(u: Field, m: int, l_of_s) -> float:
+    """Root of the summed squared norms of d^s/dx^s d^t/dy^t u, s <= m, t <= l_of_s(s).
+
+    Each x-derivative is taken once and its y-derivatives from it, as
+    derivative_st composes them, so every term is derivative_st's.
+    """
+    total = 0.0
+    for s in range(m + 1):
+        ds = differentiate(u, "x", s) if s else u
+        for t in range(l_of_s(s) + 1):
+            d = differentiate(ds, "y", t) if t else ds
+            total += inner_product(d, d)
+    return float(np.sqrt(max(total, 0.0)))
+
+
 def sobolev_norm(u: Field, order: NormOrder) -> float:
     """Anisotropic norm ||u||_(m,l) for nonnegative orders."""
     if order.is_negative:
         raise NormOrderError("negative orders go through negative_norm")
-    total = 0.0
-    for s in range(order.m + 1):
-        for t in range(order.l + 1):
-            d = derivative_st(u, s, t)
-            total += inner_product(d, d)
-    return float(np.sqrt(max(total, 0.0)))
+    return _derivative_norm(u, order.m, lambda s: order.l)
 
 
 def isotropic_norm(u: Field, m: int) -> float:
     """Standard H^m norm: all mixed derivatives with s + t <= m (m <= 2)."""
     if m < 0 or m > MAX_ORDER:
         raise NormOrderError(f"isotropic order must be in 0..{MAX_ORDER}")
-    total = 0.0
-    for s in range(m + 1):
-        for t in range(m + 1 - s):
-            d = derivative_st(u, s, t)
-            total += inner_product(d, d)
-    return float(np.sqrt(max(total, 0.0)))
+    return _derivative_norm(u, m, lambda s: m - s)
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -156,8 +161,10 @@ def negative_norm(v: Field, order: NormOrder) -> float:
     y = f.cy_lu.solve(np.ascontiguousarray(mv.T)).T
     x = np.fft.irfft(np.fft.rfft(y, axis=0) / f.symbol[:, None], n=grid.nx, axis=0)
     # normwise backward error of x in G x = M v, with G applied through
-    # its explicit 1-D factors rather than the symbol the solve trusted
-    res = _frobenius(f.hcx @ x @ f.cy - mv)
+    # its explicit 1-D factors rather than the symbol the solve trusted.
+    # Cy is symmetric, so (Cy (hCx x)')' is hCx x Cy with both products
+    # sparse-times-dense: x @ cy would transpose cy on every call
+    res = _frobenius((f.cy @ (f.hcx @ x).T).T - mv)
     scale = _frobenius(mv)
     floor = f.inf_norm * _frobenius(x) + scale
     if scale > 0 and res > 1e-8 * floor:

@@ -13,14 +13,14 @@ characteristic slope a/b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coeffs import CoefficientSet
+from .coeffs import AlphaRangeError, CoefficientSet
 from .grid import (
     Field,
     GridSpec,
@@ -32,6 +32,8 @@ from .grid import (
     differentiate,
     inner_product,
     l2_norm,
+    mode_power,
+    rfft_part_weights,
 )
 from .multiplier import MultiplierTriple
 
@@ -87,6 +89,8 @@ def _bottom_stencil(alpha: float, hx: float, hy: float):
     keeps the oblique row from dominating the global error budget).
     """
     half = alpha / (2 * hx)
+    if not isfinite(half):
+        raise AlphaRangeError(alpha, "the oblique row's x-weight alpha/(2*hx)")
     return half, -half, _BOTTOM_DY / hy
 
 
@@ -430,26 +434,39 @@ def _a_derivatives(a: Field, m: int) -> list[np.ndarray]:
     return [_spectral_dx(a.values, a.grid, l) for l in range(1, m + 1)]
 
 
-def _coupling_rhs(
-    spec: np.ndarray, da: list[np.ndarray], grid: GridSpec, lam: float
-) -> np.ndarray:
+class CouplingFactors:
+    """What every auxiliary pass with one triple reuses (MultiplierTriple.coupling).
+
+    denom is the recovery symbol sum_s lam^-s (pi k)^{2s} per rfft mode,
+    as a column; da[l - 1] is the spectral d_x^l a (see _a_derivatives)
+    and symbols[l - 1] the column sum_{s>=l} C(s,l) (-1)^s lam^-s
+    (i pi k)^{2s-l+1} that multiplies u's spectrum in the terms sharing
+    d_x^l a (see _coupling_rhs).
+    """
+
+    def __init__(self, a: Field, lam: float, m: int):
+        g = a.grid
+        ik = 1j * _wavenumbers(g)[:, None]
+        self.denom = _recovery_denominator(g, lam, m)[:, None]
+        self.da = _a_derivatives(a, m)
+        self.symbols = [
+            sum(comb(s, l) * (-1.0) ** s * lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1))
+            for l in range(1, m + 1)
+        ]
+
+
+def _coupling_rhs(spec: np.ndarray, cf: CouplingFactors, grid: GridSpec) -> np.ndarray:
     """Lagged terms sum_{s,l>=1} C(s,l) (-1)^s lam^-s (d_x^l a)(d_x^{2s-l+1} u).
 
     spec is u's real spectrum along x, so no transform of u is taken:
     near the Nyquist mode u's coefficients are w's divided by the
     recovery symbol, and a round trip through physical space would put
-    round-off there that the coupling multiplies back up.  da[l - 1] is
-    d_x^l a (see _a_derivatives), so m = len(da); the terms that share
-    d_x^l a take one inverse transform.
+    round-off there that the coupling multiplies back up.  The terms
+    that share d_x^l a take one inverse transform.
     """
-    ik = 1j * _wavenumbers(grid)[:, None]
-    m = len(da)
     out = np.zeros(grid.shape)
-    for l in range(1, m + 1):
-        symbol = sum(
-            comb(s, l) * (-1.0) ** s * lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1)
-        )
-        out += da[l - 1] * _to_physical(symbol * spec, grid)
+    for da, symbol in zip(cf.da, cf.symbols):
+        out += da * _to_physical(symbol * spec, grid)
     return out
 
 
@@ -484,12 +501,14 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
     d_x^{2s} u downward and recovers u's real spectrum along x through
     the symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
     passes runs through x-derivatives of a, taken from that spectrum, so
-    x-independent multipliers converge immediately.  The passes stop
-    when an increment falls to AUX_TOL times the first.  The transport
-    plan is mt.transport_plan, built once per triple.
+    x-independent multipliers converge immediately.  A pass's increment
+    is the quadrature norm of the change in that spectrum, by Parseval,
+    and u is taken back to physical space once, when the passes stop:
+    once an increment falls to AUX_TOL times the first.  The transport
+    plan and the coupling factors are mt.transport_plan and mt.coupling,
+    built once per triple.
     """
     g = v.grid
-    denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
     plan = mt.transport_plan
     stats = {"transport_s": 0.0, "spectral_s": 0.0}
 
@@ -499,24 +518,26 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
         stats["transport_s"] = perf_counter() - t0
         return AuxReport(Field(g, w.values.copy()), w, 1, [], [], True, stats)
 
-    u_vals = np.zeros(g.shape)
+    cf = mt.coupling
+    part_weights = rfft_part_weights(g)
     increments: list[float] = []
     ratios: list[float] = []
     ref = None
     bad_streak = 0
-    da = _a_derivatives(mt.a, mt.m)
     spec = None  # the zero first iterate has no coupling
+    converged = False
     for it in range(1, max_iter + 1):
         t0 = perf_counter()
-        rhs = v if spec is None else Field(g, v.values - _coupling_rhs(spec, da, g, mt.lam))
+        rhs = v if spec is None else Field(g, v.values - _coupling_rhs(spec, cf, g))
         t1 = perf_counter()
         w = plan.solve(rhs)
         t2 = perf_counter()
-        spec = np.fft.rfft(w.values, axis=0) / denom
-        new_vals = _to_physical(spec, g)
+        new_spec = np.fft.rfft(w.values, axis=0) / cf.denom
+        step = new_spec if spec is None else new_spec - spec
+        delta = float(np.sqrt(mode_power(step, g.nx, part_weights).sum() / g.nx))
+        spec = new_spec
         stats["transport_s"] += t2 - t1
         stats["spectral_s"] += (t1 - t0) + (perf_counter() - t2)
-        delta = l2_norm(Field(g, new_vals - u_vals))
         increments.append(delta)
         if len(increments) >= 2 and increments[-2] > 0:
             ratio = delta / increments[-2]
@@ -524,12 +545,15 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
             if bad_streak >= 5:
                 raise AuxNonContractionError(ratio)
-        u_vals = new_vals
         if ref is None:
             ref = max(delta, np.finfo(float).tiny)
         if delta <= AUX_TOL * ref:
-            return AuxReport(Field(g, u_vals), w, it, increments, ratios, True, stats)
-    return AuxReport(Field(g, u_vals), w, max_iter, increments, ratios, False, stats)
+            converged = True
+            break
+    t0 = perf_counter()
+    u = Field(g, _to_physical(spec, g))
+    stats["spectral_s"] += perf_counter() - t0
+    return AuxReport(u, w, it, increments, ratios, converged, stats)
 
 
 def aux_equation_residual(rep: AuxReport, v: Field, mt: MultiplierTriple) -> float:
@@ -543,10 +567,9 @@ def aux_equation_residual(rep: AuxReport, v: Field, mt: MultiplierTriple) -> flo
     the symbol, up to 2.6e10 at 256^2 with lam = 1 and m = 2.
     """
     g = rep.w.grid
-    denom = _recovery_denominator(g, mt.lam, mt.m)[:, None]
-    spec = np.fft.rfft(rep.w.values, axis=0) / denom
-    coupling = _coupling_rhs(spec, _a_derivatives(mt.a, mt.m), g, mt.lam)
-    rhs = Field(g, v.values - coupling)
+    cf = mt.coupling
+    spec = np.fft.rfft(rep.w.values, axis=0) / cf.denom
+    rhs = Field(g, v.values - _coupling_rhs(spec, cf, g))
     res = mt.transport_plan.residual(rhs, rep.w)
     scale = l2_norm(v)
     return l2_norm(res) / scale if scale > 0 else l2_norm(res)

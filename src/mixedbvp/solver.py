@@ -527,28 +527,47 @@ def energy_certificate(
 
     Also reports the measured constant of ||v||_(-m-1,0) <=
     C^2 ||L* v||_(-m,-1).  Zero samples are skipped; positivity of every
-    ratio is the certificate.
+    ratio is the certificate.  The report's stats holds perf_counter sums
+    over the samples: aux_s in the auxiliary solves, and within it
+    transport_s and spectral_s (see AuxReport), lstar_s in L* v,
+    energy_norm_s in (L* v, u) and ||u||_(m,1), dual_norm_s in the two
+    negative norms; and aux_iterations, one entry per sample.
     """
     m = mt.m
     pieces = _adjoint_pieces(cs)
     samples: list[EnergySample] = []
+    stats: dict = dict.fromkeys(
+        ("aux_s", "transport_s", "spectral_s", "lstar_s", "energy_norm_s", "dual_norm_s"), 0.0
+    )
     for v in v_samples:
         if l2_norm(v) == 0.0:
             continue
+        t0 = perf_counter()
         aux = aux_solve_report(v, mt)
         u = aux.u
+        t1 = perf_counter()
         lsv = apply_Lstar(cs, v, pieces)
+        t2 = perf_counter()
         num = inner_product(lsv, u)
         den = sobolev_norm(u, NormOrder(m, 1)) ** 2
-        ratio = num / den if den > 0 else np.inf
+        t3 = perf_counter()
         neg_v = negative_norm(v, NormOrder(-(m + 1), 0))
         neg_lsv = negative_norm(lsv, NormOrder(-m, -1))
+        t4 = perf_counter()
+        ratio = num / den if den > 0 else np.inf
         dual = neg_v / neg_lsv if neg_lsv > 0 else np.inf
         samples.append(EnergySample(ratio, dual, aux.iterations))
+        stats["aux_s"] += t1 - t0
+        stats["transport_s"] += aux.stats["transport_s"]
+        stats["spectral_s"] += aux.stats["spectral_s"]
+        stats["lstar_s"] += t2 - t1
+        stats["energy_norm_s"] += t3 - t2
+        stats["dual_norm_s"] += t4 - t3
+    stats["aux_iterations"] = [s.aux_iterations for s in samples]
 
     ratios = np.array([s.ratio for s in samples])
     duals = np.array([s.dual_constant for s in samples])
-    report = FormReport()
+    report = FormReport(stats=stats)
     report.add(
         "energy_ratio",
         FormEntry(float(ratios.min()), float(ratios.max()), 0.0, bool(ratios.min() > 0)),

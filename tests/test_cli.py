@@ -266,11 +266,20 @@ def test_failed_curvature_gate_exits_1_with_one_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "energy", "multiplier"])
-@pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e100", "1e200", "1e308"])
 def test_extreme_alpha_exits_with_a_code(tmp_path, capsys, command, alpha):
     # check_alpha squared 1e308 as a Python float power, which raised
-    # OverflowError; a non-finite alpha is a configuration error
+    # OverflowError; a non-finite alpha is a configuration error, and so
+    # is a finite one that overflows a quantity formed from it
     code = run([command, f"--alpha={alpha}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
-    assert code == 2 if alpha in ("nan", "inf") else code in (0, 1, 2)
+    captured = capsys.readouterr()
+    if alpha in ("nan", "inf"):
+        assert code == 2
     if code == 2:
-        assert capsys.readouterr().err.startswith("error: ")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "alpha" in captured.err
+    else:
+        assert code in (0, 1)
+        out = captured.out.lower()
+        assert "nan" not in out and "margin inf" not in out and "=inf" not in out
+        assert "=-inf" not in out

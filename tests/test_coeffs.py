@@ -3,6 +3,7 @@ import pytest
 
 from mixedbvp.coeffs import (
     PRESET_NAMES,
+    AlphaRangeError,
     CoefficientSet,
     check_alpha,
     check_condition7,
@@ -83,6 +84,18 @@ def test_alpha_condition_zero_alpha_fails_on_tricomi():
     rep = check_alpha(tricomi(g, 1e-4, 0.0))
     assert not rep.passed
     assert rep.pointwise_min_margin == pytest.approx(-1e-4, abs=1e-12)
+
+
+def test_overflowing_alpha_is_a_range_error():
+    # alpha^2 overflows past 1.3e154; 2*alpha*A past 9e307 turns the
+    # condition-7 margin to nan where A = 0
+    g = make_grid(16, 16)
+    assert check_alpha(tricomi(g, 1e-4, 1e150)).passed
+    with pytest.raises(AlphaRangeError, match="alpha = 1e\\+200 overflows alpha\\^2"):
+        check_alpha(tricomi(g, 1e-4, 1e200))
+    assert check_condition7(tricomi(g, 1e-4, 1e200)).passed
+    with pytest.raises(AlphaRangeError, match="condition-7 margin"):
+        check_condition7(tricomi(g, 1e-4, 1e308))
 
 
 def test_alpha_condition_strictness_at_zero_margin():

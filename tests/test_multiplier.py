@@ -15,6 +15,17 @@ from mixedbvp.multiplier import (
 PRESETS = ("tricomi", "infinite_order", "wedge", "chaplygin", "lower_order")
 
 
+def test_build_abc_rejects_an_alpha_the_transport_cannot_step():
+    # the transport steps hy*a/hx cells per level; at 2**52 cells a foot
+    # keeps no fractional position
+    from mixedbvp.coeffs import AlphaRangeError
+
+    g = make_grid(16, 16)
+    build_abc(preset_coefficients("tricomi", g, 1e-4, 1e15), 10.0, 1)
+    with pytest.raises(AlphaRangeError, match="alpha = 1e\\+16 overflows the transport"):
+        build_abc(preset_coefficients("tricomi", g, 1e-4, 1e16), 10.0, 1, require_alpha=False)
+
+
 def test_phi_is_one_when_forcing_vanishes():
     g = make_grid(32, 32)
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)  # A = K_x = 0

@@ -259,6 +259,42 @@ def test_derivative_matrix_mirrors_field_path(shape):
             assert np.abs(via_matrix - via_fields).max() < 1e-11
 
 
+@pytest.mark.parametrize("shape", [(16, 12), (4, 8)])
+def test_norms_sum_derivative_st_terms(shape):
+    # each x-derivative is taken once, but every term is still
+    # derivative_st's, summed in the same order: the same bits
+    g = make_grid(*shape)
+    u = Field(g, np.random.default_rng(18).standard_normal(g.shape))
+
+    def via_derivative_st(pairs):
+        total = 0.0
+        for s, t in pairs:
+            d = derivative_st(u, s, t)
+            total += inner_product(d, d)
+        return float(np.sqrt(max(total, 0.0)))
+
+    for m in range(3):
+        for l in range(3):
+            pairs = [(s, t) for s in range(m + 1) for t in range(l + 1)]
+            assert sobolev_norm(u, NormOrder(m, l)) == via_derivative_st(pairs)
+        pairs = [(s, t) for s in range(m + 1) for t in range(m + 1 - s)]
+        assert isotropic_norm(u, m) == via_derivative_st(pairs)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (33, 20)])
+@pytest.mark.parametrize("order", [(1, 0), (1, 1), (2, 1)])
+def test_gram_gate_product_needs_no_transpose(shape, order):
+    # the gate forms hCx x Cy as (Cy (hCx x)')', which holds because Cy
+    # is symmetric; the product is the same bits as the one it replaces
+    from mixedbvp import norms
+
+    g = make_grid(*shape)
+    f = norms._gram_factors(g, *order)
+    assert (f.cy != f.cy.T).nnz == 0
+    x = np.random.default_rng(19).standard_normal(g.shape)
+    assert np.array_equal((f.cy @ (f.hcx @ x).T).T, f.hcx @ x @ f.cy)
+
+
 def test_isotropic_norm_bounds_anisotropic():
     g = make_grid(16, 16)
     rng = np.random.default_rng(17)

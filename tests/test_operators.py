@@ -541,3 +541,84 @@ def test_aux_report_stats(m):
     assert set(rep.stats) == {"transport_s", "spectral_s"}
     assert rep.stats["transport_s"] > 0.0
     assert (rep.stats["spectral_s"] > 0.0) == (m > 0)
+
+
+def _physical_increments(v, mt, passes):
+    """The auxiliary passes with each increment measured as before: u taken
+    to physical space every pass and l2_norm of the difference."""
+    from mixedbvp.operators import _coupling_rhs, _to_physical
+
+    g = v.grid
+    cf = mt.coupling
+    u_prev, spec, out = np.zeros(g.shape), None, []
+    for _ in range(passes):
+        rhs = v if spec is None else Field(g, v.values - _coupling_rhs(spec, cf, g))
+        spec = np.fft.rfft(mt.transport_plan.solve(rhs).values, axis=0) / cf.denom
+        u = _to_physical(spec, g)
+        out.append(l2_norm(Field(g, u - u_prev)))
+        u_prev = u
+    return out, u_prev
+
+
+def _assert_parseval_increments(v, mt, max_iter=200):
+    rep = aux_solve_report(v, mt, max_iter=max_iter)
+    physical, u = _physical_increments(v, mt, rep.iterations)
+    assert rep.iterations > 1
+    diff = np.abs(np.array(rep.increments) - np.array(physical)).max()
+    assert diff <= 1e-13 * physical[0]
+    assert np.array_equal(rep.u.values, u)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
+def test_aux_parseval_increments_match_physical(preset, m, n):
+    from mixedbvp.solver import random_smooth_samples
+
+    g = make_grid(n, n)
+    mt = build_abc(preset_coefficients(preset, g, 1e-4, 0.02), 1.0, m)
+    _assert_parseval_increments(random_smooth_samples(g, 0.02, 1, seed=n + m)[0], mt)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2])
+def test_aux_parseval_increments_match_physical_tiny_lambda(lam):
+    g = make_grid(48, 48)
+    a = Field.from_function(g, lambda X, Y: 1.0 + 0.9 * np.sin(PI * X))
+    mt = _mt(g, a, Field.constant(g, -0.5), lam, 2)
+    v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
+    _assert_parseval_increments(v, mt, max_iter=60)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_coupling_factors_built_on_first_use_and_kept(m):
+    from math import comb
+
+    from mixedbvp.operators import _a_derivatives, _recovery_denominator, _wavenumbers
+
+    g = make_grid(32, 32)
+    mt = build_abc(preset_coefficients("lower_order", g, 1e-4, 0.02), 10.0, m)
+    assert "coupling" not in vars(mt)
+    v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
+    rep = aux_solve_report(v, mt)
+    # the m = 0 pass has no coupling to build
+    assert ("coupling" in vars(mt)) == (m > 0)
+    cf = mt.coupling
+    assert mt.coupling is cf
+    fresh = _a_derivatives(mt.a, m)
+    assert len(cf.da) == len(fresh) == m
+    assert all(np.array_equal(c, f) for c, f in zip(cf.da, fresh))
+    assert np.array_equal(cf.denom, _recovery_denominator(g, mt.lam, m)[:, None])
+    ik = 1j * _wavenumbers(g)[:, None]
+    for l, symbol in enumerate(cf.symbols, start=1):
+        terms = (comb(s, l) * (-1.0) ** s * mt.lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1))
+        assert np.array_equal(symbol, sum(terms))
+    assert aux_equation_residual(rep, v, mt) <= 1e-10
+
+
+def test_bottom_stencil_overflow_names_alpha():
+    from mixedbvp.coeffs import AlphaRangeError
+
+    g = make_grid(16, 16)
+    cs = preset_coefficients("tricomi", g, 1e-4, 1e308)
+    with pytest.raises(AlphaRangeError, match="alpha = 1e\\+308"):
+        assemble_L(cs)

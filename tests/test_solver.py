@@ -713,6 +713,33 @@ def test_energy_certificate_computes_adjoint_pieces_once(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_energy_certificate_stats(m):
+    from time import perf_counter
+
+    from mixedbvp.multiplier import FormReport
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, m)
+    vs = [Field.zeros(g)] + random_smooth_samples(g, cs.alpha, 4, seed=3)
+    t0 = perf_counter()
+    rep, samples = energy_certificate(cs, mt, vs)
+    wall = perf_counter() - t0
+    st = rep.stats
+    assert set(st) == {
+        "aux_s", "transport_s", "spectral_s", "lstar_s", "energy_norm_s", "dual_norm_s",
+        "aux_iterations",
+    }
+    # the zero sample is skipped, so it has no entry
+    assert st["aux_iterations"] == [s.aux_iterations for s in samples] and len(samples) == 4
+    stages = st["aux_s"] + st["lstar_s"] + st["energy_norm_s"] + st["dual_norm_s"]
+    assert 0.0 < stages <= wall
+    assert 0.0 < st["transport_s"] + st["spectral_s"] <= st["aux_s"]
+    assert (st["spectral_s"] > 0.0) == (m > 0)
+    assert FormReport().stats == {}
+
+
 def test_energy_certificate_skips_zero_samples():
     g = make_grid(32, 32)
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
