@@ -63,7 +63,7 @@ _RANGES = {
     "ny": (lambda v: v >= 4, "ny must be at least 4"),
     "rho": (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
     "theta": (lambda v: 0.0 < v <= 1.0, "theta must lie in (0, 1]"),
-    "alpha0": (lambda v: v > 0.0, "alpha0 must be positive"),
+    "alpha0": (lambda v: 0.0 < v < np.inf, "alpha0 must be positive and finite"),
     "samples": (lambda v: v >= 1, "samples must be at least 1"),
     "max_iter": (lambda v: v >= 1, "max_iter must be at least 1"),
     "tol": (lambda v: v > 0.0, "tol must be positive"),

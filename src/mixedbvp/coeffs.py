@@ -21,10 +21,11 @@ from .grid import Field, GridSpec, differentiate
 
 
 class AlphaRangeError(ValueError):
-    """alpha is finite, but a quantity the program forms from it overflows."""
+    """alpha, or the setting name that alpha is formed from, has a value
+    that is finite, but a quantity the program forms from it overflows."""
 
-    def __init__(self, alpha: float, quantity: str):
-        super().__init__(f"alpha = {alpha:g} overflows {quantity}")
+    def __init__(self, value: float, quantity: str, name: str = "alpha"):
+        super().__init__(f"{name} = {value:g} overflows {quantity}")
 
 
 @dataclass

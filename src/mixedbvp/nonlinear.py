@@ -25,14 +25,17 @@ residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import factorial, sqrt
+from functools import lru_cache
+from math import factorial, isfinite, sqrt
 from time import perf_counter
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .coeffs import CoefficientSet, condition7prime_margin
-from .grid import Field, GridSpec, _dx1, _dx2, l2_norm, mode_power, rfft_part_weights
+from .coeffs import AlphaRangeError, CoefficientSet, condition7prime_margin
+from .grid import Field, GridSpec, l2_norm, mode_power, rfft_part_weights
+from .norms import _x_matrix
 from .solver import direct_solve
 
 
@@ -243,9 +246,14 @@ def _gradh2(dv: dict[str, np.ndarray], inv) -> np.ndarray:
     return ih11 * zx**2 + 2.0 * ih12 * zx * zy + ih22 * zy**2
 
 
+def _darboux_from(H, gradh2: np.ndarray, K: Field, deth) -> np.ndarray:
+    """The Darboux residual from the covariant Hessian H and |grad_h z|^2."""
+    H11, H12, H22 = H
+    return H11 * H22 - H12**2 - K.values * deth * (1.0 - gradh2)
+
+
 def _darboux(dv: dict[str, np.ndarray], K: Field, inv, gammas, deth) -> np.ndarray:
-    H11, H12, H22 = _cov_hessian(dv, gammas)
-    return H11 * H22 - H12**2 - K.values * deth * (1.0 - _gradh2(dv, inv))
+    return _darboux_from(_cov_hessian(dv, gammas), _gradh2(dv, inv), K, deth)
 
 
 def covariant_hessian(z: Field, h: MetricData) -> tuple[Field, Field, Field]:
@@ -316,6 +324,21 @@ def _stencil_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
     return np.linalg.solve(V, rhs)
 
 
+@lru_cache(maxsize=16)
+def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """The stencils of _SplitDerivatives as sparse matrices, read off the identity.
+
+    x: the periodic _dx1 over _dx2, (2 nx, nx), applied from the left to
+    an (nx, ny+1) array.  y: _d1_line over _d2_line, (2 (ny+1), ny+1),
+    applied from the left to the transposed array, and its _d1_line
+    block alone.
+    """
+    eye = np.eye(grid.ny + 1)
+    dx = sp.csr_matrix(np.vstack([_x_matrix(grid, 1), _x_matrix(grid, 2)]))
+    dy = sp.csr_matrix(np.vstack([_d1_line(eye, grid.hy, 0), _d2_line(eye, grid.hy, 0)]))
+    return dx, dy, dy[: grid.ny + 1]
+
+
 class _SplitDerivatives:
     """Derivatives of z0 + d with the seam jump carried analytically.
 
@@ -328,6 +351,14 @@ class _SplitDerivatives:
     keeps one-sided stencils out of the iteration loop entirely, which
     would otherwise both seed a seam instability and bias the fixed
     point.
+
+    The stencils are applied as the sparse products of
+    _derivative_matrices, shared by every solve on the grid: both
+    x-derivatives in one product, both y-derivatives in one, and the
+    mixed derivative as the y-derivative of the x-derivative.  The
+    y-products run on the transposed array; the carrier's derivatives
+    are kept in each product's layout and added in place, and one
+    transposing copy per y-product returns the (nx, ny+1) layout.
     """
 
     def __init__(self, z0: Field):
@@ -338,6 +369,7 @@ class _SplitDerivatives:
             )
         self.grid = g
         self.base = z0.values.copy()
+        self._dx, self._dy, self._dy1 = _derivative_matrices(g)
         hx = g.hx
         # sextic extrapolation of value and slope to the seam x = 1; a slope
         # jump misjudged by delta reappears as delta/h noise in the periodic
@@ -355,29 +387,31 @@ class _SplitDerivatives:
         j1 = w_der_l @ vl - w_der_r @ vr
         x = g.x[:, None]
         cz = j0[None, :] * (x / 2.0) + j1[None, :] * (x**2 / 4.0)
-        czx = np.broadcast_to(j0[None, :] / 2.0 + j1[None, :] * (x / 2.0), g.shape)
-        self._carrier = {
-            "zx": czx.copy(),
-            "zy": graph_dy(Field(g, cz), 1).values,
-            "zxx": np.broadcast_to(j1[None, :] / 2.0, g.shape).copy(),
-            "zxy": graph_dy(Field(g, czx.copy()), 1).values,
-            "zyy": graph_dy(Field(g, cz), 2).values,
-        }
+        czx = j0[None, :] / 2.0 + j1[None, :] * (x / 2.0)
+        # zx over zxx; zy' over zyy'; zxy'
+        self._carrier_x = np.concatenate([czx, np.broadcast_to(j1[None, :] / 2.0, g.shape)])
+        self._carrier_y = self._dy @ cz.T
+        self._carrier_xy = self._dy1 @ czx.T
         self._periodic_base = self.base - cz
 
     def at(self, d_vals: np.ndarray) -> dict[str, np.ndarray]:
-        # differentiate's and graph_dy's stencils on the bare arrays; the
-        # Field of the iterate checks that it is finite
         g = self.grid
+        nx, nyp = g.shape
+        # the Field of the iterate checks that it is finite
         p = Field(g, self._periodic_base + d_vals).values
-        px = _dx1(p, g.hx)
-        car = self._carrier
+        x = self._dx @ p
+        xy = self._dy1 @ x[:nx].T
+        y = self._dy @ p.T
+        x += self._carrier_x
+        xy += self._carrier_xy
+        y += self._carrier_y
+        y = np.ascontiguousarray(y.reshape(2, nyp, nx).transpose(0, 2, 1))
         return {
-            "zx": car["zx"] + px,
-            "zy": car["zy"] + _d1_line(p, g.hy, 1),
-            "zxx": car["zxx"] + _dx2(p, g.hx),
-            "zxy": car["zxy"] + _d1_line(px, g.hy, 1),
-            "zyy": car["zyy"] + _d2_line(p, g.hy, 1),
+            "zx": x[:nx],
+            "zy": y[0],
+            "zxx": x[nx:],
+            "zxy": np.ascontiguousarray(xy.T),
+            "zyy": y[1],
         }
 
 
@@ -455,13 +489,15 @@ class _AndersonMixing:
 
 def _picard(
     z0: GraphSurface,
-    residual_from_derivs,
-    principal_from_derivs,
+    step_terms,
     psi: Field | None,
     params: NonlinearParams,
-    extra_guard=None,
 ) -> IterationReport:
     """Anderson-mixed frozen-coefficient iteration; each step is one direct_solve.
+
+    step_terms maps the derivative dict of an iterate to its residual
+    and the principal coefficients (P, Q) of the frozen linearization,
+    and raises when the iterate leaves the equation's regime.
 
     The fixed-point map is d -> d + update, update the smoothed linear
     solve, and each step mixes it with up to ANDERSON_DEPTH past steps
@@ -473,17 +509,23 @@ def _picard(
     Fourier-mode LUs, with no GMRES step.  diagnostics carries the
     residual of each linear solve (every row, walls included), the
     solve method and, when the iteration gives up, the reason.  stats
-    holds the step count, the perf_counter sums residual_s (derivatives
-    and residual), factor_s (frozen normal form and its factorization),
-    solve_s and smooth_s (smoothing and mixing), and per step the norms
-    of the linear solve's answer in the kept and the filtered band
-    (kept_norm, filtered_norm), the part of the step's stopping residual
-    on the wall rows 0 and ny (wall_norm) and the number of past steps
-    the mixing used (mixing_depth).
+    holds the step count, the perf_counter sums residual_s (derivatives,
+    residual and principal coefficients), factor_s (frozen normal form
+    and its factorization), solve_s and smooth_s (smoothing and mixing),
+    and per step the norms of the linear solve's answer in the kept and
+    the filtered band (kept_norm, filtered_norm), the part of the step's
+    stopping residual on the wall rows 0 and ny (wall_norm) and the
+    number of past steps the mixing used (mixing_depth).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
-    alpha = np.sqrt(rho) * params.alpha0
+    alpha = sqrt(rho) * params.alpha0
+    # the oblique row's residual norm squares alpha times a slope; inf,
+    # not OverflowError, past 1.3e154
+    if not isfinite(alpha * alpha):
+        raise AlphaRangeError(
+            params.alpha0, f"alpha^2 with alpha = sqrt(rho)*alpha0 = {alpha:g}", "alpha0"
+        )
     chi = cutoff_profile(grid)[:, None]
     part_weights = rfft_part_weights(grid)
     wall_weight = grid.hx * grid.y_weights()[0]
@@ -513,10 +555,7 @@ def _picard(
 
     for it in range(params.max_iter + 1):
         t0 = perf_counter()
-        derivs = split.at(d)
-        if extra_guard is not None:
-            extra_guard(derivs)
-        res = residual_from_derivs(derivs)
+        res, P, Q = step_terms(split.at(d))
         weighted = chi * res
         res_norm = l2_norm(Field(grid, weighted))
         stats["residual_s"] += perf_counter() - t0
@@ -532,7 +571,6 @@ def _picard(
         ):
             return report(it, False, "residual stagnation")
         t0 = perf_counter()
-        P, Q = principal_from_derivs(derivs)
         cs = _normal_form_coefficients(grid, P, Q, rho, psi, alpha)
         rep = direct_solve(cs, Field(grid, -res / Q))
         solve_s = rep.solver_stats["solve_s"]
@@ -566,13 +604,7 @@ def solve_prescribed_curvature(
     """
     params = params or NonlinearParams()
     _gate_condition7prime(K, z0.domain_scale)
-    return _picard(
-        z0,
-        lambda dv: _curvature(dv, K),
-        lambda dv: (dv["zyy"], dv["zxx"]),
-        psi,
-        params,
-    )
+    return _picard(z0, lambda dv: (_curvature(dv, K), dv["zyy"], dv["zxx"]), psi, params)
 
 
 def solve_darboux(
@@ -593,25 +625,18 @@ def solve_darboux(
     gammas = christoffel_symbols(h)
     deth = h.det()
 
-    def guard(dv) -> None:
+    def step_terms(dv):
+        # each covariant Hessian entry and |grad_h z|^2 once, as _darboux forms them
+        H = _cov_hessian(dv, gammas)
         gradh2 = _gradh2(dv, inv)
-        if gradh2.max() >= 1.0:
+        top = gradh2.max()
+        if top >= 1.0:
             raise DegenerateLinearizationError(
-                f"|grad_h z|^2 reached {gradh2.max():.3f}; right-hand side degenerates"
+                f"|grad_h z|^2 reached {top:.3f}; right-hand side degenerates"
             )
+        return _darboux_from(H, gradh2, K, deth), H[2], H[0]
 
-    def principal_from_derivs(dv):
-        H11, _, H22 = _cov_hessian(dv, gammas)
-        return H22, H11
-
-    return _picard(
-        z0,
-        lambda dv: _darboux(dv, K, inv, gammas, deth),
-        principal_from_derivs,
-        psi,
-        params,
-        extra_guard=guard,
-    )
+    return _picard(z0, step_terms, psi, params)
 
 
 def flat_metric(grid: GridSpec) -> MetricData:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dc_field
+from math import isfinite
 from time import perf_counter
 from typing import Callable
 
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .coeffs import CoefficientSet, check_alpha, check_condition7
+from .coeffs import AlphaRangeError, CoefficientSet, check_alpha, check_condition7
 from .grid import (
     Field,
     GridSpec,
@@ -628,6 +629,9 @@ def uniqueness_boundary_form(cs: CoefficientSet, mt: MultiplierTriple, u: Field)
     """Boundary quadratic expression of the uniqueness argument (nonnegative)."""
     g = cs.grid
     eps, alpha = cs.eps, cs.alpha
+    alpha2 = alpha * alpha  # inf, not OverflowError, past 1.3e154
+    if not isfinite(alpha2):
+        raise AlphaRangeError(alpha, "alpha^2")
     uy = differentiate(u, "y", 1).values
     ux = differentiate(u, "x", 1).values
     cy = differentiate(mt.c, "y", 1).values
@@ -638,7 +642,7 @@ def uniqueness_boundary_form(cs: CoefficientSet, mt: MultiplierTriple, u: Field)
     top = Field(g, 0.5 * b * uy**2)
     bottom = Field(
         g,
-        0.5 * (eps * b * K + 2.0 * alpha * a - alpha**2 * b) * ux**2
+        0.5 * (eps * b * K + 2.0 * alpha * a - alpha2 * b) * ux**2
         + 0.5 * (cy - alpha * cx - eps * c * B) * u.values**2,
     )
     return boundary_integral(top, "top") + boundary_integral(bottom, "bottom")

@@ -283,3 +283,15 @@ def test_extreme_alpha_exits_with_a_code(tmp_path, capsys, command, alpha):
         out = captured.out.lower()
         assert "nan" not in out and "margin inf" not in out and "=inf" not in out
         assert "=-inf" not in out
+
+
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "1e200", "1e308"])
+def test_extreme_alpha0_is_a_configuration_error(tmp_path, capsys, command, alpha0):
+    # the Picard normal form's oblique constant is sqrt(rho)*alpha0: a
+    # non-finite alpha0 is rejected with the other settings, and one whose
+    # alpha overflows alpha^2 is named as the flag that was set
+    code = run([command, f"--alpha0={alpha0}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: alpha0 = ") and captured.err.count("\n") == 1

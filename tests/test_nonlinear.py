@@ -344,6 +344,82 @@ def test_picard_stats(solve):
     assert abs(stats["wall_norm"][0] - l2_norm(Field(g, walls))) <= 1e-13 * stats["wall_norm"][0]
 
 
+def _stencil_composition(split, d):
+    # the five stencil passes the sparse products replaced: the periodic
+    # x-stencils and the graph's y-stencils of periodic_base + d, plus the
+    # carrier's derivatives (analytic in x, the graph's stencils in y).
+    # Also returns each entry's round-off scale, the sum of the absolute
+    # terms the stencils add up (Higham's |D| |v|)
+    from mixedbvp.grid import _dx1, _dx2
+    from mixedbvp.nonlinear import _d1_line, _d2_line, _derivative_matrices
+
+    g = split.grid
+    hx, hy, nx = g.hx, g.hy, g.nx
+    cz = split.base - split._periodic_base
+    czx, czxx = split._carrier_x[:nx], split._carrier_x[nx:]
+    p = split._periodic_base + d
+    px = _dx1(p, hx)
+    ref = {
+        "zx": czx + px,
+        "zy": _d1_line(cz, hy, 1) + _d1_line(p, hy, 1),
+        "zxx": czxx + _dx2(p, hx),
+        "zxy": _d1_line(czx, hy, 1) + _d1_line(px, hy, 1),
+        "zyy": _d2_line(cz, hy, 1) + _d2_line(p, hy, 1),
+    }
+    dx, dy, dy1 = (abs(m) for m in _derivative_matrices(g))
+    dy2 = dy[g.ny + 1 :]
+
+    def along_y(m, *vs):
+        return sum((m @ np.abs(v).T).T for v in vs)
+
+    ax = dx @ np.abs(p)
+    scale = {
+        "zx": np.abs(czx) + ax[:nx],
+        "zy": along_y(dy1, cz, p),
+        "zxx": np.abs(czxx) + ax[nx:],
+        "zxy": along_y(dy1, czx, ax[:nx]),
+        "zyy": along_y(dy2, cz, p),
+    }
+    return ref, scale
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_split_derivatives_match_the_stencil_composition(n):
+    # the products add the same terms as the stencils in another order, so
+    # each entry agrees to round-off of its absolute terms; measured <= 4.4e-16
+    from mixedbvp.nonlinear import _SplitDerivatives
+
+    g = make_grid(n, n)
+    for pair in (manufactured_curvature_pair, manufactured_darboux_pair):
+        z_star, _ = pair(g, RHO)
+        split = _SplitDerivatives(Field(g, z_star.values + _perturbation(g).values))
+        d = 1e-3 * np.random.default_rng(n).standard_normal(g.shape)
+        for dv in (0.0, d):
+            got = split.at(dv)
+            ref, scale = _stencil_composition(split, dv)
+            assert got.keys() == ref.keys()
+            for key in ref:
+                assert got[key].shape == g.shape and got[key].flags.c_contiguous, key
+                err = (np.abs(got[key] - ref[key]) / scale[key]).max()
+                assert err <= 1e-13, (key, err)
+
+
+def test_derivative_matrices_are_shared_per_grid():
+    from mixedbvp import nonlinear
+
+    nonlinear._derivative_matrices.cache_clear()
+    _cli_solve("ma", 32)
+    _cli_solve("darboux", 32)
+    info = nonlinear._derivative_matrices.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    small = nonlinear._derivative_matrices(make_grid(32, 32))
+    large = nonlinear._derivative_matrices(make_grid(48, 48))
+    assert nonlinear._derivative_matrices.cache_info().misses == 2
+    assert small is not large
+    assert [m.shape for m in small] == [(64, 32), (66, 33), (33, 33)]
+    assert [m.shape for m in large] == [(96, 48), (98, 49), (49, 49)]
+
+
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_picard_residual_is_the_public_residual(n):
     # Picard evaluates the shared residuals on the seam-split derivatives;

@@ -808,6 +808,20 @@ def test_uniqueness_boundary_form_nonnegative():
             assert uniqueness_boundary_form(cs, mt, u) >= -1e-10
 
 
+def test_uniqueness_boundary_form_huge_alpha_is_a_range_error():
+    # alpha**2 raised OverflowError past about 1.3e154; alpha * alpha is inf
+    from mixedbvp.coeffs import AlphaRangeError
+
+    g = make_grid(16, 16)
+    cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    u = Field.from_function(g, lambda X, Y: np.sin(np.pi * X + 0.3) * (1.0 - Y))
+    assert np.isfinite(uniqueness_boundary_form(cs, mt, u))
+    cs.alpha = 1e200
+    with pytest.raises(AlphaRangeError, match=r"alpha = 1e\+200 overflows alpha\^2"):
+        uniqueness_boundary_form(cs, mt, u)
+
+
 def test_estimate_chain_finite_and_stable_on_all_presets():
     # measured energy constants and a priori ratios stay finite and do not
     # drift under refinement for every condition-passing preset

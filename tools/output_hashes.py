@@ -12,9 +12,11 @@ the oblique row folded in, and the fold multipliers m2 and m3; older
 trees print their zgbtrf band array as mode_bands instead);
 solve_linear's u, residual and a priori ratio; the auxiliary solve's u
 and iterations; energy ratios, dual constants
-and auxiliary iterations; Picard ma and darboux from the CLI start;
-perfbench Linear(1) ops 0-9 and Picard(1) ops 0-13.  One BLAS thread,
-so a library's threading cannot make two runs differ.
+and auxiliary iterations; the five seam-split derivatives of the ma
+and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); Picard ma
+and darboux from the CLI start; perfbench Linear(1) ops 0-9 and
+Picard(1) ops 0-13.  One BLAS thread, so a library's threading cannot
+make two runs differ.
 """
 
 from __future__ import annotations
@@ -98,6 +100,17 @@ def main(tree: Path) -> None:
             emit(f"energy/{name}/m{m}/aux_iterations", [s.aux_iterations for s in out])
 
     cfg = cli.RunConfig()
+    g = grid.make_grid(64, 64)
+    for name, pair in (
+        ("ma", cli.manufactured_curvature_pair),
+        ("darboux", cli.manufactured_darboux_pair),
+    ):
+        z_star, _ = pair(g, cfg.rho)
+        z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
+        dv = nonlinear._SplitDerivatives(z0).at(0)
+        for key in ("zx", "zy", "zxx", "zxy", "zyy"):
+            emit(f"split/{name}/64/{key}", dv[key])
+
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
         params = nonlinear.NonlinearParams(cfg.alpha0, cfg.theta, cfg.tol, cfg.max_iter)
