@@ -4,7 +4,8 @@ Every certificate and solver is exposed as a subcommand writing CSV
 artifacts plus a human-readable summary under the output directory,
 together with a run.manifest recording inputs, seed and versions.  The
 Picard subcommands (ma, darboux) also write metrics.json: the
-iteration's stage timings, per-step band norms and why it stopped.
+iteration's stage timings, per-step band norms and why it stopped; so
+does solve: the residual, the a priori ratio and the solver's stats.
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error.
 """
@@ -42,6 +43,7 @@ from .operators import aux_equation_residual, aux_solve_report
 from .solver import (
     LinearProblem,
     PreconditionError,
+    ResidualGateError,
     energy_certificate,
     mms_convergence,
     polynomial_sine_solution,
@@ -217,6 +219,12 @@ def _cmd_solve(cfg: RunConfig, outdir: Path) -> int:
         f"stats={rep.solver_stats}"
     )
     (outdir / "solve_report.txt").write_text(text + "\n")
+    metrics = {
+        "residual_norm": rep.residual_norm,
+        "apriori_ratio": rep.apriori_ratio,
+        "solver_stats": rep.solver_stats,
+    }
+    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(text)
     return 0
 
@@ -317,7 +325,15 @@ def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
         alpha0=cfg.alpha0, theta=cfg.theta, tol=cfg.tol, max_iter=cfg.max_iter
     )
     psi = None if cfg.psi == 0.0 else Field.constant(grid, cfg.psi)
-    rep = solve(K, GraphSurface(z0, cfg.rho), psi, params)
+    try:
+        rep = solve(K, GraphSurface(z0, cfg.rho), psi, params)
+    except ResidualGateError as exc:
+        if exc.rows != "bottom":
+            raise
+        # the normal form's oblique row takes its alpha from the flag
+        raise PreconditionError(
+            f"{exc} (alpha = sqrt(rho)*alpha0 with --alpha0 {cfg.alpha0:g})"
+        ) from exc
     rows = ["iteration,residual"]
     rows += [f"{i},{r:.8e}" for i, r in enumerate(rep.residual_history)]
     (outdir / "iteration.csv").write_text("\n".join(rows) + "\n")

@@ -12,7 +12,9 @@ characteristic slope a/b.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isfinite
 from time import perf_counter
 
@@ -74,12 +76,8 @@ _BOTTOM_DY = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
 def _interior_stencil(K, A, B, eps: float, hx: float, hy: float):
     """East, west, north, south and centre weights of the interior stencil
     of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y."""
-    east = eps * K / hx**2 + eps * A / (2 * hx)
-    west = eps * K / hx**2 - eps * A / (2 * hx)
-    north = 1.0 / hy**2 + eps * B / (2 * hy)
-    south = 1.0 / hy**2 - eps * B / (2 * hy)
-    centre = -2.0 * eps * K / hx**2 - 2.0 / hy**2
-    return east, west, north, south, centre
+    kx, ax, by = eps * K / hx**2, eps * A / (2 * hx), eps * B / (2 * hy)
+    return kx + ax, kx - ax, 1.0 / hy**2 + by, 1.0 / hy**2 - by, -2.0 * kx - 2.0 / hy**2
 
 
 def _bottom_stencil(alpha: float, hx: float, hy: float):
@@ -94,55 +92,82 @@ def _bottom_stencil(alpha: float, hx: float, hy: float):
     return half, -half, _BOTTOM_DY / hy
 
 
-def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
-    """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows."""
-    grid = cs.grid
+@lru_cache(maxsize=16)
+def _csr_pattern(grid: GridSpec) -> tuple[sp.csr_matrix, tuple[np.ndarray, np.ndarray]]:
+    """The sparsity pattern of assemble_L on grid, as a matrix, and the seam order.
+
+    Rows follow the field's layout, (i, j) -> i*(ny+1) + j.  Each x-line
+    holds the bottom row's 6 entries (west, the y-nodes 0..3, east), 5 per
+    interior row (west, south, centre, north, east) and the top row's 1.
+    On line 0 the west column wraps to line nx-1, and on line nx-1 the
+    east column to line 0, so those two lines take their slots in the
+    orders seam = (first, last), which sort every row's columns: scipy
+    then never sorts the indices in place.  The matrix's int32 indices
+    and indptr are shared by every matrix on the grid, so they are not
+    writeable; its data are zeros.
+    """
     nx, nyp = grid.shape
-    hx, hy = grid.hx, grid.hy
-
-    rows, cols, vals = [], [], []
-
-    def idx(i, j):
-        return (i % nx) * nyp + j
-
-    I, J = np.meshgrid(np.arange(nx), np.arange(1, nyp - 1), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    east, west, north, south, centre = _interior_stencil(
-        cs.K.values[I, J], cs.A.values[I, J], cs.B.values[I, J], cs.eps, hx, hy
-    )
-    center = idx(I, J)
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    add(center, idx(I + 1, J), east)
-    add(center, idx(I - 1, J), west)
-    add(center, idx(I, J + 1), north)
-    add(center, idx(I, J - 1), south)
-    add(center, center, centre)
-
-    ii = np.arange(nx)
-    # top: identity row
-    add(idx(ii, nyp - 1), idx(ii, nyp - 1), np.ones(nx))
-    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, hx, hy)
-    add(idx(ii, 0), idx(ii + 1, 0), np.full(nx, b_east))
-    add(idx(ii, 0), idx(ii - 1, 0), np.full(nx, b_west))
-    for j_off, coef in enumerate(b_dy):
-        add(idx(ii, 0), idx(ii, j_off), np.full(nx, coef))
-
+    ny = nyp - 1
+    line = nyp * np.arange(nx, dtype=np.int32)[:, None]
+    west, east = np.roll(line, 1), np.roll(line, -1)
+    j = np.arange(1, ny, dtype=np.int32)
+    indices = np.empty((nx, 5 * ny + 2), dtype=np.int32)
+    indices[:, :6] = np.hstack((west, line + np.arange(4, dtype=np.int32), east))
+    indices[:, 6:-1] = np.stack(
+        (west + j, line + j - 1, line + j, line + j + 1, east + j), axis=-1
+    ).reshape(nx, -1)
+    indices[:, -1:] = line + ny
+    row_of_slot = np.repeat(np.arange(nyp), [6] + [5] * (ny - 1) + [1])
+    seam = tuple(np.lexsort((indices[i], row_of_slot)) for i in (0, -1))
+    indices[0], indices[-1] = indices[0, seam[0]], indices[-1, seam[1]]
+    starts = np.r_[0, 6 + 5 * np.arange(ny)]  # row starts within a line
+    indptr = np.r_[((5 * ny + 2) * np.arange(nx)[:, None] + starts).ravel(), indices.size]
     n = nx * nyp
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    pattern = sp.csr_matrix((np.zeros(indices.size), indices.ravel(), indptr), shape=(n, n))
+    pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
+    return pattern, seam
+
+
+def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
+    """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows.
+
+    The weights fill the slots of the grid's cached pattern (_csr_pattern),
+    one x-line per row of data.  A coefficient constant along x enters as
+    its one row, broadcast over the x-lines; when all three are, one line
+    is filled and copied to the others.  The matrix shares the pattern's
+    read-only indices and indptr: copy it before changing its structure.
+    """
+    g = cs.grid
+    nx, nyp = g.shape
+    ny = nyp - 1
+    pattern, seam = _csr_pattern(g)
+    K, A, B = (c.values[:1] if _x_constant(c) else c.values for c in (cs.K, cs.A, cs.B))
+    weights = _interior_stencil(K[:, 1:-1], A[:, 1:-1], B[:, 1:-1], cs.eps, g.hx, g.hy)
+    east, west, north, south, centre = weights
+    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
+    lines = max(w.shape[0] for w in weights)  # 1 when no coefficient depends on x
+    data = np.empty((nx, 5 * ny + 2))
+    head = data[:lines]
+    head[:, 0], head[:, 1:5], head[:, 5], head[:, -1] = b_west, b_dy, b_east, 1.0
+    interior = head[:, 6:-1].reshape(lines, ny - 1, 5)  # a view: each line's rows
+    for k, weight in enumerate((west, south, centre, north, east)):
+        interior[..., k] = weight
+    data[lines:] = head[:1]
+    data[0], data[-1] = data[0, seam[0]], data[-1, seam[1]]
+    # a shallow copy shares the pattern scipy checked once; its constructor
+    # would check it again on every call, a third of a small assembly
+    mat = copy(pattern)
+    mat.data = data.ravel()
+    return mat
 
 
 def _x_constant(c: Field) -> bool:
-    """Does c take one value along every x-line?  (Its values are finite.)"""
-    return bool((c.values == c.values[0]).all())
+    """Does c take one value along every x-line?  (Its values are finite.)
+
+    Each line is compared with the next, two arrays of one shape, which
+    is cheaper than broadcasting the first line against all of them.
+    """
+    return bool((c.values[1:] == c.values[:-1]).all())
 
 
 def mode_bands(

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_triangular
 
 from .coeffs import AlphaRangeError, CoefficientSet, check_alpha, check_condition7
 from .grid import (
@@ -57,6 +57,28 @@ class PreconditionError(RuntimeError):
 
 class BoundaryCompatibilityError(ValueError):
     pass
+
+
+class ResidualGateError(PreconditionError):
+    """A solve's residual r over every row failed the gate RESIDUAL_TOL.
+
+    rows names the row group holding the largest share of r's squared
+    quadrature norm: "interior", "top" or "bottom".  The bottom row is
+    the oblique alpha*u_x + u_y, whose rounding error grows like
+    |alpha*u_x|, so when it holds the largest share the message names
+    alpha too.
+    """
+
+    def __init__(self, relative: float, r: np.ndarray, cs: CoefficientSet):
+        parts = (r * r).sum(axis=0) * cs.grid.y_weights()
+        shares = {"interior": parts[1:-1].sum(), "top": parts[-1], "bottom": parts[0]}
+        self.rows = max(shares, key=shares.get)
+        detail = f", alpha = {cs.alpha:g}" if self.rows == "bottom" else ""
+        super().__init__(
+            f"WELLPOSEDNESS_SUSPECT: solve residual {relative:.2e} exceeds {RESIDUAL_TOL:.1e};"
+            f" the {self.rows} rows hold {shares[self.rows] / sum(shares.values()):.2%}"
+            f" of its square{detail}"
+        )
 
 
 @dataclass
@@ -183,30 +205,49 @@ def _gmres(
     first is apply(precond(b)), which the caller has formed already, so
     the first step costs no matvec; apply's output is flattened.  The
     inner product is weighted by w, so the least-squares residual is
-    the quadrature norm of b - apply(x) in exact arithmetic.  Stops
-    when that estimate is <= target, at a breakdown or after maxiter
-    steps, and returns (x, steps).  No restarts: the basis holds at
-    most maxiter + 1 vectors.
+    the quadrature norm of b - apply(x) in exact arithmetic.  Givens
+    rotations keep the Hessenberg matrix in QR form as it grows: the
+    rotated right-hand side g holds that residual in |g[k+1]| after
+    step k, and the one triangular solve runs at exit.  Stops when the
+    residual is <= target, at a breakdown or after maxiter steps, and
+    returns (x, steps, residuals), residuals[k] being the residual after
+    step k + 1.  No restarts: the basis holds at most maxiter + 1 vectors.
     """
     beta = float(np.sqrt(b @ (w * b)))
     V = np.empty((maxiter + 1, b.size))
-    H = np.zeros((maxiter + 1, maxiter))
+    R = np.zeros((maxiter + 1, maxiter))
+    rot = np.zeros((maxiter, 2))  # the (cos, sin) of each step's rotation
+    g = np.zeros(maxiter + 1)
+    g[0] = beta
     V[0] = b / beta
-    y = np.zeros(0)
+    residuals: list[float] = []
+
+    def solution(k: int) -> np.ndarray:
+        y = solve_triangular(R[:k, :k], g[:k]) if k else np.zeros(0)
+        return precond(y @ V[:k])
+
     for k in range(maxiter):
         v = first / beta if k == 0 else apply(precond(V[k])).ravel()
+        h = R[:, k]
         for _ in range(2):  # classical Gram-Schmidt, twice for orthogonality
-            h = V[: k + 1] @ (w * v)
-            v -= h @ V[: k + 1]
-            H[: k + 1, k] += h
-        H[k + 1, k] = np.sqrt(v @ (w * v))
-        rhs = np.zeros(k + 2)
-        rhs[0] = beta
-        y = np.linalg.lstsq(H[: k + 2, : k + 1], rhs, rcond=None)[0]
-        if np.linalg.norm(H[: k + 2, : k + 1] @ y - rhs) <= target or H[k + 1, k] == 0.0:
-            return precond(y @ V[: k + 1]), k + 1
-        V[k + 1] = v / H[k + 1, k]
-    return precond(y @ V[:maxiter]), maxiter
+            coef = V[: k + 1] @ (w * v)
+            v -= coef @ V[: k + 1]
+            h[: k + 1] += coef
+        vnorm = np.sqrt(v @ (w * v))
+        for i, (c, s) in enumerate(rot[:k]):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        diag = np.hypot(h[k], vnorm)
+        if diag == 0.0:  # a breakdown whose column adds nothing to the fit
+            residuals.append(abs(g[k]))
+            return solution(k), k + 1, residuals
+        c, s = rot[k] = h[k] / diag, vnorm / diag
+        h[k] = diag
+        g[k], g[k + 1] = c * g[k], -s * g[k]
+        residuals.append(abs(g[k + 1]))
+        if residuals[-1] <= target or vnorm == 0.0:
+            return solution(k + 1), k + 1, residuals
+        V[k + 1] = v / vnorm
+    return solution(maxiter), maxiter, residuals
 
 
 class FactorizedOperator:
@@ -222,28 +263,34 @@ class FactorizedOperator:
     back-substitutes through the mode LUs, in one zgttrs call, and
     stops when the residual over every row, walls included, passes the
     gate RESIDUAL_TOL*||f||, as every x-independent set does.  Otherwise
-    that was the first step of GMRES on L applied matrix-free (apply_L on
-    the interior rows, boundary_residual on the walls), right-preconditioned
-    by the mode LUs (Concus-Golub 1973).  Past GMRES_MAX_ITER steps, or
+    that was the first step of GMRES on L, right-preconditioned by the
+    mode LUs (Concus-Golub 1973).  L is the assembled matrix
+    (operators.assemble_L), built on the first residual and kept: every
+    row of L u is one sparse product.  Past GMRES_MAX_ITER steps, or
     when the gate still fails, the operator falls back to a sparse LU of
-    the assembled matrix for good; stats["fallback_reason"] says why.
-    A splu solve that fails the gate raises PreconditionError
-    (WELLPOSEDNESS_SUSPECT).
+    that same matrix for good; stats["fallback_reason"] says why.  A
+    solve that fails the gate raises ResidualGateError
+    (WELLPOSEDNESS_SUSPECT), which names the rows holding most of the
+    residual.
 
     method is "fourier" or "splu".  residual_norm is the last solve's
     residual over every row; stats holds it relative to ||f|| as
-    residual, gmres_iterations (0 when the mode LUs alone passed the
-    gate) and the perf_counter timings factor_s and solve_s.  A singular
-    factorization of L, or a zero pivot of the fold, raises
-    PreconditionError (WELLPOSEDNESS_SUSPECT) naming the mode; for an
-    x-dependent L, where those modes are the averaged operator's, it
-    only sends the operator to splu.
+    residual, and for the last solve gmres_iterations (0 when the mode
+    LUs alone passed the gate), gmres_residuals (GMRES's estimate after
+    each step, over ||f||), matvecs (products with L) and solve_s; and
+    the perf_counter timings factor_s and assemble_s (building L, 0.0
+    until a residual needs it).  A singular factorization of L, or a
+    zero pivot of the fold, raises PreconditionError
+    (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
+    those modes are the averaged operator's, it only sends the operator
+    to splu.
     """
 
     def __init__(self, cs: CoefficientSet):
         t0 = perf_counter()
         self.cs = cs
-        self.stats: dict = {}
+        self._L = None
+        self.stats: dict = {"assemble_s": 0.0, "matvecs": 0}
         self.method = "fourier"
         try:
             self._modes = _factor_modes(cs)
@@ -253,11 +300,19 @@ class FactorizedOperator:
             self._fall_back(f"the x-averaged operator has no mode LU ({exc})")
         self.stats["factor_s"] = perf_counter() - t0
 
+    def _matrix(self):
+        """The assembled L, built on first use."""
+        if self._L is None:
+            t0 = perf_counter()
+            self._L = assemble_L(self.cs)
+            self.stats["assemble_s"] = perf_counter() - t0
+        return self._L
+
     def _fall_back(self, reason: str) -> None:
         self.method = "splu"
         self.stats["fallback_reason"] = reason
         try:
-            self._lu = spla.splu(assemble_L(self.cs).tocsc())
+            self._lu = spla.splu(self._matrix().tocsc())
         except RuntimeError as exc:  # singular factorization
             raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
 
@@ -272,11 +327,9 @@ class FactorizedOperator:
         return np.fft.irfft(spec.reshape(-1, g.ny + 1), n=g.nx, axis=0)
 
     def _rows(self, u: np.ndarray) -> np.ndarray:
-        """Every row of the assembled L times u, applied matrix-free."""
-        field = Field(self.cs.grid, u.reshape(self.cs.grid.shape))
-        out = apply_L(self.cs, field).values
-        out[:, -1], out[:, 0] = boundary_residual(field, BoundarySpec("oblique", self.cs.alpha))
-        return out
+        """Every row of L times u, walls included, in the grid's shape."""
+        self.stats["matvecs"] += 1
+        return (self._matrix() @ u.ravel()).reshape(self.cs.grid.shape)
 
     def solve(self, f: Field) -> Field:
         """u with L u = f on the interior rows and the homogeneous wall conditions."""
@@ -287,18 +340,21 @@ class FactorizedOperator:
         rhs[:, 0] = 0.0
         fnorm = l2_norm(f)
         gate = RESIDUAL_TOL * fnorm
-        steps = 0
+        steps, estimates = 0, []
+        self.stats["matvecs"] = 0
         if self.method == "fourier":
             u = self._mode_solve(rhs)
             Lu = self._rows(u)
-            res = l2_norm(Field(g, rhs - Lu))
+            r = rhs - Lu
+            res = l2_norm(Field(g, r))
             # the gate, not the Krylov target: an exact LU's residual sits at a
             # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
             if res > gate:
                 w = np.broadcast_to(g.hx * g.y_weights(), g.shape).ravel()
-                u, steps = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
-                                  GMRES_MARGIN * gate, GMRES_MAX_ITER, Lu.ravel())
-                res = l2_norm(Field(g, rhs - self._rows(u)))
+                u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
+                                             GMRES_MARGIN * gate, GMRES_MAX_ITER, Lu.ravel())
+                r = rhs - self._rows(u)
+                res = l2_norm(Field(g, r))
             if res > gate:
                 if steps == GMRES_MAX_ITER:
                     self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
@@ -306,18 +362,18 @@ class FactorizedOperator:
                     self._fall_back(f"GMRES stopped above the residual gate {RESIDUAL_TOL:.1e}")
         if self.method == "splu":
             u = self._lu.solve(rhs.ravel()).reshape(g.shape)
-            res = l2_norm(Field(g, rhs - self._rows(u)))
+            r = rhs - self._rows(u)
+            res = l2_norm(Field(g, r))
         self.residual_norm = res
+        scale = fnorm if fnorm > 0 else 1.0
         self.stats.update(
             gmres_iterations=steps,
-            residual=res / fnorm if fnorm > 0 else res,
+            gmres_residuals=[float(e / scale) for e in estimates],
+            residual=res / scale,
             solve_s=perf_counter() - t0,
         )
         if res > gate:
-            raise PreconditionError(
-                f"WELLPOSEDNESS_SUSPECT: solve residual {self.stats['residual']:.2e}"
-                f" exceeds {RESIDUAL_TOL:.1e}"
-            )
+            raise ResidualGateError(self.stats["residual"], r, self.cs)
         return Field(g, u)
 
 

@@ -129,6 +129,37 @@ def test_solve_report_names_the_krylov_path(tmp_path):
     assert stats["gmres_iterations"] == rep.solver_stats["gmres_iterations"] >= 1
 
 
+@pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
+def test_solve_metrics_json(tmp_path, preset):
+    code = run(["solve", "--preset", preset, "--nx", "32", "--ny", "32", "--out", str(tmp_path)])
+    assert code == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert set(metrics) == {"residual_norm", "apriori_ratio", "solver_stats"}
+    stats = metrics["solver_stats"]
+    assert set(stats) == {
+        "method", "n", "factor_s", "assemble_s", "solve_s", "residual",
+        "matvecs", "gmres_iterations", "gmres_residuals",
+    }
+    assert stats["method"] == "fourier" and stats["n"] == 32 * 33
+    assert stats["matvecs"] == stats["gmres_iterations"] + 1
+    assert len(stats["gmres_residuals"]) == stats["gmres_iterations"]
+    assert (stats["gmres_iterations"] >= 1) == (preset == "lower_order")
+    assert metrics["residual_norm"] > 0.0 and metrics["apriori_ratio"] > 0.0
+    assert stats["residual"] <= 1e-10 and stats["assemble_s"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+def test_large_alpha0_residual_gate_names_the_oblique_row(tmp_path, capsys, command):
+    # alpha0 = 1e8 passes every range check, and the oblique row's rounding
+    # then fails the linear solve's residual gate: the message says so
+    code = run([command, "--alpha0", "1e8", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("WELLPOSEDNESS_SUSPECT: solve residual") and out.count("\n") == 1
+    assert "the bottom rows hold" in out and "alpha = 5e+07" in out
+    assert "alpha = sqrt(rho)*alpha0 with --alpha0 1e+08" in out
+
+
 def test_energy_subcommand(tmp_path):
     code = run(["energy", "--preset", "tricomi", "--eps", "1e-4", "--alpha", "0.02",
                 "--nx", "32", "--ny", "32", "--samples", "5", "--m", "0",

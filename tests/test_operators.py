@@ -71,6 +71,79 @@ def test_apply_matches_tricomi_operator_at_unit_scale():
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
 
+def _coo_assemble_L(cs):
+    # the COO assembly that the CSR fill replaced, with the stencil
+    # weights written out as it formed them: the oracle for assemble_L
+    import scipy.sparse as sp
+
+    g = cs.grid
+    nx, nyp = g.shape
+    hx, hy, eps = g.hx, g.hy, cs.eps
+
+    def idx(i, j):
+        return (i % nx) * nyp + j
+
+    I, J = np.meshgrid(np.arange(nx), np.arange(1, nyp - 1), indexing="ij")
+    I, J = I.ravel(), J.ravel()
+    K, A, B = (c.values[I, J] for c in (cs.K, cs.A, cs.B))
+    centre = idx(I, J)
+    ii = np.arange(nx)
+    half = cs.alpha / (2 * hx)
+    dy = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / hy
+    entries = [
+        (centre, idx(I + 1, J), eps * K / hx**2 + eps * A / (2 * hx)),
+        (centre, idx(I - 1, J), eps * K / hx**2 - eps * A / (2 * hx)),
+        (centre, idx(I, J + 1), 1.0 / hy**2 + eps * B / (2 * hy)),
+        (centre, idx(I, J - 1), 1.0 / hy**2 - eps * B / (2 * hy)),
+        (centre, centre, -2.0 * eps * K / hx**2 - 2.0 / hy**2),
+        (idx(ii, nyp - 1), idx(ii, nyp - 1), np.ones(nx)),
+        (idx(ii, 0), idx(ii + 1, 0), np.full(nx, half)),
+        (idx(ii, 0), idx(ii - 1, 0), np.full(nx, -half)),
+    ] + [(idx(ii, 0), idx(ii, k), np.full(nx, dy[k])) for k in range(4)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nx * nyp, nx * nyp)).tocsr()
+
+
+def _picard_normal_form(g, alpha):
+    from mixedbvp.nonlinear import _normal_form_coefficients
+
+    X, Y = g.meshes()
+    P = Y + 0.1 * np.sin(PI * X) * (1.0 - Y**2)
+    Q = 1.0 + 0.2 * np.cos(PI * X) ** 2
+    return _normal_form_coefficients(g, P, Q, 0.25, Field.constant(g, 0.3), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.02, 1.2])
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
+@pytest.mark.parametrize("kind", ["tricomi", "lower_order", "picard"])
+def test_assembled_matrix_equals_coo_assembly(kind, n, alpha):
+    g = make_grid(n, n)
+    if kind == "picard":
+        cs = _picard_normal_form(g, alpha)  # K and A constant along x, B zero
+    else:
+        cs = preset_coefficients(kind, g, 1e-4, alpha)
+    mat, ref = assemble_L(cs), _coo_assemble_L(cs)
+    assert mat.has_sorted_indices and ref.has_sorted_indices
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert np.array_equal(mat.data, ref.data)  # explicit zeros at alpha = 0 included
+
+
+def test_csr_pattern_shared_per_grid():
+    g = make_grid(32, 32)
+    a = assemble_L(preset_coefficients("tricomi", g, 1e-4, 0.02))
+    b = assemble_L(preset_coefficients("lower_order", g, 1e-2, 1.2))
+    assert np.shares_memory(a.indices, b.indices) and np.shares_memory(a.indptr, b.indptr)
+    assert not a.indices.flags.writeable and not a.indptr.flags.writeable
+    assert not np.shares_memory(a.data, b.data)
+    # operations that canonicalize in place find nothing to do
+    assert np.array_equal(abs(a).data, np.abs(a.data))
+    for shape in ((48, 32), (32, 48)):
+        c = assemble_L(preset_coefficients("tricomi", make_grid(*shape), 1e-4, 0.02))
+        assert not np.shares_memory(a.indices, c.indices)
+        assert c.shape == ((shape[1] + 1) * shape[0],) * 2
+
+
 def test_matrix_matches_apply_on_interior_rows():
     g = make_grid(24, 24)
     cs = preset_coefficients("lower_order", g, 0.01, 0.02)

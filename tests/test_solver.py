@@ -163,7 +163,7 @@ def test_x_dependent_coefficients_fall_back_to_splu(monkeypatch):
     ],
 )
 def test_reported_residual_is_the_assembled_one(preset, cap, method, krylov, monkeypatch):
-    # the gate reads the matrix-free residual, wall rows included; on every
+    # the gate reads the residual over every row, walls included; on every
     # path it must be the residual of the assembled matrix
     from mixedbvp.operators import assemble_L
 
@@ -211,6 +211,139 @@ def test_factorized_operator_gates_its_splu_residual(monkeypatch):
         fac.solve(f)
     assert fac.method == "splu"
     assert fac.stats["residual"] > 1e-30
+
+
+def _normal_form(g):
+    from mixedbvp.nonlinear import _normal_form_coefficients
+
+    X, Y = g.meshes()
+    P = Y + 0.1 * np.sin(PI * X) * (1.0 - Y**2)
+    return _normal_form_coefficients(g, P, np.ones(g.shape), 0.25, None, 0.6)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("kind", ["tricomi", "lower_order", "picard"])
+def test_rows_match_pointwise_operator_and_wall_rows(kind, n):
+    # _rows is one product with the assembled matrix; row by row it must be
+    # apply_L inside and boundary_residual on the walls, to round-off in
+    # the terms each row sums
+    from mixedbvp.operators import BoundarySpec, apply_L, assemble_L, boundary_residual
+
+    g = make_grid(n, n)
+    cs = _normal_form(g) if kind == "picard" else preset_coefficients(kind, g, 1e-2, 0.02)
+    u = Field(g, np.random.default_rng(n).standard_normal(g.shape))
+    fac = FactorizedOperator(cs)
+    rows = fac._rows(u.values)
+    ref = apply_L(cs, u).values
+    ref[:, -1], ref[:, 0] = boundary_residual(u, BoundarySpec("oblique", cs.alpha))
+    terms = (abs(assemble_L(cs)) @ np.abs(u.values).ravel()).reshape(g.shape)
+    assert np.all(np.abs(rows - ref) <= 1e-13 * terms)
+    assert fac.stats["matvecs"] == 1 and fac.stats["assemble_s"] > 0.0
+
+
+def _dense_gmres(A, M, b, w, k):
+    # the k-th GMRES iterate from its definition: x = M K c, with K a basis
+    # of the Krylov space of A M from b and c the weighted least-squares fit
+    sw = np.sqrt(w)
+    basis = [b / np.linalg.norm(sw * b)]
+    for _ in range(k - 1):
+        v = A @ (M @ basis[-1])
+        for q in basis:  # modified Gram-Schmidt, twice
+            v -= (q @ (w * v)) * q
+        for q in basis:
+            v -= (q @ (w * v)) * q
+        basis.append(v / np.linalg.norm(sw * v))
+    Kb = np.array(basis[:k]).T.reshape(b.size, k)
+    c = np.linalg.lstsq(sw[:, None] * (A @ (M @ Kb)), sw * b, rcond=None)[0]
+    x = M @ (Kb @ c)
+    return x, np.linalg.norm(sw * (b - A @ x))
+
+
+def test_gmres_matches_dense_least_squares_at_every_step():
+    rng = np.random.default_rng(11)
+    n = 8
+    A = np.eye(n) + 0.4 * rng.standard_normal((n, n))  # not symmetric
+    M = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    w = rng.uniform(0.5, 2.0, n)
+    first = A @ (M @ b)
+    for maxiter in range(n + 1):
+        x, steps, residuals = solver._gmres(
+            lambda v: A @ v, lambda v: M @ v, b, w, 0.0, maxiter, first.copy()
+        )
+        assert steps == maxiter and len(residuals) == maxiter
+        ref = _dense_gmres(A, M, b, w, maxiter)[0] if maxiter else np.zeros(n)
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max(initial=1.0), maxiter
+        for k, est in enumerate(residuals, start=1):
+            true = _dense_gmres(A, M, b, w, k)[1]
+            assert abs(est - true) <= 1e-10 * np.linalg.norm(np.sqrt(w) * b), (maxiter, k)
+    # the target ends the run at the first step whose estimate meets it
+    x, steps, residuals = solver._gmres(
+        lambda v: A @ v, lambda v: M @ v, b, w, 1e-3, n, first.copy()
+    )
+    assert residuals[-1] <= 1e-3 < residuals[-2] and steps == len(residuals)
+
+
+def test_gmres_exact_breakdown_returns_the_solution():
+    # A swaps e0 and e1, so the Krylov space from e0 closes after two steps
+    # with an exactly zero subdiagonal
+    rng = np.random.default_rng(5)
+    n = 6
+    A = np.zeros((n, n))
+    A[0, 1] = A[1, 0] = 1.0
+    A[2:, 2:] = np.eye(n - 2) + 0.3 * rng.standard_normal((n - 2, n - 2))
+    b = np.zeros(n)
+    b[0] = 1.0
+    x, steps, residuals = solver._gmres(
+        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, A @ b
+    )
+    assert steps == 2 and residuals[-1] == 0.0
+    assert np.array_equal(x, np.eye(n)[1])
+    # a singular A that maps b to 0: the step adds nothing and x stays 0
+    A[:, 0] = 0.0
+    x, steps, residuals = solver._gmres(
+        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, A @ b
+    )
+    assert (steps, residuals) == (1, [1.0]) and not x.any()
+
+
+def test_operator_stats_count_products_and_estimates():
+    g = make_grid(32, 32)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y) + 0.3 * Y**2)
+    fac = FactorizedOperator(preset_coefficients("lower_order", g, 1e-4, 0.02))
+    assert fac.stats["assemble_s"] == 0.0  # no residual formed yet
+    fac.solve(f)
+    stats = fac.stats
+    steps = stats["gmres_iterations"]
+    assert steps >= 1 and len(stats["gmres_residuals"]) == steps
+    # the mode solve's residual, steps - 1 products inside GMRES, the final residual
+    assert stats["matvecs"] == steps + 1
+    assert stats["gmres_residuals"][-1] <= solver.GMRES_MARGIN * solver.RESIDUAL_TOL
+    assert np.all(np.diff(stats["gmres_residuals"]) <= 0.0)
+    assert stats["assemble_s"] > 0.0
+    fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, 0.02))
+    fac.solve(f)
+    assert (fac.stats["matvecs"], fac.stats["gmres_residuals"]) == (1, [])
+
+
+def test_residual_gate_names_the_rows_that_hold_it(monkeypatch):
+    from mixedbvp.solver import ResidualGateError
+
+    g = make_grid(16, 16)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    # the oblique row alpha*u_x + u_y rounds at about eps*|alpha*u_x|; where
+    # u_x is not small there (an x-dependent set), it fails the gate
+    cs = preset_coefficients("lower_order", g, 1e-4, 1e12)
+    with pytest.raises(ResidualGateError, match="the bottom rows hold .*alpha = 1e\\+12") as exc:
+        direct_solve(cs, f)
+    assert exc.value.rows == "bottom"
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
+    cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
+    with pytest.raises(ResidualGateError, match="WELLPOSEDNESS_SUSPECT: solve residual") as exc:
+        direct_solve(cs, f)
+    assert exc.value.rows in ("interior", "top", "bottom")
+    assert f"the {exc.value.rows} rows hold" in str(exc.value)
+    assert ("alpha" in str(exc.value)) == (exc.value.rows == "bottom")
 
 
 def test_singular_mode_is_wellposedness_suspect():

@@ -4,9 +4,11 @@
 
 imports mixedbvp from <tree>/src and the benchmark workloads from
 <tree>/perfbench, runs a fixed set of solves and prints
-"<output> <sha1 of its float64 bytes>" for each.  Run it on two
-checkouts and diff the printouts: an equal line is a bit-identical
-output.  Covered: the assembled L (data, indices, indptr) and the x-mode
+"<output> <sha1 of its float64 bytes>" for each (a count is printed as
+it is).  Run it on two checkouts and diff the printouts: an equal line
+is a bit-identical output.  Covered: the assembled L (data, indices,
+indptr, with each row's indices sorted, so two trees that order a row's
+entries differently compare equal) and the x-mode
 systems of every preset as zgttrf takes them (the three diagonals with
 the oblique row folded in, and the fold multipliers m2 and m3; older
 trees print their zgbtrf band array as mode_bands instead);
@@ -14,8 +16,10 @@ solve_linear's u, residual and a priori ratio; the auxiliary solve's u
 and iterations; energy ratios, dual constants
 and auxiliary iterations; the five seam-split derivatives of the ma
 and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); Picard ma
-and darboux from the CLI start; perfbench Linear(1) ops 0-9 and
-Picard(1) ops 0-13.  One BLAS thread, so a library's threading cannot
+and darboux from the CLI start; the u and the GMRES step count of
+perfbench Linear(11), Linear(12) and Linear(13) op 0 (x-dependent
+lower_order at 128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops
+0-13.  One BLAS thread, so a library's threading cannot
 make two runs differ.
 """
 
@@ -60,7 +64,7 @@ def main(tree: Path) -> None:
         for name in PRESETS:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             mat = operators.assemble_L(cs)
-            mat = getattr(mat, "matrix", mat)  # older trees wrap the matrix
+            mat = getattr(mat, "matrix", mat).sorted_indices()  # older trees wrap the matrix
             emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
             systems = operators.mode_bands(cs, theta)
             if isinstance(systems, np.ndarray):  # older trees: one band array for zgbtrf
@@ -127,6 +131,13 @@ def main(tree: Path) -> None:
             z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
             rep = solve(K, nonlinear.GraphSurface(z0, cfg.rho), None, params)
             emit(f"picard/{name}/{n}", rep.final_z.z.values, rep.residual_history)
+
+    for seed in (11, 12, 13):  # x-dependent lower_order at 128^2: GMRES steps
+        lin = workloads.Linear(seed)
+        rep = lin.steps(lin.inputs(0))[0]()
+        emit(f"linear128/lower_order/seed{seed}/u", rep.u.values)
+        print(f"linear128/lower_order/seed{seed}/gmres_iterations"
+              f" {rep.solver_stats['gmres_iterations']}")
 
     lin = workloads.Linear(1)
     for i in range(10):
