@@ -13,6 +13,7 @@ condition on a raw curvature field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -46,6 +47,15 @@ class CoefficientSet:
     @property
     def grid(self) -> GridSpec:
         return self.K.grid
+
+    @cached_property
+    def x_constant(self) -> tuple[bool, bool, bool]:
+        """Does each of K, A and B take one value along every x-line?
+
+        Tested once per set (each line against the next) and kept: the
+        fields are not changed after the set is built.
+        """
+        return tuple(bool((c.values[1:] == c.values[:-1]).all()) for c in (self.K, self.A, self.B))
 
     @property
     def k_changes_sign(self) -> bool:

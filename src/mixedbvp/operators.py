@@ -133,15 +133,20 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
 
     The weights fill the slots of the grid's cached pattern (_csr_pattern),
     one x-line per row of data.  A coefficient constant along x enters as
-    its one row, broadcast over the x-lines; when all three are, one line
-    is filled and copied to the others.  The matrix shares the pattern's
-    read-only indices and indptr: copy it before changing its structure.
+    its one row (CoefficientSet.x_constant), broadcast over the x-lines;
+    when all three are, one line is filled and copied to the others.
+    The oblique bottom row is summed in column order, so at a huge alpha
+    its u_y terms round away (see _oblique_row).  The matrix shares the
+    pattern's read-only indices and indptr: copy it before changing its
+    structure.
     """
     g = cs.grid
     nx, nyp = g.shape
     ny = nyp - 1
     pattern, seam = _csr_pattern(g)
-    K, A, B = (c.values[:1] if _x_constant(c) else c.values for c in (cs.K, cs.A, cs.B))
+    K, A, B = (
+        c.values[:1] if flat else c.values for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
+    )
     weights = _interior_stencil(K[:, 1:-1], A[:, 1:-1], B[:, 1:-1], cs.eps, g.hx, g.hy)
     east, west, north, south, centre = weights
     b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
@@ -159,15 +164,6 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
     mat = copy(pattern)
     mat.data = data.ravel()
     return mat
-
-
-def _x_constant(c: Field) -> bool:
-    """Does c take one value along every x-line?  (Its values are finite.)
-
-    Each line is compared with the next, two arrays of one shape, which
-    is cheaper than broadcasting the first line against all of them.
-    """
-    return bool((c.values[1:] == c.values[:-1]).all())
 
 
 def mode_bands(
@@ -190,7 +186,8 @@ def mode_bands(
     """
     g = cs.grid
     K, A, B = (
-        c.values[0] if _x_constant(c) else c.values.mean(axis=0) for c in (cs.K, cs.A, cs.B)
+        c.values[0] if flat else c.values.mean(axis=0)
+        for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
     )
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
     shift = np.exp(1j * theta)[:, None]
@@ -266,15 +263,23 @@ def apply_Lstar(cs: CoefficientSet, v: Field, pieces: tuple | None = None) -> Fi
     return _apply(v.grid, cs.K.values, *pieces, cs.eps, v.values)
 
 
+def _oblique_row(values: np.ndarray, alpha: float, sgn: float, grid: GridSpec) -> np.ndarray:
+    """alpha*u_x + sgn*u_y on the bottom row of values, per x-node.
+
+    u_e - u_w is taken before alpha scales it, so the u_y terms survive
+    at any finite alpha (the assembled row sums alpha/(2hx)*u_w, the
+    y-terms and alpha/(2hx)*u_e in turn, and loses them once
+    alpha/(2hx)*|u| is about 1/eps_mach times their size).
+    """
+    uy0 = values[:, :4] @ _BOTTOM_DY / grid.hy
+    ux0 = _dx1_3(values[:, 0], grid.hx)
+    return alpha * ux0 + sgn * uy0
+
+
 def boundary_residual(u: Field, bc: BoundarySpec) -> tuple[np.ndarray, np.ndarray]:
     """Discrete residuals of the top and bottom conditions (per x-node)."""
-    g = u.grid
-    top = u.values[:, -1].copy()
-    uy0 = u.values[:, :4] @ _BOTTOM_DY / g.hy
-    ux0 = _dx1_3(u.values[:, 0], g.hx)
     sgn = 1.0 if bc.bottom == "oblique" else -1.0
-    bottom = bc.alpha * ux0 + sgn * uy0
-    return top, bottom
+    return u.values[:, -1].copy(), _oblique_row(u.values, bc.alpha, sgn, u.grid)
 
 
 def adjoint_defect(cs: CoefficientSet, u: Field, v: Field) -> float:

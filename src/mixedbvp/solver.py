@@ -41,7 +41,7 @@ from .operators import (
     _BOTTOM_DY,
     BoundarySpec,
     _adjoint_pieces,
-    _x_constant,
+    _oblique_row,
     apply_L,
     apply_Lstar,
     assemble_L,
@@ -131,7 +131,7 @@ class ConvergenceTable:
 
 
 def _x_independent(cs: CoefficientSet) -> bool:
-    return all(_x_constant(c) for c in (cs.K, cs.A, cs.B))
+    return all(cs.x_constant)
 
 
 def _fold_oblique_rows(dl, d, du, far):
@@ -266,7 +266,9 @@ class FactorizedOperator:
     that was the first step of GMRES on L, right-preconditioned by the
     mode LUs (Concus-Golub 1973).  L is the assembled matrix
     (operators.assemble_L), built on the first residual and kept: every
-    row of L u is one sparse product.  Past GMRES_MAX_ITER steps, or
+    row of L u is one sparse product, but the residual the gate reads
+    takes its oblique bottom row from operators._oblique_row, which
+    keeps the u_y terms at any alpha.  Past GMRES_MAX_ITER steps, or
     when the gate still fails, the operator falls back to a sparse LU of
     that same matrix for good; stats["fallback_reason"] says why.  A
     solve that fails the gate raises ResidualGateError
@@ -331,6 +333,18 @@ class FactorizedOperator:
         self.stats["matvecs"] += 1
         return (self._matrix() @ u.ravel()).reshape(self.cs.grid.shape)
 
+    def _residual(self, rhs: np.ndarray, u: np.ndarray, Lu: np.ndarray):
+        """rhs - L u over every row, and its norm, as the gate reads them.
+
+        Lu is _rows(u).  Its oblique bottom row loses the u_y terms at a
+        huge alpha, and would pass a wrong u, so that row is formed again
+        with u_e - u_w taken first (operators._oblique_row).
+        """
+        g = self.cs.grid
+        r = rhs - Lu
+        r[:, 0] = -_oblique_row(u, self.cs.alpha, 1.0, g)
+        return r, l2_norm(Field(g, r))
+
     def solve(self, f: Field) -> Field:
         """u with L u = f on the interior rows and the homogeneous wall conditions."""
         t0 = perf_counter()
@@ -345,16 +359,14 @@ class FactorizedOperator:
         if self.method == "fourier":
             u = self._mode_solve(rhs)
             Lu = self._rows(u)
-            r = rhs - Lu
-            res = l2_norm(Field(g, r))
+            r, res = self._residual(rhs, u, Lu)
             # the gate, not the Krylov target: an exact LU's residual sits at a
             # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
             if res > gate:
                 w = np.broadcast_to(g.hx * g.y_weights(), g.shape).ravel()
                 u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
                                              GMRES_MARGIN * gate, GMRES_MAX_ITER, Lu.ravel())
-                r = rhs - self._rows(u)
-                res = l2_norm(Field(g, r))
+                r, res = self._residual(rhs, u, self._rows(u))
             if res > gate:
                 if steps == GMRES_MAX_ITER:
                     self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
@@ -362,8 +374,7 @@ class FactorizedOperator:
                     self._fall_back(f"GMRES stopped above the residual gate {RESIDUAL_TOL:.1e}")
         if self.method == "splu":
             u = self._lu.solve(rhs.ravel()).reshape(g.shape)
-            r = rhs - self._rows(u)
-            res = l2_norm(Field(g, r))
+            r, res = self._residual(rhs, u, self._rows(u))
         self.residual_norm = res
         scale = fnorm if fnorm > 0 else 1.0
         self.stats.update(

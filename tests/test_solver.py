@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,60 @@ def test_residual_gate_names_the_rows_that_hold_it(monkeypatch):
     assert exc.value.rows in ("interior", "top", "bottom")
     assert f"the {exc.value.rows} rows hold" in str(exc.value)
     assert ("alpha" in str(exc.value)) == (exc.value.rows == "bottom")
+
+
+def test_gate_residual_takes_the_differenced_oblique_row():
+    # the product sums the bottom row as -alpha/(2hx)*u_w, the y-terms, then
+    # +alpha/(2hx)*u_e; at alpha 1e50 the y-terms round away, so a bottom
+    # row constant in x reads 0 there whatever its u_y.  The gate's
+    # residual is boundary_residual's row, bit for bit
+    from mixedbvp.operators import BoundarySpec, boundary_residual
+
+    g = make_grid(16, 16)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(g.shape)
+    u[:, :4] = rng.standard_normal(4)  # every line's first four nodes alike
+    rhs = rng.standard_normal(g.shape)
+    rhs[:, 0] = rhs[:, -1] = 0.0
+    for alpha in (0.02, 1e50):
+        fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
+        rows = fac._rows(u)
+        r, res = fac._residual(rhs, u, rows)
+        wall = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))[1]
+        assert np.array_equal(r[:, 0], -wall)
+        assert np.array_equal(r[:, 1:], (rhs - rows)[:, 1:])
+        assert res == l2_norm(Field(g, r))
+    uy = u[0, :4] @ np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / g.hy
+    # the two seam lines sum their slots in another order
+    assert np.all(rows[1:-1, 0] == 0.0) and np.allclose(wall, uy, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("alpha", [1e35, 1e40, 1e50])
+def test_huge_alpha_solve_fails_the_gate(alpha, n):
+    # at these alpha the mode solve returns a bottom row constant in x with
+    # u_y far from zero; the gate must fail it, not read the product's row
+    from mixedbvp.solver import ResidualGateError
+
+    g = make_grid(n, n)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    with pytest.raises(ResidualGateError, match=re.escape(f"alpha = {alpha:g}")) as exc:
+        direct_solve(preset_coefficients("tricomi", g, 1e-4, alpha), f)
+    assert exc.value.rows == "bottom"
+
+
+def test_x_constancy_is_tested_once_per_coefficient_set(monkeypatch):
+    # mode_bands, assemble_L and the fallback decision all read it
+    prop = CoefficientSet.__dict__["x_constant"]
+    calls = []
+    monkeypatch.setattr(prop, "func", lambda cs, inner=prop.func: calls.append(cs) or inner(cs))
+    g = make_grid(32, 32)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    for preset, flags in (("tricomi", (True,) * 3), ("lower_order", (False,) * 3),
+                          ("wedge", (False, True, True))):
+        cs = preset_coefficients(preset, g, 1e-4, 0.02)
+        direct_solve(cs, f)
+        assert cs.x_constant == flags and sum(c is cs for c in calls) == 1
 
 
 def test_singular_mode_is_wellposedness_suspect():

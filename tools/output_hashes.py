@@ -7,11 +7,10 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 "<output> <sha1 of its float64 bytes>" for each (a count is printed as
 it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L (data, indices,
-indptr, with each row's indices sorted, so two trees that order a row's
-entries differently compare equal) and the x-mode
-systems of every preset as zgttrf takes them (the three diagonals with
-the oblique row folded in, and the fold multipliers m2 and m3; older
-trees print their zgbtrf band array as mode_bands instead);
+indptr) and the x-mode systems of every preset as zgttrf takes them
+(the three diagonals with the oblique row folded in, and the fold
+multipliers m2 and m3; older trees print their zgbtrf band array as
+mode_bands instead);
 solve_linear's u, residual and a priori ratio; the auxiliary solve's u
 and iterations; energy ratios, dual constants
 and auxiliary iterations; the five seam-split derivatives of the ma
@@ -64,7 +63,7 @@ def main(tree: Path) -> None:
         for name in PRESETS:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             mat = operators.assemble_L(cs)
-            mat = getattr(mat, "matrix", mat).sorted_indices()  # older trees wrap the matrix
+            mat = getattr(mat, "matrix", mat)  # older trees wrap the matrix
             emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
             systems = operators.mode_bands(cs, theta)
             if isinstance(systems, np.ndarray):  # older trees: one band array for zgbtrf
