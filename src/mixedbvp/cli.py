@@ -4,7 +4,7 @@ Every certificate and solver is exposed as a subcommand writing CSV
 artifacts plus a human-readable summary under the output directory,
 together with a run.manifest recording inputs, seed and versions.  The
 Picard subcommands (ma, darboux) also write metrics.json: the
-iteration's stage timings, per-step band norms and why it stopped; so
+iteration's stage timings, per-step wall norms and why it stopped; so
 does solve: the residual, the a priori ratio and the solver's stats.
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error.

@@ -2,19 +2,19 @@
 
 Both Monge-Ampere-type problems are attacked with a frozen-coefficient
 Picard iteration: at each step the seconds of the current graph supply
-the normal-form coefficients of the linear cylinder problem, every
-deviation from that normal form (the mixed u_xy term, the
-gradient-factor first-order terms, the Christoffel corrections) stays on
-the right-hand side through the full nonlinear residual, and the linear
-solve, low-passed in x, produces the update.  The step is type-II
-Anderson mixing of the map d -> d + update over the last ANDERSON_DEPTH
-steps, with mixing parameter theta; with no history, or with
-ANDERSON_DEPTH = 0, it is the damped step d + theta * update.  The
-report's stats record per step, among others, the wall-row part of the
-stopping residual (wall_norm) and the history the mixing used
+the x-averaged normal form of the linearization, written on the
+residual's own stencils; every deviation from that normal form (its
+x-dependent part, the mixed u_xy term, the gradient-factor first-order
+terms, the Christoffel corrections) stays on the right-hand side through
+the full nonlinear residual, and the linear solve produces the update.
+The step is type-II Anderson mixing of the map d -> d + update over the
+last ANDERSON_DEPTH steps, with mixing parameter theta; with no history,
+or with ANDERSON_DEPTH = 0, it is the damped step d + theta * update.
+The report's stats record per step, among others, the wall-row part of
+the stopping residual (wall_norm) and the history the mixing used
 (mixing_depth).  The domain-scale parameter rho plays the
-coordinate-rescaling role: it becomes the eps of the linear operator and
-sets the oblique constant alpha = sqrt(rho) * alpha0.
+coordinate-rescaling role: it sets the oblique constant
+alpha = sqrt(rho) * alpha0 of the step's bottom row.
 
 Graph heights are generally not periodic across the seam x = +-1, so
 this module differentiates with non-periodic stencils that are exact on
@@ -33,10 +33,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .coeffs import AlphaRangeError, CoefficientSet, condition7prime_margin
-from .grid import Field, GridSpec, l2_norm, mode_power, rfft_part_weights
+from .coeffs import AlphaRangeError, condition7prime_margin
+from .grid import Field, GridSpec, _dx1_3, l2_norm
 from .norms import _x_matrix
-from .solver import direct_solve
+from .operators import _BOTTOM_DY, _oblique_row
+from .solver import RESIDUAL_TOL, PreconditionError, ResidualGateError
 
 
 class CurvatureGateError(RuntimeError):
@@ -105,8 +106,6 @@ class NonlinearParams:
 # Picard gives up when the latest residual is no lower than the first of
 # its last STAGNATION_WINDOW residuals
 STAGNATION_WINDOW = 8
-# x-modes |k| kept in each update (see _smooth_update)
-SMOOTHING_MODES = 16
 # past updates and iterates the Anderson mixing of a Picard step combines;
 # 0 is the plain damped step d + theta * update
 ANDERSON_DEPTH = 5
@@ -286,35 +285,6 @@ def _gate_condition7prime(K: Field, eps: float) -> None:
         )
 
 
-def _normal_form_coefficients(
-    grid: GridSpec,
-    P: np.ndarray,
-    Q: np.ndarray,
-    eps: float,
-    psi: Field | None,
-    alpha: float,
-) -> CoefficientSet:
-    """Cast the frozen linearization into the cylinder normal form.
-
-    The operator keeps only the x-averaged inner profile of the
-    second-order ratio P/Q; the x-dependent remainder, the mixed term
-    and the gradient-factor terms all stay lagged on the right-hand side
-    through the nonlinear residual.  With an x-independent profile the
-    structural first-order form A = K_x + psi*K collapses to psi*K.
-    """
-    if Q.min() <= 0.0:
-        raise DegenerateLinearizationError(
-            "u_yy coefficient of the frozen linearization must stay positive"
-        )
-    ck = P / Q
-    inner = np.abs(grid.x) <= 0.5
-    profile = ck[inner, :].mean(axis=0)[None, :]
-    Kt = Field(grid, np.broadcast_to(profile / eps, grid.shape).copy())
-    psi_vals = 0.0 if psi is None else psi.values
-    At = Field(grid, psi_vals * Kt.values)
-    return CoefficientSet(Kt, At, Field.zeros(grid), eps, alpha)
-
-
 def _stencil_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
     """Weights reproducing the deriv-th derivative at 0 from nodes at offsets."""
     n = offsets.size
@@ -415,31 +385,87 @@ class _SplitDerivatives:
         }
 
 
-def _smooth_update(
-    u: np.ndarray, modes: int, part_weights: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """Low-pass the x-spectrum of an update: keep |k| <= min(modes, max(2, nx // 4)).
+@lru_cache(maxsize=16)
+def _step_bands(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """What every Picard step on the grid shares: its x-symbols and its y-band.
 
-    The determinant nonlinearity amplifies mode k noise by O(k^2), so
-    unfiltered Picard updates self-excite at high frequency; this is the
-    desk-scale stand-in for the smoothing operators of a Nash-Moser
-    scheme.  The band is fixed in k, not a fraction of nx, so refinement
-    does not let the amplified modes in; the nx // 4 cap keeps the
-    filter active on coarse grids, where a bare band of 16 diverges.
-
-    Also returns the quadrature norms of u's kept and filtered bands,
-    read off the same spectrum by Parseval (part_weights is
-    rfft_part_weights(grid), see mode_power).  The two norms of a grid
-    field then square to l2_norm(u)**2 together.
+    symbols, (3, nx//2 + 1): the symbols on the rfft modes of the
+    periodic _dx1 and _dx2 and of the oblique row's 3-point u_x.  band,
+    (10, ny+1): the y-part of each mode's system in LAPACK's band
+    storage for kl = ku = 3, entry (i, j) at [6 + i - j, j] with rows
+    0..2 left for the LU's fill: the _d2_line rows on rows 1..ny-1, the
+    oblique row's _BOTTOM_DY u_y on row 0 and the identity on row ny.
     """
-    nx = u.shape[0]
-    kcut = min(modes, max(2, nx // 4))
-    spec = np.fft.rfft(u, axis=0)
-    power = mode_power(spec, nx, part_weights)
-    kept = sqrt(power[: kcut + 1].sum() / nx)
-    filtered = sqrt(power[kcut + 1 :].sum() / nx)
-    spec[kcut + 1 :] = 0.0
-    return np.fft.irfft(spec, n=nx, axis=0), kept, filtered
+    nyp = grid.ny + 1
+    columns = [_x_matrix(grid, 1), _x_matrix(grid, 2), _dx1_3(np.eye(grid.nx), grid.hx)]
+    symbols = np.fft.rfft([m[:, 0] for m in columns], axis=1)
+    rows = _d2_line(np.eye(nyp), grid.hy, 0)
+    rows[[0, -1]] = 0.0
+    rows[0, :4], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
+    i, j = np.nonzero(rows)
+    band = np.zeros((10, nyp))
+    band[6 + i - j, j] = rows[i, j]
+    return symbols, band
+
+
+def _step_rows(split: _SplitDerivatives, p, q, alpha: float, d: np.ndarray) -> np.ndarray:
+    """N d over every row (see _linear_step), as the step's gate reads it.
+
+    The x-derivatives come from split's _dx product, row 0 from
+    operators._oblique_row, which keeps the d_y terms at any alpha.
+    """
+    g = split.grid
+    dx = split._dx @ d
+    rows = p * dx[g.nx :] + _d2_line(d, g.hy, 1) + q * dx[: g.nx]
+    rows[:, -1] = d[:, -1]
+    rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
+    return rows
+
+
+def _linear_step(
+    split: _SplitDerivatives, p, q, alpha: float, f: np.ndarray, stats: dict
+) -> tuple[np.ndarray, float]:
+    """d with N d = f, N the Picard step's operator, and the residual's norm.
+
+    N d = p(y)*d_xx + d_yy + q(y)*d_x on rows 1..ny-1, on the residual's
+    own stencils (split's periodic _dx2 and _dx1, _d2_line in y), the
+    oblique row alpha*d_x + d_y of operators._oblique_row on row 0 and
+    d itself on row ny; f's wall rows are read as zero.  N commutes with
+    the x-shift, so the rfft splits it into one banded y-system per
+    mode (_step_bands).  These are the diagonal blocks of one band
+    matrix with exact zeros between blocks, so partial pivoting never
+    reaches across a block, and one zgbsv call factors and solves each
+    block as a call of its own would.  A zero pivot raises
+    PreconditionError naming the first singular mode.
+
+    The gate is N's residual over every row (_step_rows); above
+    RESIDUAL_TOL*||f|| it raises ResidualGateError.  stats takes the
+    band build as band_s and zgbsv plus the gate as solve_s.
+    """
+    t0 = perf_counter()
+    g = split.grid
+    nx, nyp = g.shape
+    symbols, band = _step_bands(g)
+    ab = np.empty((10, symbols.shape[1], nyp), dtype=complex)
+    ab[3:] = band[3:, None, :]  # zgbsv does not read the fill rows 0..2
+    ab[6, :, 1:-1] += symbols[1][:, None] * p[1:-1] + symbols[0][:, None] * q[1:-1]
+    ab[6, :, 0] += alpha * symbols[2]
+    rhs = np.pad(f[:, 1:-1], ((0, 0), (1, 1)))
+    t1 = perf_counter()
+    spec = np.fft.rfft(rhs, axis=0).reshape(-1, 1)
+    *_, x, info = lapack.zgbsv(3, 3, ab.reshape(10, -1), spec, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise PreconditionError(
+            f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // nyp} is exactly singular"
+        )
+    d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
+    r = rhs - _step_rows(split, p, q, alpha, d)
+    res, fnorm = l2_norm(Field(g, r)), l2_norm(Field(g, f))
+    stats["band_s"] += t1 - t0
+    stats["solve_s"] += perf_counter() - t1
+    if res > RESIDUAL_TOL * fnorm:
+        raise ResidualGateError(res / fnorm, r, g, alpha)
+    return d, res
 
 
 class _AndersonMixing:
@@ -493,27 +519,29 @@ def _picard(
     psi: Field | None,
     params: NonlinearParams,
 ) -> IterationReport:
-    """Anderson-mixed frozen-coefficient iteration; each step is one direct_solve.
+    """Anderson-mixed frozen-coefficient iteration; each step is one _linear_step.
 
     step_terms maps the derivative dict of an iterate to its residual
     and the principal coefficients (P, Q) of the frozen linearization,
     and raises when the iterate leaves the equation's regime.
 
-    The fixed-point map is d -> d + update, update the smoothed linear
-    solve, and each step mixes it with up to ANDERSON_DEPTH past steps
-    (see _AndersonMixing, mixing parameter theta).  Every iterate is a
-    combination of smoothed updates, so it stays in their x-band.
+    The update solves N d = -res/Q (see _linear_step), N the x-averaged
+    normal form of that linearization: p(y) is the mean of P/Q over the
+    inner region |x| <= 1/2 and q = mean_x(psi)*p.  Everything N leaves
+    out (the x-dependent part of P/Q, the mixed term, the
+    gradient-factor first-order terms) stays lagged on the right-hand
+    side through the full nonlinear residual; psi enters N alone, so
+    averaging it over x leaves the fixed point where it is.  The
+    fixed-point map is d -> d + update, and each step mixes it with up
+    to ANDERSON_DEPTH past steps (see _AndersonMixing, mixing parameter
+    theta).
 
-    The normal form is x-averaged, so with psi = None or an
-    x-independent psi every step is one back-substitution through the
-    Fourier-mode LUs, with no GMRES step.  diagnostics carries the
-    residual of each linear solve (every row, walls included), the
-    solve method and, when the iteration gives up, the reason.  stats
-    holds the step count, the perf_counter sums residual_s (derivatives,
-    residual and principal coefficients), factor_s (frozen normal form
-    and its factorization), solve_s and smooth_s (smoothing and mixing),
-    and per step the norms of the linear solve's answer in the kept and
-    the filtered band (kept_norm, filtered_norm), the part of the step's
+    diagnostics carries the residual of each linear solve (every row,
+    walls included) and, when the iteration gives up, the reason.
+    stats holds the step count, the perf_counter sums residual_s
+    (derivatives, residual and principal coefficients), band_s (the
+    profile p and the step's band matrix), solve_s (zgbsv and the gate)
+    and mix_s (the mixing), and per step the part of the step's
     stopping residual on the wall rows 0 and ny (wall_norm) and the
     number of past steps the mixing used (mixing_depth).
     """
@@ -527,25 +555,17 @@ def _picard(
             params.alpha0, f"alpha^2 with alpha = sqrt(rho)*alpha0 = {alpha:g}", "alpha0"
         )
     chi = cutoff_profile(grid)[:, None]
-    part_weights = rfft_part_weights(grid)
+    inner = np.abs(grid.x) <= 0.5
+    psi_mean = 0.0 if psi is None else psi.values.mean(axis=0)
     wall_weight = grid.hx * grid.y_weights()[0]
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
-    diagnostics: dict = {"linear_residuals": [], "solve_method": None}
-    stats: dict = {
-        "steps": 0,
-        "residual_s": 0.0,
-        "factor_s": 0.0,
-        "solve_s": 0.0,
-        "smooth_s": 0.0,
-        "kept_norm": [],
-        "filtered_norm": [],
-        "wall_norm": [],
-        "mixing_depth": [],
-    }
+    diagnostics: dict = {"linear_residuals": []}
+    stats: dict = dict(steps=0, residual_s=0.0, band_s=0.0, solve_s=0.0, mix_s=0.0)
+    stats.update(wall_norm=[], mixing_depth=[])
 
     def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
         if reason is not None:
@@ -571,20 +591,18 @@ def _picard(
         ):
             return report(it, False, "residual stagnation")
         t0 = perf_counter()
-        cs = _normal_form_coefficients(grid, P, Q, rho, psi, alpha)
-        rep = direct_solve(cs, Field(grid, -res / Q))
-        solve_s = rep.solver_stats["solve_s"]
-        t1 = perf_counter()
-        diagnostics["linear_residuals"].append(rep.residual_norm)
-        diagnostics["solve_method"] = rep.solver_stats["method"]
-        update, kept, filtered = _smooth_update(rep.u.values, SMOOTHING_MODES, part_weights)
+        if Q.min() <= 0.0:
+            raise DegenerateLinearizationError(
+                "u_yy coefficient of the frozen linearization must stay positive"
+            )
+        p = (P / Q)[inner].mean(axis=0)
+        stats["band_s"] += perf_counter() - t0
+        update, lin_res = _linear_step(split, p, psi_mean * p, alpha, -res / Q, stats)
+        t0 = perf_counter()
         d, depth = mixing.step(d, update)
-        stats["smooth_s"] += perf_counter() - t1
-        stats["factor_s"] += t1 - t0 - solve_s
-        stats["solve_s"] += solve_s
+        stats["mix_s"] += perf_counter() - t0
+        diagnostics["linear_residuals"].append(lin_res)
         stats["steps"] += 1
-        stats["kept_norm"].append(kept)
-        stats["filtered_norm"].append(filtered)
         walls = weighted[:, [0, -1]]
         stats["wall_norm"].append(sqrt(wall_weight * np.sum(walls * walls)))
         stats["mixing_depth"].append(depth)

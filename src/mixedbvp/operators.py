@@ -246,7 +246,7 @@ def _nonzero(values: np.ndarray) -> np.ndarray | None:
 def apply_L(cs: CoefficientSet, u: Field) -> Field:
     """Pointwise application of the operator at every node (no boundary rows).
 
-    A or B exactly zero, as in the Picard normal form, drops its term.
+    A or B exactly zero drops its term.
     """
     A, B = _nonzero(cs.A.values), _nonzero(cs.B.values)
     return _apply(u.grid, cs.K.values, A, B, None, cs.eps, u.values)

@@ -69,11 +69,11 @@ class ResidualGateError(PreconditionError):
     alpha too.
     """
 
-    def __init__(self, relative: float, r: np.ndarray, cs: CoefficientSet):
-        parts = (r * r).sum(axis=0) * cs.grid.y_weights()
+    def __init__(self, relative: float, r: np.ndarray, grid: GridSpec, alpha: float):
+        parts = (r * r).sum(axis=0) * grid.y_weights()
         shares = {"interior": parts[1:-1].sum(), "top": parts[-1], "bottom": parts[0]}
         self.rows = max(shares, key=shares.get)
-        detail = f", alpha = {cs.alpha:g}" if self.rows == "bottom" else ""
+        detail = f", alpha = {alpha:g}" if self.rows == "bottom" else ""
         super().__init__(
             f"WELLPOSEDNESS_SUSPECT: solve residual {relative:.2e} exceeds {RESIDUAL_TOL:.1e};"
             f" the {self.rows} rows hold {shares[self.rows] / sum(shares.values()):.2%}"
@@ -128,10 +128,6 @@ class ConvergenceTable:
     @property
     def orders(self) -> list[float]:
         return [r.observed_order for r in self.rows if r.observed_order is not None]
-
-
-def _x_independent(cs: CoefficientSet) -> bool:
-    return all(cs.x_constant)
 
 
 def _fold_oblique_rows(dl, d, du, far):
@@ -297,7 +293,7 @@ class FactorizedOperator:
         try:
             self._modes = _factor_modes(cs)
         except PreconditionError as exc:
-            if _x_independent(cs):
+            if all(cs.x_constant):
                 raise
             self._fall_back(f"the x-averaged operator has no mode LU ({exc})")
         self.stats["factor_s"] = perf_counter() - t0
@@ -384,7 +380,7 @@ class FactorizedOperator:
             solve_s=perf_counter() - t0,
         )
         if res > gate:
-            raise ResidualGateError(self.stats["residual"], r, self.cs)
+            raise ResidualGateError(self.stats["residual"], r, g, self.cs.alpha)
         return Field(g, u)
 
 

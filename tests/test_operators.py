@@ -105,12 +105,9 @@ def _coo_assemble_L(cs):
 
 
 def _picard_normal_form(g, alpha):
-    from mixedbvp.nonlinear import _normal_form_coefficients
-
-    X, Y = g.meshes()
-    P = Y + 0.1 * np.sin(PI * X) * (1.0 - Y**2)
-    Q = 1.0 + 0.2 * np.cos(PI * X) ** 2
-    return _normal_form_coefficients(g, P, Q, 0.25, Field.constant(g, 0.3), alpha)
+    # K constant in x, A = 0.3*K and B = 0: each coefficient is one x-line
+    K = Field(g, np.broadcast_to(4.0 * g.y, g.shape).copy())
+    return CoefficientSet(K, Field(g, 0.3 * K.values), Field.zeros(g), 0.25, alpha)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.02, 1.2])

@@ -216,11 +216,9 @@ def test_factorized_operator_gates_its_splu_residual(monkeypatch):
 
 
 def _normal_form(g):
-    from mixedbvp.nonlinear import _normal_form_coefficients
-
-    X, Y = g.meshes()
-    P = Y + 0.1 * np.sin(PI * X) * (1.0 - Y**2)
-    return _normal_form_coefficients(g, P, np.ones(g.shape), 0.25, None, 0.6)
+    # K constant in x, A = 0.3*K and B = 0: each coefficient is one x-line
+    K = Field(g, np.broadcast_to(4.0 * g.y, g.shape).copy())
+    return CoefficientSet(K, Field(g, 0.3 * K.values), Field.zeros(g), 0.25, 0.6)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -601,82 +599,6 @@ def test_singular_averaged_mode_falls_back_to_splu():
     fac = FactorizedOperator(CoefficientSet(K, A, Field(g, B), eps, 0.02))
     assert fac.method == "splu"
     assert "x-mode 0 is exactly singular" in fac.stats["fallback_reason"]
-
-
-def _cli_start(g, pair):
-    from mixedbvp.cli import _perturbation
-    from mixedbvp.nonlinear import GraphSurface
-
-    z_star, K = pair(g, 0.25)
-    return K, GraphSurface(Field(g, z_star.values + _perturbation(g).values), 0.25)
-
-
-def test_picard_fourier_matches_splu_path(monkeypatch):
-    from mixedbvp import nonlinear, solver
-    from mixedbvp.cli import manufactured_curvature_pair, manufactured_darboux_pair
-    from mixedbvp.nonlinear import flat_metric, solve_darboux, solve_prescribed_curvature
-
-    g = make_grid(64, 64)
-
-    def run_both():
-        K, z0 = _cli_start(g, manufactured_curvature_pair)
-        ma = solve_prescribed_curvature(K, z0)
-        K, z0 = _cli_start(g, manufactured_darboux_pair)
-        return ma, solve_darboux(K, flat_metric(g), z0)
-
-    def singular(cs):
-        raise PreconditionError("WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular")
-
-    # depth 0 is the damped iteration with the counts the solve_linear-based
-    # iteration reported before; the mixed one takes fewer steps
-    counts = {0: [(31, True), (24, True)], nonlinear.ANDERSON_DEPTH: [(17, True), (14, True)]}
-    for depth, expected in counts.items():
-        monkeypatch.setattr(nonlinear, "ANDERSON_DEPTH", depth)
-        fast = run_both()
-        # a singular mode of an x-dependent set sends every solve to splu
-        with monkeypatch.context() as m:
-            m.setattr(solver, "_factor_modes", singular)
-            m.setattr(solver, "_x_independent", lambda cs: False)
-            slow = run_both()
-        for a, b in zip(fast, slow):
-            assert a.diagnostics["solve_method"] == "fourier"
-            assert b.diagnostics["solve_method"] == "splu"
-            assert (a.iterations, a.converged) == (b.iterations, b.converged)
-            assert np.abs(a.final_z.z.values - b.final_z.z.values).max() < 1e-10
-        assert [(r.iterations, r.converged) for r in fast] == expected, depth
-
-
-def test_picard_with_x_dependent_psi_takes_fourier_gmres(monkeypatch):
-    from mixedbvp import nonlinear
-    from mixedbvp.cli import manufactured_curvature_pair
-    from mixedbvp.nonlinear import solve_prescribed_curvature
-
-    g = make_grid(64, 64)
-    K, z0 = _cli_start(g, manufactured_curvature_pair)
-    psi = Field.from_function(g, lambda X, Y: 0.1 * np.cos(PI * X))
-    steps = []
-
-    def counted(cs, f):
-        rep = direct_solve(cs, f)
-        steps.append(rep.solver_stats["gmres_iterations"])
-        return rep
-
-    monkeypatch.setattr(nonlinear, "direct_solve", counted)
-    # the damped iteration (depth 0), then the mixed one
-    for depth, expected in ((0, 31), (nonlinear.ANDERSON_DEPTH, 17)):
-        monkeypatch.setattr(nonlinear, "ANDERSON_DEPTH", depth)
-        steps.clear()
-        fast = solve_prescribed_curvature(K, z0, psi)
-        with monkeypatch.context() as m:
-            m.setattr(solver, "GMRES_MAX_ITER", 0)
-            slow = solve_prescribed_curvature(K, z0, psi)
-        assert fast.diagnostics["solve_method"] == "fourier"
-        assert min(steps[: fast.iterations]) >= 1
-        assert slow.diagnostics["solve_method"] == "splu"
-        assert len(fast.diagnostics["linear_residuals"]) == fast.iterations
-        assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
-        assert (fast.iterations, fast.converged) == (expected, True), depth
-        assert np.abs(fast.final_z.z.values - slow.final_z.z.values).max() <= 1e-11
 
 
 def test_mms_recovery_and_orders():
