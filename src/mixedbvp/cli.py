@@ -59,13 +59,14 @@ class ConfigError(ValueError):
 _RANGES = {
     "eps": (lambda v: 0.0 < v < 1.0, "eps must lie in (0, 1)"),
     "alpha": (np.isfinite, "alpha must be finite"),
-    "lam": (lambda v: v > 0.0, "lambda must be positive"),
+    "lam": (lambda v: 0.0 < v < np.inf, "lambda must be positive and finite"),
     "m": (lambda v: 0 <= v <= 2, "m must be 0, 1 or 2"),
     "nx": (lambda v: v >= 4, "nx must be at least 4"),
     "ny": (lambda v: v >= 4, "ny must be at least 4"),
     "rho": (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
     "theta": (lambda v: 0.0 < v <= 1.0, "theta must lie in (0, 1]"),
     "alpha0": (lambda v: 0.0 < v < np.inf, "alpha0 must be positive and finite"),
+    "psi": (np.isfinite, "psi must be finite"),
     "samples": (lambda v: v >= 1, "samples must be at least 1"),
     "max_iter": (lambda v: v >= 1, "max_iter must be at least 1"),
     "tol": (lambda v: v > 0.0, "tol must be positive"),

@@ -18,7 +18,7 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import Field, GridSpec, differentiate
+from .grid import Field, GridSpec, differentiate, load_field
 
 
 class AlphaRangeError(ValueError):
@@ -179,19 +179,16 @@ def preset_coefficients(name: str, grid: GridSpec, eps: float, alpha: float) -> 
     CSV-backed coefficients use the form "csv:<path>" and load K from a
     Field file (A = B = 0).
     """
-    zero = Field.zeros(grid)
-    if name == "tricomi":
-        return CoefficientSet(Field.from_function(grid, _tricomi), zero, zero, eps, alpha)
-    if name == "infinite_order":
-        return CoefficientSet(
-            Field.from_function(grid, _infinite_order), zero, zero, eps, alpha
-        )
-    if name == "wedge":
-        return CoefficientSet(Field.from_function(grid, _wedge), zero, zero, eps, alpha)
-    if name == "chaplygin":
-        return CoefficientSet(
-            Field.from_function(grid, _chaplygin), zero, zero, eps, alpha
-        )
+    # the presets whose K is one of these profiles and A = B = 0
+    profiles = {
+        "tricomi": _tricomi,
+        "infinite_order": _infinite_order,
+        "wedge": _wedge,
+        "chaplygin": _chaplygin,
+    }
+    if name in profiles:
+        zero = Field.zeros(grid)
+        return CoefficientSet(Field.from_function(grid, profiles[name]), zero, zero, eps, alpha)
     if name == "lower_order":
         K = Field.from_function(
             grid, lambda X, Y: Y + 0.15 * np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
@@ -200,8 +197,6 @@ def preset_coefficients(name: str, grid: GridSpec, eps: float, alpha: float) -> 
         B = Field.from_function(grid, lambda X, Y: 0.05 * (1.0 + Y) * np.sin(np.pi * X))
         return CoefficientSet(K, A, B, eps, alpha)
     if name.startswith("csv:"):
-        from .grid import load_field
-
         K = load_field(name[4:])
         zg = Field.zeros(K.grid)
         return CoefficientSet(K, zg, zg, eps, alpha)

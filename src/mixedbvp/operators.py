@@ -2,7 +2,9 @@
 
 The second-order operator is assembled as a sparse matrix with centered
 3-point stencils per direction, Dirichlet top row, and a third-order
-one-sided discretization of the oblique condition on the bottom row; it
+one-sided discretization of the oblique condition on the bottom row; its
+stencil weights are written once here (_interior_stencil,
+_bottom_stencil), and solver builds its x-mode systems from them.  It
 and its formal adjoint are also applied pointwise, matrix-free, with the
 same x-stencils.  The first-order transport
 solver marches downward from y = 1 with semi-Lagrangian steps and cubic
@@ -132,79 +134,29 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
     """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows.
 
     The weights fill the slots of the grid's cached pattern (_csr_pattern),
-    one x-line per row of data.  A coefficient constant along x enters as
-    its one row (CoefficientSet.x_constant), broadcast over the x-lines;
-    when all three are, one line is filled and copied to the others.
-    The oblique bottom row is summed in column order, so at a huge alpha
-    its u_y terms round away (see _oblique_row).  The matrix shares the
-    pattern's read-only indices and indptr: copy it before changing its
-    structure.
+    one x-line per row of data.  The oblique bottom row is summed in
+    column order, so at a huge alpha its u_y terms round away (see
+    _oblique_row).  The matrix shares the pattern's read-only indices and
+    indptr: copy it before changing its structure.
     """
     g = cs.grid
     nx, nyp = g.shape
     ny = nyp - 1
     pattern, seam = _csr_pattern(g)
-    K, A, B = (
-        c.values[:1] if flat else c.values for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
-    )
-    weights = _interior_stencil(K[:, 1:-1], A[:, 1:-1], B[:, 1:-1], cs.eps, g.hx, g.hy)
-    east, west, north, south, centre = weights
+    K, A, B = (c.values[:, 1:-1] for c in (cs.K, cs.A, cs.B))
+    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
     b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
-    lines = max(w.shape[0] for w in weights)  # 1 when no coefficient depends on x
     data = np.empty((nx, 5 * ny + 2))
-    head = data[:lines]
-    head[:, 0], head[:, 1:5], head[:, 5], head[:, -1] = b_west, b_dy, b_east, 1.0
-    interior = head[:, 6:-1].reshape(lines, ny - 1, 5)  # a view: each line's rows
+    data[:, 0], data[:, 1:5], data[:, 5], data[:, -1] = b_west, b_dy, b_east, 1.0
+    interior = data[:, 6:-1].reshape(nx, ny - 1, 5)  # a view: each line's rows
     for k, weight in enumerate((west, south, centre, north, east)):
         interior[..., k] = weight
-    data[lines:] = head[:1]
     data[0], data[-1] = data[0, seam[0]], data[-1, seam[1]]
     # a shallow copy shares the pattern scipy checked once; its constructor
     # would check it again on every call, a third of a small assembly
     mat = copy(pattern)
     mat.data = data.ravel()
     return mat
-
-
-def mode_bands(
-    cs: CoefficientSet, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """L on the x-modes exp(i*theta*i), one (ny+1)-system in y each.
-
-    K, A and B are averaged over x (a field constant in x keeps its own
-    row exactly), and the averaged L maps the mode exp(i*theta*i) times
-    a y-profile to the same mode: the x-neighbours of the assembled
-    stencils become the symbol east*exp(i*theta) + west*exp(-i*theta).
-    What is left in y is tridiagonal, plus the identity top row and the
-    4-point oblique bottom row.  The systems are the diagonal blocks of
-    one matrix of order N = theta.size*(ny+1), returned as (dl, d, du,
-    far): its sub-, main and super-diagonal (lengths N-1, N, N-1; entry
-    (r, c) of mode k sits at index k*(ny+1) + min(r, c)), and far, of
-    shape (theta.size, 2), the entries of each bottom row at columns 2
-    and 3, which the tridiagonal part leaves out.  Every entry that
-    would couple two blocks is zero.
-    """
-    g = cs.grid
-    K, A, B = (
-        c.values[0] if flat else c.values.mean(axis=0)
-        for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
-    )
-    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    shift = np.exp(1j * theta)[:, None]
-    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
-    # one row per mode; the off-diagonals get one padding entry per block,
-    # which is the zero between blocks (the last block's is cut off)
-    d = np.empty((theta.size, g.ny + 1), dtype=complex)
-    d[:, 0] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
-    d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
-    d[:, -1] = 1.0
-    dl = np.zeros_like(d)
-    dl[:, :-2] = south[1:-1]
-    du = np.zeros_like(d)
-    du[:, 0] = b_dy[1]
-    du[:, 1:-1] = north[1:-1]
-    far = np.repeat(b_dy[None, 2:], theta.size, axis=0).astype(complex)
-    return dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], far
 
 
 # ---------------------------------------------------------------------------
@@ -226,30 +178,20 @@ def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> 
     """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
 
     The x-stencils are the 3-point ones of the assembled matrix, the
-    y-stencils the grid module's (one-sided at the walls).  A coefficient
-    None leaves its term out rather than adding zeros.
+    y-stencils the grid module's (one-sided at the walls).  zero_order
+    None leaves that term out: L has none.
     """
     out = eps * K * _dx2_3(v, grid.hx) + _dy2(v, grid.hy)
-    if first_x is not None:
-        out += eps * first_x * _dx1_3(v, grid.hx)
-    if first_y is not None:
-        out += eps * first_y * _dy1(v, grid.hy)
+    out += eps * first_x * _dx1_3(v, grid.hx)
+    out += eps * first_y * _dy1(v, grid.hy)
     if zero_order is not None:
         out += zero_order * v
     return Field(grid, out)
 
 
-def _nonzero(values: np.ndarray) -> np.ndarray | None:
-    return values if values.any() else None
-
-
 def apply_L(cs: CoefficientSet, u: Field) -> Field:
-    """Pointwise application of the operator at every node (no boundary rows).
-
-    A or B exactly zero drops its term.
-    """
-    A, B = _nonzero(cs.A.values), _nonzero(cs.B.values)
-    return _apply(u.grid, cs.K.values, A, B, None, cs.eps, u.values)
+    """Pointwise application of the operator at every node (no boundary rows)."""
+    return _apply(u.grid, cs.K.values, cs.A.values, cs.B.values, None, cs.eps, u.values)
 
 
 def apply_Lstar(cs: CoefficientSet, v: Field, pieces: tuple | None = None) -> Field:

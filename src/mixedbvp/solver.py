@@ -1,12 +1,13 @@
 """Linear BVP solver, manufactured-solution verification, energy certificates.
 
-solve_linear factors the x-averaged operator once per x-mode
-(tridiagonal LUs, once the oblique bottom row is folded in) and
-back-substitutes; when the coefficients depend on x, that step
-is the first of GMRES preconditioned by those LUs, with a sparse LU of
-the assembled matrix as the fallback.  The a priori constant of
-the well-posedness estimate is reported as the measured ratio
-||u||_0 / ||f||_{H^1}.
+solve_linear builds the y-system of each x-mode of the x-averaged
+operator, folds its oblique bottom row into tridiagonal form, factors
+all modes in one LAPACK call and back-substitutes; when the
+coefficients depend on x, that step is the first of GMRES
+preconditioned by those LUs, with a sparse LU of the assembled matrix
+as the fallback.  This module alone knows the mode systems' layout.
+The a priori constant of the well-posedness estimate is reported as
+the measured ratio ||u||_0 / ||f||_{H^1}.
 energy_certificate drives the duality chain: for adjoint-admissible
 samples v it solves the auxiliary problem M u = v and tests positivity
 of (L* v, u) against the anisotropic (m,1) energy of u, then reports the
@@ -41,13 +42,14 @@ from .operators import (
     _BOTTOM_DY,
     BoundarySpec,
     _adjoint_pieces,
+    _bottom_stencil,
+    _interior_stencil,
     _oblique_row,
     apply_L,
     apply_Lstar,
     assemble_L,
     aux_solve_report,
     boundary_residual,
-    mode_bands,
 )
 
 
@@ -70,7 +72,8 @@ class ResidualGateError(PreconditionError):
     """
 
     def __init__(self, relative: float, r: np.ndarray, grid: GridSpec, alpha: float):
-        parts = (r * r).sum(axis=0) * grid.y_weights()
+        s = r / np.abs(r).max()  # the shares are ratios; r's own square can overflow
+        parts = (s * s).sum(axis=0) * grid.y_weights()
         shares = {"interior": parts[1:-1].sum(), "top": parts[-1], "bottom": parts[0]}
         self.rows = max(shares, key=shares.get)
         detail = f", alpha = {alpha:g}" if self.rows == "bottom" else ""
@@ -95,15 +98,14 @@ class LinearProblem:
 class SolveReport:
     """Solution, residual over every row (walls included) and what the solve did.
 
-    apriori_ratio is None when the a priori norms were not computed
-    (direct_solve); solver_stats holds method, n and the operator's
-    stats (see FactorizedOperator).
+    apriori_ratio is ||u||_0 / ||f||_{H^1}; solver_stats holds method, n
+    and the operator's stats (see FactorizedOperator).
     """
 
     u: Field
     residual_norm: float
-    apriori_ratio: float | None = None
-    solver_stats: dict = dc_field(default_factory=dict)
+    apriori_ratio: float
+    solver_stats: dict
 
 
 @dataclass
@@ -130,31 +132,66 @@ class ConvergenceTable:
         return [r.observed_order for r in self.rows if r.observed_order is not None]
 
 
-def _fold_oblique_rows(dl, d, du, far):
-    """Fold each block's oblique bottom row into tridiagonal form, in place.
+def _mode_systems(cs: CoefficientSet):
+    """The y-system of each rfft x-mode of the x-averaged L, oblique row folded out.
 
-    Row 0 of a block reaches columns 0..3 (far holds columns 2 and 3);
-    rows 1 and 2 reach columns 0..2 and 1..3.  Subtracting m3*(row 2)
-    and then m2*(row 1) from row 0 clears columns 3 and 2 and leaves a
-    tridiagonal system with the same solution, once the right-hand side
-    takes the same two row operations (FactorizedOperator._mode_solve).
-    Returns (m2, m3), one of each per mode, and whether each mode was
-    foldable: a mode whose divisor, the entry (1, 2) or (2, 3), is zero
-    keeps its row 0 and gets zero multipliers, with no division by zero.
+    K, A and B are averaged over x (a field constant in x keeps its own
+    row exactly), and the averaged L maps the mode exp(i*theta*i) times
+    a y-profile to the same mode: the x-neighbours of the assembled
+    stencils become the symbol east*exp(i*theta) + west*exp(-i*theta).
+    What is left in y is tridiagonal, plus the identity top row and the
+    oblique bottom row (row 0), which reaches columns 0..3.  Subtracting
+    m3*(row 2) and then m2*(row 1) from row 0 clears its columns 3 and 2
+    and leaves a tridiagonal system with the same solution, once the
+    right-hand side takes the same two row operations
+    (FactorizedOperator._mode_solve).  The fold divides by the entries
+    (1, 2) and (2, 3), the north weights of y-rows 1 and 2, and m3's
+    numerator is the bottom row's weight of column 3: no mode changes
+    them, so m3 is one number, and a zero divisor stops the fold in
+    every mode, which raises PreconditionError naming x-mode 0 before
+    any division.
+
+    Returns (dl, d, du), the sub-, main and super-diagonal (lengths N-1,
+    N, N-1) of one matrix of order N = (nx//2 + 1)*(ny+1) whose diagonal
+    blocks are the systems, entry (r, c) of mode k at index
+    k*(ny+1) + min(r, c) and every entry that would couple two blocks
+    zero; and (m2, m3), m2 one per mode.
     """
-    nyp = d.size // far.shape[0]
-    n1, n2 = du[1::nyp], du[2::nyp]
-    foldable = (n1 != 0) & (n2 != 0)
-    m3 = np.divide(far[:, 1], n2, out=np.zeros_like(n2), where=foldable)
-    m2 = np.divide(far[:, 0] - m3 * d[2::nyp], n1, out=np.zeros_like(n1), where=foldable)
-    du[::nyp] -= m3 * dl[1::nyp]
-    du[::nyp] -= m2 * d[1::nyp]
-    d[::nyp] -= m2 * dl[::nyp]
-    return m2, m3, foldable
+    g = cs.grid
+    K, A, B = (
+        c.values[0] if flat else c.values.mean(axis=0)
+        for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
+    )
+    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
+    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
+    if north[1] == 0.0 or north[2] == 0.0:
+        raise PreconditionError(
+            "WELLPOSEDNESS_SUSPECT: x-mode 0 is not foldable"
+            " to tridiagonal form (zero fold pivot)"
+        )
+    theta = 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx
+    shift = np.exp(1j * theta)[:, None]
+    # one row per mode; the off-diagonals get one padding entry per block,
+    # which is the zero between blocks (the last block's is cut off)
+    d = np.empty((theta.size, g.ny + 1), dtype=complex)
+    d[:, 0] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
+    d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
+    d[:, -1] = 1.0
+    dl = np.zeros_like(d)
+    dl[:, :-2] = south[1:-1]
+    du = np.zeros_like(d)
+    du[:, 0] = b_dy[1]
+    du[:, 1:-1] = north[1:-1]
+    m3 = b_dy[3] / du[0, 2]
+    m2 = (b_dy[2] - m3 * d[:, 2]) / du[0, 1]
+    du[:, 0] -= m3 * dl[:, 1]
+    du[:, 0] -= m2 * d[:, 1]
+    d[:, 0] -= m2 * dl[:, 0]
+    return dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], (m2, m3)
 
 
 def _factor_modes(cs: CoefficientSet):
-    """The fold and one zgttrf LU of the stacked x-mode systems of mode_bands(cs).
+    """One zgttrf LU of the stacked, folded x-mode systems of _mode_systems(cs).
 
     Returns the factors as zgttrs takes them (dl, d, du, du2, ipiv) and
     the fold multipliers (m2, m3).  The systems are the diagonal blocks
@@ -162,26 +199,15 @@ def _factor_modes(cs: CoefficientSet):
     the identity row, and the entries between blocks and beside that
     row are exact zeros, so partial pivoting never swaps across a block
     boundary and the one call factors each block as a call of its own
-    would, bit for bit.  A zero pivot of the fold or of the LU raises
-    PreconditionError naming the first mode that has one, as a loop
-    over the modes would.
+    would, bit for bit.  A zero LU pivot raises PreconditionError naming
+    its mode, the first singular one, as a loop over the modes would.
     """
-    g = cs.grid
-    nyp = g.ny + 1
-    theta = 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx
-    dl, d, du, far = mode_bands(cs, theta)
-    m2, m3, foldable = _fold_oblique_rows(dl, d, du, far)
+    dl, d, du, fold = _mode_systems(cs)
     *lu, info = lapack.zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    singular = (info - 1) // nyp if info > 0 else theta.size
-    unfoldable = np.flatnonzero(~foldable)
-    if unfoldable.size and unfoldable[0] <= singular:
-        raise PreconditionError(
-            f"WELLPOSEDNESS_SUSPECT: x-mode {unfoldable[0]} is not foldable"
-            " to tridiagonal form (zero fold pivot)"
-        )
     if info > 0:
-        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {singular} is exactly singular")
-    return lu, (m2, m3)
+        mode = (info - 1) // (cs.grid.ny + 1)
+        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
+    return lu, fold
 
 
 # every solve's residual over all rows must be at most this times ||f||
@@ -250,9 +276,9 @@ class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
     The rfft in x splits the x-averaged operator into nx//2 + 1 systems
-    in y (see operators.mode_bands).  Each one's oblique bottom row is
-    folded into tridiagonal form, and all are factored once, in one call
-    of LAPACK's zgttrf (partial pivoting: the diagonal is not dominant
+    in y (see _mode_systems).  Each one's oblique bottom row is folded
+    into tridiagonal form, and all are factored once, in one call of
+    LAPACK's zgttrf (partial pivoting: the diagonal is not dominant
     where K < 0).  When K, A and B do not depend on x, that is L itself.
 
     solve folds the right-hand side's bottom row the same way and
@@ -261,8 +287,8 @@ class FactorizedOperator:
     gate RESIDUAL_TOL*||f||, as every x-independent set does.  Otherwise
     that was the first step of GMRES on L, right-preconditioned by the
     mode LUs (Concus-Golub 1973).  L is the assembled matrix
-    (operators.assemble_L), built on the first residual and kept: every
-    row of L u is one sparse product, but the residual the gate reads
+    (operators.assemble_L), built here, before the mode LUs: every row
+    of L u is one sparse product, but the residual the gate reads
     takes its oblique bottom row from operators._oblique_row, which
     keeps the u_y terms at any alpha.  Past GMRES_MAX_ITER steps, or
     when the gate still fails, the operator falls back to a sparse LU of
@@ -276,19 +302,19 @@ class FactorizedOperator:
     residual, and for the last solve gmres_iterations (0 when the mode
     LUs alone passed the gate), gmres_residuals (GMRES's estimate after
     each step, over ||f||), matvecs (products with L) and solve_s; and
-    the perf_counter timings factor_s and assemble_s (building L, 0.0
-    until a residual needs it).  A singular factorization of L, or a
-    zero pivot of the fold, raises PreconditionError
-    (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
-    those modes are the averaged operator's, it only sends the operator
-    to splu.
+    the perf_counter timings assemble_s (building L) and factor_s.  A
+    singular factorization of L, or a zero pivot of the fold, raises
+    PreconditionError (WELLPOSEDNESS_SUSPECT) naming the mode; for an
+    x-dependent L, where those modes are the averaged operator's, it
+    only sends the operator to splu.
     """
 
     def __init__(self, cs: CoefficientSet):
         t0 = perf_counter()
         self.cs = cs
-        self._L = None
-        self.stats: dict = {"assemble_s": 0.0, "matvecs": 0}
+        self._L = assemble_L(cs)
+        t1 = perf_counter()
+        self.stats: dict = {"assemble_s": t1 - t0, "matvecs": 0}
         self.method = "fourier"
         try:
             self._modes = _factor_modes(cs)
@@ -296,21 +322,13 @@ class FactorizedOperator:
             if all(cs.x_constant):
                 raise
             self._fall_back(f"the x-averaged operator has no mode LU ({exc})")
-        self.stats["factor_s"] = perf_counter() - t0
-
-    def _matrix(self):
-        """The assembled L, built on first use."""
-        if self._L is None:
-            t0 = perf_counter()
-            self._L = assemble_L(self.cs)
-            self.stats["assemble_s"] = perf_counter() - t0
-        return self._L
+        self.stats["factor_s"] = perf_counter() - t1
 
     def _fall_back(self, reason: str) -> None:
         self.method = "splu"
         self.stats["fallback_reason"] = reason
         try:
-            self._lu = spla.splu(self._matrix().tocsc())
+            self._lu = spla.splu(self._L.tocsc())
         except RuntimeError as exc:  # singular factorization
             raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
 
@@ -327,7 +345,7 @@ class FactorizedOperator:
     def _rows(self, u: np.ndarray) -> np.ndarray:
         """Every row of L times u, walls included, in the grid's shape."""
         self.stats["matvecs"] += 1
-        return (self._matrix() @ u.ravel()).reshape(self.cs.grid.shape)
+        return (self._L @ u.ravel()).reshape(self.cs.grid.shape)
 
     def _residual(self, rhs: np.ndarray, u: np.ndarray, Lu: np.ndarray):
         """rhs - L u over every row, and its norm, as the gate reads them.
@@ -384,36 +402,27 @@ class FactorizedOperator:
         return Field(g, u)
 
 
-def direct_solve(cs: CoefficientSet, f: Field) -> SolveReport:
-    """Factor L and solve L u = f (see FactorizedOperator, which gates the residual).
-
-    The residual is the one the solve formed, over every row, walls
-    included.  No admissibility gates and no a priori norms: callers
-    that need them go through solve_linear.
-    """
-    fac = FactorizedOperator(cs)
-    u = fac.solve(f)
-    stats = {"method": fac.method, "n": u.values.size, **fac.stats}
-    return SolveReport(u, fac.residual_norm, solver_stats=stats)
-
-
 def solve_linear(p: LinearProblem, *, require_conditions: bool = True) -> SolveReport:
-    """Direct solve of the closed boundary value problem (see direct_solve).
+    """Solve the closed boundary value problem L u = f (see FactorizedOperator).
 
     The admissibility gates are checked first; require_conditions=False
     downgrades a failed gate to a warning for counterexample probing.
-    A singular factorization is surfaced as WELLPOSEDNESS_SUSPECT.  The
-    a priori ratio is ||u||_0 / ||f||_{H^1}.
+    A singular factorization is surfaced as WELLPOSEDNESS_SUSPECT, and
+    the operator gates the residual, which is the one the solve formed,
+    over every row, walls included.  The a priori ratio is
+    ||u||_0 / ||f||_{H^1}.
     """
     for gate in (check_condition7(p.cs), check_alpha(p.cs)):
         if not gate.passed:
             if require_conditions:
                 raise PreconditionError(str(gate))
             warnings.warn(f"proceeding despite failed gate: {gate}", stacklevel=2)
-    rep = direct_solve(p.cs, p.f)
+    fac = FactorizedOperator(p.cs)
+    u = fac.solve(p.f)
     fden = isotropic_norm(p.f, 1)
-    rep.apriori_ratio = isotropic_norm(rep.u, 0) / fden if fden > 0 else 0.0
-    return rep
+    ratio = isotropic_norm(u, 0) / fden if fden > 0 else 0.0
+    stats = {"method": fac.method, "n": u.values.size, **fac.stats}
+    return SolveReport(u, fac.residual_norm, ratio, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -324,3 +324,19 @@ def test_extreme_alpha0_is_a_configuration_error(tmp_path, capsys, command, alph
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: alpha0 = ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("ma", "psi", "nan"), ("darboux", "psi", "inf"), ("darboux", "psi", "-inf"),
+     ("aux", "lambda", "inf"), ("energy", "lambda", "nan")],
+)
+def test_non_finite_psi_and_lambda_are_configuration_errors(tmp_path, capsys, command, flag, value):
+    # psi must be finite and lambda positive and finite; before, a non-finite
+    # psi failed as "field contains non-finite entries", which named no
+    # setting, and aux swept lambda = inf three times and exited 0
+    code = run([command, f"--{flag}={value}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err

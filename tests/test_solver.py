@@ -15,7 +15,6 @@ from mixedbvp.solver import (
     ManufacturedSolution,
     PreconditionError,
     _enforce_boundary,
-    direct_solve,
     energy_certificate,
     identity18_residual,
     mms_convergence,
@@ -123,7 +122,7 @@ def test_fourier_gmres_matches_splu(preset, n, eps):
     f = Field.from_function(
         g, lambda X, Y: np.sin(PI * X) * (1 + Y) + np.cos(3 * PI * X) * Y**2 + 0.3
     )
-    rep = direct_solve(cs, f)
+    rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
     stats = rep.solver_stats
     assert stats["method"] == "fourier"
     assert 1 <= stats["gmres_iterations"] < solver.GMRES_MAX_ITER
@@ -137,7 +136,7 @@ def test_x_dependent_coefficients_fall_back_to_splu(monkeypatch):
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
     # at eps = 0.1 the cap leaves the residual near 1e-7, far above the gate
     cs = preset_coefficients("lower_order", g, 0.1, 0.02)
-    rep = direct_solve(cs, f)
+    rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
     assert rep.solver_stats["method"] == "splu"
     assert rep.solver_stats["gmres_iterations"] == solver.GMRES_MAX_ITER
     assert "cap" in rep.solver_stats["fallback_reason"]
@@ -175,7 +174,7 @@ def test_reported_residual_is_the_assembled_one(preset, cap, method, krylov, mon
     f = Field.from_function(
         g, lambda X, Y: np.sin(PI * X) * (1 + Y) + np.cos(3 * PI * X) * Y**2 + 0.3
     )
-    rep = direct_solve(cs, f)
+    rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
     assert rep.solver_stats["method"] == method
     assert (rep.solver_stats["gmres_iterations"] > 0) == krylov
     rhs = f.values.copy()
@@ -191,7 +190,7 @@ def test_residual_gate_raises_on_both_paths(monkeypatch):
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
     for preset in ("tricomi", "lower_order"):
         cs = preset_coefficients(preset, g, 1e-4, 0.02)
-        rep = direct_solve(cs, f)
+        rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
         assert rep.solver_stats["method"] == "fourier"
         assert rep.residual_norm <= 1e-10 * l2_norm(f)
         # neither path can reach this gate: GMRES falls back to splu,
@@ -199,7 +198,7 @@ def test_residual_gate_raises_on_both_paths(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(solver, "RESIDUAL_TOL", 1e-30)
             with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT"):
-                direct_solve(cs, f)
+                FactorizedOperator(cs).solve(f)
 
 
 def test_factorized_operator_gates_its_splu_residual(monkeypatch):
@@ -311,7 +310,7 @@ def test_operator_stats_count_products_and_estimates():
     g = make_grid(32, 32)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y) + 0.3 * Y**2)
     fac = FactorizedOperator(preset_coefficients("lower_order", g, 1e-4, 0.02))
-    assert fac.stats["assemble_s"] == 0.0  # no residual formed yet
+    assert fac.stats["assemble_s"] > 0.0 and fac.stats["matvecs"] == 0  # L built, not applied
     fac.solve(f)
     stats = fac.stats
     steps = stats["gmres_iterations"]
@@ -335,15 +334,31 @@ def test_residual_gate_names_the_rows_that_hold_it(monkeypatch):
     # u_x is not small there (an x-dependent set), it fails the gate
     cs = preset_coefficients("lower_order", g, 1e-4, 1e12)
     with pytest.raises(ResidualGateError, match="the bottom rows hold .*alpha = 1e\\+12") as exc:
-        direct_solve(cs, f)
+        FactorizedOperator(cs).solve(f)
     assert exc.value.rows == "bottom"
     monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
     with pytest.raises(ResidualGateError, match="WELLPOSEDNESS_SUSPECT: solve residual") as exc:
-        direct_solve(cs, f)
+        FactorizedOperator(cs).solve(f)
     assert exc.value.rows in ("interior", "top", "bottom")
     assert f"the {exc.value.rows} rows hold" in str(exc.value)
     assert ("alpha" in str(exc.value)) == (exc.value.rows == "bottom")
+
+
+def test_residual_gate_shares_are_ratios_of_a_huge_residual():
+    # r's own square overflows past about 1e154; the row shares are formed
+    # from r / max|r|, so they stay finite and still name the row
+    from mixedbvp.solver import ResidualGateError
+
+    g = make_grid(16, 16)
+    r = np.zeros(g.shape)
+    r[:, 0] = 1e200
+    r[:, 5] = 1.0
+    with np.errstate(over="raise", invalid="raise"):
+        exc = ResidualGateError(1e190, r, g, 0.02)
+    assert exc.rows == "bottom"
+    share = float(re.search(r"the bottom rows hold (\S+)% of its square", str(exc)).group(1))
+    assert 0.0 < share <= 100.0
 
 
 def test_gate_residual_takes_the_differenced_oblique_row():
@@ -382,12 +397,12 @@ def test_huge_alpha_solve_fails_the_gate(alpha, n):
     g = make_grid(n, n)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
     with pytest.raises(ResidualGateError, match=re.escape(f"alpha = {alpha:g}")) as exc:
-        direct_solve(preset_coefficients("tricomi", g, 1e-4, alpha), f)
+        FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha)).solve(f)
     assert exc.value.rows == "bottom"
 
 
 def test_x_constancy_is_tested_once_per_coefficient_set(monkeypatch):
-    # mode_bands, assemble_L and the fallback decision all read it
+    # the mode systems and the fallback decision both read it
     prop = CoefficientSet.__dict__["x_constant"]
     calls = []
     monkeypatch.setattr(prop, "func", lambda cs, inner=prop.func: calls.append(cs) or inner(cs))
@@ -396,7 +411,7 @@ def test_x_constancy_is_tested_once_per_coefficient_set(monkeypatch):
     for preset, flags in (("tricomi", (True,) * 3), ("lower_order", (False,) * 3),
                           ("wedge", (False, True, True))):
         cs = preset_coefficients(preset, g, 1e-4, 0.02)
-        direct_solve(cs, f)
+        FactorizedOperator(cs).solve(f)
         assert cs.x_constant == flags and sum(c is cs for c in calls) == 1
 
 
@@ -415,42 +430,35 @@ def test_singular_mode_is_wellposedness_suspect():
         FactorizedOperator(cs)
 
 
-def _per_mode_factors(dl, d, du, far, nyp):
-    """The fold and zgttrf of each (ny+1)-block of the stacked systems, one call per x-mode."""
+def _per_mode_factors(dl, d, du, nyp):
+    """zgttrf of each (ny+1)-block of the stacked folded systems, one call per x-mode."""
     from scipy.linalg import lapack
 
     out = []
-    for k in range(far.shape[0]):
+    for k in range(d.size // nyp):
         diag, off = slice(k * nyp, (k + 1) * nyp), slice(k * nyp, (k + 1) * nyp - 1)
-        blk = dl[off].copy(), d[diag].copy(), du[off].copy()
-        m2, m3, foldable = solver._fold_oblique_rows(*blk, far[k : k + 1])
-        out.append((lapack.zgttrf(*blk), m2[0], m3[0], bool(foldable[0])))
+        out.append(lapack.zgttrf(dl[off].copy(), d[diag].copy(), du[off].copy()))
     return out
-
-
-def _x_modes(cs):
-    from mixedbvp.operators import mode_bands
-
-    g = cs.grid
-    return mode_bands(cs, 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx)
 
 
 @pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
 @pytest.mark.parametrize("n", [32, 64])
 def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
-    # the stacked systems are decoupled blocks, so the one fold, the one
-    # zgttrf and the one zgttrs over them do each mode's arithmetic exactly
+    # the stacked systems are decoupled blocks, so the one zgttrf and the
+    # one zgttrs over them do each mode's arithmetic exactly
     from scipy.linalg import lapack
 
     g = make_grid(n, n)
     nyp = g.ny + 1
     cs = preset_coefficients(preset, g, 1e-4, 0.02)
-    per_mode = _per_mode_factors(*_x_modes(cs), nyp)
-    assert all(lu[-1] == 0 and ok for lu, _, _, ok in per_mode)
-    (dl, d, du, du2, ipiv), (m2, m3) = solver._factor_modes(cs)
+    dl, d, du, (m2, m3) = solver._mode_systems(cs)
+    per_mode = _per_mode_factors(dl, d, du, nyp)
+    assert all(lu[-1] == 0 for lu in per_mode)
+    (dl, d, du, du2, ipiv), fold = solver._factor_modes(cs)
+    assert np.array_equal(fold[0], m2) and fold[1] == m3
 
     def stacked(i, pad):  # per-mode arrays with the zeros between blocks
-        parts = [np.append(lu[i], np.zeros(pad, lu[i].dtype)) for lu, _, _, _ in per_mode]
+        parts = [np.append(lu[i], np.zeros(pad, lu[i].dtype)) for lu in per_mode]
         return np.concatenate(parts)[: len(parts) * nyp - pad]
 
     assert np.array_equal(dl, stacked(0, 1))
@@ -458,15 +466,13 @@ def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
     assert np.array_equal(du, stacked(2, 1))
     assert np.array_equal(du2, stacked(3, 2))
     offsets = [k * nyp for k in range(len(per_mode))]
-    assert np.array_equal(ipiv, np.concatenate([f[0][4] + o for f, o in zip(per_mode, offsets)]))
-    assert np.array_equal(m2, [f[1] for f in per_mode])
-    assert np.array_equal(m3, [f[2] for f in per_mode])
+    assert np.array_equal(ipiv, np.concatenate([lu[4] + o for lu, o in zip(per_mode, offsets)]))
 
     rhs = np.random.default_rng(n).standard_normal(g.shape)
     spec = np.fft.rfft(rhs, axis=0)
-    for k, (lu, m2_k, m3_k, _) in enumerate(per_mode):
-        spec[k, 0] -= m3_k * spec[k, 2]
-        spec[k, 0] -= m2_k * spec[k, 1]
+    for k, lu in enumerate(per_mode):
+        spec[k, 0] -= m3 * spec[k, 2]
+        spec[k, 0] -= m2[k] * spec[k, 1]
         spec[k] = lapack.zgttrs(*lu[:5], spec[k])[0]
     loop = np.fft.irfft(spec, n=g.nx, axis=0)
     assert np.array_equal(FactorizedOperator(cs)._mode_solve(rhs), loop)
@@ -476,7 +482,7 @@ def _dense_modes(cs):
     """Each x-mode's (ny+1)-system read off the assembled L of the x-averaged set.
 
     The oracle for the folded path: the unfolded system, 4-point bottom
-    row included, from the sparse assembly rather than from mode_bands.
+    row included, from the sparse assembly rather than from _mode_systems.
     """
     from mixedbvp.operators import assemble_L
 
@@ -520,14 +526,12 @@ def test_mode_solve_matches_dense_unfolded_modes(preset, n):
     assert (res <= 1e-14 * scale).all()
 
 
-def _zero_column(dl, d, du, far, nyp, k, c):
-    """Zero column c of block k, in the tridiagonal part and in far."""
+def _zero_column(dl, d, du, nyp, k, c):
+    """Zero column c of block k of the folded tridiagonal systems."""
     i = k * nyp + c
     d[i] = 0.0
     dl[i : i + 1] = 0.0  # below the diagonal; past the end for the last column
     du[i - 1 : i] = 0.0  # above it; empty for column 0 of block 0
-    if c in (2, 3):
-        far[k, c - 2] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -539,17 +543,17 @@ def test_singular_stacked_mode_named_as_per_mode_loop(singular, monkeypatch):
     # a zero column (mode k, y-node c) makes that mode exactly singular;
     # the one-call factorization names the first such mode, as a loop
     # over the modes does, also at the first and last column of a block
-    # and at columns 2 and 3, where the fold divides
+    # and at columns 2 and 3, which the fold reads
     g = make_grid(32, 32)
     nyp = g.ny + 1
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
-    modes = _x_modes(cs)
+    dl, d, du, fold = solver._mode_systems(cs)
     for k, c in singular:
-        _zero_column(*modes, nyp, k, c)
-    per_mode = _per_mode_factors(*modes, nyp)
-    first = next(k for k, (lu, _, _, ok) in enumerate(per_mode) if lu[-1] > 0 or not ok)
+        _zero_column(dl, d, du, nyp, k, c)
+    per_mode = _per_mode_factors(dl, d, du, nyp)
+    first = next(k for k, lu in enumerate(per_mode) if lu[-1] > 0)
     assert first == min(k for k, _ in singular)
-    monkeypatch.setattr(solver, "mode_bands", lambda cs, theta: [a.copy() for a in modes])
+    monkeypatch.setattr(solver, "_mode_systems", lambda cs: (dl.copy(), d.copy(), du.copy(), fold))
     with pytest.raises(PreconditionError, match=f"WELLPOSEDNESS_SUSPECT: x-mode {first} is"):
         solver._factor_modes(cs)
 
@@ -569,15 +573,14 @@ def _fold_pivot_zero_set(row, x_dependent):
 @pytest.mark.parametrize("row", [1, 2])
 def test_zero_fold_pivot_named_then_splu_for_x_dependent_sets(row):
     cs = _fold_pivot_zero_set(row, x_dependent=False)
-    with np.errstate(all="raise"):  # no division by zero on the way
-        m2, m3, foldable = solver._fold_oblique_rows(*_x_modes(cs))
-    assert not foldable.any()
-    assert np.isfinite(m2).all() and np.isfinite(m3).all()
-    with pytest.raises(PreconditionError, match="x-mode 0 is not foldable"):
-        FactorizedOperator(cs)
+    # named before any division by the zero divisor
+    with np.errstate(all="raise"):
+        with pytest.raises(PreconditionError, match="x-mode 0 is not foldable"):
+            FactorizedOperator(cs)
 
     cs = _fold_pivot_zero_set(row, x_dependent=True)
-    fac = FactorizedOperator(cs)
+    with np.errstate(all="raise"):
+        fac = FactorizedOperator(cs)
     assert fac.method == "splu"
     assert "x-mode 0 is not foldable" in fac.stats["fallback_reason"]
     f = Field.from_function(cs.grid, lambda X, Y: np.sin(PI * X) * (1 - Y))

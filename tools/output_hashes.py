@@ -7,10 +7,9 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 "<output> <sha1 of its float64 bytes>" for each (a count is printed as
 it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L (data, indices,
-indptr) and the x-mode systems of every preset as zgttrf takes them
-(the three diagonals with the oblique row folded in, and the fold
-multipliers m2 and m3; older trees print their zgbtrf band array as
-mode_bands instead);
+indptr) and the factored x-mode systems of every preset
+(solver._factor_modes: the LU arrays as zgttrs takes them, the fold
+multipliers m2, and m3 broadcast to one complex entry per mode);
 solve_linear's u, residual and a priori ratio; the auxiliary solve's u
 and iterations; energy ratios, dual constants
 and auxiliary iterations; the five seam-split derivatives of the ma
@@ -59,19 +58,12 @@ def main(tree: Path) -> None:
 
     for n in (16, 48):
         g = grid.make_grid(n, n)
-        theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n
         for name in PRESETS:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             mat = operators.assemble_L(cs)
-            mat = getattr(mat, "matrix", mat)  # older trees wrap the matrix
             emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
-            systems = operators.mode_bands(cs, theta)
-            if isinstance(systems, np.ndarray):  # older trees: one band array for zgbtrf
-                emit(f"mode_bands/{name}/{n}", systems)
-                continue
-            dl, d, du, far = systems
-            m2, m3, _ = solver._fold_oblique_rows(dl, d, du, far)
-            emit(f"mode_systems/{name}/{n}", dl, d, du, m2, m3)
+            lu, (m2, m3) = solver._factor_modes(cs)
+            emit(f"mode_systems/{name}/{n}", *lu, m2, np.broadcast_to(m3, m2.shape))
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
