@@ -66,7 +66,6 @@ _RANGES = {
     "rho": (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
     "theta": (lambda v: 0.0 < v <= 1.0, "theta must lie in (0, 1]"),
     "alpha0": (lambda v: 0.0 < v < np.inf, "alpha0 must be positive and finite"),
-    "psi": (np.isfinite, "psi must be finite"),
     "samples": (lambda v: v >= 1, "samples must be at least 1"),
     "max_iter": (lambda v: v >= 1, "max_iter must be at least 1"),
     "tol": (lambda v: v > 0.0, "tol must be positive"),
@@ -89,7 +88,6 @@ class RunConfig:
     rho: float = 0.25
     alpha0: float = 1.2
     theta: float = 0.5
-    psi: float = 0.0
     max_iter: int = 50
     tol: float = 1e-8
     rhs: str = "sine"
@@ -105,7 +103,7 @@ _SECTION_KEYS = {
     "multiplier": ("lambda", "m"),
     "grid": ("nx", "ny", "grids"),
     "run": ("seed", "out", "samples"),
-    "nonlinear": ("rho", "alpha0", "theta", "psi", "max_iter", "tol"),
+    "nonlinear": ("rho", "alpha0", "theta", "max_iter", "tol"),
 }
 
 
@@ -325,9 +323,8 @@ def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
     params = NonlinearParams(
         alpha0=cfg.alpha0, theta=cfg.theta, tol=cfg.tol, max_iter=cfg.max_iter
     )
-    psi = None if cfg.psi == 0.0 else Field.constant(grid, cfg.psi)
     try:
-        rep = solve(K, GraphSurface(z0, cfg.rho), psi, params)
+        rep = solve(K, GraphSurface(z0, cfg.rho), params)
     except ResidualGateError as exc:
         if exc.rows != "bottom":
             raise
@@ -357,8 +354,8 @@ def _cmd_ma(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_darboux(cfg: RunConfig, outdir: Path) -> int:
-    def solve(K, z0, psi, params):
-        return solve_darboux(K, flat_metric(K.grid), z0, psi, params)
+    def solve(K, z0, params):
+        return solve_darboux(K, flat_metric(K.grid), z0, params)
 
     return _run_picard(cfg, outdir, manufactured_darboux_pair, solve)
 

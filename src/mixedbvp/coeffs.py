@@ -57,12 +57,6 @@ class CoefficientSet:
         """
         return tuple(bool((c.values[1:] == c.values[:-1]).all()) for c in (self.K, self.A, self.B))
 
-    @property
-    def k_changes_sign(self) -> bool:
-        """Informational: does K take both signs (or vanish) on the grid?"""
-        v = self.K.values
-        return bool(v.min() <= 0.0 <= v.max())
-
 
 @dataclass
 class ConditionReport:

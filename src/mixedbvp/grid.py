@@ -225,8 +225,23 @@ def inner_product(u: Field, v: Field) -> float:
     return float(g.hx * np.sum(u.values * v.values * wy[None, :]))
 
 
+def _root_of_squares(squares, u: Field) -> float:
+    """sqrt(squares(u)) for a sum of squares of quantities linear in u.
+
+    A finite u above about 1e154 overflows the squares; that sum is
+    formed again from u / max|u| and its root scaled back, so a norm
+    that is finite unscaled keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        total = squares(u)
+    if np.isfinite(total):
+        return float(np.sqrt(max(total, 0.0)))
+    top = float(np.abs(u.values).max())
+    return top * float(np.sqrt(squares(Field(u.grid, u.values / top))))
+
+
 def l2_norm(u: Field) -> float:
-    return float(np.sqrt(max(inner_product(u, u), 0.0)))
+    return _root_of_squares(lambda w: inner_product(w, w), u)
 
 
 def strip_inner_product(u: Field, v: Field, y_min: float, y_max: float) -> float:

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .coeffs import AlphaRangeError, condition7prime_margin
-from .grid import Field, GridSpec, _dx1_3, l2_norm
+from .grid import Field, GridSpec, _dx1_3, _dx2, l2_norm
 from .norms import _x_matrix
 from .operators import _BOTTOM_DY, _oblique_row
 from .solver import RESIDUAL_TOL, PreconditionError, ResidualGateError
@@ -389,16 +389,16 @@ class _SplitDerivatives:
 def _step_bands(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """What every Picard step on the grid shares: its x-symbols and its y-band.
 
-    symbols, (3, nx//2 + 1): the symbols on the rfft modes of the
-    periodic _dx1 and _dx2 and of the oblique row's 3-point u_x.  band,
+    symbols, (2, nx//2 + 1): the symbols on the rfft modes of the
+    periodic _dx2 and of the oblique row's 3-point u_x.  band,
     (10, ny+1): the y-part of each mode's system in LAPACK's band
     storage for kl = ku = 3, entry (i, j) at [6 + i - j, j] with rows
     0..2 left for the LU's fill: the _d2_line rows on rows 1..ny-1, the
     oblique row's _BOTTOM_DY u_y on row 0 and the identity on row ny.
     """
     nyp = grid.ny + 1
-    columns = [_x_matrix(grid, 1), _x_matrix(grid, 2), _dx1_3(np.eye(grid.nx), grid.hx)]
-    symbols = np.fft.rfft([m[:, 0] for m in columns], axis=1)
+    eye = np.eye(grid.nx)
+    symbols = np.fft.rfft([_dx2(eye, grid.hx)[:, 0], _dx1_3(eye, grid.hx)[:, 0]], axis=1)
     rows = _d2_line(np.eye(nyp), grid.hy, 0)
     rows[[0, -1]] = 0.0
     rows[0, :4], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
@@ -408,34 +408,32 @@ def _step_bands(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return symbols, band
 
 
-def _step_rows(split: _SplitDerivatives, p, q, alpha: float, d: np.ndarray) -> np.ndarray:
+def _step_rows(g: GridSpec, p, alpha: float, d: np.ndarray) -> np.ndarray:
     """N d over every row (see _linear_step), as the step's gate reads it.
 
-    The x-derivatives come from split's _dx product, row 0 from
-    operators._oblique_row, which keeps the d_y terms at any alpha.
+    Row 0 comes from operators._oblique_row, which keeps the d_y terms
+    at any alpha.
     """
-    g = split.grid
-    dx = split._dx @ d
-    rows = p * dx[g.nx :] + _d2_line(d, g.hy, 1) + q * dx[: g.nx]
+    rows = p * _dx2(d, g.hx) + _d2_line(d, g.hy, 1)
     rows[:, -1] = d[:, -1]
     rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
     return rows
 
 
 def _linear_step(
-    split: _SplitDerivatives, p, q, alpha: float, f: np.ndarray, stats: dict
+    g: GridSpec, p, alpha: float, f: np.ndarray, stats: dict
 ) -> tuple[np.ndarray, float]:
     """d with N d = f, N the Picard step's operator, and the residual's norm.
 
-    N d = p(y)*d_xx + d_yy + q(y)*d_x on rows 1..ny-1, on the residual's
-    own stencils (split's periodic _dx2 and _dx1, _d2_line in y), the
-    oblique row alpha*d_x + d_y of operators._oblique_row on row 0 and
-    d itself on row ny; f's wall rows are read as zero.  N commutes with
-    the x-shift, so the rfft splits it into one banded y-system per
-    mode (_step_bands).  These are the diagonal blocks of one band
-    matrix with exact zeros between blocks, so partial pivoting never
-    reaches across a block, and one zgbsv call factors and solves each
-    block as a call of its own would.  A zero pivot raises
+    N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
+    stencils (the periodic _dx2 in x, _d2_line in y), the oblique row
+    alpha*d_x + d_y of operators._oblique_row on row 0 and d itself on
+    row ny; f's wall rows are read as zero.  N commutes with the
+    x-shift, so the rfft splits it into one banded y-system per mode
+    (_step_bands).  These are the diagonal blocks of one band matrix
+    with exact zeros between blocks, so partial pivoting never reaches
+    across a block, and one zgbsv call factors and solves each block as
+    a call of its own would.  A zero pivot raises
     PreconditionError naming the first singular mode.
 
     The gate is N's residual over every row (_step_rows); above
@@ -443,13 +441,12 @@ def _linear_step(
     band build as band_s and zgbsv plus the gate as solve_s.
     """
     t0 = perf_counter()
-    g = split.grid
     nx, nyp = g.shape
     symbols, band = _step_bands(g)
     ab = np.empty((10, symbols.shape[1], nyp), dtype=complex)
     ab[3:] = band[3:, None, :]  # zgbsv does not read the fill rows 0..2
-    ab[6, :, 1:-1] += symbols[1][:, None] * p[1:-1] + symbols[0][:, None] * q[1:-1]
-    ab[6, :, 0] += alpha * symbols[2]
+    ab[6, :, 1:-1] += symbols[0][:, None] * p[1:-1]
+    ab[6, :, 0] += alpha * symbols[1]
     rhs = np.pad(f[:, 1:-1], ((0, 0), (1, 1)))
     t1 = perf_counter()
     spec = np.fft.rfft(rhs, axis=0).reshape(-1, 1)
@@ -459,7 +456,7 @@ def _linear_step(
             f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // nyp} is exactly singular"
         )
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
-    r = rhs - _step_rows(split, p, q, alpha, d)
+    r = rhs - _step_rows(g, p, alpha, d)
     res, fnorm = l2_norm(Field(g, r)), l2_norm(Field(g, f))
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
@@ -513,12 +510,7 @@ class _AndersonMixing:
         return out, k
 
 
-def _picard(
-    z0: GraphSurface,
-    step_terms,
-    psi: Field | None,
-    params: NonlinearParams,
-) -> IterationReport:
+def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationReport:
     """Anderson-mixed frozen-coefficient iteration; each step is one _linear_step.
 
     step_terms maps the derivative dict of an iterate to its residual
@@ -527,23 +519,22 @@ def _picard(
 
     The update solves N d = -res/Q (see _linear_step), N the x-averaged
     normal form of that linearization: p(y) is the mean of P/Q over the
-    inner region |x| <= 1/2 and q = mean_x(psi)*p.  Everything N leaves
-    out (the x-dependent part of P/Q, the mixed term, the
-    gradient-factor first-order terms) stays lagged on the right-hand
-    side through the full nonlinear residual; psi enters N alone, so
-    averaging it over x leaves the fixed point where it is.  The
-    fixed-point map is d -> d + update, and each step mixes it with up
-    to ANDERSON_DEPTH past steps (see _AndersonMixing, mixing parameter
-    theta).
+    inner region |x| <= 1/2.  Everything N leaves out (the x-dependent
+    part of P/Q, the mixed term, the gradient-factor first-order terms)
+    stays lagged on the right-hand side through the full nonlinear
+    residual.  The fixed-point map is d -> d + update, and each step
+    mixes it with up to ANDERSON_DEPTH past steps (see _AndersonMixing,
+    mixing parameter theta).  The first iterate whose weighted residual
+    is at most tol ends the iteration.
 
     diagnostics carries the residual of each linear solve (every row,
     walls included) and, when the iteration gives up, the reason.
-    stats holds the step count, the perf_counter sums residual_s
-    (derivatives, residual and principal coefficients), band_s (the
-    profile p and the step's band matrix), solve_s (zgbsv and the gate)
-    and mix_s (the mixing), and per step the part of the step's
-    stopping residual on the wall rows 0 and ny (wall_norm) and the
-    number of past steps the mixing used (mixing_depth).
+    stats holds the perf_counter sums residual_s (derivatives, residual
+    and principal coefficients), band_s (the profile p and the step's
+    band matrix), solve_s (zgbsv and the gate) and mix_s (the mixing),
+    and per step the part of the step's stopping residual on the wall
+    rows 0 and ny (wall_norm) and the number of past steps the mixing
+    used (mixing_depth).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
@@ -556,7 +547,6 @@ def _picard(
         )
     chi = cutoff_profile(grid)[:, None]
     inner = np.abs(grid.x) <= 0.5
-    psi_mean = 0.0 if psi is None else psi.values.mean(axis=0)
     wall_weight = grid.hx * grid.y_weights()[0]
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)
@@ -564,7 +554,7 @@ def _picard(
     d = np.zeros(grid.shape)
     history: list[float] = []
     diagnostics: dict = {"linear_residuals": []}
-    stats: dict = dict(steps=0, residual_s=0.0, band_s=0.0, solve_s=0.0, mix_s=0.0)
+    stats: dict = dict(residual_s=0.0, band_s=0.0, solve_s=0.0, mix_s=0.0)
     stats.update(wall_norm=[], mixing_depth=[])
 
     def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
@@ -580,8 +570,7 @@ def _picard(
         res_norm = l2_norm(Field(grid, weighted))
         stats["residual_s"] += perf_counter() - t0
         history.append(res_norm)
-        tol = params.tol * 10.0 if it == 0 else params.tol
-        if res_norm <= tol:
+        if res_norm <= params.tol:
             return report(it, True)
         if it == params.max_iter:
             break
@@ -597,12 +586,11 @@ def _picard(
             )
         p = (P / Q)[inner].mean(axis=0)
         stats["band_s"] += perf_counter() - t0
-        update, lin_res = _linear_step(split, p, psi_mean * p, alpha, -res / Q, stats)
+        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats)
         t0 = perf_counter()
         d, depth = mixing.step(d, update)
         stats["mix_s"] += perf_counter() - t0
         diagnostics["linear_residuals"].append(lin_res)
-        stats["steps"] += 1
         walls = weighted[:, [0, -1]]
         stats["wall_norm"].append(sqrt(wall_weight * np.sum(walls * walls)))
         stats["mixing_depth"].append(depth)
@@ -610,10 +598,7 @@ def _picard(
 
 
 def solve_prescribed_curvature(
-    K: Field,
-    z0: GraphSurface,
-    psi: Field | None = None,
-    params: NonlinearParams | None = None,
+    K: Field, z0: GraphSurface, params: NonlinearParams | None = None
 ) -> IterationReport:
     """Local graph with prescribed Gaussian curvature K, seeded at z0.
 
@@ -622,14 +607,13 @@ def solve_prescribed_curvature(
     """
     params = params or NonlinearParams()
     _gate_condition7prime(K, z0.domain_scale)
-    return _picard(z0, lambda dv: (_curvature(dv, K), dv["zyy"], dv["zxx"]), psi, params)
+    return _picard(z0, lambda dv: (_curvature(dv, K), dv["zyy"], dv["zxx"]), params)
 
 
 def solve_darboux(
     K: Field,
     h: MetricData,
     z0: GraphSurface,
-    psi: Field | None = None,
     params: NonlinearParams | None = None,
 ) -> IterationReport:
     """Local solution of the Darboux equation in the metric h.
@@ -654,7 +638,7 @@ def solve_darboux(
             )
         return _darboux_from(H, gradh2, K, deth), H[2], H[0]
 
-    return _picard(z0, step_terms, psi, params)
+    return _picard(z0, step_terms, params)
 
 
 def flat_metric(grid: GridSpec) -> MetricData:

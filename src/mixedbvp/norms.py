@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, differentiate, inner_product
+from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, _root_of_squares
+from .grid import differentiate, inner_product
 
 MAX_ORDER = 2
 
@@ -117,13 +118,17 @@ def _derivative_norm(u: Field, m: int, l_of_s) -> float:
     Each x-derivative is taken once and its y-derivatives from it, as
     derivative_st composes them, so every term is derivative_st's.
     """
-    total = 0.0
-    for s in range(m + 1):
-        ds = differentiate(u, "x", s) if s else u
-        for t in range(l_of_s(s) + 1):
-            d = differentiate(ds, "y", t) if t else ds
-            total += inner_product(d, d)
-    return float(np.sqrt(max(total, 0.0)))
+
+    def squares(w: Field) -> float:
+        total = 0.0
+        for s in range(m + 1):
+            ds = differentiate(w, "x", s) if s else w
+            for t in range(l_of_s(s) + 1):
+                d = differentiate(ds, "y", t) if t else ds
+                total += inner_product(d, d)
+        return total
+
+    return _root_of_squares(squares, u)
 
 
 def sobolev_norm(u: Field, order: NormOrder) -> float:

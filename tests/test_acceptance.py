@@ -437,12 +437,12 @@ def test_criterion_12_nonlinear_recovery():
 
     z_star, K = manufactured_curvature_pair(g, rho)
     z0 = Field(g, z_star.values + _perturbation(g).values)
-    rep = solve_prescribed_curvature(K, GraphSurface(z0, rho), None, params)
+    rep = solve_prescribed_curvature(K, GraphSurface(z0, rho), params)
     err_ma = np.abs(rep.final_z.z.values - z_star.values).max()
 
     zd_star, Kd = manufactured_darboux_pair(g, rho)
     zd0 = Field(g, zd_star.values + _perturbation(g).values)
-    repd = solve_darboux(Kd, flat_metric(g), GraphSurface(zd0, rho), None, params)
+    repd = solve_darboux(Kd, flat_metric(g), GraphSurface(zd0, rho), params)
     err_dx = np.abs(repd.final_z.z.values - zd_star.values).max()
 
     elapsed = time.time() - t0

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,13 +230,13 @@ def test_picard_metrics_json(tmp_path, command):
         assert set(metrics) == {"converged", "iterations", "sup_error", "stats", "diagnostics"}
         stats, diag = metrics["stats"], metrics["diagnostics"]
         assert set(stats) == {
-            "steps", "residual_s", "band_s", "solve_s", "mix_s", "wall_norm", "mixing_depth",
+            "residual_s", "band_s", "solve_s", "mix_s", "wall_norm", "mixing_depth",
         }
         assert set(diag) == {"reason", "linear_residuals"}
         assert diag["reason"] == reason
-        assert stats["steps"] == metrics["iterations"] == len(diag["linear_residuals"])
+        assert metrics["iterations"] == len(diag["linear_residuals"])
         for key in ("wall_norm", "mixing_depth"):
-            assert len(stats[key]) == stats["steps"], key
+            assert len(stats[key]) == metrics["iterations"], key
         assert min(stats[k] for k in ("residual_s", "band_s", "solve_s", "mix_s")) > 0.0
 
 
@@ -326,17 +327,46 @@ def test_extreme_alpha0_is_a_configuration_error(tmp_path, capsys, command, alph
     assert captured.err.startswith("error: alpha0 = ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [("ma", "psi", "nan"), ("darboux", "psi", "inf"), ("darboux", "psi", "-inf"),
-     ("aux", "lambda", "inf"), ("energy", "lambda", "nan")],
-)
-def test_non_finite_psi_and_lambda_are_configuration_errors(tmp_path, capsys, command, flag, value):
-    # psi must be finite and lambda positive and finite; before, a non-finite
-    # psi failed as "field contains non-finite entries", which named no
-    # setting, and aux swept lambda = inf three times and exited 0
-    code = run([command, f"--{flag}={value}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+@pytest.mark.parametrize("command, value", [("aux", "inf"), ("energy", "nan")])
+def test_non_finite_lambda_is_a_configuration_error(tmp_path, capsys, command, value):
+    # lambda must be positive and finite; before, aux swept lambda = inf
+    # three times and exited 0
+    code = run([command, f"--lambda={value}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert flag in captured.err
+    assert "lambda" in captured.err
+
+
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+def test_psi_is_a_usage_error(tmp_path, capsys, command):
+    # Picard has no psi setting: the flag is unknown to the parser and
+    # the key unknown to its config section, both exit 2
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--psi", "0.1", "--out", str(tmp_path)])
+    assert exc.value.code == 2 and "--psi" in capsys.readouterr().err
+    path = write_config(tmp_path, "[nonlinear]\nrho = 0.25\npsi = 0.1\n")
+    assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:3: unknown key 'psi' in section [nonlinear]" in err
+
+
+def test_overflowing_right_hand_side_reports_finite_norms(tmp_path):
+    # a right-hand side of 1e200 overflowed the squares of every norm: the
+    # residual norm read inf, the a priori ratio nan, and the gate passed
+    from mixedbvp.grid import Field, make_grid, save_field
+
+    g = make_grid(16, 16)
+    f = Field.from_function(g, lambda X, Y: 1e200 * np.sin(np.pi * X) * (1.0 + Y))
+    save_field(f, tmp_path / "f.csv")
+    args = ["solve", "--nx", "16", "--ny", "16", "--rhs", f"csv:{tmp_path / 'f.csv'}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args + ["--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert np.isfinite(metrics["residual_norm"]) and np.isfinite(metrics["apriori_ratio"])
+    assert metrics["solver_stats"]["residual"] <= 1e-10
+    # the norms scale with f: the unscaled solve reads the same a priori ratio
+    assert run(["solve", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]) == 0
+    plain = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["apriori_ratio"] == pytest.approx(plain["apriori_ratio"], rel=1e-12)

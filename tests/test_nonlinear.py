@@ -197,7 +197,7 @@ def test_prescribed_curvature_recovery_small_grid():
     z_star, K = manufactured_curvature_pair(g, RHO)
     z0 = Field(g, z_star.values + _perturbation(g).values)
     params = NonlinearParams(tol=5e-7)
-    rep = solve_prescribed_curvature(K, GraphSurface(z0, RHO), None, params)
+    rep = solve_prescribed_curvature(K, GraphSurface(z0, RHO), params)
     assert rep.converged
     assert np.abs(rep.final_z.z.values - z_star.values).max() < 5e-5
     # residual history settles into a decreasing trend
@@ -210,7 +210,7 @@ def test_darboux_recovery_small_grid():
     z_star, K = manufactured_darboux_pair(g, RHO)
     z0 = Field(g, z_star.values + _perturbation(g).values)
     params = NonlinearParams(tol=5e-7)
-    rep = solve_darboux(K, flat_metric(g), GraphSurface(z0, RHO), None, params)
+    rep = solve_darboux(K, flat_metric(g), GraphSurface(z0, RHO), params)
     assert rep.converged
     assert np.abs(rep.final_z.z.values - z_star.values).max() < 5e-5
 
@@ -237,16 +237,14 @@ def test_graph_surface_scale_validation():
         GraphSurface(Field.zeros(g), 0.0)
 
 
-def _cli_solve(solve, n, psi_on=None):
-    # psi_on builds the psi field on the grid; None runs without psi
+def _cli_solve(solve, n):
     g = make_grid(n, n)
     pair = manufactured_curvature_pair if solve == "ma" else manufactured_darboux_pair
     z_star, K = pair(g, RHO)
     z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
-    psi = psi_on(g) if psi_on else None
     if solve == "ma":
-        return z_star, solve_prescribed_curvature(K, z0, psi)
-    return z_star, solve_darboux(K, flat_metric(g), z0, psi)
+        return z_star, solve_prescribed_curvature(K, z0)
+    return z_star, solve_darboux(K, flat_metric(g), z0)
 
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
@@ -288,40 +286,16 @@ def test_cli_start_at_32():
     assert not rep.converged and rep.diagnostics["reason"] == "residual stagnation"
 
 
-@pytest.mark.parametrize("solve", ["ma", "darboux"])
-def test_x_dependent_psi_runs_as_its_x_mean(solve):
-    # psi enters the step operator alone, through its x-mean; dyadic
-    # values keep that mean exact, so the two runs agree bit for bit
-    def wiggle(g):
-        return Field(g, np.outer(0.125 + 0.0625 * (-1.0) ** np.arange(g.nx), np.ones(g.ny + 1)))
-
-    _, a = _cli_solve(solve, 64, wiggle)
-    _, b = _cli_solve(solve, 64, lambda g: Field.constant(g, 0.125))
-    assert a.converged and a.residual_history == b.residual_history
-    assert np.array_equal(a.final_z.z.values, b.final_z.z.values)
-
-
-@pytest.mark.parametrize("solve", ["ma", "darboux"])
-def test_constant_psi_converges_to_the_psi_free_surface(solve):
-    # psi changes the step operator, not the residual, so not the fixed point
-    _, free = _cli_solve(solve, 64)
-    _, tilted = _cli_solve(solve, 64, lambda g: Field.constant(g, 0.1))
-    assert free.converged and tilted.converged
-    assert np.abs(free.final_z.z.values - tilted.final_z.z.values).max() <= 2e-8
-
-
-def _step_inputs(n, psi):
-    # the split and profile p of the ma CLI start's first step, q = psi*p,
-    # and a seeded right-hand side
+def _step_inputs(n):
+    # the grid and profile p of the ma CLI start's first step, and a
+    # seeded right-hand side
     from mixedbvp.nonlinear import _SplitDerivatives
 
     g = make_grid(n, n)
     z_star, _ = manufactured_curvature_pair(g, RHO)
-    split = _SplitDerivatives(Field(g, z_star.values + _perturbation(g).values))
-    dv = split.at(0)
+    dv = _SplitDerivatives(Field(g, z_star.values + _perturbation(g).values)).at(0)
     p = (dv["zyy"] / dv["zxx"])[np.abs(g.x) <= 0.5].mean(axis=0)
-    q = (0.0 if psi is None else psi) * p
-    return split, p, q, np.random.default_rng(n).standard_normal(g.shape)
+    return g, p, np.random.default_rng(n).standard_normal(g.shape)
 
 
 def _assembled(g, rows_of):
@@ -346,8 +320,7 @@ def _assembled(g, rows_of):
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2])
-@pytest.mark.parametrize("psi", [None, 0.1])
-def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha, psi):
+def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha):
     # the one stacked zgbsv call against one call per x-mode, bit for bit,
     # and against a sparse LU of N assembled from the gate's row function
     # applied to the identity's columns
@@ -358,8 +331,7 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     from mixedbvp.nonlinear import _linear_step, _step_rows
     from mixedbvp.operators import BoundarySpec, boundary_residual
 
-    split, p, q, f = _step_inputs(n, psi)
-    g = split.grid
+    g, p, f = _step_inputs(n)
     nyp = g.ny + 1
     zgbsv, calls = lapack.zgbsv, []
 
@@ -368,7 +340,7 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
         return zgbsv(kl, ku, ab, b, **kwargs)
 
     monkeypatch.setattr(lapack, "zgbsv", spy)
-    d, res = _linear_step(split, p, q, alpha, f, {"band_s": 0.0, "solve_s": 0.0})
+    d, res = _linear_step(g, p, alpha, f, {"band_s": 0.0, "solve_s": 0.0})
     ((ab, b),) = calls
     # no entry couples two blocks, so pivoting stays inside each: entry
     # [r, c] of the band sits on row r - 6 + c of c's block (rows 0..2 are
@@ -379,10 +351,10 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     per_mode = np.concatenate([zgbsv(3, 3, ab[:, k], b[k])[2] for k in blocks])
     assert np.array_equal(d, np.fft.irfft(per_mode.reshape(-1, nyp), n=g.nx, axis=0))
 
-    N = _assembled(g, lambda e: _step_rows(split, p, q, alpha, e))
+    N = _assembled(g, lambda e: _step_rows(g, p, alpha, e))
     if n == 16:  # the probed matrix is the one read off single columns
         eye = np.eye(g.nx * nyp)
-        columns = [_step_rows(split, p, q, alpha, e.reshape(g.shape)).ravel() for e in eye]
+        columns = [_step_rows(g, p, alpha, e.reshape(g.shape)).ravel() for e in eye]
         assert np.array_equal(N.toarray(), np.array(columns).T)
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
@@ -391,12 +363,12 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     # two differ by up to 1.7e-12 of max|ref|, where the LU's own error is
     # the larger: the band solve leaves the smaller residual
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert res == l2_norm(Field(g, rhs - _step_rows(split, p, q, alpha, d)))
+    assert res == l2_norm(Field(g, rhs - _step_rows(g, p, alpha, d)))
     assert res <= 1e-10 * l2_norm(Field(g, f))
     # the gate's wall rows are boundary_residual's, bit for bit
     u = np.random.default_rng(n + 1).standard_normal(g.shape)
     top, bottom = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))
-    step = _step_rows(split, p, q, alpha, u)
+    step = _step_rows(g, p, alpha, u)
     assert np.array_equal(step[:, 0], bottom) and np.array_equal(step[:, -1], top)
 
 
@@ -405,13 +377,13 @@ def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
     from mixedbvp import nonlinear
     from mixedbvp.solver import PreconditionError
 
-    split, p, q, f = _step_inputs(16, None)
-    symbols, band = nonlinear._step_bands(split.grid)
+    g, p, f = _step_inputs(16)
+    symbols, band = nonlinear._step_bands(g)
     band = band.copy()
     band[6, -1] = 0.0
     monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: (symbols, band))
     with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular"):
-        nonlinear._linear_step(split, p, q, 0.6, f, {"band_s": 0.0, "solve_s": 0.0})
+        nonlinear._linear_step(g, p, 0.6, f, {"band_s": 0.0, "solve_s": 0.0})
 
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
@@ -427,8 +399,8 @@ def test_picard_stats(solve):
 
     z_star, rep = _cli_solve(solve, 64)
     stats = rep.stats
-    steps = stats["steps"]
-    assert steps == rep.iterations == len(rep.diagnostics["linear_residuals"])
+    steps = rep.iterations
+    assert len(rep.diagnostics["linear_residuals"]) == steps
     for key in ("wall_norm", "mixing_depth"):
         assert len(stats[key]) == steps, key
     assert min(stats[k] for k in ("residual_s", "band_s", "solve_s", "mix_s")) > 0.0

@@ -114,13 +114,13 @@ def main(tree: Path) -> None:
             "ma": (cli.manufactured_curvature_pair, nonlinear.solve_prescribed_curvature),
             "darboux": (
                 cli.manufactured_darboux_pair,
-                lambda K, z0, psi, p: nonlinear.solve_darboux(K, metric, z0, psi, p),
+                lambda K, z0, params: nonlinear.solve_darboux(K, metric, z0, params=params),
             ),
         }
         for name, (pair, solve) in runs.items():
             z_star, K = pair(g, cfg.rho)
             z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
-            rep = solve(K, nonlinear.GraphSurface(z0, cfg.rho), None, params)
+            rep = solve(K, nonlinear.GraphSurface(z0, cfg.rho), params=params)
             emit(f"picard/{name}/{n}", rep.final_z.z.values, rep.residual_history)
 
     for seed in (11, 12, 13):  # x-dependent lower_order at 128^2: GMRES steps
