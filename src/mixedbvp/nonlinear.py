@@ -28,6 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import factorial, isfinite, sqrt
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -385,43 +386,106 @@ class _SplitDerivatives:
         }
 
 
+class _StepBands(NamedTuple):
+    """What every Picard step on a grid shares; see _step_bands."""
+
+    symbols: np.ndarray
+    template: np.ndarray
+    folds: tuple[tuple[int, int, float], ...]
+    spread: tuple[np.ndarray, np.ndarray, np.ndarray]
+    dx2: sp.csr_matrix
+    dy2: sp.csr_matrix
+
+
 @lru_cache(maxsize=16)
-def _step_bands(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """What every Picard step on the grid shares: its x-symbols and its y-band.
+def _step_bands(grid: GridSpec) -> _StepBands:
+    """The x-symbols, the folded y-band and the gate's stencils of the grid's steps.
 
     symbols, (2, nx//2 + 1): the symbols on the rfft modes of the
-    periodic _dx2 and of the oblique row's 3-point u_x.  band,
-    (10, ny+1): the y-part of each mode's system in LAPACK's band
-    storage for kl = ku = 3, entry (i, j) at [6 + i - j, j] with rows
-    0..2 left for the LU's fill: the _d2_line rows on rows 1..ny-1, the
-    oblique row's _BOTTOM_DY u_y on row 0 and the identity on row ny.
+    periodic _dx2 and of the oblique row's 3-point u_x.
+
+    The y-part of each mode's system has the _d2_line rows on rows
+    1..ny-1, the oblique row's _BOTTOM_DY u_y on row 0 and the identity
+    on row ny, and three rows reach three nodes: row 1 node 4, row 0
+    node 3 and row ny-1 node ny-4.  folds eliminates those entries in
+    turn, each (row, by, c) meaning row -= c*by: row 1 with row 2, row
+    0 with the folded row 1, row ny-1 with row ny-2, which leaves
+    kl = ku = 2.  Each c divides two off-diagonal stencil weights
+    (c = 1, -h/3 and 1), which no mode's symbol touches, so one fold
+    serves every mode and the right-hand side is folded in physical
+    space.  template, (ny+1, 5): the folded rows in LAPACK's band
+    storage for kl = ku = 2 without its fill rows, entry (i, j) at
+    [j, 2 + i - j].  spread: the fold applied to diag(p) is diag(p) on
+    rows 1..ny-1 plus the entries (0, 1), (0, 2), (1, 2) and
+    (ny-1, ny-2); spread holds their columns j, their band rows
+    4 + i - j and their weights.
+
+    dx2, dy2: the _dx2 and _d2_line blocks of _derivative_matrices,
+    with which the gate applies N (_step_rows).
     """
-    nyp = grid.ny + 1
+    ny, nyp = grid.ny, grid.ny + 1
     eye = np.eye(grid.nx)
     symbols = np.fft.rfft([_dx2(eye, grid.hx)[:, 0], _dx1_3(eye, grid.hx)[:, 0]], axis=1)
     rows = _d2_line(np.eye(nyp), grid.hy, 0)
     rows[[0, -1]] = 0.0
     rows[0, :4], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
+    fold = np.eye(nyp)
+    folds = []
+    for row, by, far in ((1, 2, 4), (0, 1, 3), (ny - 1, ny - 2, ny - 4)):
+        c = rows[row, far] / rows[by, far]
+        rows[row] -= c * rows[by]
+        rows[row, far] = 0.0  # whatever c*rows[by, far] rounds to
+        fold[row] -= c * fold[by]
+        folds.append((row, by, c))
     i, j = np.nonzero(rows)
-    band = np.zeros((10, nyp))
-    band[6 + i - j, j] = rows[i, j]
-    return symbols, band
+    template = np.zeros((nyp, 5))
+    template[j, 2 + i - j] = rows[i, j]
+    i, j = np.nonzero(fold - np.eye(nyp))
+    dx, dy, _ = _derivative_matrices(grid)
+    return _StepBands(
+        symbols, template, tuple(folds), (j, 4 + i - j, fold[i, j]), dx[grid.nx :], dy[nyp:]
+    )
+
+
+def _step_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays _linear_step refills at every step of one Picard solve.
+
+    The band, (nx//2 + 1, ny+1, 7): mode k's entry (i, j) at
+    [k, j, 4 + i - j], so that its (-1, 7) reshape, transposed, is the
+    Fortran-ordered array zgbsv factors in place.  The folded right-hand
+    side, (nx, ny+1), and its rfft, (nx//2 + 1, ny+1), which zgbsv
+    overwrites with the solution.
+    """
+    modes = grid.nx // 2 + 1
+    return (
+        np.empty((modes, grid.ny + 1, 7), dtype=complex),
+        np.empty(grid.shape),
+        np.empty((modes, grid.ny + 1), dtype=complex),
+    )
 
 
 def _step_rows(g: GridSpec, p, alpha: float, d: np.ndarray) -> np.ndarray:
     """N d over every row (see _linear_step), as the step's gate reads it.
 
-    Row 0 comes from operators._oblique_row, which keeps the d_y terms
-    at any alpha.
+    d_xx and d_yy are the products with the _dx2 and _d2_line stencil
+    matrices (_step_bands); row 0 comes from operators._oblique_row,
+    which keeps the d_y terms at any alpha.
     """
-    rows = p * _dx2(d, g.hx) + _d2_line(d, g.hy, 1)
+    bands = _step_bands(g)
+    rows = p * (bands.dx2 @ d)
+    rows += (bands.dy2 @ d.T).T
     rows[:, -1] = d[:, -1]
     rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
     return rows
 
 
 def _linear_step(
-    g: GridSpec, p, alpha: float, f: np.ndarray, stats: dict
+    g: GridSpec,
+    p,
+    alpha: float,
+    f: np.ndarray,
+    stats: dict,
+    buffers: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, float]:
     """d with N d = f, N the Picard step's operator, and the residual's norm.
 
@@ -429,34 +493,48 @@ def _linear_step(
     stencils (the periodic _dx2 in x, _d2_line in y), the oblique row
     alpha*d_x + d_y of operators._oblique_row on row 0 and d itself on
     row ny; f's wall rows are read as zero.  N commutes with the
-    x-shift, so the rfft splits it into one banded y-system per mode
-    (_step_bands).  These are the diagonal blocks of one band matrix
-    with exact zeros between blocks, so partial pivoting never reaches
-    across a block, and one zgbsv call factors and solves each block as
-    a call of its own would.  A zero pivot raises
-    PreconditionError naming the first singular mode.
+    x-shift, so the rfft splits it into one y-system per mode, folded
+    to kl = ku = 2 (_step_bands): the cached template, plus the mode's
+    symbol times the fold of diag(p), plus alpha times the oblique
+    symbol at (0, 0).  The systems are the diagonal blocks of one band
+    matrix with exact zeros between blocks, so partial pivoting never
+    reaches across a block, and one zgbsv call factors and solves each
+    block as a call of its own would.  The band and the right-hand side
+    live in buffers (_step_buffers), refilled here since zgbsv
+    overwrites both.  A zero pivot raises PreconditionError naming the
+    first singular mode.
 
     The gate is N's residual over every row (_step_rows); above
     RESIDUAL_TOL*||f|| it raises ResidualGateError.  stats takes the
-    band build as band_s and zgbsv plus the gate as solve_s.
+    band and right-hand side fill as band_s and the rfft, zgbsv and the
+    gate as solve_s.
     """
     t0 = perf_counter()
     nx, nyp = g.shape
-    symbols, band = _step_bands(g)
-    ab = np.empty((10, symbols.shape[1], nyp), dtype=complex)
-    ab[3:] = band[3:, None, :]  # zgbsv does not read the fill rows 0..2
-    ab[6, :, 1:-1] += symbols[0][:, None] * p[1:-1]
-    ab[6, :, 0] += alpha * symbols[1]
-    rhs = np.pad(f[:, 1:-1], ((0, 0), (1, 1)))
+    bands = _step_bands(g)
+    band, rhs, spec = buffers
+    band[:, :, 2:] = bands.template  # zgbsv does not read the fill rows 0..1
+    sym_p = bands.symbols[0][:, None] * p
+    band[:, 1:-1, 4] += sym_p[:, 1:-1]
+    cols, at, weights = bands.spread
+    band[:, cols, at] += weights * sym_p[:, cols]
+    band[:, 0, 4] += alpha * bands.symbols[1]
+    rhs[:, 1:-1] = f[:, 1:-1]
+    rhs[:, [0, -1]] = 0.0
+    for row, by, c in bands.folds:
+        rhs[:, row] -= c * rhs[:, by]
     t1 = perf_counter()
-    spec = np.fft.rfft(rhs, axis=0).reshape(-1, 1)
-    *_, x, info = lapack.zgbsv(3, 3, ab.reshape(10, -1), spec, overwrite_ab=1, overwrite_b=1)
+    np.fft.rfft(rhs, axis=0, out=spec)
+    *_, x, info = lapack.zgbsv(
+        2, 2, band.reshape(-1, 7).T, spec.reshape(-1, 1), overwrite_ab=1, overwrite_b=1
+    )
     if info > 0:
         raise PreconditionError(
             f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // nyp} is exactly singular"
         )
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
-    r = rhs - _step_rows(g, p, alpha, d)
+    r = np.negative(_step_rows(g, p, alpha, d))
+    r[:, 1:-1] += f[:, 1:-1]
     res, fnorm = l2_norm(Field(g, r)), l2_norm(Field(g, f))
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
@@ -531,10 +609,10 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     walls included) and, when the iteration gives up, the reason.
     stats holds the perf_counter sums residual_s (derivatives, residual
     and principal coefficients), band_s (the profile p and the step's
-    band matrix), solve_s (zgbsv and the gate) and mix_s (the mixing),
-    and per step the part of the step's stopping residual on the wall
-    rows 0 and ny (wall_norm) and the number of past steps the mixing
-    used (mixing_depth).
+    band and right-hand side), solve_s (the rfft, zgbsv and the gate)
+    and mix_s (the mixing), and per step the part of the step's
+    stopping residual on the wall rows 0 and ny (wall_norm) and the
+    number of past steps the mixing used (mixing_depth).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
@@ -550,6 +628,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     wall_weight = grid.hx * grid.y_weights()[0]
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)
+    buffers = _step_buffers(grid)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
@@ -586,7 +665,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
             )
         p = (P / Q)[inner].mean(axis=0)
         stats["band_s"] += perf_counter() - t0
-        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats)
+        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats, buffers)
         t0 = perf_counter()
         d, depth = mixing.step(d, update)
         stats["mix_s"] += perf_counter() - t0

@@ -30,6 +30,7 @@ from scipy.linalg import lapack, solve_triangular
 from .coeffs import AlphaRangeError, CoefficientSet, check_alpha, check_condition7
 from .grid import (
     Field,
+    GridError,
     GridSpec,
     boundary_integral,
     differentiate,
@@ -352,12 +353,20 @@ class FactorizedOperator:
 
         Lu is _rows(u).  Its oblique bottom row loses the u_y terms at a
         huge alpha, and would pass a wrong u, so that row is formed again
-        with u_e - u_w taken first (operators._oblique_row).
+        with u_e - u_w taken first (operators._oblique_row).  A finite
+        right-hand side near the largest double can still overflow L u;
+        that raises ValueError naming the right-hand side.
         """
         g = self.cs.grid
         r = rhs - Lu
         r[:, 0] = -_oblique_row(u, self.cs.alpha, 1.0, g)
-        return r, l2_norm(Field(g, r))
+        try:
+            return r, l2_norm(Field(g, r))
+        except GridError:  # r has the grid's shape, so it is not finite
+            raise ValueError(
+                f"the right-hand side (max |f| = {np.abs(rhs).max():.3g}) overflows L u"
+                f" on the {g.nx}x{g.ny} grid"
+            ) from None
 
     def solve(self, f: Field) -> Field:
         """u with L u = f on the interior rows and the homogeneous wall conditions."""

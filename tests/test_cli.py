@@ -370,3 +370,19 @@ def test_overflowing_right_hand_side_reports_finite_norms(tmp_path):
     assert run(["solve", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]) == 0
     plain = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["apriori_ratio"] == pytest.approx(plain["apriori_ratio"], rel=1e-12)
+
+
+def test_right_hand_side_that_overflows_L_u_is_named(tmp_path, capsys):
+    # a finite right-hand side of 1e307 overflows L u in the residual: a
+    # usage error whose one line names the right-hand side, not the field
+    # check it used to trip
+    from mixedbvp.grid import Field, make_grid, save_field
+
+    g = make_grid(16, 16)
+    f = Field.from_function(g, lambda X, Y: 1e307 * np.sin(np.pi * X) * (1.0 + Y))
+    save_field(f, tmp_path / "f.csv")
+    args = ["solve", "--nx", "16", "--ny", "16", "--rhs", f"csv:{tmp_path / 'f.csv'}"]
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert err.startswith("error: the right-hand side") and "overflows L u on the 16x16 grid" in err

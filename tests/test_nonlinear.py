@@ -318,37 +318,50 @@ def _assembled(g, rows_of):
     return sp.csc_matrix((vals, (rows, cols)), shape=(I.size, I.size))
 
 
+def _step_stats():
+    return {"band_s": 0.0, "solve_s": 0.0}
+
+
+def _spy_zgbsv(monkeypatch):
+    # the real zgbsv, and the list of (kl, ku, ab, b) of every call after
+    # this one, copied before zgbsv overwrites them
+    from scipy.linalg import lapack
+
+    zgbsv, calls = lapack.zgbsv, []
+
+    def spy(kl, ku, ab, b, **kwargs):
+        calls.append((kl, ku, ab.copy(), b.copy()))
+        return zgbsv(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgbsv", spy)
+    return zgbsv, calls
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2])
 def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha):
-    # the one stacked zgbsv call against one call per x-mode, bit for bit,
-    # and against a sparse LU of N assembled from the gate's row function
-    # applied to the identity's columns
+    # the one stacked zgbsv call on the folded kl = ku = 2 band against one
+    # call per x-mode, bit for bit, and against a sparse LU of N assembled
+    # from the gate's row function applied to the identity's columns
     import scipy.sparse.linalg as spla
-    from scipy.linalg import lapack
 
     from mixedbvp.grid import l2_norm
-    from mixedbvp.nonlinear import _linear_step, _step_rows
+    from mixedbvp.nonlinear import _linear_step, _step_buffers, _step_rows
     from mixedbvp.operators import BoundarySpec, boundary_residual
 
     g, p, f = _step_inputs(n)
     nyp = g.ny + 1
-    zgbsv, calls = lapack.zgbsv, []
-
-    def spy(kl, ku, ab, b, **kwargs):
-        calls.append((ab.copy(), b.copy()))
-        return zgbsv(kl, ku, ab, b, **kwargs)
-
-    monkeypatch.setattr(lapack, "zgbsv", spy)
-    d, res = _linear_step(g, p, alpha, f, {"band_s": 0.0, "solve_s": 0.0})
-    ((ab, b),) = calls
+    zgbsv, calls = _spy_zgbsv(monkeypatch)
+    d, res = _linear_step(g, p, alpha, f, _step_stats(), _step_buffers(g))
+    ((kl, ku, ab, b),) = calls
+    assert (kl, ku) == (2, 2) and ab.shape == (7, b.size)
     # no entry couples two blocks, so pivoting stays inside each: entry
-    # [r, c] of the band sits on row r - 6 + c of c's block (rows 0..2 are
+    # [r, c] of the band sits on row r - 4 + c of c's block (rows 0..1 are
     # the LU's fill)
-    row = np.arange(10)[:, None] - 6 + np.arange(ab.shape[1]) % nyp
-    assert not ab[3:][(row[3:] < 0) | (row[3:] >= nyp)].any()
+    row = np.arange(7)[:, None] - 4 + np.arange(ab.shape[1]) % nyp
+    assert not ab[2:][(row[2:] < 0) | (row[2:] >= nyp)].any()
     blocks = [slice(k * nyp, (k + 1) * nyp) for k in range(b.size // nyp)]
-    per_mode = np.concatenate([zgbsv(3, 3, ab[:, k], b[k])[2] for k in blocks])
+    per_mode = np.concatenate([zgbsv(2, 2, ab[:, k], b[k])[2] for k in blocks])
     assert np.array_equal(d, np.fft.irfft(per_mode.reshape(-1, nyp), n=g.nx, axis=0))
 
     N = _assembled(g, lambda e: _step_rows(g, p, alpha, e))
@@ -372,18 +385,75 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     assert np.array_equal(step[:, 0], bottom) and np.array_equal(step[:, -1], top)
 
 
+def _mode_systems(g, p, alpha):
+    # the unfolded y-system of every x-mode, (nx//2 + 1, ny+1, ny+1), read
+    # off the gate's row function: N is x-shift invariant, so the rfft in x
+    # of N applied to a unit column at x-node 0 is column j of each mode's
+    # system
+    from mixedbvp.nonlinear import _step_rows
+
+    nyp = g.ny + 1
+    A = np.empty((g.nx // 2 + 1, nyp, nyp), dtype=complex)
+    for j in range(nyp):
+        e = np.zeros(g.shape)
+        e[0, j] = 1.0
+        A[:, :, j] = np.fft.rfft(_step_rows(g, p, alpha, e), axis=0)
+    return A
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
+    # the folded template has no entry outside kl = ku = 2, and each mode's
+    # folded band system (as zgbsv receives it) solves the unfolded
+    # y-system: np.linalg.solve on the system read off _step_rows columns
+    from mixedbvp.nonlinear import _linear_step, _step_bands, _step_buffers
+
+    g, p, f = _step_inputs(n)
+    nyp, alpha = g.ny + 1, 0.6
+    A = _mode_systems(g, p, alpha)
+
+    # mode 0 has both symbols 0, so its system is the template's, unfolded;
+    # folded as _step_bands folds it, nothing is left outside the band
+    # (measured: exactly 0), and inside it the template holds the rest
+    bands = _step_bands(g)
+    folded = A[0].real.copy()
+    for row, by, c in bands.folds:
+        folded[row] -= c * folded[by]
+    i, j = np.indices(folded.shape)
+    inside = np.abs(i - j) <= 2
+    assert np.abs(folded[~inside]).max() <= 1e-15 * np.abs(A[0].real).max()
+    dense = np.zeros_like(folded)
+    dense[inside] = bands.template[j[inside], 2 + i[inside] - j[inside]]
+    assert np.allclose(dense, np.where(inside, folded, 0.0), rtol=1e-15, atol=0.0)
+
+    zgbsv, calls = _spy_zgbsv(monkeypatch)
+    _linear_step(g, p, alpha, f, _step_stats(), _step_buffers(g))
+    ((_, _, ab, b),) = calls
+    rhs = f.copy()
+    rhs[:, [0, -1]] = 0.0
+    spec = np.fft.rfft(rhs, axis=0)
+    # measured <= 9.2e-13 (256^2, mode 0, where cond = 2.1e6); the unfolded
+    # kl = ku = 3 band solve differs from np.linalg.solve by 2.8e-13 there
+    nyquist = g.nx // 2
+    for k in sorted({0, 1, 2, nyquist // 2, nyquist - 1, nyquist}):
+        block = slice(k * nyp, (k + 1) * nyp)
+        got = zgbsv(2, 2, ab[:, block], b[block])[2].ravel()
+        ref = np.linalg.solve(A[k], spec[k])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), k
+
+
 def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
     # with no top row every mode's system is singular; the first is named
     from mixedbvp import nonlinear
     from mixedbvp.solver import PreconditionError
 
     g, p, f = _step_inputs(16)
-    symbols, band = nonlinear._step_bands(g)
-    band = band.copy()
-    band[6, -1] = 0.0
-    monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: (symbols, band))
+    bands = nonlinear._step_bands(g)
+    template = bands.template.copy()
+    template[-1, 2] = 0.0  # the top row's identity entry (ny, ny)
+    monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: bands._replace(template=template))
     with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular"):
-        nonlinear._linear_step(g, p, 0.6, f, {"band_s": 0.0, "solve_s": 0.0})
+        nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
 
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
@@ -487,11 +557,16 @@ def test_split_derivatives_match_the_stencil_composition(n):
 def test_derivative_matrices_are_shared_per_grid():
     from mixedbvp import nonlinear
 
+    # built once: the ma solve's seam split builds them, its step bands
+    # slice the gate's blocks off them, and the darboux solve's split
+    # reuses them (its step bands are cached too)
     nonlinear._derivative_matrices.cache_clear()
+    nonlinear._step_bands.cache_clear()
     _cli_solve("ma", 32)
     _cli_solve("darboux", 32)
     info = nonlinear._derivative_matrices.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 2)
+    assert nonlinear._step_bands.cache_info().misses == 1
     small = nonlinear._derivative_matrices(make_grid(32, 32))
     large = nonlinear._derivative_matrices(make_grid(48, 48))
     assert nonlinear._derivative_matrices.cache_info().misses == 2

@@ -17,8 +17,10 @@ and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); Picard ma
 and darboux from the CLI start; the u and the GMRES step count of
 perfbench Linear(11), Linear(12) and Linear(13) op 0 (x-dependent
 lower_order at 128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops
-0-13.  One BLAS thread, so a library's threading cannot
-make two runs differ.
+0-13.  Each Picard run also prints its iterations and converged on
+lines of their own, so a change that moves the iterates by round-off,
+and so their hash, shows whether it moved the step counts.  One BLAS
+thread, so a library's threading cannot make two runs differ.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ def emit(name: str, *arrays) -> None:
             a = np.ascontiguousarray(a).view(float)
         h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     print(f"{name} {h.hexdigest()}")
+
+
+def print_counts(name: str, rep) -> None:
+    # a Picard run's step count and outcome, printed as they are
+    print(f"{name}/iterations {rep.iterations}")
+    print(f"{name}/converged {rep.converged}")
 
 
 def main(tree: Path) -> None:
@@ -122,6 +130,7 @@ def main(tree: Path) -> None:
             z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
             rep = solve(K, nonlinear.GraphSurface(z0, cfg.rho), params=params)
             emit(f"picard/{name}/{n}", rep.final_z.z.values, rep.residual_history)
+            print_counts(f"picard/{name}/{n}", rep)
 
     for seed in (11, 12, 13):  # x-dependent lower_order at 128^2: GMRES steps
         lin = workloads.Linear(seed)
@@ -145,6 +154,7 @@ def main(tree: Path) -> None:
                 print(f"perfbench/picard/{i}/{k} raised {type(exc).__name__}: {exc}")
                 continue
             emit(f"perfbench/picard/{i}/{k}", rep.final_z.z.values, rep.residual_history)
+            print_counts(f"perfbench/picard/{i}/{k}", rep)
 
 
 if __name__ == "__main__":
