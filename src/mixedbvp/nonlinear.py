@@ -72,8 +72,7 @@ class MetricData:
     h22: Field
 
     def __post_init__(self):
-        det = self.h11.values * self.h22.values - self.h12.values**2
-        if np.any(self.h11.values <= 0.0) or np.any(det <= 0.0):
+        if np.any(self.h11.values <= 0.0) or np.any(self.det() <= 0.0):
             raise DegenerateMetricError("metric must be positive definite pointwise")
 
     def inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,73 +112,52 @@ ANDERSON_DEPTH = 5
 
 
 # ---------------------------------------------------------------------------
-# cubic-exact, non-periodic finite differences for graph quantities
+# quartic-exact, non-periodic finite differences for graph quantities
 # ---------------------------------------------------------------------------
 
-def _edge_table(near: list[list[float]], far_sign: float) -> np.ndarray:
-    """(5, 4) table: entry [t, r] weights node t of edge row r in (0, 1, -2, -1).
-
-    near holds rows 0 and 1 over the nodes 0..4; the far rows -1 and -2
-    take the same weights over the mirrored nodes -1..-5, times far_sign.
-    """
-    near = np.array(near)
-    return np.stack([near[0], near[1], far_sign * near[1], far_sign * near[0]], axis=1)
-
-
-# the one-sided edge rows of _d1_line and _d2_line, times 12 h and 12 h^2
-_EDGE_WEIGHTS = {
-    1: _edge_table([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]], -1.0),
-    2: _edge_table([[35.0, -104.0, 114.0, -56.0, 11.0], [11.0, -20.0, 6.0, 4.0, -1.0]], 1.0),
+# the order-th graph stencil's weights times 12 h^order: the centred row
+# over the offsets -2..2, the one-sided rows 0 and 1 over the nodes 0..4,
+# and the sign that mirrors rows 0 and 1 into rows -1 and -2 over the
+# nodes -1..-5.  Every row is exact on quartics
+_GRAPH_WEIGHTS = {
+    1: ([1, -8, 0, 8, -1], [[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]], -1),
+    2: ([-1, 16, -30, 16, -1], [[35, -104, 114, -56, 11], [11, -20, 6, 4, -1]], 1),
 }
-_EDGE_ROWS = [0, 1, -2, -1]
-# node t of each edge row: t at the near edge, -1 - t at the far edge
-_EDGE_NODES = np.array([[t, t, -1 - t, -1 - t] for t in range(5)])
 
 
-def _edge_rows(v: np.ndarray, order: int) -> np.ndarray:
-    """Rows 0, 1, -2 and -1 of the order-th line stencil times 12 h^order.
+@lru_cache(maxsize=32)
+def _line_matrix(n: int, order: int) -> sp.csr_matrix:
+    """The order-th graph stencil on n nodes times 12 h^order, (n, n).
 
-    Summed term by term in node order, as the per-row expressions are:
-    adding (-w)*x rounds as subtracting w*x does.
+    Its entries are the integer weights, so the stencil of a constant
+    sums to exactly 0; callers divide by _line_scale after the product.
     """
-    w = _EDGE_WEIGHTS[order].reshape((5, 4) + (1,) * (v.ndim - 1))
-    nodes = v[_EDGE_NODES]
-    acc = w[0] * nodes[0]
-    for t in range(1, 5):
-        acc += w[t] * nodes[t]
-    return acc
+    centred, near, far_sign = _GRAPH_WEIGHTS[order]
+    m = np.zeros((n, n))
+    rows = np.arange(2, n - 2)[:, None]
+    m[rows, rows + np.arange(-2, 3)] = centred
+    m[:2, :5] = near
+    m[-2:] = far_sign * m[1::-1, ::-1]
+    return sp.csr_matrix(m)
 
 
-def _d1_line(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # fourth order throughout; every stencil is exact on quartics.  v is
-    # 2-D, so swapping the axes moves the stencil's axis to the front
-    v = v.swapaxes(0, axis)
-    out = np.empty_like(v)
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    out[_EDGE_ROWS] = _edge_rows(v, 1) / (12.0 * h)
-    return out.swapaxes(0, axis)
-
-
-def _d2_line(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    v = v.swapaxes(0, axis)
-    out = np.empty_like(v)
-    out[2:-2] = (
-        -v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]
-    ) / (12.0 * h * h)
-    out[_EDGE_ROWS] = _edge_rows(v, 2) / (12.0 * h * h)
-    return out.swapaxes(0, axis)
+def _line_scale(h: float, order: int) -> float:
+    """12 h^order, rounded as 12 h and (12 h) h."""
+    return 12.0 * h * h ** (order - 1)
 
 
 def graph_dx(u: Field, order: int = 1) -> Field:
     if u.grid.nx < 5:
         raise ValueError("graph differentiation needs at least 5 x-nodes")
-    op = _d1_line if order == 1 else _d2_line
-    return Field(u.grid, op(u.values, u.grid.hx, 0))
+    d = _line_matrix(u.grid.nx, order) @ u.values
+    d /= _line_scale(u.grid.hx, order)
+    return Field(u.grid, d)
 
 
 def graph_dy(u: Field, order: int = 1) -> Field:
-    op = _d1_line if order == 1 else _d2_line
-    return Field(u.grid, op(u.values, u.grid.hy, 1))
+    d = _line_matrix(u.grid.ny + 1, order) @ u.values.T
+    # in graph_dx's C order, which the callers' elementwise products read fastest
+    return Field(u.grid, np.divide(d.T, _line_scale(u.grid.hy, order), order="C"))
 
 
 def cutoff_profile(grid: GridSpec) -> np.ndarray:
@@ -217,7 +195,7 @@ def curvature_residual(z: GraphSurface, K: Field) -> Field:
 
 
 def christoffel_symbols(h: MetricData):
-    """The six Christoffel symbols of h from centered metric differences."""
+    """The six Christoffel symbols of h, its derivatives from the graph stencils."""
     ih11, ih12, ih22 = h.inverse()
     h11x, h11y = graph_dx(h.h11).values, graph_dy(h.h11).values
     h12x, h12y = graph_dx(h.h12).values, graph_dy(h.h12).values
@@ -297,17 +275,22 @@ def _stencil_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """The stencils of _SplitDerivatives as sparse matrices, read off the identity.
+    """The stencils of _SplitDerivatives as sparse matrices.
 
     x: the periodic _dx1 over _dx2, (2 nx, nx), applied from the left to
-    an (nx, ny+1) array.  y: _d1_line over _d2_line, (2 (ny+1), ny+1),
-    applied from the left to the transposed array, and its _d1_line
-    block alone.
+    an (nx, ny+1) array.  y: the first- over the second-order graph
+    stencil, (2 (ny+1), ny+1), applied from the left to the transposed
+    array, and its first-order block alone.  The y-weights are the
+    _line_matrix entries each divided by _line_scale, as graph_dy
+    divides; a scipy matrix divided by a scalar would multiply by the
+    reciprocal instead.
     """
-    eye = np.eye(grid.ny + 1)
+    nyp = grid.ny + 1
     dx = sp.csr_matrix(np.vstack([_x_matrix(grid, 1), _x_matrix(grid, 2)]))
-    dy = sp.csr_matrix(np.vstack([_d1_line(eye, grid.hy, 0), _d2_line(eye, grid.hy, 0)]))
-    return dx, dy, dy[: grid.ny + 1]
+    dy = sp.csr_matrix(
+        np.vstack([_line_matrix(nyp, k).toarray() / _line_scale(grid.hy, k) for k in (1, 2)])
+    )
+    return dx, dy, dy[:nyp]
 
 
 class _SplitDerivatives:
@@ -404,10 +387,11 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     symbols, (2, nx//2 + 1): the symbols on the rfft modes of the
     periodic _dx2 and of the oblique row's 3-point u_x.
 
-    The y-part of each mode's system has the _d2_line rows on rows
-    1..ny-1, the oblique row's _BOTTOM_DY u_y on row 0 and the identity
-    on row ny, and three rows reach three nodes: row 1 node 4, row 0
-    node 3 and row ny-1 node ny-4.  folds eliminates those entries in
+    The y-part of each mode's system has the second-order graph stencil
+    (the y-template, read off _derivative_matrices) on rows 1..ny-1,
+    the oblique row's _BOTTOM_DY u_y on row 0 and the identity on row
+    ny, and three rows reach three nodes: row 1 node 4, row 0 node 3
+    and row ny-1 node ny-4.  folds eliminates those entries in
     turn, each (row, by, c) meaning row -= c*by: row 1 with row 2, row
     0 with the folded row 1, row ny-1 with row ny-2, which leaves
     kl = ku = 2.  Each c divides two off-diagonal stencil weights
@@ -420,13 +404,14 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     (ny-1, ny-2); spread holds their columns j, their band rows
     4 + i - j and their weights.
 
-    dx2, dy2: the _dx2 and _d2_line blocks of _derivative_matrices,
+    dx2, dy2: the _dx2 and second-order y blocks of _derivative_matrices,
     with which the gate applies N (_step_rows).
     """
     ny, nyp = grid.ny, grid.ny + 1
     eye = np.eye(grid.nx)
     symbols = np.fft.rfft([_dx2(eye, grid.hx)[:, 0], _dx1_3(eye, grid.hx)[:, 0]], axis=1)
-    rows = _d2_line(np.eye(nyp), grid.hy, 0)
+    dx, dy, _ = _derivative_matrices(grid)
+    rows = dy[nyp:].toarray()
     rows[[0, -1]] = 0.0
     rows[0, :4], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
     fold = np.eye(nyp)
@@ -441,7 +426,6 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     template = np.zeros((nyp, 5))
     template[j, 2 + i - j] = rows[i, j]
     i, j = np.nonzero(fold - np.eye(nyp))
-    dx, dy, _ = _derivative_matrices(grid)
     return _StepBands(
         symbols, template, tuple(folds), (j, 4 + i - j, fold[i, j]), dx[grid.nx :], dy[nyp:]
     )
@@ -467,9 +451,9 @@ def _step_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _step_rows(g: GridSpec, p, alpha: float, d: np.ndarray) -> np.ndarray:
     """N d over every row (see _linear_step), as the step's gate reads it.
 
-    d_xx and d_yy are the products with the _dx2 and _d2_line stencil
-    matrices (_step_bands); row 0 comes from operators._oblique_row,
-    which keeps the d_y terms at any alpha.
+    d_xx and d_yy are the products with the _dx2 and second-order graph
+    stencil matrices (_step_bands); row 0 comes from
+    operators._oblique_row, which keeps the d_y terms at any alpha.
     """
     bands = _step_bands(g)
     rows = p * (bands.dx2 @ d)
@@ -490,9 +474,9 @@ def _linear_step(
     """d with N d = f, N the Picard step's operator, and the residual's norm.
 
     N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
-    stencils (the periodic _dx2 in x, _d2_line in y), the oblique row
-    alpha*d_x + d_y of operators._oblique_row on row 0 and d itself on
-    row ny; f's wall rows are read as zero.  N commutes with the
+    stencils (the periodic _dx2 in x, the second-order graph stencil in
+    y), the oblique row alpha*d_x + d_y of operators._oblique_row on row
+    0 and d itself on row ny; f's wall rows are read as zero.  N commutes with the
     x-shift, so the rfft splits it into one y-system per mode, folded
     to kl = ku = 2 (_step_bands): the cached template, plus the mode's
     symbol times the fold of diag(p), plus alpha times the oblique

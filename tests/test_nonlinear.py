@@ -30,7 +30,7 @@ RHO = 0.25
 
 
 def _line_stencils_per_row(v, h, axis):
-    # the per-row expressions the vectorized edge rows replaced
+    # the graph stencils written row by row, the oracle of their matrices
     v = np.moveaxis(v, axis, 0)
     d1, d2 = np.empty_like(v), np.empty_like(v)
     d1[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
@@ -54,13 +54,23 @@ def _line_stencils_per_row(v, h, axis):
 @pytest.mark.parametrize("shape", [(5, 5), (16, 9), (64, 65), (33, 128)])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_line_stencils_bit_identical_to_per_row(shape, axis):
-    from mixedbvp.nonlinear import _d1_line, _d2_line
+    # the matrix rows add their terms in column order, as the oracle does
+    # on every row but the two at the far edge, which it sums from the
+    # edge inward; those agree to round-off of the row's absolute terms
+    # (measured 3.7e-16)
+    from mixedbvp.nonlinear import _line_matrix
 
+    g = make_grid(shape[0], shape[1] - 1)
     v = np.random.default_rng(shape[0] + axis).standard_normal(shape)
-    h = 2.0 / (shape[axis] - 1)
-    d1, d2 = _line_stencils_per_row(v, h, axis)
-    assert np.array_equal(_d1_line(v, h, axis), d1)
-    assert np.array_equal(_d2_line(v, h, axis), d2)
+    graph_d, h = (graph_dx, g.hx) if axis == 0 else (graph_dy, g.hy)
+    for order, ref in enumerate(_line_stencils_per_row(v, h, axis), start=1):
+        got = graph_d(Field(g, v), order).values
+        assert got.flags.c_contiguous
+        got, ref = np.moveaxis(got, axis, 0), np.moveaxis(ref, axis, 0)
+        assert np.array_equal(got[:-2], ref[:-2])
+        terms = abs(_line_matrix(shape[axis], order))[-2:] @ np.abs(np.moveaxis(v, axis, 0))
+        terms /= 12.0 * h**order
+        assert np.all(np.abs(got[-2:] - ref[-2:]) <= 1e-15 * terms)
 
 
 def test_curvature_residual_manufactured_zero():
@@ -101,6 +111,8 @@ def test_hessian_term_affine_invariant():
 
 
 def test_graph_derivatives_quartic_exact():
+    from mixedbvp.nonlinear import _line_matrix, _stencil_weights
+
     g = make_grid(32, 32)
     z = Field.from_function(g, lambda X, Y: Y**4 - X**4 + X**2 * Y)
     X, Y = g.meshes()
@@ -108,6 +120,21 @@ def test_graph_derivatives_quartic_exact():
     assert np.abs(graph_dy(z, 2).values - 12 * Y**2).max() < 1e-8
     assert np.abs(graph_dx(z, 1).values - (-4 * X**3 + 2 * X * Y)).max() < 1e-9
     assert np.abs(graph_dx(z, 2).values - (-12 * X**2 + 2 * Y)).max() < 1e-8
+    # each row of the weight table is 12 h^order times the weights exact
+    # on quartics over its five nodes (measured 3.9e-14), and zero elsewhere
+    n, h = g.ny + 1, g.hy
+    for order in (1, 2):
+        m = _line_matrix(n, order).toarray()
+        for i in range(n):
+            nodes = np.arange(5) + min(max(i - 2, 0), n - 5)
+            w = 12.0 * h**order * _stencil_weights((nodes - i) * h, order)
+            assert np.abs(m[i, nodes] - w).max() <= 1e-11, (order, i)
+            assert np.count_nonzero(m[i]) == np.count_nonzero(m[i, nodes])
+    # the integer weights of every row sum to exactly 0
+    one = Field.constant(g, 1.0)
+    for order in (1, 2):
+        assert np.all(graph_dx(one, order).values == 0.0)
+        assert np.all(graph_dy(one, order).values == 0.0)
 
 
 def test_covariant_hessian_flat_metric():
@@ -501,7 +528,7 @@ def _stencil_composition(split, d):
     # Also returns each entry's round-off scale, the sum of the absolute
     # terms the stencils add up (Higham's |D| |v|)
     from mixedbvp.grid import _dx1, _dx2
-    from mixedbvp.nonlinear import _d1_line, _d2_line, _derivative_matrices
+    from mixedbvp.nonlinear import _derivative_matrices
 
     g = split.grid
     hx, hy, nx = g.hx, g.hy, g.nx
@@ -509,12 +536,15 @@ def _stencil_composition(split, d):
     czx, czxx = split._carrier_x[:nx], split._carrier_x[nx:]
     p = split._periodic_base + d
     px = _dx1(p, hx)
+    (cz1, cz2), (p1, p2), (czx1, _), (px1, _) = (
+        _line_stencils_per_row(v, hy, 1) for v in (cz, p, czx, px)
+    )
     ref = {
         "zx": czx + px,
-        "zy": _d1_line(cz, hy, 1) + _d1_line(p, hy, 1),
+        "zy": cz1 + p1,
         "zxx": czxx + _dx2(p, hx),
-        "zxy": _d1_line(czx, hy, 1) + _d1_line(px, hy, 1),
-        "zyy": _d2_line(cz, hy, 1) + _d2_line(p, hy, 1),
+        "zxy": czx1 + px1,
+        "zyy": cz2 + p2,
     }
     dx, dy, dy1 = (abs(m) for m in _derivative_matrices(g))
     dy2 = dy[g.ny + 1 :]
@@ -562,11 +592,15 @@ def test_derivative_matrices_are_shared_per_grid():
     # reuses them (its step bands are cached too)
     nonlinear._derivative_matrices.cache_clear()
     nonlinear._step_bands.cache_clear()
+    nonlinear._line_matrix.cache_clear()
     _cli_solve("ma", 32)
     _cli_solve("darboux", 32)
     info = nonlinear._derivative_matrices.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert nonlinear._step_bands.cache_info().misses == 1
+    # the y-stencils of both orders on 33 nodes, and the first-order
+    # x-stencil on 32 that darboux's Christoffel symbols add
+    assert nonlinear._line_matrix.cache_info().misses == 3
     small = nonlinear._derivative_matrices(make_grid(32, 32))
     large = nonlinear._derivative_matrices(make_grid(48, 48))
     assert nonlinear._derivative_matrices.cache_info().misses == 2

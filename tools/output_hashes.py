@@ -13,8 +13,12 @@ multipliers m2, and m3 broadcast to one complex entry per mode);
 solve_linear's u, residual and a priori ratio; the auxiliary solve's u
 and iterations; energy ratios, dual constants
 and auxiliary iterations; the five seam-split derivatives of the ma
-and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); Picard ma
-and darboux from the CLI start; the u and the GMRES step count of
+and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); the public
+graph path at the same starts (curvature_residual at the ma start,
+darboux_residual at the darboux start, covariant_hessian at both, all
+in the flat metric) and christoffel_symbols of the curved metric
+(1 + f_x^2, f_x f_y, 1 + f_y^2) induced by the darboux pair's height f;
+Picard ma and darboux from the CLI start; the u and the GMRES step count of
 perfbench Linear(11), Linear(12) and Linear(13) op 0 (x-dependent
 lower_order at 128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops
 0-13.  Each Picard run also prints its iterations and converged on
@@ -104,15 +108,31 @@ def main(tree: Path) -> None:
 
     cfg = cli.RunConfig()
     g = grid.make_grid(64, 64)
+    flat = nonlinear.flat_metric(g)
     for name, pair in (
         ("ma", cli.manufactured_curvature_pair),
         ("darboux", cli.manufactured_darboux_pair),
     ):
-        z_star, _ = pair(g, cfg.rho)
+        z_star, K = pair(g, cfg.rho)
         z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
         dv = nonlinear._SplitDerivatives(z0).at(0)
         for key in ("zx", "zy", "zxx", "zxy", "zyy"):
             emit(f"split/{name}/64/{key}", dv[key])
+        surface = nonlinear.GraphSurface(z0, cfg.rho)
+        if name == "ma":
+            emit("graph/ma/64/curvature_residual", nonlinear.curvature_residual(surface, K).values)
+        else:
+            res = nonlinear.darboux_residual(surface, K, flat)
+            emit("graph/darboux/64/darboux_residual", res.values)
+        H = nonlinear.covariant_hessian(z0, flat)
+        emit(f"graph/{name}/64/covariant_hessian", *(c.values for c in H))
+    # the flat metric's derivatives are all zero; the metric induced by
+    # the darboux pair's height f is curved
+    fx, fy = nonlinear.graph_dx(z_star).values, nonlinear.graph_dy(z_star).values
+    induced = nonlinear.MetricData(
+        grid.Field(g, 1.0 + fx**2), grid.Field(g, fx * fy), grid.Field(g, 1.0 + fy**2)
+    )
+    emit("graph/darboux/64/christoffel_induced", *nonlinear.christoffel_symbols(induced))
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
