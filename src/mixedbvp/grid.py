@@ -10,6 +10,7 @@ y = -1 and y = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -218,11 +219,23 @@ def derivative_st(u: Field, s: int, t: int) -> Field:
 # quadrature
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _quadrature_row(grid: GridSpec) -> np.ndarray:
+    """hx * y_weights(), read-only: the weight of each y-row's sum over x."""
+    w = grid.hx * grid.y_weights()
+    w.flags.writeable = False
+    return w
+
+
+def _weighted_sum(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
+    # the products summed over x per y-row, then one dot with the row weights
+    return float(np.einsum("ij,ij->j", u, v) @ _quadrature_row(grid))
+
+
 def inner_product(u: Field, v: Field) -> float:
     """L2(Omega) inner product: rectangle rule in x, trapezoid in y."""
     g = _check_same_grid(u, v)
-    wy = g.y_weights()
-    return float(g.hx * np.sum(u.values * v.values * wy[None, :]))
+    return _weighted_sum(g, u.values, v.values)
 
 
 def _root_of_squares(squares, u: Field) -> float:
@@ -240,8 +253,28 @@ def _root_of_squares(squares, u: Field) -> float:
     return top * float(np.sqrt(squares(Field(u.grid, u.values / top))))
 
 
+def _l2_norm(grid: GridSpec, values: np.ndarray) -> float:
+    """l2_norm of an array of the grid's shape, for callers that hold no Field.
+
+    A finite sum of squares means every entry is finite; otherwise the
+    array goes through Field, which raises GridError on a non-finite
+    entry, and _root_of_squares rescales one that overflows.
+    """
+    total = _weighted_sum(grid, values, values)
+    if np.isfinite(total):
+        return float(np.sqrt(total))
+    return _root_of_squares(lambda w: inner_product(w, w), Field(grid, values))
+
+
 def l2_norm(u: Field) -> float:
-    return _root_of_squares(lambda w: inner_product(w, w), u)
+    """The L2(Omega) norm, sqrt(inner_product(u, u)), finite for every finite u.
+
+    The products are summed with one cached weight row per grid
+    (_weighted_sum); a field whose squares overflow is rescaled by its
+    largest entry first (_root_of_squares), and a non-finite entry
+    raises GridError.
+    """
+    return _l2_norm(u.grid, u.values)
 
 
 def strip_inner_product(u: Field, v: Field, y_min: float, y_max: float) -> float:
@@ -281,7 +314,7 @@ def rfft_part_weights(grid: GridSpec) -> np.ndarray:
     """Weights of the real and imaginary parts of one x-mode of a field's
     rfft along x, side by side: the quadrature weights along y times hx,
     each twice (see mode_power)."""
-    return np.repeat(grid.hx * grid.y_weights(), 2)
+    return np.repeat(_quadrature_row(grid), 2)
 
 
 def mode_power(spec: np.ndarray, nx: int, part_weights: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, isfinite, sqrt
 from time import perf_counter
 from typing import NamedTuple
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .coeffs import AlphaRangeError, condition7prime_margin
-from .grid import Field, GridSpec, _dx1_3, _dx2, l2_norm
+from .grid import Field, GridError, GridSpec, _dx1_3, _dx2, _l2_norm, _quadrature_row
 from .norms import _x_matrix
 from .operators import _BOTTOM_DY, _oblique_row
 from .solver import RESIDUAL_TOL, PreconditionError, ResidualGateError
@@ -74,6 +74,16 @@ class MetricData:
     def __post_init__(self):
         if np.any(self.h11.values <= 0.0) or np.any(self.det() <= 0.0):
             raise DegenerateMetricError("metric must be positive definite pointwise")
+
+    @cached_property
+    def geometry(self):
+        """(inverse(), christoffel_symbols(self), det()), built on first use and kept.
+
+        Every Darboux solve and residual in this metric reads them from
+        here.  h11, h12 and h22 are not to be changed in place, or
+        replaced, once it is built.
+        """
+        return self.inverse(), christoffel_symbols(self), self.det()
 
     def inverse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         det = self.det()
@@ -242,8 +252,7 @@ def covariant_hessian(z: Field, h: MetricData) -> tuple[Field, Field, Field]:
 
 def darboux_residual(z: GraphSurface, K: Field, h: MetricData) -> Field:
     """det(cov Hessian) - K det(h) (1 - |grad_h z|^2)."""
-    dv = _graph_derivatives(z.z)
-    return Field(z.z.grid, _darboux(dv, K, h.inverse(), christoffel_symbols(h), h.det()))
+    return Field(z.z.grid, _darboux(_graph_derivatives(z.z), K, *h.geometry))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +280,22 @@ def _stencil_weights(offsets: np.ndarray, deriv: int) -> np.ndarray:
     rhs = np.zeros(n)
     rhs[deriv] = float(factorial(deriv))
     return np.linalg.solve(V, rhs)
+
+
+# the nodes per side of the seam-jump extrapolation
+_SEAM_NODES = 7
+
+
+@lru_cache(maxsize=16)
+def _seam_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Sextic extrapolation weights of value and slope to the seam x = 1.
+
+    The value's and the slope's from the last _SEAM_NODES columns, then
+    the value's and the slope's from the first _SEAM_NODES columns.
+    """
+    left = np.arange(-_SEAM_NODES, 0) * grid.hx
+    right = np.arange(0, _SEAM_NODES) * grid.hx
+    return tuple(_stencil_weights(nodes, k) for nodes in (left, right) for k in (0, 1))
 
 
 @lru_cache(maxsize=16)
@@ -324,19 +349,12 @@ class _SplitDerivatives:
         self.grid = g
         self.base = z0.values.copy()
         self._dx, self._dy, self._dy1 = _derivative_matrices(g)
-        hx = g.hx
         # sextic extrapolation of value and slope to the seam x = 1; a slope
         # jump misjudged by delta reappears as delta/h noise in the periodic
         # second difference, so the jump estimate must be high order
-        npts = 7
-        left = np.arange(-npts, 0) * hx
-        w_val_l = _stencil_weights(left, 0)
-        w_der_l = _stencil_weights(left, 1)
-        right = np.arange(0, npts) * hx
-        w_val_r = _stencil_weights(right, 0)
-        w_der_r = _stencil_weights(right, 1)
-        vl = self.base[-npts:, :]
-        vr = self.base[:npts, :]
+        w_val_l, w_der_l, w_val_r, w_der_r = _seam_weights(g)
+        vl = self.base[-_SEAM_NODES:, :]
+        vr = self.base[:_SEAM_NODES, :]
         j0 = w_val_l @ vl - w_val_r @ vr
         j1 = w_der_l @ vl - w_der_r @ vr
         x = g.x[:, None]
@@ -351,8 +369,9 @@ class _SplitDerivatives:
     def at(self, d_vals: np.ndarray) -> dict[str, np.ndarray]:
         g = self.grid
         nx, nyp = g.shape
-        # the Field of the iterate checks that it is finite
-        p = Field(g, self._periodic_base + d_vals).values
+        p = self._periodic_base + d_vals
+        if not np.isfinite(p).all():
+            raise GridError("field contains non-finite entries")
         x = self._dx @ p
         xy = self._dy1 @ x[:nx].T
         y = self._dy @ p.T
@@ -397,10 +416,11 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     kl = ku = 2.  Each c divides two off-diagonal stencil weights
     (c = 1, -h/3 and 1), which no mode's symbol touches, so one fold
     serves every mode and the right-hand side is folded in physical
-    space.  template, (ny+1, 5): the folded rows in LAPACK's band
-    storage for kl = ku = 2 without its fill rows, entry (i, j) at
-    [j, 2 + i - j].  spread: the fold applied to diag(p) is diag(p) on
-    rows 1..ny-1 plus the entries (0, 1), (0, 2), (1, 2) and
+    space.  template, (ny+1, 7), complex: the folded rows as one mode's
+    block of the step's band (_step_buffers), entry (i, j) at
+    [j, 4 + i - j], with its fill rows 0..1 zero, so that a step copies
+    it whole over every mode.  spread: the fold applied to diag(p) is
+    diag(p) on rows 1..ny-1 plus the entries (0, 1), (0, 2), (1, 2) and
     (ny-1, ny-2); spread holds their columns j, their band rows
     4 + i - j and their weights.
 
@@ -423,8 +443,8 @@ def _step_bands(grid: GridSpec) -> _StepBands:
         fold[row] -= c * fold[by]
         folds.append((row, by, c))
     i, j = np.nonzero(rows)
-    template = np.zeros((nyp, 5))
-    template[j, 2 + i - j] = rows[i, j]
+    template = np.zeros((nyp, 7), dtype=complex)
+    template[j, 4 + i - j] = rows[i, j]
     i, j = np.nonzero(fold - np.eye(nyp))
     return _StepBands(
         symbols, template, tuple(folds), (j, 4 + i - j, fold[i, j]), dx[grid.nx :], dy[nyp:]
@@ -456,7 +476,8 @@ def _step_rows(g: GridSpec, p, alpha: float, d: np.ndarray) -> np.ndarray:
     operators._oblique_row, which keeps the d_y terms at any alpha.
     """
     bands = _step_bands(g)
-    rows = p * (bands.dx2 @ d)
+    rows = bands.dx2 @ d
+    rows *= p
     rows += (bands.dy2 @ d.T).T
     rows[:, -1] = d[:, -1]
     rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
@@ -497,7 +518,7 @@ def _linear_step(
     nx, nyp = g.shape
     bands = _step_bands(g)
     band, rhs, spec = buffers
-    band[:, :, 2:] = bands.template  # zgbsv does not read the fill rows 0..1
+    band[:] = bands.template
     sym_p = bands.symbols[0][:, None] * p
     band[:, 1:-1, 4] += sym_p[:, 1:-1]
     cols, at, weights = bands.spread
@@ -517,14 +538,29 @@ def _linear_step(
             f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // nyp} is exactly singular"
         )
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
-    r = np.negative(_step_rows(g, p, alpha, d))
+    r = _step_rows(g, p, alpha, d)
+    np.negative(r, out=r)
     r[:, 1:-1] += f[:, 1:-1]
-    res, fnorm = l2_norm(Field(g, r)), l2_norm(Field(g, f))
+    res, fnorm = _l2_norm(g, r), _l2_norm(g, f)
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
     if res > RESIDUAL_TOL * fnorm:
         raise ResidualGateError(res / fnorm, r, g, alpha)
     return d, res
+
+
+@lru_cache(maxsize=16)
+def _residual_weights(grid: GridSpec) -> tuple[np.ndarray, slice, float]:
+    """What _picard weighs every residual of a solve on the grid with.
+
+    The cutoff profile as a read-only (nx, 1) column, the inner region
+    |x| <= 1/2 as a slice of the x-nodes, and the quadrature weight of
+    a wall row's squares.
+    """
+    chi = cutoff_profile(grid)[:, None]
+    chi.flags.writeable = False
+    inner = np.flatnonzero(np.abs(grid.x) <= 0.5)
+    return chi, slice(int(inner[0]), int(inner[-1]) + 1), float(_quadrature_row(grid)[0])
 
 
 class _AndersonMixing:
@@ -562,13 +598,18 @@ class _AndersonMixing:
         self.last_x[:] = xv
         self.last_f[:] = fv
         self.count += 1
-        out = x + self.beta * f
+        out = self.beta * f
+        out += x
         if k:
             dX, dF = self.dX[:k], self.dF[:k]
             fit = lapack.dgelss(self.gram[:k, :k], dF @ fv, cond=k * np.finfo(float).eps)
             gamma, info = fit[1], fit[-1]
             if info == 0:  # else the SVD did not converge: take the damped step
-                out -= (gamma @ dX + self.beta * (gamma @ dF)).reshape(x.shape)
+                # (dX + beta*dF)^T gamma, summed in place
+                fix = gamma @ dF
+                fix *= self.beta
+                fix += gamma @ dX
+                out -= fix.reshape(x.shape)
         return out, k
 
 
@@ -586,8 +627,17 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     stays lagged on the right-hand side through the full nonlinear
     residual.  The fixed-point map is d -> d + update, and each step
     mixes it with up to ANDERSON_DEPTH past steps (see _AndersonMixing,
-    mixing parameter theta).  The first iterate whose weighted residual
-    is at most tol ends the iteration.
+    mixing parameter theta).  The first iterate whose weighted residual,
+    the l2 norm of chi*res with chi the cutoff_profile, is at most tol
+    ends the iteration.
+
+    A solve builds only what depends on its start: the seam carrier
+    (_SplitDerivatives), the mixing's ring buffers and the step's
+    buffers (_step_buffers).  chi, the inner region as a slice and the
+    wall rows' weight come from _residual_weights, and the stencils,
+    seam weights and step bands from their own caches, all shared per
+    grid.  The residual norms are taken on the bare arrays
+    (grid._l2_norm), which still raise GridError on a non-finite entry.
 
     diagnostics carries the residual of each linear solve (every row,
     walls included) and, when the iteration gives up, the reason.
@@ -607,9 +657,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
         raise AlphaRangeError(
             params.alpha0, f"alpha^2 with alpha = sqrt(rho)*alpha0 = {alpha:g}", "alpha0"
         )
-    chi = cutoff_profile(grid)[:, None]
-    inner = np.abs(grid.x) <= 0.5
-    wall_weight = grid.hx * grid.y_weights()[0]
+    chi, inner, wall_weight = _residual_weights(grid)
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)
     buffers = _step_buffers(grid)
@@ -630,7 +678,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
         t0 = perf_counter()
         res, P, Q = step_terms(split.at(d))
         weighted = chi * res
-        res_norm = l2_norm(Field(grid, weighted))
+        res_norm = _l2_norm(grid, weighted)
         stats["residual_s"] += perf_counter() - t0
         history.append(res_norm)
         if res_norm <= params.tol:
@@ -647,7 +695,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
             raise DegenerateLinearizationError(
                 "u_yy coefficient of the frozen linearization must stay positive"
             )
-        p = (P / Q)[inner].mean(axis=0)
+        p = (P[inner] / Q[inner]).mean(axis=0)
         stats["band_s"] += perf_counter() - t0
         update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats, buffers)
         t0 = perf_counter()
@@ -686,9 +734,7 @@ def solve_darboux(
     """
     params = params or NonlinearParams()
     _gate_condition7prime(K, z0.domain_scale)
-    inv = h.inverse()
-    gammas = christoffel_symbols(h)
-    deth = h.det()
+    inv, gammas, deth = h.geometry
 
     def step_terms(dv):
         # each covariant Hessian entry and |grad_h z|^2 once, as _darboux forms them

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, _root_of_squares
+from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, _quadrature_row, _root_of_squares
 from .grid import differentiate, inner_product
 
 MAX_ORDER = 2
@@ -162,7 +162,7 @@ def negative_norm(v: Field, order: NormOrder) -> float:
     m, l = abs(order.m), abs(order.l)
     grid = v.grid
     f = _gram_factors(grid, m, l)
-    mv = v.values * (grid.hx * grid.y_weights())
+    mv = v.values * _quadrature_row(grid)
     y = f.cy_lu.solve(np.ascontiguousarray(mv.T)).T
     x = np.fft.irfft(np.fft.rfft(y, axis=0) / f.symbol[:, None], n=grid.nx, axis=0)
     # normwise backward error of x in G x = M v, with G applied through

@@ -32,6 +32,8 @@ from .grid import (
     Field,
     GridError,
     GridSpec,
+    _l2_norm,
+    _quadrature_row,
     boundary_integral,
     differentiate,
     inner_product,
@@ -361,7 +363,7 @@ class FactorizedOperator:
         r = rhs - Lu
         r[:, 0] = -_oblique_row(u, self.cs.alpha, 1.0, g)
         try:
-            return r, l2_norm(Field(g, r))
+            return r, _l2_norm(g, r)
         except GridError:  # r has the grid's shape, so it is not finite
             raise ValueError(
                 f"the right-hand side (max |f| = {np.abs(rhs).max():.3g}) overflows L u"
@@ -386,7 +388,7 @@ class FactorizedOperator:
             # the gate, not the Krylov target: an exact LU's residual sits at a
             # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
             if res > gate:
-                w = np.broadcast_to(g.hx * g.y_weights(), g.shape).ravel()
+                w = np.broadcast_to(_quadrature_row(g), g.shape).ravel()
                 u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
                                              GMRES_MARGIN * gate, GMRES_MAX_ITER, Lu.ravel())
                 r, res = self._residual(rhs, u, self._rows(u))
@@ -608,13 +610,17 @@ def energy_certificate(
     """Measure (L* v, u) / ||u||^2_(m,1) over admissible samples v, u = M^{-1} v.
 
     Also reports the measured constant of ||v||_(-m-1,0) <=
-    C^2 ||L* v||_(-m,-1).  Zero samples are skipped; positivity of every
-    ratio is the certificate.  The report's stats holds perf_counter sums
+    C^2 ||L* v||_(-m,-1).  Zero samples are skipped, and ValueError is
+    raised when no nonzero sample is left; positivity of every ratio is
+    the certificate.  The report's stats holds perf_counter sums
     over the samples: aux_s in the auxiliary solves, and within it
     transport_s and spectral_s (see AuxReport), lstar_s in L* v,
     energy_norm_s in (L* v, u) and ||u||_(m,1), dual_norm_s in the two
     negative norms; and aux_iterations, one entry per sample.
     """
+    v_samples = [v for v in v_samples if l2_norm(v) > 0.0]
+    if not v_samples:
+        raise ValueError("energy_certificate: no nonzero sample was given")
     m = mt.m
     pieces = _adjoint_pieces(cs)
     samples: list[EnergySample] = []
@@ -622,8 +628,6 @@ def energy_certificate(
         ("aux_s", "transport_s", "spectral_s", "lstar_s", "energy_norm_s", "dual_norm_s"), 0.0
     )
     for v in v_samples:
-        if l2_norm(v) == 0.0:
-            continue
         t0 = perf_counter()
         aux = aux_solve_report(v, mt)
         u = aux.u

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mixedbvp.grid import (
     _dx1_3,
     _dx2,
     _dx2_3,
+    _l2_norm,
     boundary_integral,
     diff_quotient,
     differentiate,
@@ -259,3 +262,56 @@ def test_l2_norm_and_strip():
     one = Field.constant(g, 1.0)
     assert l2_norm(one) == pytest.approx(2.0)
     assert strip_inner_product(one, one, -0.5, 0.5) == pytest.approx(2.0)
+
+
+def _fsum_inner(g, u, v):
+    # the quadrature term by term, summed exactly
+    w = g.hx * g.y_weights()
+    return math.fsum((u * v * w[None, :]).ravel())
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_quadrature_kernel_matches_exact_sum(n):
+    g = make_grid(n, n)
+    rng = np.random.default_rng(n)
+    u, v = (Field(g, rng.standard_normal(g.shape)) for _ in range(2))
+    ref = _fsum_inner(g, u.values, v.values)
+    scale = _fsum_inner(g, np.abs(u.values), np.abs(v.values))
+    assert abs(inner_product(u, v) - ref) <= 1e-14 * scale
+    norm_ref = math.sqrt(_fsum_inner(g, u.values, u.values))
+    assert abs(l2_norm(u) - norm_ref) <= 1e-14 * norm_ref
+    assert abs(_l2_norm(g, u.values) - norm_ref) <= 1e-14 * norm_ref
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadrature_kernel_rejects_non_finite(bad):
+    g = make_grid(16, 16)
+    vals = np.ones(g.shape)
+    vals[3, 5] = bad
+    with pytest.raises(GridError, match="non-finite"):
+        _l2_norm(g, vals)
+    u = Field.constant(g, 1.0)
+    u.values[3, 5] = bad  # changed in place, past Field's own check
+    with pytest.raises(GridError, match="non-finite"):
+        l2_norm(u)
+
+
+def test_quadrature_kernel_rescales_huge_fields():
+    # the squares of 1e200 overflow; the norm is scaled back, not inf
+    g = make_grid(32, 32)
+    u = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1.0 + Y))
+    big = Field(g, 1e200 * u.values)
+    assert np.isfinite(l2_norm(big))
+    assert l2_norm(big) == pytest.approx(1e200 * l2_norm(u), rel=1e-14)
+    assert _l2_norm(g, big.values) == l2_norm(big)
+
+
+def test_y_weights_stay_fresh_and_writable():
+    # the kernel's cached weight row is private and read-only; y_weights
+    # still hands each caller an array of its own
+    g = make_grid(16, 16)
+    w = g.y_weights()
+    assert w.flags.writeable
+    w[:] = 0.0
+    assert g.y_weights()[1] == g.hy and g.y_weights() is not w
+    assert l2_norm(Field.constant(g, 1.0)) == pytest.approx(2.0)

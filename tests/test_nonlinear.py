@@ -450,7 +450,9 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     inside = np.abs(i - j) <= 2
     assert np.abs(folded[~inside]).max() <= 1e-15 * np.abs(A[0].real).max()
     dense = np.zeros_like(folded)
-    dense[inside] = bands.template[j[inside], 2 + i[inside] - j[inside]]
+    dense[inside] = bands.template[j[inside], 4 + i[inside] - j[inside]].real
+    # a real band, with nothing in the fill rows 0..1 that zgbsv writes
+    assert not bands.template.imag.any() and not bands.template[:, :2].any()
     assert np.allclose(dense, np.where(inside, folded, 0.0), rtol=1e-15, atol=0.0)
 
     zgbsv, calls = _spy_zgbsv(monkeypatch)
@@ -477,7 +479,7 @@ def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
     g, p, f = _step_inputs(16)
     bands = nonlinear._step_bands(g)
     template = bands.template.copy()
-    template[-1, 2] = 0.0  # the top row's identity entry (ny, ny)
+    template[-1, 4] = 0.0  # the top row's identity entry (ny, ny)
     monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: bands._replace(template=template))
     with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular"):
         nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
@@ -584,6 +586,19 @@ def test_split_derivatives_match_the_stencil_composition(n):
                 assert err <= 1e-13, (key, err)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_split_derivatives_reject_a_non_finite_iterate(bad):
+    from mixedbvp.grid import GridError
+    from mixedbvp.nonlinear import _SplitDerivatives
+
+    g = make_grid(32, 32)
+    z_star, _ = manufactured_curvature_pair(g, RHO)
+    d = np.zeros(g.shape)
+    d[5, 7] = bad
+    with pytest.raises(GridError, match="non-finite"):
+        _SplitDerivatives(z_star).at(d)
+
+
 def test_derivative_matrices_are_shared_per_grid():
     from mixedbvp import nonlinear
 
@@ -607,6 +622,47 @@ def test_derivative_matrices_are_shared_per_grid():
     assert small is not large
     assert [m.shape for m in small] == [(64, 32), (66, 33), (33, 33)]
     assert [m.shape for m in large] == [(96, 48), (98, 49), (49, 49)]
+
+
+def test_metric_geometry_and_seam_weights_are_built_once(monkeypatch):
+    # two darboux solves in one curved metric on one grid: the metric
+    # builds its Christoffel symbols once, and the grid its four seam
+    # weights (value and slope, from each side) once; each equals a
+    # fresh computation
+    from mixedbvp import nonlinear
+
+    g = make_grid(32, 32)
+    z_star, K = manufactured_darboux_pair(g, RHO)
+    fx, fy = graph_dx(z_star).values, graph_dy(z_star).values
+    h = MetricData(Field(g, 1.0 + fx**2), Field(g, fx * fy), Field(g, 1.0 + fy**2))
+    christoffel, weights = nonlinear.christoffel_symbols, nonlinear._stencil_weights
+    calls = {"christoffel": 0, "weights": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(nonlinear, "christoffel_symbols", counted("christoffel", christoffel))
+    monkeypatch.setattr(nonlinear, "_stencil_weights", counted("weights", weights))
+    nonlinear._seam_weights.cache_clear()
+    z0 = GraphSurface(Field(g, z_star.values + _perturbation(g).values), RHO)
+    reports = [solve_darboux(K, h, z0, NonlinearParams(max_iter=3)) for _ in range(2)]
+    assert calls == {"christoffel": 1, "weights": 4}
+    assert reports[0].residual_history == reports[1].residual_history
+
+    fresh = (h.inverse(), christoffel(h), h.det())
+    cached = h.geometry
+    assert all(np.array_equal(a, b) for a, b in zip(cached[0], fresh[0]))
+    assert all(np.array_equal(a, b) for a, b in zip(cached[1], fresh[1]))
+    assert np.array_equal(cached[2], fresh[2])
+    assert any(np.abs(gamma).max() > 0.1 for gamma in cached[1])  # the metric is curved
+    nodes = np.arange(-7, 0), np.arange(7)
+    fresh_weights = [weights(side * g.hx, k) for side in nodes for k in (0, 1)]
+    cached_weights = nonlinear._seam_weights(g)
+    assert all(np.array_equal(a, b) for a, b in zip(cached_weights, fresh_weights, strict=True))
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])

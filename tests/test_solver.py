@@ -770,6 +770,17 @@ def test_energy_certificate_positive_on_tricomi():
         assert all(np.isfinite(s.dual_constant) for s in samples)
 
 
+@pytest.mark.parametrize("given", ["zero", "none"])
+def test_energy_certificate_needs_a_nonzero_sample(given):
+    # a zero sample is skipped; with none left there is nothing to certify
+    g = make_grid(16, 16)
+    cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 0)
+    samples = {"zero": [Field.zeros(g)], "none": []}[given]
+    with pytest.raises(ValueError, match="no nonzero sample was given"):
+        energy_certificate(cs, mt, samples)
+
+
 def test_energy_certificate_builds_one_transport_plan(monkeypatch):
     # the plan is cached on the triple: the auxiliary solves and both
     # certificate calls below share one, and a second triple gets its own
