@@ -5,7 +5,9 @@ artifacts plus a human-readable summary under the output directory,
 together with a run.manifest recording inputs, seed and versions.  The
 Picard subcommands (ma, darboux) also write metrics.json: the
 iteration's stage timings, per-step wall norms and why it stopped; so
-does solve: the residual, the a priori ratio and the solver's stats.
+does solve: the residual, the a priori ratio and the solver's stats;
+and energy: the certificate's stage-time sums, thread count, wall time
+and auxiliary iterations, and the min, max and pass of each entry.
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error.
 """
@@ -256,6 +258,9 @@ def _cmd_energy(cfg: RunConfig, outdir: Path) -> int:
     (outdir / "energy_samples.csv").write_text("\n".join(rows) + "\n")
     (outdir / "energy.txt").write_text(report.to_text() + "\n")
     (outdir / "energy.csv").write_text(report.to_csv() + "\n")
+    entries = {k: {"min": e.min, "max": e.max, "passed": e.passed} for k, e in report.entries.items()}
+    metrics = {"stats": report.stats, "entries": entries}
+    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(report.to_text())
     return 0 if report.all_passed else 1
 

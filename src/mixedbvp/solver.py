@@ -17,7 +17,10 @@ of weak solutions.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass, field as dc_field
 from math import isfinite
 from time import perf_counter
@@ -40,7 +43,7 @@ from .grid import (
     l2_norm,
 )
 from .multiplier import FormEntry, FormReport, MultiplierTriple, _interior_coefficients
-from .norms import NormOrder, isotropic_norm, negative_norm, sobolev_norm
+from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
     BoundarySpec,
@@ -602,6 +605,46 @@ class EnergySample:
     aux_iterations: int
 
 
+# on grids with nx*ny below this, the GIL hand-offs between two sample
+# threads cost more than the second core gives (README, "How the energy
+# certificate computes")
+_CONCURRENT_MIN_NODES = 100 * 100
+
+
+def _sample_workers(grid: GridSpec, n: int) -> int:
+    """Threads for n energy samples: the usable CPUs, at most n, and 1 when
+    nx*ny is below _CONCURRENT_MIN_NODES."""
+    if grid.nx * grid.ny < _CONCURRENT_MIN_NODES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        cpus = os.cpu_count() or 1
+    return min(cpus, n)
+
+
+def _energy_sample(cs: CoefficientSet, mt: MultiplierTriple, pieces, v: Field):
+    """One sample of energy_certificate: its EnergySample and stage times."""
+    m = mt.m
+    t0 = perf_counter()
+    aux = aux_solve_report(v, mt)
+    u = aux.u
+    t1 = perf_counter()
+    lsv = apply_Lstar(cs, v, pieces)
+    t2 = perf_counter()
+    num = inner_product(lsv, u)
+    den = sobolev_norm(u, NormOrder(m, 1)) ** 2
+    t3 = perf_counter()
+    neg_v = negative_norm(v, NormOrder(-(m + 1), 0))
+    neg_lsv = negative_norm(lsv, NormOrder(-m, -1))
+    t4 = perf_counter()
+    ratio = num / den if den > 0 else np.inf
+    dual = neg_v / neg_lsv if neg_lsv > 0 else np.inf
+    times = {"aux_s": t1 - t0, **aux.stats, "lstar_s": t2 - t1,
+             "energy_norm_s": t3 - t2, "dual_norm_s": t4 - t3}
+    return EnergySample(ratio, dual, aux.iterations), times
+
+
 def energy_certificate(
     cs: CoefficientSet,
     mt: MultiplierTriple,
@@ -612,43 +655,47 @@ def energy_certificate(
     Also reports the measured constant of ||v||_(-m-1,0) <=
     C^2 ||L* v||_(-m,-1).  Zero samples are skipped, and ValueError is
     raised when no nonzero sample is left; positivity of every ratio is
-    the certificate.  The report's stats holds perf_counter sums
-    over the samples: aux_s in the auxiliary solves, and within it
-    transport_s and spectral_s (see AuxReport), lstar_s in L* v,
-    energy_norm_s in (L* v, u) and ||u||_(m,1), dual_norm_s in the two
-    negative norms; and aux_iterations, one entry per sample.
+    the certificate.  The samples run concurrently on _sample_workers
+    threads, one contiguous chunk each: the first in the calling thread,
+    the others in pool threads, each in a copy of the caller's context
+    (np.errstate holds there).  What they share (the transport plan, the
+    coupling factors and both Gram factorizations) is built first, here,
+    and only read by them.  The results are in input order.  A failing
+    sample ends its chunk, the other chunks run out, and the call raises
+    the exception of the first failing sample in input order.  The
+    report's stats holds perf_counter sums over the samples: aux_s in
+    the auxiliary solves, and within it transport_s and spectral_s (see
+    AuxReport), lstar_s in L* v, energy_norm_s in (L* v, u) and
+    ||u||_(m,1), dual_norm_s in the two negative norms; samples overlap
+    in time, so these can sum to up to workers, the thread count, times
+    wall_s, the time from dispatch to the joined results; and
+    aux_iterations, one entry per sample.
     """
     v_samples = [v for v in v_samples if l2_norm(v) > 0.0]
     if not v_samples:
         raise ValueError("energy_certificate: no nonzero sample was given")
-    m = mt.m
+    m, grid, n = mt.m, v_samples[0].grid, len(v_samples)
     pieces = _adjoint_pieces(cs)
-    samples: list[EnergySample] = []
-    stats: dict = dict.fromkeys(
-        ("aux_s", "transport_s", "spectral_s", "lstar_s", "energy_norm_s", "dual_norm_s"), 0.0
-    )
-    for v in v_samples:
-        t0 = perf_counter()
-        aux = aux_solve_report(v, mt)
-        u = aux.u
-        t1 = perf_counter()
-        lsv = apply_Lstar(cs, v, pieces)
-        t2 = perf_counter()
-        num = inner_product(lsv, u)
-        den = sobolev_norm(u, NormOrder(m, 1)) ** 2
-        t3 = perf_counter()
-        neg_v = negative_norm(v, NormOrder(-(m + 1), 0))
-        neg_lsv = negative_norm(lsv, NormOrder(-m, -1))
-        t4 = perf_counter()
-        ratio = num / den if den > 0 else np.inf
-        dual = neg_v / neg_lsv if neg_lsv > 0 else np.inf
-        samples.append(EnergySample(ratio, dual, aux.iterations))
-        stats["aux_s"] += t1 - t0
-        stats["transport_s"] += aux.stats["transport_s"]
-        stats["spectral_s"] += aux.stats["spectral_s"]
-        stats["lstar_s"] += t2 - t1
-        stats["energy_norm_s"] += t3 - t2
-        stats["dual_norm_s"] += t4 - t3
+    # the shared factors, built in this thread before any sample reads them
+    mt.transport_plan, mt.coupling
+    for order in ((m + 1, 0), (m, 1)):
+        _gram_factors(grid, *order)
+    workers = _sample_workers(grid, n)
+
+    def run(chunk):
+        return [_energy_sample(cs, mt, pieces, v) for v in chunk]
+
+    t0 = perf_counter()
+    # one chunk per thread, the first in this one: a task per sample would
+    # hand the GIL back here between samples, and a single chunk run in a
+    # new thread costs more than it would here
+    chunks = [v_samples[k * n // workers : (k + 1) * n // workers] for k in range(workers)]
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        futures = [pool.submit(copy_context().run, run, chunk) for chunk in chunks[1:]]
+        results = run(chunks[0]) + [r for f in futures for r in f.result()]
+    stats: dict = {k: sum(times[k] for _, times in results) for k in results[0][1]}
+    stats.update(workers=workers, wall_s=perf_counter() - t0)
+    samples = [s for s, _ in results]
     stats["aux_iterations"] = [s.aux_iterations for s in samples]
 
     ratios = np.array([s.ratio for s in samples])

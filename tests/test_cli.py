@@ -168,6 +168,17 @@ def test_energy_subcommand(tmp_path):
     assert code == 0
     lines = (tmp_path / "energy_samples.csv").read_text().splitlines()
     assert len(lines) == 6
+    assert (tmp_path / "run.manifest").exists()
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert set(metrics["stats"]) == {
+        "aux_s", "transport_s", "spectral_s", "lstar_s", "energy_norm_s", "dual_norm_s",
+        "workers", "wall_s", "aux_iterations",
+    }
+    assert metrics["stats"]["workers"] == 1 and len(metrics["stats"]["aux_iterations"]) == 5
+    assert set(metrics["entries"]) == {"energy_ratio", "dual_chain_Csq"}
+    for entry in metrics["entries"].values():
+        assert set(entry) == {"min", "max", "passed"} and entry["passed"] is True
+        assert entry["min"] <= entry["max"]
 
 
 def test_aux_subcommand(tmp_path):

@@ -854,15 +854,172 @@ def test_energy_certificate_stats(m):
     st = rep.stats
     assert set(st) == {
         "aux_s", "transport_s", "spectral_s", "lstar_s", "energy_norm_s", "dual_norm_s",
-        "aux_iterations",
+        "aux_iterations", "workers", "wall_s",
     }
     # the zero sample is skipped, so it has no entry
     assert st["aux_iterations"] == [s.aux_iterations for s in samples] and len(samples) == 4
+    # the stage sums run over samples that may overlap in time, so they are
+    # bounded by the thread count times the wall time
     stages = st["aux_s"] + st["lstar_s"] + st["energy_norm_s"] + st["dual_norm_s"]
-    assert 0.0 < stages <= wall
+    assert 0.0 < st["wall_s"] <= wall
+    assert 0.0 < stages <= st["workers"] * wall
     assert 0.0 < st["transport_s"] + st["spectral_s"] <= st["aux_s"]
     assert (st["spectral_s"] > 0.0) == (m > 0)
     assert FormReport().stats == {}
+
+
+def _two_cpus(monkeypatch):
+    # the worker count then does not depend on the machine the test runs on
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _sample_tuples(samples):
+    return [(s.ratio, s.dual_constant, s.aux_iterations) for s in samples]
+
+
+@pytest.mark.parametrize("preset", ["lower_order", "tricomi"])
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("n, workers", [(128, 2), (64, 1)])
+def test_energy_certificate_threads_match_one_worker(monkeypatch, preset, m, n, workers):
+    # five samples split unevenly over two threads, and the zero one is skipped
+    _two_cpus(monkeypatch)
+    g = make_grid(n, n)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, m)
+    vs = random_smooth_samples(g, cs.alpha, 5, seed=7)
+    vs.insert(2, Field.zeros(g))
+    rep, pooled = energy_certificate(cs, mt, vs)
+    assert rep.stats["workers"] == workers
+    monkeypatch.setattr(solver, "_sample_workers", lambda grid, count: 1)
+    one_rep, one = energy_certificate(cs, mt, vs)
+    assert one_rep.stats["workers"] == 1 and len(one) == 5
+    assert _sample_tuples(pooled) == _sample_tuples(one)
+    assert rep.stats["aux_iterations"] == one_rep.stats["aux_iterations"]
+    assert rep.entries == one_rep.entries
+
+
+def test_energy_certificate_threads_under_fast_switching(monkeypatch):
+    # more threads than cores, handing the GIL over every microsecond: a
+    # sample that read a factor another thread was still building, or
+    # results joined out of input order, would show here
+    import sys
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    vs = random_smooth_samples(g, cs.alpha, 9, seed=11)
+    _, one = energy_certificate(cs, build_abc(cs, 10.0, 1), vs)
+    monkeypatch.setattr(solver, "_sample_workers", lambda grid, count: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep, pooled = energy_certificate(cs, build_abc(cs, 10.0, 1), vs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rep.stats["workers"] == 4
+    assert _sample_tuples(pooled) == _sample_tuples(one)
+    assert rep.stats["aux_iterations"] == [s.aux_iterations for s in one]
+
+
+def test_energy_certificate_threads_keep_the_callers_errstate(monkeypatch):
+    import threading
+
+    seen = []
+    real = solver._energy_sample
+
+    def recording(*args):
+        seen.append((threading.get_ident(), np.geterr()["divide"]))
+        return real(*args)
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    vs = random_smooth_samples(g, cs.alpha, 4, seed=6)
+    monkeypatch.setattr(solver, "_sample_workers", lambda grid, count: 2)
+    monkeypatch.setattr(solver, "_energy_sample", recording)
+    with np.errstate(divide="raise"):
+        energy_certificate(cs, build_abc(cs, 10.0, 0), vs)
+    assert len({t for t, _ in seen}) == 2
+    assert [state for _, state in seen] == ["raise"] * 4
+
+
+def test_energy_certificate_raises_the_first_failing_sample(monkeypatch):
+    # this thread takes samples 0-3 and a pool thread 4-7; sample 5 fails
+    # first in time, sample 2 first in input order: the call raises sample
+    # 2's exception, neither chunk runs past its failure, and no worker
+    # thread is left
+    import threading
+    import time
+
+    from mixedbvp import operators
+
+    g = make_grid(32, 32)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    vs = random_smooth_samples(g, cs.alpha, 8, seed=5)
+    started, failed = [], []
+
+    def failing(v, mt):
+        i = next(k for k, w in enumerate(vs) if w is v)
+        started.append(i)
+        if i == 2:
+            time.sleep(0.2)
+        if i in (2, 5):
+            failed.append(i)
+            raise RuntimeError(f"sample {i} failed")
+        return operators.aux_solve_report(v, mt)
+
+    monkeypatch.setattr(solver, "_sample_workers", lambda grid, count: 2)
+    monkeypatch.setattr(solver, "aux_solve_report", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="sample 2 failed"):
+        energy_certificate(cs, mt, vs)
+    assert set(threading.enumerate()) == before
+    assert failed == [5, 2]
+    assert sorted(started) == [0, 1, 2, 4, 5]
+
+
+def test_energy_certificate_builds_shared_factors_once(monkeypatch):
+    # two threads share one transport plan and one Gram factorization per
+    # dual-norm order, and each sample takes exactly two negative norms
+    import threading
+
+    from mixedbvp import norms, operators
+
+    _two_cpus(monkeypatch)
+    built, neg_calls = [], []
+
+    class CountingPlan(operators.TransportPlan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counting_negative_norm(v, order):
+        neg_calls.append(threading.get_ident())
+        return norms.negative_norm(v, order)
+
+    # what each sample finds built when it starts
+    found = []
+    real_sample = solver._energy_sample
+
+    def checking_sample(cs, mt, pieces, v):
+        found.append(("transport_plan" in vars(mt), "coupling" in vars(mt),
+                      norms._gram_factors.cache_info().currsize))
+        return real_sample(cs, mt, pieces, v)
+
+    monkeypatch.setattr(operators, "TransportPlan", CountingPlan)
+    monkeypatch.setattr(solver, "negative_norm", counting_negative_norm)
+    monkeypatch.setattr(solver, "_energy_sample", checking_sample)
+    g = make_grid(128, 128)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    vs = random_smooth_samples(g, cs.alpha, 6, seed=4)
+    norms._gram_factors.cache_clear()
+    rep, samples = energy_certificate(cs, mt, vs)
+    assert rep.stats["workers"] == 2 and len(samples) == 6
+    assert len(built) == 1
+    info = norms._gram_factors.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert len(neg_calls) == 2 * len(vs) and len(set(neg_calls)) == 2
+    assert found == [(True, True, 2)] * len(vs)
 
 
 def test_energy_certificate_skips_zero_samples():
