@@ -66,7 +66,6 @@ _RANGES = {
     "nx": (lambda v: v >= 4, "nx must be at least 4"),
     "ny": (lambda v: v >= 4, "ny must be at least 4"),
     "rho": (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
-    "theta": (lambda v: 0.0 < v <= 1.0, "theta must lie in (0, 1]"),
     "alpha0": (lambda v: 0.0 < v < np.inf, "alpha0 must be positive and finite"),
     "samples": (lambda v: v >= 1, "samples must be at least 1"),
     "max_iter": (lambda v: v >= 1, "max_iter must be at least 1"),
@@ -89,7 +88,6 @@ class RunConfig:
     samples: int = 20
     rho: float = 0.25
     alpha0: float = 1.2
-    theta: float = 0.5
     max_iter: int = 50
     tol: float = 1e-8
     rhs: str = "sine"
@@ -105,7 +103,7 @@ _SECTION_KEYS = {
     "multiplier": ("lambda", "m"),
     "grid": ("nx", "ny", "grids"),
     "run": ("seed", "out", "samples"),
-    "nonlinear": ("rho", "alpha0", "theta", "max_iter", "tol"),
+    "nonlinear": ("rho", "alpha0", "max_iter", "tol"),
 }
 
 
@@ -325,9 +323,7 @@ def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
     grid = make_grid(cfg.nx, cfg.ny)
     z_star, K = pair(grid, cfg.rho)
     z0 = Field(grid, z_star.values + _perturbation(grid).values)
-    params = NonlinearParams(
-        alpha0=cfg.alpha0, theta=cfg.theta, tol=cfg.tol, max_iter=cfg.max_iter
-    )
+    params = NonlinearParams(alpha0=cfg.alpha0, tol=cfg.tol, max_iter=cfg.max_iter)
     try:
         rep = solve(K, GraphSurface(z0, cfg.rho), params)
     except ResidualGateError as exc:

@@ -97,7 +97,9 @@ class FormReport:
     entries: dict[str, FormEntry] = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
-    def add(self, label: str, entry: FormEntry) -> None:
+    def add(self, label: str, values: np.ndarray, bound: float, passed) -> None:
+        """Enter values' min and max under label, with the claimed bound and the verdict."""
+        entry = FormEntry(float(values.min()), float(values.max()), bound, bool(passed))
         self.entries[label] = entry
 
     @property
@@ -261,16 +263,12 @@ def interior_form_report(mt: MultiplierTriple, cs: CoefficientSet) -> FormReport
     """
     eps = cs.eps
     ux2, mixed, uy2, u2 = _interior_coefficients(mt, cs)
+    uy2_bound, u2_bound = SLACK * eps**-0.5, SLACK * eps**-0.25
     report = FormReport()
-
-    def add_min(label, vals, bound):
-        report.add(label, FormEntry(float(vals.min()), float(vals.max()), bound, float(vals.min()) >= bound))
-
-    add_min("ux2_coeff", ux2, -1e-10)
-    mx = float(np.max(np.abs(mixed)))
-    report.add("mixed_coeff", FormEntry(float(mixed.min()), float(mixed.max()), 1e-8, mx <= 1e-8))
-    add_min("uy2_coeff", uy2, SLACK * eps**-0.5)
-    add_min("u2_coeff", u2, SLACK * eps**-0.25)
+    report.add("ux2_coeff", ux2, -1e-10, ux2.min() >= -1e-10)
+    report.add("mixed_coeff", mixed, 1e-8, np.abs(mixed).max() <= 1e-8)
+    report.add("uy2_coeff", uy2, uy2_bound, uy2.min() >= uy2_bound)
+    report.add("u2_coeff", u2, u2_bound, u2.min() >= u2_bound)
     return report
 
 
@@ -299,24 +297,10 @@ def boundary_form_report(mt: MultiplierTriple, cs: CoefficientSet) -> FormReport
         mt.c.values[:, 0] * cs.B.values[:, 0] - differentiate(aB, "x", 1).values[:, 0]
     )
 
-    report = FormReport()
-    report.add(
-        "bottom_det",
-        FormEntry(float(det.min()), float(det.max()), 0.0, float(det.min()) > 0.0),
-    )
-    report.add(
-        "bottom_min_eig",
-        FormEntry(float(eig_min.min()), float(eig_min.max()), 0.0, float(eig_min.min()) > 0.0),
-    )
     lo = (1.0 - SLACK) * eps**0.75
     hi = (1.0 + SLACK) * eps**0.75
-    report.add(
-        "bottom_cterm",
-        FormEntry(
-            float(cterm.min()),
-            float(cterm.max()),
-            lo,
-            bool(cterm.min() >= lo and cterm.max() <= hi),
-        ),
-    )
+    report = FormReport()
+    report.add("bottom_det", det, 0.0, det.min() > 0.0)
+    report.add("bottom_min_eig", eig_min, 0.0, eig_min.min() > 0.0)
+    report.add("bottom_cterm", cterm, lo, cterm.min() >= lo and cterm.max() <= hi)
     return report

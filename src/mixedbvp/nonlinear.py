@@ -8,8 +8,8 @@ x-dependent part, the mixed u_xy term, the gradient-factor first-order
 terms, the Christoffel corrections) stays on the right-hand side through
 the full nonlinear residual, and the linear solve produces the update.
 The step is type-II Anderson mixing of the map d -> d + update over the
-last ANDERSON_DEPTH steps, with mixing parameter theta; with no history,
-or with ANDERSON_DEPTH = 0, it is the damped step d + theta * update.
+last ANDERSON_DEPTH steps, with mixing parameter THETA; with no history,
+or with ANDERSON_DEPTH = 0, it is the damped step d + THETA * update.
 The report's stats record per step, among others, the wall-row part of
 the stopping residual (wall_norm) and the history the mixing used
 (mixing_depth).  The domain-scale parameter rho plays the
@@ -38,7 +38,7 @@ from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _dx1_3, _dx2, _l2_norm, _quadrature_row
 from .norms import _x_matrix
 from .operators import _BOTTOM_DY, _oblique_row
-from .solver import RESIDUAL_TOL, PreconditionError, ResidualGateError
+from .solver import _gate, _singular_mode
 
 
 class CurvatureGateError(RuntimeError):
@@ -108,7 +108,6 @@ class IterationReport:
 @dataclass
 class NonlinearParams:
     alpha0: float = 1.2
-    theta: float = 0.5
     tol: float = 1e-8
     max_iter: int = 50
 
@@ -117,8 +116,10 @@ class NonlinearParams:
 # its last STAGNATION_WINDOW residuals
 STAGNATION_WINDOW = 8
 # past updates and iterates the Anderson mixing of a Picard step combines;
-# 0 is the plain damped step d + theta * update
+# 0 is the plain damped step d + THETA * update
 ANDERSON_DEPTH = 5
+# the mixing parameter of that step (a smaller one does not help)
+THETA = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +507,12 @@ def _linear_step(
     reaches across a block, and one zgbsv call factors and solves each
     block as a call of its own would.  The band and the right-hand side
     live in buffers (_step_buffers), refilled here since zgbsv
-    overwrites both.  A zero pivot raises PreconditionError naming the
-    first singular mode.
+    overwrites both.  A zero pivot raises solver._singular_mode's
+    PreconditionError, naming the first singular mode.
 
-    The gate is N's residual over every row (_step_rows); above
-    RESIDUAL_TOL*||f|| it raises ResidualGateError.  stats takes the
+    The gate is solver._gate, the one every linear solve answers to, on
+    N d over every row (_step_rows); when it fails, its
+    ResidualGateError is raised.  stats takes the
     band and right-hand side fill as band_s and the rfft, zgbsv and the
     gate as solve_s.
     """
@@ -534,18 +536,13 @@ def _linear_step(
         2, 2, band.reshape(-1, 7).T, spec.reshape(-1, 1), overwrite_ab=1, overwrite_b=1
     )
     if info > 0:
-        raise PreconditionError(
-            f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // nyp} is exactly singular"
-        )
+        raise _singular_mode(info, g)
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
-    r = _step_rows(g, p, alpha, d)
-    np.negative(r, out=r)
-    r[:, 1:-1] += f[:, 1:-1]
-    res, fnorm = _l2_norm(g, r), _l2_norm(g, f)
+    res, failed = _gate(f, d, _step_rows(g, p, alpha, d), alpha, g, _l2_norm(g, f))
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
-    if res > RESIDUAL_TOL * fnorm:
-        raise ResidualGateError(res / fnorm, r, g, alpha)
+    if failed:
+        raise failed
     return d, res
 
 
@@ -627,7 +624,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     stays lagged on the right-hand side through the full nonlinear
     residual.  The fixed-point map is d -> d + update, and each step
     mixes it with up to ANDERSON_DEPTH past steps (see _AndersonMixing,
-    mixing parameter theta).  The first iterate whose weighted residual,
+    mixing parameter THETA).  The first iterate whose weighted residual,
     the l2 norm of chi*res with chi the cutoff_profile, is at most tol
     ends the iteration.
 
@@ -659,7 +656,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
         )
     chi, inner, wall_weight = _residual_weights(grid)
     split = _SplitDerivatives(z0.z)
-    mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, params.theta)
+    mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, THETA)
     buffers = _step_buffers(grid)
 
     d = np.zeros(grid.shape)

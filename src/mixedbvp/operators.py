@@ -263,12 +263,7 @@ def _cubic_stencil(pos: np.ndarray, hx: float, nx: int) -> tuple[np.ndarray, np.
 
 
 def _combine(wts: np.ndarray, nodal: np.ndarray) -> np.ndarray:
-    return (
-        wts[..., 0, :] * nodal[..., 0, :]
-        + wts[..., 1, :] * nodal[..., 1, :]
-        + wts[..., 2, :] * nodal[..., 2, :]
-        + wts[..., 3, :] * nodal[..., 3, :]
-    )
+    return (wts * nodal).sum(axis=-2)
 
 
 class TransportPlan:

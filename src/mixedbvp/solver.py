@@ -42,7 +42,7 @@ from .grid import (
     inner_product,
     l2_norm,
 )
-from .multiplier import FormEntry, FormReport, MultiplierTriple, _interior_coefficients
+from .multiplier import FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
@@ -70,14 +70,15 @@ class BoundaryCompatibilityError(ValueError):
 class ResidualGateError(PreconditionError):
     """A solve's residual r over every row failed the gate RESIDUAL_TOL.
 
-    rows names the row group holding the largest share of r's squared
-    quadrature norm: "interior", "top" or "bottom".  The bottom row is
-    the oblique alpha*u_x + u_y, whose rounding error grows like
-    |alpha*u_x|, so when it holds the largest share the message names
-    alpha too.
+    residual is r.  rows names the row group holding the largest share
+    of r's squared quadrature norm: "interior", "top" or "bottom".  The
+    bottom row is the oblique alpha*u_x + u_y, whose rounding error
+    grows like |alpha*u_x|, so when it holds the largest share the
+    message names alpha too.
     """
 
     def __init__(self, relative: float, r: np.ndarray, grid: GridSpec, alpha: float):
+        self.residual = r
         s = r / np.abs(r).max()  # the shares are ratios; r's own square can overflow
         parts = (s * s).sum(axis=0) * grid.y_weights()
         shares = {"interior": parts[1:-1].sum(), "top": parts[-1], "bottom": parts[0]}
@@ -211,13 +212,56 @@ def _factor_modes(cs: CoefficientSet):
     dl, d, du, fold = _mode_systems(cs)
     *lu, info = lapack.zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0:
-        mode = (info - 1) // (cs.grid.ny + 1)
-        raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
+        raise _singular_mode(info, cs.grid)
     return lu, fold
+
+
+def _singular_mode(info: int, grid: GridSpec) -> PreconditionError:
+    """The error of a zero LU pivot in x-mode systems stacked ny+1 rows each.
+
+    info is LAPACK's (> 0): the pivot's 1-based row, so the first
+    singular mode is the one named.  FactorizedOperator and the Picard
+    step (nonlinear._linear_step) raise it.
+    """
+    mode = (info - 1) // (grid.ny + 1)
+    return PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
 
 
 # every solve's residual over all rows must be at most this times ||f||
 RESIDUAL_TOL = 1e-10
+
+
+def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float, grid: GridSpec,
+          fnorm: float) -> tuple[float, ResidualGateError | None]:
+    """The residual gate every linear solve answers to, N u = f its system.
+
+    The solves are FactorizedOperator's, on each of its paths, and the
+    Picard step's (nonlinear._linear_step).  Nu is N u over every row,
+    walls included, and fnorm is ||f||.  The residual r = f - N u is
+    formed over every row with f's wall rows read as zero.  A product's
+    oblique bottom row loses the u_y terms at a huge alpha, and would
+    pass a wrong u, so that row is formed again with u_e - u_w taken
+    first (operators._oblique_row).  Returns ||r|| and, when it exceeds
+    RESIDUAL_TOL*fnorm, the ResidualGateError to raise (None when it
+    passes).  A finite right-hand side near the largest double can
+    still overflow N u; that raises ValueError naming the right-hand
+    side.
+    """
+    r = np.negative(Nu)
+    r[:, 1:-1] += f[:, 1:-1]
+    r[:, 0] = -_oblique_row(u, alpha, 1.0, grid)
+    try:
+        res = _l2_norm(grid, r)
+    except GridError:  # r has the grid's shape, so it is not finite
+        raise ValueError(
+            f"the right-hand side (max |f| = {np.abs(f[:, 1:-1]).max():.3g}) overflows L u"
+            f" on the {grid.nx}x{grid.ny} grid"
+        ) from None
+    if res <= RESIDUAL_TOL * fnorm:
+        return res, None
+    return res, ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, grid, alpha)
+
+
 # Krylov steps before the Fourier-preconditioned path gives up for splu
 GMRES_MAX_ITER = 40
 # the Krylov residual estimate is driven this far below the gate: at the
@@ -290,18 +334,16 @@ class FactorizedOperator:
     solve folds the right-hand side's bottom row the same way and
     back-substitutes through the mode LUs, in one zgttrs call, and
     stops when the residual over every row, walls included, passes the
-    gate RESIDUAL_TOL*||f||, as every x-independent set does.  Otherwise
-    that was the first step of GMRES on L, right-preconditioned by the
-    mode LUs (Concus-Golub 1973).  L is the assembled matrix
-    (operators.assemble_L), built here, before the mode LUs: every row
-    of L u is one sparse product, but the residual the gate reads
-    takes its oblique bottom row from operators._oblique_row, which
-    keeps the u_y terms at any alpha.  Past GMRES_MAX_ITER steps, or
-    when the gate still fails, the operator falls back to a sparse LU of
-    that same matrix for good; stats["fallback_reason"] says why.  A
-    solve that fails the gate raises ResidualGateError
-    (WELLPOSEDNESS_SUSPECT), which names the rows holding most of the
-    residual.
+    gate (_gate, RESIDUAL_TOL*||f||), as every x-independent set does.
+    Otherwise that was the first step of GMRES on L,
+    right-preconditioned by the mode LUs (Concus-Golub 1973).  L is the
+    assembled matrix (operators.assemble_L), built here, before the mode
+    LUs: every row of L u is one sparse product, from which _gate forms
+    the residual.  Past GMRES_MAX_ITER steps, or when the gate still
+    fails, the operator falls back to a sparse LU of that same matrix
+    for good; stats["fallback_reason"] says why.  A solve that fails the
+    gate raises _gate's ResidualGateError (WELLPOSEDNESS_SUSPECT), which
+    names the rows holding most of the residual.
 
     method is "fourier" or "splu".  residual_norm is the last solve's
     residual over every row; stats holds it relative to ||f|| as
@@ -309,10 +351,11 @@ class FactorizedOperator:
     LUs alone passed the gate), gmres_residuals (GMRES's estimate after
     each step, over ||f||), matvecs (products with L) and solve_s; and
     the perf_counter timings assemble_s (building L) and factor_s.  A
-    singular factorization of L, or a zero pivot of the fold, raises
-    PreconditionError (WELLPOSEDNESS_SUSPECT) naming the mode; for an
-    x-dependent L, where those modes are the averaged operator's, it
-    only sends the operator to splu.
+    singular factorization of L (_singular_mode for a mode LU), or a
+    zero pivot of the fold, raises PreconditionError
+    (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
+    those modes are the averaged operator's, it only sends the operator
+    to splu.
     """
 
     def __init__(self, cs: CoefficientSet):
@@ -353,56 +396,36 @@ class FactorizedOperator:
         self.stats["matvecs"] += 1
         return (self._L @ u.ravel()).reshape(self.cs.grid.shape)
 
-    def _residual(self, rhs: np.ndarray, u: np.ndarray, Lu: np.ndarray):
-        """rhs - L u over every row, and its norm, as the gate reads them.
-
-        Lu is _rows(u).  Its oblique bottom row loses the u_y terms at a
-        huge alpha, and would pass a wrong u, so that row is formed again
-        with u_e - u_w taken first (operators._oblique_row).  A finite
-        right-hand side near the largest double can still overflow L u;
-        that raises ValueError naming the right-hand side.
-        """
-        g = self.cs.grid
-        r = rhs - Lu
-        r[:, 0] = -_oblique_row(u, self.cs.alpha, 1.0, g)
-        try:
-            return r, _l2_norm(g, r)
-        except GridError:  # r has the grid's shape, so it is not finite
-            raise ValueError(
-                f"the right-hand side (max |f| = {np.abs(rhs).max():.3g}) overflows L u"
-                f" on the {g.nx}x{g.ny} grid"
-            ) from None
-
     def solve(self, f: Field) -> Field:
         """u with L u = f on the interior rows and the homogeneous wall conditions."""
         t0 = perf_counter()
-        g = self.cs.grid
+        g, alpha = self.cs.grid, self.cs.alpha
         rhs = f.values.copy()
         rhs[:, -1] = 0.0
         rhs[:, 0] = 0.0
         fnorm = l2_norm(f)
-        gate = RESIDUAL_TOL * fnorm
         steps, estimates = 0, []
         self.stats["matvecs"] = 0
         if self.method == "fourier":
             u = self._mode_solve(rhs)
             Lu = self._rows(u)
-            r, res = self._residual(rhs, u, Lu)
+            res, failed = _gate(rhs, u, Lu, alpha, g, fnorm)
             # the gate, not the Krylov target: an exact LU's residual sits at a
             # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
-            if res > gate:
+            if failed:
                 w = np.broadcast_to(_quadrature_row(g), g.shape).ravel()
                 u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
-                                             GMRES_MARGIN * gate, GMRES_MAX_ITER, Lu.ravel())
-                r, res = self._residual(rhs, u, self._rows(u))
-            if res > gate:
+                                             GMRES_MARGIN * (RESIDUAL_TOL * fnorm),
+                                             GMRES_MAX_ITER, Lu.ravel())
+                res, failed = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
+            if failed:
                 if steps == GMRES_MAX_ITER:
                     self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
                 else:
                     self._fall_back(f"GMRES stopped above the residual gate {RESIDUAL_TOL:.1e}")
         if self.method == "splu":
             u = self._lu.solve(rhs.ravel()).reshape(g.shape)
-            r, res = self._residual(rhs, u, self._rows(u))
+            res, failed = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
         self.residual_norm = res
         scale = fnorm if fnorm > 0 else 1.0
         self.stats.update(
@@ -411,8 +434,8 @@ class FactorizedOperator:
             residual=res / scale,
             solve_s=perf_counter() - t0,
         )
-        if res > gate:
-            raise ResidualGateError(self.stats["residual"], r, g, self.cs.alpha)
+        if failed:
+            raise failed
         return Field(g, u)
 
 
@@ -701,14 +724,8 @@ def energy_certificate(
     ratios = np.array([s.ratio for s in samples])
     duals = np.array([s.dual_constant for s in samples])
     report = FormReport(stats=stats)
-    report.add(
-        "energy_ratio",
-        FormEntry(float(ratios.min()), float(ratios.max()), 0.0, bool(ratios.min() > 0)),
-    )
-    report.add(
-        "dual_chain_Csq",
-        FormEntry(float(duals.min()), float(duals.max()), 0.0, bool(np.isfinite(duals).all())),
-    )
+    report.add("energy_ratio", ratios, 0.0, ratios.min() > 0)
+    report.add("dual_chain_Csq", duals, 0.0, np.isfinite(duals).all())
     return report, samples
 
 

@@ -349,17 +349,19 @@ def test_non_finite_lambda_is_a_configuration_error(tmp_path, capsys, command, v
     assert "lambda" in captured.err
 
 
+@pytest.mark.parametrize("key", ["psi", "theta"])
 @pytest.mark.parametrize("command", ["ma", "darboux"])
-def test_psi_is_a_usage_error(tmp_path, capsys, command):
-    # Picard has no psi setting: the flag is unknown to the parser and
-    # the key unknown to its config section, both exit 2
+def test_psi_is_a_usage_error(tmp_path, capsys, command, key):
+    # Picard has no psi setting, and its mixing parameter theta is the
+    # constant nonlinear.THETA: the flag is unknown to the parser and the
+    # key unknown to its config section, both exit 2
     with pytest.raises(SystemExit) as exc:
-        run([command, "--psi", "0.1", "--out", str(tmp_path)])
-    assert exc.value.code == 2 and "--psi" in capsys.readouterr().err
-    path = write_config(tmp_path, "[nonlinear]\nrho = 0.25\npsi = 0.1\n")
+        run([command, f"--{key}", "0.1", "--out", str(tmp_path)])
+    assert exc.value.code == 2 and f"--{key}" in capsys.readouterr().err
+    path = write_config(tmp_path, f"[nonlinear]\nrho = 0.25\n{key} = 0.1\n")
     assert run([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"{path}:3: unknown key 'psi' in section [nonlinear]" in err
+    assert f"{path}:3: unknown key '{key}' in section [nonlinear]" in err
 
 
 def test_overflowing_right_hand_side_reports_finite_norms(tmp_path):

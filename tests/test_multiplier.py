@@ -6,6 +6,8 @@ from mixedbvp.grid import Field, differentiate, make_grid
 from mixedbvp.multiplier import (
     AlphaConditionError,
     AlphaDegenerateError,
+    FormEntry,
+    FormReport,
     boundary_form_report,
     build_abc,
     interior_form_report,
@@ -213,3 +215,15 @@ def test_rk4_cancellation_shrinks_under_refinement():
         outs.append(max(abs(e.min), abs(e.max)))
     floor = 1e-13
     assert outs[1] <= max(outs[0] / 8.0, floor)
+
+
+def test_form_report_add_builds_the_entry():
+    # every entry is built here: min and max as Python floats, the bound
+    # as given and the verdict as a Python bool
+    report = FormReport()
+    vals = np.array([[3.0, -1.5], [0.25, 2.0]])
+    report.add("row", vals, 0.5, vals.min() >= 0.5)
+    entry = report.entries["row"]
+    assert entry == FormEntry(-1.5, 3.0, 0.5, False)
+    assert type(entry.min) is float and type(entry.max) is float
+    assert type(entry.passed) is bool and not report.all_passed

@@ -365,23 +365,32 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     # the product sums the bottom row as -alpha/(2hx)*u_w, the y-terms, then
     # +alpha/(2hx)*u_e; at alpha 1e50 the y-terms round away, so a bottom
     # row constant in x reads 0 there whatever its u_y.  The gate's
-    # residual is boundary_residual's row, bit for bit
+    # residual is boundary_residual's row, bit for bit, for both solves
+    # that answer to it: FactorizedOperator's product and the Picard
+    # step's rows (nonlinear._step_rows)
+    from mixedbvp.nonlinear import _step_rows
     from mixedbvp.operators import BoundarySpec, boundary_residual
+    from mixedbvp.solver import _gate
 
     g = make_grid(16, 16)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(g.shape)
     u[:, :4] = rng.standard_normal(4)  # every line's first four nodes alike
     rhs = rng.standard_normal(g.shape)
-    rhs[:, 0] = rhs[:, -1] = 0.0
+    p = 1.0 + rng.random(g.ny + 1)
     for alpha in (0.02, 1e50):
         fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
-        rows = fac._rows(u)
-        r, res = fac._residual(rhs, u, rows)
         wall = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))[1]
-        assert np.array_equal(r[:, 0], -wall)
-        assert np.array_equal(r[:, 1:], (rhs - rows)[:, 1:])
-        assert res == l2_norm(Field(g, r))
+        for rows in (fac._rows(u), _step_rows(g, p, alpha, u)):
+            # with ||f|| = 0 every nonzero residual fails, and the error holds it
+            res, failed = _gate(rhs, u, rows, alpha, g, 0.0)
+            r = failed.residual
+            assert np.array_equal(r[:, 0], -wall)
+            assert np.array_equal(r[:, 1:-1], (rhs - rows)[:, 1:-1])
+            assert np.array_equal(r[:, -1], -rows[:, -1])  # f's wall rows read as zero
+            assert res == l2_norm(Field(g, r))
+            assert _gate(rhs, u, rows, alpha, g, 2.0 * res / solver.RESIDUAL_TOL) == (res, None)
+    rows = fac._rows(u)
     uy = u[0, :4] @ np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / g.hy
     # the two seam lines sum their slots in another order
     assert np.all(rows[1:-1, 0] == 0.0) and np.allclose(wall, uy, rtol=1e-12)

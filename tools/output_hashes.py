@@ -10,9 +10,11 @@ is a bit-identical output.  Covered: the assembled L (data, indices,
 indptr) and the factored x-mode systems of every preset
 (solver._factor_modes: the LU arrays as zgttrs takes them, the fold
 multipliers m2, and m3 broadcast to one complex entry per mode);
-solve_linear's u, residual and a priori ratio; the auxiliary solve's u
-and iterations; energy ratios, dual constants
-and auxiliary iterations; the five seam-split derivatives of the ma
+solve_linear's u, residual and a priori ratio; the interior and the
+boundary form entries of every preset at 64^2 (min, max, claimed bound
+and verdict of each, in report order); the auxiliary solve's u and
+iterations; energy ratios, dual constants, auxiliary iterations and the
+report's entries; the five seam-split derivatives of the ma
 and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); the public
 graph path at the same starts (curvature_residual at the ma start,
 darboux_residual at the darboux start, covariant_hessian at both, all
@@ -55,6 +57,11 @@ def emit(name: str, *arrays) -> None:
     print(f"{name} {h.hexdigest()}")
 
 
+def emit_entries(name: str, report) -> None:
+    # a FormReport's entries as (min, max, claimed bound, verdict) rows
+    emit(name, [(e.min, e.max, e.claimed_bound, e.passed) for e in report.entries.values()])
+
+
 def print_counts(name: str, rep) -> None:
     # a Picard run's step count and outcome, printed as they are
     print(f"{name}/iterations {rep.iterations}")
@@ -90,6 +97,15 @@ def main(tree: Path) -> None:
             emit(f"solve_linear/{name}/{n}", rep.u.values, rep.residual_norm, rep.apriori_ratio)
 
     g = grid.make_grid(64, 64)
+    for name in PRESETS:
+        cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
+        mt = multiplier.build_abc(cs, 10.0, 1, require_alpha=False)
+        for kind, form_report in (
+            ("interior", multiplier.interior_form_report),
+            ("boundary", multiplier.boundary_form_report),
+        ):
+            emit_entries(f"forms/{name}/64/{kind}", form_report(mt, cs))
+
     v = grid.Field.from_function(g, lambda X, Y: (1.0 - Y) * (np.cos(np.pi * X) + 0.3 * Y))
     for name in ("tricomi", "lower_order"):
         cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
@@ -101,7 +117,8 @@ def main(tree: Path) -> None:
         samples = solver.random_smooth_samples(g, ALPHA, 10, 7, adjoint=True)
         for m in (0, 1):
             mt = multiplier.build_abc(cs, 10.0, m)
-            _, out = solver.energy_certificate(cs, mt, samples)
+            report, out = solver.energy_certificate(cs, mt, samples)
+            emit_entries(f"energy/{name}/m{m}/entries", report)
             emit(f"energy/{name}/m{m}/ratio", [s.ratio for s in out])
             emit(f"energy/{name}/m{m}/dual", [s.dual_constant for s in out])
             emit(f"energy/{name}/m{m}/aux_iterations", [s.aux_iterations for s in out])
@@ -136,7 +153,7 @@ def main(tree: Path) -> None:
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
-        params = nonlinear.NonlinearParams(cfg.alpha0, cfg.theta, cfg.tol, cfg.max_iter)
+        params = nonlinear.NonlinearParams(alpha0=cfg.alpha0, tol=cfg.tol, max_iter=cfg.max_iter)
         metric = nonlinear.flat_metric(g)
         runs = {
             "ma": (cli.manufactured_curvature_pair, nonlinear.solve_prescribed_curvature),
