@@ -38,7 +38,7 @@ from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _dx1_3, _dx2, _l2_norm, _quadrature_row
 from .norms import _x_matrix
 from .operators import _BOTTOM_DY, _oblique_row
-from .solver import _gate, _singular_mode
+from .solver import ResidualGateError, _gate, _singular_mode
 
 
 class CurvatureGateError(RuntimeError):
@@ -511,10 +511,9 @@ def _linear_step(
     PreconditionError, naming the first singular mode.
 
     The gate is solver._gate, the one every linear solve answers to, on
-    N d over every row (_step_rows); when it fails, its
-    ResidualGateError is raised.  stats takes the
-    band and right-hand side fill as band_s and the rfft, zgbsv and the
-    gate as solve_s.
+    N d over every row (_step_rows); when it fails, a ResidualGateError
+    of its residual is raised.  stats takes the band and right-hand side
+    fill as band_s and the rfft, zgbsv and the gate as solve_s.
     """
     t0 = perf_counter()
     nx, nyp = g.shape
@@ -538,11 +537,12 @@ def _linear_step(
     if info > 0:
         raise _singular_mode(info, g)
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
-    res, failed = _gate(f, d, _step_rows(g, p, alpha, d), alpha, g, _l2_norm(g, f))
+    fnorm = _l2_norm(g, f)
+    res, r = _gate(f, d, _step_rows(g, p, alpha, d), alpha, g, fnorm)
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
-    if failed:
-        raise failed
+    if r is not None:
+        raise ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, g, alpha)
     return d, res
 
 

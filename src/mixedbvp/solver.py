@@ -22,13 +22,14 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from math import isfinite
 from time import perf_counter
 from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .coeffs import AlphaRangeError, CoefficientSet, check_alpha, check_condition7
 from .grid import (
@@ -232,7 +233,7 @@ RESIDUAL_TOL = 1e-10
 
 
 def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float, grid: GridSpec,
-          fnorm: float) -> tuple[float, ResidualGateError | None]:
+          fnorm: float) -> tuple[float, np.ndarray | None]:
     """The residual gate every linear solve answers to, N u = f its system.
 
     The solves are FactorizedOperator's, on each of its paths, and the
@@ -242,10 +243,11 @@ def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float, grid: Grid
     oblique bottom row loses the u_y terms at a huge alpha, and would
     pass a wrong u, so that row is formed again with u_e - u_w taken
     first (operators._oblique_row).  Returns ||r|| and, when it exceeds
-    RESIDUAL_TOL*fnorm, the ResidualGateError to raise (None when it
-    passes).  A finite right-hand side near the largest double can
-    still overflow N u; that raises ValueError naming the right-hand
-    side.
+    RESIDUAL_TOL*fnorm, r itself (None when it passes); the caller that
+    raises builds the ResidualGateError from it, so a failed attempt
+    that is not raised costs no error.  A finite right-hand side near
+    the largest double can still overflow N u; that raises ValueError
+    naming the right-hand side.
     """
     r = np.negative(Nu)
     r[:, 1:-1] += f[:, 1:-1]
@@ -257,9 +259,7 @@ def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float, grid: Grid
             f"the right-hand side (max |f| = {np.abs(f[:, 1:-1]).max():.3g}) overflows L u"
             f" on the {grid.nx}x{grid.ny} grid"
         ) from None
-    if res <= RESIDUAL_TOL * fnorm:
-        return res, None
-    return res, ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, grid, alpha)
+    return res, (None if res <= RESIDUAL_TOL * fnorm else r)
 
 
 # Krylov steps before the Fourier-preconditioned path gives up for splu
@@ -269,43 +269,77 @@ GMRES_MAX_ITER = 40
 GMRES_MARGIN = 1e-2
 
 
+@lru_cache(maxsize=16)
+def _gmres_weights(grid: GridSpec) -> np.ndarray:
+    """GMRES's inner-product weights, read-only: each node's quadrature
+    weight (grid._quadrature_row of its y-row), flattened as the grid's
+    arrays ravel."""
+    w = np.broadcast_to(_quadrature_row(grid), grid.shape).ravel()
+    w.flags.writeable = False
+    return w
+
+
 def _gmres(
-    apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter: int, first: np.ndarray
+    apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter: int,
+    u: np.ndarray, first: np.ndarray,
 ):
     """Right-preconditioned GMRES (Saad-Schultz 1986) from x = 0.
 
-    first is apply(precond(b)), which the caller has formed already, so
-    the first step costs no matvec; apply's output is flattened.  The
-    inner product is weighted by w, so the least-squares residual is
-    the quadrature norm of b - apply(x) in exact arithmetic.  Givens
-    rotations keep the Hessenberg matrix in QR form as it grows: the
-    rotated right-hand side g holds that residual in |g[k+1]| after
-    step k, and the one triangular solve runs at exit.  Stops when the
-    residual is <= target, at a breakdown or after maxiter steps, and
-    returns (x, steps, residuals), residuals[k] being the residual after
-    step k + 1.  No restarts: the basis holds at most maxiter + 1 vectors.
+    u is precond(b) and first is apply(u), which the caller has formed
+    already, so the first step costs no precond and no matvec; apply's
+    output is flattened.  Each step keeps its preconditioned basis
+    vector z_k = precond(v_k) (z_0 = u/beta) in a second basis Z, as
+    flexible GMRES does (Saad 1993), so the iterate at exit is one
+    combination of Z and a run of k steps calls precond k - 1 times.  Z
+    is a list of precond's own outputs, stacked once at exit: a
+    preallocated block beside V would double the memory each solve
+    takes and hands back.  The inner product is weighted by w, so the
+    least-squares residual is the quadrature norm of b - apply(x) in
+    exact arithmetic; its products with w are formed in one work vector,
+    and beta = ||b|| is rescaled by max|b| only when its plain sum of
+    squares overflows.  Givens rotations keep the Hessenberg matrix in
+    QR form as it grows: the rotated right-hand side g holds that
+    residual in |g[k+1]| after step k, and the one triangular solve runs
+    at exit.  Stops when the residual is <= target, at a breakdown or
+    after maxiter steps, and returns (x, steps, residuals), x flat and
+    residuals[k] the residual after step k + 1.  No restarts: the bases
+    hold at most maxiter + 1 vectors.
     """
-    beta = float(np.sqrt(b @ (w * b)))
+    wv = np.empty_like(b)
+    with np.errstate(over="ignore"):
+        beta = float(np.sqrt(b @ np.multiply(w, b, out=wv)))
+    if not isfinite(beta):  # a finite b above about 1e154 overflows the squares
+        top = float(np.abs(b).max())
+        unit = b / top
+        beta = top * float(np.sqrt(unit @ np.multiply(w, unit, out=wv)))
     V = np.empty((maxiter + 1, b.size))
+    Z: list[np.ndarray] = []
     R = np.zeros((maxiter + 1, maxiter))
     rot = np.zeros((maxiter, 2))  # the (cos, sin) of each step's rotation
     g = np.zeros(maxiter + 1)
     g[0] = beta
-    V[0] = b / beta
+    np.divide(b, beta, out=V[0])
     residuals: list[float] = []
 
     def solution(k: int) -> np.ndarray:
-        y = solve_triangular(R[:k, :k], g[:k]) if k else np.zeros(0)
-        return precond(y @ V[:k])
+        if not k:
+            return np.zeros(b.size)
+        y, _ = lapack.dtrtrs(R[:k, :k], g[:k])  # R's diagonal holds no zero (diag > 0)
+        return y @ np.array(Z[:k])
 
     for k in range(maxiter):
-        v = first / beta if k == 0 else apply(precond(V[k])).ravel()
+        if k == 0:
+            Z.append(u.reshape(-1) / beta)
+            v = first / beta
+        else:
+            Z.append(precond(V[k]).reshape(-1))
+            v = apply(Z[k]).ravel()
         h = R[:, k]
         for _ in range(2):  # classical Gram-Schmidt, twice for orthogonality
-            coef = V[: k + 1] @ (w * v)
-            v -= coef @ V[: k + 1]
+            coef = V[: k + 1] @ np.multiply(w, v, out=wv)
+            v -= np.matmul(coef, V[: k + 1], out=wv)  # wv is free once coef is formed
             h[: k + 1] += coef
-        vnorm = np.sqrt(v @ (w * v))
+        vnorm = np.sqrt(v @ np.multiply(w, v, out=wv))
         for i, (c, s) in enumerate(rot[:k]):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         diag = np.hypot(h[k], vnorm)
@@ -318,7 +352,7 @@ def _gmres(
         residuals.append(abs(g[k + 1]))
         if residuals[-1] <= target or vnorm == 0.0:
             return solution(k + 1), k + 1, residuals
-        V[k + 1] = v / vnorm
+        np.divide(v, vnorm, out=V[k + 1])
     return solution(maxiter), maxiter, residuals
 
 
@@ -341,18 +375,20 @@ class FactorizedOperator:
     LUs: every row of L u is one sparse product, from which _gate forms
     the residual.  Past GMRES_MAX_ITER steps, or when the gate still
     fails, the operator falls back to a sparse LU of that same matrix
-    for good; stats["fallback_reason"] says why.  A solve that fails the
-    gate raises _gate's ResidualGateError (WELLPOSEDNESS_SUSPECT), which
-    names the rows holding most of the residual.
+    for good; stats["fallback_reason"] says why.  A solve whose last
+    path fails the gate raises ResidualGateError (WELLPOSEDNESS_SUSPECT),
+    built here from _gate's residual, which names the rows holding most
+    of the residual; an attempt that only hands the solve on builds none.
 
     method is "fourier" or "splu".  residual_norm is the last solve's
     residual over every row; stats holds it relative to ||f|| as
     residual, and for the last solve gmres_iterations (0 when the mode
     LUs alone passed the gate), gmres_residuals (GMRES's estimate after
-    each step, over ||f||), matvecs (products with L) and solve_s; and
-    the perf_counter timings assemble_s (building L) and factor_s.  A
-    singular factorization of L (_singular_mode for a mode LU), or a
-    zero pivot of the fold, raises PreconditionError
+    each step, over ||f||), matvecs (products with L), mode_solves
+    (back-substitutions through the mode LUs: one per GMRES step, or
+    the one when the mode LUs alone passed) and solve_s; and the perf_counter timings assemble_s (building
+    L) and factor_s.  A singular factorization of L (_singular_mode for
+    a mode LU), or a zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
     those modes are the averaged operator's, it only sends the operator
     to splu.
@@ -363,7 +399,7 @@ class FactorizedOperator:
         self.cs = cs
         self._L = assemble_L(cs)
         t1 = perf_counter()
-        self.stats: dict = {"assemble_s": t1 - t0, "matvecs": 0}
+        self.stats: dict = {"assemble_s": t1 - t0, "matvecs": 0, "mode_solves": 0}
         self.method = "fourier"
         try:
             self._modes = _factor_modes(cs)
@@ -383,6 +419,7 @@ class FactorizedOperator:
 
     def _mode_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitution through the mode LUs, every row of rhs included."""
+        self.stats["mode_solves"] += 1
         g = self.cs.grid
         spec = np.fft.rfft(rhs.reshape(g.shape), axis=0)
         lu, (m2, m3) = self._modes
@@ -405,27 +442,28 @@ class FactorizedOperator:
         rhs[:, 0] = 0.0
         fnorm = l2_norm(f)
         steps, estimates = 0, []
-        self.stats["matvecs"] = 0
+        self.stats.update(matvecs=0, mode_solves=0)
         if self.method == "fourier":
             u = self._mode_solve(rhs)
             Lu = self._rows(u)
-            res, failed = _gate(rhs, u, Lu, alpha, g, fnorm)
+            res, r = _gate(rhs, u, Lu, alpha, g, fnorm)
             # the gate, not the Krylov target: an exact LU's residual sits at a
             # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
-            if failed:
-                w = np.broadcast_to(_quadrature_row(g), g.shape).ravel()
-                u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(), w,
+            if r is not None:
+                u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(),
+                                             _gmres_weights(g),
                                              GMRES_MARGIN * (RESIDUAL_TOL * fnorm),
-                                             GMRES_MAX_ITER, Lu.ravel())
-                res, failed = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
-            if failed:
+                                             GMRES_MAX_ITER, u, Lu.ravel())
+                u = u.reshape(g.shape)
+                res, r = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
+            if r is not None:
                 if steps == GMRES_MAX_ITER:
                     self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
                 else:
                     self._fall_back(f"GMRES stopped above the residual gate {RESIDUAL_TOL:.1e}")
         if self.method == "splu":
             u = self._lu.solve(rhs.ravel()).reshape(g.shape)
-            res, failed = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
+            res, r = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
         self.residual_norm = res
         scale = fnorm if fnorm > 0 else 1.0
         self.stats.update(
@@ -434,8 +472,8 @@ class FactorizedOperator:
             residual=res / scale,
             solve_s=perf_counter() - t0,
         )
-        if failed:
-            raise failed
+        if r is not None:
+            raise ResidualGateError(res / scale, r, g, alpha)
         return Field(g, u)
 
 

@@ -121,7 +121,8 @@ def test_solve_report_names_the_krylov_path(tmp_path):
     text = (tmp_path / "solve_report.txt").read_text()
     stats = ast.literal_eval(text.split("stats=", 1)[1].strip())
     assert stats["method"] == "fourier"
-    assert {"gmres_iterations", "residual", "factor_s", "solve_s"} <= stats.keys()
+    assert {"gmres_iterations", "mode_solves", "residual", "factor_s", "solve_s"} <= stats.keys()
+    assert stats["mode_solves"] == stats["gmres_iterations"]
     assert stats["residual"] <= 1e-10
     g = make_grid(32, 32)
     cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
@@ -139,10 +140,11 @@ def test_solve_metrics_json(tmp_path, preset):
     stats = metrics["solver_stats"]
     assert set(stats) == {
         "method", "n", "factor_s", "assemble_s", "solve_s", "residual",
-        "matvecs", "gmres_iterations", "gmres_residuals",
+        "matvecs", "mode_solves", "gmres_iterations", "gmres_residuals",
     }
     assert stats["method"] == "fourier" and stats["n"] == 32 * 33
     assert stats["matvecs"] == stats["gmres_iterations"] + 1
+    assert stats["mode_solves"] == max(stats["gmres_iterations"], 1)
     assert len(stats["gmres_residuals"]) == stats["gmres_iterations"]
     assert (stats["gmres_iterations"] >= 1) == (preset == "lower_order")
     assert metrics["residual_norm"] > 0.0 and metrics["apriori_ratio"] > 0.0

@@ -471,6 +471,24 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), k
 
 
+def test_passing_step_builds_no_gate_error(monkeypatch):
+    # the gate returns its residual; the step builds the error only to raise it
+    from mixedbvp import nonlinear, solver
+    from mixedbvp.solver import ResidualGateError
+
+    built = []
+    init = ResidualGateError.__init__
+    monkeypatch.setattr(ResidualGateError, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    g, p, f = _step_inputs(32)
+    nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
+    assert built == []
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(ResidualGateError, match="WELLPOSEDNESS_SUSPECT: solve residual"):
+        nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
+    assert len(built) == 1
+
+
 def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
     # with no top row every mode's system is singular; the first is named
     from mixedbvp import nonlinear

@@ -265,10 +265,11 @@ def test_gmres_matches_dense_least_squares_at_every_step():
     M = np.eye(n) + 0.1 * rng.standard_normal((n, n))
     b = rng.standard_normal(n)
     w = rng.uniform(0.5, 2.0, n)
-    first = A @ (M @ b)
+    u = M @ b
+    first = A @ u
     for maxiter in range(n + 1):
         x, steps, residuals = solver._gmres(
-            lambda v: A @ v, lambda v: M @ v, b, w, 0.0, maxiter, first.copy()
+            lambda v: A @ v, lambda v: M @ v, b, w, 0.0, maxiter, u, first.copy()
         )
         assert steps == maxiter and len(residuals) == maxiter
         ref = _dense_gmres(A, M, b, w, maxiter)[0] if maxiter else np.zeros(n)
@@ -278,7 +279,7 @@ def test_gmres_matches_dense_least_squares_at_every_step():
             assert abs(est - true) <= 1e-10 * np.linalg.norm(np.sqrt(w) * b), (maxiter, k)
     # the target ends the run at the first step whose estimate meets it
     x, steps, residuals = solver._gmres(
-        lambda v: A @ v, lambda v: M @ v, b, w, 1e-3, n, first.copy()
+        lambda v: A @ v, lambda v: M @ v, b, w, 1e-3, n, u, first.copy()
     )
     assert residuals[-1] <= 1e-3 < residuals[-2] and steps == len(residuals)
 
@@ -294,14 +295,14 @@ def test_gmres_exact_breakdown_returns_the_solution():
     b = np.zeros(n)
     b[0] = 1.0
     x, steps, residuals = solver._gmres(
-        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, A @ b
+        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, b, A @ b
     )
     assert steps == 2 and residuals[-1] == 0.0
     assert np.array_equal(x, np.eye(n)[1])
     # a singular A that maps b to 0: the step adds nothing and x stays 0
     A[:, 0] = 0.0
     x, steps, residuals = solver._gmres(
-        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, A @ b
+        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, b, A @ b
     )
     assert (steps, residuals) == (1, [1.0]) and not x.any()
 
@@ -323,6 +324,97 @@ def test_operator_stats_count_products_and_estimates():
     fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, 0.02))
     fac.solve(f)
     assert (fac.stats["matvecs"], fac.stats["gmres_residuals"]) == (1, [])
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("preset", ["lower_order", "wedge"])
+def test_x_dependent_solve_makes_one_mode_solve_per_gmres_step(preset, n):
+    # the first mode solve is GMRES's z_0 and each later step forms its
+    # own z_k; the exit combines them with no mode solve of its own
+    g = make_grid(n, n)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y) + 0.3 * Y**2)
+    fac = FactorizedOperator(preset_coefficients(preset, g, 1e-4, 0.02))
+    assert fac.stats["mode_solves"] == 0
+    fac.solve(f)
+    steps = fac.stats["gmres_iterations"]
+    assert fac.method == "fourier" and steps >= 1
+    assert fac.stats["mode_solves"] == steps and fac.stats["matvecs"] == steps + 1
+    fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, 0.02))
+    fac.solve(f)
+    assert (fac.stats["mode_solves"], fac.stats["matvecs"]) == (1, 1)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_huge_right_hand_side_keeps_the_krylov_path(scale):
+    # beta = ||b|| overflows its plain sum of squares above about 1e155;
+    # rescaled, GMRES takes the unscaled solve's steps and no warning is given
+    import warnings
+
+    from mixedbvp.operators import apply_L
+
+    g = make_grid(64, 64)
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
+    f = apply_L(cs, random_smooth_samples(g, 0.02, 1, 5, adjoint=False)[0])
+    ref = solve_linear(LinearProblem(cs, f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_linear(LinearProblem(cs, Field(g, scale * f.values)))
+    assert rep.solver_stats["method"] == "fourier"
+    steps = ref.solver_stats["gmres_iterations"]
+    assert steps >= 1 and rep.solver_stats["gmres_iterations"] == steps
+    err = np.abs(rep.u.values / scale - ref.u.values).max()
+    assert err <= 1e-12 * np.abs(ref.u.values).max()
+
+
+def test_gmres_beta_keeps_its_bits_where_the_plain_sum_is_finite():
+    # a first product of zero breaks down at once, and the one residual is
+    # beta itself: the plain weighted root wherever it is finite, the
+    # rescaled one (and no warning) where the squares overflow
+    import warnings
+
+    rng = np.random.default_rng(2)
+    n = 6
+    b, w = rng.standard_normal(n), rng.uniform(0.5, 2.0, n)
+    plain = float(np.sqrt(b @ (w * b)))
+    for scale in (1.0, 1e150, 1e200, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, steps, residuals = solver._gmres(
+                lambda v: 0.0 * v, lambda v: v, scale * b, w, 0.0, 3, scale * b, np.zeros(n)
+            )
+        assert steps == 1 and not x.any()
+        if scale < 1e154:
+            assert residuals == [float(np.sqrt((scale * b) @ (w * (scale * b))))]
+        else:
+            assert abs(residuals[0] / scale - plain) <= 1e-15 * plain
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_passing_x_dependent_solve_builds_no_gate_error(n, monkeypatch):
+    # the mode-LU attempt fails the gate and only hands the solve to GMRES
+    from mixedbvp.solver import ResidualGateError
+
+    built = []
+    init = ResidualGateError.__init__
+    monkeypatch.setattr(ResidualGateError, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    g = make_grid(n, n)
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    rep = solve_linear(LinearProblem(preset_coefficients("lower_order", g, 1e-4, 0.02), f))
+    assert rep.solver_stats["gmres_iterations"] >= 1 and built == []
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)  # the hook sees a raised one
+    with pytest.raises(ResidualGateError):
+        FactorizedOperator(preset_coefficients("lower_order", g, 1e-4, 0.02)).solve(f)
+    assert len(built) == 1
+
+
+def test_gmres_weights_are_cached_per_grid():
+    from mixedbvp.grid import _quadrature_row
+
+    g = make_grid(16, 16)
+    w = solver._gmres_weights(g)
+    assert w is solver._gmres_weights(make_grid(16, 16)) and not w.flags.writeable
+    assert np.array_equal(w, np.broadcast_to(_quadrature_row(g), g.shape).ravel())
 
 
 def test_residual_gate_names_the_rows_that_hold_it(monkeypatch):
@@ -382,9 +474,8 @@ def test_gate_residual_takes_the_differenced_oblique_row():
         fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
         wall = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))[1]
         for rows in (fac._rows(u), _step_rows(g, p, alpha, u)):
-            # with ||f|| = 0 every nonzero residual fails, and the error holds it
-            res, failed = _gate(rhs, u, rows, alpha, g, 0.0)
-            r = failed.residual
+            # with ||f|| = 0 every nonzero residual fails, and the gate returns it
+            res, r = _gate(rhs, u, rows, alpha, g, 0.0)
             assert np.array_equal(r[:, 0], -wall)
             assert np.array_equal(r[:, 1:-1], (rhs - rows)[:, 1:-1])
             assert np.array_equal(r[:, -1], -rows[:, -1])  # f's wall rows read as zero

@@ -20,13 +20,15 @@ graph path at the same starts (curvature_residual at the ma start,
 darboux_residual at the darboux start, covariant_hessian at both, all
 in the flat metric) and christoffel_symbols of the curved metric
 (1 + f_x^2, f_x f_y, 1 + f_y^2) induced by the darboux pair's height f;
-Picard ma and darboux from the CLI start; the u and the GMRES step count of
-perfbench Linear(11), Linear(12) and Linear(13) op 0 (x-dependent
-lower_order at 128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops
-0-13.  Each Picard run also prints its iterations and converged on
-lines of their own, so a change that moves the iterates by round-off,
-and so their hash, shows whether it moved the step counts.  One BLAS
-thread, so a library's threading cannot make two runs differ.
+Picard ma and darboux from the CLI start; the u of perfbench
+Linear(11), Linear(12) and Linear(13) op 0 (x-dependent lower_order at
+128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops 0-13.  Each
+Picard run also prints its iterations and converged on lines of their
+own, and each perfbench linear solve its GMRES step count and a hash of
+its Krylov estimates (gmres_residuals), so a change that moves the
+iterates or u by round-off, and so their hash, shows whether it moved
+the step counts or the Krylov process.  One BLAS thread, so a
+library's threading cannot make two runs differ.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ def print_counts(name: str, rep) -> None:
     # a Picard run's step count and outcome, printed as they are
     print(f"{name}/iterations {rep.iterations}")
     print(f"{name}/converged {rep.converged}")
+
+
+def print_krylov(name: str, rep) -> None:
+    # a linear solve's GMRES step count as it is, and its Krylov estimates hashed
+    print(f"{name}/gmres_iterations {rep.solver_stats['gmres_iterations']}")
+    emit(f"{name}/gmres_residuals", rep.solver_stats["gmres_residuals"])
 
 
 def main(tree: Path) -> None:
@@ -173,14 +181,14 @@ def main(tree: Path) -> None:
         lin = workloads.Linear(seed)
         rep = lin.steps(lin.inputs(0))[0]()
         emit(f"linear128/lower_order/seed{seed}/u", rep.u.values)
-        print(f"linear128/lower_order/seed{seed}/gmres_iterations"
-              f" {rep.solver_stats['gmres_iterations']}")
+        print_krylov(f"linear128/lower_order/seed{seed}", rep)
 
     lin = workloads.Linear(1)
     for i in range(10):
         inp = lin.inputs(i)
         rep = lin.steps(inp)[0]()
         emit(f"perfbench/linear/{i}", rep.u.values, rep.residual_norm, rep.apriori_ratio)
+        print_krylov(f"perfbench/linear/{i}", rep)
     pic = workloads.Picard(1)
     for i in range(14):
         inp = pic.inputs(i)
