@@ -41,7 +41,7 @@ from .nonlinear import (
     solve_darboux,
     solve_prescribed_curvature,
 )
-from .operators import aux_equation_residual, aux_solve_report
+from .operators import AuxNonContractionError, aux_equation_residual, aux_solve_report
 from .solver import (
     LinearProblem,
     PreconditionError,
@@ -171,8 +171,9 @@ def _parse_grids(spec: str):
         sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid list {spec!r}") from exc
-    if not sizes:
-        raise ConfigError("empty grid list")
+    # an observed order needs two sizes, and two equal sizes in a row give none
+    if len(sizes) < 2 or any(a == b for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"grid list {spec!r}: give at least two sizes, no two equal in a row")
     return [make_grid(n, n) for n in sizes]
 
 
@@ -407,6 +408,7 @@ def run(argv=None) -> int:
         PreconditionError,
         CurvatureGateError,
         DegenerateLinearizationError,
+        AuxNonContractionError,
     ) as exc:
         # a failed admissibility gate or a solver that cannot proceed: the
         # message says which condition failed

@@ -57,6 +57,19 @@ class CoefficientSet:
         """
         return tuple(bool((c.values[1:] == c.values[:-1]).all()) for c in (self.K, self.A, self.B))
 
+    @cached_property
+    def adjoint_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L*'s coefficients of v_x and v_y (times eps) and of v (operators.apply_Lstar).
+
+        2*K_x - A, -B and eps*(K_xx - A_x - B_y), built on first use and
+        kept, as x_constant is.
+        """
+        Kx = differentiate(self.K, "x", 1).values
+        Kxx = differentiate(self.K, "x", 2).values
+        Axd = differentiate(self.A, "x", 1).values
+        Byd = differentiate(self.B, "y", 1).values
+        return 2.0 * Kx - self.A.values, -self.B.values, self.eps * (Kxx - Axd - Byd)
+
 
 @dataclass
 class ConditionReport:

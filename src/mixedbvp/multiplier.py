@@ -218,19 +218,6 @@ def build_abc(
 # form certificates
 # ---------------------------------------------------------------------------
 
-def a_y_field(mt: MultiplierTriple, cs: CoefficientSet) -> Field:
-    """a_y evaluated through the phi ODE itself: a_y = eps(A - K_x) - eps*B*a.
-
-    Differencing the marched phi numerically would reintroduce an O(h^2)
-    truncation error that the multiplier construction is designed to
-    cancel; the ODE right side gives the derivative of the exact phi
-    directly, so the mixed-term cancellation below holds to roundoff.
-    """
-    Kx = differentiate(cs.K, "x", 1).values
-    vals = cs.eps * (cs.A.values - Kx) - cs.eps * cs.B.values * mt.a.values
-    return Field(cs.grid, vals)
-
-
 def _interior_coefficients(mt: MultiplierTriple, cs: CoefficientSet):
     """The u_x^2, u_x u_y, u_y^2 and u^2 coefficients of the interior form.
 
@@ -247,8 +234,14 @@ def _interior_coefficients(mt: MultiplierTriple, cs: CoefficientSet):
     def dy(vals, order=1):
         return differentiate(Field(g, vals), "y", order).values
 
+    # a_y evaluated through the phi ODE itself: a_y = eps(A - K_x) - eps*B*a.
+    # Differencing the marched phi numerically would reintroduce an O(h^2)
+    # truncation error that the multiplier construction is designed to
+    # cancel; the ODE right side gives the derivative of the exact phi
+    # directly, so the mixed-term cancellation below holds to roundoff.
+    a_y = eps * (A - dx(K)) - eps * B * a
     ux2 = dy(b * K) - 2.0 * c * K - dx(a * K) + 2.0 * a * A
-    mixed = b * A - dx(b * K) - a_y_field(mt, cs).values / eps - a * B
+    mixed = b * A - dx(b * K) - a_y / eps - a * B
     uy2 = (dx(a) - dy(b) - 2.0 * c) / eps + 2.0 * b * B
     u2 = dx(c * K, 2) + dy(c, 2) / eps - dx(c * A) - dy(c * B)
     return ux2, mixed, uy2, u2

@@ -37,7 +37,7 @@ from scipy.linalg import lapack
 from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _dx1_3, _dx2, _l2_norm, _quadrature_row
 from .norms import _x_matrix
-from .operators import _BOTTOM_DY, _oblique_row
+from .operators import _BOTTOM_DY
 from .solver import ResidualGateError, _gate, _singular_mode
 
 
@@ -418,7 +418,7 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     (c = 1, -h/3 and 1), which no mode's symbol touches, so one fold
     serves every mode and the right-hand side is folded in physical
     space.  template, (ny+1, 7), complex: the folded rows as one mode's
-    block of the step's band (_step_buffers), entry (i, j) at
+    block of the step's band (_linear_step), entry (i, j) at
     [j, 4 + i - j], with its fill rows 0..1 zero, so that a step copies
     it whole over every mode.  spread: the fold applied to diag(p) is
     diag(p) on rows 1..ny-1 plus the entries (0, 1), (0, 2), (1, 2) and
@@ -426,7 +426,7 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     4 + i - j and their weights.
 
     dx2, dy2: the _dx2 and second-order y blocks of _derivative_matrices,
-    with which the gate applies N (_step_rows).
+    with which _step_rows applies N for the gate.
     """
     ny, nyp = grid.ny, grid.ny + 1
     eye = np.eye(grid.nx)
@@ -452,85 +452,65 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     )
 
 
-def _step_buffers(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays _linear_step refills at every step of one Picard solve.
-
-    The band, (nx//2 + 1, ny+1, 7): mode k's entry (i, j) at
-    [k, j, 4 + i - j], so that its (-1, 7) reshape, transposed, is the
-    Fortran-ordered array zgbsv factors in place.  The folded right-hand
-    side, (nx, ny+1), and its rfft, (nx//2 + 1, ny+1), which zgbsv
-    overwrites with the solution.
-    """
-    modes = grid.nx // 2 + 1
-    return (
-        np.empty((modes, grid.ny + 1, 7), dtype=complex),
-        np.empty(grid.shape),
-        np.empty((modes, grid.ny + 1), dtype=complex),
-    )
-
-
-def _step_rows(g: GridSpec, p, alpha: float, d: np.ndarray) -> np.ndarray:
-    """N d over every row (see _linear_step), as the step's gate reads it.
+def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
+    """N d on rows 1..ny (see _linear_step), as the step's gate reads it.
 
     d_xx and d_yy are the products with the _dx2 and second-order graph
-    stencil matrices (_step_bands); row 0 comes from
-    operators._oblique_row, which keeps the d_y terms at any alpha.
+    stencil matrices (_step_bands).  Row 0 holds those products too:
+    the gate (solver._gate) forms the oblique row itself.
     """
     bands = _step_bands(g)
     rows = bands.dx2 @ d
     rows *= p
     rows += (bands.dy2 @ d.T).T
     rows[:, -1] = d[:, -1]
-    rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
     return rows
 
 
 def _linear_step(
-    g: GridSpec,
-    p,
-    alpha: float,
-    f: np.ndarray,
-    stats: dict,
-    buffers: tuple[np.ndarray, ...],
+    g: GridSpec, p, alpha: float, f: np.ndarray, stats: dict
 ) -> tuple[np.ndarray, float]:
     """d with N d = f, N the Picard step's operator, and the residual's norm.
 
     N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
     stencils (the periodic _dx2 in x, the second-order graph stencil in
-    y), the oblique row alpha*d_x + d_y of operators._oblique_row on row
-    0 and d itself on row ny; f's wall rows are read as zero.  N commutes with the
-    x-shift, so the rfft splits it into one y-system per mode, folded
-    to kl = ku = 2 (_step_bands): the cached template, plus the mode's
-    symbol times the fold of diag(p), plus alpha times the oblique
-    symbol at (0, 0).  The systems are the diagonal blocks of one band
-    matrix with exact zeros between blocks, so partial pivoting never
-    reaches across a block, and one zgbsv call factors and solves each
-    block as a call of its own would.  The band and the right-hand side
-    live in buffers (_step_buffers), refilled here since zgbsv
-    overwrites both.  A zero pivot raises solver._singular_mode's
+    y), the oblique row alpha*d_x + d_y of operators._oblique_row on
+    row 0 and d itself on row ny; f's wall rows are read as zero.  N
+    commutes with the x-shift, so the rfft splits it into one y-system
+    per mode, folded to kl = ku = 2 (_step_bands): the cached template,
+    plus the mode's symbol times the fold of diag(p), plus alpha times
+    the oblique symbol at (0, 0).  The systems are the diagonal blocks
+    of one band matrix with exact zeros between blocks, so partial
+    pivoting never reaches across a block, and one zgbsv call factors
+    and solves each block as a call of its own would.  The band,
+    (nx//2 + 1, ny+1, 7) with mode k's entry (i, j) at [k, j, 4 + i - j]
+    so that its (-1, 7) reshape, transposed, is the Fortran-ordered
+    array zgbsv factors in place, the folded right-hand side and its
+    rfft are allocated at every step: arrays kept across steps save no
+    measurable time.  A zero pivot raises solver._singular_mode's
     PreconditionError, naming the first singular mode.
 
     The gate is solver._gate, the one every linear solve answers to, on
-    N d over every row (_step_rows); when it fails, a ResidualGateError
-    of its residual is raised.  stats takes the band and right-hand side
-    fill as band_s and the rfft, zgbsv and the gate as solve_s.
+    N d over rows 1..ny (_step_rows); the gate forms row 0, the oblique
+    row, itself.  When it fails, a ResidualGateError of its residual is
+    raised.  stats takes the band and right-hand side fill as band_s
+    and the rfft, zgbsv and the gate as solve_s.
     """
     t0 = perf_counter()
     nx, nyp = g.shape
     bands = _step_bands(g)
-    band, rhs, spec = buffers
-    band[:] = bands.template
+    band = np.tile(bands.template, (nx // 2 + 1, 1, 1))
     sym_p = bands.symbols[0][:, None] * p
     band[:, 1:-1, 4] += sym_p[:, 1:-1]
     cols, at, weights = bands.spread
     band[:, cols, at] += weights * sym_p[:, cols]
     band[:, 0, 4] += alpha * bands.symbols[1]
-    rhs[:, 1:-1] = f[:, 1:-1]
+    rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
     for row, by, c in bands.folds:
         rhs[:, row] -= c * rhs[:, by]
     t1 = perf_counter()
-    np.fft.rfft(rhs, axis=0, out=spec)
+    spec = np.fft.rfft(rhs, axis=0)
     *_, x, info = lapack.zgbsv(
         2, 2, band.reshape(-1, 7).T, spec.reshape(-1, 1), overwrite_ab=1, overwrite_b=1
     )
@@ -538,7 +518,7 @@ def _linear_step(
         raise _singular_mode(info, g)
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
     fnorm = _l2_norm(g, f)
-    res, r = _gate(f, d, _step_rows(g, p, alpha, d), alpha, g, fnorm)
+    res, r = _gate(f, d, _step_rows(g, p, d), alpha, g, fnorm)
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
     if r is not None:
@@ -629,11 +609,11 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     ends the iteration.
 
     A solve builds only what depends on its start: the seam carrier
-    (_SplitDerivatives), the mixing's ring buffers and the step's
-    buffers (_step_buffers).  chi, the inner region as a slice and the
-    wall rows' weight come from _residual_weights, and the stencils,
-    seam weights and step bands from their own caches, all shared per
-    grid.  The residual norms are taken on the bare arrays
+    (_SplitDerivatives) and the mixing's ring buffers; each step
+    allocates its own band and right-hand side (_linear_step).  chi,
+    the inner region as a slice and the wall rows' weight come from
+    _residual_weights, and the stencils, seam weights and step bands
+    from their own caches, all shared per grid.  The residual norms are taken on the bare arrays
     (grid._l2_norm), which still raise GridError on a non-finite entry.
 
     diagnostics carries the residual of each linear solve (every row,
@@ -657,7 +637,6 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     chi, inner, wall_weight = _residual_weights(grid)
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, THETA)
-    buffers = _step_buffers(grid)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
@@ -694,7 +673,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
             )
         p = (P[inner] / Q[inner]).mean(axis=0)
         stats["band_s"] += perf_counter() - t0
-        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats, buffers)
+        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats)
         t0 = perf_counter()
         d, depth = mixing.step(d, update)
         stats["mix_s"] += perf_counter() - t0

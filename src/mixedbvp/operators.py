@@ -33,7 +33,6 @@ from .grid import (
     _dy1,
     _dy2,
     boundary_integral,
-    differentiate,
     inner_product,
     l2_norm,
     mode_power,
@@ -163,17 +162,6 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
 # differential application (all rows, one-sided at the walls)
 # ---------------------------------------------------------------------------
 
-def _adjoint_pieces(cs: CoefficientSet):
-    Kx = differentiate(cs.K, "x", 1).values
-    Kxx = differentiate(cs.K, "x", 2).values
-    Axd = differentiate(cs.A, "x", 1).values
-    Byd = differentiate(cs.B, "y", 1).values
-    first_x = 2.0 * Kx - cs.A.values
-    first_y = -cs.B.values
-    zero_order = cs.eps * (Kxx - Axd - Byd)
-    return first_x, first_y, zero_order
-
-
 def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> Field:
     """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
 
@@ -194,15 +182,12 @@ def apply_L(cs: CoefficientSet, u: Field) -> Field:
     return _apply(u.grid, cs.K.values, cs.A.values, cs.B.values, None, cs.eps, u.values)
 
 
-def apply_Lstar(cs: CoefficientSet, v: Field, pieces: tuple | None = None) -> Field:
+def apply_Lstar(cs: CoefficientSet, v: Field) -> Field:
     """Pointwise application of the formal adjoint at every node.
 
-    pieces, when given, is _adjoint_pieces(cs), computed once by a caller
-    that applies L* to many v.
+    Its coefficients are cs.adjoint_pieces, built once per set.
     """
-    if pieces is None:
-        pieces = _adjoint_pieces(cs)
-    return _apply(v.grid, cs.K.values, *pieces, cs.eps, v.values)
+    return _apply(v.grid, cs.K.values, *cs.adjoint_pieces, cs.eps, v.values)
 
 
 def _oblique_row(values: np.ndarray, alpha: float, sgn: float, grid: GridSpec) -> np.ndarray:
@@ -386,36 +371,27 @@ def _to_physical(spec: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.irfft(spec, n=grid.nx, axis=0)
 
 
-def _spectral_dx(vals: np.ndarray, grid: GridSpec, power: int) -> np.ndarray:
-    spec = np.fft.rfft(vals, axis=0) * (1j * _wavenumbers(grid)[:, None]) ** power
-    return _to_physical(spec, grid)
-
-
 def _recovery_denominator(grid: GridSpec, lam: float, m: int) -> np.ndarray:
     xi = _wavenumbers(grid)
     return sum(lam**-s * xi ** (2 * s) for s in range(m + 1))
-
-
-def _a_derivatives(a: Field, m: int) -> list[np.ndarray]:
-    """Spectral d_x^l a for l = 1..m: the fixed factors of the coupling terms."""
-    return [_spectral_dx(a.values, a.grid, l) for l in range(1, m + 1)]
 
 
 class CouplingFactors:
     """What every auxiliary pass with one triple reuses (MultiplierTriple.coupling).
 
     denom is the recovery symbol sum_s lam^-s (pi k)^{2s} per rfft mode,
-    as a column; da[l - 1] is the spectral d_x^l a (see _a_derivatives)
-    and symbols[l - 1] the column sum_{s>=l} C(s,l) (-1)^s lam^-s
-    (i pi k)^{2s-l+1} that multiplies u's spectrum in the terms sharing
-    d_x^l a (see _coupling_rhs).
+    as a column; da[l - 1] is the spectral d_x^l a, l = 1..m, from one
+    rfft of a, and symbols[l - 1] the column sum_{s>=l} C(s,l) (-1)^s
+    lam^-s (i pi k)^{2s-l+1} that multiplies u's spectrum in the terms
+    sharing d_x^l a (see _coupling_rhs).
     """
 
     def __init__(self, a: Field, lam: float, m: int):
         g = a.grid
         ik = 1j * _wavenumbers(g)[:, None]
         self.denom = _recovery_denominator(g, lam, m)[:, None]
-        self.da = _a_derivatives(a, m)
+        a_spec = np.fft.rfft(a.values, axis=0)
+        self.da = [_to_physical(a_spec * ik**l, g) for l in range(1, m + 1)]
         self.symbols = [
             sum(comb(s, l) * (-1.0) ** s * lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1))
             for l in range(1, m + 1)

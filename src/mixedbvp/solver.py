@@ -47,8 +47,6 @@ from .multiplier import FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
-    BoundarySpec,
-    _adjoint_pieces,
     _bottom_stencil,
     _interior_stencil,
     _oblique_row,
@@ -56,7 +54,6 @@ from .operators import (
     apply_Lstar,
     assemble_L,
     aux_solve_report,
-    boundary_residual,
 )
 
 
@@ -381,13 +378,14 @@ class FactorizedOperator:
     of the residual; an attempt that only hands the solve on builds none.
 
     method is "fourier" or "splu".  residual_norm is the last solve's
-    residual over every row; stats holds it relative to ||f|| as
-    residual, and for the last solve gmres_iterations (0 when the mode
-    LUs alone passed the gate), gmres_residuals (GMRES's estimate after
+    residual over every row.  stats holds, for the last solve, residual
+    (that residual over ||f||), gmres_iterations (0 when the mode LUs
+    alone passed the gate), gmres_residuals (GMRES's estimate after
     each step, over ||f||), matvecs (products with L), mode_solves
     (back-substitutions through the mode LUs: one per GMRES step, or
-    the one when the mode LUs alone passed) and solve_s; and the perf_counter timings assemble_s (building
-    L) and factor_s.  A singular factorization of L (_singular_mode for
+    the one when the mode LUs alone passed) and solve_s (its
+    perf_counter time); and, from the constructor, the perf_counter
+    times assemble_s (building L) and factor_s.  A singular factorization of L (_singular_mode for
     a mode LU), or a zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
     those modes are the averaged operator's, it only sends the operator
@@ -612,15 +610,14 @@ def _bottom_corrector(grid: GridSpec) -> tuple[np.ndarray, float]:
 def _enforce_boundary(grid: GridSpec, w: np.ndarray, alpha: float, sign: float) -> Field:
     """Project w onto the discrete kernel of the bottom condition.
 
-    sign=+1 enforces alpha*u_x + u_y = 0, sign=-1 the adjoint version;
-    the top row is forced to zero exactly.
+    sign=+1 enforces alpha*u_x + u_y = 0, sign=-1 the adjoint version,
+    both as operators._oblique_row forms them; the top row is forced to
+    zero exactly.
     """
     w = w.copy()
     w[:, -1] = 0.0
     chi, d0 = _bottom_corrector(grid)
-    bc = BoundarySpec("oblique" if sign > 0 else "adjoint_oblique", alpha)
-    _, r = boundary_residual(Field(grid, w), bc)
-    w -= np.outer(r, chi) * (sign / d0)
+    w -= np.outer(_oblique_row(w, alpha, sign, grid), chi) * (sign / d0)
     return Field(grid, w)
 
 
@@ -684,14 +681,14 @@ def _sample_workers(grid: GridSpec, n: int) -> int:
     return min(cpus, n)
 
 
-def _energy_sample(cs: CoefficientSet, mt: MultiplierTriple, pieces, v: Field):
+def _energy_sample(cs: CoefficientSet, mt: MultiplierTriple, v: Field):
     """One sample of energy_certificate: its EnergySample and stage times."""
     m = mt.m
     t0 = perf_counter()
     aux = aux_solve_report(v, mt)
     u = aux.u
     t1 = perf_counter()
-    lsv = apply_Lstar(cs, v, pieces)
+    lsv = apply_Lstar(cs, v)
     t2 = perf_counter()
     num = inner_product(lsv, u)
     den = sobolev_norm(u, NormOrder(m, 1)) ** 2
@@ -719,9 +716,9 @@ def energy_certificate(
     the certificate.  The samples run concurrently on _sample_workers
     threads, one contiguous chunk each: the first in the calling thread,
     the others in pool threads, each in a copy of the caller's context
-    (np.errstate holds there).  What they share (the transport plan, the
-    coupling factors and both Gram factorizations) is built first, here,
-    and only read by them.  The results are in input order.  A failing
+    (np.errstate holds there).  What they share (L*'s coefficients
+    cs.adjoint_pieces, the transport plan, the coupling factors and both
+    Gram factorizations) is built first, here, and only read by them.  The results are in input order.  A failing
     sample ends its chunk, the other chunks run out, and the call raises
     the exception of the first failing sample in input order.  The
     report's stats holds perf_counter sums over the samples: aux_s in
@@ -736,15 +733,14 @@ def energy_certificate(
     if not v_samples:
         raise ValueError("energy_certificate: no nonzero sample was given")
     m, grid, n = mt.m, v_samples[0].grid, len(v_samples)
-    pieces = _adjoint_pieces(cs)
     # the shared factors, built in this thread before any sample reads them
-    mt.transport_plan, mt.coupling
+    cs.adjoint_pieces, mt.transport_plan, mt.coupling
     for order in ((m + 1, 0), (m, 1)):
         _gram_factors(grid, *order)
     workers = _sample_workers(grid, n)
 
     def run(chunk):
-        return [_energy_sample(cs, mt, pieces, v) for v in chunk]
+        return [_energy_sample(cs, mt, v) for v in chunk]
 
     t0 = perf_counter()
     # one chunk per thread, the first in this one: a task per sample would

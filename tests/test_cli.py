@@ -401,3 +401,36 @@ def test_right_hand_side_that_overflows_L_u_is_named(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert "\n" not in err
     assert err.startswith("error: the right-hand side") and "overflows L u on the 16x16 grid" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["aux", "--preset", "lower_order", "--eps", "0.5", "--alpha", "1000",
+     "--lambda", "1e-10", "--m", "2", "--nx", "16", "--ny", "16"],
+    ["energy", "--preset", "lower_order", "--eps", "0.9", "--alpha", "1000",
+     "--lambda", "1e-10", "--m", "1", "--nx", "16", "--ny", "16", "--samples", "2"],
+])
+def test_aux_non_contraction_exits_1_with_its_message(tmp_path, capsys, args):
+    # a solver that cannot proceed: its message on stdout, no traceback
+    assert run(args + ["--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("auxiliary iteration is not contracting") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("grids", ["16", "16,16", "16,32,32"])
+def test_mms_grid_list_without_an_order_is_a_usage_error(tmp_path, capsys, monkeypatch, grids):
+    # fewer than two sizes, or two equal sizes in a row, give no observed
+    # order: a configuration error before any solve
+    import mixedbvp.cli as cli
+
+    solves = []
+    monkeypatch.setattr(cli, "mms_convergence", lambda *a: solves.append(a))
+    assert run(["mms", "--grids", grids, "--out", str(tmp_path)]) == 2
+    assert solves == []
+    assert capsys.readouterr().err.startswith(f"error: grid list '{grids}'")
+
+
+def test_mms_coarsening_grid_list_still_runs(tmp_path):
+    code = run(["mms", "--preset", "tricomi", "--eps", "1e-2", "--alpha", "0.02",
+                "--grids", "32,16", "--out", str(tmp_path)])
+    assert code == 0
+    assert len((tmp_path / "convergence.csv").read_text().splitlines()) == 3

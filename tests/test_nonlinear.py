@@ -349,6 +349,17 @@ def _step_stats():
     return {"band_s": 0.0, "solve_s": 0.0}
 
 
+def _N_rows(g, p, alpha, d):
+    # N d over every row: the step's rows 1..ny (_step_rows) and the
+    # oblique row 0, which the gate forms
+    from mixedbvp.nonlinear import _step_rows
+    from mixedbvp.operators import _oblique_row
+
+    rows = _step_rows(g, p, d)
+    rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
+    return rows
+
+
 def _spy_zgbsv(monkeypatch):
     # the real zgbsv, and the list of (kl, ku, ab, b) of every call after
     # this one, copied before zgbsv overwrites them
@@ -369,17 +380,18 @@ def _spy_zgbsv(monkeypatch):
 def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha):
     # the one stacked zgbsv call on the folded kl = ku = 2 band against one
     # call per x-mode, bit for bit, and against a sparse LU of N assembled
-    # from the gate's row function applied to the identity's columns
+    # from the gate's rows (_N_rows) applied to the identity's columns
     import scipy.sparse.linalg as spla
 
     from mixedbvp.grid import l2_norm
-    from mixedbvp.nonlinear import _linear_step, _step_buffers, _step_rows
+    from mixedbvp.nonlinear import _linear_step, _step_rows
     from mixedbvp.operators import BoundarySpec, boundary_residual
+    from mixedbvp.solver import _gate
 
     g, p, f = _step_inputs(n)
     nyp = g.ny + 1
     zgbsv, calls = _spy_zgbsv(monkeypatch)
-    d, res = _linear_step(g, p, alpha, f, _step_stats(), _step_buffers(g))
+    d, res = _linear_step(g, p, alpha, f, _step_stats())
     ((kl, ku, ab, b),) = calls
     assert (kl, ku) == (2, 2) and ab.shape == (7, b.size)
     # no entry couples two blocks, so pivoting stays inside each: entry
@@ -391,10 +403,10 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     per_mode = np.concatenate([zgbsv(2, 2, ab[:, k], b[k])[2] for k in blocks])
     assert np.array_equal(d, np.fft.irfft(per_mode.reshape(-1, nyp), n=g.nx, axis=0))
 
-    N = _assembled(g, lambda e: _step_rows(g, p, alpha, e))
+    N = _assembled(g, lambda e: _N_rows(g, p, alpha, e))
     if n == 16:  # the probed matrix is the one read off single columns
         eye = np.eye(g.nx * nyp)
-        columns = [_step_rows(g, p, alpha, e.reshape(g.shape)).ravel() for e in eye]
+        columns = [_N_rows(g, p, alpha, e.reshape(g.shape)).ravel() for e in eye]
         assert np.array_equal(N.toarray(), np.array(columns).T)
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
@@ -403,28 +415,27 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     # two differ by up to 1.7e-12 of max|ref|, where the LU's own error is
     # the larger: the band solve leaves the smaller residual
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert res == l2_norm(Field(g, rhs - _step_rows(g, p, alpha, d)))
+    assert res == l2_norm(Field(g, rhs - _N_rows(g, p, alpha, d)))
     assert res <= 1e-10 * l2_norm(Field(g, f))
-    # the gate's wall rows are boundary_residual's, bit for bit
+    # the wall rows of the gate's residual on the step's rows are
+    # boundary_residual's, bit for bit (with ||f|| = 0 the gate returns it)
     u = np.random.default_rng(n + 1).standard_normal(g.shape)
     top, bottom = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))
-    step = _step_rows(g, p, alpha, u)
-    assert np.array_equal(step[:, 0], bottom) and np.array_equal(step[:, -1], top)
+    _, r = _gate(f, u, _step_rows(g, p, u), alpha, g, 0.0)
+    assert np.array_equal(r[:, 0], -bottom) and np.array_equal(r[:, -1], -top)
 
 
 def _mode_systems(g, p, alpha):
     # the unfolded y-system of every x-mode, (nx//2 + 1, ny+1, ny+1), read
-    # off the gate's row function: N is x-shift invariant, so the rfft in x
-    # of N applied to a unit column at x-node 0 is column j of each mode's
-    # system
-    from mixedbvp.nonlinear import _step_rows
-
+    # off the gate's rows (_N_rows): N is x-shift invariant, so the rfft in
+    # x of N applied to a unit column at x-node 0 is column j of each
+    # mode's system
     nyp = g.ny + 1
     A = np.empty((g.nx // 2 + 1, nyp, nyp), dtype=complex)
     for j in range(nyp):
         e = np.zeros(g.shape)
         e[0, j] = 1.0
-        A[:, :, j] = np.fft.rfft(_step_rows(g, p, alpha, e), axis=0)
+        A[:, :, j] = np.fft.rfft(_N_rows(g, p, alpha, e), axis=0)
     return A
 
 
@@ -432,8 +443,8 @@ def _mode_systems(g, p, alpha):
 def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     # the folded template has no entry outside kl = ku = 2, and each mode's
     # folded band system (as zgbsv receives it) solves the unfolded
-    # y-system: np.linalg.solve on the system read off _step_rows columns
-    from mixedbvp.nonlinear import _linear_step, _step_bands, _step_buffers
+    # y-system: np.linalg.solve on the system read off _N_rows columns
+    from mixedbvp.nonlinear import _linear_step, _step_bands
 
     g, p, f = _step_inputs(n)
     nyp, alpha = g.ny + 1, 0.6
@@ -456,7 +467,7 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     assert np.allclose(dense, np.where(inside, folded, 0.0), rtol=1e-15, atol=0.0)
 
     zgbsv, calls = _spy_zgbsv(monkeypatch)
-    _linear_step(g, p, alpha, f, _step_stats(), _step_buffers(g))
+    _linear_step(g, p, alpha, f, _step_stats())
     ((_, _, ab, b),) = calls
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
@@ -481,12 +492,34 @@ def test_passing_step_builds_no_gate_error(monkeypatch):
     monkeypatch.setattr(ResidualGateError, "__init__",
                         lambda self, *a: built.append(a) or init(self, *a))
     g, p, f = _step_inputs(32)
-    nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
+    nonlinear._linear_step(g, p, 0.6, f, _step_stats())
     assert built == []
     monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(ResidualGateError, match="WELLPOSEDNESS_SUSPECT: solve residual"):
-        nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
+        nonlinear._linear_step(g, p, 0.6, f, _step_stats())
     assert len(built) == 1
+
+
+def test_linear_step_forms_the_oblique_row_once(monkeypatch):
+    # the gate alone forms the step's bottom row: one _oblique_row call per
+    # step, counted through every module of the package that binds it
+    import sys
+
+    from mixedbvp import nonlinear, operators
+
+    calls = []
+    real = operators._oblique_row
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mixedbvp") and getattr(module, "_oblique_row", None) is real:
+            monkeypatch.setattr(module, "_oblique_row", counting)
+    g, p, f = _step_inputs(32)
+    nonlinear._linear_step(g, p, 0.6, f, _step_stats())
+    assert len(calls) == 1
 
 
 def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
@@ -500,7 +533,7 @@ def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
     template[-1, 4] = 0.0  # the top row's identity entry (ny, ny)
     monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: bands._replace(template=template))
     with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular"):
-        nonlinear._linear_step(g, p, 0.6, f, _step_stats(), nonlinear._step_buffers(g))
+        nonlinear._linear_step(g, p, 0.6, f, _step_stats())
 
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])

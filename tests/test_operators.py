@@ -232,9 +232,7 @@ def test_adjoint_zero_order_reduction_with_matching_A():
 
     A = differentiate(K, "x", 1)
     cs = CoefficientSet(K, A, Field.zeros(g), 0.01, 0.02)
-    from mixedbvp.operators import _adjoint_pieces
-
-    first_x, first_y, zero_order = _adjoint_pieces(cs)
+    first_x, first_y, zero_order = cs.adjoint_pieces
     assert np.abs(first_x - A.values).max() < 1e-12
     assert np.abs(first_y).max() == 0.0
     assert np.abs(zero_order).max() < cs.eps * 10.0 * g.hx**2
@@ -660,7 +658,7 @@ def test_aux_parseval_increments_match_physical_tiny_lambda(lam):
 def test_coupling_factors_built_on_first_use_and_kept(m):
     from math import comb
 
-    from mixedbvp.operators import _a_derivatives, _recovery_denominator, _wavenumbers
+    from mixedbvp.operators import _recovery_denominator, _wavenumbers
 
     g = make_grid(32, 32)
     mt = build_abc(preset_coefficients("lower_order", g, 1e-4, 0.02), 10.0, m)
@@ -671,11 +669,13 @@ def test_coupling_factors_built_on_first_use_and_kept(m):
     assert ("coupling" in vars(mt)) == (m > 0)
     cf = mt.coupling
     assert mt.coupling is cf
-    fresh = _a_derivatives(mt.a, m)
+    # d_x^l a taken by one rfft per derivative gives the same bits
+    ik = 1j * _wavenumbers(g)[:, None]
+    fresh = [np.fft.irfft(np.fft.rfft(mt.a.values, axis=0) * ik**l, n=g.nx, axis=0)
+             for l in range(1, m + 1)]
     assert len(cf.da) == len(fresh) == m
     assert all(np.array_equal(c, f) for c, f in zip(cf.da, fresh))
     assert np.array_equal(cf.denom, _recovery_denominator(g, mt.lam, m)[:, None])
-    ik = 1j * _wavenumbers(g)[:, None]
     for l, symbol in enumerate(cf.symbols, start=1):
         terms = (comb(s, l) * (-1.0) ** s * mt.lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1))
         assert np.array_equal(symbol, sum(terms))

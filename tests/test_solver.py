@@ -473,7 +473,7 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     for alpha in (0.02, 1e50):
         fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
         wall = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))[1]
-        for rows in (fac._rows(u), _step_rows(g, p, alpha, u)):
+        for rows in (fac._rows(u), _step_rows(g, p, u)):
             # with ||f|| = 0 every nonzero residual fails, and the gate returns it
             res, r = _gate(rhs, u, rows, alpha, g, 0.0)
             assert np.array_equal(r[:, 0], -wall)
@@ -912,27 +912,33 @@ def test_energy_certificate_builds_one_transport_plan(monkeypatch):
 
 
 def test_energy_certificate_computes_adjoint_pieces_once(monkeypatch):
+    from dataclasses import replace
+
     from mixedbvp import operators
 
+    prop = CoefficientSet.__dict__["adjoint_pieces"]
     calls = []
-    real = operators._adjoint_pieces
-
-    def counting(cs):
-        calls.append(cs)
-        return real(cs)
-
+    monkeypatch.setattr(prop, "func", lambda cs, inner=prop.func: calls.append(cs) or inner(cs))
     g = make_grid(32, 32)
     cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
     mt = build_abc(cs, 10.0, 1)
     vs = random_smooth_samples(g, cs.alpha, 4, seed=2)
-    monkeypatch.setattr(solver, "_adjoint_pieces", counting)
-    monkeypatch.setattr(operators, "_adjoint_pieces", counting)
+    # what each sample finds built when it starts
+    found = []
+    real_sample = solver._energy_sample
+
+    def checking_sample(cs, mt, v):
+        found.append("adjoint_pieces" in vars(cs))
+        return real_sample(cs, mt, v)
+
+    monkeypatch.setattr(solver, "_energy_sample", checking_sample)
     _, hoisted = energy_certificate(cs, mt, vs)
-    assert len(calls) == 1
-    # L* v with its pieces recomputed per sample gives the same bits
-    monkeypatch.setattr(solver, "apply_Lstar", lambda cs, v, pieces: operators.apply_Lstar(cs, v))
+    assert len(calls) == 1 and calls[0] is cs and found == [True] * len(vs)
+    # L* v with its pieces recomputed per sample, on a fresh copy of the
+    # set, gives the same bits; the set's own pieces are not built again
+    monkeypatch.setattr(solver, "apply_Lstar", lambda cs, v: operators.apply_Lstar(replace(cs), v))
     _, per_sample = energy_certificate(cs, mt, vs)
-    assert len(calls) == 2 + len(vs)
+    assert len(calls) == 1 + len(vs) and sum(c is cs for c in calls) == 1
     assert [(s.ratio, s.dual_constant, s.aux_iterations) for s in hoisted] == [
         (s.ratio, s.dual_constant, s.aux_iterations) for s in per_sample
     ]
@@ -1100,10 +1106,10 @@ def test_energy_certificate_builds_shared_factors_once(monkeypatch):
     found = []
     real_sample = solver._energy_sample
 
-    def checking_sample(cs, mt, pieces, v):
+    def checking_sample(cs, mt, v):
         found.append(("transport_plan" in vars(mt), "coupling" in vars(mt),
                       norms._gram_factors.cache_info().currsize))
-        return real_sample(cs, mt, pieces, v)
+        return real_sample(cs, mt, v)
 
     monkeypatch.setattr(operators, "TransportPlan", CountingPlan)
     monkeypatch.setattr(solver, "negative_norm", counting_negative_norm)

@@ -12,7 +12,10 @@ indptr) and the factored x-mode systems of every preset
 multipliers m2, and m3 broadcast to one complex entry per mode);
 solve_linear's u, residual and a priori ratio; the interior and the
 boundary form entries of every preset at 64^2 (min, max, claimed bound
-and verdict of each, in report order); the auxiliary solve's u and
+and verdict of each, in report order); forward and adjoint
+random_smooth_samples at 64^2, and apply_Lstar of the first adjoint
+sample on every preset; the coupling factors' d_x^l a (CouplingFactors
+with m = 2, da) of lower_order; the auxiliary solve's u and
 iterations; energy ratios, dual constants, auxiliary iterations and the
 report's entries; the five seam-split derivatives of the ma
 and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); the public
@@ -113,6 +116,16 @@ def main(tree: Path) -> None:
             ("boundary", multiplier.boundary_form_report),
         ):
             emit_entries(f"forms/{name}/64/{kind}", form_report(mt, cs))
+
+    for adjoint in (False, True):
+        samples = solver.random_smooth_samples(g, ALPHA, 4, 7, adjoint=adjoint)
+        emit(f"samples/adjoint{adjoint}/64", *(s.values for s in samples))
+    for name in PRESETS:
+        cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
+        emit(f"apply_Lstar/{name}/64", operators.apply_Lstar(cs, samples[0]).values)
+    cs = coeffs.preset_coefficients("lower_order", g, EPS, ALPHA)
+    a = multiplier.build_abc(cs, 10.0, 2).a
+    emit("coupling/lower_order/64/da", *operators.CouplingFactors(a, 10.0, 2).da)
 
     v = grid.Field.from_function(g, lambda X, Y: (1.0 - Y) * (np.cos(np.pi * X) + 0.3 * Y))
     for name in ("tricomi", "lower_order"):
