@@ -171,9 +171,6 @@ def _parse_grids(spec: str):
         sizes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid list {spec!r}") from exc
-    # an observed order needs two sizes, and two equal sizes in a row give none
-    if len(sizes) < 2 or any(a == b for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError(f"grid list {spec!r}: give at least two sizes, no two equal in a row")
     return [make_grid(n, n) for n in sizes]
 
 

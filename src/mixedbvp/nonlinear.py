@@ -35,9 +35,9 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .coeffs import AlphaRangeError, condition7prime_margin
-from .grid import Field, GridError, GridSpec, _dx1_3, _dx2, _l2_norm, _quadrature_row
+from .grid import Field, GridError, GridSpec, _dx2, _l2_norm, _quadrature_row
 from .norms import _x_matrix
-from .operators import _BOTTOM_DY
+from .operators import _BOTTOM_DY, _oblique_row
 from .solver import ResidualGateError, _gate, _singular_mode
 
 
@@ -405,7 +405,8 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     """The x-symbols, the folded y-band and the gate's stencils of the grid's steps.
 
     symbols, (2, nx//2 + 1): the symbols on the rfft modes of the
-    periodic _dx2 and of the oblique row's 3-point u_x.
+    periodic _dx2 and of the oblique row's u_x, each the rfft of its
+    stencil's column (operators._oblique_row with alpha 1 and no u_y).
 
     The y-part of each mode's system has the second-order graph stencil
     (the y-template, read off _derivative_matrices) on rows 1..ny-1,
@@ -430,7 +431,7 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     """
     ny, nyp = grid.ny, grid.ny + 1
     eye = np.eye(grid.nx)
-    symbols = np.fft.rfft([_dx2(eye, grid.hx)[:, 0], _dx1_3(eye, grid.hx)[:, 0]], axis=1)
+    symbols = np.fft.rfft([_dx2(eye, grid.hx)[:, 0], _oblique_row(eye, 1.0, 0.0, grid)], axis=1)
     dx, dy, _ = _derivative_matrices(grid)
     rows = dy[nyp:].toarray()
     rows[[0, -1]] = 0.0

@@ -1,12 +1,15 @@
 """Discrete operators: assembly, adjoint pairing, transport, auxiliary solve.
 
 The second-order operator is assembled as a sparse matrix with centered
-3-point stencils per direction, Dirichlet top row, and a third-order
-one-sided discretization of the oblique condition on the bottom row; its
-stencil weights are written once here (_interior_stencil,
-_bottom_stencil), and solver builds its x-mode systems from them.  It
-and its formal adjoint are also applied pointwise, matrix-free, with the
-same x-stencils.  The first-order transport
+3-point stencils per direction, Dirichlet top row, and the oblique
+condition alpha*u_x + u_y on the bottom row, its u_y one-sided of third
+order.  Its stencil weights are written once here: _interior_stencil for
+the interior rows, and for the bottom row the tables _BOTTOM_DY (u_y)
+and _BOTTOM_DX (u_x), which the assembled row, solver's x-mode systems,
+the oblique row of the residual gate and the samples (_oblique_row) and
+the Picard step's mode symbol all read.  The operator and its formal
+adjoint are also applied pointwise, matrix-free, with the same
+x-stencils.  The first-order transport
 solver marches downward from y = 1 with semi-Lagrangian steps and cubic
 periodic interpolation in x, which keeps the march stable for any
 characteristic slope a/b.
@@ -54,20 +57,10 @@ class AuxNonContractionError(RuntimeError):
         self.ratio = ratio
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Boundary encoding: Dirichlet top, oblique bottom, periodic x."""
-
-    bottom: str  # "oblique" (alpha*u_x + u_y = 0) or "adjoint_oblique" (alpha*v_x - v_y = 0)
-    alpha: float
-
-    def __post_init__(self):
-        if self.bottom not in ("oblique", "adjoint_oblique"):
-            raise ValueError(f"unsupported bottom condition {self.bottom!r}")
-
-
 # third-order one-sided first-derivative weights used by the oblique rows
 _BOTTOM_DY = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
+# the oblique rows' 3-point centred u_x: (x-offset, weight over 2*hx) pairs
+_BOTTOM_DX = ((1, 1.0), (-1, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +74,16 @@ def _interior_stencil(K, A, B, eps: float, hx: float, hy: float):
     return kx + ax, kx - ax, 1.0 / hy**2 + by, 1.0 / hy**2 - by, -2.0 * kx - 2.0 / hy**2
 
 
-def _bottom_stencil(alpha: float, hx: float, hy: float):
-    """East and west weights and the four y-weights of the bottom row.
+def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
+    """_BOTTOM_DX's (x-offset, weight) pairs of alpha*u_x, alpha/(2*hx) taken in.
 
-    alpha*u_x + u_y with one-sided third-order u_y (the extra order
-    keeps the oblique row from dominating the global error budget).
+    The assembled row and solver's x-mode systems read them, so a weight
+    that overflows raises one AlphaRangeError naming alpha for both.
     """
     half = alpha / (2 * hx)
     if not isfinite(half):
         raise AlphaRangeError(alpha, "the oblique row's x-weight alpha/(2*hx)")
-    return half, -half, _BOTTOM_DY / hy
+    return [(off, w * half) for off, w in _BOTTOM_DX]
 
 
 @lru_cache(maxsize=16)
@@ -98,10 +91,12 @@ def _csr_pattern(grid: GridSpec) -> tuple[sp.csr_matrix, tuple[np.ndarray, np.nd
     """The sparsity pattern of assemble_L on grid, as a matrix, and the seam order.
 
     Rows follow the field's layout, (i, j) -> i*(ny+1) + j.  Each x-line
-    holds the bottom row's 6 entries (west, the y-nodes 0..3, east), 5 per
-    interior row (west, south, centre, north, east) and the top row's 1.
-    On line 0 the west column wraps to line nx-1, and on line nx-1 the
-    east column to line 0, so those two lines take their slots in the
+    holds the bottom row's 6 entries (the x-node of _BOTTOM_DX's negative
+    offset, the y-nodes 0..3, that of its positive one), 5 per interior
+    row (west, south, centre, north, east) and the top row's 1; a table
+    of other than one offset -1 and one +1 needs other slots here.  On
+    line 0 the west columns wrap to line nx-1, and on line nx-1 the
+    east columns to line 0, so those two lines take their slots in the
     orders seam = (first, last), which sort every row's columns: scipy
     then never sorts the indices in place.  The matrix's int32 indices
     and indptr are shared by every matrix on the grid, so they are not
@@ -113,7 +108,8 @@ def _csr_pattern(grid: GridSpec) -> tuple[sp.csr_matrix, tuple[np.ndarray, np.nd
     west, east = np.roll(line, 1), np.roll(line, -1)
     j = np.arange(1, ny, dtype=np.int32)
     indices = np.empty((nx, 5 * ny + 2), dtype=np.int32)
-    indices[:, :6] = np.hstack((west, line + np.arange(4, dtype=np.int32), east))
+    bx_west, bx_east = (np.roll(line, -off) for off, _ in sorted(_BOTTOM_DX))
+    indices[:, :6] = np.hstack((bx_west, line + np.arange(4, dtype=np.int32), bx_east))
     indices[:, 6:-1] = np.stack(
         (west + j, line + j - 1, line + j, line + j + 1, east + j), axis=-1
     ).reshape(nx, -1)
@@ -144,9 +140,9 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
     pattern, seam = _csr_pattern(g)
     K, A, B = (c.values[:, 1:-1] for c in (cs.K, cs.A, cs.B))
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
+    (_, b_west), (_, b_east) = sorted(_bottom_dx(cs.alpha, g.hx))
     data = np.empty((nx, 5 * ny + 2))
-    data[:, 0], data[:, 1:5], data[:, 5], data[:, -1] = b_west, b_dy, b_east, 1.0
+    data[:, 0], data[:, 1:5], data[:, 5], data[:, -1] = b_west, _BOTTOM_DY / g.hy, b_east, 1.0
     interior = data[:, 6:-1].reshape(nx, ny - 1, 5)  # a view: each line's rows
     for k, weight in enumerate((west, south, centre, north, east)):
         interior[..., k] = weight
@@ -190,23 +186,33 @@ def apply_Lstar(cs: CoefficientSet, v: Field) -> Field:
     return _apply(v.grid, cs.K.values, *cs.adjoint_pieces, cs.eps, v.values)
 
 
+@lru_cache(maxsize=16)
+def _bottom_dx_gather(nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per x-node of an nx-wide grid, the x-nodes at _BOTTOM_DX's offsets, and its weights.
+
+    Keyed on nx, not on the GridSpec: hashing that dataclass would cost a
+    few per cent of each _oblique_row call.
+    """
+    offsets, weights = zip(*_BOTTOM_DX)
+    return (np.arange(nx)[:, None] + offsets) % nx, np.array(weights)
+
+
 def _oblique_row(values: np.ndarray, alpha: float, sgn: float, grid: GridSpec) -> np.ndarray:
     """alpha*u_x + sgn*u_y on the bottom row of values, per x-node.
 
-    u_e - u_w is taken before alpha scales it, so the u_y terms survive
-    at any finite alpha (the assembled row sums alpha/(2hx)*u_w, the
-    y-terms and alpha/(2hx)*u_e in turn, and loses them once
-    alpha/(2hx)*|u| is about 1/eps_mach times their size).
+    sgn = +1 is the forward condition, -1 the adjoint one.  u_x's
+    weighted sum over _BOTTOM_DX's nodes (u_e - u_w) is taken before
+    alpha scales it, so where u_x is zero the u_y terms survive at any
+    finite alpha (the assembled row sums alpha/(2hx)*u_w, the y-terms
+    and alpha/(2hx)*u_e in turn, and loses them once alpha/(2hx)*|u| is
+    about 1/eps_mach times their size).
     """
-    uy0 = values[:, :4] @ _BOTTOM_DY / grid.hy
-    ux0 = _dx1_3(values[:, 0], grid.hx)
-    return alpha * ux0 + sgn * uy0
-
-
-def boundary_residual(u: Field, bc: BoundarySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete residuals of the top and bottom conditions (per x-node)."""
-    sgn = 1.0 if bc.bottom == "oblique" else -1.0
-    return u.values[:, -1].copy(), _oblique_row(u.values, bc.alpha, sgn, u.grid)
+    nodes, weights = _bottom_dx_gather(grid.nx)
+    ux0 = np.dot(values[:, 0][nodes], weights)
+    ux0 /= 2.0 * grid.hx
+    ux0 *= alpha
+    ux0 += sgn * (values[:, :4] @ _BOTTOM_DY / grid.hy)
+    return ux0
 
 
 def adjoint_defect(cs: CoefficientSet, u: Field, v: Field) -> float:

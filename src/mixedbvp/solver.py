@@ -47,7 +47,7 @@ from .multiplier import FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
-    _bottom_stencil,
+    _bottom_dx,
     _interior_stencil,
     _oblique_row,
     apply_L,
@@ -143,7 +143,9 @@ def _mode_systems(cs: CoefficientSet):
     K, A and B are averaged over x (a field constant in x keeps its own
     row exactly), and the averaged L maps the mode exp(i*theta*i) times
     a y-profile to the same mode: the x-neighbours of the assembled
-    stencils become the symbol east*exp(i*theta) + west*exp(-i*theta).
+    stencils become the symbol east*exp(i*theta) + west*exp(-i*theta),
+    and the bottom row's u_x the sum of w*exp(i*theta*off) over its
+    (offset, weight) pairs (operators._bottom_dx).
     What is left in y is tridiagonal, plus the identity top row and the
     oblique bottom row (row 0), which reaches columns 0..3.  Subtracting
     m3*(row 2) and then m2*(row 1) from row 0 clears its columns 3 and 2
@@ -168,7 +170,7 @@ def _mode_systems(cs: CoefficientSet):
         for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
     )
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    b_east, b_west, b_dy = _bottom_stencil(cs.alpha, g.hx, g.hy)
+    dx, b_dy = _bottom_dx(cs.alpha, g.hx), _BOTTOM_DY / g.hy
     if north[1] == 0.0 or north[2] == 0.0:
         raise PreconditionError(
             "WELLPOSEDNESS_SUSPECT: x-mode 0 is not foldable"
@@ -179,7 +181,7 @@ def _mode_systems(cs: CoefficientSet):
     # one row per mode; the off-diagonals get one padding entry per block,
     # which is the zero between blocks (the last block's is cut off)
     d = np.empty((theta.size, g.ny + 1), dtype=complex)
-    d[:, 0] = b_dy[0] + b_east * shift[:, 0] + b_west * np.conj(shift[:, 0])
+    d[:, 0] = sum((w * np.exp(1j * off * theta) for off, w in dx), start=b_dy[0])
     d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
     d[:, -1] = 1.0
     dl = np.zeros_like(d)
@@ -573,12 +575,18 @@ def mms_convergence(
     cs_factory rebuilds the coefficient fields on each grid; the forcing
     is evaluated from the analytic derivatives of u_star, never from
     finite differences of the sampled trial solution.  A failed
-    admissibility gate only warns (see solve_linear).
+    admissibility gate only warns (see solve_linear).  An observed order
+    needs two grids, and two in a row with the same h give none: such a
+    list raises ValueError before any solve.
     """
+    hs = [max(g.hx, g.hy) for g in grids]
+    if len(hs) < 2 or any(a == b for a, b in zip(hs, hs[1:])):
+        raise ValueError(f"an observed order needs two or more grids, no two in a row"
+                         f" with the same h; got h = {hs}")
     u_star.check_boundary(grids[-1], cs_factory(grids[0]).alpha)
     table = ConvergenceTable()
     prev = None
-    for g in grids:
+    for g, h in zip(grids, hs):
         cs = cs_factory(g)
         f = u_star.forcing(cs)
         rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
@@ -586,7 +594,6 @@ def mms_convergence(
         diff = Field(g, rep.u.values - exact.values)
         e2 = l2_norm(diff)
         eh = sobolev_norm(diff, NormOrder(0, 1))
-        h = max(g.hx, g.hy)
         order = None
         if prev is not None and e2 > 0 and prev[1] > 0:
             order = float(np.log2(prev[1] / e2) / np.log2(prev[0] / h))

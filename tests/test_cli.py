@@ -419,14 +419,14 @@ def test_aux_non_contraction_exits_1_with_its_message(tmp_path, capsys, args):
 @pytest.mark.parametrize("grids", ["16", "16,16", "16,32,32"])
 def test_mms_grid_list_without_an_order_is_a_usage_error(tmp_path, capsys, monkeypatch, grids):
     # fewer than two sizes, or two equal sizes in a row, give no observed
-    # order: a configuration error before any solve
-    import mixedbvp.cli as cli
+    # order: mms_convergence refuses the list before any solve
+    import mixedbvp.solver as solver
 
     solves = []
-    monkeypatch.setattr(cli, "mms_convergence", lambda *a: solves.append(a))
+    monkeypatch.setattr(solver, "solve_linear", lambda *a, **k: solves.append(a))
     assert run(["mms", "--grids", grids, "--out", str(tmp_path)]) == 2
     assert solves == []
-    assert capsys.readouterr().err.startswith(f"error: grid list '{grids}'")
+    assert capsys.readouterr().err.startswith("error: an observed order needs two or more grids")
 
 
 def test_mms_coarsening_grid_list_still_runs(tmp_path):

@@ -385,7 +385,7 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
 
     from mixedbvp.grid import l2_norm
     from mixedbvp.nonlinear import _linear_step, _step_rows
-    from mixedbvp.operators import BoundarySpec, boundary_residual
+    from mixedbvp.operators import _oblique_row
     from mixedbvp.solver import _gate
 
     g, p, f = _step_inputs(n)
@@ -418,9 +418,10 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     assert res == l2_norm(Field(g, rhs - _N_rows(g, p, alpha, d)))
     assert res <= 1e-10 * l2_norm(Field(g, f))
     # the wall rows of the gate's residual on the step's rows are
-    # boundary_residual's, bit for bit (with ||f|| = 0 the gate returns it)
+    # the top row and _oblique_row's, bit for bit (with ||f|| = 0 the gate
+    # returns it)
     u = np.random.default_rng(n + 1).standard_normal(g.shape)
-    top, bottom = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))
+    top, bottom = u[:, -1], _oblique_row(u, alpha, 1.0, g)
     _, r = _gate(f, u, _step_rows(g, p, u), alpha, g, 0.0)
     assert np.array_equal(r[:, 0], -bottom) and np.array_equal(r[:, -1], -top)
 

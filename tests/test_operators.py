@@ -8,15 +8,14 @@ from mixedbvp.grid import Field, inner_product, l2_norm, make_grid
 from mixedbvp.multiplier import MultiplierTriple, build_abc
 from mixedbvp.operators import (
     AuxNonContractionError,
-    BoundarySpec,
     TransportError,
+    _oblique_row,
     adjoint_defect,
     apply_L,
     apply_Lstar,
     assemble_L,
     aux_equation_residual,
     aux_solve_report,
-    boundary_residual,
     transport_solve,
 )
 
@@ -201,7 +200,7 @@ def test_boundary_rows_kill_compatible_field():
     for alpha in (0.0, 0.02, 0.5):
         cs = preset_coefficients("tricomi", g, 0.01, alpha)
         u = Field.from_function(g, lambda X, Y: np.sin(PI * X) * poly_profile(Y))
-        top, bottom = boundary_residual(u, BoundarySpec("oblique", alpha))
+        top, bottom = u.values[:, -1], _oblique_row(u.values, alpha, 1.0, g)
         assert np.abs(top).max() == 0.0
         assert np.abs(bottom).max() < 5e-3  # truncation of the one-sided row
         mv = (assemble_L(cs) @ u.values.ravel()).reshape(g.shape)
@@ -682,10 +681,67 @@ def test_coupling_factors_built_on_first_use_and_kept(m):
     assert aux_equation_residual(rep, v, mt) <= 1e-10
 
 
-def test_bottom_stencil_overflow_names_alpha():
+def test_bottom_dx_overflow_names_alpha():
+    # the assembled row and the mode systems weight _BOTTOM_DX through one
+    # check, so both raise the one error naming alpha
     from mixedbvp.coeffs import AlphaRangeError
+    from mixedbvp.solver import _factor_modes
 
     g = make_grid(16, 16)
     cs = preset_coefficients("tricomi", g, 1e-4, 1e308)
-    with pytest.raises(AlphaRangeError, match="alpha = 1e\\+308"):
-        assemble_L(cs)
+    messages = []
+    for build in (assemble_L, _factor_modes):
+        with pytest.raises(AlphaRangeError, match="alpha = 1e\\+308") as exc:
+            build(cs)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def _bottom_ux_readers(preset, alpha, g, u):
+    # the bottom row's alpha*u_x as each reader of _BOTTOM_DX forms it
+    from mixedbvp import nonlinear, solver
+    from mixedbvp.operators import _BOTTOM_DY, _oblique_row
+
+    cs = preset_coefficients(preset, g, 1e-2, alpha)
+    nyp = g.ny + 1
+    assembled = (assemble_L(cs) @ u.ravel()).reshape(g.shape)[:, 0]
+    assembled -= u[:, :4] @ _BOTTOM_DY / g.hy
+    dl, d, _, (m2, _) = solver._mode_systems(cs)
+    # row 0's diagonal is b_dy[0] + the symbol, less m2 times its fold entry
+    symbol = d[::nyp] + m2 * dl[::nyp] - _BOTTOM_DY[0] / g.hy
+    spec = np.fft.rfft(u[:, 0])
+    return {
+        "assembled": assembled,
+        "oblique_row": _oblique_row(u, alpha, 0.0, g),
+        "mode_systems": np.fft.irfft(symbol * spec, n=g.nx),
+        "step_bands": alpha * np.fft.irfft(nonlinear._step_bands(g).symbols[1] * spec, n=g.nx),
+    }
+
+
+@pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
+@pytest.mark.parametrize("alpha", [0.02, 0.2])
+def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
+    # the assembled row, _oblique_row and the two mode symbols agree on one
+    # random field, and all four double with _BOTTOM_DX's weights: a reader
+    # with its own copy of the stencil would not
+    from mixedbvp import nonlinear, operators
+
+    g = make_grid(32, 32)
+    u = np.random.default_rng(9).standard_normal(g.shape)
+    ref = _bottom_ux_readers(preset, alpha, g, u)
+    doubled = tuple((off, 2.0 * w) for off, w in operators._BOTTOM_DX)
+    monkeypatch.setattr(operators, "_BOTTOM_DX", doubled)
+    try:
+        operators._bottom_dx_gather.cache_clear()
+        nonlinear._step_bands.cache_clear()
+        twice = _bottom_ux_readers(preset, alpha, g, u)
+    finally:
+        monkeypatch.undo()
+        operators._bottom_dx_gather.cache_clear()
+        nonlinear._step_bands.cache_clear()
+    # measured <= 3.3e-14 of max|row|, the assembled row's (its u_y terms
+    # are subtracted again)
+    row = ref["oblique_row"]
+    for name in ref:
+        assert np.abs(ref[name] - row).max() <= 1e-13 * np.abs(row).max(), name
+        assert np.abs(twice[name] - 2.0 * row).max() <= 2e-13 * np.abs(row).max(), name

@@ -224,9 +224,9 @@ def _normal_form(g):
 @pytest.mark.parametrize("kind", ["tricomi", "lower_order", "picard"])
 def test_rows_match_pointwise_operator_and_wall_rows(kind, n):
     # _rows is one product with the assembled matrix; row by row it must be
-    # apply_L inside and boundary_residual on the walls, to round-off in
-    # the terms each row sums
-    from mixedbvp.operators import BoundarySpec, apply_L, assemble_L, boundary_residual
+    # apply_L inside, the top row and _oblique_row on the walls, to
+    # round-off in the terms each row sums
+    from mixedbvp.operators import _oblique_row, apply_L, assemble_L
 
     g = make_grid(n, n)
     cs = _normal_form(g) if kind == "picard" else preset_coefficients(kind, g, 1e-2, 0.02)
@@ -234,7 +234,7 @@ def test_rows_match_pointwise_operator_and_wall_rows(kind, n):
     fac = FactorizedOperator(cs)
     rows = fac._rows(u.values)
     ref = apply_L(cs, u).values
-    ref[:, -1], ref[:, 0] = boundary_residual(u, BoundarySpec("oblique", cs.alpha))
+    ref[:, -1], ref[:, 0] = u.values[:, -1], _oblique_row(u.values, cs.alpha, 1.0, g)
     terms = (abs(assemble_L(cs)) @ np.abs(u.values).ravel()).reshape(g.shape)
     assert np.all(np.abs(rows - ref) <= 1e-13 * terms)
     assert fac.stats["matvecs"] == 1 and fac.stats["assemble_s"] > 0.0
@@ -457,11 +457,11 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     # the product sums the bottom row as -alpha/(2hx)*u_w, the y-terms, then
     # +alpha/(2hx)*u_e; at alpha 1e50 the y-terms round away, so a bottom
     # row constant in x reads 0 there whatever its u_y.  The gate's
-    # residual is boundary_residual's row, bit for bit, for both solves
+    # residual is _oblique_row's row, bit for bit, for both solves
     # that answer to it: FactorizedOperator's product and the Picard
     # step's rows (nonlinear._step_rows)
     from mixedbvp.nonlinear import _step_rows
-    from mixedbvp.operators import BoundarySpec, boundary_residual
+    from mixedbvp.operators import _oblique_row
     from mixedbvp.solver import _gate
 
     g = make_grid(16, 16)
@@ -472,7 +472,7 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     p = 1.0 + rng.random(g.ny + 1)
     for alpha in (0.02, 1e50):
         fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
-        wall = boundary_residual(Field(g, u), BoundarySpec("oblique", alpha))[1]
+        wall = _oblique_row(u, alpha, 1.0, g)
         for rows in (fac._rows(u), _step_rows(g, p, u)):
             # with ||f|| = 0 every nonzero residual fails, and the gate returns it
             res, r = _gate(rhs, u, rows, alpha, g, 0.0)
@@ -731,7 +731,17 @@ def test_mms_rejects_incompatible_solution():
         uyy=lambda x, y: np.zeros_like(x),
     )
     with pytest.raises(BoundaryCompatibilityError):
-        mms_convergence(tricomi_factory(0.01, 0.02), bad, [make_grid(16, 16)])
+        mms_convergence(tricomi_factory(0.01, 0.02), bad, [make_grid(16, 16), make_grid(32, 32)])
+
+
+@pytest.mark.parametrize("sizes", [[16], [16, 16], [16, 32, 32]])
+def test_mms_grid_list_without_an_order_raises_before_any_solve(monkeypatch, sizes):
+    solves = []
+    monkeypatch.setattr(solver, "solve_linear", lambda *a, **k: solves.append(a))
+    with pytest.raises(ValueError, match="two or more grids, no two in a row with the same h"):
+        mms_convergence(tricomi_factory(0.01, 0.02), polynomial_sine_solution(),
+                        [make_grid(n, n) for n in sizes])
+    assert solves == []
 
 
 def test_manufactured_solution_boundary_identities():
@@ -789,20 +799,20 @@ def test_derivative_shift_consistency():
 
 
 def test_enforced_samples_satisfy_discrete_bcs():
-    from mixedbvp.operators import BoundarySpec, boundary_residual
+    from mixedbvp.operators import _oblique_row
 
     g = make_grid(32, 32)
-    for adjoint, kind in ((True, "adjoint_oblique"), (False, "oblique")):
+    for adjoint, sgn in ((True, -1.0), (False, 1.0)):
         vs = random_smooth_samples(g, 0.02, 5, seed=3, adjoint=adjoint)
         for v in vs:
-            top, bottom = boundary_residual(v, BoundarySpec(kind, 0.02))
+            top, bottom = v.values[:, -1], _oblique_row(v.values, 0.02, sgn, g)
             assert np.abs(top).max() == 0.0
             assert np.abs(bottom).max() < 1e-12
 
 
 def _inline_projection(grid, w, alpha, sign):
     # the projection with its bottom residual written out, as it was
-    # before it called boundary_residual
+    # before it called _oblique_row
     from mixedbvp.operators import _BOTTOM_DY
     from mixedbvp.solver import _bottom_corrector
 

@@ -9,7 +9,10 @@ it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L (data, indices,
 indptr) and the factored x-mode systems of every preset
 (solver._factor_modes: the LU arrays as zgttrs takes them, the fold
-multipliers m2, and m3 broadcast to one complex entry per mode);
+multipliers m2, and m3 broadcast to one complex entry per mode); the
+oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
+alpha 0.02 and 1e50, forward and adjoint, and the Picard step's x-mode
+symbols (nonlinear._step_bands) at 64^2 and 128^2;
 solve_linear's u, residual and a priori ratio; the interior and the
 boundary form entries of every preset at 64^2 (min, max, claimed bound
 and verdict of each, in report order); forward and adjoint
@@ -94,6 +97,15 @@ def main(tree: Path) -> None:
             emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
             lu, (m2, m3) = solver._factor_modes(cs)
             emit(f"mode_systems/{name}/{n}", *lu, m2, np.broadcast_to(m3, m2.shape))
+
+    g = grid.make_grid(64, 64)
+    u = np.random.default_rng(5).standard_normal(g.shape)
+    for alpha in (0.02, 1e50):
+        for sgn in (1.0, -1.0):
+            row = operators._oblique_row(u, alpha, sgn, g)
+            emit(f"oblique_row/64/alpha{alpha:g}/sgn{sgn:+g}", row)
+    for n in (64, 128):
+        emit(f"step_bands/{n}/symbols", nonlinear._step_bands(grid.make_grid(n, n)).symbols)
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
