@@ -34,6 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
+from . import solver
 from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _dx2, _l2_norm, _quadrature_row
 from .norms import _x_matrix
@@ -491,11 +492,12 @@ def _linear_step(
     measurable time.  A zero pivot raises solver._singular_mode's
     PreconditionError, naming the first singular mode.
 
-    The gate is solver._gate, the one every linear solve answers to, on
-    N d over rows 1..ny (_step_rows); the gate forms row 0, the oblique
-    row, itself.  When it fails, a ResidualGateError of its residual is
-    raised.  stats takes the band and right-hand side fill as band_s
-    and the rfft, zgbsv and the gate as solve_s.
+    The residual is solver._gate's, the one every linear solve answers
+    to, on N d over rows 1..ny (_step_rows); the gate forms row 0, the
+    oblique row, itself.  When its norm exceeds RESIDUAL_TOL*||f||, a
+    ResidualGateError of it is raised.  stats takes the band and
+    right-hand side fill as band_s and the rfft, zgbsv and the gate as
+    solve_s.
     """
     t0 = perf_counter()
     nx, nyp = g.shape
@@ -519,10 +521,10 @@ def _linear_step(
         raise _singular_mode(info, g)
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
     fnorm = _l2_norm(g, f)
-    res, r = _gate(f, d, _step_rows(g, p, d), alpha, g, fnorm)
+    res, r = _gate(f, d, _step_rows(g, p, d), alpha, g)
     stats["band_s"] += t1 - t0
     stats["solve_s"] += perf_counter() - t1
-    if r is not None:
+    if res > solver.RESIDUAL_TOL * fnorm:
         raise ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, g, alpha)
     return d, res
 

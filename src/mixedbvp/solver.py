@@ -3,7 +3,8 @@
 solve_linear builds the y-system of each x-mode of the x-averaged
 operator, folds its oblique bottom row into tridiagonal form, factors
 all modes in one LAPACK call and back-substitutes; when the
-coefficients depend on x, that step is the first of GMRES
+coefficients depend on x, it refines that answer with the same LUs
+while each step halves the residual, then hands what is left to GMRES
 preconditioned by those LUs, with a sparse LU of the assembled matrix
 as the fallback.  This module alone knows the mode systems' layout.
 The a priori constant of the well-posedness estimate is reported as
@@ -231,22 +232,23 @@ def _singular_mode(info: int, grid: GridSpec) -> PreconditionError:
 RESIDUAL_TOL = 1e-10
 
 
-def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float, grid: GridSpec,
-          fnorm: float) -> tuple[float, np.ndarray | None]:
-    """The residual gate every linear solve answers to, N u = f its system.
+def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float,
+          grid: GridSpec) -> tuple[float, np.ndarray]:
+    """The residual every linear solve answers to, N u = f its system.
 
     The solves are FactorizedOperator's, on each of its paths, and the
     Picard step's (nonlinear._linear_step).  Nu is N u over every row,
-    walls included, and fnorm is ||f||.  The residual r = f - N u is
-    formed over every row with f's wall rows read as zero.  A product's
-    oblique bottom row loses the u_y terms at a huge alpha, and would
-    pass a wrong u, so that row is formed again with u_e - u_w taken
-    first (operators._oblique_row).  Returns ||r|| and, when it exceeds
-    RESIDUAL_TOL*fnorm, r itself (None when it passes); the caller that
-    raises builds the ResidualGateError from it, so a failed attempt
-    that is not raised costs no error.  A finite right-hand side near
-    the largest double can still overflow N u; that raises ValueError
-    naming the right-hand side.
+    walls included.  The residual r = f - N u is formed over every row
+    with f's wall rows read as zero.  A product's oblique bottom row
+    loses the u_y terms at a huge alpha, and would pass a wrong u, so
+    that row is formed again with u_e - u_w taken first
+    (operators._oblique_row).  Returns ||r|| and r; the solve passes
+    when ||r|| <= RESIDUAL_TOL*||f||, which the caller tests.  The caller
+    that raises builds the ResidualGateError from r, so a failed attempt
+    that is not raised costs no error, and the refinement of
+    FactorizedOperator.solve steps with r.  A finite right-hand side
+    near the largest double can still overflow N u; that raises
+    ValueError naming the right-hand side.
     """
     r = np.negative(Nu)
     r[:, 1:-1] += f[:, 1:-1]
@@ -258,7 +260,7 @@ def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float, grid: Grid
             f"the right-hand side (max |f| = {np.abs(f[:, 1:-1]).max():.3g}) overflows L u"
             f" on the {grid.nx}x{grid.ny} grid"
         ) from None
-    return res, (None if res <= RESIDUAL_TOL * fnorm else r)
+    return res, r
 
 
 # Krylov steps before the Fourier-preconditioned path gives up for splu
@@ -368,27 +370,36 @@ class FactorizedOperator:
     back-substitutes through the mode LUs, in one zgttrs call, and
     stops when the residual over every row, walls included, passes the
     gate (_gate, RESIDUAL_TOL*||f||), as every x-independent set does.
-    Otherwise that was the first step of GMRES on L,
-    right-preconditioned by the mode LUs (Concus-Golub 1973).  L is the
-    assembled matrix (operators.assemble_L), built here, before the mode
-    LUs: every row of L u is one sparse product, from which _gate forms
-    the residual.  Past GMRES_MAX_ITER steps, or when the gate still
-    fails, the operator falls back to a sparse LU of that same matrix
-    for good; stats["fallback_reason"] says why.  A solve whose last
-    path fails the gate raises ResidualGateError (WELLPOSEDNESS_SUSPECT),
-    built here from _gate's residual, which names the rows holding most
-    of the residual; an attempt that only hands the solve on builds none.
+    Otherwise it refines: u <- u + M^-1 r, M the mode LUs and r _gate's
+    residual (Concus-Golub 1973), a step kept only if it at least halves
+    ||r||, until ||r|| reaches GMRES's target GMRES_MARGIN*RESIDUAL_TOL*||f||
+    or a step is rejected.  L depends on x only through eps*K, eps*A and
+    eps*B, so at small eps each step leaves a few 1e-3 of the residual.
+    When the refined u still fails the gate, GMRES on L e = r follows,
+    right-preconditioned by the mode LUs, with the correction M^-1 r
+    refinement computed last as its first vector.  L is the assembled matrix (operators.assemble_L), built
+    here, before the mode LUs: every row of L u is one sparse product,
+    from which _gate forms the residual.  Past GMRES_MAX_ITER steps, or
+    when the gate still fails, the operator falls back to a sparse LU of
+    that same matrix for good; stats["fallback_reason"] says why.  A
+    solve whose last path fails the gate raises ResidualGateError
+    (WELLPOSEDNESS_SUSPECT), built here from _gate's residual, which
+    names the rows holding most of the residual; an attempt that only
+    hands the solve on builds none.
 
     method is "fourier" or "splu".  residual_norm is the last solve's
     residual over every row.  stats holds, for the last solve, residual
-    (that residual over ||f||), gmres_iterations (0 when the mode LUs
-    alone passed the gate), gmres_residuals (GMRES's estimate after
+    (that residual over ||f||), refine_steps (refinement steps, the
+    rejected one included), refine_residuals (the residual over ||f||
+    after each of them), gmres_iterations (0 when refinement or the mode
+    LUs alone passed the gate), gmres_residuals (GMRES's estimate after
     each step, over ||f||), matvecs (products with L), mode_solves
-    (back-substitutions through the mode LUs: one per GMRES step, or
-    the one when the mode LUs alone passed) and solve_s (its
-    perf_counter time); and, from the constructor, the perf_counter
-    times assemble_s (building L) and factor_s.  A singular factorization of L (_singular_mode for
-    a mode LU), or a zero pivot of the fold, raises PreconditionError
+    (back-substitutions through the mode LUs: the first, one per
+    refinement step and one per GMRES step after GMRES's first) and
+    solve_s (its perf_counter time); and, from the constructor, the
+    perf_counter times assemble_s (building L) and factor_s.  A
+    singular factorization of L (_singular_mode for a mode LU), or a
+    zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
     those modes are the averaged operator's, it only sends the operator
     to splu.
@@ -441,38 +452,60 @@ class FactorizedOperator:
         rhs[:, -1] = 0.0
         rhs[:, 0] = 0.0
         fnorm = l2_norm(f)
-        steps, estimates = 0, []
+        gate = RESIDUAL_TOL * fnorm
+        target = GMRES_MARGIN * gate
+        steps, estimates, refined = 0, [], []
         self.stats.update(matvecs=0, mode_solves=0)
         if self.method == "fourier":
             u = self._mode_solve(rhs)
-            Lu = self._rows(u)
-            res, r = _gate(rhs, u, Lu, alpha, g, fnorm)
-            # the gate, not the Krylov target: an exact LU's residual sits at a
-            # round-off floor (1.7e-12*||f|| at 128^2) that more steps do not lower
-            if r is not None:
-                u, steps, estimates = _gmres(self._rows, self._mode_solve, rhs.ravel(),
-                                             _gmres_weights(g),
-                                             GMRES_MARGIN * (RESIDUAL_TOL * fnorm),
-                                             GMRES_MAX_ITER, u, Lu.ravel())
-                u = u.reshape(g.shape)
-                res, r = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
-            if r is not None:
+            res, r = _gate(rhs, u, self._rows(u), alpha, g)
+            # the gate, not the target: an exact LU's residual sits at a round-off
+            # floor (1.7e-12*||f|| at 128^2) that more steps do not lower
+            if res > gate:
+                c = self._mode_solve(r)
+                # refinement, u <- u + c with c = M^-1 r; halving ends it long
+                # before GMRES's cap, which bounds it too (a cap of 0 sends the
+                # set to splu)
+                for _ in range(GMRES_MAX_ITER):
+                    trial = u + c
+                    trial_res, trial_r = _gate(rhs, trial, self._rows(trial), alpha, g)
+                    refined.append(trial_res)
+                    # a step must halve ||r||, so one that stalls (the round-off
+                    # floor, a slow contraction) or grows ends the loop
+                    if trial_res > 0.5 * res:
+                        break
+                    u, res, r = trial, trial_res, trial_r
+                    if res <= target:
+                        break
+                    c = self._mode_solve(r)
+            if res > gate:
+                # L e = r from the refined u; c = M^-1 r, the correction last
+                # computed, is GMRES's first vector, and L c its own product:
+                # L(u + c) - L u would cancel
+                e, steps, estimates = _gmres(self._rows, self._mode_solve, r.ravel(),
+                                             _gmres_weights(g), target, GMRES_MAX_ITER,
+                                             c, self._rows(c).ravel())
+                u = u + e.reshape(g.shape)
+                res, r = _gate(rhs, u, self._rows(u), alpha, g)
+            if res > gate:
                 if steps == GMRES_MAX_ITER:
                     self._fall_back(f"GMRES reached its cap of {GMRES_MAX_ITER} iterations")
                 else:
                     self._fall_back(f"GMRES stopped above the residual gate {RESIDUAL_TOL:.1e}")
         if self.method == "splu":
             u = self._lu.solve(rhs.ravel()).reshape(g.shape)
-            res, r = _gate(rhs, u, self._rows(u), alpha, g, fnorm)
+            res, r = _gate(rhs, u, self._rows(u), alpha, g)
         self.residual_norm = res
         scale = fnorm if fnorm > 0 else 1.0
         self.stats.update(
+            refine_steps=len(refined),
+            refine_residuals=[float(e / scale) for e in refined],
             gmres_iterations=steps,
             gmres_residuals=[float(e / scale) for e in estimates],
             residual=res / scale,
             solve_s=perf_counter() - t0,
         )
-        if r is not None:
+        if res > gate:
             raise ResidualGateError(res / scale, r, g, alpha)
         return Field(g, u)
 

@@ -121,14 +121,16 @@ def test_solve_report_names_the_krylov_path(tmp_path):
     text = (tmp_path / "solve_report.txt").read_text()
     stats = ast.literal_eval(text.split("stats=", 1)[1].strip())
     assert stats["method"] == "fourier"
-    assert {"gmres_iterations", "mode_solves", "residual", "factor_s", "solve_s"} <= stats.keys()
-    assert stats["mode_solves"] == stats["gmres_iterations"]
+    assert {"refine_steps", "gmres_iterations", "mode_solves", "residual", "factor_s",
+            "solve_s"} <= stats.keys()
+    assert stats["mode_solves"] == stats["refine_steps"] + 1
     assert stats["residual"] <= 1e-10
     g = make_grid(32, 32)
     cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
     f = Field.from_function(g, lambda X, Y: np.sin(np.pi * X) * (1.0 + Y))
     rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
-    assert stats["gmres_iterations"] == rep.solver_stats["gmres_iterations"] >= 1
+    assert stats["refine_steps"] == rep.solver_stats["refine_steps"] >= 1
+    assert stats["gmres_iterations"] == rep.solver_stats["gmres_iterations"] == 0
 
 
 @pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
@@ -140,13 +142,16 @@ def test_solve_metrics_json(tmp_path, preset):
     stats = metrics["solver_stats"]
     assert set(stats) == {
         "method", "n", "factor_s", "assemble_s", "solve_s", "residual",
-        "matvecs", "mode_solves", "gmres_iterations", "gmres_residuals",
+        "matvecs", "mode_solves", "refine_steps", "refine_residuals", "gmres_iterations",
+        "gmres_residuals",
     }
     assert stats["method"] == "fourier" and stats["n"] == 32 * 33
-    assert stats["matvecs"] == stats["gmres_iterations"] + 1
-    assert stats["mode_solves"] == max(stats["gmres_iterations"], 1)
-    assert len(stats["gmres_residuals"]) == stats["gmres_iterations"]
-    assert (stats["gmres_iterations"] >= 1) == (preset == "lower_order")
+    # refinement alone passes lower_order here: one mode solve and one
+    # product per step, after the first of each
+    assert stats["matvecs"] == stats["mode_solves"] == stats["refine_steps"] + 1
+    assert len(stats["refine_residuals"]) == stats["refine_steps"]
+    assert (stats["refine_steps"] >= 1) == (preset == "lower_order")
+    assert (stats["gmres_iterations"], stats["gmres_residuals"]) == (0, [])
     assert metrics["residual_norm"] > 0.0 and metrics["apriori_ratio"] > 0.0
     assert stats["residual"] <= 1e-10 and stats["assemble_s"] > 0.0
 

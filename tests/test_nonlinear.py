@@ -418,11 +418,10 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     assert res == l2_norm(Field(g, rhs - _N_rows(g, p, alpha, d)))
     assert res <= 1e-10 * l2_norm(Field(g, f))
     # the wall rows of the gate's residual on the step's rows are
-    # the top row and _oblique_row's, bit for bit (with ||f|| = 0 the gate
-    # returns it)
+    # the top row and _oblique_row's, bit for bit
     u = np.random.default_rng(n + 1).standard_normal(g.shape)
     top, bottom = u[:, -1], _oblique_row(u, alpha, 1.0, g)
-    _, r = _gate(f, u, _step_rows(g, p, u), alpha, g, 0.0)
+    _, r = _gate(f, u, _step_rows(g, p, u), alpha, g)
     assert np.array_equal(r[:, 0], -bottom) and np.array_equal(r[:, -1], -top)
 
 

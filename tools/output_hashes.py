@@ -30,11 +30,12 @@ Picard ma and darboux from the CLI start; the u of perfbench
 Linear(11), Linear(12) and Linear(13) op 0 (x-dependent lower_order at
 128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops 0-13.  Each
 Picard run also prints its iterations and converged on lines of their
-own, and each perfbench linear solve its GMRES step count and a hash of
-its Krylov estimates (gmres_residuals), so a change that moves the
-iterates or u by round-off, and so their hash, shows whether it moved
-the step counts or the Krylov process.  One BLAS thread, so a
-library's threading cannot make two runs differ.
+own, and each perfbench linear solve its refinement and GMRES step
+counts and a hash of each one's residuals (refine_residuals, read as
+none on a tree without refinement, and gmres_residuals), so a change
+that moves the iterates or u by round-off, and so their hash, shows
+whether it moved the step counts or the iteration.  One BLAS thread,
+so a library's threading cannot make two runs differ.
 """
 
 from __future__ import annotations
@@ -77,9 +78,13 @@ def print_counts(name: str, rep) -> None:
 
 
 def print_krylov(name: str, rep) -> None:
-    # a linear solve's GMRES step count as it is, and its Krylov estimates hashed
-    print(f"{name}/gmres_iterations {rep.solver_stats['gmres_iterations']}")
-    emit(f"{name}/gmres_residuals", rep.solver_stats["gmres_residuals"])
+    # a linear solve's refinement and GMRES step counts as they are, and their
+    # residuals hashed; a tree without refinement reads as 0 steps
+    stats = rep.solver_stats
+    print(f"{name}/refine_steps {stats.get('refine_steps', 0)}")
+    emit(f"{name}/refine_residuals", stats.get("refine_residuals", []))
+    print(f"{name}/gmres_iterations {stats['gmres_iterations']}")
+    emit(f"{name}/gmres_residuals", stats["gmres_residuals"])
 
 
 def main(tree: Path) -> None:
