@@ -177,34 +177,45 @@ def _chaplygin(X, Y):
     return np.sinh(Y)
 
 
-PRESET_NAMES = ("tricomi", "infinite_order", "wedge", "chaplygin", "lower_order")
+def _lower_order_K(X, Y):
+    return Y + 0.15 * np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
+
+
+def _lower_order_A(X, Y):
+    return 0.1 * np.cos(np.pi * X)
+
+
+def _lower_order_B(X, Y):
+    return 0.05 * (1.0 + Y) * np.sin(np.pi * X)
+
+
+# each preset's K, A and B as functions of (X, Y); None is a zero coefficient
+_PRESETS = {
+    "tricomi": (_tricomi, None, None),
+    "infinite_order": (_infinite_order, None, None),
+    "wedge": (_wedge, None, None),
+    "chaplygin": (_chaplygin, None, None),
+    "lower_order": (_lower_order_K, _lower_order_A, _lower_order_B),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_coefficients(name: str, grid: GridSpec, eps: float, alpha: float) -> CoefficientSet:
     """Build one of the named coefficient families on the given grid.
 
     CSV-backed coefficients use the form "csv:<path>" and load K from a
-    Field file (A = B = 0).
+    Field file (A = B = 0), whose grid must be the given one.
     """
-    # the presets whose K is one of these profiles and A = B = 0
-    profiles = {
-        "tricomi": _tricomi,
-        "infinite_order": _infinite_order,
-        "wedge": _wedge,
-        "chaplygin": _chaplygin,
-    }
-    if name in profiles:
-        zero = Field.zeros(grid)
-        return CoefficientSet(Field.from_function(grid, profiles[name]), zero, zero, eps, alpha)
-    if name == "lower_order":
-        K = Field.from_function(
-            grid, lambda X, Y: Y + 0.15 * np.sin(np.pi * X) * np.cos(0.5 * np.pi * Y)
-        )
-        A = Field.from_function(grid, lambda X, Y: 0.1 * np.cos(np.pi * X))
-        B = Field.from_function(grid, lambda X, Y: 0.05 * (1.0 + Y) * np.sin(np.pi * X))
-        return CoefficientSet(K, A, B, eps, alpha)
+    zero = Field.zeros(grid)
     if name.startswith("csv:"):
         K = load_field(name[4:])
-        zg = Field.zeros(K.grid)
-        return CoefficientSet(K, zg, zg, eps, alpha)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES} or csv:<path>")
+        if K.grid != grid:
+            raise ValueError(
+                f"preset {name!r} holds a {K.grid.nx}x{K.grid.ny} grid,"
+                f" but the run asks for {grid.nx}x{grid.ny}"
+            )
+        return CoefficientSet(K, zero, zero, eps, alpha)
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES} or csv:<path>")
+    K, A, B = (zero if f is None else Field.from_function(grid, f) for f in _PRESETS[name])
+    return CoefficientSet(K, A, B, eps, alpha)

@@ -281,7 +281,8 @@ def strip_inner_product(u: Field, v: Field, y_min: float, y_max: float) -> float
     """Quadrature of u*v restricted to the strip y_min <= y <= y_max.
 
     The strip edges must coincide with grid nodes (within roundoff);
-    trapezoid weights are rebuilt for the sub-interval.
+    trapezoid weights are rebuilt for the sub-interval.  A strip of zero
+    width gives 0.0, and reversed edges raise GridError.
     """
     g = _check_same_grid(u, v)
     y = g.y
@@ -289,6 +290,10 @@ def strip_inner_product(u: Field, v: Field, y_min: float, y_max: float) -> float
     j1 = int(np.argmin(np.abs(y - y_max)))
     if abs(y[j0] - y_min) > 1e-9 or abs(y[j1] - y_max) > 1e-9:
         raise GridError("strip edges must lie on grid nodes")
+    if j1 < j0:
+        raise GridError(f"strip edges reversed: y_min = {y_min:g} > y_max = {y_max:g}")
+    if j1 == j0:
+        return 0.0
     wy = np.full(j1 - j0 + 1, g.hy)
     wy[0] = wy[-1] = 0.5 * g.hy
     block = u.values[:, j0 : j1 + 1] * v.values[:, j0 : j1 + 1]

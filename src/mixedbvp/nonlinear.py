@@ -436,7 +436,7 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     dx, dy, _ = _derivative_matrices(grid)
     rows = dy[nyp:].toarray()
     rows[[0, -1]] = 0.0
-    rows[0, :4], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
+    rows[0, : len(_BOTTOM_DY)], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
     fold = np.eye(nyp)
     folds = []
     for row, by, far in ((1, 2, 4), (0, 1, 3), (ny - 1, ny - 2, ny - 4)):

@@ -7,9 +7,12 @@ order.  Its stencil weights are written once here: _interior_stencil for
 the interior rows, and for the bottom row the tables _BOTTOM_DY (u_y)
 and _BOTTOM_DX (u_x), which the assembled row, solver's x-mode systems,
 the oblique row of the residual gate and the samples (_oblique_row) and
-the Picard step's mode symbol all read.  The operator and its formal
-adjoint are also applied pointwise, matrix-free, with the same
-x-stencils.  The first-order transport
+the Picard step's mode symbol all read.  The matrix's sparsity pattern
+is read off the same tables and _INTERIOR_SLOTS (_csr_pattern), so a
+u_x table with other offsets assembles with no other change; only the
+x-lines whose offsets wrap round the seam take their slots permuted.
+The operator and its formal adjoint are also applied pointwise,
+matrix-free, with the same x-stencils.  The first-order transport
 solver marches downward from y = 1 with semi-Lagrangian steps and cubic
 periodic interpolation in x, which keeps the march stable for any
 characteristic slope a/b.
@@ -61,6 +64,9 @@ class AuxNonContractionError(RuntimeError):
 _BOTTOM_DY = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
 # the oblique rows' 3-point centred u_x: (x-offset, weight over 2*hx) pairs
 _BOTTOM_DX = ((1, 1.0), (-1, -1.0))
+# the interior rows' (x-offset, y-offset) slots in column order: west, south,
+# centre, north and east
+_INTERIOR_SLOTS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -87,42 +93,42 @@ def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
 
 
 @lru_cache(maxsize=16)
-def _csr_pattern(grid: GridSpec) -> tuple[sp.csr_matrix, tuple[np.ndarray, np.ndarray]]:
-    """The sparsity pattern of assemble_L on grid, as a matrix, and the seam order.
+def _csr_pattern(grid: GridSpec) -> tuple[sp.csr_matrix, tuple, tuple]:
+    """The sparsity pattern of assemble_L on grid, as a matrix, and how to fill it.
 
     Rows follow the field's layout, (i, j) -> i*(ny+1) + j.  Each x-line
-    holds the bottom row's 6 entries (the x-node of _BOTTOM_DX's negative
-    offset, the y-nodes 0..3, that of its positive one), 5 per interior
-    row (west, south, centre, north, east) and the top row's 1; a table
-    of other than one offset -1 and one +1 needs other slots here.  On
-    line 0 the west columns wrap to line nx-1, and on line nx-1 the
-    east columns to line 0, so those two lines take their slots in the
-    orders seam = (first, last), which sort every row's columns: scipy
-    then never sorts the indices in place.  The matrix's int32 indices
-    and indptr are shared by every matrix on the grid, so they are not
-    writeable; its data are zeros.
+    holds one slot per (x-offset, y-node) of its rows: the bottom row's
+    terms (_BOTTOM_DX's offsets on node 0, then _BOTTOM_DY's nodes)
+    sorted by (offset, node), with terms on one slot summed; each
+    interior row's _INTERIOR_SLOTS; the top row's identity.  (order,
+    starts) sums the bottom terms into their slots (np.add.reduceat).
+    On the lines whose offsets wrap round the seam the slots are out of
+    column order; seam = (to, frm), flat slot positions, reorders those
+    lines alone (flat[to] = flat[frm]) so that every row's columns are
+    sorted: scipy then never sorts the indices in place.  The matrix's
+    int32 indices and indptr are shared by every matrix on the grid, so
+    they are not writeable; its data are zeros.
     """
     nx, nyp = grid.shape
-    ny = nyp - 1
-    line = nyp * np.arange(nx, dtype=np.int32)[:, None]
-    west, east = np.roll(line, 1), np.roll(line, -1)
-    j = np.arange(1, ny, dtype=np.int32)
-    indices = np.empty((nx, 5 * ny + 2), dtype=np.int32)
-    bx_west, bx_east = (np.roll(line, -off) for off, _ in sorted(_BOTTOM_DX))
-    indices[:, :6] = np.hstack((bx_west, line + np.arange(4, dtype=np.int32), bx_east))
-    indices[:, 6:-1] = np.stack(
-        (west + j, line + j - 1, line + j, line + j + 1, east + j), axis=-1
-    ).reshape(nx, -1)
-    indices[:, -1:] = line + ny
-    row_of_slot = np.repeat(np.arange(nyp), [6] + [5] * (ny - 1) + [1])
-    seam = tuple(np.lexsort((indices[i], row_of_slot)) for i in (0, -1))
-    indices[0], indices[-1] = indices[0, seam[0]], indices[-1, seam[1]]
-    starts = np.r_[0, 6 + 5 * np.arange(ny)]  # row starts within a line
-    indptr = np.r_[((5 * ny + 2) * np.arange(nx)[:, None] + starts).ravel(), indices.size]
-    n = nx * nyp
-    pattern = sp.csr_matrix((np.zeros(indices.size), indices.ravel(), indptr), shape=(n, n))
+    terms = [(off, 0) for off, _ in _BOTTOM_DX] + [(0, k) for k in range(len(_BOTTOM_DY))]
+    order = np.lexsort(np.transpose(terms)[::-1])  # by (offset, node)
+    bottom, starts = np.unique(np.take(terms, order, axis=0), axis=0, return_index=True)
+    # row j's slots: _INTERIOR_SLOTS with their y-offsets taken from node j
+    interior = np.array(_INTERIOR_SLOTS) + [0, 1] * np.arange(1, nyp - 1)[:, None, None]
+    slots = np.concatenate((bottom, interior.reshape(-1, 2), [(0, nyp - 1)])).astype(np.int32)
+    rows = np.repeat(np.arange(nyp), [len(bottom)] + [len(_INTERIOR_SLOTS)] * (nyp - 2) + [1])
+    shifted = np.arange(nx, dtype=np.int32)[:, None] + slots[:, 0]
+    indices = shifted % nx * nyp + slots[:, 1]
+    wrap = np.flatnonzero((shifted % nx != shifted).any(axis=1))
+    perm = np.argsort(rows * (nx * nyp) + indices[wrap], axis=1)  # by (row, column)
+    first = wrap[:, None] * len(slots)  # the flat position of each such line's first slot
+    seam = (first + np.arange(len(slots))).ravel(), (first + perm).ravel()
+    indices = indices.ravel()
+    indices[seam[0]] = indices[seam[1]]
+    indptr = np.r_[0, np.cumsum(np.tile(np.bincount(rows), nx))]
+    pattern = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(nx * nyp,) * 2)
     pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
-    return pattern, seam
+    return pattern, (order, starts), seam
 
 
 def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
@@ -135,22 +141,21 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
     indptr: copy it before changing its structure.
     """
     g = cs.grid
-    nx, nyp = g.shape
-    ny = nyp - 1
-    pattern, seam = _csr_pattern(g)
+    pattern, (order, starts), (to, frm) = _csr_pattern(g)
     K, A, B = (c.values[:, 1:-1] for c in (cs.K, cs.A, cs.B))
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    (_, b_west), (_, b_east) = sorted(_bottom_dx(cs.alpha, g.hx))
-    data = np.empty((nx, 5 * ny + 2))
-    data[:, 0], data[:, 1:5], data[:, 5], data[:, -1] = b_west, _BOTTOM_DY / g.hy, b_east, 1.0
-    interior = data[:, 6:-1].reshape(nx, ny - 1, 5)  # a view: each line's rows
+    terms = np.concatenate(([w for _, w in _bottom_dx(cs.alpha, g.hx)], _BOTTOM_DY / g.hy))
+    bottom = np.add.reduceat(terms[order], starts)
+    data = np.empty(pattern.nnz).reshape(g.nx, -1)  # one x-line per row
+    data[:, : bottom.size], data[:, -1] = bottom, 1.0
+    interior = data[:, bottom.size : -1].reshape(*K.shape, -1)  # a view: each node's slots
     for k, weight in enumerate((west, south, centre, north, east)):
         interior[..., k] = weight
-    data[0], data[-1] = data[0, seam[0]], data[-1, seam[1]]
     # a shallow copy shares the pattern scipy checked once; its constructor
     # would check it again on every call, a third of a small assembly
     mat = copy(pattern)
     mat.data = data.ravel()
+    mat.data[to] = mat.data[frm]
     return mat
 
 
@@ -211,7 +216,7 @@ def _oblique_row(values: np.ndarray, alpha: float, sgn: float, grid: GridSpec) -
     ux0 = np.dot(values[:, 0][nodes], weights)
     ux0 /= 2.0 * grid.hx
     ux0 *= alpha
-    ux0 += sgn * (values[:, :4] @ _BOTTOM_DY / grid.hy)
+    ux0 += sgn * (values[:, : len(_BOTTOM_DY)] @ _BOTTOM_DY / grid.hy)
     return ux0
 
 

@@ -643,7 +643,7 @@ def _bottom_corrector(grid: GridSpec) -> tuple[np.ndarray, float]:
     """Profile chi with chi(-1) = chi(1) = 0 plus its discrete y-derivative at -1."""
     y = grid.y
     chi = -(1.0 + y) * (1.0 - y) ** 2 / 4.0
-    d0 = float(chi[:4] @ _BOTTOM_DY / grid.hy)
+    d0 = float(chi[: len(_BOTTOM_DY)] @ _BOTTOM_DY / grid.hy)
     return chi, d0
 
 

@@ -81,6 +81,19 @@ def test_check_subcommand_failing_gate(tmp_path):
     assert code == 1
 
 
+def test_check_csv_preset_on_another_grid_exits_2(tmp_path, capsys):
+    # a 16^2 K file and a 64^2 run: the run refuses it, where it used to
+    # check the file's grid and exit 0 with nx=64, ny=64 in the manifest
+    from mixedbvp.grid import Field, make_grid, save_field
+
+    path = tmp_path / "k.csv"
+    save_field(Field.from_function(make_grid(16, 16), lambda X, Y: Y), path)
+    args = ["check", "--preset", f"csv:{path}", "--nx", "64", "--ny", "64"]
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert "holds a 16x16 grid, but the run asks for 64x64" in capsys.readouterr().err
+    assert not (tmp_path / "conditions.txt").exists()
+
+
 def test_multiplier_subcommand(tmp_path):
     code = run(["multiplier", "--preset", "tricomi", "--eps", "1e-4",
                 "--alpha", "0.02", "--nx", "32", "--ny", "32", "--out", str(tmp_path)])

@@ -161,6 +161,9 @@ def test_csv_preset_roundtrip(tmp_path):
     cs = preset_coefficients(f"csv:{path}", g, 1e-3, 0.02)
     assert np.abs(cs.K.values - K.values).max() < 1e-15
     assert np.all(cs.A.values == 0.0)
+    # the file's grid is not the one asked for: both are named
+    with pytest.raises(ValueError, match="holds a 16x16 grid, but the run asks for 64x48"):
+        preset_coefficients(f"csv:{path}", make_grid(64, 48), 1e-3, 0.02)
 
 
 def test_unknown_preset_rejected():

@@ -262,6 +262,11 @@ def test_l2_norm_and_strip():
     one = Field.constant(g, 1.0)
     assert l2_norm(one) == pytest.approx(2.0)
     assert strip_inner_product(one, one, -0.5, 0.5) == pytest.approx(2.0)
+    # a strip of zero width holds nothing, and reversed edges are named
+    assert strip_inner_product(one, one, 0.0, 0.0) == 0.0
+    assert strip_inner_product(one, one, -1.0, -1.0) == 0.0
+    with pytest.raises(GridError, match=r"reversed: y_min = 0\.5 > y_max = -0\.5"):
+        strip_inner_product(one, one, 0.5, -0.5)
 
 
 def _fsum_inner(g, u, v):

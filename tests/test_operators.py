@@ -109,10 +109,14 @@ def _picard_normal_form(g, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.02, 1.2])
-@pytest.mark.parametrize("n", [16, 64, 128, 256])
+@pytest.mark.parametrize(
+    "n",
+    [16, 64, 128, 256, pytest.param((47, 48), id="47x48"), pytest.param((48, 32), id="48x32")],
+)
 @pytest.mark.parametrize("kind", ["tricomi", "lower_order", "picard"])
 def test_assembled_matrix_equals_coo_assembly(kind, n, alpha):
-    g = make_grid(n, n)
+    # square grids, an odd nx, and a grid longer in x than in y
+    g = make_grid(*n) if isinstance(n, tuple) else make_grid(n, n)
     if kind == "picard":
         cs = _picard_normal_form(g, alpha)  # K and A constant along x, B zero
     else:
@@ -718,30 +722,48 @@ def _bottom_ux_readers(preset, alpha, g, u):
     }
 
 
+# the one-sided second-order u_x, (3u_i - 4u_(i-1) + u_(i-2))/(2hx): its
+# offset 0 shares a slot with u_y's node 0, and its offset -2 wraps on two lines
+_ONE_SIDED_DX = ((0, 3.0), (-1, -4.0), (-2, 1.0))
+
+
 @pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
 @pytest.mark.parametrize("alpha", [0.02, 0.2])
 def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
     # the assembled row, _oblique_row and the two mode symbols agree on one
-    # random field, and all four double with _BOTTOM_DX's weights: a reader
-    # with its own copy of the stencil would not
+    # random field, under _BOTTOM_DX and under each table put in its place:
+    # the doubled weights double all four, and the one-sided table gives
+    # its own u_x in all four.  A reader with its own copy of the stencil,
+    # or a pattern with slots laid out by hand, would not
     from mixedbvp import nonlinear, operators
 
     g = make_grid(32, 32)
     u = np.random.default_rng(9).standard_normal(g.shape)
     ref = _bottom_ux_readers(preset, alpha, g, u)
-    doubled = tuple((off, 2.0 * w) for off, w in operators._BOTTOM_DX)
-    monkeypatch.setattr(operators, "_BOTTOM_DX", doubled)
-    try:
-        operators._bottom_dx_gather.cache_clear()
-        nonlinear._step_bands.cache_clear()
-        twice = _bottom_ux_readers(preset, alpha, g, u)
-    finally:
-        monkeypatch.undo()
-        operators._bottom_dx_gather.cache_clear()
-        nonlinear._step_bands.cache_clear()
+    row, u0 = ref["oblique_row"], u[:, 0]
+    tables = {
+        "doubled": (tuple((off, 2.0 * w) for off, w in operators._BOTTOM_DX), 2.0 * row),
+        "one_sided": (
+            _ONE_SIDED_DX,
+            alpha * (3.0 * u0 - 4.0 * np.roll(u0, 1) + np.roll(u0, 2)) / (2.0 * g.hx),
+        ),
+    }
+    caches = (operators._bottom_dx_gather, operators._csr_pattern, nonlinear._step_bands)
+    patched = {}
+    for table, (dx, _) in tables.items():
+        monkeypatch.setattr(operators, "_BOTTOM_DX", dx)
+        try:
+            for cache in caches:
+                cache.cache_clear()
+            patched[table] = _bottom_ux_readers(preset, alpha, g, u)
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
     # measured <= 3.3e-14 of max|row|, the assembled row's (its u_y terms
-    # are subtracted again)
-    row = ref["oblique_row"]
+    # are subtracted again); under the one-sided table <= 7.7e-15
     for name in ref:
         assert np.abs(ref[name] - row).max() <= 1e-13 * np.abs(row).max(), name
-        assert np.abs(twice[name] - 2.0 * row).max() <= 2e-13 * np.abs(row).max(), name
+        for table, (_, expect) in tables.items():
+            err = np.abs(patched[table][name] - expect).max()
+            assert err <= 2e-13 * np.abs(expect).max(), (table, name)

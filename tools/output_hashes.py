@@ -9,7 +9,8 @@ it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L (data, indices,
 indptr) and the factored x-mode systems of every preset
 (solver._factor_modes: the LU arrays as zgttrs takes them, the fold
-multipliers m2, and m3 broadcast to one complex entry per mode); the
+multipliers m2, and m3 broadcast to one complex entry per mode) at
+16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, and the Picard step's x-mode
 symbols (nonlinear._step_bands) at 64^2 and 128^2;
@@ -94,14 +95,15 @@ def main(tree: Path) -> None:
 
     warnings.simplefilter("ignore")  # failed gates warn under require_conditions=False
 
-    for n in (16, 48):
-        g = grid.make_grid(n, n)
+    for nx, ny in ((16, 16), (48, 48), (47, 48)):
+        g = grid.make_grid(nx, ny)
+        size = nx if nx == ny else f"{nx}x{ny}"
         for name in PRESETS:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             mat = operators.assemble_L(cs)
-            emit(f"assemble_L/{name}/{n}", mat.data, mat.indices, mat.indptr)
+            emit(f"assemble_L/{name}/{size}", mat.data, mat.indices, mat.indptr)
             lu, (m2, m3) = solver._factor_modes(cs)
-            emit(f"mode_systems/{name}/{n}", *lu, m2, np.broadcast_to(m3, m2.shape))
+            emit(f"mode_systems/{name}/{size}", *lu, m2, np.broadcast_to(m3, m2.shape))
 
     g = grid.make_grid(64, 64)
     u = np.random.default_rng(5).standard_normal(g.shape)
