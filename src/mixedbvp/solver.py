@@ -4,11 +4,11 @@ solve_linear builds the y-system of each x-mode of the x-averaged
 operator, folds its oblique bottom row into tridiagonal form, factors
 all modes in one LAPACK call and back-substitutes; when the
 coefficients depend on x, it refines that answer with the same LUs
-while each step halves the residual, then hands what is left to GMRES
-preconditioned by those LUs, with a sparse LU of the assembled matrix
-as the fallback.  This module alone knows the mode systems' layout.
-The a priori constant of the well-posedness estimate is reported as
-the measured ratio ||u||_0 / ||f||_{H^1}.
+while each step halves the residual, then hands what is left to
+scipy's GMRES preconditioned by those LUs, with a sparse LU of the
+assembled matrix as the fallback.  This module alone knows the mode
+systems' layout.  The a priori constant of the well-posedness estimate
+is reported as the measured ratio ||u||_0 / ||f||_{H^1}.
 energy_certificate drives the duality chain: for adjoint-admissible
 samples v it solves the auxiliary problem M u = v and tests positivity
 of (L* v, u) against the anisotropic (m,1) energy of u, then reports the
@@ -23,7 +23,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from math import isfinite
 from time import perf_counter
 from typing import Callable
@@ -96,8 +95,10 @@ class LinearProblem:
     f: Field
 
     def __post_init__(self):
-        if self.f.grid != self.cs.grid:
-            raise ValueError("right-hand side must share the coefficient grid")
+        fg, cg = self.f.grid, self.cs.grid
+        if fg != cg:
+            raise ValueError(f"the right-hand side holds a {fg.nx}x{fg.ny} grid,"
+                             f" but the coefficients hold {cg.nx}x{cg.ny}")
 
 
 @dataclass
@@ -270,93 +271,6 @@ GMRES_MAX_ITER = 40
 GMRES_MARGIN = 1e-2
 
 
-@lru_cache(maxsize=16)
-def _gmres_weights(grid: GridSpec) -> np.ndarray:
-    """GMRES's inner-product weights, read-only: each node's quadrature
-    weight (grid._quadrature_row of its y-row), flattened as the grid's
-    arrays ravel."""
-    w = np.broadcast_to(_quadrature_row(grid), grid.shape).ravel()
-    w.flags.writeable = False
-    return w
-
-
-def _gmres(
-    apply, precond, b: np.ndarray, w: np.ndarray, target: float, maxiter: int,
-    u: np.ndarray, first: np.ndarray,
-):
-    """Right-preconditioned GMRES (Saad-Schultz 1986) from x = 0.
-
-    u is precond(b) and first is apply(u), which the caller has formed
-    already, so the first step costs no precond and no matvec; apply's
-    output is flattened.  Each step keeps its preconditioned basis
-    vector z_k = precond(v_k) (z_0 = u/beta) in a second basis Z, as
-    flexible GMRES does (Saad 1993), so the iterate at exit is one
-    combination of Z and a run of k steps calls precond k - 1 times.  Z
-    is a list of precond's own outputs, stacked once at exit: a
-    preallocated block beside V would double the memory each solve
-    takes and hands back.  The inner product is weighted by w, so the
-    least-squares residual is the quadrature norm of b - apply(x) in
-    exact arithmetic; its products with w are formed in one work vector,
-    and beta = ||b|| is rescaled by max|b| only when its plain sum of
-    squares overflows.  Givens rotations keep the Hessenberg matrix in
-    QR form as it grows: the rotated right-hand side g holds that
-    residual in |g[k+1]| after step k, and the one triangular solve runs
-    at exit.  Stops when the residual is <= target, at a breakdown or
-    after maxiter steps, and returns (x, steps, residuals), x flat and
-    residuals[k] the residual after step k + 1.  No restarts: the bases
-    hold at most maxiter + 1 vectors.
-    """
-    wv = np.empty_like(b)
-    with np.errstate(over="ignore"):
-        beta = float(np.sqrt(b @ np.multiply(w, b, out=wv)))
-    if not isfinite(beta):  # a finite b above about 1e154 overflows the squares
-        top = float(np.abs(b).max())
-        unit = b / top
-        beta = top * float(np.sqrt(unit @ np.multiply(w, unit, out=wv)))
-    V = np.empty((maxiter + 1, b.size))
-    Z: list[np.ndarray] = []
-    R = np.zeros((maxiter + 1, maxiter))
-    rot = np.zeros((maxiter, 2))  # the (cos, sin) of each step's rotation
-    g = np.zeros(maxiter + 1)
-    g[0] = beta
-    np.divide(b, beta, out=V[0])
-    residuals: list[float] = []
-
-    def solution(k: int) -> np.ndarray:
-        if not k:
-            return np.zeros(b.size)
-        y, _ = lapack.dtrtrs(R[:k, :k], g[:k])  # R's diagonal holds no zero (diag > 0)
-        return y @ np.array(Z[:k])
-
-    for k in range(maxiter):
-        if k == 0:
-            Z.append(u.reshape(-1) / beta)
-            v = first / beta
-        else:
-            Z.append(precond(V[k]).reshape(-1))
-            v = apply(Z[k]).ravel()
-        h = R[:, k]
-        for _ in range(2):  # classical Gram-Schmidt, twice for orthogonality
-            coef = V[: k + 1] @ np.multiply(w, v, out=wv)
-            v -= np.matmul(coef, V[: k + 1], out=wv)  # wv is free once coef is formed
-            h[: k + 1] += coef
-        vnorm = np.sqrt(v @ np.multiply(w, v, out=wv))
-        for i, (c, s) in enumerate(rot[:k]):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        diag = np.hypot(h[k], vnorm)
-        if diag == 0.0:  # a breakdown whose column adds nothing to the fit
-            residuals.append(abs(g[k]))
-            return solution(k), k + 1, residuals
-        c, s = rot[k] = h[k] / diag, vnorm / diag
-        h[k] = diag
-        g[k], g[k + 1] = c * g[k], -s * g[k]
-        residuals.append(abs(g[k + 1]))
-        if residuals[-1] <= target or vnorm == 0.0:
-            return solution(k + 1), k + 1, residuals
-        np.divide(v, vnorm, out=V[k + 1])
-    return solution(maxiter), maxiter, residuals
-
-
 class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
@@ -375,17 +289,19 @@ class FactorizedOperator:
     ||r||, until ||r|| reaches GMRES's target GMRES_MARGIN*RESIDUAL_TOL*||f||
     or a step is rejected.  L depends on x only through eps*K, eps*A and
     eps*B, so at small eps each step leaves a few 1e-3 of the residual.
-    When the refined u still fails the gate, GMRES on L e = r follows,
-    right-preconditioned by the mode LUs, with the correction M^-1 r
-    refinement computed last as its first vector.  L is the assembled matrix (operators.assemble_L), built
-    here, before the mode LUs: every row of L u is one sparse product,
-    from which _gate forms the residual.  Past GMRES_MAX_ITER steps, or
-    when the gate still fails, the operator falls back to a sparse LU of
-    that same matrix for good; stats["fallback_reason"] says why.  A
-    solve whose last path fails the gate raises ResidualGateError
-    (WELLPOSEDNESS_SUSPECT), built here from _gate's residual, which
-    names the rows holding most of the residual; an attempt that only
-    hands the solve on builds none.
+    When the refined u still fails the gate, one cycle of scipy's gmres
+    (Saad-Schultz 1986) solves L e = r, right-preconditioned by the mode
+    LUs: D L M^-1 D^-1 y = D r / s with D the square root of each y-row's
+    quadrature weight, so its Euclidean norm is the gate's, and s = max|r|,
+    so no square overflows; e = s M^-1 D^-1 y.  L is the assembled matrix
+    (operators.assemble_L), built here, before the mode LUs: every row of
+    L u is one sparse product, from which _gate forms the residual.  Past
+    GMRES_MAX_ITER steps, or when the gate still fails, the operator
+    falls back to a sparse LU of that same matrix for good;
+    stats["fallback_reason"] says why.  A solve whose last path fails
+    the gate raises ResidualGateError (WELLPOSEDNESS_SUSPECT), built here
+    from _gate's residual, which names the rows holding most of the
+    residual; an attempt that only hands the solve on builds none.
 
     method is "fourier" or "splu".  residual_norm is the last solve's
     residual over every row.  stats holds, for the last solve, residual
@@ -394,8 +310,8 @@ class FactorizedOperator:
     after each of them), gmres_iterations (0 when refinement or the mode
     LUs alone passed the gate), gmres_residuals (GMRES's estimate after
     each step, over ||f||), matvecs (products with L), mode_solves
-    (back-substitutions through the mode LUs: the first, one per
-    refinement step and one per GMRES step after GMRES's first) and
+    (back-substitutions through the mode LUs; both are k + 1 after k
+    refinement steps, and k + s + 3 when s GMRES steps follow) and
     solve_s (its perf_counter time); and, from the constructor, the
     perf_counter times assemble_s (building L) and factor_s.  A
     singular factorization of L (_singular_mode for a mode LU), or a
@@ -478,14 +394,20 @@ class FactorizedOperator:
                     if res <= target:
                         break
                     c = self._mode_solve(r)
-            if res > gate:
-                # L e = r from the refined u; c = M^-1 r, the correction last
-                # computed, is GMRES's first vector, and L c its own product:
-                # L(u + c) - L u would cancel
-                e, steps, estimates = _gmres(self._rows, self._mode_solve, r.ravel(),
-                                             _gmres_weights(g), target, GMRES_MAX_ITER,
-                                             c, self._rows(c).ravel())
-                u = u + e.reshape(g.shape)
+            if res > gate and GMRES_MAX_ITER:  # scipy's gmres takes no restart of 0
+                # L e = r from the refined u, right-preconditioned by the mode LUs;
+                # scaled by d per y-row, the Euclidean norm is the gate's, and by
+                # s = max|r|, no square of a huge r overflows
+                d, s = np.sqrt(_quadrature_row(g)), np.abs(r).max()
+                scaled = spla.LinearOperator(
+                    (r.size, r.size), dtype=float,
+                    matvec=lambda y: d * self._rows(self._mode_solve(y.reshape(g.shape) / d)),
+                )
+                y, _ = spla.gmres(scaled, (d * r / s).ravel(), rtol=0.0, atol=target / s,
+                                  restart=GMRES_MAX_ITER, maxiter=1, callback_type="pr_norm",
+                                  callback=lambda rel: estimates.append(rel * res))
+                steps = len(estimates)
+                u = u + s * self._mode_solve(y.reshape(g.shape) / d)
                 res, r = _gate(rhs, u, self._rows(u), alpha, g)
             if res > gate:
                 if steps == GMRES_MAX_ITER:
@@ -758,16 +680,16 @@ def energy_certificate(
     the others in pool threads, each in a copy of the caller's context
     (np.errstate holds there).  What they share (L*'s coefficients
     cs.adjoint_pieces, the transport plan, the coupling factors and both
-    Gram factorizations) is built first, here, and only read by them.  The results are in input order.  A failing
-    sample ends its chunk, the other chunks run out, and the call raises
-    the exception of the first failing sample in input order.  The
-    report's stats holds perf_counter sums over the samples: aux_s in
-    the auxiliary solves, and within it transport_s and spectral_s (see
-    AuxReport), lstar_s in L* v, energy_norm_s in (L* v, u) and
-    ||u||_(m,1), dual_norm_s in the two negative norms; samples overlap
-    in time, so these can sum to up to workers, the thread count, times
-    wall_s, the time from dispatch to the joined results; and
-    aux_iterations, one entry per sample.
+    Gram factorizations) is built first, here, and only read by them.
+    The results are in input order.  A failing sample ends its chunk,
+    the other chunks run out, and the call raises the exception of the
+    first failing sample in input order.  The report's stats holds
+    perf_counter sums over the samples: aux_s in the auxiliary solves,
+    and within it transport_s and spectral_s (see AuxReport), lstar_s in
+    L* v, energy_norm_s in (L* v, u) and ||u||_(m,1), dual_norm_s in the
+    two negative norms; samples overlap in time, so these can sum to up
+    to workers, the thread count, times wall_s, the time from dispatch
+    to the joined results; and aux_iterations, one entry per sample.
     """
     v_samples = [v for v in v_samples if l2_norm(v) > 0.0]
     if not v_samples:

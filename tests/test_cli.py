@@ -121,6 +121,18 @@ def test_solve_subcommand_writes_solution(tmp_path):
     assert u.grid.nx == 24
 
 
+def test_solve_csv_rhs_on_another_grid_exits_2(tmp_path, capsys):
+    # a 16^2 right-hand side and a 32^2 run: the message names both grids
+    from mixedbvp.grid import Field, make_grid, save_field
+
+    path = tmp_path / "f.csv"
+    save_field(Field.from_function(make_grid(16, 16), lambda X, Y: Y), path)
+    args = ["solve", "--rhs", f"csv:{path}", "--nx", "32", "--ny", "32"]
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert "holds a 16x16 grid, but the coefficients hold 32x32" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_solve_report_names_the_krylov_path(tmp_path):
     import ast
 

@@ -38,6 +38,12 @@ def test_zero_forcing_gives_zero_solution():
     assert l2_norm(rep.u) <= 1e-12
 
 
+def test_right_hand_side_on_another_grid_names_both_grids():
+    cs = preset_coefficients("tricomi", make_grid(32, 24), 1e-4, 0.02)
+    with pytest.raises(ValueError, match="holds a 16x16 grid, but the coefficients hold 32x24"):
+        LinearProblem(cs, Field.zeros(make_grid(16, 16)))
+
+
 def test_precondition_gate_raises_and_overrides():
     g = make_grid(32, 32)
     cs = preset_coefficients("tricomi", g, 1e-2, 0.02)  # alpha gate fails
@@ -171,7 +177,7 @@ def test_wedge_256_passes_by_refinement_alone():
 
 def test_refinement_hands_a_slow_contraction_to_gmres():
     # at eps 1e-2 a correction leaves about 0.1 of the residual and then
-    # stalls; GMRES starts from the refined u with the rejected correction
+    # stalls; GMRES starts from the refined u
     cs, _, f = _smooth_problem("lower_order", 128, 1e-2, 0.02)
     rep = solve_linear(LinearProblem(cs, f), require_conditions=False)
     stats = rep.solver_stats
@@ -180,9 +186,10 @@ def test_refinement_hands_a_slow_contraction_to_gmres():
     # every accepted step halved ||r||; the last one did not, and was rejected
     assert all(b <= 0.5 * a for a, b in zip(resid[:-2], resid[1:-1]))
     assert resid[-1] > 0.5 * resid[-2]
-    # k + 1 mode solves before GMRES, whose first vector is the rejected
-    # correction; the products: k + 1, L c, s - 1 inside GMRES, the final residual
-    assert stats["mode_solves"] == k + s and stats["matvecs"] == k + s + 2
+    # k + 1 of each before GMRES; s + 1 inside it (a product of M^-1 and L
+    # per step and the true residual at the end of its cycle); then M^-1 of
+    # its iterate and L of the new u for the gate
+    assert stats["mode_solves"] == stats["matvecs"] == k + s + 3
     assert stats["gmres_residuals"][-1] <= solver.GMRES_MARGIN * solver.RESIDUAL_TOL
     ref = _splu_reference(cs, f)
     assert np.abs(rep.u.values - ref).max() <= 1e-11 * np.abs(ref).max()
@@ -298,73 +305,6 @@ def test_rows_match_pointwise_operator_and_wall_rows(kind, n):
     assert fac.stats["matvecs"] == 1 and fac.stats["assemble_s"] > 0.0
 
 
-def _dense_gmres(A, M, b, w, k):
-    # the k-th GMRES iterate from its definition: x = M K c, with K a basis
-    # of the Krylov space of A M from b and c the weighted least-squares fit
-    sw = np.sqrt(w)
-    basis = [b / np.linalg.norm(sw * b)]
-    for _ in range(k - 1):
-        v = A @ (M @ basis[-1])
-        for q in basis:  # modified Gram-Schmidt, twice
-            v -= (q @ (w * v)) * q
-        for q in basis:
-            v -= (q @ (w * v)) * q
-        basis.append(v / np.linalg.norm(sw * v))
-    Kb = np.array(basis[:k]).T.reshape(b.size, k)
-    c = np.linalg.lstsq(sw[:, None] * (A @ (M @ Kb)), sw * b, rcond=None)[0]
-    x = M @ (Kb @ c)
-    return x, np.linalg.norm(sw * (b - A @ x))
-
-
-def test_gmres_matches_dense_least_squares_at_every_step():
-    rng = np.random.default_rng(11)
-    n = 8
-    A = np.eye(n) + 0.4 * rng.standard_normal((n, n))  # not symmetric
-    M = np.eye(n) + 0.1 * rng.standard_normal((n, n))
-    b = rng.standard_normal(n)
-    w = rng.uniform(0.5, 2.0, n)
-    u = M @ b
-    first = A @ u
-    for maxiter in range(n + 1):
-        x, steps, residuals = solver._gmres(
-            lambda v: A @ v, lambda v: M @ v, b, w, 0.0, maxiter, u, first.copy()
-        )
-        assert steps == maxiter and len(residuals) == maxiter
-        ref = _dense_gmres(A, M, b, w, maxiter)[0] if maxiter else np.zeros(n)
-        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max(initial=1.0), maxiter
-        for k, est in enumerate(residuals, start=1):
-            true = _dense_gmres(A, M, b, w, k)[1]
-            assert abs(est - true) <= 1e-10 * np.linalg.norm(np.sqrt(w) * b), (maxiter, k)
-    # the target ends the run at the first step whose estimate meets it
-    x, steps, residuals = solver._gmres(
-        lambda v: A @ v, lambda v: M @ v, b, w, 1e-3, n, u, first.copy()
-    )
-    assert residuals[-1] <= 1e-3 < residuals[-2] and steps == len(residuals)
-
-
-def test_gmres_exact_breakdown_returns_the_solution():
-    # A swaps e0 and e1, so the Krylov space from e0 closes after two steps
-    # with an exactly zero subdiagonal
-    rng = np.random.default_rng(5)
-    n = 6
-    A = np.zeros((n, n))
-    A[0, 1] = A[1, 0] = 1.0
-    A[2:, 2:] = np.eye(n - 2) + 0.3 * rng.standard_normal((n - 2, n - 2))
-    b = np.zeros(n)
-    b[0] = 1.0
-    x, steps, residuals = solver._gmres(
-        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, b, A @ b
-    )
-    assert steps == 2 and residuals[-1] == 0.0
-    assert np.array_equal(x, np.eye(n)[1])
-    # a singular A that maps b to 0: the step adds nothing and x stays 0
-    A[:, 0] = 0.0
-    x, steps, residuals = solver._gmres(
-        lambda v: A @ v, lambda v: v, b, np.ones(n), 0.0, n, b, A @ b
-    )
-    assert (steps, residuals) == (1, [1.0]) and not x.any()
-
-
 def test_operator_stats_count_products_and_estimates():
     g = make_grid(32, 32)
     f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y) + 0.3 * Y**2)
@@ -409,47 +349,39 @@ def test_x_dependent_solve_makes_one_mode_solve_per_gmres_step(preset, n):
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
 def test_huge_right_hand_side_keeps_the_krylov_path(scale):
     # the squares of ||r|| overflow above about 1e155; the scaled solve
-    # takes the unscaled solve's steps and no warning is given
+    # takes the unscaled solve's steps and no warning is given.  The first
+    # set passes by refinement alone, the second takes GMRES steps too
     import warnings
 
     from mixedbvp.operators import apply_L
 
     g = make_grid(64, 64)
-    cs = preset_coefficients("lower_order", g, 1e-4, 0.02)
-    f = apply_L(cs, random_smooth_samples(g, 0.02, 1, 5, adjoint=False)[0])
-    ref = solve_linear(LinearProblem(cs, f))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = solve_linear(LinearProblem(cs, Field(g, scale * f.values)))
-    assert rep.solver_stats["method"] == "fourier"
-    steps = ref.solver_stats["refine_steps"]
-    assert steps >= 1 and rep.solver_stats["refine_steps"] == steps
-    assert rep.solver_stats["gmres_iterations"] == ref.solver_stats["gmres_iterations"]
-    err = np.abs(rep.u.values / scale - ref.u.values).max()
-    assert err <= 1e-12 * np.abs(ref.u.values).max()
-
-
-def test_gmres_beta_keeps_its_bits_where_the_plain_sum_is_finite():
-    # a first product of zero breaks down at once, and the one residual is
-    # beta itself: the plain weighted root wherever it is finite, the
-    # rescaled one (and no warning) where the squares overflow
-    import warnings
-
-    rng = np.random.default_rng(2)
-    n = 6
-    b, w = rng.standard_normal(n), rng.uniform(0.5, 2.0, n)
-    plain = float(np.sqrt(b @ (w * b)))
-    for scale in (1.0, 1e150, 1e200, 1e300):
+    for preset, eps, alpha in (("lower_order", 1e-4, 0.02), ("wedge", 3e-2, 0.346)):
+        cs = preset_coefficients(preset, g, eps, alpha)
+        f = apply_L(cs, random_smooth_samples(g, alpha, 1, 5, adjoint=False)[0])
+        ref = solve_linear(LinearProblem(cs, f))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, steps, residuals = solver._gmres(
-                lambda v: 0.0 * v, lambda v: v, scale * b, w, 0.0, 3, scale * b, np.zeros(n)
-            )
-        assert steps == 1 and not x.any()
-        if scale < 1e154:
-            assert residuals == [float(np.sqrt((scale * b) @ (w * (scale * b))))]
-        else:
-            assert abs(residuals[0] / scale - plain) <= 1e-15 * plain
+            rep = solve_linear(LinearProblem(cs, Field(g, scale * f.values)))
+        assert rep.solver_stats["method"] == "fourier", preset
+        steps = ref.solver_stats["refine_steps"]
+        assert steps >= 1 and rep.solver_stats["refine_steps"] == steps
+        krylov = ref.solver_stats["gmres_iterations"]
+        assert rep.solver_stats["gmres_iterations"] == krylov
+        assert (krylov >= 1) == (preset == "wedge")
+        err = np.abs(rep.u.values / scale - ref.u.values).max()
+        assert err <= 1e-12 * np.abs(ref.u.values).max(), preset
+
+
+def test_gmres_estimates_fall_to_the_reported_residual():
+    # GMRES's least-squares residual, in the gate's norm, never grows, and
+    # its last value is the true residual the gate then reads, to round-off
+    cs, _, f = _smooth_problem("wedge", 64, 3e-2, 0.346)
+    stats = solve_linear(LinearProblem(cs, f)).solver_stats
+    estimates = stats["gmres_residuals"]
+    assert stats["method"] == "fourier" and len(estimates) == stats["gmres_iterations"] >= 1
+    assert all(b <= a for a, b in zip(estimates, estimates[1:]))
+    assert abs(estimates[-1] / stats["residual"] - 1.0) <= 0.02
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -469,15 +401,6 @@ def test_passing_x_dependent_solve_builds_no_gate_error(n, monkeypatch):
     with pytest.raises(ResidualGateError):
         FactorizedOperator(preset_coefficients("lower_order", g, 1e-4, 0.02)).solve(f)
     assert len(built) == 1
-
-
-def test_gmres_weights_are_cached_per_grid():
-    from mixedbvp.grid import _quadrature_row
-
-    g = make_grid(16, 16)
-    w = solver._gmres_weights(g)
-    assert w is solver._gmres_weights(make_grid(16, 16)) and not w.flags.writeable
-    assert np.array_equal(w, np.broadcast_to(_quadrature_row(g), g.shape).ravel())
 
 
 def test_residual_gate_names_the_rows_that_hold_it(monkeypatch):

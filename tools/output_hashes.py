@@ -29,7 +29,13 @@ in the flat metric) and christoffel_symbols of the curved metric
 (1 + f_x^2, f_x f_y, 1 + f_y^2) induced by the darboux pair's height f;
 Picard ma and darboux from the CLI start; the u of perfbench
 Linear(11), Linear(12) and Linear(13) op 0 (x-dependent lower_order at
-128^2); perfbench Linear(1) ops 0-9 and Picard(1) ops 0-13.  Each
+128^2); two solves that reach GMRES after refinement (lower_order at
+128^2, eps 1e-2, alpha 0.02, and wedge at 64^2, eps 3e-2, alpha 0.346,
+each with f = L u* for random_smooth_samples(g, alpha, 1, 5,
+adjoint=False)[0]), whose method, refine_steps, gmres_iterations,
+mode_solves and matvecs are printed as they are and whose u and
+gmres_residuals are hashed; perfbench Linear(1) ops 0-9 and Picard(1)
+ops 0-13.  Each
 Picard run also prints its iterations and converged on lines of their
 own, and each perfbench linear solve its refinement and GMRES step
 counts and a hash of each one's residuals (refine_residuals, read as
@@ -214,6 +220,18 @@ def main(tree: Path) -> None:
         rep = lin.steps(lin.inputs(0))[0]()
         emit(f"linear128/lower_order/seed{seed}/u", rep.u.values)
         print_krylov(f"linear128/lower_order/seed{seed}", rep)
+    # two sets that reach GMRES after refinement, f = L u* for one smooth u*
+    for name, n, eps, alpha in (("lower_order", 128, 1e-2, 0.02), ("wedge", 64, 3e-2, 0.346)):
+        g = grid.make_grid(n, n)
+        cs = coeffs.preset_coefficients(name, g, eps, alpha)
+        u_star = solver.random_smooth_samples(g, alpha, 1, 5, adjoint=False)[0]
+        problem = solver.LinearProblem(cs, operators.apply_L(cs, u_star))
+        rep = solver.solve_linear(problem, require_conditions=False)
+        stats, key = rep.solver_stats, f"gmres/{name}/{n}"
+        for count in ("method", "refine_steps", "gmres_iterations", "mode_solves", "matvecs"):
+            print(f"{key}/{count} {stats[count]}")
+        emit(f"{key}/u", rep.u.values)
+        emit(f"{key}/gmres_residuals", stats["gmres_residuals"])
 
     lin = workloads.Linear(1)
     for i in range(10):
