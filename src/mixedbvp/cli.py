@@ -67,6 +67,7 @@ _RANGES = {
     "ny": (lambda v: v >= 4, "ny must be at least 4"),
     "rho": (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
     "alpha0": (lambda v: 0.0 < v < np.inf, "alpha0 must be positive and finite"),
+    "seed": (lambda v: v >= 0, "seed must be a non-negative integer"),
     "samples": (lambda v: v >= 1, "samples must be at least 1"),
     "max_iter": (lambda v: v >= 1, "max_iter must be at least 1"),
     "tol": (lambda v: v > 0.0, "tol must be positive"),
@@ -134,7 +135,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = (tok.strip() for tok in line.partition("="))
             if section is None:
-                raise ConfigError(f"{path}:{lineno}: key outside any [section]")
+                raise ConfigError(f"{path}:{lineno}: key {key!r} before any [section]")
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{section}]"

@@ -134,14 +134,14 @@ def _derivative_norm(u: Field, m: int, l_of_s) -> float:
 def sobolev_norm(u: Field, order: NormOrder) -> float:
     """Anisotropic norm ||u||_(m,l) for nonnegative orders."""
     if order.is_negative:
-        raise NormOrderError("negative orders go through negative_norm")
+        raise NormOrderError(f"order ({order.m},{order.l}) is negative: use negative_norm")
     return _derivative_norm(u, order.m, lambda s: order.l)
 
 
 def isotropic_norm(u: Field, m: int) -> float:
     """Standard H^m norm: all mixed derivatives with s + t <= m (m <= 2)."""
     if m < 0 or m > MAX_ORDER:
-        raise NormOrderError(f"isotropic order must be in 0..{MAX_ORDER}")
+        raise NormOrderError(f"isotropic order must be in 0..{MAX_ORDER}, got {m}")
     return _derivative_norm(u, m, lambda s: m - s)
 
 
@@ -158,7 +158,7 @@ def negative_norm(v: Field, order: NormOrder) -> float:
     for all modes at once (Lynch-Rice-Thomas tensor-product method).
     """
     if not order.is_negative and (order.m, order.l) != (0, 0):
-        raise NormOrderError("positive orders go through sobolev_norm")
+        raise NormOrderError(f"order ({order.m},{order.l}) is positive: use sobolev_norm")
     m, l = abs(order.m), abs(order.l)
     grid = v.grid
     f = _gram_factors(grid, m, l)
@@ -182,7 +182,7 @@ def negative_norm(v: Field, order: NormOrder) -> float:
 def schwarz_gap(u: Field, v: Field, order: NormOrder) -> float:
     """||u||_(m,l) * ||v||_(-m,-l) - |(u, v)|; nonnegative up to roundoff."""
     if order.is_negative:
-        raise NormOrderError("schwarz_gap expects the positive order")
+        raise NormOrderError(f"schwarz_gap expects a positive order, got ({order.m},{order.l})")
     pos = sobolev_norm(u, order)
     neg = negative_norm(v, NormOrder(-order.m, -order.l))
     return pos * neg - abs(inner_product(u, v))

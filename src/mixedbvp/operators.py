@@ -394,19 +394,25 @@ class CouplingFactors:
     as a column; da[l - 1] is the spectral d_x^l a, l = 1..m, from one
     rfft of a, and symbols[l - 1] the column sum_{s>=l} C(s,l) (-1)^s
     lam^-s (i pi k)^{2s-l+1} that multiplies u's spectrum in the terms
-    sharing d_x^l a (see _coupling_rhs).
+    sharing d_x^l a (see _coupling_rhs).  lam^-s is a float64 power, so a
+    tiny lam whose symbols overflow raises AlphaRangeError naming lambda.
     """
 
     def __init__(self, a: Field, lam: float, m: int):
         g = a.grid
         ik = 1j * _wavenumbers(g)[:, None]
-        self.denom = _recovery_denominator(g, lam, m)[:, None]
+        lam = np.float64(lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.denom = _recovery_denominator(g, lam, m)[:, None]
+            self.symbols = [
+                sum(comb(s, l) * (-1.0) ** s * lam**-s * ik ** (2 * s - l + 1)
+                    for s in range(l, m + 1))
+                for l in range(1, m + 1)
+            ]
+        if not all(np.isfinite(v).all() for v in (self.denom, *self.symbols)):
+            raise AlphaRangeError(lam, "the recovery and coupling symbols", "lambda")
         a_spec = np.fft.rfft(a.values, axis=0)
         self.da = [_to_physical(a_spec * ik**l, g) for l in range(1, m + 1)]
-        self.symbols = [
-            sum(comb(s, l) * (-1.0) ** s * lam**-s * ik ** (2 * s - l + 1) for s in range(l, m + 1))
-            for l in range(1, m + 1)
-        ]
 
 
 def _coupling_rhs(spec: np.ndarray, cf: CouplingFactors, grid: GridSpec) -> np.ndarray:

@@ -49,6 +49,39 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(write_config(tmp_path, "[problems]\neps = 1e-3\n"))
 
 
+def test_config_key_before_any_section_is_named(tmp_path):
+    with pytest.raises(ConfigError, match=":1: key 'eps' before any \\[section\\]"):
+        load_config(write_config(tmp_path, "eps = 1e-3\n"))
+
+
+def test_config_bad_value_is_named(tmp_path):
+    with pytest.raises(ConfigError, match=":2: bad value for nx: "):
+        load_config(write_config(tmp_path, "[grid]\nnx = sixteen\n"))
+
+
+def test_bad_grid_list_is_named(tmp_path, capsys):
+    from mixedbvp.cli import _parse_grids
+
+    with pytest.raises(ConfigError, match="bad grid list '16,x'"):
+        _parse_grids("16,x")
+    assert run(["mms", "--grids", "16,x", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: bad grid list '16,x'\n"
+
+
+def test_unknown_rhs_is_named(tmp_path, capsys):
+    args = ["solve", "--rhs", "cosine", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: unknown rhs 'cosine'")
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def test_energy_m2_is_a_configuration_error(tmp_path, capsys):
+    args = ["energy", "--m", "2", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy certificate supports m = 0 or 1") and err.count("\n") == 1
+
+
 def test_config_comments_and_blanks(tmp_path):
     cfg = load_config(
         write_config(tmp_path, "# comment\n\n[problem]\neps = 1e-3  # inline\n")
@@ -339,11 +372,13 @@ def test_failed_curvature_gate_exits_1_with_one_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "energy", "multiplier"])
-@pytest.mark.parametrize("alpha", ["nan", "inf", "1e100", "1e200", "1e308"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e100", "1e200", "1e308", "5e-324"])
 def test_extreme_alpha_exits_with_a_code(tmp_path, capsys, command, alpha):
     # check_alpha squared 1e308 as a Python float power, which raised
     # OverflowError; a non-finite alpha is a configuration error, and so
-    # is a finite one that overflows a quantity formed from it
+    # is a finite one that overflows a quantity formed from it.  At the
+    # subnormal alpha tricomi's q = eps*(A - K_x)/alpha is 0 and phi is 1;
+    # forming eps/alpha first gave inf*0 = nan
     code = run([command, f"--alpha={alpha}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
     captured = capsys.readouterr()
     if alpha in ("nan", "inf"):
@@ -358,6 +393,16 @@ def test_extreme_alpha_exits_with_a_code(tmp_path, capsys, command, alpha):
         assert "=-inf" not in out
 
 
+@pytest.mark.parametrize("command", ["multiplier", "aux"])
+def test_subnormal_alpha_overflowing_phi_names_alpha(tmp_path, capsys, command):
+    # wedge has A != K_x, so its phi grows like eps/alpha and overflows
+    args = [command, "--preset", "wedge", "--alpha", "5e-324", "--nx", "16", "--ny", "16"]
+    code = run(args + ["--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: alpha = 4.94066e-324 overflows phi\n"
+
+
 @pytest.mark.parametrize("command", ["ma", "darboux"])
 @pytest.mark.parametrize("alpha0", ["nan", "inf", "1e200", "1e308"])
 def test_extreme_alpha0_is_a_configuration_error(tmp_path, capsys, command, alpha0):
@@ -370,15 +415,34 @@ def test_extreme_alpha0_is_a_configuration_error(tmp_path, capsys, command, alph
     assert captured.err.startswith("error: alpha0 = ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command, value", [("aux", "inf"), ("energy", "nan")])
+@pytest.mark.parametrize(
+    "command, value",
+    [("aux", "inf"), ("energy", "nan"), ("energy", "1e-310"), ("aux", "1e-160"), ("aux", "1e-150")],
+)
 def test_non_finite_lambda_is_a_configuration_error(tmp_path, capsys, command, value):
     # lambda must be positive and finite; before, aux swept lambda = inf
-    # three times and exited 0
-    code = run([command, f"--lambda={value}", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    # three times and exited 0.  A tiny lambda whose lam^-s overflows the
+    # recovery or a coupling symbol is named too: lam^-s raised
+    # OverflowError, or at 64^2 the overflow reached the field as nan
+    n = "64" if value == "1e-150" else "16"
+    extra = ["--m", "2"] if command == "aux" else ["--samples", "1"]
+    code = run([command, f"--lambda={value}", "--nx", n, "--ny", n, *extra, "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "lambda" in captured.err
+    if value in ("1e-160", "1e-150"):
+        # aux sweeps lambda/10 first, and names the one that overflowed
+        assert f"lambda = {float(value) / 10:g} overflows" in captured.err
+
+
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys):
+    # numpy's own message, "expected non-negative integer", named no setting
+    assert run(["aux", "--seed", "-1", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: seed = -1: seed must be a non-negative integer\n"
+    path = write_config(tmp_path, "[run]\nseed = -3\n")
+    with pytest.raises(ConfigError, match="seed = -3"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("key", ["psi", "theta"])

@@ -257,6 +257,23 @@ def test_field_csv_roundtrip(tmp_path):
     assert header == "# nx=12 ny=8"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0,2.0\n", "missing '# nx=.. ny=..' header"),
+        ("# nx=4 ny\n1.0\n", "malformed header '# nx=4 ny'"),
+        ("# nx=4 ny=4\n" + "1,2,3,4\n" * 4, r"data shape \(4, 4\) does not match header \(5, 4\)"),
+    ],
+    ids=["missing-header", "malformed-header", "shape"],
+)
+def test_load_field_rejects_a_bad_file(tmp_path, text, message):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(GridError, match=message) as exc:
+        load_field(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_l2_norm_and_strip():
     g = make_grid(32, 32)
     one = Field.constant(g, 1.0)

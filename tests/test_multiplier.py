@@ -8,6 +8,7 @@ from mixedbvp.multiplier import (
     AlphaDegenerateError,
     FormEntry,
     FormReport,
+    MultiplierTriple,
     boundary_form_report,
     build_abc,
     interior_form_report,
@@ -58,11 +59,47 @@ def test_phi_stays_near_one():
         assert np.abs(phi.values - 1.0).max() <= 10.0 * eps / alpha
 
 
+def test_phi_matches_closed_form_with_decay():
+    # eps*B = 2, A = 1, K = 0, alpha = 0.5: phi' + 2 phi = q with q = 2 eps,
+    # so phi = q/2 + (1 - q/2) exp(-2(y + 1)); P is linear and integrates
+    # exactly, the forcing integral carries the fourth-order error
+    eps, alpha = 0.5, 0.5
+    q = eps / alpha
+    errs = []
+    for n in (16, 32):
+        g = make_grid(n, n)
+        z = Field.zeros(g)
+        cs = CoefficientSet(z, Field.constant(g, 1.0), Field.constant(g, 2.0 / eps), eps, alpha)
+        Y = g.meshes()[1]
+        exact = 0.5 * q + (1.0 - 0.5 * q) * np.exp(-2.0 * (Y + 1.0))
+        errs.append(np.abs(solve_phi(cs).values - exact).max())
+    assert errs[1] <= 2e-6
+    assert np.log2(errs[0] / errs[1]) >= 3.5
+
+
 def test_phi_rejects_alpha_zero():
+    # A != K_x: at alpha = 0 no phi solves the limit ODE
     g = make_grid(16, 16)
-    cs = preset_coefficients("tricomi", g, 1e-4, 0.0)
-    with pytest.raises(AlphaDegenerateError):
+    cs = preset_coefficients("lower_order", g, 1e-4, 0.0)
+    with pytest.raises(AlphaDegenerateError, match="A = K_x"):
         solve_phi(cs)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5e-324])
+def test_phi_is_one_where_A_equals_Kx_at_any_alpha(alpha):
+    # tricomi has A = K_x = 0: phi = 1 exactly at alpha = 0, and at a
+    # subnormal alpha, whose eps/alpha would overflow
+    g = make_grid(16, 16)
+    phi = solve_phi(preset_coefficients("tricomi", g, 1e-4, alpha))
+    assert np.all(phi.values == 1.0)
+
+
+def test_phi_overflow_names_alpha():
+    from mixedbvp.coeffs import AlphaRangeError
+
+    g = make_grid(16, 16)
+    with pytest.raises(AlphaRangeError, match="alpha = 4.94066e-324 overflows phi"):
+        solve_phi(preset_coefficients("wedge", g, 1e-4, 5e-324))
 
 
 def test_build_abc_values():
@@ -203,9 +240,10 @@ def test_determinant_matches_alpha_condition(preset, eps):
     assert (det_min > 0.0) == check_alpha(cs).passed
 
 
-def test_rk4_cancellation_shrinks_under_refinement():
-    # with a nonzero B the mixed-coefficient residual tracks the RK4 phi
-    # error; both are tiny, and refinement may not shrink an exact zero
+def test_mixed_cancellation_holds_under_refinement():
+    # with a nonzero B the mixed coefficient still cancels: a_y comes from
+    # the phi ODE's right side, not from differencing phi, so what is left
+    # is round-off on both grids, which refinement need not shrink
     g1, g2 = make_grid(32, 32), make_grid(32, 64)
     outs = []
     for g in (g1, g2):
@@ -215,6 +253,17 @@ def test_rk4_cancellation_shrinks_under_refinement():
         outs.append(max(abs(e.min), abs(e.max)))
     floor = 1e-13
     assert outs[1] <= max(outs[0] / 8.0, floor)
+
+
+@pytest.mark.parametrize(
+    "lam, m, b, name",
+    [(0.0, 1, 1.0, "lambda"), (10.0, -1, 1.0, "m"), (10.0, 1, 0.0, "b")],
+)
+def test_multiplier_triple_rejects_bad_inputs(lam, m, b, name):
+    g = make_grid(8, 8)
+    one = Field.constant(g, 1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        MultiplierTriple(one, Field.constant(g, b), one, one, lam, m)
 
 
 def test_form_report_add_builds_the_entry():

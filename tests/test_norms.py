@@ -92,6 +92,19 @@ def test_norm_order_validation():
         NormOrder(3, 0)
 
 
+def test_each_norm_routes_a_wrong_order_by_name():
+    g = make_grid(8, 8)
+    u = Field.constant(g, 1.0)
+    with pytest.raises(NormOrderError, match=r"order \(-1,0\) is negative: use negative_norm"):
+        sobolev_norm(u, NormOrder(-1, 0))
+    with pytest.raises(NormOrderError, match="isotropic order must be in 0..2, got 3"):
+        isotropic_norm(u, 3)
+    with pytest.raises(NormOrderError, match=r"order \(1,0\) is positive: use sobolev_norm"):
+        negative_norm(u, NormOrder(1, 0))
+    with pytest.raises(NormOrderError, match=r"positive order, got \(0,-1\)"):
+        schwarz_gap(u, u, NormOrder(0, -1))
+
+
 def test_sobolev_norm_collapses_to_l2():
     g = make_grid(16, 16)
     rng = np.random.default_rng(2)

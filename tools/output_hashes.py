@@ -14,9 +14,11 @@ multipliers m2, and m3 broadcast to one complex entry per mode) at
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, and the Picard step's x-mode
 symbols (nonlinear._step_bands) at 64^2 and 128^2;
-solve_linear's u, residual and a priori ratio; the interior and the
-boundary form entries of every preset at 64^2 (min, max, claimed bound
-and verdict of each, in report order); forward and adjoint
+solve_linear's u, residual and a priori ratio; phi (build_abc's, from
+multiplier.solve_phi) of every preset at 64^2, so a diff shows which
+preset's phi moved, and the interior and the boundary form entries of
+every preset at 64^2 (min, max, claimed bound and verdict of each, in
+report order); forward and adjoint
 random_smooth_samples at 64^2, and apply_Lstar of the first adjoint
 sample on every preset; the coupling factors' d_x^l a (CouplingFactors
 with m = 2, da) of lower_order; the auxiliary solve's u and
@@ -136,6 +138,7 @@ def main(tree: Path) -> None:
     for name in PRESETS:
         cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
         mt = multiplier.build_abc(cs, 10.0, 1, require_alpha=False)
+        emit(f"phi/{name}/64", mt.phi.values)
         for kind, form_report in (
             ("interior", multiplier.interior_form_report),
             ("boundary", multiplier.boundary_form_report),
