@@ -2,12 +2,16 @@
 
 Every certificate and solver is exposed as a subcommand writing CSV
 artifacts plus a human-readable summary under the output directory,
-together with a run.manifest recording inputs, seed and versions.  The
-Picard subcommands (ma, darboux) also write metrics.json: the
-iteration's stage timings, per-step wall norms and why it stopped; so
-does solve: the residual, the a priori ratio and the solver's stats;
-and energy: the certificate's stage-time sums, thread count, wall time
-and auxiliary iterations, and the min, max and pass of each entry.
+together with a run.manifest recording inputs, seed and versions.  Once
+the manifest is written, every subcommand also writes metrics.json: the
+exit code and the reports the subcommand built (check its two condition
+reports, multiplier its interior and boundary forms, solve its
+SolveReport, mms its convergence table, energy the certificate's form
+report, aux each lambda's auxiliary report, ma and darboux the Picard
+report and the sup error), or the exit code and the error that ended
+the run.  RunConfig is the one table of settings: each field's metadata
+holds its [section], its range test and its config key, and the config
+file, validate and the flags all read it.
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
 configuration error.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,63 +62,45 @@ class ConfigError(ValueError):
     pass
 
 
-_RANGES = {
-    "eps": (lambda v: 0.0 < v < 1.0, "eps must lie in (0, 1)"),
-    "alpha": (np.isfinite, "alpha must be finite"),
-    "lam": (lambda v: 0.0 < v < np.inf, "lambda must be positive and finite"),
-    "m": (lambda v: 0 <= v <= 2, "m must be 0, 1 or 2"),
-    "nx": (lambda v: v >= 4, "nx must be at least 4"),
-    "ny": (lambda v: v >= 4, "ny must be at least 4"),
-    "rho": (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"),
-    "alpha0": (lambda v: 0.0 < v < np.inf, "alpha0 must be positive and finite"),
-    "seed": (lambda v: v >= 0, "seed must be a non-negative integer"),
-    "samples": (lambda v: v >= 1, "samples must be at least 1"),
-    "max_iter": (lambda v: v >= 1, "max_iter must be at least 1"),
-    "tol": (lambda v: v > 0.0, "tol must be positive"),
-}
+def _setting(default, section: str, check=None, key: str | None = None):
+    """A RunConfig field: its default (whose type the field parses to), its
+    [section], its range test and message, and its config key where that is
+    not the field's name."""
+    return field(default=default, metadata={"section": section, "check": check, "key": key})
+
+
+def _positive_finite(name):
+    return (lambda v: 0.0 < v < np.inf, f"{name} must be positive and finite")
 
 
 @dataclass
 class RunConfig:
-    preset: str = "tricomi"
-    eps: float = 1e-4
-    alpha: float = 0.02
-    lam: float = 10.0
-    m: int = 1
-    nx: int = 64
-    ny: int = 64
-    grids: str = "16,32,64"
-    seed: int = 1234
-    out: str = "out"
-    samples: int = 20
-    rho: float = 0.25
-    alpha0: float = 1.2
-    max_iter: int = 50
-    tol: float = 1e-8
-    rhs: str = "sine"
+    preset: str = _setting("tricomi", "problem")
+    eps: float = _setting(1e-4, "problem", (lambda v: 0.0 < v < 1.0, "eps must lie in (0, 1)"))
+    alpha: float = _setting(0.02, "problem", (np.isfinite, "alpha must be finite"))
+    lam: float = _setting(10.0, "multiplier", _positive_finite("lambda"), key="lambda")
+    m: int = _setting(1, "multiplier", (lambda v: 0 <= v <= 2, "m must be 0, 1 or 2"))
+    nx: int = _setting(64, "grid", (lambda v: v >= 4, "nx must be at least 4"))
+    ny: int = _setting(64, "grid", (lambda v: v >= 4, "ny must be at least 4"))
+    grids: str = _setting("16,32,64", "grid")
+    seed: int = _setting(1234, "run", (lambda v: v >= 0, "seed must be a non-negative integer"))
+    out: str = _setting("out", "run")
+    samples: int = _setting(20, "run", (lambda v: v >= 1, "samples must be at least 1"))
+    rho: float = _setting(0.25, "nonlinear", (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"))
+    alpha0: float = _setting(1.2, "nonlinear", _positive_finite("alpha0"))
+    max_iter: int = _setting(50, "nonlinear", (lambda v: v >= 1, "max_iter must be at least 1"))
+    tol: float = _setting(1e-8, "nonlinear", (lambda v: v > 0.0, "tol must be positive"))
+    rhs: str = _setting("sine", "problem")
 
     def validate(self) -> None:
-        for name, (ok, msg) in _RANGES.items():
-            if not ok(getattr(self, name)):
-                raise ConfigError(f"{name} = {getattr(self, name)}: {msg}")
+        for f in dc_fields(self):
+            check, value = f.metadata["check"], getattr(self, f.name)
+            if check is not None and not check[0](value):
+                raise ConfigError(f"{f.name} = {value}: {check[1]}")
 
 
-_SECTION_KEYS = {
-    "problem": ("preset", "eps", "alpha", "rhs"),
-    "multiplier": ("lambda", "m"),
-    "grid": ("nx", "ny", "grids"),
-    "run": ("seed", "out", "samples"),
-    "nonlinear": ("rho", "alpha0", "max_iter", "tol"),
-}
-
-
-# the type each RunConfig field parses to, read off its default
-_TYPES = {f.name: type(f.default) for f in dc_fields(RunConfig)}
-
-
-def _attr(key: str) -> str:
-    """The RunConfig field of a config key."""
-    return "lam" if key == "lambda" else key
+# config key -> RunConfig field; each key is also a flag
+_KEYS = {f.metadata["key"] or f.name: f for f in dc_fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
@@ -128,7 +114,7 @@ def load_config(path) -> RunConfig:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
-                if section not in _SECTION_KEYS:
+                if section not in {f.metadata["section"] for f in _KEYS.values()}:
                     raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
                 continue
             if "=" not in line:
@@ -136,13 +122,13 @@ def load_config(path) -> RunConfig:
             key, _, value = (tok.strip() for tok in line.partition("="))
             if section is None:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} before any [section]")
-            if key not in _SECTION_KEYS[section]:
+            f = _KEYS.get(key)
+            if f is None or f.metadata["section"] != section:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} in section [{section}]"
                 )
-            attr = _attr(key)
             try:
-                setattr(cfg, attr, _TYPES[attr](value))
+                setattr(cfg, f.name, type(f.default)(value))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     try:
@@ -179,16 +165,16 @@ def _parse_grids(spec: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_check(cfg: RunConfig, outdir: Path):
     cs = _coeffs(cfg)
     reports = [check_condition7(cs), check_alpha(cs)]
     text = "\n".join(str(r) for r in reports)
     (outdir / "conditions.txt").write_text(text + "\n")
     print(text)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all(r.passed for r in reports) else 1, {r.condition_name: r for r in reports}
 
 
-def _cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_multiplier(cfg: RunConfig, outdir: Path):
     cs = _coeffs(cfg)
     mt = build_abc(cs, cfg.lam, cfg.m, require_alpha=False)
     interior = interior_form_report(mt, cs)
@@ -198,10 +184,11 @@ def _cmd_multiplier(cfg: RunConfig, outdir: Path) -> int:
     combined = interior.to_csv() + "\n" + "\n".join(boundary.to_csv().splitlines()[1:])
     (outdir / "forms.csv").write_text(combined + "\n")
     print(text)
-    return 0 if interior.all_passed and boundary.all_passed else 1
+    code = 0 if interior.all_passed and boundary.all_passed else 1
+    return code, {"interior": interior, "boundary": boundary}
 
 
-def _cmd_solve(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_solve(cfg: RunConfig, outdir: Path):
     cs = _coeffs(cfg)
     if cfg.rhs == "sine":
         f = Field.from_function(cs.grid, lambda X, Y: np.sin(np.pi * X) * (1.0 + Y))
@@ -217,17 +204,11 @@ def _cmd_solve(cfg: RunConfig, outdir: Path) -> int:
         f"stats={rep.solver_stats}"
     )
     (outdir / "solve_report.txt").write_text(text + "\n")
-    metrics = {
-        "residual_norm": rep.residual_norm,
-        "apriori_ratio": rep.apriori_ratio,
-        "solver_stats": rep.solver_stats,
-    }
-    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(text)
-    return 0
+    return 0, rep
 
 
-def _cmd_mms(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_mms(cfg: RunConfig, outdir: Path):
     grids = _parse_grids(cfg.grids)
     table = mms_convergence(
         lambda g: preset_coefficients(cfg.preset, g, cfg.eps, cfg.alpha),
@@ -237,10 +218,10 @@ def _cmd_mms(cfg: RunConfig, outdir: Path) -> int:
     (outdir / "convergence.csv").write_text(table.to_csv() + "\n")
     print(table.to_csv())
     orders = table.orders
-    return 0 if orders and orders[-1] >= 1.5 else 1
+    return 0 if orders and orders[-1] >= 1.5 else 1, table
 
 
-def _cmd_energy(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_energy(cfg: RunConfig, outdir: Path):
     if cfg.m > 1:
         raise ConfigError("energy certificate supports m = 0 or 1 (dual-norm order cap)")
     cs = _coeffs(cfg)
@@ -255,14 +236,11 @@ def _cmd_energy(cfg: RunConfig, outdir: Path) -> int:
     (outdir / "energy_samples.csv").write_text("\n".join(rows) + "\n")
     (outdir / "energy.txt").write_text(report.to_text() + "\n")
     (outdir / "energy.csv").write_text(report.to_csv() + "\n")
-    entries = {k: {"min": e.min, "max": e.max, "passed": e.passed} for k, e in report.entries.items()}
-    metrics = {"stats": report.stats, "entries": entries}
-    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(report.to_text())
-    return 0 if report.all_passed else 1
+    return 0 if report.all_passed else 1, report
 
 
-def _cmd_aux(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_aux(cfg: RunConfig, outdir: Path):
     cs = _coeffs(cfg)
     rng = np.random.default_rng(cfg.seed)
     coef = rng.standard_normal(3)
@@ -272,20 +250,19 @@ def _cmd_aux(cfg: RunConfig, outdir: Path) -> int:
         * (coef[0] + coef[1] * np.sin(np.pi * X) + coef[2] * Y),
     )
     rows = ["lambda,iterations,contraction_ratio,equation_residual,converged"]
-    worst = 0.0
-    ok = True
+    sweep = []
     for lam in (cfg.lam / 10.0, cfg.lam, cfg.lam * 10.0):
         mt_l = build_abc(cs, lam, cfg.m, require_alpha=False)
         rep = aux_solve_report(v, mt_l)
         resid = aux_equation_residual(rep, v, mt_l)
-        worst = max(worst, resid)
-        ok = ok and rep.converged
+        sweep.append({"lambda": lam, "equation_residual": resid, **vars(rep)})
         rows.append(
             f"{lam},{rep.iterations},{rep.contraction_ratio:.6e},{resid:.6e},{rep.converged}"
         )
     (outdir / "aux_sweep.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
-    return 0 if ok and worst <= 1e-6 else 1
+    ok = all(s["converged"] and s["equation_residual"] <= 1e-6 for s in sweep)
+    return 0 if ok else 1, {"sweep": sweep}
 
 
 def manufactured_curvature_pair(grid, rho: float):
@@ -317,7 +294,7 @@ def _perturbation(grid):
     )
 
 
-def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
+def _run_picard(cfg: RunConfig, outdir: Path, pair, solve):
     """Recover pair's manufactured surface from the perturbed start with solve."""
     grid = make_grid(cfg.nx, cfg.ny)
     z_star, K = pair(grid, cfg.rho)
@@ -337,23 +314,15 @@ def _run_picard(cfg: RunConfig, outdir: Path, pair, solve) -> int:
     (outdir / "iteration.csv").write_text("\n".join(rows) + "\n")
     save_field(rep.final_z.z, outdir / "z_final.csv")
     err = np.abs(rep.final_z.z.values - z_star.values).max()
-    metrics = {
-        "converged": rep.converged,
-        "iterations": rep.iterations,
-        "sup_error": float(err),
-        "stats": rep.stats,
-        "diagnostics": {"reason": None, **rep.diagnostics},
-    }
-    (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     print(f"converged={rep.converged} iterations={rep.iterations} sup_error={err:.3e}")
-    return 0 if rep.converged else 1
+    return 0 if rep.converged else 1, {"sup_error": err, **vars(rep)}
 
 
-def _cmd_ma(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_ma(cfg: RunConfig, outdir: Path):
     return _run_picard(cfg, outdir, manufactured_curvature_pair, solve_prescribed_curvature)
 
 
-def _cmd_darboux(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_darboux(cfg: RunConfig, outdir: Path):
     def solve(K, z0, params):
         return solve_darboux(K, flat_metric(K.grid), z0, params)
 
@@ -380,16 +349,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="key = value file with [section] headers")
     # one flag per config key, parsed to the type the config file gives it
-    for keys in _SECTION_KEYS.values():
-        for key in keys:
-            attr = _attr(key)
-            parser.add_argument("--" + key.replace("_", "-"), dest=attr, type=_TYPES[attr])
+    for key, f in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=f.name, type=type(f.default))
     return parser
 
 
+def _jsonable(obj):
+    """obj for json: a dataclass as the dict of its fields, numpy scalars as
+    Python values; a Field or GraphSurface is left out (the CSV files hold
+    those)."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dc_fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items() if not isinstance(v, (Field, GraphSurface))}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj.item() if isinstance(obj, np.generic) else obj
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; once run.manifest is written, metrics.json holds
+    the exit code and the subcommand's reports, or the error that ended it."""
+    args = _build_parser().parse_args(argv)
+    metrics_path = None
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         for f in dc_fields(cfg):
@@ -400,7 +382,9 @@ def run(argv=None) -> int:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_manifest(cfg, outdir, args.command)
-        return _COMMANDS[args.command](cfg, outdir)
+        metrics_path = outdir / "metrics.json"
+        metrics_path.unlink(missing_ok=True)  # no earlier run's metrics beside this manifest
+        code, report = _COMMANDS[args.command](cfg, outdir)
     except (
         AlphaConditionError,
         PreconditionError,
@@ -411,12 +395,16 @@ def run(argv=None) -> int:
         # a failed admissibility gate or a solver that cannot proceed: the
         # message says which condition failed
         print(exc)
-        return 1
+        code, report = 1, {"error": str(exc)}
     except (ValueError, OSError) as exc:
         # the library raises ValueError (ConfigError among them) for input
         # it cannot take: an unknown preset, a grid too small for a solver
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, report = 2, {"error": str(exc)}
+    if metrics_path is not None:
+        metrics = {"exit_code": code, **_jsonable(report)}
+        metrics_path.write_text(json.dumps(metrics, indent=1) + "\n")
+    return code
 
 
 def main() -> None:

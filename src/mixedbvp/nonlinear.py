@@ -620,7 +620,8 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     (grid._l2_norm), which still raise GridError on a non-finite entry.
 
     diagnostics carries the residual of each linear solve (every row,
-    walls included) and, when the iteration gives up, the reason.
+    walls included) and the reason the iteration gave up (None when it
+    converged).
     stats holds the perf_counter sums residual_s (derivatives, residual
     and principal coefficients), band_s (the profile p and the step's
     band and right-hand side), solve_s (the rfft, zgbsv and the gate)
@@ -643,13 +644,12 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
 
     d = np.zeros(grid.shape)
     history: list[float] = []
-    diagnostics: dict = {"linear_residuals": []}
+    diagnostics: dict = {"reason": None, "linear_residuals": []}
     stats: dict = dict(residual_s=0.0, band_s=0.0, solve_s=0.0, mix_s=0.0)
     stats.update(wall_norm=[], mixing_depth=[])
 
     def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
-        if reason is not None:
-            diagnostics["reason"] = reason
+        diagnostics["reason"] = reason
         surface = GraphSurface(Field(grid, split.base + d), rho)
         return IterationReport(it, history, converged, surface, diagnostics, stats)
 

@@ -196,7 +196,8 @@ def test_solve_metrics_json(tmp_path, preset):
     code = run(["solve", "--preset", preset, "--nx", "32", "--ny", "32", "--out", str(tmp_path)])
     assert code == 0
     metrics = json.loads((tmp_path / "metrics.json").read_text())
-    assert set(metrics) == {"residual_norm", "apriori_ratio", "solver_stats"}
+    assert set(metrics) == {"exit_code", "residual_norm", "apriori_ratio", "solver_stats"}
+    assert metrics["exit_code"] == code
     stats = metrics["solver_stats"]
     assert set(stats) == {
         "method", "n", "factor_s", "assemble_s", "solve_s", "residual",
@@ -242,7 +243,7 @@ def test_energy_subcommand(tmp_path):
     assert metrics["stats"]["workers"] == 1 and len(metrics["stats"]["aux_iterations"]) == 5
     assert set(metrics["entries"]) == {"energy_ratio", "dual_chain_Csq"}
     for entry in metrics["entries"].values():
-        assert set(entry) == {"min", "max", "passed"} and entry["passed"] is True
+        assert set(entry) == {"min", "max", "claimed_bound", "passed"} and entry["passed"] is True
         assert entry["min"] <= entry["max"]
 
 
@@ -264,20 +265,34 @@ def test_aux_m2_fine_grid_certifies_converged_solves(tmp_path):
 def test_every_config_key_is_a_flag(tmp_path):
     from dataclasses import fields
 
-    from mixedbvp.cli import _SECTION_KEYS, _build_parser
+    from mixedbvp.cli import _KEYS, _build_parser
 
     parser = _build_parser()
     dests = {a.dest for a in parser._actions} - {"help", "command", "config"}
     assert dests == {f.name for f in fields(RunConfig)}
-    for section, keys in _SECTION_KEYS.items():
-        for key in keys:
-            attr = "lam" if key == "lambda" else key
-            value = str(getattr(RunConfig(), attr))
-            flag = "--" + key.replace("_", "-")
-            parsed = getattr(parser.parse_args(["check", flag, value]), attr)
-            cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {value}\n"))
-            assert parsed == getattr(cfg, attr)
-            assert type(parsed) is type(getattr(cfg, attr))
+    for key, f in _KEYS.items():
+        section, attr = f.metadata["section"], f.name
+        value = str(getattr(RunConfig(), attr))
+        flag = "--" + key.replace("_", "-")
+        parsed = getattr(parser.parse_args(["check", flag, value]), attr)
+        cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        assert parsed == getattr(cfg, attr)
+        assert type(parsed) is type(getattr(cfg, attr))
+
+
+def test_config_sections_hold_the_documented_keys():
+    from mixedbvp.cli import _KEYS
+
+    sections = {}
+    for key, f in _KEYS.items():
+        sections.setdefault(f.metadata["section"], set()).add(key)
+    assert sections == {
+        "problem": {"preset", "eps", "alpha", "rhs"},
+        "multiplier": {"lambda", "m"},
+        "grid": {"nx", "ny", "grids"},
+        "run": {"seed", "out", "samples"},
+        "nonlinear": {"rho", "alpha0", "max_iter", "tol"},
+    }
 
 
 def test_ma_subcommand(tmp_path):
@@ -303,7 +318,10 @@ def test_picard_metrics_json(tmp_path, command):
     for out, reason in ((done, None), (capped, "max_iter")):
         assert (out / "run.manifest").exists()
         metrics = json.loads((out / "metrics.json").read_text())
-        assert set(metrics) == {"converged", "iterations", "sup_error", "stats", "diagnostics"}
+        assert set(metrics) == {
+            "exit_code", "converged", "iterations", "sup_error", "stats", "diagnostics",
+            "residual_history",
+        }
         stats, diag = metrics["stats"], metrics["diagnostics"]
         assert set(stats) == {
             "residual_s", "band_s", "solve_s", "mix_s", "wall_norm", "mixing_depth",
@@ -528,3 +546,89 @@ def test_mms_coarsening_grid_list_still_runs(tmp_path):
                 "--grids", "32,16", "--out", str(tmp_path)])
     assert code == 0
     assert len((tmp_path / "convergence.csv").read_text().splitlines()) == 3
+
+
+_PICARD_KEYS = {"sup_error", "iterations", "residual_history", "converged", "diagnostics", "stats"}
+
+
+@pytest.mark.parametrize("command, extra, keys", [
+    ("check", [], {"condition7", "alpha_condition"}),
+    ("multiplier", [], {"interior", "boundary"}),
+    ("solve", [], {"residual_norm", "apriori_ratio", "solver_stats"}),
+    ("mms", ["--grids", "16,32"], {"rows"}),
+    ("energy", ["--samples", "2", "--m", "0"], {"entries", "stats"}),
+    ("aux", [], {"sweep"}),
+    ("ma", [], _PICARD_KEYS),
+    ("darboux", [], _PICARD_KEYS),
+])
+def test_every_subcommand_writes_metrics_json(tmp_path, command, extra, keys):
+    code = run([command, "--nx", "16", "--ny", "16", *extra, "--out", str(tmp_path)])
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert set(metrics) == {"exit_code"} | keys
+    assert metrics["exit_code"] == code
+    # the reports' fields, less the fields the CSV files hold
+    if command == "check":
+        for name in ("condition7", "alpha_condition"):
+            assert set(metrics[name]) == {
+                "condition_name", "pointwise_min_margin", "argmin_location", "passed",
+            }
+    elif command in ("multiplier", "energy"):
+        reports = [metrics] if command == "energy" else [metrics["interior"], metrics["boundary"]]
+        for report in reports:
+            for entry in report["entries"].values():
+                assert set(entry) == {"min", "max", "claimed_bound", "passed"}
+    elif command == "mms":
+        assert [set(r) for r in metrics["rows"]] == [
+            {"h", "error_l2", "error_h01", "observed_order"}
+        ] * 2
+    elif command == "aux":
+        assert [s["lambda"] for s in metrics["sweep"]] == [1.0, 10.0, 100.0]
+        for s in metrics["sweep"]:
+            assert set(s) == {
+                "lambda", "equation_residual", "iterations", "increments", "ratios",
+                "converged", "stats",
+            }
+    elif command in ("ma", "darboux"):
+        assert metrics["diagnostics"]["reason"] in (None, "max_iter", "residual stagnation")
+        assert len(metrics["residual_history"]) == metrics["iterations"] + 1
+
+
+def test_failed_run_replaces_the_last_runs_metrics(tmp_path, capsys):
+    # the failed run wrote its manifest beside the first run's metrics.json,
+    # which still held that run's residual norm
+    args = ["solve", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]
+    assert run(args) == 0
+    assert "residual_norm" in json.loads((tmp_path / "metrics.json").read_text())
+    missing = tmp_path / "missing.csv"
+    assert run(args + ["--rhs", f"csv:{missing}"]) == 2
+    assert f"rhs=csv:{missing}" in (tmp_path / "run.manifest").read_text()
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert set(metrics) == {"exit_code", "error"} and metrics["exit_code"] == 2
+    assert str(missing) in metrics["error"]
+    assert capsys.readouterr().err == f"error: {metrics['error']}\n"
+
+
+def test_failed_gate_after_the_manifest_writes_its_error(tmp_path, capsys):
+    code = run(["energy", "--alpha", "1e-4", "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    assert code == 1
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics == {"exit_code": 1, "error": capsys.readouterr().out.rstrip("\n")}
+    assert "alpha_condition: FAIL" in metrics["error"]
+
+
+def test_configuration_error_before_the_manifest_writes_neither_file(tmp_path, capsys):
+    assert run(["check", "--eps", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: eps = 2.0: eps must lie in (0, 1)\n"
+    assert not (tmp_path / "run.manifest").exists()
+    assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("preset", ["chaplygin", "infinite_order"])
+def test_multiplier_at_alpha_zero_on_x_constant_K_reports_its_forms(tmp_path, capsys, preset):
+    # phi = 1 at alpha = 0 where A = K_x; this exited 2 with "at alpha = 0
+    # the phi ODE needs A = K_x" (tricomi, with K_x = 0 exactly, passed)
+    args = ["multiplier", "--preset", preset, "--alpha", "0", "--nx", "16", "--ny", "16"]
+    assert run(args + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "forms.csv").read_text().startswith("label,min,max,claimed_bound,passed\n")
+    assert json.loads((tmp_path / "metrics.json").read_text())["exit_code"] == 1

@@ -94,6 +94,17 @@ def test_phi_is_one_where_A_equals_Kx_at_any_alpha(alpha):
     assert np.all(phi.values == 1.0)
 
 
+@pytest.mark.parametrize("preset", ["chaplygin", "infinite_order"])
+@pytest.mark.parametrize("n", [16, 128])
+def test_phi_is_one_at_alpha_zero_on_x_constant_K(preset, n):
+    # K is constant in x and A = 0, so A = K_x; the x stencil leaves K_x at
+    # round-off on these sets, and the alpha = 0 rule used to refuse them
+    g = make_grid(n, n)
+    cs = preset_coefficients(preset, g, 1e-4, 0.0)
+    assert cs.x_constant[0] and np.all(cs.A.values == 0.0)
+    assert np.all(solve_phi(cs).values == 1.0)
+
+
 def test_phi_overflow_names_alpha():
     from mixedbvp.coeffs import AlphaRangeError
 

@@ -37,7 +37,14 @@ each with f = L u* for random_smooth_samples(g, alpha, 1, 5,
 adjoint=False)[0]), whose method, refine_steps, gmres_iterations,
 mode_solves and matvecs are printed as they are and whose u and
 gmres_residuals are hashed; perfbench Linear(1) ops 0-9 and Picard(1)
-ops 0-13.  Each
+ops 0-13; and one small CLI run per subcommand (32^2; mms on 16^2 and
+32^2), whose exit code is printed, each deterministic artifact
+(conditions.txt, forms.csv, solution.csv, convergence.csv,
+energy_samples.csv, energy.csv, aux_sweep.csv, iteration.csv and
+z_final.csv) hashed as the bytes of the file, and the key set of its
+metrics.json printed as plain text (its values hold timings, so they
+are not hashed; "none" on a tree whose subcommand writes no
+metrics.json).  Each
 Picard run also prints its iterations and converged on lines of their
 own, and each perfbench linear solve its refinement and GMRES step
 counts and a hash of each one's residuals (refine_residuals, read as
@@ -56,13 +63,29 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
 import warnings  # noqa: E402
+from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 PRESETS = ("tricomi", "infinite_order", "wedge", "chaplygin", "lower_order")
 EPS, ALPHA = 1e-4, 0.02
+# one small run per CLI subcommand (at 32^2, mms on 16 and 32) and its
+# deterministic artifacts; the text summaries and metrics.json hold timings
+CLI_RUNS = (
+    ("check", [], ("conditions.txt",)),
+    ("multiplier", [], ("forms.csv",)),
+    ("solve", [], ("solution.csv",)),
+    ("mms", ["--grids", "16,32"], ("convergence.csv",)),
+    ("energy", ["--samples", "4", "--m", "0"], ("energy_samples.csv", "energy.csv")),
+    ("aux", [], ("aux_sweep.csv",)),
+    ("ma", [], ("iteration.csv", "z_final.csv")),
+    ("darboux", [], ("iteration.csv", "z_final.csv")),
+)
 
 
 def emit(name: str, *arrays) -> None:
@@ -94,6 +117,23 @@ def print_krylov(name: str, rep) -> None:
     emit(f"{name}/refine_residuals", stats.get("refine_residuals", []))
     print(f"{name}/gmres_iterations {stats['gmres_iterations']}")
     emit(f"{name}/gmres_residuals", stats["gmres_residuals"])
+
+
+def emit_cli(cli) -> None:
+    # each CLI run's exit code, the SHA-1 of each artifact's bytes, and the
+    # key set of its metrics.json as plain text ("none" where it writes none)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, extra, artifacts in CLI_RUNS:
+            out = Path(tmp) / command
+            args = [command, "--nx", "32", "--ny", "32", *extra, "--out", str(out)]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.run(args)
+            print(f"cli/{command}/exit_code {code}")
+            for name in artifacts:
+                print(f"cli/{command}/{name} {hashlib.sha1((out / name).read_bytes()).hexdigest()}")
+            metrics = out / "metrics.json"
+            keys = sorted(json.loads(metrics.read_text())) if metrics.exists() else ["none"]
+            print(f"cli/{command}/metrics.json/keys {' '.join(keys)}")
 
 
 def main(tree: Path) -> None:
@@ -253,6 +293,8 @@ def main(tree: Path) -> None:
                 continue
             emit(f"perfbench/picard/{i}/{k}", rep.final_z.z.values, rep.residual_history)
             print_counts(f"perfbench/picard/{i}/{k}", rep)
+
+    emit_cli(cli)
 
 
 if __name__ == "__main__":
