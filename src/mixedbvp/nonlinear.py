@@ -10,11 +10,15 @@ the full nonlinear residual, and the linear solve produces the update.
 The step is type-II Anderson mixing of the map d -> d + update over the
 last ANDERSON_DEPTH steps, with mixing parameter THETA; with no history,
 or with ANDERSON_DEPTH = 0, it is the damped step d + THETA * update.
-The report's stats record per step, among others, the wall-row part of
-the stopping residual (wall_norm) and the history the mixing used
-(mixing_depth).  The domain-scale parameter rho plays the
-coordinate-rescaling role: it sets the oblique constant
-alpha = sqrt(rho) * alpha0 of the step's bottom row.
+A solve keeps the LU of its linear operator and factors again only when
+the frozen profile has moved by more than STEP_LU_DRIFT (the chord
+method); the fixed point is the residual's, which the lagged LU does
+not move.  The report's stats record per step, among others, the
+wall-row part of the stopping residual (wall_norm), the history the
+mixing used (mixing_depth) and whether the step factored (factored).
+The domain-scale parameter rho plays the coordinate-rescaling role: it
+sets the oblique constant alpha = sqrt(rho) * alpha0 of the step's
+bottom row.
 
 Graph heights are generally not periodic across the seam x = +-1, so
 this module differentiates with non-periodic stencils that are exact on
@@ -121,6 +125,10 @@ STAGNATION_WINDOW = 8
 ANDERSON_DEPTH = 5
 # the mixing parameter of that step (a smaller one does not help)
 THETA = 0.5
+# a step back-substitutes through the LU kept from the last step that
+# factored, at profile p_f, while max|p - p_f| <= STEP_LU_DRIFT * max|p|
+# (see _linear_step); 0 factors on every step
+STEP_LU_DRIFT = 3e-3
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +270,22 @@ def darboux_residual(z: GraphSurface, K: Field, h: MetricData) -> Field:
 # ---------------------------------------------------------------------------
 
 def _gate_condition7prime(K: Field, eps: float) -> None:
-    """Condition 7' for K along the vertical field V = (0, 1), on |x| <= 3/4."""
-    g = K.grid
+    """Condition 7' for K along the vertical field V = (0, 1), on |x| <= 3/4.
+
+    A passing verdict is kept per grid, eps and bytes of K.values, so
+    repeated solves on one K check it once and a K edited in place is
+    checked again; a failing K raises CurvatureGateError on every call.
+    """
+    _condition7prime_holds(K.grid, eps, K.values.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _condition7prime_holds(g: GridSpec, eps: float, values: bytes) -> None:
+    """_gate_condition7prime's check of the K with these bytes; a raise is not kept."""
+    K = Field(g, np.frombuffer(values).reshape(g.shape))
     V = (Field.zeros(g), Field.constant(g, 1.0))
     margin = condition7prime_margin(K, V, eps).values
-    inner = np.abs(K.grid.x) <= 0.75
+    inner = np.abs(g.x) <= 0.75
     mn = float(margin[inner, :].min())
     if mn < 0.0:
         raise CurvatureGateError(
@@ -469,8 +488,24 @@ def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
     return rows
 
 
+class _StepLU:
+    """The LU of N at profile p that a Picard solve keeps across its steps.
+
+    band and piv are zgbsv's factored band and pivots (_linear_step),
+    and factored says whether the last step factored them afresh.
+    """
+
+    def __init__(self):
+        self.p = self.band = self.piv = None
+        self.factored = False
+
+    def holds(self, p: np.ndarray) -> bool:
+        """Whether max|p - self.p| <= STEP_LU_DRIFT * max|p|."""
+        return self.p is not None and np.abs(p - self.p).max() <= STEP_LU_DRIFT * np.abs(p).max()
+
+
 def _linear_step(
-    g: GridSpec, p, alpha: float, f: np.ndarray, stats: dict
+    g: GridSpec, p, alpha: float, f: np.ndarray, stats: dict, kept: _StepLU | None = None
 ) -> tuple[np.ndarray, float]:
     """d with N d = f, N the Picard step's operator, and the residual's norm.
 
@@ -487,38 +522,55 @@ def _linear_step(
     and solves each block as a call of its own would.  The band,
     (nx//2 + 1, ny+1, 7) with mode k's entry (i, j) at [k, j, 4 + i - j]
     so that its (-1, 7) reshape, transposed, is the Fortran-ordered
-    array zgbsv factors in place, the folded right-hand side and its
-    rfft are allocated at every step: arrays kept across steps save no
-    measurable time.  A zero pivot raises solver._singular_mode's
-    PreconditionError, naming the first singular mode.
+    array zgbsv factors in place, is allocated on every step that
+    factors, and the folded right-hand side and its rfft on every step.
+    A zero pivot raises solver._singular_mode's PreconditionError,
+    naming the first singular mode.
+
+    kept, a solve's _StepLU, carries the LU across steps (the chord
+    method): while it holds p (max|p - p_f| <= STEP_LU_DRIFT * max|p|,
+    p_f the profile it was factored at), the step builds no band and
+    back-substitutes through it with one zgbtrs call, so N is N(p_f);
+    otherwise the step factors N(p) with zgbsv and kept takes the new
+    LU.  With no kept LU the step factors afresh.  zgbsv is zgbtrf and
+    zgbtrs, so a step through the LU kept at p_f gives the d of a step
+    that factors at p_f, bit for bit.
 
     The residual is solver._gate's, the one every linear solve answers
-    to, on N d over rows 1..ny (_step_rows); the gate forms row 0, the
-    oblique row, itself.  When its norm exceeds RESIDUAL_TOL*||f||, a
-    ResidualGateError of it is raised.  stats takes the band and
-    right-hand side fill as band_s and the rfft, zgbsv and the gate as
-    solve_s.
+    to, on N d over rows 1..ny (_step_rows) with the N that was
+    solved; the gate forms row 0, the oblique row, itself.  When its
+    norm exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it is
+    raised.  stats takes the band and right-hand side fill as band_s
+    and the rfft, zgbsv or zgbtrs and the gate as solve_s.
     """
     t0 = perf_counter()
     nx, nyp = g.shape
     bands = _step_bands(g)
-    band = np.tile(bands.template, (nx // 2 + 1, 1, 1))
-    sym_p = bands.symbols[0][:, None] * p
-    band[:, 1:-1, 4] += sym_p[:, 1:-1]
-    cols, at, weights = bands.spread
-    band[:, cols, at] += weights * sym_p[:, cols]
-    band[:, 0, 4] += alpha * bands.symbols[1]
+    reuse = kept is not None and kept.holds(p)
+    if not reuse:
+        band = np.tile(bands.template, (nx // 2 + 1, 1, 1))
+        sym_p = bands.symbols[0][:, None] * p
+        band[:, 1:-1, 4] += sym_p[:, 1:-1]
+        cols, at, weights = bands.spread
+        band[:, cols, at] += weights * sym_p[:, cols]
+        band[:, 0, 4] += alpha * bands.symbols[1]
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
     for row, by, c in bands.folds:
         rhs[:, row] -= c * rhs[:, by]
     t1 = perf_counter()
-    spec = np.fft.rfft(rhs, axis=0)
-    *_, x, info = lapack.zgbsv(
-        2, 2, band.reshape(-1, 7).T, spec.reshape(-1, 1), overwrite_ab=1, overwrite_b=1
-    )
-    if info > 0:
-        raise _singular_mode(info, g)
+    spec = np.fft.rfft(rhs, axis=0).reshape(-1, 1)
+    if reuse:
+        p, kept.factored = kept.p, False
+        x, _ = lapack.zgbtrs(kept.band, 2, 2, spec, kept.piv, overwrite_b=1)
+    else:
+        lu, piv, x, info = lapack.zgbsv(
+            2, 2, band.reshape(-1, 7).T, spec, overwrite_ab=1, overwrite_b=1
+        )
+        if info > 0:
+            raise _singular_mode(info, g)
+        if kept is not None:
+            kept.p, kept.band, kept.piv, kept.factored = p, lu, piv, True
     d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
     fnorm = _l2_norm(g, f)
     res, r = _gate(f, d, _step_rows(g, p, d), alpha, g)
@@ -607,16 +659,20 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     stays lagged on the right-hand side through the full nonlinear
     residual.  The fixed-point map is d -> d + update, and each step
     mixes it with up to ANDERSON_DEPTH past steps (see _AndersonMixing,
-    mixing parameter THETA).  The first iterate whose weighted residual,
-    the l2 norm of chi*res with chi the cutoff_profile, is at most tol
-    ends the iteration.
+    mixing parameter THETA).  A solve keeps the LU of its last step
+    that factored N (a _StepLU) and solves through it while the profile
+    p stays within STEP_LU_DRIFT of the one it was factored at; the
+    residual still defines the fixed point, so only the update lags p.
+    The first iterate whose weighted residual, the l2 norm of chi*res
+    with chi the cutoff_profile, is at most tol ends the iteration.
 
     A solve builds only what depends on its start: the seam carrier
-    (_SplitDerivatives) and the mixing's ring buffers; each step
-    allocates its own band and right-hand side (_linear_step).  chi,
-    the inner region as a slice and the wall rows' weight come from
-    _residual_weights, and the stencils, seam weights and step bands
-    from their own caches, all shared per grid.  The residual norms are taken on the bare arrays
+    (_SplitDerivatives), the mixing's ring buffers and the kept LU; a
+    step that factors allocates its own band, and every step its
+    right-hand side (_linear_step).  chi, the inner region as a slice
+    and the wall rows' weight come from _residual_weights, and the
+    stencils, seam weights and step bands from their own caches, all
+    shared per grid.  The residual norms are taken on the bare arrays
     (grid._l2_norm), which still raise GridError on a non-finite entry.
 
     diagnostics carries the residual of each linear solve (every row,
@@ -624,10 +680,12 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     converged).
     stats holds the perf_counter sums residual_s (derivatives, residual
     and principal coefficients), band_s (the profile p and the step's
-    band and right-hand side), solve_s (the rfft, zgbsv and the gate)
-    and mix_s (the mixing), and per step the part of the step's
-    stopping residual on the wall rows 0 and ny (wall_norm) and the
-    number of past steps the mixing used (mixing_depth).
+    band and right-hand side), solve_s (the rfft, zgbsv or zgbtrs and
+    the gate) and mix_s (the mixing), and per step the part of the
+    step's stopping residual on the wall rows 0 and ny (wall_norm), the
+    number of past steps the mixing used (mixing_depth) and whether the
+    step factored N (factored; its sum is the solve's count of zgbsv
+    calls).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
@@ -641,12 +699,13 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     chi, inner, wall_weight = _residual_weights(grid)
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, THETA)
+    kept = _StepLU()
 
     d = np.zeros(grid.shape)
     history: list[float] = []
     diagnostics: dict = {"reason": None, "linear_residuals": []}
     stats: dict = dict(residual_s=0.0, band_s=0.0, solve_s=0.0, mix_s=0.0)
-    stats.update(wall_norm=[], mixing_depth=[])
+    stats.update(wall_norm=[], mixing_depth=[], factored=[])
 
     def report(it: int, converged: bool, reason: str | None = None) -> IterationReport:
         diagnostics["reason"] = reason
@@ -676,7 +735,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
             )
         p = (P[inner] / Q[inner]).mean(axis=0)
         stats["band_s"] += perf_counter() - t0
-        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats)
+        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats, kept)
         t0 = perf_counter()
         d, depth = mixing.step(d, update)
         stats["mix_s"] += perf_counter() - t0
@@ -684,6 +743,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
         walls = weighted[:, [0, -1]]
         stats["wall_norm"].append(sqrt(wall_weight * np.sum(walls * walls)))
         stats["mixing_depth"].append(depth)
+        stats["factored"].append(kept.factored)
     return report(params.max_iter, False, "max_iter")
 
 

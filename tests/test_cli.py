@@ -324,7 +324,7 @@ def test_picard_metrics_json(tmp_path, command):
         }
         stats, diag = metrics["stats"], metrics["diagnostics"]
         assert set(stats) == {
-            "residual_s", "band_s", "solve_s", "mix_s", "wall_norm", "mixing_depth",
+            "residual_s", "band_s", "solve_s", "mix_s", "wall_norm", "mixing_depth", "factored",
         }
         assert set(diag) == {"reason", "linear_residuals"}
         assert diag["reason"] == reason

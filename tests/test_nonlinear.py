@@ -536,6 +536,122 @@ def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
         nonlinear._linear_step(g, p, 0.6, f, _step_stats())
 
 
+def _spy_lapack(monkeypatch, name):
+    # the number of calls of lapack.<name> after this one
+    from scipy.linalg import lapack
+
+    real, calls = getattr(lapack, name), []
+    monkeypatch.setattr(lapack, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("solve", ["ma", "darboux"])
+def test_zero_drift_factors_on_every_step(monkeypatch, solve):
+    # STEP_LU_DRIFT = 0 is the step that factors N(p) every time: one
+    # zgbsv call per step and no back-substitution through a kept LU
+    from mixedbvp import nonlinear
+
+    monkeypatch.setattr(nonlinear, "STEP_LU_DRIFT", 0.0)
+    zgbsv, zgbtrs = _spy_lapack(monkeypatch, "zgbsv"), _spy_lapack(monkeypatch, "zgbtrs")
+    _, rep = _cli_solve(solve, 32)
+    assert len(zgbsv) == rep.iterations > 0 and zgbtrs == []
+    assert all(rep.stats["factored"])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_kept_lu_step_matches_a_fresh_factorization(monkeypatch, alpha):
+    # a step through the LU kept at p_f is the fresh step at p_f, bit for
+    # bit, residual included; a profile past STEP_LU_DRIFT factors again
+    from mixedbvp.nonlinear import STEP_LU_DRIFT, _linear_step, _StepLU
+
+    g, p_f, f = _step_inputs(32)
+    kept = _StepLU()
+    _linear_step(g, p_f, alpha, f, _step_stats(), kept)
+    assert kept.factored and kept.p is p_f
+    zgbsv, zgbtrs = _spy_lapack(monkeypatch, "zgbsv"), _spy_lapack(monkeypatch, "zgbtrs")
+    f2 = np.random.default_rng(7).standard_normal(g.shape)
+    d, res = _linear_step(g, p_f * (1.0 + 0.5 * STEP_LU_DRIFT), alpha, f2, _step_stats(), kept)
+    assert not kept.factored and (len(zgbsv), len(zgbtrs)) == (0, 1)
+    fresh_d, fresh_res = _linear_step(g, p_f, alpha, f2, _step_stats())
+    assert np.array_equal(d, fresh_d) and res == fresh_res
+    p = p_f * (1.0 + 2.0 * STEP_LU_DRIFT)
+    _linear_step(g, p, alpha, f2, _step_stats(), kept)
+    assert kept.factored and kept.p is p and len(zgbsv) == 2
+
+
+def test_kept_lu_keeps_the_benchmark_verdicts(monkeypatch):
+    # perfbench's picard operations 0-13 at 64^2 (seed 4201) against the
+    # step that factors every time: the same verdicts, steps within one,
+    # sup errors within 1%, and fewer factorizations than steps
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from mixedbvp import nonlinear
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    pic = workloads.Picard(4201)
+
+    def run_all():
+        out = []
+        for i in range(14):
+            pert = pic.inputs(i)
+            for k, step in enumerate(pic.steps(pert)):
+                try:
+                    rep = step()
+                except DegenerateLinearizationError:
+                    out.append(None)
+                    continue
+                err = np.abs(rep.final_z.z.values - (pic.ma_star, pic.dx_star)[k].values).max()
+                out.append((pic.check(pert, k, rep).passed, rep.iterations, err, rep.stats["factored"]))
+        return out
+
+    kept = run_all()
+    monkeypatch.setattr(nonlinear, "STEP_LU_DRIFT", 0.0)
+    fresh = run_all()
+    assert [r is None for r in kept] == [r is None for r in fresh]
+    steps = factored = 0
+    for a, b in zip(kept, fresh):
+        if a is None:
+            continue
+        assert a[0] == b[0] and abs(a[1] - b[1]) <= 1
+        if a[0]:
+            assert abs(a[2] - b[2]) <= 0.01 * b[2]
+        assert all(b[3])
+        steps, factored = steps + a[1], factored + sum(a[3])
+    assert factored < steps
+
+
+def test_condition7prime_checked_once_per_K(monkeypatch):
+    # two solves on one K compute its margin once; a K edited in place is
+    # checked again, and a failing K raises on every call
+    from mixedbvp import nonlinear
+
+    calls = []
+    real = nonlinear.condition7prime_margin
+    monkeypatch.setattr(nonlinear, "condition7prime_margin",
+                        lambda *a: calls.append(a) or real(*a))
+    nonlinear._condition7prime_holds.cache_clear()
+    g = make_grid(32, 32)
+    z_star, K = manufactured_curvature_pair(g, RHO)
+    params = NonlinearParams(max_iter=1)
+    for _ in range(2):
+        solve_prescribed_curvature(K, GraphSurface(z_star, RHO), params)
+    assert len(calls) == 1
+    K.values[0, 0] *= 1.0 + 1e-12
+    solve_prescribed_curvature(K, GraphSurface(z_star, RHO), params)
+    assert len(calls) == 2
+    bad = Field.from_function(g, lambda X, Y: -Y)
+    for count in (3, 4):
+        with pytest.raises(CurvatureGateError):
+            solve_prescribed_curvature(bad, GraphSurface(z_star, RHO), params)
+        assert len(calls) == count
+
+
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
 def test_picard_stats(solve):
     from mixedbvp.grid import l2_norm
@@ -551,8 +667,9 @@ def test_picard_stats(solve):
     stats = rep.stats
     steps = rep.iterations
     assert len(rep.diagnostics["linear_residuals"]) == steps
-    for key in ("wall_norm", "mixing_depth"):
+    for key in ("wall_norm", "mixing_depth", "factored"):
         assert len(stats[key]) == steps, key
+    assert stats["factored"][0] is True
     assert min(stats[k] for k in ("residual_s", "band_s", "solve_s", "mix_s")) > 0.0
     # the history fills up to ANDERSON_DEPTH columns, one per step
     assert stats["mixing_depth"] == [min(i, ANDERSON_DEPTH) for i in range(steps)]

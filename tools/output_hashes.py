@@ -45,9 +45,10 @@ z_final.csv) hashed as the bytes of the file, and the key set of its
 metrics.json printed as plain text (its values hold timings, so they
 are not hashed; "none" on a tree whose subcommand writes no
 metrics.json).  Each
-Picard run also prints its iterations and converged on lines of their
-own, and each perfbench linear solve its refinement and GMRES step
-counts and a hash of each one's residuals (refine_residuals, read as
+Picard run also prints its iterations, its count of steps that factored
+N (the sum of stats["factored"]; "none" on a tree without it) and
+converged on lines of their own, and each perfbench linear solve its
+refinement and GMRES step counts and a hash of each one's residuals (refine_residuals, read as
 none on a tree without refinement, and gmres_residuals), so a change
 that moves the iterates or u by round-off, and so their hash, shows
 whether it moved the step counts or the iteration.  One BLAS thread,
@@ -104,8 +105,11 @@ def emit_entries(name: str, report) -> None:
 
 
 def print_counts(name: str, rep) -> None:
-    # a Picard run's step count and outcome, printed as they are
+    # a Picard run's step count, factorization count and outcome, printed as
+    # they are; a tree whose report has no factored list reads as none
+    factored = rep.stats.get("factored")
     print(f"{name}/iterations {rep.iterations}")
+    print(f"{name}/factored {'none' if factored is None else sum(factored)}")
     print(f"{name}/converged {rep.converged}")
 
 
