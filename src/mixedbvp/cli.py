@@ -89,14 +89,14 @@ class RunConfig:
     rho: float = _setting(0.25, "nonlinear", (lambda v: 0.0 < v <= 1.0, "rho must lie in (0, 1]"))
     alpha0: float = _setting(1.2, "nonlinear", _positive_finite("alpha0"))
     max_iter: int = _setting(50, "nonlinear", (lambda v: v >= 1, "max_iter must be at least 1"))
-    tol: float = _setting(1e-8, "nonlinear", (lambda v: v > 0.0, "tol must be positive"))
+    tol: float = _setting(1e-8, "nonlinear", _positive_finite("tol"))
     rhs: str = _setting("sine", "problem")
 
     def validate(self) -> None:
         for f in dc_fields(self):
             check, value = f.metadata["check"], getattr(self, f.name)
             if check is not None and not check[0](value):
-                raise ConfigError(f"{f.name} = {value}: {check[1]}")
+                raise ConfigError(f"{f.metadata['key'] or f.name} = {value}: {check[1]}")
 
 
 # config key -> RunConfig field; each key is also a flag

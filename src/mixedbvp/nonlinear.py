@@ -10,12 +10,15 @@ the full nonlinear residual, and the linear solve produces the update.
 The step is type-II Anderson mixing of the map d -> d + update over the
 last ANDERSON_DEPTH steps, with mixing parameter THETA; with no history,
 or with ANDERSON_DEPTH = 0, it is the damped step d + THETA * update.
-A solve keeps the LU of its linear operator and factors again only when
-the frozen profile has moved by more than STEP_LU_DRIFT (the chord
-method); the fixed point is the residual's, which the lagged LU does
-not move.  The report's stats record per step, among others, the
-wall-row part of the stopping residual (wall_norm), the history the
-mixing used (mixing_depth) and whether the step factored (factored).
+The linear solve is two calls: _factor_step factors the step operator
+N(p) with one zgbtrf call, and _solve_step back-substitutes with one
+zgbtrs call and answers to the linear solver's gate.  _picard keeps the
+LU and factors again only when the frozen profile has moved by more
+than STEP_LU_DRIFT (the chord method); the fixed point is the
+residual's, which the lagged LU does not move.  The report's stats
+record per step, among others, the wall-row part of the stopping
+residual (wall_norm), the history the mixing used (mixing_depth) and
+whether the step factored (factored).
 The domain-scale parameter rho plays the coordinate-rescaling role: it
 sets the oblique constant alpha = sqrt(rho) * alpha0 of the step's
 bottom row.
@@ -127,7 +130,7 @@ ANDERSON_DEPTH = 5
 THETA = 0.5
 # a step back-substitutes through the LU kept from the last step that
 # factored, at profile p_f, while max|p - p_f| <= STEP_LU_DRIFT * max|p|
-# (see _linear_step); 0 factors on every step
+# (see _picard); 0 factors on every step
 STEP_LU_DRIFT = 3e-3
 
 
@@ -439,7 +442,7 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     (c = 1, -h/3 and 1), which no mode's symbol touches, so one fold
     serves every mode and the right-hand side is folded in physical
     space.  template, (ny+1, 7), complex: the folded rows as one mode's
-    block of the step's band (_linear_step), entry (i, j) at
+    block of the step's band (_factor_step), entry (i, j) at
     [j, 4 + i - j], with its fill rows 0..1 zero, so that a step copies
     it whole over every mode.  spread: the fold applied to diag(p) is
     diag(p) on rows 1..ny-1 plus the entries (0, 1), (0, 2), (1, 2) and
@@ -474,7 +477,7 @@ def _step_bands(grid: GridSpec) -> _StepBands:
 
 
 def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
-    """N d on rows 1..ny (see _linear_step), as the step's gate reads it.
+    """N d on rows 1..ny (see _factor_step), as the step's gate reads it.
 
     d_xx and d_yy are the products with the _dx2 and second-order graph
     stencil matrices (_step_bands).  Row 0 holds those products too:
@@ -488,94 +491,62 @@ def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
     return rows
 
 
-class _StepLU:
-    """The LU of N at profile p that a Picard solve keeps across its steps.
-
-    band and piv are zgbsv's factored band and pivots (_linear_step),
-    and factored says whether the last step factored them afresh.
-    """
-
-    def __init__(self):
-        self.p = self.band = self.piv = None
-        self.factored = False
-
-    def holds(self, p: np.ndarray) -> bool:
-        """Whether max|p - self.p| <= STEP_LU_DRIFT * max|p|."""
-        return self.p is not None and np.abs(p - self.p).max() <= STEP_LU_DRIFT * np.abs(p).max()
-
-
-def _linear_step(
-    g: GridSpec, p, alpha: float, f: np.ndarray, stats: dict, kept: _StepLU | None = None
-) -> tuple[np.ndarray, float]:
-    """d with N d = f, N the Picard step's operator, and the residual's norm.
+def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
+    """The LU of N(p), the Picard step's operator, as _solve_step takes it.
 
     N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
     stencils (the periodic _dx2 in x, the second-order graph stencil in
     y), the oblique row alpha*d_x + d_y of operators._oblique_row on
-    row 0 and d itself on row ny; f's wall rows are read as zero.  N
-    commutes with the x-shift, so the rfft splits it into one y-system
-    per mode, folded to kl = ku = 2 (_step_bands): the cached template,
-    plus the mode's symbol times the fold of diag(p), plus alpha times
-    the oblique symbol at (0, 0).  The systems are the diagonal blocks
-    of one band matrix with exact zeros between blocks, so partial
-    pivoting never reaches across a block, and one zgbsv call factors
-    and solves each block as a call of its own would.  The band,
-    (nx//2 + 1, ny+1, 7) with mode k's entry (i, j) at [k, j, 4 + i - j]
-    so that its (-1, 7) reshape, transposed, is the Fortran-ordered
-    array zgbsv factors in place, is allocated on every step that
-    factors, and the folded right-hand side and its rfft on every step.
-    A zero pivot raises solver._singular_mode's PreconditionError,
-    naming the first singular mode.
+    row 0 and d itself on row ny.  N commutes with the x-shift, so the
+    rfft splits it into one y-system per mode, folded to kl = ku = 2
+    (_step_bands): the cached template, plus the mode's symbol times the
+    fold of diag(p), plus alpha times the oblique symbol at (0, 0).  The
+    systems are the diagonal blocks of one band matrix with exact zeros
+    between blocks, so partial pivoting never reaches across a block,
+    and one zgbtrf call factors each block as a call of its own would.
+    The band, (nx//2 + 1, ny+1, 7) with mode k's entry (i, j) at
+    [k, j, 4 + i - j] so that its (-1, 7) reshape, transposed, is the
+    Fortran-ordered array zgbtrf factors in place, is allocated here
+    and nowhere else.  A zero pivot raises solver._singular_mode's
+    PreconditionError, naming the first singular mode.
 
-    kept, a solve's _StepLU, carries the LU across steps (the chord
-    method): while it holds p (max|p - p_f| <= STEP_LU_DRIFT * max|p|,
-    p_f the profile it was factored at), the step builds no band and
-    back-substitutes through it with one zgbtrs call, so N is N(p_f);
-    otherwise the step factors N(p) with zgbsv and kept takes the new
-    LU.  With no kept LU the step factors afresh.  zgbsv is zgbtrf and
-    zgbtrs, so a step through the LU kept at p_f gives the d of a step
-    that factors at p_f, bit for bit.
-
-    The residual is solver._gate's, the one every linear solve answers
-    to, on N d over rows 1..ny (_step_rows) with the N that was
-    solved; the gate forms row 0, the oblique row, itself.  When its
-    norm exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it is
-    raised.  stats takes the band and right-hand side fill as band_s
-    and the rfft, zgbsv or zgbtrs and the gate as solve_s.
+    Returns the factored band, its pivots and p.
     """
-    t0 = perf_counter()
-    nx, nyp = g.shape
     bands = _step_bands(g)
-    reuse = kept is not None and kept.holds(p)
-    if not reuse:
-        band = np.tile(bands.template, (nx // 2 + 1, 1, 1))
-        sym_p = bands.symbols[0][:, None] * p
-        band[:, 1:-1, 4] += sym_p[:, 1:-1]
-        cols, at, weights = bands.spread
-        band[:, cols, at] += weights * sym_p[:, cols]
-        band[:, 0, 4] += alpha * bands.symbols[1]
+    band = np.tile(bands.template, (g.nx // 2 + 1, 1, 1))
+    sym_p = bands.symbols[0][:, None] * p
+    band[:, 1:-1, 4] += sym_p[:, 1:-1]
+    cols, at, weights = bands.spread
+    band[:, cols, at] += weights * sym_p[:, cols]
+    band[:, 0, 4] += alpha * bands.symbols[1]
+    lu, piv, info = lapack.zgbtrf(band.reshape(-1, 7).T, 2, 2, overwrite_ab=1)
+    if info > 0:
+        raise _singular_mode(info, g)
+    return lu, piv, p
+
+
+def _solve_step(g: GridSpec, lu: tuple, alpha: float, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """d with N(p) d = f through lu = _factor_step(g, p, alpha), and the residual's norm.
+
+    f's wall rows are read as zero; the fold of _step_bands is applied
+    to f in physical space, and one rfft, one zgbtrs call on every mode
+    at once and one irfft give d.  zgbsv is zgbtrf followed by zgbtrs,
+    so this is zgbsv's d, bit for bit.  The residual is solver._gate's,
+    the one every linear solve answers to, on N(p) d over rows 1..ny
+    (_step_rows); the gate forms row 0, the oblique row, itself.  When
+    its norm exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it is
+    raised.
+    """
+    band, piv, p = lu
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
-    for row, by, c in bands.folds:
+    for row, by, c in _step_bands(g).folds:
         rhs[:, row] -= c * rhs[:, by]
-    t1 = perf_counter()
     spec = np.fft.rfft(rhs, axis=0).reshape(-1, 1)
-    if reuse:
-        p, kept.factored = kept.p, False
-        x, _ = lapack.zgbtrs(kept.band, 2, 2, spec, kept.piv, overwrite_b=1)
-    else:
-        lu, piv, x, info = lapack.zgbsv(
-            2, 2, band.reshape(-1, 7).T, spec, overwrite_ab=1, overwrite_b=1
-        )
-        if info > 0:
-            raise _singular_mode(info, g)
-        if kept is not None:
-            kept.p, kept.band, kept.piv, kept.factored = p, lu, piv, True
-    d = np.fft.irfft(x.reshape(-1, nyp), n=nx, axis=0)
+    x, _ = lapack.zgbtrs(band, 2, 2, spec, piv, overwrite_b=1)
+    d = np.fft.irfft(x.reshape(-1, g.ny + 1), n=g.nx, axis=0)
     fnorm = _l2_norm(g, f)
     res, r = _gate(f, d, _step_rows(g, p, d), alpha, g)
-    stats["band_s"] += t1 - t0
-    stats["solve_s"] += perf_counter() - t1
     if res > solver.RESIDUAL_TOL * fnorm:
         raise ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, g, alpha)
     return d, res
@@ -646,13 +617,13 @@ class _AndersonMixing:
 
 
 def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationReport:
-    """Anderson-mixed frozen-coefficient iteration; each step is one _linear_step.
+    """Anderson-mixed frozen-coefficient iteration; each step is one _solve_step.
 
     step_terms maps the derivative dict of an iterate to its residual
     and the principal coefficients (P, Q) of the frozen linearization,
     and raises when the iterate leaves the equation's regime.
 
-    The update solves N d = -res/Q (see _linear_step), N the x-averaged
+    The update solves N d = -res/Q (see _factor_step), N the x-averaged
     normal form of that linearization: p(y) is the mean of P/Q over the
     inner region |x| <= 1/2.  Everything N leaves out (the x-dependent
     part of P/Q, the mixed term, the gradient-factor first-order terms)
@@ -660,32 +631,35 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     residual.  The fixed-point map is d -> d + update, and each step
     mixes it with up to ANDERSON_DEPTH past steps (see _AndersonMixing,
     mixing parameter THETA).  A solve keeps the LU of its last step
-    that factored N (a _StepLU) and solves through it while the profile
-    p stays within STEP_LU_DRIFT of the one it was factored at; the
-    residual still defines the fixed point, so only the update lags p.
+    that factored N (_factor_step at the profile p_f) and solves through
+    it (_solve_step) while max|p - p_f| <= STEP_LU_DRIFT * max|p|, the
+    chord method; any other step, a NaN drift included, factors N(p)
+    and keeps that LU.  The residual still defines the fixed point, so
+    only the update lags p.
     The first iterate whose weighted residual, the l2 norm of chi*res
     with chi the cutoff_profile, is at most tol ends the iteration.
 
     A solve builds only what depends on its start: the seam carrier
     (_SplitDerivatives), the mixing's ring buffers and the kept LU; a
-    step that factors allocates its own band, and every step its
-    right-hand side (_linear_step).  chi, the inner region as a slice
-    and the wall rows' weight come from _residual_weights, and the
-    stencils, seam weights and step bands from their own caches, all
-    shared per grid.  The residual norms are taken on the bare arrays
-    (grid._l2_norm), which still raise GridError on a non-finite entry.
+    step that factors allocates its own band (_factor_step), and every
+    step its right-hand side (_solve_step).  chi, the inner region as a
+    slice and the wall rows' weight come from _residual_weights, and
+    the stencils, seam weights and step bands from their own caches,
+    all shared per grid.  The residual norms are taken on the bare
+    arrays (grid._l2_norm), which still raise GridError on a non-finite
+    entry.
 
     diagnostics carries the residual of each linear solve (every row,
     walls included) and the reason the iteration gave up (None when it
     converged).
     stats holds the perf_counter sums residual_s (derivatives, residual
-    and principal coefficients), band_s (the profile p and the step's
-    band and right-hand side), solve_s (the rfft, zgbsv or zgbtrs and
-    the gate) and mix_s (the mixing), and per step the part of the
-    step's stopping residual on the wall rows 0 and ny (wall_norm), the
-    number of past steps the mixing used (mixing_depth) and whether the
-    step factored N (factored; its sum is the solve's count of zgbsv
-    calls).
+    and principal coefficients), band_s (the profile p, the drift test
+    and _factor_step), solve_s (_solve_step: the right-hand side, rfft,
+    zgbtrs, irfft and gate) and mix_s (the mixing), and per step the
+    part of the step's stopping residual on the wall rows 0 and ny
+    (wall_norm), the number of past steps the mixing used
+    (mixing_depth) and whether the step factored N (factored; its sum
+    is the solve's count of zgbtrf calls).
     """
     grid = z0.z.grid
     rho = z0.domain_scale
@@ -699,7 +673,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     chi, inner, wall_weight = _residual_weights(grid)
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, THETA)
-    kept = _StepLU()
+    lu = None  # the last _factor_step's (band, pivots, p)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
@@ -734,16 +708,22 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
                 "u_yy coefficient of the frozen linearization must stay positive"
             )
         p = (P[inner] / Q[inner]).mean(axis=0)
-        stats["band_s"] += perf_counter() - t0
-        update, lin_res = _linear_step(grid, p, alpha, -res / Q, stats, kept)
-        t0 = perf_counter()
+        # a NaN drift is not small, so it factors
+        factor = lu is None or not np.abs(p - lu[2]).max() <= STEP_LU_DRIFT * np.abs(p).max()
+        if factor:
+            lu = _factor_step(grid, p, alpha)
+        t1 = perf_counter()
+        update, lin_res = _solve_step(grid, lu, alpha, -res / Q)
+        t2 = perf_counter()
         d, depth = mixing.step(d, update)
-        stats["mix_s"] += perf_counter() - t0
+        stats["band_s"] += t1 - t0
+        stats["solve_s"] += t2 - t1
+        stats["mix_s"] += perf_counter() - t2
         diagnostics["linear_residuals"].append(lin_res)
         walls = weighted[:, [0, -1]]
         stats["wall_norm"].append(sqrt(wall_weight * np.sum(walls * walls)))
         stats["mixing_depth"].append(depth)
-        stats["factored"].append(kept.factored)
+        stats["factored"].append(factor)
     return report(params.max_iter, False, "max_iter")
 
 

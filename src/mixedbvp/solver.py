@@ -223,7 +223,7 @@ def _singular_mode(info: int, grid: GridSpec) -> PreconditionError:
 
     info is LAPACK's (> 0): the pivot's 1-based row, so the first
     singular mode is the one named.  FactorizedOperator and the Picard
-    step (nonlinear._linear_step) raise it.
+    step (nonlinear._factor_step) raise it.
     """
     mode = (info - 1) // (grid.ny + 1)
     return PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
@@ -238,7 +238,7 @@ def _gate(f: np.ndarray, u: np.ndarray, Nu: np.ndarray, alpha: float,
     """The residual every linear solve answers to, N u = f its system.
 
     The solves are FactorizedOperator's, on each of its paths, and the
-    Picard step's (nonlinear._linear_step).  Nu is N u over every row,
+    Picard step's (nonlinear._solve_step).  Nu is N u over every row,
     walls included.  The residual r = f - N u is formed over every row
     with f's wall rows read as zero.  A product's oblique bottom row
     loses the u_y terms at a huge alpha, and would pass a wrong u, so

@@ -454,6 +454,35 @@ def test_non_finite_lambda_is_a_configuration_error(tmp_path, capsys, command, v
         assert f"lambda = {float(value) / 10:g} overflows" in captured.err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_lambda_range_error_names_the_key(tmp_path, capsys, via):
+    # the message names the setting as it is typed, lambda, not the field lam
+    path = write_config(tmp_path, "[multiplier]\nlambda = inf\n")
+    args = ["--lambda", "inf"] if via == "flag" else ["--config", path]
+    assert run(["aux", *args, "--nx", "16", "--ny", "16", "--out", str(tmp_path / "out")]) == 2
+    where = "" if via == "flag" else f"{path}: "
+    assert capsys.readouterr().err == (
+        f"error: {where}lambda = inf: lambda must be positive and finite\n"
+    )
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+def test_non_finite_tol_is_a_configuration_error(tmp_path, capsys, command, via):
+    # tol = inf would pass the first residual and report converged=True
+    # after 0 iterations
+    args = ["--tol", "inf"] if via == "flag" else [
+        "--config", write_config(tmp_path, "[nonlinear]\ntol = inf\n")
+    ]
+    out = tmp_path / "out"
+    code = run([command, *args, "--nx", "16", "--ny", "16", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.endswith("tol = inf: tol must be positive and finite\n")
+    assert not (out / "iteration.csv").exists()
+
+
 def test_negative_seed_is_a_configuration_error(tmp_path, capsys):
     # numpy's own message, "expected non-negative integer", named no setting
     assert run(["aux", "--seed", "-1", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]) == 2

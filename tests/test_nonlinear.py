@@ -345,8 +345,11 @@ def _assembled(g, rows_of):
     return sp.csc_matrix((vals, (rows, cols)), shape=(I.size, I.size))
 
 
-def _step_stats():
-    return {"band_s": 0.0, "solve_s": 0.0}
+def _step(g, p, alpha, f):
+    # one Picard step that factors: N(p) d = f and its residual
+    from mixedbvp.nonlinear import _factor_step, _solve_step
+
+    return _solve_step(g, _factor_step(g, p, alpha), alpha, f)
 
 
 def _N_rows(g, p, alpha, d):
@@ -360,47 +363,49 @@ def _N_rows(g, p, alpha, d):
     return rows
 
 
-def _spy_zgbsv(monkeypatch):
-    # the real zgbsv, and the list of (kl, ku, ab, b) of every call after
-    # this one, copied before zgbsv overwrites them
+def _spy_lapack(monkeypatch, name):
+    # the arguments of every call of lapack.<name> after this one, each
+    # array copied before LAPACK overwrites it
     from scipy.linalg import lapack
 
-    zgbsv, calls = lapack.zgbsv, []
+    real, calls = getattr(lapack, name), []
 
-    def spy(kl, ku, ab, b, **kwargs):
-        calls.append((kl, ku, ab.copy(), b.copy()))
-        return zgbsv(kl, ku, ab, b, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "zgbsv", spy)
-    return zgbsv, calls
+    monkeypatch.setattr(lapack, name, spy)
+    return calls
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.2])
 def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha):
-    # the one stacked zgbsv call on the folded kl = ku = 2 band against one
-    # call per x-mode, bit for bit, and against a sparse LU of N assembled
-    # from the gate's rows (_N_rows) applied to the identity's columns
+    # the one stacked zgbtrf and zgbtrs calls on the folded kl = ku = 2
+    # band against one zgbsv call per x-mode, bit for bit, and against a
+    # sparse LU of N assembled from the gate's rows (_N_rows) applied to
+    # the identity's columns
     import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
 
     from mixedbvp.grid import l2_norm
-    from mixedbvp.nonlinear import _linear_step, _step_rows
+    from mixedbvp.nonlinear import _step_rows
     from mixedbvp.operators import _oblique_row
     from mixedbvp.solver import _gate
 
     g, p, f = _step_inputs(n)
     nyp = g.ny + 1
-    zgbsv, calls = _spy_zgbsv(monkeypatch)
-    d, res = _linear_step(g, p, alpha, f, _step_stats())
-    ((kl, ku, ab, b),) = calls
-    assert (kl, ku) == (2, 2) and ab.shape == (7, b.size)
+    factors, solves = _spy_lapack(monkeypatch, "zgbtrf"), _spy_lapack(monkeypatch, "zgbtrs")
+    d, res = _step(g, p, alpha, f)
+    ((ab, kl, ku),), ((_, trs_kl, trs_ku, b, _),) = factors, solves
+    assert (kl, ku) == (trs_kl, trs_ku) == (2, 2) and ab.shape == (7, b.size)
     # no entry couples two blocks, so pivoting stays inside each: entry
     # [r, c] of the band sits on row r - 4 + c of c's block (rows 0..1 are
     # the LU's fill)
     row = np.arange(7)[:, None] - 4 + np.arange(ab.shape[1]) % nyp
     assert not ab[2:][(row[2:] < 0) | (row[2:] >= nyp)].any()
     blocks = [slice(k * nyp, (k + 1) * nyp) for k in range(b.size // nyp)]
-    per_mode = np.concatenate([zgbsv(2, 2, ab[:, k], b[k])[2] for k in blocks])
+    per_mode = np.concatenate([lapack.zgbsv(2, 2, ab[:, k], b[k])[2] for k in blocks])
     assert np.array_equal(d, np.fft.irfft(per_mode.reshape(-1, nyp), n=g.nx, axis=0))
 
     N = _assembled(g, lambda e: _N_rows(g, p, alpha, e))
@@ -425,6 +430,26 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     assert np.array_equal(r[:, 0], -bottom) and np.array_equal(r[:, -1], -top)
 
 
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_step_is_zgbsv_bit_for_bit(monkeypatch, n, alpha):
+    # _solve_step through _factor_step gives zgbsv's solution on the same
+    # band and right-hand side, bit for bit: zgbsv is zgbtrf then zgbtrs
+    from scipy.linalg import lapack
+
+    from mixedbvp.nonlinear import _factor_step, _solve_step
+
+    g, p, f = _step_inputs(n)
+    factors, solves = _spy_lapack(monkeypatch, "zgbtrf"), _spy_lapack(monkeypatch, "zgbtrs")
+    lu = _factor_step(g, p, alpha)
+    d, _ = _solve_step(g, lu, alpha, f)
+    ((ab, _, _),), ((_, _, _, b, _),) = factors, solves
+    ref_lu, ref_piv, x, info = lapack.zgbsv(2, 2, ab, b)
+    assert info == 0
+    assert np.array_equal(lu[0], ref_lu) and np.array_equal(lu[1], ref_piv)
+    assert np.array_equal(d, np.fft.irfft(x.reshape(-1, g.ny + 1), n=g.nx, axis=0))
+
+
 def _mode_systems(g, p, alpha):
     # the unfolded y-system of every x-mode, (nx//2 + 1, ny+1, ny+1), read
     # off the gate's rows (_N_rows): N is x-shift invariant, so the rfft in
@@ -442,9 +467,12 @@ def _mode_systems(g, p, alpha):
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     # the folded template has no entry outside kl = ku = 2, and each mode's
-    # folded band system (as zgbsv receives it) solves the unfolded
-    # y-system: np.linalg.solve on the system read off _N_rows columns
-    from mixedbvp.nonlinear import _linear_step, _step_bands
+    # folded band system (as zgbtrf and zgbtrs receive it) solves the
+    # unfolded y-system: np.linalg.solve on the system read off _N_rows
+    # columns
+    from scipy.linalg import lapack
+
+    from mixedbvp.nonlinear import _step_bands
 
     g, p, f = _step_inputs(n)
     nyp, alpha = g.ny + 1, 0.6
@@ -462,13 +490,13 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     assert np.abs(folded[~inside]).max() <= 1e-15 * np.abs(A[0].real).max()
     dense = np.zeros_like(folded)
     dense[inside] = bands.template[j[inside], 4 + i[inside] - j[inside]].real
-    # a real band, with nothing in the fill rows 0..1 that zgbsv writes
+    # a real band, with nothing in the fill rows 0..1 that zgbtrf writes
     assert not bands.template.imag.any() and not bands.template[:, :2].any()
     assert np.allclose(dense, np.where(inside, folded, 0.0), rtol=1e-15, atol=0.0)
 
-    zgbsv, calls = _spy_zgbsv(monkeypatch)
-    _linear_step(g, p, alpha, f, _step_stats())
-    ((_, _, ab, b),) = calls
+    factors, solves = _spy_lapack(monkeypatch, "zgbtrf"), _spy_lapack(monkeypatch, "zgbtrs")
+    _step(g, p, alpha, f)
+    ((ab, _, _),), ((_, _, _, b, _),) = factors, solves
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
     spec = np.fft.rfft(rhs, axis=0)
@@ -477,7 +505,7 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     nyquist = g.nx // 2
     for k in sorted({0, 1, 2, nyquist // 2, nyquist - 1, nyquist}):
         block = slice(k * nyp, (k + 1) * nyp)
-        got = zgbsv(2, 2, ab[:, block], b[block])[2].ravel()
+        got = lapack.zgbsv(2, 2, ab[:, block], b[block])[2].ravel()
         ref = np.linalg.solve(A[k], spec[k])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), k
 
@@ -492,17 +520,19 @@ def test_passing_step_builds_no_gate_error(monkeypatch):
     monkeypatch.setattr(ResidualGateError, "__init__",
                         lambda self, *a: built.append(a) or init(self, *a))
     g, p, f = _step_inputs(32)
-    nonlinear._linear_step(g, p, 0.6, f, _step_stats())
+    lu = nonlinear._factor_step(g, p, 0.6)
+    nonlinear._solve_step(g, lu, 0.6, f)
     assert built == []
     monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(ResidualGateError, match="WELLPOSEDNESS_SUSPECT: solve residual"):
-        nonlinear._linear_step(g, p, 0.6, f, _step_stats())
+        nonlinear._solve_step(g, lu, 0.6, f)
     assert len(built) == 1
 
 
 def test_linear_step_forms_the_oblique_row_once(monkeypatch):
     # the gate alone forms the step's bottom row: one _oblique_row call per
-    # step, counted through every module of the package that binds it
+    # step, counted through every module of the package that binds it (the
+    # grid's step bands, built first, read its symbol once per grid)
     import sys
 
     from mixedbvp import nonlinear, operators
@@ -514,11 +544,12 @@ def test_linear_step_forms_the_oblique_row_once(monkeypatch):
         calls.append(args)
         return real(*args)
 
+    g, p, f = _step_inputs(32)
+    nonlinear._step_bands(g)
     for name, module in list(sys.modules.items()):
         if name.startswith("mixedbvp") and getattr(module, "_oblique_row", None) is real:
             monkeypatch.setattr(module, "_oblique_row", counting)
-    g, p, f = _step_inputs(32)
-    nonlinear._linear_step(g, p, 0.6, f, _step_stats())
+    _step(g, p, 0.6, f)
     assert len(calls) == 1
 
 
@@ -527,56 +558,71 @@ def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
     from mixedbvp import nonlinear
     from mixedbvp.solver import PreconditionError
 
-    g, p, f = _step_inputs(16)
+    g, p, _ = _step_inputs(16)
     bands = nonlinear._step_bands(g)
     template = bands.template.copy()
     template[-1, 4] = 0.0  # the top row's identity entry (ny, ny)
     monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: bands._replace(template=template))
     with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular"):
-        nonlinear._linear_step(g, p, 0.6, f, _step_stats())
-
-
-def _spy_lapack(monkeypatch, name):
-    # the number of calls of lapack.<name> after this one
-    from scipy.linalg import lapack
-
-    real, calls = getattr(lapack, name), []
-    monkeypatch.setattr(lapack, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    return calls
+        nonlinear._factor_step(g, p, 0.6)
 
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
 def test_zero_drift_factors_on_every_step(monkeypatch, solve):
     # STEP_LU_DRIFT = 0 is the step that factors N(p) every time: one
-    # zgbsv call per step and no back-substitution through a kept LU
+    # zgbtrf and one zgbtrs call per step
     from mixedbvp import nonlinear
 
     monkeypatch.setattr(nonlinear, "STEP_LU_DRIFT", 0.0)
-    zgbsv, zgbtrs = _spy_lapack(monkeypatch, "zgbsv"), _spy_lapack(monkeypatch, "zgbtrs")
+    zgbtrf, zgbtrs = _spy_lapack(monkeypatch, "zgbtrf"), _spy_lapack(monkeypatch, "zgbtrs")
     _, rep = _cli_solve(solve, 32)
-    assert len(zgbsv) == rep.iterations > 0 and zgbtrs == []
+    assert len(zgbtrf) == len(zgbtrs) == rep.iterations > 0
     assert all(rep.stats["factored"])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.6])
 def test_kept_lu_step_matches_a_fresh_factorization(monkeypatch, alpha):
-    # a step through the LU kept at p_f is the fresh step at p_f, bit for
-    # bit, residual included; a profile past STEP_LU_DRIFT factors again
-    from mixedbvp.nonlinear import STEP_LU_DRIFT, _linear_step, _StepLU
+    # a solve through an LU kept at p_f, after another solve through it,
+    # is the solve through a fresh LU at p_f, bit for bit, residual
+    # included; in _picard a profile within STEP_LU_DRIFT of p_f solves
+    # through the kept LU, and one past it (or a NaN drift) factors again
+    from mixedbvp import nonlinear
+    from mixedbvp.nonlinear import STEP_LU_DRIFT, _factor_step, _solve_step
 
     g, p_f, f = _step_inputs(32)
-    kept = _StepLU()
-    _linear_step(g, p_f, alpha, f, _step_stats(), kept)
-    assert kept.factored and kept.p is p_f
-    zgbsv, zgbtrs = _spy_lapack(monkeypatch, "zgbsv"), _spy_lapack(monkeypatch, "zgbtrs")
+    kept = _factor_step(g, p_f, alpha)
+    _solve_step(g, kept, alpha, f)
     f2 = np.random.default_rng(7).standard_normal(g.shape)
-    d, res = _linear_step(g, p_f * (1.0 + 0.5 * STEP_LU_DRIFT), alpha, f2, _step_stats(), kept)
-    assert not kept.factored and (len(zgbsv), len(zgbtrs)) == (0, 1)
-    fresh_d, fresh_res = _linear_step(g, p_f, alpha, f2, _step_stats())
+    d, res = _solve_step(g, kept, alpha, f2)
+    fresh_d, fresh_res = _step(g, p_f, alpha, f2)
     assert np.array_equal(d, fresh_d) and res == fresh_res
-    p = p_f * (1.0 + 2.0 * STEP_LU_DRIFT)
-    _linear_step(g, p, alpha, f2, _step_stats(), kept)
-    assert kept.factored and kept.p is p and len(zgbsv) == 2
+
+    # in a Picard run whose k-th step freezes profiles[k], only a profile
+    # within the drift of the last one factored solves through its LU
+    real_solve = nonlinear._solve_step
+    factors = _spy_lapack(monkeypatch, "zgbtrf")
+
+    def picard(*profiles):
+        solved = []
+        monkeypatch.setattr(nonlinear, "_solve_step",
+                            lambda g, lu, *a: solved.append(lu[2]) or real_solve(g, lu, *a))
+
+        def step_terms(dv):
+            p = profiles[min(len(solved), len(profiles) - 1)]
+            return f, np.broadcast_to(p, g.shape), np.ones(g.shape)
+
+        # alpha = sqrt(RHO) * alpha0
+        params = NonlinearParams(alpha0=2.0 * alpha, max_iter=len(profiles))
+        return nonlinear._picard(GraphSurface(Field.zeros(g), RHO), step_terms, params), solved
+
+    near, far = p_f * (1.0 + 0.5 * STEP_LU_DRIFT), p_f * (1.0 + 2.0 * STEP_LU_DRIFT)
+    rep, solved = picard(p_f, near, far, far)
+    assert rep.stats["factored"] == [True, False, True, False] and len(factors) == 2
+    assert [s is solved[0] for s in solved] == [True, True, False, False]
+    # a NaN profile is factored, and its NaN solve fails the gate
+    with pytest.raises(ValueError, match="overflows"):
+        picard(p_f, np.full_like(p_f, np.nan))
+    assert len(factors) == 4
 
 
 def test_kept_lu_keeps_the_benchmark_verdicts(monkeypatch):

@@ -183,7 +183,7 @@ def test_apply_L_sums_every_term(preset):
 
 
 @pytest.mark.parametrize("preset", ["lower_order", "wedge"])
-def test_mode_bands_average_over_x(preset):
+def test_mode_systems_average_over_x(preset):
     # an x-dependent set gets the mode systems of its x-averaged copy, not of one row
     from mixedbvp.solver import _mode_systems
 

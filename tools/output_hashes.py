@@ -12,8 +12,11 @@ indptr) and the factored x-mode systems of every preset
 multipliers m2, and m3 broadcast to one complex entry per mode) at
 16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
-alpha 0.02 and 1e50, forward and adjoint, and the Picard step's x-mode
-symbols (nonlinear._step_bands) at 64^2 and 128^2;
+alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
+symbols (nonlinear._step_bands) at 64^2 and 128^2, and at each the d
+and residual of one step (nonlinear._solve_step through
+nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
+seeded right-hand side ("none" on a tree without _solve_step);
 solve_linear's u, residual and a priori ratio; phi (build_abc's, from
 multiplier.solve_phi) of every preset at 64^2, so a diff shows which
 preset's phi moved, and the interior and the boundary form entries of
@@ -46,7 +49,8 @@ metrics.json printed as plain text (its values hold timings, so they
 are not hashed; "none" on a tree whose subcommand writes no
 metrics.json).  Each
 Picard run also prints its iterations, its count of steps that factored
-N (the sum of stats["factored"]; "none" on a tree without it) and
+N (the sum of stats["factored"], the solve's zgbtrf calls; "none" on a
+tree without it) and
 converged on lines of their own, and each perfbench linear solve its
 refinement and GMRES step counts and a hash of each one's residuals (refine_residuals, read as
 none on a tree without refinement, and gmres_residuals), so a change
@@ -164,7 +168,16 @@ def main(tree: Path) -> None:
             row = operators._oblique_row(u, alpha, sgn, g)
             emit(f"oblique_row/64/alpha{alpha:g}/sgn{sgn:+g}", row)
     for n in (64, 128):
-        emit(f"step_bands/{n}/symbols", nonlinear._step_bands(grid.make_grid(n, n)).symbols)
+        g = grid.make_grid(n, n)
+        emit(f"step_bands/{n}/symbols", nonlinear._step_bands(g).symbols)
+        if not hasattr(nonlinear, "_solve_step"):
+            print(f"step/{n}/solve none")
+            continue
+        # the CLI start's profile, p = rho*y with rho 0.25, its alpha and a
+        # seeded right-hand side
+        lu = nonlinear._factor_step(g, 0.25 * g.y, 0.6)
+        f = np.random.default_rng(n).standard_normal(g.shape)
+        emit(f"step/{n}/solve", *nonlinear._solve_step(g, lu, 0.6, f))
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
