@@ -263,7 +263,7 @@ def _combine(wts: np.ndarray, nodal: np.ndarray) -> np.ndarray:
 
 
 class TransportPlan:
-    """Semi-Lagrangian plan for a*w_x + b*w_y + c*w = rhs, w(x, 1) = top.
+    """Semi-Lagrangian plan for a*w_x + b*w_y + c*w = rhs, w(x, 1) = 0.
 
     The march runs from y = 1 downward.  Per step the characteristic foot
     on the upper level is located with a Heun predictor and the ODE along
@@ -277,13 +277,13 @@ class TransportPlan:
 
     Over all levels, with the unknowns level by level (the column-major
     order of a field), that is march @ w = -source @ r, with identity
-    rows for the top level.  Everything that depends only on (a, b, c)
-    is in these two sparse matrices, built once here.  Each level reads
-    only itself and the level above, so march is upper triangular with a
-    diagonal block per level: SuperLU in the natural order with no
-    pivoting factors it with no fill, and solve() is one compiled
-    back-substitution.  stats holds the factorization time factor_s and
-    the factor's nonzeros lu_nnz.
+    rows and zero data for the top level.  Everything that depends only
+    on (a, b, c) is in these two sparse matrices, built once here.  Each
+    level reads only itself and the level above, so march is upper
+    triangular with a diagonal block per level: SuperLU in the natural
+    order with no pivoting factors it with no fill, and solve() is one
+    compiled back-substitution.  stats holds the factorization time
+    factor_s and the factor's nonzeros lu_nnz.
     """
 
     def __init__(self, a: Field, b: Field, c: Field):
@@ -339,10 +339,10 @@ class TransportPlan:
         self.stats = {"factor_s": perf_counter() - t0, "lu_nnz": int(self._lu.nnz)}
         self.grid = g
 
-    def solve(self, rhs: Field, top: np.ndarray | None = None) -> Field:
+    def solve(self, rhs: Field) -> Field:
         g = self.grid
         r = -(self.source @ rhs.values.ravel(order="F"))
-        r[-g.nx :] = 0.0 if top is None else top
+        r[-g.nx :] = 0.0
         w = self._lu.solve(r, trans="T")
         return Field(g, np.ascontiguousarray(w.reshape(g.shape, order="F")))
 
@@ -359,10 +359,13 @@ def transport_solve(
     b: Field,
     c: Field,
     rhs: Field,
-    top: np.ndarray | None = None,
 ) -> Field:
-    """Solve a*w_x + b*w_y + c*w = rhs with w(x, 1) = top (default 0)."""
-    return TransportPlan(a, b, c).solve(rhs, top)
+    """Solve a*w_x + b*w_y + c*w = rhs with w(x, 1) = 0.
+
+    One plan, used once: the library's callers keep theirs on the
+    triple (MultiplierTriple.transport_plan).
+    """
+    return TransportPlan(a, b, c).solve(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +397,12 @@ class CouplingFactors:
     as a column; da[l - 1] is the spectral d_x^l a, l = 1..m, from one
     rfft of a, and symbols[l - 1] the column sum_{s>=l} C(s,l) (-1)^s
     lam^-s (i pi k)^{2s-l+1} that multiplies u's spectrum in the terms
-    sharing d_x^l a (see _coupling_rhs).  lam^-s is a float64 power, so a
-    tiny lam whose symbols overflow raises AlphaRangeError naming lambda.
+    sharing d_x^l a (see _coupling_rhs).  couples is False when every
+    d_x^l a is exactly zero: for m = 0, which has no terms, and for an a
+    constant in x, whose rfft has mode 0 alone, where (i pi k)^l is 0.
+    The coupling is then exactly zero, and one auxiliary pass is the
+    fixed point.  lam^-s is a float64 power, so a tiny lam whose symbols
+    overflow raises AlphaRangeError naming lambda.
     """
 
     def __init__(self, a: Field, lam: float, m: int):
@@ -413,6 +420,7 @@ class CouplingFactors:
             raise AlphaRangeError(lam, "the recovery and coupling symbols", "lambda")
         a_spec = np.fft.rfft(a.values, axis=0)
         self.da = [_to_physical(a_spec * ik**l, g) for l in range(1, m + 1)]
+        self.couples = any(da.any() for da in self.da)
 
 
 def _coupling_rhs(spec: np.ndarray, cf: CouplingFactors, grid: GridSpec) -> np.ndarray:
@@ -460,23 +468,20 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
     Each pass transports the collapsed unknown w = sum_s (-1)^s lam^-s
     d_x^{2s} u downward and recovers u's real spectrum along x through
     the symbol sum_s lam^-s (pi k)^{2s} >= 1.  The only coupling between
-    passes runs through x-derivatives of a, taken from that spectrum, so
-    x-independent multipliers converge immediately.  A pass's increment
-    is the quadrature norm of the change in that spectrum, by Parseval,
-    and u is taken back to physical space once, when the passes stop:
-    once an increment falls to AUX_TOL times the first.  The transport
-    plan and the coupling factors are mt.transport_plan and mt.coupling,
+    passes runs through x-derivatives of a, taken from that spectrum.  A
+    pass's increment is the quadrature norm of the change in that
+    spectrum, by Parseval, and u is taken back to physical space once,
+    when the passes stop: once an increment falls to AUX_TOL times the
+    first, or after the first pass when the triple has nothing to couple
+    (mt.coupling.couples is False: m = 0, or a constant in x), since a
+    second pass would transport the same right-hand side.  So m = 0 and
+    x-independent multipliers converge in one pass.  The transport plan
+    and the coupling factors are mt.transport_plan and mt.coupling,
     built once per triple.
     """
     g = v.grid
     plan = mt.transport_plan
     stats = {"transport_s": 0.0, "spectral_s": 0.0}
-
-    if mt.m == 0:
-        t0 = perf_counter()
-        w = plan.solve(v)
-        stats["transport_s"] = perf_counter() - t0
-        return AuxReport(Field(g, w.values.copy()), w, 1, [], [], True, stats)
 
     cf = mt.coupling
     part_weights = rfft_part_weights(g)
@@ -507,7 +512,7 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
                 raise AuxNonContractionError(ratio)
         if ref is None:
             ref = max(delta, np.finfo(float).tiny)
-        if delta <= AUX_TOL * ref:
+        if delta <= AUX_TOL * ref or not cf.couples:
             converged = True
             break
     t0 = perf_counter()

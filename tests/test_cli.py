@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mixedbvp.cli import ConfigError, RunConfig, load_config, run
+from mixedbvp.cli import ConfigError, RunConfig, _parse_grids, load_config, run
 
 
 def write_config(tmp_path, text):
@@ -32,54 +32,71 @@ def test_config_lambda_key(tmp_path):
     assert cfg.lam == 25.0 and cfg.m == 0
 
 
-def test_config_range_error(tmp_path):
-    with pytest.raises(ConfigError, match="eps"):
-        load_config(write_config(tmp_path, "[problem]\neps = -1\n"))
+# The bad-input contract: a bad setting, as a flag or in a config file,
+# exits 2 with one stderr line that names it, prints nothing to stdout and
+# writes no artifact (run.manifest and metrics.json at most).  The table
+# below has one row per case, each under its own test name.
+
+def _rejected(args, err, config=None, reader=None):
+    """The test of one row: run(args) keeps the contract, and its stderr
+    line starts with err (an err that ends in a newline is the whole line).  config
+    is the text of a config file passed with --config, and "{cfg}" in err
+    stands for its path.  reader reads the bad input alone (load_config for
+    a config row) and must raise the ConfigError that the line shows."""
+
+    def test(tmp_path, capsys):
+        cfg = write_config(tmp_path, config) if config is not None else None
+        line = err.format(cfg=cfg)
+        out = tmp_path / "out"
+        assert run([*args, *(["--config", cfg] if cfg else []), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(line) and captured.err.count("\n") == 1
+        assert {p.name for p in out.glob("*")} <= {"run.manifest", "metrics.json"}
+        read = (lambda: load_config(cfg)) if cfg else reader
+        if read is not None:
+            with pytest.raises(ConfigError) as exc:
+                read()
+            assert f"error: {exc.value}\n".startswith(line)
+
+    return test
 
 
-def test_config_malformed_line_names_lineno(tmp_path):
-    with pytest.raises(ConfigError, match=":2:"):
-        load_config(write_config(tmp_path, "[problem]\nthis is not a pair\n"))
+_SMALL = ["--nx", "16", "--ny", "16"]
 
+# config-file errors
+test_config_range_error = _rejected(
+    ["check"], "error: {cfg}: eps = -1.0: eps must lie in (0, 1)\n", "[problem]\neps = -1\n")
+test_config_malformed_line_names_lineno = _rejected(
+    ["check"], "error: {cfg}:2: expected 'key = value'\n", "[problem]\nthis is not a pair\n")
+test_config_unknown_key_rejected = _rejected(
+    ["check"], "error: {cfg}:2: unknown key 'epz' in section [problem]\n", "[problem]\nepz = 1e-3\n")
+test_config_unknown_section_rejected = _rejected(
+    ["check"], "error: {cfg}:1: unknown section [problems]\n", "[problems]\neps = 1e-3\n")
+test_config_key_before_any_section_is_named = _rejected(
+    ["check"], "error: {cfg}:1: key 'eps' before any [section]\n", "eps = 1e-3\n")
+test_config_bad_value_is_named = _rejected(
+    ["check"], "error: {cfg}:2: bad value for nx: ", "[grid]\nnx = sixteen\n")
+test_config_negative_seed_is_named = _rejected(
+    ["aux", *_SMALL], "error: {cfg}: seed = -3: seed must be a non-negative integer\n",
+    "[run]\nseed = -3\n")
 
-def test_config_unknown_key_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(write_config(tmp_path, "[problem]\nepz = 1e-3\n"))
-    with pytest.raises(ConfigError, match="unknown section"):
-        load_config(write_config(tmp_path, "[problems]\neps = 1e-3\n"))
-
-
-def test_config_key_before_any_section_is_named(tmp_path):
-    with pytest.raises(ConfigError, match=":1: key 'eps' before any \\[section\\]"):
-        load_config(write_config(tmp_path, "eps = 1e-3\n"))
-
-
-def test_config_bad_value_is_named(tmp_path):
-    with pytest.raises(ConfigError, match=":2: bad value for nx: "):
-        load_config(write_config(tmp_path, "[grid]\nnx = sixteen\n"))
-
-
-def test_bad_grid_list_is_named(tmp_path, capsys):
-    from mixedbvp.cli import _parse_grids
-
-    with pytest.raises(ConfigError, match="bad grid list '16,x'"):
-        _parse_grids("16,x")
-    assert run(["mms", "--grids", "16,x", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: bad grid list '16,x'\n"
-
-
-def test_unknown_rhs_is_named(tmp_path, capsys):
-    args = ["solve", "--rhs", "cosine", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]
-    assert run(args) == 2
-    assert capsys.readouterr().err.startswith("error: unknown rhs 'cosine'")
-    assert not (tmp_path / "solution.csv").exists()
-
-
-def test_energy_m2_is_a_configuration_error(tmp_path, capsys):
-    args = ["energy", "--m", "2", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]
-    assert run(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: energy certificate supports m = 0 or 1") and err.count("\n") == 1
+# flag errors
+test_bad_grid_list_is_named = _rejected(
+    ["mms", "--grids", "16,x"], "error: bad grid list '16,x'\n",
+    reader=lambda: _parse_grids("16,x"))
+test_unknown_rhs_is_named = _rejected(
+    ["solve", "--rhs", "cosine", *_SMALL], "error: unknown rhs 'cosine'")
+test_energy_m2_is_a_configuration_error = _rejected(
+    ["energy", "--m", "2", *_SMALL], "error: energy certificate supports m = 0 or 1")
+# numpy's own message, "expected non-negative integer", named no setting
+test_negative_seed_is_a_configuration_error = _rejected(
+    ["aux", "--seed", "-1", *_SMALL], "error: seed = -1: seed must be a non-negative integer\n")
+test_unknown_preset_is_a_usage_error = _rejected(
+    ["check", "--preset", "bogus"], "error: unknown preset")
+test_grid_too_small_for_seam_carrier_is_a_usage_error = _rejected(
+    ["ma", "--nx", "8", "--ny", "8"],
+    "error: the seam-jump carrier needs 7 clean columns per side; use nx >= 14\n")
 
 
 def test_config_comments_and_blanks(tmp_path):
@@ -358,26 +375,12 @@ def test_cli_config_with_flag_override(tmp_path):
     assert "eps=0.001" in manifest
 
 
-def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
-    code = run(["check", "--preset", "bogus", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown preset") and err.count("\n") == 1
-
-
 def test_failed_alpha_gate_exits_1_with_condition_report(tmp_path, capsys):
     code = run(["energy", "--preset", "tricomi", "--alpha", "1e-4",
                 "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
     assert code == 1
     out = capsys.readouterr().out
     assert "alpha_condition: FAIL" in out and "min margin" in out
-
-
-def test_grid_too_small_for_seam_carrier_is_a_usage_error(tmp_path, capsys):
-    code = run(["ma", "--nx", "8", "--ny", "8", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "nx >= 14" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["ma", "darboux"])
@@ -481,15 +484,6 @@ def test_non_finite_tol_is_a_configuration_error(tmp_path, capsys, command, via)
     assert captured.err.count("\n") == 1
     assert captured.err.endswith("tol = inf: tol must be positive and finite\n")
     assert not (out / "iteration.csv").exists()
-
-
-def test_negative_seed_is_a_configuration_error(tmp_path, capsys):
-    # numpy's own message, "expected non-negative integer", named no setting
-    assert run(["aux", "--seed", "-1", "--nx", "16", "--ny", "16", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: seed = -1: seed must be a non-negative integer\n"
-    path = write_config(tmp_path, "[run]\nseed = -3\n")
-    with pytest.raises(ConfigError, match="seed = -3"):
-        load_config(path)
 
 
 @pytest.mark.parametrize("key", ["psi", "theta"])

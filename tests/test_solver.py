@@ -964,7 +964,7 @@ def test_energy_certificate_stats(m):
     assert 0.0 < st["wall_s"] <= wall
     assert 0.0 < stages <= st["workers"] * wall
     assert 0.0 < st["transport_s"] + st["spectral_s"] <= st["aux_s"]
-    assert (st["spectral_s"] > 0.0) == (m > 0)
+    assert st["spectral_s"] > 0.0
     assert FormReport().stats == {}
 
 

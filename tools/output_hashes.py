@@ -24,9 +24,11 @@ every preset at 64^2 (min, max, claimed bound and verdict of each, in
 report order); forward and adjoint
 random_smooth_samples at 64^2, and apply_Lstar of the first adjoint
 sample on every preset; the coupling factors' d_x^l a (CouplingFactors
-with m = 2, da) of lower_order; the auxiliary solve's u and
-iterations; energy ratios, dual constants, auxiliary iterations and the
-report's entries; the five seam-split derivatives of the ma
+with m = 2, da) of lower_order; the auxiliary solve's u, with its
+pass count and increments printed as they are on lines of their own
+(as a list of floats), so a change that stops the passes earlier shows
+u unchanged while the counts drop; energy ratios, dual constants,
+auxiliary iterations and the report's entries; the five seam-split derivatives of the ma
 and darboux CLI starts at 64^2 (_SplitDerivatives.at(0)); the public
 graph path at the same starts (curvature_residual at the ma start,
 darboux_residual at the darboux start, covariant_hessian at both, all
@@ -219,7 +221,9 @@ def main(tree: Path) -> None:
             for lam in (1.0, 10.0):
                 mt = multiplier.build_abc(cs, lam, m)
                 rep = operators.aux_solve_report(v, mt)
-                emit(f"aux/{name}/m{m}/lam{lam}", rep.u.values, rep.iterations, rep.increments)
+                emit(f"aux/{name}/m{m}/lam{lam}/u", rep.u.values)
+                print(f"aux/{name}/m{m}/lam{lam}/iterations {rep.iterations}")
+                print(f"aux/{name}/m{m}/lam{lam}/increments {rep.increments}")
         samples = solver.random_smooth_samples(g, ALPHA, 10, 7, adjoint=True)
         for m in (0, 1):
             mt = multiplier.build_abc(cs, 10.0, m)
