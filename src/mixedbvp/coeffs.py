@@ -18,7 +18,7 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import Field, GridSpec, differentiate, load_field
+from .grid import Field, GridSpec, _x_constant, differentiate, load_field
 
 
 class AlphaRangeError(ValueError):
@@ -52,10 +52,10 @@ class CoefficientSet:
     def x_constant(self) -> tuple[bool, bool, bool]:
         """Does each of K, A and B take one value along every x-line?
 
-        Tested once per set (each line against the next) and kept: the
-        fields are not changed after the set is built.
+        Tested once per set (grid._x_constant: each line against the
+        next) and kept: the fields are not changed after the set is built.
         """
-        return tuple(bool((c.values[1:] == c.values[:-1]).all()) for c in (self.K, self.A, self.B))
+        return tuple(_x_constant(c.values) for c in (self.K, self.A, self.B))
 
     @cached_property
     def adjoint_pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

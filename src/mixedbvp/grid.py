@@ -114,51 +114,80 @@ def _check_same_grid(*fields: Field) -> GridSpec:
 # differentiation
 # ---------------------------------------------------------------------------
 
-def _dx1_3(v: np.ndarray, hx: float) -> np.ndarray:
-    # 3-point centered, periodic: the x-stencil of the assembled operator.
-    # Slices instead of np.roll, with the same operations in the same order
-    out = np.empty_like(v)
-    np.subtract(v[2:], v[:-2], out=out[1:-1])
-    out[0] = v[1] - v[-1]
-    out[-1] = v[0] - v[-2]
-    out /= 2.0 * hx
+# The periodic x-stencils, keyed by (derivative order, points): integer
+# weights w over offset pairs j, a centre weight and a denominator.  The
+# derivative at node i is
+#     (sum over the pairs of w*(v[i+j] -+ v[i-j]) + centre*v[i]) / denominator,
+# - for a first and + for a second derivative.  Each denominator is formed
+# as the stencil always formed it: (12*hx)*hx can round apart from
+# 12*hx**2.  _apply_x sums the pairs before it adds the centre term, so a
+# field constant in x gets exactly zero: a difference pair is w*0, and the
+# sum pairs' w*2c add up to 2c or 30c, which rounds as the centre term
+# -2c or -30c does, with its sign flipped.
+_X_STENCILS = {
+    (1, 3): (((1, 1),), 0, lambda hx: 2.0 * hx),
+    (2, 3): (((1, 1),), -2, lambda hx: hx * hx),
+    (1, 5): (((1, 8), (2, -1)), 0, lambda hx: 12.0 * hx),
+    (2, 5): (((1, 16), (2, -1)), -30, lambda hx: 12.0 * hx * hx),
+}
+
+
+def _x_stencil(order: int, nx: int) -> tuple[int, int]:
+    # differentiate's stencil: the fourth-order one aliases itself on fewer
+    # than 5 columns, so the minimal grid falls back to second order
+    return order, 5 if nx >= 5 else 3
+
+
+def _apply_x(stencil: tuple[int, int], v: np.ndarray, hx: float) -> np.ndarray:
+    """The stencil of _X_STENCILS, keyed (order, points), along axis 0 of v.
+
+    Periodic in that axis.  Each pair is formed by three slice
+    operations into one of two buffers (the rows whose nodes stay
+    inside, then the two ends that wrap round the seam), so no pair
+    makes a temporary.
+    """
+    pairs, centre, denominator = _X_STENCILS[stencil]
+    n, combine = v.shape[0], np.subtract if stencil[0] == 1 else np.add
+    out, part = np.empty_like(v), np.empty_like(v)
+    for k, (j, w) in enumerate(pairs):
+        dst = part if k else out
+        combine(v[2 * j :], v[: n - 2 * j], out=dst[j : n - j])
+        combine(v[j : 2 * j], v[n - j :], out=dst[:j])
+        combine(v[:j], v[n - 2 * j : n - j], out=dst[n - j :])
+        if w != 1:
+            dst *= w
+        if k:
+            out += part
+    if centre:
+        out += np.multiply(v, centre, out=part)
+    out /= denominator(hx)
     return out
 
 
-def _dx2_3(v: np.ndarray, hx: float) -> np.ndarray:
-    out = np.empty_like(v)
-    np.multiply(v[1:-1], -2.0, out=out[1:-1])
-    out[1:-1] += v[2:]
-    out[1:-1] += v[:-2]
-    out[0] = v[1] - 2.0 * v[0] + v[-1]
-    out[-1] = v[0] - 2.0 * v[-1] + v[-2]
-    out /= hx * hx
-    return out
+def x_terms(stencil: tuple[int, int], hx: float) -> list[tuple[int, float]]:
+    """The (x-offset, weight) terms of a stencil of _X_STENCILS, each weight
+    over the denominator, as x_symbol takes them."""
+    pairs, centre, denominator = _X_STENCILS[stencil]
+    terms = [(0, centre), *pairs] + [(-j, (-1) ** stencil[0] * w) for j, w in pairs]
+    return [(off, w / denominator(hx)) for off, w in terms]
 
 
-def _periodic_pad2(v: np.ndarray) -> np.ndarray:
-    # two ghost rows per side, so row i of v sits at row i + 2
-    return np.concatenate((v[-2:], v, v[:2]))
+def x_symbol(terms, nx: int) -> np.ndarray:
+    """The symbol on the rfft modes of the periodic x-stencil sum w*v[i+off].
+
+    terms are its (x-offset, weight) pairs: x_terms of a table stencil,
+    or the oblique row's operators._bottom_dx.  The symbol is the rfft
+    of the stencil's action on the unit column e_0, whose entry -off is
+    w: for a table stencil, what _apply_x gives on e_0, bit for bit.
+    """
+    offsets, weights = zip(*terms)
+    return np.fft.rfft(np.bincount(-np.array(offsets) % nx, weights, minlength=nx))
 
 
-def _dx1(v: np.ndarray, hx: float) -> np.ndarray:
-    # fourth-order centered, periodic; the wide stencil aliases itself on
-    # fewer than 5 columns, so the minimal grid falls back to second order.
-    # Slices of the padded copy instead of np.roll, with the same terms in
-    # the same order
-    if v.shape[0] < 5:
-        return _dx1_3(v, hx)
-    p = _periodic_pad2(v)
-    return (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * hx)
-
-
-def _dx2(v: np.ndarray, hx: float) -> np.ndarray:
-    if v.shape[0] < 5:
-        return _dx2_3(v, hx)
-    p = _periodic_pad2(v)
-    return (
-        -p[:-4] + 16.0 * p[1:-3] - 30.0 * p[2:-2] + 16.0 * p[3:-1] - p[4:]
-    ) / (12.0 * hx * hx)
+def _x_constant(values: np.ndarray) -> bool:
+    """Does values take one value along every x-line?  Each line is
+    tested against the next, exactly."""
+    return bool((values[1:] == values[:-1]).all())
 
 
 def _dy1(v: np.ndarray, hy: float) -> np.ndarray:
@@ -183,20 +212,16 @@ def _dy2(v: np.ndarray, hy: float) -> np.ndarray:
 def differentiate(u: Field, axis: str, order: int) -> Field:
     """Finite-difference partial derivative.
 
-    axis is "x" (periodic stencils) or "y" (centered inside, one-sided
-    second order at y = +-1).  order is 1 or 2.
+    axis is "x" or "y"; order is 1 or 2.  In x: the periodic 5-point
+    stencil of _X_STENCILS (the 3-point one below 5 columns), applied by
+    _apply_x, so a field constant in x has exactly zero x-derivatives.
+    In y: centered inside, one-sided second order at y = +-1.
     """
-    if axis == "x":
-        op = _dx1 if order == 1 else _dx2 if order == 2 else None
-        h = u.grid.hx
-    elif axis == "y":
-        op = _dy1 if order == 1 else _dy2 if order == 2 else None
-        h = u.grid.hy
-    else:
-        raise GridError(f"axis must be 'x' or 'y', got {axis!r}")
-    if op is None:
-        raise GridError(f"order must be 1 or 2, got {order!r}")
-    return Field(u.grid, op(u.values, h))
+    if axis == "x" and order in (1, 2):
+        return Field(u.grid, _apply_x(_x_stencil(order, u.grid.nx), u.values, u.grid.hx))
+    if axis == "y" and order in (1, 2):
+        return Field(u.grid, (_dy1, _dy2)[order - 1](u.values, u.grid.hy))
+    raise GridError(f"axis must be 'x' or 'y' and order 1 or 2, got {axis!r} and {order!r}")
 
 
 def derivative_st(u: Field, s: int, t: int) -> Field:

@@ -152,16 +152,15 @@ def solve_phi(cs: CoefficientSet) -> Field:
 
         phi = e^{-P} (1 + int_{-1}^y q e^P),  P = int_{-1}^y eps*B,
 
-    q = eps*(A - K_x)/alpha, with K_x = 0 where K is constant in x and
-    both integrals taken by _running_integral (exact for cubics).  At
+    q = eps*(A - K_x)/alpha, both integrals taken by _running_integral
+    (exact for cubics).  K_x is differentiate's, exactly 0 where K is
+    constant in x (grid._X_STENCILS sums its pairs first).  At
     alpha = 0 the ODE degenerates: phi = 1 solves it when A = K_x, and
     any other set raises AlphaDegenerateError.  A finite alpha whose phi
     overflows raises AlphaRangeError.
     """
     g = cs.grid
-    # an x-constant K has K_x = 0; the x stencil would leave round-off
-    Kx = 0.0 if cs.x_constant[0] else differentiate(cs.K, "x", 1).values
-    forcing = cs.A.values - Kx
+    forcing = cs.A.values - differentiate(cs.K, "x", 1).values
     if cs.alpha == 0.0:
         if np.any(forcing != 0.0):
             raise AlphaDegenerateError("at alpha = 0 the phi ODE needs A = K_x (then phi = 1)")

@@ -43,9 +43,10 @@ from scipy.linalg import lapack
 
 from . import solver
 from .coeffs import AlphaRangeError, condition7prime_margin
-from .grid import Field, GridError, GridSpec, _dx2, _l2_norm, _quadrature_row
+from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, _x_stencil
+from .grid import x_symbol, x_terms
 from .norms import _x_matrix
-from .operators import _BOTTOM_DY, _oblique_row
+from .operators import _BOTTOM_DY, _bottom_dx
 from .solver import ResidualGateError, _gate, _singular_mode
 
 
@@ -326,7 +327,8 @@ def _seam_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
 def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
     """The stencils of _SplitDerivatives as sparse matrices.
 
-    x: the periodic _dx1 over _dx2, (2 nx, nx), applied from the left to
+    x: norms._x_matrix of orders 1 over 2 (the periodic 5-point
+    stencils of grid._X_STENCILS), (2 nx, nx), applied from the left to
     an (nx, ny+1) array.  y: the first- over the second-order graph
     stencil, (2 (ny+1), ny+1), applied from the left to the transposed
     array, and its first-order block alone.  The y-weights are the
@@ -427,9 +429,10 @@ class _StepBands(NamedTuple):
 def _step_bands(grid: GridSpec) -> _StepBands:
     """The x-symbols, the folded y-band and the gate's stencils of the grid's steps.
 
-    symbols, (2, nx//2 + 1): the symbols on the rfft modes of the
-    periodic _dx2 and of the oblique row's u_x, each the rfft of its
-    stencil's column (operators._oblique_row with alpha 1 and no u_y).
+    symbols, (2, nx//2 + 1): the symbols on the rfft modes (grid.x_symbol)
+    of the periodic second derivative (grid._X_STENCILS' 5-point one,
+    as the residual's) and of the oblique row's u_x (operators._bottom_dx
+    at alpha 1).
 
     The y-part of each mode's system has the second-order graph stencil
     (the y-template, read off _derivative_matrices) on rows 1..ny-1,
@@ -449,12 +452,12 @@ def _step_bands(grid: GridSpec) -> _StepBands:
     (ny-1, ny-2); spread holds their columns j, their band rows
     4 + i - j and their weights.
 
-    dx2, dy2: the _dx2 and second-order y blocks of _derivative_matrices,
+    dx2, dy2: the second-order x and y blocks of _derivative_matrices,
     with which _step_rows applies N for the gate.
     """
     ny, nyp = grid.ny, grid.ny + 1
-    eye = np.eye(grid.nx)
-    symbols = np.fft.rfft([_dx2(eye, grid.hx)[:, 0], _oblique_row(eye, 1.0, 0.0, grid)], axis=1)
+    terms = (x_terms(_x_stencil(2, grid.nx), grid.hx), _bottom_dx(1.0, grid.hx))
+    symbols = np.array([x_symbol(t, grid.nx) for t in terms])
     dx, dy, _ = _derivative_matrices(grid)
     rows = dy[nyp:].toarray()
     rows[[0, -1]] = 0.0
@@ -479,9 +482,10 @@ def _step_bands(grid: GridSpec) -> _StepBands:
 def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
     """N d on rows 1..ny (see _factor_step), as the step's gate reads it.
 
-    d_xx and d_yy are the products with the _dx2 and second-order graph
-    stencil matrices (_step_bands).  Row 0 holds those products too:
-    the gate (solver._gate) forms the oblique row itself.
+    d_xx and d_yy are the products with the periodic 5-point x- and the
+    second-order graph stencil matrices (_step_bands).  Row 0 holds
+    those products too: the gate (solver._gate) forms the oblique row
+    itself.
     """
     bands = _step_bands(g)
     rows = bands.dx2 @ d
@@ -495,9 +499,10 @@ def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
     """The LU of N(p), the Picard step's operator, as _solve_step takes it.
 
     N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
-    stencils (the periodic _dx2 in x, the second-order graph stencil in
-    y), the oblique row alpha*d_x + d_y of operators._oblique_row on
-    row 0 and d itself on row ny.  N commutes with the x-shift, so the
+    stencils (the periodic 5-point d_xx in x, the second-order graph
+    stencil in y), the oblique row alpha*d_x + d_y of
+    operators._oblique_row on row 0 and d itself on row ny.  N commutes
+    with the x-shift, so the
     rfft splits it into one y-system per mode, folded to kl = ku = 2
     (_step_bands): the cached template, plus the mode's symbol times the
     fold of diag(p), plus alpha times the oblique symbol at (0, 0).  The

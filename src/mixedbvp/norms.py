@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, GridSpec, _dx1, _dx2, _dy1, _dy2, _quadrature_row, _root_of_squares
-from .grid import differentiate, inner_product
+from .grid import Field, GridSpec, _apply_x, _dy1, _dy2, _quadrature_row, _root_of_squares
+from .grid import _x_stencil, differentiate, inner_product, x_symbol, x_terms
 
 MAX_ORDER = 2
 
@@ -60,9 +60,13 @@ class NormOrder:
 # ---------------------------------------------------------------------------
 
 def _x_matrix(grid: GridSpec, order: int) -> np.ndarray:
-    """Dense periodic x-derivative matrix of differentiate(., "x", order)."""
+    """Dense periodic x-derivative matrix of differentiate(., "x", order).
+
+    Its stencil applied to the identity: every entry is one table weight
+    over the denominator.
+    """
     eye = np.eye(grid.nx)
-    return eye if order == 0 else (_dx1, _dx2)[order - 1](eye, grid.hx)
+    return eye if order == 0 else _apply_x(_x_stencil(order, grid.nx), eye, grid.hx)
 
 
 def _y_matrix(grid: GridSpec, order: int) -> np.ndarray:
@@ -96,7 +100,7 @@ def _gram_factors(grid: GridSpec, m: int, l: int) -> _GramFactors:
     for s in range(1, m + 1):
         # |symbol of Dx_s|^2 per stencil: the symbol of the assembled Cx
         # column loses the low modes to cancellation at s = 2
-        symbol += np.abs(np.fft.rfft(_x_matrix(grid, s)[:, 0])) ** 2
+        symbol += np.abs(x_symbol(x_terms(_x_stencil(s, grid.nx), grid.hx), grid.nx)) ** 2
     cx = sum(_x_matrix(grid, s).T @ _x_matrix(grid, s) for s in range(m + 1))
     wy = grid.y_weights()
     cy = sum(_y_matrix(grid, t).T @ (wy[:, None] * _y_matrix(grid, t)) for t in range(l + 1))

@@ -34,10 +34,10 @@ from .coeffs import AlphaRangeError, CoefficientSet
 from .grid import (
     Field,
     GridSpec,
-    _dx1_3,
-    _dx2_3,
+    _apply_x,
     _dy1,
     _dy2,
+    _x_constant,
     boundary_integral,
     inner_product,
     l2_norm,
@@ -166,12 +166,12 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
 def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> Field:
     """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
 
-    The x-stencils are the 3-point ones of the assembled matrix, the
-    y-stencils the grid module's (one-sided at the walls).  zero_order
-    None leaves that term out: L has none.
+    The x-stencils are the 3-point ones of grid._X_STENCILS, those of
+    the assembled matrix, the y-stencils the grid module's (one-sided at
+    the walls).  zero_order None leaves that term out: L has none.
     """
-    out = eps * K * _dx2_3(v, grid.hx) + _dy2(v, grid.hy)
-    out += eps * first_x * _dx1_3(v, grid.hx)
+    out = eps * K * _apply_x((2, 3), v, grid.hx) + _dy2(v, grid.hy)
+    out += eps * first_x * _apply_x((1, 3), v, grid.hx)
     out += eps * first_y * _dy1(v, grid.hy)
     if zero_order is not None:
         out += zero_order * v
@@ -397,12 +397,13 @@ class CouplingFactors:
     as a column; da[l - 1] is the spectral d_x^l a, l = 1..m, from one
     rfft of a, and symbols[l - 1] the column sum_{s>=l} C(s,l) (-1)^s
     lam^-s (i pi k)^{2s-l+1} that multiplies u's spectrum in the terms
-    sharing d_x^l a (see _coupling_rhs).  couples is False when every
-    d_x^l a is exactly zero: for m = 0, which has no terms, and for an a
-    constant in x, whose rfft has mode 0 alone, where (i pi k)^l is 0.
-    The coupling is then exactly zero, and one auxiliary pass is the
-    fixed point.  lam^-s is a float64 power, so a tiny lam whose symbols
-    overflow raises AlphaRangeError naming lambda.
+    sharing d_x^l a (see _coupling_rhs).  couples is False for m = 0,
+    which has no terms, and for an a constant in x (grid._x_constant,
+    the exact per-line test of CoefficientSet.x_constant), whose every
+    d_x^l a is 0: da is then empty and no FFT is taken.  The coupling
+    is then exactly zero, and one auxiliary pass is the fixed point.
+    lam^-s is a float64 power, so a tiny lam whose symbols overflow
+    raises AlphaRangeError naming lambda.
     """
 
     def __init__(self, a: Field, lam: float, m: int):
@@ -418,9 +419,9 @@ class CouplingFactors:
             ]
         if not all(np.isfinite(v).all() for v in (self.denom, *self.symbols)):
             raise AlphaRangeError(lam, "the recovery and coupling symbols", "lambda")
-        a_spec = np.fft.rfft(a.values, axis=0)
-        self.da = [_to_physical(a_spec * ik**l, g) for l in range(1, m + 1)]
-        self.couples = any(da.any() for da in self.da)
+        self.couples = m > 0 and not _x_constant(a.values)
+        a_spec = np.fft.rfft(a.values, axis=0) if self.couples else None
+        self.da = [_to_physical(a_spec * ik**l, g) for l in range(1, m + 1) if self.couples]
 
 
 def _coupling_rhs(spec: np.ndarray, cf: CouplingFactors, grid: GridSpec) -> np.ndarray:

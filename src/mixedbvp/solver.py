@@ -42,6 +42,7 @@ from .grid import (
     differentiate,
     inner_product,
     l2_norm,
+    x_symbol,
 )
 from .multiplier import FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
@@ -146,8 +147,8 @@ def _mode_systems(cs: CoefficientSet):
     row exactly), and the averaged L maps the mode exp(i*theta*i) times
     a y-profile to the same mode: the x-neighbours of the assembled
     stencils become the symbol east*exp(i*theta) + west*exp(-i*theta),
-    and the bottom row's u_x the sum of w*exp(i*theta*off) over its
-    (offset, weight) pairs (operators._bottom_dx).
+    and the bottom row's u_x the grid.x_symbol of its (offset, weight)
+    pairs (operators._bottom_dx): the rfft of its action on e_0.
     What is left in y is tridiagonal, plus the identity top row and the
     oblique bottom row (row 0), which reaches columns 0..3.  Subtracting
     m3*(row 2) and then m2*(row 1) from row 0 clears its columns 3 and 2
@@ -183,7 +184,7 @@ def _mode_systems(cs: CoefficientSet):
     # one row per mode; the off-diagonals get one padding entry per block,
     # which is the zero between blocks (the last block's is cut off)
     d = np.empty((theta.size, g.ny + 1), dtype=complex)
-    d[:, 0] = sum((w * np.exp(1j * off * theta) for off, w in dx), start=b_dy[0])
+    d[:, 0] = b_dy[0] + x_symbol(dx, g.nx)
     d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
     d[:, -1] = 1.0
     dl = np.zeros_like(d)

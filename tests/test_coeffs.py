@@ -10,7 +10,7 @@ from mixedbvp.coeffs import (
     check_condition7prime,
     preset_coefficients,
 )
-from mixedbvp.grid import Field, make_grid, save_field
+from mixedbvp.grid import Field, differentiate, make_grid, save_field
 
 
 def tricomi(grid, eps, alpha):
@@ -169,3 +169,17 @@ def test_csv_preset_roundtrip(tmp_path):
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         preset_coefficients("nope", make_grid(8, 8), 1e-3, 0.0)
+
+
+@pytest.mark.parametrize("n", [(47, 48), (100, 64), (192, 192)])
+@pytest.mark.parametrize("preset", ["tricomi", "chaplygin", "infinite_order"])
+def test_adjoint_pieces_of_an_x_constant_K_have_no_x_part(preset, n):
+    # K_x, K_xx and A_x are exactly zero, so the pieces are -A, -B and -eps*B_y
+    g = make_grid(*n)
+    cs = preset_coefficients(preset, g, 1e-4, 0.02)
+    assert all(cs.x_constant)
+    first_x, first_y, zero_order = cs.adjoint_pieces
+    By = differentiate(cs.B, "y", 1).values
+    assert np.array_equal(first_x, 2.0 * 0.0 - cs.A.values)
+    assert np.array_equal(first_y, -cs.B.values)
+    assert np.array_equal(zero_order, cs.eps * (0.0 - 0.0 - By))

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from mixedbvp.grid import (
     Field,
     GridError,
-    _dx1,
-    _dx1_3,
-    _dx2,
-    _dx2_3,
+    _X_STENCILS,
+    _apply_x,
     _l2_norm,
     boundary_integral,
     diff_quotient,
@@ -22,6 +20,8 @@ from mixedbvp.grid import (
     make_grid,
     save_field,
     strip_inner_product,
+    x_symbol,
+    x_terms,
 )
 
 PI = np.pi
@@ -29,20 +29,21 @@ PI = np.pi
 
 @pytest.mark.parametrize("nx", [4, 5, 128])
 def test_three_point_x_stencils_bit_identical_to_roll(nx):
-    # the np.roll forms the slice-based stencils replaced
+    # the np.roll forms of the table's 3-point stencils, pairs before centre
     rng = np.random.default_rng(nx)
     v = rng.standard_normal((nx, 7))
     hx = 2.0 / nx
     d1 = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * hx)
-    d2 = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / (hx * hx)
-    assert np.array_equal(_dx1_3(v, hx), d1)
-    assert np.array_equal(_dx2_3(v, hx), d2)
-    assert np.array_equal(_dx1_3(v[:, 0], hx), d1[:, 0])
+    d2 = (np.roll(v, -1, axis=0) + np.roll(v, 1, axis=0) + -2.0 * v) / (hx * hx)
+    assert np.array_equal(_apply_x((1, 3), v, hx), d1)
+    assert np.array_equal(_apply_x((2, 3), v, hx), d2)
+    assert np.array_equal(_apply_x((1, 3), v[:, 0], hx), d1[:, 0])
 
 
 @pytest.mark.parametrize("nx", [5, 6, 64, 128])
 def test_five_point_x_stencils_bit_identical_to_roll(nx):
-    # the np.roll forms the padded-slice stencils replaced, term for term
+    # the np.roll forms of the table's 5-point stencils, term for term:
+    # each pair weighted, the pairs summed, then the centre term
     rng = np.random.default_rng(nx)
     v = rng.standard_normal((nx, 9))
     hx = 2.0 / nx
@@ -50,13 +51,48 @@ def test_five_point_x_stencils_bit_identical_to_roll(nx):
     def r(k):
         return np.roll(v, k, axis=0)
 
-    d1 = (r(2) - 8.0 * r(1) + 8.0 * r(-1) - r(-2)) / (12.0 * hx)
-    d2 = (-r(2) + 16.0 * r(1) - 30.0 * v + 16.0 * r(-1) - r(-2)) / (12.0 * hx * hx)
-    assert np.array_equal(_dx1(v, hx), d1)
-    assert np.array_equal(_dx2(v, hx), d2)
+    d1 = (8.0 * (r(-1) - r(1)) + -1.0 * (r(-2) - r(2))) / (12.0 * hx)
+    d2 = (16.0 * (r(-1) + r(1)) + -1.0 * (r(-2) + r(2)) + -30.0 * v) / (12.0 * hx * hx)
+    assert np.array_equal(_apply_x((1, 5), v, hx), d1)
+    assert np.array_equal(_apply_x((2, 5), v, hx), d2)
     g = make_grid(nx, 8)
     assert np.array_equal(differentiate(Field(g, v), "x", 1).values, d1)
     assert np.array_equal(differentiate(Field(g, v), "x", 2).values, d2)
+
+
+@pytest.mark.parametrize("nx", [4, 5, 47, 96, 100, 128, 192])
+def test_column_constant_field_has_exactly_zero_x_derivatives(nx):
+    # pairs first, then the centre: no round-off is left, on any grid
+    rng = np.random.default_rng(nx)
+    hx = 2.0 / nx
+    col = rng.standard_normal(13) * 10.0 ** rng.integers(-3, 4, 13)
+    v = np.tile(col, (nx, 1))
+    for stencil in _X_STENCILS:
+        assert np.all(_apply_x(stencil, v, hx) == 0.0), stencil
+    g = make_grid(nx, 12)
+    for order in (1, 2):
+        assert np.all(differentiate(Field(g, v), "x", order).values == 0.0)
+
+
+@pytest.mark.parametrize("nx", [47, 128])
+def test_each_x_symbol_matches_its_stencil(nx):
+    from mixedbvp.operators import _bottom_dx, _oblique_row
+
+    g = make_grid(nx, 8)
+    hx = g.hx
+    e0 = np.zeros(g.shape)
+    e0[0, 0] = 1.0
+    cases = {key: (x_terms(key, hx), _apply_x(key, e0[:, 0], hx)) for key in _X_STENCILS}
+    # the oblique row's u_x at alpha 1, applied as the row applies it (no u_y)
+    cases["_BOTTOM_DX"] = (_bottom_dx(1.0, hx), _oblique_row(e0, 1.0, 0.0, g))
+    theta = 2.0 * PI * np.arange(nx // 2 + 1) / nx
+    for name, (terms, action) in cases.items():
+        sym = x_symbol(terms, nx)
+        # the rfft of the stencil's action on e_0, bit for bit
+        assert np.array_equal(sym, np.fft.rfft(action)), name
+        # and the exponential sum, to round-off
+        direct = sum(w * np.exp(1j * off * theta) for off, w in terms)
+        assert np.abs(sym - direct).max() <= 1e-15 * np.abs(sym).max(), name
 
 
 def test_make_grid_spacings():

@@ -743,7 +743,7 @@ def _stencil_composition(split, d):
     # carrier's derivatives (analytic in x, the graph's stencils in y).
     # Also returns each entry's round-off scale, the sum of the absolute
     # terms the stencils add up (Higham's |D| |v|)
-    from mixedbvp.grid import _dx1, _dx2
+    from mixedbvp.grid import _apply_x
     from mixedbvp.nonlinear import _derivative_matrices
 
     g = split.grid
@@ -751,14 +751,14 @@ def _stencil_composition(split, d):
     cz = split.base - split._periodic_base
     czx, czxx = split._carrier_x[:nx], split._carrier_x[nx:]
     p = split._periodic_base + d
-    px = _dx1(p, hx)
+    px = _apply_x((1, 5), p, hx)
     (cz1, cz2), (p1, p2), (czx1, _), (px1, _) = (
         _line_stencils_per_row(v, hy, 1) for v in (cz, p, czx, px)
     )
     ref = {
         "zx": czx + px,
         "zy": cz1 + p1,
-        "zxx": czxx + _dx2(p, hx),
+        "zxx": czxx + _apply_x((2, 5), p, hx),
         "zxy": czx1 + px1,
         "zyy": cz2 + p2,
     }

@@ -67,12 +67,12 @@ def longdouble_negative_norm(v: Field, m: int, l: int) -> float:
     by applying the grid stencils to long-double identities, and solved by
     elimination: no FFT, no symbol, no float64 factorization.
     """
-    from mixedbvp.grid import _dx1, _dx2, _dy1, _dy2
+    from mixedbvp.grid import _apply_x, _dy1, _dy2
 
     ld = np.longdouble
     g = v.grid
     ex, ey = np.eye(g.nx, dtype=ld), np.eye(g.ny + 1, dtype=ld)
-    dx = [ex, _dx1(ex, g.hx), _dx2(ex, g.hx)]
+    dx = [ex, _apply_x((1, 5), ex, g.hx), _apply_x((2, 5), ex, g.hx)]
     dy = [ey, _dy1(ey, g.hy).T, _dy2(ey, g.hy).T]
     wy = np.asarray(g.y_weights(), dtype=ld)
     cx = sum(dx[s].T @ dx[s] for s in range(m + 1))

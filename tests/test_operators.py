@@ -155,13 +155,13 @@ def test_matrix_matches_apply_on_interior_rows():
 
 def _four_term_L(cs, u):
     # apply_L's formula with every term, zero coefficients included
-    from mixedbvp.grid import _dx1_3, _dx2_3, _dy1, _dy2
+    from mixedbvp.grid import _apply_x, _dy1, _dy2
 
     g, v = cs.grid, u.values
     return (
-        cs.eps * cs.K.values * _dx2_3(v, g.hx)
+        cs.eps * cs.K.values * _apply_x((2, 3), v, g.hx)
         + _dy2(v, g.hy)
-        + cs.eps * cs.A.values * _dx1_3(v, g.hx)
+        + cs.eps * cs.A.values * _apply_x((1, 3), v, g.hx)
         + cs.eps * cs.B.values * _dy1(v, g.hy)
     )
 
@@ -524,6 +524,59 @@ def test_aux_x_independent_multiplier_takes_one_pass(preset, m, n):
     u2 = _to_physical(np.fft.rfft(w2.values, axis=0) / cf.denom, g)
     assert np.array_equal(rep.u.values, u2)
     assert aux_equation_residual(rep, v, mt) <= 1e-13
+
+
+def _fft_coupled_u(v, mt):
+    # the auxiliary u when d_x^l a is taken by FFT whatever a is: the
+    # passes run until the increment test stops them
+    from mixedbvp.grid import mode_power, rfft_part_weights
+    from mixedbvp.operators import AUX_TOL, _to_physical, _wavenumbers
+
+    g, cf = v.grid, mt.coupling
+    ik = 1j * _wavenumbers(g)[:, None]
+    a_spec = np.fft.rfft(mt.a.values, axis=0)
+    da = [_to_physical(a_spec * ik**l, g) for l in range(1, mt.m + 1)]
+    spec, rhs, steps = 0.0, v.values, []
+    while not steps or steps[-1] > AUX_TOL * steps[0]:
+        new = np.fft.rfft(mt.transport_plan.solve(Field(g, rhs)).values, axis=0) / cf.denom
+        steps.append(np.sqrt(mode_power(new - spec, g.nx, rfft_part_weights(g)).sum() / g.nx))
+        spec = new
+        rhs = v.values - sum(d * _to_physical(s * spec, g) for d, s in zip(da, cf.symbols))
+    return _to_physical(spec, g), len(steps), max(np.abs(d).max() for d in da)
+
+
+@pytest.mark.parametrize("n", [(47, 48), (100, 64)])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("preset", ["tricomi", "chaplygin", "infinite_order"])
+def test_x_constant_a_takes_one_pass_on_odd_grids(preset, m, n):
+    # the FFT leaves round-off in d_x^l a of a constant column at these nx;
+    # the per-line test reads a as constant, and one pass is the fixed point
+    from mixedbvp.solver import random_smooth_samples
+
+    g = make_grid(*n)
+    mt = build_abc(preset_coefficients(preset, g, 1e-4, 0.02), 1.0, m, require_alpha=False)
+    v = random_smooth_samples(g, 0.02, 1, seed=m)[0]
+    rep = aux_solve_report(v, mt)
+    assert not mt.coupling.couples and mt.coupling.da == []
+    assert rep.iterations == 1 and rep.converged
+    u_fft, passes, da_max = _fft_coupled_u(v, mt)
+    assert 0.0 < da_max < 1e-12 and passes == 2
+    assert np.abs(rep.u.values - u_fft).max() <= 1e-14 * np.abs(u_fft).max()
+
+
+@pytest.mark.parametrize("n", [(47, 48), (100, 64)])
+@pytest.mark.parametrize("preset", ["wedge", "lower_order"])
+def test_x_dependent_a_keeps_its_passes_on_odd_grids(preset, n):
+    from mixedbvp.solver import random_smooth_samples
+
+    g = make_grid(*n)
+    mt = build_abc(preset_coefficients(preset, g, 1e-4, 0.02), 1.0, 2, require_alpha=False)
+    v = random_smooth_samples(g, 0.02, 1, seed=2)[0]
+    rep = aux_solve_report(v, mt)
+    assert mt.coupling.couples and rep.converged
+    u_fft, passes, _ = _fft_coupled_u(v, mt)
+    assert rep.iterations == passes > 1
+    assert np.abs(rep.u.values - u_fft).max() <= 1e-14 * np.abs(u_fft).max()
 
 
 def test_aux_per_mode_oracle():

@@ -10,7 +10,14 @@ is a bit-identical output.  Covered: the assembled L (data, indices,
 indptr) and the factored x-mode systems of every preset
 (solver._factor_modes: the LU arrays as zgttrs takes them, the fold
 multipliers m2, and m3 broadcast to one complex entry per mode) at
-16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); the
+16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); each
+periodic x-stencil of grid._X_STENCILS at nx 47 and 128, its action on
+a seeded field and its symbol (on a tree without the table, the slice
+functions it replaced, each symbol the rfft of its column on the
+identity), and, printed as it is, the largest x-derivative part of
+CoefficientSet.adjoint_pieces (|2 K_x| and |eps (K_xx - A_x)|, read
+off the pieces) of tricomi, chaplygin and infinite_order at 47x48 and
+192^2, whose K is constant in x; the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
 symbols (nonlinear._step_bands) at 64^2 and 128^2, and at each the d
@@ -129,6 +136,24 @@ def print_krylov(name: str, rep) -> None:
     emit(f"{name}/gmres_residuals", stats["gmres_residuals"])
 
 
+def x_stencil_outputs(grid, nx: int):
+    # (name, action on a seeded field, symbol) of each periodic x-stencil at
+    # nx; a tree without grid._X_STENCILS applies the functions the table
+    # replaced and takes each symbol as the rfft of its column on the identity
+    hx = 2.0 / nx
+    v = np.random.default_rng(nx).standard_normal((nx, 9))
+    if hasattr(grid, "_X_STENCILS"):
+        for key in grid._X_STENCILS:
+            sym = grid.x_symbol(grid.x_terms(key, hx), nx)
+            yield f"d{key[0]}_{key[1]}pt", grid._apply_x(key, v, hx), sym
+        return
+    replaced = {(1, 3): "_dx1_3", (2, 3): "_dx2_3", (1, 5): "_dx1", (2, 5): "_dx2"}
+    for (order, points), name in replaced.items():
+        fn = getattr(grid, name)
+        sym = np.fft.rfft(fn(np.eye(nx), hx)[:, 0])
+        yield f"d{order}_{points}pt", fn(v, hx), sym
+
+
 def emit_cli(cli) -> None:
     # each CLI run's exit code, the SHA-1 of each artifact's bytes, and the
     # key set of its metrics.json as plain text ("none" where it writes none)
@@ -162,6 +187,19 @@ def main(tree: Path) -> None:
             emit(f"assemble_L/{name}/{size}", mat.data, mat.indices, mat.indptr)
             lu, (m2, m3) = solver._factor_modes(cs)
             emit(f"mode_systems/{name}/{size}", *lu, m2, np.broadcast_to(m3, m2.shape))
+
+    for nx in (47, 128):
+        for key, action, symbol in x_stencil_outputs(grid, nx):
+            emit(f"x_stencil/{key}/{nx}/action", action)
+            emit(f"x_stencil/{key}/{nx}/symbol", symbol)
+    for nx, ny in ((47, 48), (192, 192)):
+        for name in ("tricomi", "chaplygin", "infinite_order"):
+            cs = coeffs.preset_coefficients(name, grid.make_grid(nx, ny), EPS, ALPHA)
+            first_x, _, zero_order = cs.adjoint_pieces
+            by = grid.differentiate(cs.B, "y", 1).values
+            x_part = max(np.abs(first_x + cs.A.values).max(),
+                         np.abs(zero_order + cs.eps * by).max())
+            print(f"adjoint_pieces/{name}/{nx}x{ny}/x_part {float(x_part)!r}")
 
     g = grid.make_grid(64, 64)
     u = np.random.default_rng(5).standard_normal(g.shape)
