@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GridError(ValueError):
@@ -114,22 +115,37 @@ def _check_same_grid(*fields: Field) -> GridSpec:
 # differentiation
 # ---------------------------------------------------------------------------
 
-# The periodic x-stencils, keyed by (derivative order, points): integer
-# weights w over offset pairs j, a centre weight and a denominator.  The
-# derivative at node i is
+# Every line stencil, keyed by (derivative order, points): integer weights
+# w over offset pairs j, a centre weight, the near rows (integer weights
+# over the nodes 0, 1, ... of a line's first nodes) and the scale s of
+# the denominator s*h**order.  The centred derivative at node i is
 #     (sum over the pairs of w*(v[i+j] -+ v[i-j]) + centre*v[i]) / denominator,
-# - for a first and + for a second derivative.  Each denominator is formed
-# as the stencil always formed it: (12*hx)*hx can round apart from
-# 12*hx**2.  _apply_x sums the pairs before it adds the centre term, so a
-# field constant in x gets exactly zero: a difference pair is w*0, and the
-# sum pairs' w*2c add up to 2c or 30c, which rounds as the centre term
-# -2c or -30c does, with its sign flipped.
+# - for a first and + for a second derivative.  A walled line takes the
+# near rows on its first len(near) nodes and, on its last, the near rows
+# mirrored times (-1)**order.  The 5-point rows, near rows included, are
+# exact on quartics.  _apply_x sums the pairs before it adds the centre
+# term, so a field constant in x gets exactly zero: a difference pair is
+# w*0, and the sum pairs' w*2c add up to 2c or 30c, which rounds as the
+# centre term -2c or -30c does, with its sign flipped.
 _X_STENCILS = {
-    (1, 3): (((1, 1),), 0, lambda hx: 2.0 * hx),
-    (2, 3): (((1, 1),), -2, lambda hx: hx * hx),
-    (1, 5): (((1, 8), (2, -1)), 0, lambda hx: 12.0 * hx),
-    (2, 5): (((1, 16), (2, -1)), -30, lambda hx: 12.0 * hx * hx),
+    (1, 3): (((1, 1),), 0, ((-3, 4, -1),), 2.0),
+    (2, 3): (((1, 1),), -2, ((2, -5, 4, -1),), 1.0),
+    (1, 5): (((1, 8), (2, -1)), 0, ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)), 12.0),
+    (2, 5): (((1, 16), (2, -1)), -30, ((35, -104, 114, -56, 11), (11, -20, 6, 4, -1)), 12.0),
 }
+
+
+def _denominator(stencil: tuple[int, int], h: float) -> float:
+    # formed as (s*h)*h, as the stencils always formed it: that can round
+    # apart from s*h**2
+    return _X_STENCILS[stencil][3] * h * h ** (stencil[0] - 1)
+
+
+def _centred(stencil: tuple[int, int]) -> list[tuple[int, int]]:
+    """The (offset, integer weight) terms of a stencil's centred row,
+    from the highest offset down."""
+    pairs, centre, _, _ = _X_STENCILS[stencil]
+    return [*pairs[::-1], (0, centre), *((-j, (-1) ** stencil[0] * w) for j, w in pairs)]
 
 
 def _x_stencil(order: int, nx: int) -> tuple[int, int]:
@@ -146,7 +162,7 @@ def _apply_x(stencil: tuple[int, int], v: np.ndarray, hx: float) -> np.ndarray:
     inside, then the two ends that wrap round the seam), so no pair
     makes a temporary.
     """
-    pairs, centre, denominator = _X_STENCILS[stencil]
+    pairs, centre, _, _ = _X_STENCILS[stencil]
     n, combine = v.shape[0], np.subtract if stencil[0] == 1 else np.add
     out, part = np.empty_like(v), np.empty_like(v)
     for k, (j, w) in enumerate(pairs):
@@ -160,16 +176,81 @@ def _apply_x(stencil: tuple[int, int], v: np.ndarray, hx: float) -> np.ndarray:
             out += part
     if centre:
         out += np.multiply(v, centre, out=part)
-    out /= denominator(hx)
+    out /= _denominator(stencil, hx)
     return out
+
+
+def _sum_terms(terms, out=None) -> np.ndarray:
+    """The sum of a*w over the (array a, weight w) terms, added in their order.
+
+    A term of negative weight is subtracted as a*|w|, which rounds as
+    adding a*w does, and a weight of +-1 multiplies nothing.
+    """
+    (a, w), *rest = terms
+    out = np.multiply(a, w, out=out)
+    for a, w in rest:
+        (np.add if w > 0 else np.subtract)(out, a if abs(w) == 1 else a * abs(w), out=out)
+    return out
+
+
+def _apply_y(stencil: tuple[int, int], v: np.ndarray, hy: float) -> np.ndarray:
+    """The stencil of _X_STENCILS, keyed (order, points), along axis 1 of v.
+
+    Walled in that axis.  The centred row runs along the flattened array,
+    one slice per term, summed from the highest offset down; that is
+    right on every inner node, and the entries it leaves on the outer
+    nodes straddle two lines.  Those are overwritten by the near rows
+    and their mirrors, formed for both walls at once on the gathered
+    outer columns, each summed from the wall inward.
+    """
+    near = _X_STENCILS[stencil][2]
+    n, k, reach, sign = v.shape[1], len(near), len(near[0]), (-1) ** stencil[0]
+    flat, size = v.reshape(-1), v.size
+    out = np.empty(v.shape, v.dtype)
+    terms = [(flat[k + j : size - k + j], w) for j, w in _centred(stencil) if w]
+    _sum_terms(terms, out.reshape(-1)[k:-k])
+    # (line, wall, c): node c and, times (-1)**order, node n-1-c
+    ends = np.concatenate((v[:, :reach], sign * v[:, :-reach - 1:-1]), 1).reshape(-1, 2, reach)
+    for r, row in enumerate(near):
+        wall = _sum_terms([(ends[..., c], w) for c, w in enumerate(row)])
+        out[:, r : n - r : n - 1 - 2 * r] = wall
+    out /= _denominator(stencil, hy)
+    return out
+
+
+@lru_cache(maxsize=32)
+def stencil_matrix(stencil: tuple[int, int], n: int, walled: bool) -> sp.csr_matrix:
+    """The integer weights of a stencil of _X_STENCILS on a line of n nodes, (n, n).
+
+    Row i holds the weights of the derivative at node i: periodic, the
+    centred row on every node, wrapped; walled, the rows _apply_y
+    applies, the near rows on the first len(near) nodes and their
+    mirrors on the last.  Callers divide by the stencil's denominator.
+    """
+    near = _X_STENCILS[stencil][2]
+    mirror, k = (-1) ** stencil[0], len(near)
+    m = sum(w * np.roll(np.eye(n), off, axis=1) for off, w in _centred(stencil))
+    if walled:
+        m[:k] = [row + (0,) * (n - len(row)) for row in near]
+        m[n - k :] = mirror * m[k - 1 :: -1, ::-1]
+    return sp.csr_matrix(m)
+
+
+def stencil_product(stencil: tuple[int, int], v: np.ndarray, h: float, walled: bool) -> np.ndarray:
+    """stencil_matrix on the nodes of axis 0 of v, times v, over the denominator.
+
+    Each row adds its terms in column order; on the identity it gives
+    each weight over the denominator, the stencil's dense matrix.
+    """
+    d = stencil_matrix(stencil, v.shape[0], walled) @ v
+    d /= _denominator(stencil, h)
+    return d
 
 
 def x_terms(stencil: tuple[int, int], hx: float) -> list[tuple[int, float]]:
     """The (x-offset, weight) terms of a stencil of _X_STENCILS, each weight
     over the denominator, as x_symbol takes them."""
-    pairs, centre, denominator = _X_STENCILS[stencil]
-    terms = [(0, centre), *pairs] + [(-j, (-1) ** stencil[0] * w) for j, w in pairs]
-    return [(off, w / denominator(hx)) for off, w in terms]
+    return [(off, w / _denominator(stencil, hx)) for off, w in _centred(stencil)]
 
 
 def x_symbol(terms, nx: int) -> np.ndarray:
@@ -190,37 +271,19 @@ def _x_constant(values: np.ndarray) -> bool:
     return bool((values[1:] == values[:-1]).all())
 
 
-def _dy1(v: np.ndarray, hy: float) -> np.ndarray:
-    # centered in the interior, one-sided second order at the walls
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * hy)
-    out[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * hy)
-    out[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * hy)
-    return out
-
-
-def _dy2(v: np.ndarray, hy: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (hy * hy)
-    out[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / (hy * hy)
-    out[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / (
-        hy * hy
-    )
-    return out
-
-
 def differentiate(u: Field, axis: str, order: int) -> Field:
     """Finite-difference partial derivative.
 
     axis is "x" or "y"; order is 1 or 2.  In x: the periodic 5-point
     stencil of _X_STENCILS (the 3-point one below 5 columns), applied by
     _apply_x, so a field constant in x has exactly zero x-derivatives.
-    In y: centered inside, one-sided second order at y = +-1.
+    In y: the walled 3-point stencil, one-sided second order at
+    y = +-1, applied by _apply_y.
     """
     if axis == "x" and order in (1, 2):
         return Field(u.grid, _apply_x(_x_stencil(order, u.grid.nx), u.values, u.grid.hx))
     if axis == "y" and order in (1, 2):
-        return Field(u.grid, (_dy1, _dy2)[order - 1](u.values, u.grid.hy))
+        return Field(u.grid, _apply_y((order, 3), u.values, u.grid.hy))
     raise GridError(f"axis must be 'x' or 'y' and order 1 or 2, got {axis!r} and {order!r}")
 
 

@@ -23,10 +23,14 @@ The domain-scale parameter rho plays the coordinate-rescaling role: it
 sets the oblique constant alpha = sqrt(rho) * alpha0 of the step's
 bottom row.
 
-Graph heights are generally not periodic across the seam x = +-1, so
-this module differentiates with non-periodic stencils that are exact on
-quartics; polynomial test surfaces therefore produce machine-zero
-residuals.
+Graph heights are generally not periodic across the seam x = +-1.  The
+public residuals (curvature_residual, darboux_residual, through
+graph_dx and graph_dy) differentiate with the walled 5-point stencils of
+grid._X_STENCILS in both directions, which are exact on quartics, so
+polynomial test surfaces produce machine-zero residuals.  The Picard
+iteration instead carries the seam jumps on a fixed analytic carrier
+and differentiates the periodic remainder with the periodic 5-point
+x-stencils (_SplitDerivatives), keeping the walled stencils in y.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from scipy.linalg import lapack
 from . import solver
 from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, _x_stencil
-from .grid import x_symbol, x_terms
-from .norms import _x_matrix
+from .grid import stencil_product, x_symbol, x_terms
+from .norms import _line_factors
 from .operators import _BOTTOM_DY, _bottom_dx
 from .solver import ResidualGateError, _gate, _singular_mode
 
@@ -139,49 +143,20 @@ STEP_LU_DRIFT = 3e-3
 # quartic-exact, non-periodic finite differences for graph quantities
 # ---------------------------------------------------------------------------
 
-# the order-th graph stencil's weights times 12 h^order: the centred row
-# over the offsets -2..2, the one-sided rows 0 and 1 over the nodes 0..4,
-# and the sign that mirrors rows 0 and 1 into rows -1 and -2 over the
-# nodes -1..-5.  Every row is exact on quartics
-_GRAPH_WEIGHTS = {
-    1: ([1, -8, 0, 8, -1], [[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1]], -1),
-    2: ([-1, 16, -30, 16, -1], [[35, -104, 114, -56, 11], [11, -20, 6, 4, -1]], 1),
-}
-
-
-@lru_cache(maxsize=32)
-def _line_matrix(n: int, order: int) -> sp.csr_matrix:
-    """The order-th graph stencil on n nodes times 12 h^order, (n, n).
-
-    Its entries are the integer weights, so the stencil of a constant
-    sums to exactly 0; callers divide by _line_scale after the product.
-    """
-    centred, near, far_sign = _GRAPH_WEIGHTS[order]
-    m = np.zeros((n, n))
-    rows = np.arange(2, n - 2)[:, None]
-    m[rows, rows + np.arange(-2, 3)] = centred
-    m[:2, :5] = near
-    m[-2:] = far_sign * m[1::-1, ::-1]
-    return sp.csr_matrix(m)
-
-
-def _line_scale(h: float, order: int) -> float:
-    """12 h^order, rounded as 12 h and (12 h) h."""
-    return 12.0 * h * h ** (order - 1)
+# the graph stencils are the walled 5-point ones of grid._X_STENCILS,
+# which are exact on quartics
 
 
 def graph_dx(u: Field, order: int = 1) -> Field:
     if u.grid.nx < 5:
         raise ValueError("graph differentiation needs at least 5 x-nodes")
-    d = _line_matrix(u.grid.nx, order) @ u.values
-    d /= _line_scale(u.grid.hx, order)
-    return Field(u.grid, d)
+    return Field(u.grid, stencil_product((order, 5), u.values, u.grid.hx, True))
 
 
 def graph_dy(u: Field, order: int = 1) -> Field:
-    d = _line_matrix(u.grid.ny + 1, order) @ u.values.T
+    d = stencil_product((order, 5), u.values.T, u.grid.hy, True)
     # in graph_dx's C order, which the callers' elementwise products read fastest
-    return Field(u.grid, np.divide(d.T, _line_scale(u.grid.hy, order), order="C"))
+    return Field(u.grid, np.ascontiguousarray(d.T))
 
 
 def cutoff_profile(grid: GridSpec) -> np.ndarray:
@@ -327,21 +302,20 @@ def _seam_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
 def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
     """The stencils of _SplitDerivatives as sparse matrices.
 
-    x: norms._x_matrix of orders 1 over 2 (the periodic 5-point
+    x: norms._line_factors of orders 1 over 2 (the periodic 5-point
     stencils of grid._X_STENCILS), (2 nx, nx), applied from the left to
-    an (nx, ny+1) array.  y: the first- over the second-order graph
-    stencil, (2 (ny+1), ny+1), applied from the left to the transposed
-    array, and its first-order block alone.  The y-weights are the
-    _line_matrix entries each divided by _line_scale, as graph_dy
-    divides; a scipy matrix divided by a scalar would multiply by the
-    reciprocal instead.
+    an (nx, ny+1) array.  y: the walled 5-point ones (the graph
+    stencils), first over second order, (2 (ny+1), ny+1), applied from
+    the left to the transposed array, and the first-order block alone.
+    Each entry is a table weight divided by the denominator
+    (grid.stencil_product on the identity), as the field path divides;
+    a scipy matrix divided by a scalar would multiply by the reciprocal
+    instead.
     """
-    nyp = grid.ny + 1
-    dx = sp.csr_matrix(np.vstack([_x_matrix(grid, 1), _x_matrix(grid, 2)]))
-    dy = sp.csr_matrix(
-        np.vstack([_line_matrix(nyp, k).toarray() / _line_scale(grid.hy, k) for k in (1, 2)])
-    )
-    return dx, dy, dy[:nyp]
+    eye = np.eye(grid.ny + 1)
+    dx = sp.csr_matrix(np.vstack(_line_factors(grid, 2, False)[1:]))
+    dy = sp.csr_matrix(np.vstack([stencil_product((k, 5), eye, grid.hy, True) for k in (1, 2)]))
+    return dx, dy, dy[: len(eye)]
 
 
 class _SplitDerivatives:

@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, GridSpec, _apply_x, _dy1, _dy2, _quadrature_row, _root_of_squares
-from .grid import _x_stencil, differentiate, inner_product, x_symbol, x_terms
+from .grid import Field, GridSpec, _quadrature_row, _root_of_squares, _x_stencil, differentiate
+from .grid import inner_product, stencil_product, x_symbol, x_terms
 
 MAX_ORDER = 2
 
@@ -56,24 +56,16 @@ class NormOrder:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional factors, read off the grid module's stencils
+# one-dimensional factors, read off the grid module's stencil matrices
 # ---------------------------------------------------------------------------
 
-def _x_matrix(grid: GridSpec, order: int) -> np.ndarray:
-    """Dense periodic x-derivative matrix of differentiate(., "x", order).
-
-    Its stencil applied to the identity: every entry is one table weight
-    over the denominator.
-    """
-    eye = np.eye(grid.nx)
-    return eye if order == 0 else _apply_x(_x_stencil(order, grid.nx), eye, grid.hx)
-
-
-def _y_matrix(grid: GridSpec, order: int) -> np.ndarray:
-    """Dense y-derivative matrix of differentiate(., "y", order)."""
-    eye = np.eye(grid.ny + 1)
-    # the y stencils act along axis 1, so on the identity they give D^T
-    return eye if order == 0 else (_dy1, _dy2)[order - 1](eye, grid.hy).T
+def _line_factors(grid: GridSpec, top: int, walled: bool) -> list[np.ndarray]:
+    """The dense derivative matrices of differentiate of orders 0..top
+    along x (walled False) or y (walled True): grid.stencil_product on
+    the identity, every entry one table weight over the denominator."""
+    n, h = (grid.ny + 1, grid.hy) if walled else (grid.nx, grid.hx)
+    stencils = [(s, 3) if walled else _x_stencil(s, n) for s in range(1, top + 1)]
+    return [np.eye(n)] + [stencil_product(st, np.eye(n), h, walled) for st in stencils]
 
 
 @dataclass(frozen=True)
@@ -101,9 +93,11 @@ def _gram_factors(grid: GridSpec, m: int, l: int) -> _GramFactors:
         # |symbol of Dx_s|^2 per stencil: the symbol of the assembled Cx
         # column loses the low modes to cancellation at s = 2
         symbol += np.abs(x_symbol(x_terms(_x_stencil(s, grid.nx), grid.hx), grid.nx)) ** 2
-    cx = sum(_x_matrix(grid, s).T @ _x_matrix(grid, s) for s in range(m + 1))
+    # d.T @ d of one array would take BLAS syrk, which rounds apart from
+    # the gemm of two
+    cx = sum(d.T @ d.copy() for d in _line_factors(grid, m, False))
     wy = grid.y_weights()
-    cy = sum(_y_matrix(grid, t).T @ (wy[:, None] * _y_matrix(grid, t)) for t in range(l + 1))
+    cy = sum(d.T @ (wy[:, None] * d) for d in _line_factors(grid, l, True))
     hcx = sp.csr_matrix(grid.hx * cx)
     cy_sp = sp.csr_matrix(cy)
     inf_norm = spla.norm(hcx, np.inf) * spla.norm(cy_sp, np.inf)

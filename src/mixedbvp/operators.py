@@ -35,8 +35,7 @@ from .grid import (
     Field,
     GridSpec,
     _apply_x,
-    _dy1,
-    _dy2,
+    _apply_y,
     _x_constant,
     boundary_integral,
     inner_product,
@@ -166,13 +165,13 @@ def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
 def _apply(grid, K, first_x, first_y, zero_order, eps: float, v: np.ndarray) -> Field:
     """eps*K*v_xx + v_yy + eps*first_x*v_x + eps*first_y*v_y (+ zero_order*v).
 
-    The x-stencils are the 3-point ones of grid._X_STENCILS, those of
-    the assembled matrix, the y-stencils the grid module's (one-sided at
-    the walls).  zero_order None leaves that term out: L has none.
+    The stencils are the 3-point ones of grid._X_STENCILS, those of the
+    assembled matrix: periodic in x (_apply_x), one-sided at the walls
+    in y (_apply_y).  zero_order None leaves that term out: L has none.
     """
-    out = eps * K * _apply_x((2, 3), v, grid.hx) + _dy2(v, grid.hy)
+    out = eps * K * _apply_x((2, 3), v, grid.hx) + _apply_y((2, 3), v, grid.hy)
     out += eps * first_x * _apply_x((1, 3), v, grid.hx)
-    out += eps * first_y * _dy1(v, grid.hy)
+    out += eps * first_y * _apply_y((1, 3), v, grid.hy)
     if zero_order is not None:
         out += zero_order * v
     return Field(grid, out)

@@ -146,9 +146,10 @@ def _mode_systems(cs: CoefficientSet):
     K, A and B are averaged over x (a field constant in x keeps its own
     row exactly), and the averaged L maps the mode exp(i*theta*i) times
     a y-profile to the same mode: the x-neighbours of the assembled
-    stencils become the symbol east*exp(i*theta) + west*exp(-i*theta),
-    and the bottom row's u_x the grid.x_symbol of its (offset, weight)
-    pairs (operators._bottom_dx): the rfft of its action on e_0.
+    stencils become the symbol east*s + west*conj(s), s the grid.x_symbol
+    of the shift to the east neighbour (offset 1, weight 1), and the
+    bottom row's u_x the grid.x_symbol of its (offset, weight) pairs
+    (operators._bottom_dx): each the rfft of its action on e_0.
     What is left in y is tridiagonal, plus the identity top row and the
     oblique bottom row (row 0), which reaches columns 0..3.  Subtracting
     m3*(row 2) and then m2*(row 1) from row 0 clears its columns 3 and 2
@@ -179,11 +180,10 @@ def _mode_systems(cs: CoefficientSet):
             "WELLPOSEDNESS_SUSPECT: x-mode 0 is not foldable"
             " to tridiagonal form (zero fold pivot)"
         )
-    theta = 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx
-    shift = np.exp(1j * theta)[:, None]
+    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx)[:, None]
     # one row per mode; the off-diagonals get one padding entry per block,
     # which is the zero between blocks (the last block's is cut off)
-    d = np.empty((theta.size, g.ny + 1), dtype=complex)
+    d = np.empty((shift.size, g.ny + 1), dtype=complex)
     d[:, 0] = b_dy[0] + x_symbol(dx, g.nx)
     d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
     d[:, -1] = 1.0

@@ -10,6 +10,8 @@ from mixedbvp.grid import (
     GridError,
     _X_STENCILS,
     _apply_x,
+    _apply_y,
+    _denominator,
     _l2_norm,
     boundary_integral,
     diff_quotient,
@@ -19,6 +21,8 @@ from mixedbvp.grid import (
     load_field,
     make_grid,
     save_field,
+    stencil_matrix,
+    stencil_product,
     strip_inner_product,
     x_symbol,
     x_terms,
@@ -93,6 +97,101 @@ def test_each_x_symbol_matches_its_stencil(nx):
         # and the exponential sum, to round-off
         direct = sum(w * np.exp(1j * off * theta) for off, w in terms)
         assert np.abs(sym - direct).max() <= 1e-15 * np.abs(sym).max(), name
+
+
+@pytest.mark.parametrize("ny", [4, 5, 64, 128])
+def test_three_point_y_stencils_bit_identical_to_slices(ny):
+    # inside, the terms from the highest offset down; on the walls, from
+    # the wall inward
+    v = np.random.default_rng(ny).standard_normal((9, ny + 1))
+    hy = 2.0 / ny
+    d1, d2 = np.empty_like(v), np.empty_like(v)
+    d1[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * hy)
+    d1[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * hy)
+    d1[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * hy)
+    d2[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (hy * hy)
+    d2[:, 0] = (2.0 * v[:, 0] - 5.0 * v[:, 1] + 4.0 * v[:, 2] - v[:, 3]) / (hy * hy)
+    d2[:, -1] = (2.0 * v[:, -1] - 5.0 * v[:, -2] + 4.0 * v[:, -3] - v[:, -4]) / (hy * hy)
+    assert np.array_equal(_apply_y((1, 3), v, hy), d1)
+    assert np.array_equal(_apply_y((2, 3), v, hy), d2)
+    g = make_grid(9, ny)
+    assert np.array_equal(differentiate(Field(g, v), "y", 1).values, d1)
+    assert np.array_equal(differentiate(Field(g, v), "y", 2).values, d2)
+
+
+@pytest.mark.parametrize("n", [5, 6, 47, 129])
+def test_stencil_matrix_rows_are_the_table_weights(n):
+    # periodic: the centred row on every node, wrapped; walled: the near
+    # rows on the first nodes, mirrored times (-1)**order on the last
+    for key, (pairs, centre, near, _) in _X_STENCILS.items():
+        sign, k = (-1) ** key[0], len(near)
+        periodic = stencil_matrix(key, n, False).toarray()
+        walled = stencil_matrix(key, n, True).toarray()
+        for i in range(n):
+            centred = np.zeros(n)
+            for off, w in [(0, centre), *pairs, *((-j, sign * w) for j, w in pairs)]:
+                centred[(i + off) % n] += w
+            assert np.array_equal(periodic[i], centred), (key, i)
+            want = centred if k <= i < n - k else np.zeros(n)
+            if i < k:
+                want[: len(near[i])] = near[i]
+            elif i >= n - k:
+                want[n - len(near[n - 1 - i]) :] = sign * np.array(near[n - 1 - i][::-1])
+            assert np.array_equal(walled[i], want), (key, i)
+        # every row of integer weights sums to exactly zero
+        assert np.all(walled.sum(axis=1) == 0) and np.all(periodic.sum(axis=1) == 0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 48, 129])
+def test_line_constant_field_has_zero_y_derivatives(n):
+    # inside, the 3-point rows that differentiate applies leave no
+    # round-off: c - c, and (c - 2c) + c.  Every other row leaves at most
+    # round-off of its absolute terms, sum |w| |c| / denominator
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(13) * 10.0 ** rng.integers(-3, 4, 13)
+    v = np.tile(col[:, None], (1, n))
+    h = 2.0 / (n - 1)
+    for key, (pairs, centre, near, _) in _X_STENCILS.items():
+        d, k = np.abs(_apply_y(key, v, h)), len(near)
+        if key[1] == 3:
+            assert np.all(d[:, k : n - k] == 0.0), key
+        denominator = _denominator(key, h)
+        inner = (abs(centre) + 2 * sum(abs(w) for _, w in pairs)) / denominator
+        assert np.all(d[:, k : n - k] <= 1e-15 * inner * np.abs(col)[:, None]), key
+        walls = np.concatenate((d[:, :k], d[:, n - k :]), axis=1)
+        terms = max(sum(abs(w) for w in row) for row in near) / denominator
+        assert np.all(walls <= 1e-15 * terms * np.abs(col)[:, None]), key
+        if key[0] == 1:
+            assert np.all(walls <= 1e-15 * np.abs(col)[:, None] / h), key
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (16, 9), (64, 65), (33, 128)])
+def test_apply_y_matches_the_stencil_matrix(shape):
+    # the same terms in another order (the centred rows from the highest
+    # offset down), so each entry agrees to round-off of its absolute terms, as
+    # in tests/test_nonlinear.py::test_line_stencils_bit_identical_to_per_row
+    v = np.random.default_rng(shape[1]).standard_normal(shape)
+    h = 2.0 / (shape[1] - 1)
+    for key in _X_STENCILS:
+        m = stencil_matrix(key, shape[1], True)
+        via_matrix = stencil_product(key, v.T, h, True).T
+        terms = (abs(m) @ np.abs(v.T)).T / _denominator(key, h)
+        assert np.all(np.abs(_apply_y(key, v, h) - via_matrix) <= 1e-15 * terms), key
+
+
+@pytest.mark.parametrize("n", [5, 17, 48])
+def test_five_point_walled_stencils_exact_on_quartics(n):
+    # every row of the 5-point entries, near and far rows included
+    g = make_grid(6, n - 1)
+    X, Y = g.meshes()
+    v = (1.0 + X) * (Y**4 - 2.0 * Y**3 + 0.5 * Y**2 - Y + 3.0)
+    exact = {
+        1: (1.0 + X) * (4.0 * Y**3 - 6.0 * Y**2 + Y - 1.0),
+        2: (1.0 + X) * (12.0 * Y**2 - 12.0 * Y + 1.0),
+    }
+    for order in (1, 2):
+        for d in (_apply_y((order, 5), v, g.hy), stencil_product((order, 5), v.T, g.hy, True).T):
+            assert np.abs(d - exact[order]).max() <= 1e-13 * n**order, (order, n)
 
 
 def test_make_grid_spacings():

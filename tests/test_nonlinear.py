@@ -58,7 +58,7 @@ def test_line_stencils_bit_identical_to_per_row(shape, axis):
     # on every row but the two at the far edge, which it sums from the
     # edge inward; those agree to round-off of the row's absolute terms
     # (measured 3.7e-16)
-    from mixedbvp.nonlinear import _line_matrix
+    from mixedbvp.grid import stencil_matrix
 
     g = make_grid(shape[0], shape[1] - 1)
     v = np.random.default_rng(shape[0] + axis).standard_normal(shape)
@@ -68,7 +68,9 @@ def test_line_stencils_bit_identical_to_per_row(shape, axis):
         assert got.flags.c_contiguous
         got, ref = np.moveaxis(got, axis, 0), np.moveaxis(ref, axis, 0)
         assert np.array_equal(got[:-2], ref[:-2])
-        terms = abs(_line_matrix(shape[axis], order))[-2:] @ np.abs(np.moveaxis(v, axis, 0))
+        terms = abs(stencil_matrix((order, 5), shape[axis], True))[-2:] @ np.abs(
+            np.moveaxis(v, axis, 0)
+        )
         terms /= 12.0 * h**order
         assert np.all(np.abs(got[-2:] - ref[-2:]) <= 1e-15 * terms)
 
@@ -111,7 +113,8 @@ def test_hessian_term_affine_invariant():
 
 
 def test_graph_derivatives_quartic_exact():
-    from mixedbvp.nonlinear import _line_matrix, _stencil_weights
+    from mixedbvp.grid import stencil_matrix
+    from mixedbvp.nonlinear import _stencil_weights
 
     g = make_grid(32, 32)
     z = Field.from_function(g, lambda X, Y: Y**4 - X**4 + X**2 * Y)
@@ -124,7 +127,7 @@ def test_graph_derivatives_quartic_exact():
     # on quartics over its five nodes (measured 3.9e-14), and zero elsewhere
     n, h = g.ny + 1, g.hy
     for order in (1, 2):
-        m = _line_matrix(n, order).toarray()
+        m = stencil_matrix((order, 5), n, True).toarray()
         for i in range(n):
             nodes = np.arange(5) + min(max(i - 2, 0), n - 5)
             w = 12.0 * h**order * _stencil_weights((nodes - i) * h, order)
@@ -815,21 +818,23 @@ def test_split_derivatives_reject_a_non_finite_iterate(bad):
 
 def test_derivative_matrices_are_shared_per_grid():
     from mixedbvp import nonlinear
+    from mixedbvp.grid import stencil_matrix
 
     # built once: the ma solve's seam split builds them, its step bands
     # slice the gate's blocks off them, and the darboux solve's split
     # reuses them (its step bands are cached too)
     nonlinear._derivative_matrices.cache_clear()
     nonlinear._step_bands.cache_clear()
-    nonlinear._line_matrix.cache_clear()
+    stencil_matrix.cache_clear()
     _cli_solve("ma", 32)
     _cli_solve("darboux", 32)
     info = nonlinear._derivative_matrices.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert nonlinear._step_bands.cache_info().misses == 1
-    # the y-stencils of both orders on 33 nodes, and the first-order
-    # x-stencil on 32 that darboux's Christoffel symbols add
-    assert nonlinear._line_matrix.cache_info().misses == 3
+    # the walled y-stencils of both orders on 33 nodes, the periodic
+    # x-stencils of both orders on 32 (the seam split's), and the walled
+    # first-order x-stencil on 32 that darboux's Christoffel symbols add
+    assert stencil_matrix.cache_info().misses == 5
     small = nonlinear._derivative_matrices(make_grid(32, 32))
     large = nonlinear._derivative_matrices(make_grid(48, 48))
     assert nonlinear._derivative_matrices.cache_info().misses == 2

@@ -9,8 +9,7 @@ from mixedbvp.norms import (
     GramSolveError,
     NormOrder,
     NormOrderError,
-    _x_matrix,
-    _y_matrix,
+    _line_factors,
     isotropic_norm,
     negative_norm,
     schwarz_gap,
@@ -67,13 +66,13 @@ def longdouble_negative_norm(v: Field, m: int, l: int) -> float:
     by applying the grid stencils to long-double identities, and solved by
     elimination: no FFT, no symbol, no float64 factorization.
     """
-    from mixedbvp.grid import _apply_x, _dy1, _dy2
+    from mixedbvp.grid import _apply_x, _apply_y
 
     ld = np.longdouble
     g = v.grid
     ex, ey = np.eye(g.nx, dtype=ld), np.eye(g.ny + 1, dtype=ld)
     dx = [ex, _apply_x((1, 5), ex, g.hx), _apply_x((2, 5), ex, g.hx)]
-    dy = [ey, _dy1(ey, g.hy).T, _dy2(ey, g.hy).T]
+    dy = [ey, _apply_y((1, 3), ey, g.hy).T, _apply_y((2, 3), ey, g.hy).T]
     wy = np.asarray(g.y_weights(), dtype=ld)
     cx = sum(dx[s].T @ dx[s] for s in range(m + 1))
     cy = sum(dy[t].T @ (wy[:, None] * dy[t]) for t in range(l + 1))
@@ -266,7 +265,7 @@ def test_derivative_matrix_mirrors_field_path(shape):
     u = Field(g, rng.standard_normal(g.shape))
     for s in range(3):
         for t in range(3):
-            mat = np.kron(_x_matrix(g, s), _y_matrix(g, t))
+            mat = np.kron(_line_factors(g, 2, False)[s], _line_factors(g, 2, True)[t])
             via_matrix = (mat @ u.values.ravel()).reshape(g.shape)
             via_fields = derivative_st(u, s, t).values
             assert np.abs(via_matrix - via_fields).max() < 1e-11

@@ -155,14 +155,14 @@ def test_matrix_matches_apply_on_interior_rows():
 
 def _four_term_L(cs, u):
     # apply_L's formula with every term, zero coefficients included
-    from mixedbvp.grid import _apply_x, _dy1, _dy2
+    from mixedbvp.grid import _apply_x, _apply_y
 
     g, v = cs.grid, u.values
     return (
         cs.eps * cs.K.values * _apply_x((2, 3), v, g.hx)
-        + _dy2(v, g.hy)
+        + _apply_y((2, 3), v, g.hy)
         + cs.eps * cs.A.values * _apply_x((1, 3), v, g.hx)
-        + cs.eps * cs.B.values * _dy1(v, g.hy)
+        + cs.eps * cs.B.values * _apply_y((1, 3), v, g.hy)
     )
 
 

@@ -14,10 +14,19 @@ multipliers m2, and m3 broadcast to one complex entry per mode) at
 periodic x-stencil of grid._X_STENCILS at nx 47 and 128, its action on
 a seeded field and its symbol (on a tree without the table, the slice
 functions it replaced, each symbol the rfft of its column on the
-identity), and, printed as it is, the largest x-derivative part of
-CoefficientSet.adjoint_pieces (|2 K_x| and |eps (K_xx - A_x)|, read
-off the pieces) of tricomi, chaplygin and infinite_order at 47x48 and
-192^2, whose K is constant in x; the
+identity); each table stencil's action along y, walls included
+(grid._apply_y), on a seeded field at ny 47 and 128, and each
+grid.stencil_matrix, periodic on 47 and 128 nodes and walled on 48 and
+129, over its denominator as its callers read it (on a tree without
+grid.stencil_matrix, the functions it replaced: _dy1 and _dy2 for the
+3-point y-actions, graph_dy for the 5-point ones, and the x-stencils
+and _dy1/_dy2 applied to the identity and nonlinear._line_matrix over
+_line_scale for the matrices); the Gram factors (norms._gram_factors:
+symbol, hx*Cx, Cy and the inf-norm bound) of every order (m, l) up to
+(2, 2) at 16^2 and 47x48; and, printed as it is, the largest
+x-derivative part of CoefficientSet.adjoint_pieces (|2 K_x| and
+|eps (K_xx - A_x)|, read off the pieces) of tricomi, chaplygin and
+infinite_order at 47x48 and 192^2, whose K is constant in x; the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
 symbols (nonlinear._step_bands) at 64^2 and 128^2, and at each the d
@@ -154,6 +163,42 @@ def x_stencil_outputs(grid, nx: int):
         yield f"d{order}_{points}pt", fn(v, hx), sym
 
 
+def y_stencil_outputs(grid, nonlinear, ny: int):
+    # (name, action along y on a seeded field) of each table stencil at ny;
+    # a tree without grid.stencil_matrix applies the functions it replaced
+    hy = 2.0 / ny
+    v = np.random.default_rng(ny).standard_normal((9, ny + 1))
+    for order, points in ((1, 3), (2, 3), (1, 5), (2, 5)):
+        if hasattr(grid, "stencil_matrix"):
+            action = grid._apply_y((order, points), v, hy)
+        elif points == 3:
+            action = (grid._dy1, grid._dy2)[order - 1](v, hy)
+        else:
+            g = grid.make_grid(9, ny)
+            action = nonlinear.graph_dy(grid.Field(g, v), order).values
+        yield f"d{order}_{points}pt", action
+
+
+def stencil_matrices(grid, nonlinear, n: int):
+    # (name, dense matrix over its denominator) of each table stencil,
+    # periodic on n nodes and walled on n+1 (h = 2/n for both); a tree
+    # without grid.stencil_matrix builds each as the replaced code did
+    h, ex, ey = 2.0 / n, np.eye(n), np.eye(n + 1)
+    for order, points in ((1, 3), (2, 3), (1, 5), (2, 5)):
+        key, stencil = f"d{order}_{points}pt", (order, points)
+        if hasattr(grid, "stencil_matrix"):
+            yield f"{key}/periodic{n}", grid.stencil_product(stencil, ex, h, False)
+            yield f"{key}/walled{n + 1}", grid.stencil_product(stencil, ey, h, True)
+            continue
+        yield f"{key}/periodic{n}", grid._apply_x(stencil, ex, h)
+        if points == 3:
+            walled = (grid._dy1, grid._dy2)[order - 1](ey, h).T
+        else:
+            walled = nonlinear._line_matrix(n + 1, order).toarray()
+            walled /= nonlinear._line_scale(h, order)
+        yield f"{key}/walled{n + 1}", walled
+
+
 def emit_cli(cli) -> None:
     # each CLI run's exit code, the SHA-1 of each artifact's bytes, and the
     # key set of its metrics.json as plain text ("none" where it writes none)
@@ -173,7 +218,7 @@ def emit_cli(cli) -> None:
 
 def main(tree: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    from mixedbvp import cli, coeffs, grid, multiplier, nonlinear, operators, solver
+    from mixedbvp import cli, coeffs, grid, multiplier, nonlinear, norms, operators, solver
     import workloads
 
     warnings.simplefilter("ignore")  # failed gates warn under require_conditions=False
@@ -192,6 +237,18 @@ def main(tree: Path) -> None:
         for key, action, symbol in x_stencil_outputs(grid, nx):
             emit(f"x_stencil/{key}/{nx}/action", action)
             emit(f"x_stencil/{key}/{nx}/symbol", symbol)
+    for n in (47, 128):
+        for key, action in y_stencil_outputs(grid, nonlinear, n):
+            emit(f"y_stencil/{key}/{n}/action", action)
+        for key, matrix in stencil_matrices(grid, nonlinear, n):
+            emit(f"stencil_matrix/{key}", matrix)
+    for nx, ny in ((16, 16), (47, 48)):
+        g = grid.make_grid(nx, ny)
+        for m in range(3):
+            for l in range(3):
+                f = norms._gram_factors(g, m, l)
+                parts = f.symbol, f.hcx.toarray(), f.cy.toarray(), f.inf_norm
+                emit(f"gram/{m}{l}/{nx}x{ny}", *parts)
     for nx, ny in ((47, 48), (192, 192)):
         for name in ("tricomi", "chaplygin", "infinite_order"):
             cs = coeffs.preset_coefficients(name, grid.make_grid(nx, ny), EPS, ALPHA)
