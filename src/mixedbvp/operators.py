@@ -475,10 +475,17 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
     first, or after the first pass when the triple has nothing to couple
     (mt.coupling.couples is False: m = 0, or a constant in x), since a
     second pass would transport the same right-hand side.  So m = 0 and
-    x-independent multipliers converge in one pass.  The transport plan
-    and the coupling factors are mt.transport_plan and mt.coupling,
-    built once per triple.
+    x-independent multipliers converge in one pass.  Each pass after the
+    first adds the ratio of its increment to the one before, unless that
+    one is zero; when the last five ratios are all >= 1 (a NaN ratio
+    counts as below 1), the passes are not contracting, and
+    AuxNonContractionError is raised with the last ratio.  Both rules
+    read the report's own increments and ratios.  max_iter below 1
+    raises ValueError.  The transport plan and the coupling factors are
+    mt.transport_plan and mt.coupling, built once per triple.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     g = v.grid
     plan = mt.transport_plan
     stats = {"transport_s": 0.0, "spectral_s": 0.0}
@@ -487,8 +494,6 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
     part_weights = rfft_part_weights(g)
     increments: list[float] = []
     ratios: list[float] = []
-    ref = None
-    bad_streak = 0
     spec = None  # the zero first iterate has no coupling
     converged = False
     for it in range(1, max_iter + 1):
@@ -505,14 +510,11 @@ def aux_solve_report(v: Field, mt: MultiplierTriple, max_iter: int = 200) -> Aux
         stats["spectral_s"] += (t1 - t0) + (perf_counter() - t2)
         increments.append(delta)
         if len(increments) >= 2 and increments[-2] > 0:
-            ratio = delta / increments[-2]
-            ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-            if bad_streak >= 5:
-                raise AuxNonContractionError(ratio)
-        if ref is None:
-            ref = max(delta, np.finfo(float).tiny)
-        if delta <= AUX_TOL * ref or not cf.couples:
+            ratios.append(delta / increments[-2])
+        # a NaN ratio is not >= 1, so it breaks the run
+        if len(ratios) >= 5 and all(q >= 1.0 for q in ratios[-5:]):
+            raise AuxNonContractionError(ratios[-1])
+        if delta <= AUX_TOL * max(increments[0], np.finfo(float).tiny) or not cf.couples:
             converged = True
             break
     t0 = perf_counter()

@@ -281,15 +281,19 @@ class FactorizedOperator:
     LAPACK's zgttrf (partial pivoting: the diagonal is not dominant
     where K < 0).  When K, A and B do not depend on x, that is L itself.
 
-    solve folds the right-hand side's bottom row the same way and
-    back-substitutes through the mode LUs, in one zgttrs call, and
-    stops when the residual over every row, walls included, passes the
-    gate (_gate, RESIDUAL_TOL*||f||), as every x-independent set does.
-    Otherwise it refines: u <- u + M^-1 r, M the mode LUs and r _gate's
-    residual (Concus-Golub 1973), a step kept only if it at least halves
-    ||r||, until ||r|| reaches GMRES's target GMRES_MARGIN*RESIDUAL_TOL*||f||
-    or a step is rejected.  L depends on x only through eps*K, eps*A and
-    eps*B, so at small eps each step leaves a few 1e-3 of the residual.
+    solve is iterative refinement with the mode LUs (Wilkinson 1963;
+    Concus-Golub 1973) from u = 0, whose residual is the right-hand side,
+    since its wall rows are zero.  Step k sets u <- u + M^-1 r, M the mode
+    LUs and r _gate's residual: it folds r's bottom row the same way and
+    back-substitutes through the mode LUs, in one zgttrs call.  Step 0,
+    the plain mode-LU solve, is always kept, and it ends the loop when
+    the residual over every row, walls included, passes the gate (_gate,
+    RESIDUAL_TOL*||f||), as it does for every x-independent set.  A later
+    step is kept only if it at least halves ||r||; the loop ends when
+    ||r|| reaches GMRES's target GMRES_MARGIN*RESIDUAL_TOL*||f||, when a
+    step is rejected, or after GMRES_MAX_ITER later steps.  L depends on
+    x only through eps*K, eps*A and eps*B, so at small eps each step
+    leaves a few 1e-3 of the residual.
     When the refined u still fails the gate, one cycle of scipy's gmres
     (Saad-Schultz 1986) solves L e = r, right-preconditioned by the mode
     LUs: D L M^-1 D^-1 y = D r / s with D the square root of each y-row's
@@ -311,8 +315,9 @@ class FactorizedOperator:
     after each of them), gmres_iterations (0 when refinement or the mode
     LUs alone passed the gate), gmres_residuals (GMRES's estimate after
     each step, over ||f||), matvecs (products with L), mode_solves
-    (back-substitutions through the mode LUs; both are k + 1 after k
-    refinement steps, and k + s + 3 when s GMRES steps follow) and
+    (back-substitutions through the mode LUs; both are k + 1 after step 0
+    and k later refinement steps, one per step, and k + s + 3 when s GMRES
+    steps follow; a fallback to splu adds one product) and
     solve_s (its perf_counter time); and, from the constructor, the
     perf_counter times assemble_s (building L) and factor_s.  A
     singular factorization of L (_singular_mode for a mode LU), or a
@@ -371,30 +376,29 @@ class FactorizedOperator:
         fnorm = l2_norm(f)
         gate = RESIDUAL_TOL * fnorm
         target = GMRES_MARGIN * gate
-        steps, estimates, refined = 0, [], []
+        steps, estimates, tried = 0, [], []
         self.stats.update(matvecs=0, mode_solves=0)
         if self.method == "fourier":
-            u = self._mode_solve(rhs)
-            res, r = _gate(rhs, u, self._rows(u), alpha, g)
-            # the gate, not the target: an exact LU's residual sits at a round-off
-            # floor (1.7e-12*||f|| at 128^2) that more steps do not lower
-            if res > gate:
-                c = self._mode_solve(r)
-                # refinement, u <- u + c with c = M^-1 r; halving ends it long
-                # before GMRES's cap, which bounds it too (a cap of 0 sends the
-                # set to splu)
-                for _ in range(GMRES_MAX_ITER):
-                    trial = u + c
-                    trial_res, trial_r = _gate(rhs, trial, self._rows(trial), alpha, g)
-                    refined.append(trial_res)
-                    # a step must halve ||r||, so one that stalls (the round-off
-                    # floor, a slow contraction) or grows ends the loop
-                    if trial_res > 0.5 * res:
-                        break
-                    u, res, r = trial, trial_res, trial_r
-                    if res <= target:
-                        break
-                    c = self._mode_solve(r)
+            # refinement from u = 0, whose residual is rhs (its wall rows are
+            # zero): step k is u + M^-1 r, so step 0 is the plain mode-LU solve;
+            # halving ends it long before GMRES's cap, which bounds the later
+            # steps (a cap of 0 sends a set that fails the gate to splu)
+            u, r = np.zeros(g.shape), rhs
+            for k in range(GMRES_MAX_ITER + 1):
+                trial = u + self._mode_solve(r)
+                trial_res, trial_r = _gate(rhs, trial, self._rows(trial), alpha, g)
+                tried.append(trial_res)
+                # step 0 is kept; a later one must halve ||r||, so one that
+                # stalls (the round-off floor, a slow contraction) or grows ends
+                # the loop
+                if k and trial_res > 0.5 * res:
+                    break
+                u, res, r = trial, trial_res, trial_r
+                # the gate, not the target, after step 0: an exact LU's residual
+                # sits at a round-off floor (1.7e-12*||f|| at 128^2) that more
+                # steps do not lower
+                if res <= (target if k else gate):
+                    break
             if res > gate and GMRES_MAX_ITER:  # scipy's gmres takes no restart of 0
                 # L e = r from the refined u, right-preconditioned by the mode LUs;
                 # scaled by d per y-row, the Euclidean norm is the gate's, and by
@@ -420,6 +424,7 @@ class FactorizedOperator:
             res, r = _gate(rhs, u, self._rows(u), alpha, g)
         self.residual_norm = res
         scale = fnorm if fnorm > 0 else 1.0
+        refined = tried[1:]  # step 0 is the mode-LU solve, not a refinement step
         self.stats.update(
             refine_steps=len(refined),
             refine_residuals=[float(e / scale) for e in refined],
@@ -541,7 +546,6 @@ def mms_convergence(
                          f" with the same h; got h = {hs}")
     u_star.check_boundary(grids[-1], cs_factory(grids[0]).alpha)
     table = ConvergenceTable()
-    prev = None
     for g, h in zip(grids, hs):
         cs = cs_factory(g)
         f = u_star.forcing(cs)
@@ -551,10 +555,10 @@ def mms_convergence(
         e2 = l2_norm(diff)
         eh = sobolev_norm(diff, NormOrder(0, 1))
         order = None
-        if prev is not None and e2 > 0 and prev[1] > 0:
-            order = float(np.log2(prev[1] / e2) / np.log2(prev[0] / h))
+        if table.rows and e2 > 0 and table.rows[-1].error_l2 > 0:
+            last = table.rows[-1]
+            order = float(np.log2(last.error_l2 / e2) / np.log2(last.h / h))
         table.rows.append(ConvergenceRow(h, e2, eh, order))
-        prev = (h, e2)
     return table
 
 

@@ -244,6 +244,31 @@ def test_large_alpha0_residual_gate_names_the_oblique_row(tmp_path, capsys, comm
     assert "alpha = sqrt(rho)*alpha0 with --alpha0 1e+08" in out
 
 
+@pytest.mark.parametrize("command", ["ma", "darboux"])
+def test_residual_gate_off_the_bottom_rows_gives_no_alpha0_hint(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # the --alpha0 hint is for the oblique row; a gate failed in the interior
+    # rows exits 1 with the solver's message as it is
+    from mixedbvp import cli
+    from mixedbvp.grid import make_grid
+    from mixedbvp.solver import ResidualGateError
+
+    g = make_grid(16, 16)
+    r = np.zeros(g.shape)
+    r[:, 1:-1] = 1.0
+
+    def failing(*args, **kwargs):
+        raise ResidualGateError(1.0, r, g, 0.6)
+
+    monkeypatch.setattr(cli, "solve_prescribed_curvature", failing)
+    monkeypatch.setattr(cli, "solve_darboux", failing)
+    code = run([command, "--nx", "16", "--ny", "16", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("WELLPOSEDNESS_SUSPECT: solve residual") and out.count("\n") == 1
+    assert "the interior rows hold 100.00%" in out and "alpha" not in out
+
+
 def test_energy_subcommand(tmp_path):
     code = run(["energy", "--preset", "tricomi", "--eps", "1e-4", "--alpha", "0.02",
                 "--nx", "32", "--ny", "32", "--samples", "5", "--m", "0",

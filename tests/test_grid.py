@@ -14,6 +14,7 @@ from mixedbvp.grid import (
     _denominator,
     _l2_norm,
     boundary_integral,
+    derivative_st,
     diff_quotient,
     differentiate,
     inner_product,
@@ -325,6 +326,18 @@ def test_boundary_integrals():
     assert abs(boundary_integral(s, "bottom")) < 1e-13
     s2 = Field.from_function(g, lambda X, Y: np.sin(PI * X) ** 2)
     assert boundary_integral(s2, "top") == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(GridError, match="side must be 'top' or 'bottom', got 'left'"):
+        boundary_integral(one, "left")
+
+
+def test_bad_axis_or_order_is_named():
+    u = Field.constant(make_grid(8, 8), 1.0)
+    for axis, order in (("z", 1), ("x", 3), ("y", 0)):
+        with pytest.raises(GridError, match=rf"axis must be 'x' or 'y' and order 1 or 2,"
+                                            rf" got '{axis}' and {order}"):
+            differentiate(u, axis, order)
+    with pytest.raises(GridError, match=r"derivative orders are limited to 0\.\.2 per direction"):
+        derivative_st(u, 3, 0)
 
 
 def test_diff_quotient_linear_exact():
@@ -419,6 +432,9 @@ def test_l2_norm_and_strip():
     assert strip_inner_product(one, one, -1.0, -1.0) == 0.0
     with pytest.raises(GridError, match=r"reversed: y_min = 0\.5 > y_max = -0\.5"):
         strip_inner_product(one, one, 0.5, -0.5)
+    # y nodes are 1/16 apart, so 0.1 is off them
+    with pytest.raises(GridError, match="strip edges must lie on grid nodes"):
+        strip_inner_product(one, one, -0.5, 0.1)
 
 
 def _fsum_inner(g, u, v):

@@ -140,6 +140,11 @@ def test_graph_derivatives_quartic_exact():
         assert np.all(graph_dy(one, order).values == 0.0)
 
 
+def test_graph_dx_needs_five_x_nodes():
+    with pytest.raises(ValueError, match="graph differentiation needs at least 5 x-nodes"):
+        graph_dx(Field.constant(make_grid(4, 8), 1.0))
+
+
 def test_covariant_hessian_flat_metric():
     g = make_grid(24, 24)
     z = Field.from_function(g, lambda X, Y: X**2 / 2 + Y**3 / 6)

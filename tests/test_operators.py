@@ -663,6 +663,83 @@ def test_aux_non_contraction_detected():
     assert err.value.ratio > 1.2
 
 
+def _scripted_passes(monkeypatch, increments):
+    # a coupled 16^2 triple, a sample and the list of passes made, with
+    # operators.mode_power patched so that the passes' increments are the
+    # scripted ones: it returns each one squared times nx, whose root over
+    # nx is exact for powers of 2
+    from mixedbvp import operators
+
+    g = make_grid(16, 16)
+    a = Field.from_function(g, lambda X, Y: 1.0 + 0.5 * np.sin(PI * X))
+    mt = _mt(g, a, Field.constant(g, -0.5), 10.0, 1)
+    assert mt.coupling.couples
+    v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
+    script, passes = iter(increments), []
+
+    def scripted(step, nx, weights):
+        passes.append(step)
+        return np.array([next(script) ** 2 * nx])
+
+    monkeypatch.setattr(operators, "mode_power", scripted)
+    return v, mt, passes
+
+
+def test_aux_stops_at_aux_tol_times_the_first_increment(monkeypatch):
+    from mixedbvp.operators import AUX_TOL
+
+    # AUX_TOL*4 = 4e-10 lies between 2^-32 (2.3e-10) and 2^-31 (4.7e-10)
+    assert 2.0**-32 <= AUX_TOL * 4.0 < 2.0**-31
+    v, mt, passes = _scripted_passes(monkeypatch, [4.0, 2.0**-31, 2.0**-32, 1.0])
+    rep = aux_solve_report(v, mt)
+    assert rep.converged and rep.iterations == len(passes) == 3
+    assert rep.increments == [4.0, 2.0**-31, 2.0**-32]
+    assert rep.ratios == [2.0**-33, 0.5]
+
+
+def test_aux_raises_on_the_fifth_ratio_of_at_least_one(monkeypatch):
+    # ratios 1, 2, 2, 2, 4: the fifth in a row raises, with that ratio
+    v, mt, passes = _scripted_passes(monkeypatch, [1.0, 1.0, 2.0, 4.0, 8.0, 32.0, 1.0])
+    with pytest.raises(AuxNonContractionError, match=r"increment ratio 4\.000") as err:
+        aux_solve_report(v, mt)
+    assert err.value.ratio == 4.0 and len(passes) == 6
+
+
+def test_aux_ratio_below_one_resets_the_count(monkeypatch):
+    # four ratios of 2, one of 0.5, then five of 2: the raise comes on the
+    # eleventh pass, not the sixth
+    increments = [2.0**k for k in range(5)] + [2.0**k for k in range(3, 9)] + [1.0]
+    v, mt, passes = _scripted_passes(monkeypatch, increments)
+    with pytest.raises(AuxNonContractionError) as err:
+        aux_solve_report(v, mt)
+    assert err.value.ratio == 2.0 and len(passes) == 11
+    # a NaN ratio counts as below 1 too: after it and the ratio-free pass
+    # that follows, five ratios of 2 raise on the twelfth pass
+    increments = [2.0**k for k in range(5)] + [np.nan] + [2.0**k for k in range(6)] + [1.0]
+    v, mt, passes = _scripted_passes(monkeypatch, increments)
+    with pytest.raises(AuxNonContractionError) as err:
+        aux_solve_report(v, mt)
+    assert err.value.ratio == 2.0 and len(passes) == 12
+
+
+def test_aux_zero_previous_increment_adds_no_ratio(monkeypatch):
+    # a zero increment ends the passes unless the first is NaN, which no
+    # increment passes against; the pass after the zero one adds no ratio
+    v, mt, passes = _scripted_passes(monkeypatch, [np.nan, 0.0, 1.0])
+    rep = aux_solve_report(v, mt, max_iter=3)
+    assert not rep.converged and rep.iterations == len(passes) == 3
+    assert rep.ratios == []
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_aux_max_iter_below_one_is_a_value_error(max_iter):
+    g = make_grid(16, 16)
+    mt = _mt(g, Field.constant(g, 1.0), Field.constant(g, -0.5), 10.0, 0)
+    v = Field.from_function(g, lambda X, Y: (1 - Y) * np.cos(PI * X))
+    with pytest.raises(ValueError, match=rf"max_iter must be at least 1, got {max_iter}"):
+        aux_solve_report(v, mt, max_iter=max_iter)
+
+
 @pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2])
 def test_aux_tiny_lambda_converges_below_round_off(lam):
     # near Nyquist u's modes are w's over a symbol of about lam^-2 xi^4;

@@ -219,6 +219,32 @@ def test_x_dependent_coefficients_fall_back_to_splu(monkeypatch):
     assert rep.solver_stats["gmres_iterations"] == 0
 
 
+def test_cap_zero_makes_one_mode_solve_before_splu(monkeypatch):
+    # with no refinement step allowed, the mode-LU solve is the only one:
+    # its residual fails the gate, and splu's residual is the second product
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
+    cs, _, f = _smooth_problem("wedge", 64, 3e-2, 0.346)
+    stats = solve_linear(LinearProblem(cs, f), require_conditions=False).solver_stats
+    assert stats["method"] == "splu" and stats["refine_steps"] == 0
+    assert (stats["mode_solves"], stats["matvecs"]) == (1, 2)
+
+
+def test_singular_splu_is_wellposedness_suspect(monkeypatch):
+    # the sparse LU is the last path, so a singular one ends the solve
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
+    monkeypatch.setattr(solver.spla, "splu", singular)
+    g = make_grid(32, 32)
+    fac = FactorizedOperator(preset_coefficients("lower_order", g, 1e-4, 0.02))
+    f = Field.from_function(g, lambda X, Y: np.sin(PI * X) * (1 + Y))
+    with pytest.raises(PreconditionError,
+                       match="^WELLPOSEDNESS_SUSPECT: Factor is exactly singular$"):
+        fac.solve(f)
+    assert fac.method == "splu" and "cap of 0" in fac.stats["fallback_reason"]
+
+
 @pytest.mark.parametrize(
     "preset, cap, method, krylov",
     [
@@ -971,6 +997,16 @@ def test_energy_certificate_stats(m):
 def _two_cpus(monkeypatch):
     # the worker count then does not depend on the machine the test runs on
     monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_sample_workers_without_affinity_use_the_cpu_count(monkeypatch):
+    # not every platform has sched_getaffinity; os.cpu_count() may be None
+    monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
+    g = make_grid(128, 128)
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+    assert [solver._sample_workers(g, n) for n in (1, 2, 5)] == [1, 2, 3]
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+    assert solver._sample_workers(g, 5) == 1
 
 
 def _sample_tuples(samples):

@@ -12,18 +12,13 @@ indptr) and the factored x-mode systems of every preset
 multipliers m2, and m3 broadcast to one complex entry per mode) at
 16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); each
 periodic x-stencil of grid._X_STENCILS at nx 47 and 128, its action on
-a seeded field and its symbol (on a tree without the table, the slice
-functions it replaced, each symbol the rfft of its column on the
-identity); each table stencil's action along y, walls included
-(grid._apply_y), on a seeded field at ny 47 and 128, and each
-grid.stencil_matrix, periodic on 47 and 128 nodes and walled on 48 and
-129, over its denominator as its callers read it (on a tree without
-grid.stencil_matrix, the functions it replaced: _dy1 and _dy2 for the
-3-point y-actions, graph_dy for the 5-point ones, and the x-stencils
-and _dy1/_dy2 applied to the identity and nonlinear._line_matrix over
-_line_scale for the matrices); the Gram factors (norms._gram_factors:
-symbol, hx*Cx, Cy and the inf-norm bound) of every order (m, l) up to
-(2, 2) at 16^2 and 47x48; and, printed as it is, the largest
+a seeded field and its symbol; each table stencil's action along y,
+walls included (grid._apply_y), on a seeded field at ny 47 and 128, and
+each grid.stencil_matrix, periodic on 47 and 128 nodes and walled on 48
+and 129, over its denominator as its callers read it; the Gram factors
+(norms._gram_factors: symbol, hx*Cx, Cy and the inf-norm bound) of
+every order (m, l) up to (2, 2) at 16^2 and 47x48; and, printed as it
+is, the largest
 x-derivative part of CoefficientSet.adjoint_pieces (|2 K_x| and
 |eps (K_xx - A_x)|, read off the pieces) of tricomi, chaplygin and
 infinite_order at 47x48 and 192^2, whose K is constant in x; the
@@ -32,7 +27,7 @@ alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
 symbols (nonlinear._step_bands) at 64^2 and 128^2, and at each the d
 and residual of one step (nonlinear._solve_step through
 nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
-seeded right-hand side ("none" on a tree without _solve_step);
+seeded right-hand side;
 solve_linear's u, residual and a priori ratio; phi (build_abc's, from
 multiplier.solve_phi) of every preset at 64^2, so a diff shows which
 preset's phi moved, and the interior and the boundary form entries of
@@ -67,11 +62,10 @@ metrics.json printed as plain text (its values hold timings, so they
 are not hashed; "none" on a tree whose subcommand writes no
 metrics.json).  Each
 Picard run also prints its iterations, its count of steps that factored
-N (the sum of stats["factored"], the solve's zgbtrf calls; "none" on a
-tree without it) and
-converged on lines of their own, and each perfbench linear solve its
-refinement and GMRES step counts and a hash of each one's residuals (refine_residuals, read as
-none on a tree without refinement, and gmres_residuals), so a change
+N (the sum of stats["factored"], the solve's zgbtrf calls) and converged
+on lines of their own, and each perfbench linear solve its refinement
+and GMRES step counts and a hash of each one's residuals
+(refine_residuals and gmres_residuals), so a change
 that moves the iterates or u by round-off, and so their hash, shows
 whether it moved the step counts or the iteration.  One BLAS thread,
 so a library's threading cannot make two runs differ.
@@ -128,75 +122,47 @@ def emit_entries(name: str, report) -> None:
 
 def print_counts(name: str, rep) -> None:
     # a Picard run's step count, factorization count and outcome, printed as
-    # they are; a tree whose report has no factored list reads as none
-    factored = rep.stats.get("factored")
+    # they are
     print(f"{name}/iterations {rep.iterations}")
-    print(f"{name}/factored {'none' if factored is None else sum(factored)}")
+    print(f"{name}/factored {sum(rep.stats['factored'])}")
     print(f"{name}/converged {rep.converged}")
 
 
 def print_krylov(name: str, rep) -> None:
     # a linear solve's refinement and GMRES step counts as they are, and their
-    # residuals hashed; a tree without refinement reads as 0 steps
+    # residuals hashed
     stats = rep.solver_stats
-    print(f"{name}/refine_steps {stats.get('refine_steps', 0)}")
-    emit(f"{name}/refine_residuals", stats.get("refine_residuals", []))
+    print(f"{name}/refine_steps {stats['refine_steps']}")
+    emit(f"{name}/refine_residuals", stats["refine_residuals"])
     print(f"{name}/gmres_iterations {stats['gmres_iterations']}")
     emit(f"{name}/gmres_residuals", stats["gmres_residuals"])
 
 
 def x_stencil_outputs(grid, nx: int):
-    # (name, action on a seeded field, symbol) of each periodic x-stencil at
-    # nx; a tree without grid._X_STENCILS applies the functions the table
-    # replaced and takes each symbol as the rfft of its column on the identity
+    # (name, action on a seeded field, symbol) of each periodic x-stencil at nx
     hx = 2.0 / nx
     v = np.random.default_rng(nx).standard_normal((nx, 9))
-    if hasattr(grid, "_X_STENCILS"):
-        for key in grid._X_STENCILS:
-            sym = grid.x_symbol(grid.x_terms(key, hx), nx)
-            yield f"d{key[0]}_{key[1]}pt", grid._apply_x(key, v, hx), sym
-        return
-    replaced = {(1, 3): "_dx1_3", (2, 3): "_dx2_3", (1, 5): "_dx1", (2, 5): "_dx2"}
-    for (order, points), name in replaced.items():
-        fn = getattr(grid, name)
-        sym = np.fft.rfft(fn(np.eye(nx), hx)[:, 0])
-        yield f"d{order}_{points}pt", fn(v, hx), sym
+    for key in grid._X_STENCILS:
+        sym = grid.x_symbol(grid.x_terms(key, hx), nx)
+        yield f"d{key[0]}_{key[1]}pt", grid._apply_x(key, v, hx), sym
 
 
-def y_stencil_outputs(grid, nonlinear, ny: int):
-    # (name, action along y on a seeded field) of each table stencil at ny;
-    # a tree without grid.stencil_matrix applies the functions it replaced
+def y_stencil_outputs(grid, ny: int):
+    # (name, action along y on a seeded field) of each table stencil at ny
     hy = 2.0 / ny
     v = np.random.default_rng(ny).standard_normal((9, ny + 1))
     for order, points in ((1, 3), (2, 3), (1, 5), (2, 5)):
-        if hasattr(grid, "stencil_matrix"):
-            action = grid._apply_y((order, points), v, hy)
-        elif points == 3:
-            action = (grid._dy1, grid._dy2)[order - 1](v, hy)
-        else:
-            g = grid.make_grid(9, ny)
-            action = nonlinear.graph_dy(grid.Field(g, v), order).values
-        yield f"d{order}_{points}pt", action
+        yield f"d{order}_{points}pt", grid._apply_y((order, points), v, hy)
 
 
-def stencil_matrices(grid, nonlinear, n: int):
+def stencil_matrices(grid, n: int):
     # (name, dense matrix over its denominator) of each table stencil,
-    # periodic on n nodes and walled on n+1 (h = 2/n for both); a tree
-    # without grid.stencil_matrix builds each as the replaced code did
+    # periodic on n nodes and walled on n+1 (h = 2/n for both)
     h, ex, ey = 2.0 / n, np.eye(n), np.eye(n + 1)
     for order, points in ((1, 3), (2, 3), (1, 5), (2, 5)):
         key, stencil = f"d{order}_{points}pt", (order, points)
-        if hasattr(grid, "stencil_matrix"):
-            yield f"{key}/periodic{n}", grid.stencil_product(stencil, ex, h, False)
-            yield f"{key}/walled{n + 1}", grid.stencil_product(stencil, ey, h, True)
-            continue
-        yield f"{key}/periodic{n}", grid._apply_x(stencil, ex, h)
-        if points == 3:
-            walled = (grid._dy1, grid._dy2)[order - 1](ey, h).T
-        else:
-            walled = nonlinear._line_matrix(n + 1, order).toarray()
-            walled /= nonlinear._line_scale(h, order)
-        yield f"{key}/walled{n + 1}", walled
+        yield f"{key}/periodic{n}", grid.stencil_product(stencil, ex, h, False)
+        yield f"{key}/walled{n + 1}", grid.stencil_product(stencil, ey, h, True)
 
 
 def emit_cli(cli) -> None:
@@ -238,9 +204,9 @@ def main(tree: Path) -> None:
             emit(f"x_stencil/{key}/{nx}/action", action)
             emit(f"x_stencil/{key}/{nx}/symbol", symbol)
     for n in (47, 128):
-        for key, action in y_stencil_outputs(grid, nonlinear, n):
+        for key, action in y_stencil_outputs(grid, n):
             emit(f"y_stencil/{key}/{n}/action", action)
-        for key, matrix in stencil_matrices(grid, nonlinear, n):
+        for key, matrix in stencil_matrices(grid, n):
             emit(f"stencil_matrix/{key}", matrix)
     for nx, ny in ((16, 16), (47, 48)):
         g = grid.make_grid(nx, ny)
@@ -267,9 +233,6 @@ def main(tree: Path) -> None:
     for n in (64, 128):
         g = grid.make_grid(n, n)
         emit(f"step_bands/{n}/symbols", nonlinear._step_bands(g).symbols)
-        if not hasattr(nonlinear, "_solve_step"):
-            print(f"step/{n}/solve none")
-            continue
         # the CLI start's profile, p = rho*y with rho 0.25, its alpha and a
         # seeded right-hand side
         lu = nonlinear._factor_step(g, 0.25 * g.y, 0.6)
