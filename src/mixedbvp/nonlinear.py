@@ -10,12 +10,13 @@ the full nonlinear residual, and the linear solve produces the update.
 The step is type-II Anderson mixing of the map d -> d + update over the
 last ANDERSON_DEPTH steps, with mixing parameter THETA; with no history,
 or with ANDERSON_DEPTH = 0, it is the damped step d + THETA * update.
-The linear solve is two calls: _factor_step factors the step operator
-N(p) with one zgbtrf call, and _solve_step back-substitutes with one
-zgbtrs call and answers to the linear solver's gate.  _picard keeps the
-LU and factors again only when the frozen profile has moved by more
-than STEP_LU_DRIFT (the chord method); the fixed point is the
-residual's, which the lagged LU does not move.  The report's stats
+The linear solve is two calls of the linear solver's mode builder:
+_factor_step builds, folds and factors the step operator N(p) with one
+zgbtrf call (solver._mode_lu), and _solve_step back-substitutes with
+one zgbtrs call (solver._solve_modes) and answers to the linear
+solver's gate.  _picard keeps the LU and factors again only when the
+frozen profile has moved by more than STEP_LU_DRIFT (the chord method);
+the fixed point is the residual's, which the lagged LU does not move.  The report's stats
 record per step, among others, the wall-row part of the stopping
 residual (wall_norm), the history the mixing used (mixing_depth) and
 whether the step factored (factored).
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from math import factorial, isfinite, sqrt
 from time import perf_counter
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +50,7 @@ from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, _x_stencil
 from .grid import stencil_product, x_symbol, x_terms
 from .norms import _line_factors
-from .operators import _BOTTOM_DY, _bottom_dx
-from .solver import ResidualGateError, _gate, _singular_mode
+from .solver import ResidualGateError, _gate
 
 
 class CurvatureGateError(RuntimeError):
@@ -388,83 +387,40 @@ class _SplitDerivatives:
         }
 
 
-class _StepBands(NamedTuple):
-    """What every Picard step on a grid shares; see _step_bands."""
-
-    symbols: np.ndarray
-    template: np.ndarray
-    folds: tuple[tuple[int, int, float], ...]
-    spread: tuple[np.ndarray, np.ndarray, np.ndarray]
-    dx2: sp.csr_matrix
-    dy2: sp.csr_matrix
-
-
 @lru_cache(maxsize=16)
-def _step_bands(grid: GridSpec) -> _StepBands:
-    """The x-symbols, the folded y-band and the gate's stencils of the grid's steps.
+def _step_pieces(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix, sp.csr_matrix]:
+    """What every Picard step on a grid shares: (sigma, rows, dx2, dy2).
 
-    symbols, (2, nx//2 + 1): the symbols on the rfft modes (grid.x_symbol)
-    of the periodic second derivative (grid._X_STENCILS' 5-point one,
-    as the residual's) and of the oblique row's u_x (operators._bottom_dx
-    at alpha 1).
-
-    The y-part of each mode's system has the second-order graph stencil
-    (the y-template, read off _derivative_matrices) on rows 1..ny-1,
-    the oblique row's _BOTTOM_DY u_y on row 0 and the identity on row
-    ny, and three rows reach three nodes: row 1 node 4, row 0 node 3
-    and row ny-1 node ny-4.  folds eliminates those entries in
-    turn, each (row, by, c) meaning row -= c*by: row 1 with row 2, row
-    0 with the folded row 1, row ny-1 with row ny-2, which leaves
-    kl = ku = 2.  Each c divides two off-diagonal stencil weights
-    (c = 1, -h/3 and 1), which no mode's symbol touches, so one fold
-    serves every mode and the right-hand side is folded in physical
-    space.  template, (ny+1, 7), complex: the folded rows as one mode's
-    block of the step's band (_factor_step), entry (i, j) at
-    [j, 4 + i - j], with its fill rows 0..1 zero, so that a step copies
-    it whole over every mode.  spread: the fold applied to diag(p) is
-    diag(p) on rows 1..ny-1 plus the entries (0, 1), (0, 2), (1, 2) and
-    (ny-1, ny-2); spread holds their columns j, their band rows
-    4 + i - j and their weights.
-
-    dx2, dy2: the second-order x and y blocks of _derivative_matrices,
-    with which _step_rows applies N for the gate.
+    sigma, one entry per rfft mode: the symbol (grid.x_symbol) of the
+    periodic second derivative, grid._X_STENCILS' 5-point one, as the
+    residual's.  rows: the second-order graph stencil's entries of the
+    interior rows (read off _derivative_matrices) in LAPACK's band
+    layout, as solver._mode_band takes them.  dx2, dy2: the
+    second-order x and y blocks of _derivative_matrices, with which
+    _step_rows applies N for the gate.
     """
-    ny, nyp = grid.ny, grid.ny + 1
-    terms = (x_terms(_x_stencil(2, grid.nx), grid.hx), _bottom_dx(1.0, grid.hx))
-    symbols = np.array([x_symbol(t, grid.nx) for t in terms])
     dx, dy, _ = _derivative_matrices(grid)
-    rows = dy[nyp:].toarray()
-    rows[[0, -1]] = 0.0
-    rows[0, : len(_BOTTOM_DY)], rows[-1, -1] = _BOTTOM_DY / grid.hy, 1.0
-    fold = np.eye(nyp)
-    folds = []
-    for row, by, far in ((1, 2, 4), (0, 1, 3), (ny - 1, ny - 2, ny - 4)):
-        c = rows[row, far] / rows[by, far]
-        rows[row] -= c * rows[by]
-        rows[row, far] = 0.0  # whatever c*rows[by, far] rounds to
-        fold[row] -= c * fold[by]
-        folds.append((row, by, c))
-    i, j = np.nonzero(rows)
-    template = np.zeros((nyp, 7), dtype=complex)
-    template[j, 4 + i - j] = rows[i, j]
-    i, j = np.nonzero(fold - np.eye(nyp))
-    return _StepBands(
-        symbols, template, tuple(folds), (j, 4 + i - j, fold[i, j]), dx[grid.nx :], dy[nyp:]
-    )
+    y = dy[grid.ny + 1 :].toarray()
+    y[[0, -1]] = 0.0  # the band writes the wall rows itself
+    w = np.abs(np.subtract(*np.nonzero(y))).max()
+    # the entry (j + o, j) at rows[w + o, j]
+    rows = np.array([np.pad(y.diagonal(-o), (max(-o, 0), max(o, 0))) for o in range(-w, w + 1)])
+    sigma = x_symbol(x_terms(_x_stencil(2, grid.nx), grid.hx), grid.nx)
+    return sigma, rows, dx[grid.nx :], dy[grid.ny + 1 :]
 
 
 def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
     """N d on rows 1..ny (see _factor_step), as the step's gate reads it.
 
     d_xx and d_yy are the products with the periodic 5-point x- and the
-    second-order graph stencil matrices (_step_bands).  Row 0 holds
+    second-order graph stencil matrices (_step_pieces).  Row 0 holds
     those products too: the gate (solver._gate) forms the oblique row
     itself.
     """
-    bands = _step_bands(g)
-    rows = bands.dx2 @ d
+    _, _, dx2, dy2 = _step_pieces(g)
+    rows = dx2 @ d
     rows *= p
-    rows += (bands.dy2 @ d.T).T
+    rows += (dy2 @ d.T).T
     rows[:, -1] = d[:, -1]
     return rows
 
@@ -476,54 +432,34 @@ def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
     stencils (the periodic 5-point d_xx in x, the second-order graph
     stencil in y), the oblique row alpha*d_x + d_y of
     operators._oblique_row on row 0 and d itself on row ny.  N commutes
-    with the x-shift, so the
-    rfft splits it into one y-system per mode, folded to kl = ku = 2
-    (_step_bands): the cached template, plus the mode's symbol times the
-    fold of diag(p), plus alpha times the oblique symbol at (0, 0).  The
-    systems are the diagonal blocks of one band matrix with exact zeros
-    between blocks, so partial pivoting never reaches across a block,
-    and one zgbtrf call factors each block as a call of its own would.
-    The band, (nx//2 + 1, ny+1, 7) with mode k's entry (i, j) at
-    [k, j, 4 + i - j] so that its (-1, 7) reshape, transposed, is the
-    Fortran-ordered array zgbtrf factors in place, is allocated here
-    and nowhere else.  A zero pivot raises solver._singular_mode's
-    PreconditionError, naming the first singular mode.
+    with the x-shift, so it is one call of the linear solver's mode
+    builder (solver._mode_lu): the graph stencil's rows, the term
+    p*sigma (_step_pieces) and alpha.  The one-sided rows 1 and ny-1
+    and the oblique row reach one node past the centred rows, so the
+    band folds them to kl = ku = 2 and factors it with one zgbtrf call;
+    a zero pivot raises PreconditionError naming the first singular
+    mode.
 
-    Returns the factored band, its pivots and p.
+    Returns the mode LU and p.
     """
-    bands = _step_bands(g)
-    band = np.tile(bands.template, (g.nx // 2 + 1, 1, 1))
-    sym_p = bands.symbols[0][:, None] * p
-    band[:, 1:-1, 4] += sym_p[:, 1:-1]
-    cols, at, weights = bands.spread
-    band[:, cols, at] += weights * sym_p[:, cols]
-    band[:, 0, 4] += alpha * bands.symbols[1]
-    lu, piv, info = lapack.zgbtrf(band.reshape(-1, 7).T, 2, 2, overwrite_ab=1)
-    if info > 0:
-        raise _singular_mode(info, g)
-    return lu, piv, p
+    sigma, rows, _, _ = _step_pieces(g)
+    return solver._mode_lu(g, alpha, rows, ((p, sigma),), 2, 2), p
 
 
 def _solve_step(g: GridSpec, lu: tuple, alpha: float, f: np.ndarray) -> tuple[np.ndarray, float]:
     """d with N(p) d = f through lu = _factor_step(g, p, alpha), and the residual's norm.
 
-    f's wall rows are read as zero; the fold of _step_bands is applied
-    to f in physical space, and one rfft, one zgbtrs call on every mode
-    at once and one irfft give d.  zgbsv is zgbtrf followed by zgbtrs,
-    so this is zgbsv's d, bit for bit.  The residual is solver._gate's,
-    the one every linear solve answers to, on N(p) d over rows 1..ny
-    (_step_rows); the gate forms row 0, the oblique row, itself.  When
-    its norm exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it is
-    raised.
+    f's wall rows are read as zero; solver._solve_modes takes one rfft,
+    folds the spectrum, makes one zgbtrs call on every mode at once and
+    takes one irfft.  The residual is solver._gate's, the one every
+    linear solve answers to, on N(p) d over rows 1..ny (_step_rows);
+    the gate forms row 0, the oblique row, itself.  When its norm
+    exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it is raised.
     """
-    band, piv, p = lu
+    modes, p = lu
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
-    for row, by, c in _step_bands(g).folds:
-        rhs[:, row] -= c * rhs[:, by]
-    spec = np.fft.rfft(rhs, axis=0).reshape(-1, 1)
-    x, _ = lapack.zgbtrs(band, 2, 2, spec, piv, overwrite_b=1)
-    d = np.fft.irfft(x.reshape(-1, g.ny + 1), n=g.nx, axis=0)
+    d = solver._solve_modes(modes, rhs)
     fnorm = _l2_norm(g, f)
     res, r = _gate(f, d, _step_rows(g, p, d), alpha, g)
     if res > solver.RESIDUAL_TOL * fnorm:
@@ -623,7 +559,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     step that factors allocates its own band (_factor_step), and every
     step its right-hand side (_solve_step).  chi, the inner region as a
     slice and the wall rows' weight come from _residual_weights, and
-    the stencils, seam weights and step bands from their own caches,
+    the stencils, seam weights and step pieces from their own caches,
     all shared per grid.  The residual norms are taken on the bare
     arrays (grid._l2_norm), which still raise GridError on a non-finite
     entry.
@@ -634,7 +570,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     stats holds the perf_counter sums residual_s (derivatives, residual
     and principal coefficients), band_s (the profile p, the drift test
     and _factor_step), solve_s (_solve_step: the right-hand side, rfft,
-    zgbtrs, irfft and gate) and mix_s (the mixing), and per step the
+    fold, zgbtrs, irfft and gate) and mix_s (the mixing), and per step the
     part of the step's stopping residual on the wall rows 0 and ny
     (wall_norm), the number of past steps the mixing used
     (mixing_depth) and whether the step factored N (factored; its sum
@@ -652,7 +588,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     chi, inner, wall_weight = _residual_weights(grid)
     split = _SplitDerivatives(z0.z)
     mixing = _AndersonMixing(grid.nx * (grid.ny + 1), ANDERSON_DEPTH, THETA)
-    lu = None  # the last _factor_step's (band, pivots, p)
+    lu = None  # the last _factor_step's (mode LU, p)
 
     d = np.zeros(grid.shape)
     history: list[float] = []
@@ -688,7 +624,7 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
             )
         p = (P[inner] / Q[inner]).mean(axis=0)
         # a NaN drift is not small, so it factors
-        factor = lu is None or not np.abs(p - lu[2]).max() <= STEP_LU_DRIFT * np.abs(p).max()
+        factor = lu is None or not np.abs(p - lu[1]).max() <= STEP_LU_DRIFT * np.abs(p).max()
         if factor:
             lu = _factor_step(grid, p, alpha)
         t1 = perf_counter()

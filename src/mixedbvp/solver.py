@@ -7,8 +7,11 @@ coefficients depend on x, it refines that answer with the same LUs
 while each step halves the residual, then hands what is left to
 scipy's GMRES preconditioned by those LUs, with a sparse LU of the
 assembled matrix as the fallback.  This module alone knows the mode
-systems' layout.  The a priori constant of the well-posedness estimate
-is reported as the measured ratio ||u||_0 / ||f||_{H^1}.
+systems' layout: one builder (_mode_band, _mode_lu, _solve_modes)
+stacks, folds, factors and back-substitutes them, for L and for the
+Picard step of nonlinear alike.  The a priori constant of the
+well-posedness estimate is reported as the measured ratio
+||u||_0 / ||f||_{H^1}.
 energy_certificate drives the duality chain: for adjoint-admissible
 samples v it solves the auxiliary problem M u = v and tests positivity
 of (L* v, u) against the anisotropic (m,1) energy of u, then reports the
@@ -23,6 +26,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from math import isfinite
 from time import perf_counter
 from typing import Callable
@@ -90,16 +94,20 @@ class ResidualGateError(PreconditionError):
         )
 
 
+def _check_grid(what: str, grid: GridSpec, cs: CoefficientSet) -> None:
+    """Raise ValueError naming both grids unless grid is the coefficients'."""
+    if grid != cs.grid:
+        raise ValueError(f"{what} holds a {grid.nx}x{grid.ny} grid,"
+                         f" but the coefficients hold {cs.grid.nx}x{cs.grid.ny}")
+
+
 @dataclass
 class LinearProblem:
     cs: CoefficientSet
     f: Field
 
     def __post_init__(self):
-        fg, cg = self.f.grid, self.cs.grid
-        if fg != cg:
-            raise ValueError(f"the right-hand side holds a {fg.nx}x{fg.ny} grid,"
-                             f" but the coefficients hold {cg.nx}x{cg.ny}")
+        _check_grid("the right-hand side", self.f.grid, self.cs)
 
 
 @dataclass
@@ -140,94 +148,183 @@ class ConvergenceTable:
         return [r.observed_order for r in self.rows if r.observed_order is not None]
 
 
-def _mode_systems(cs: CoefficientSet):
-    """The y-system of each rfft x-mode of the x-averaged L, oblique row folded out.
+@lru_cache(maxsize=16)
+def _band_start(grid: GridSpec, alpha: float, rows: bytes, w: int, kl: int, ku: int) -> tuple:
+    """What _mode_band starts from, kept per grid, alpha and rows.
+
+    template, one mode's entries before its terms: rows' lines, the
+    oblique row's _BOTTOM_DY/hy and the identity top row, the entry
+    (i, j) on line (s + i - j) mod n, s = kl + ku, LAPACK's line of the
+    diagonal.  n is LAPACK's 2kl + ku + 1 lines, or the unfolded reach
+    when that is wider, so no two entries of a column share a line: an
+    entry beyond LAPACK's lines wraps round onto a line that holds no
+    entry of its column, and the fold clears it.  Then the folds
+    (_fold_plan) and the oblique row's alpha*u_x on the rfft modes
+    (grid.x_symbol of operators._bottom_dx).
+    """
+    nyp, b_dy = grid.ny + 1, _BOTTOM_DY / grid.hy
+    s, n = kl + ku, max(2 * kl + ku + 1, 2 * w + 1, w + len(b_dy))
+    template = np.zeros((n, nyp))
+    template[(s - w + np.arange(2 * w + 1)) % n] = np.frombuffer(rows).reshape(-1, nyp)
+    template[(s - (c := np.arange(len(b_dy)))) % n, c] = b_dy  # row 0's entries (0, c)
+    template[s, -1] = 1.0
+    plan = _fold_plan((template != 0.0).tobytes(), n, grid.ny, w, kl, ku)
+    return template, plan, x_symbol(_bottom_dx(alpha, grid.hx), grid.nx)
+
+
+@lru_cache(maxsize=16)
+def _fold_plan(known: bytes, n: int, ny: int, w: int, kl: int, ku: int) -> tuple:
+    """The folds of _mode_band for a band whose entries may be nonzero where known is.
+
+    known holds the bytes of a bool array (n, ny + 1), laid out as
+    _band_start's template; the entries off the diagonal are the same in
+    every mode, so one mode shows which rows reach past the band, and
+    how far.  Kept per structure, which every linear problem on a grid
+    shares.  Returns one fold per entry beyond the band, in order: (i,
+    j, by, row by's columns, the pivot's line, the cleared entry's line,
+    and the lines of row by's columns in rows i and by).
+    """
+    s = kl + ku
+    line, col = np.nonzero(np.frombuffer(known, dtype=bool).reshape(n, ny + 1))
+    d = (line - s + n - 1 - w) % n - (n - 1 - w)  # each entry's i - j
+    # each row's farthest column right and left of the band (the last one a
+    # dict keeps)
+    right = dict(sorted(zip((col + d)[d < -ku].tolist(), col[d < -ku].tolist())))
+    left = dict(sorted(zip((col + d)[d > kl].tolist(), col[d > kl].tolist()), reverse=True))
+    # right of the band from the bottom row up, left of it from the top row
+    # down, each row's farthest entry first: a row is folded before it serves
+    # another, and a folded row adds nothing past the entry it clears
+    folds = [(i, j, j - ku) for i in sorted(right)[::-1] for j in range(right[i], i + ku, -1)]
+    folds += [(i, j, j + kl) for i in sorted(left) for j in range(left[i], i - kl)]
+    return tuple(
+        (i, j, by, c := np.arange(max(by - kl, 0), min(by + ku, ny) + 1),
+         (s + by - j) % n, (s + i - j) % n, (s + i - c) % n, (s + by - c) % n)
+        for i, j, by in folds
+    )
+
+
+def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
+    """The y-systems of a problem's rfft x-modes, stacked and folded to the band (kl, ku).
+
+    The problem commutes with the x-shift, so the rfft in x splits it
+    into one (ny+1)-system per mode k.  Rows 1..ny-1 of each hold the
+    entries of rows, which holds them as LAPACK's band storage does,
+    the entry (i, j) at rows[w + i - j, j] (rows has 2w + 1 lines and
+    ny + 1 columns, and no entry of rows 0 and ny), and on row i's
+    diagonal coefficient[i]*symbol[k] is added for each (coefficient,
+    symbol) of terms, in order, symbol one entry per mode (a
+    grid.x_symbol).  Row 0 is the oblique bottom row: _BOTTOM_DY/hy on
+    columns 0..3 plus the mode's symbol of operators._bottom_dx(alpha)
+    at (0, 0).  Row ny is the identity.
+
+    The rows that reach past the band are folded (_band_start, _fold_plan).
+    Each entry (i, j) beyond it, the farthest first, is cleared by row i
+    -= m*(row by), by = j - ku right of the band and j + kl left of it,
+    m the entry over by's entry at column j in each mode; the cleared
+    entry is set to exactly 0.  The same row operations on a right-hand
+    side (_solve_modes) leave the solution unchanged.  A zero divisor
+    raises PreconditionError naming the first mode it is zero in ("not
+    foldable") before any division.
+
+    Returns the band, s = kl + ku and the folds, each (i, by, m):
+    band[(s + i - j) % len(band), k, j] is mode k's entry (i, j), s
+    LAPACK's line of the diagonal, and every entry outside a block is
+    zero; len(band) is LAPACK's 2kl + ku + 1 lines, or the unfolded
+    reach when that is wider.  A tridiagonal band is laid out
+    line by line, so that zgttrf reads its three lines as they are; any
+    other as LAPACK's band storage, which zgbtrf factors in place.
+    """
+    template, plan, bottom = _band_start(grid, alpha, rows.tobytes(), len(rows) // 2, kl, ku)
+    s, n, shape = kl + ku, len(template), (grid.nx // 2 + 1, grid.ny + 1)
+    band = (np.empty((n, *shape), dtype=complex) if kl == ku == 1
+            else np.empty((*shape, n), dtype=complex).transpose(2, 0, 1))
+    band[...] = template[:, None, :]
+    for coefficient, symbol in terms:
+        band[s, :, 1:-1] += coefficient[1:-1] * symbol[:, None]
+    band[s, :, 0] += bottom
+    folds = []
+    for i, j, by, c, pivot_line, line, lines, by_lines in plan:
+        pivot = band[pivot_line, :, j]
+        if not pivot.all():
+            raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {np.argmin(pivot != 0)}"
+                                    " is not foldable to its band (zero fold pivot)")
+        m = band[line, :, j] / pivot
+        band[lines, :, c] -= m * band[by_lines, :, c]
+        band[line, :, j] = 0.0
+        folds.append((i, by, m))
+    return band, s, folds
+
+
+def _mode_lu(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
+    """One LAPACK LU of every x-mode system of a problem, folded by _mode_band.
+
+    The folded systems are the diagonal blocks of one band matrix.  A
+    tridiagonal band is factored with zgttrf, any other with
+    zgbtrf(kl, ku): zgttrf costs a quarter to a half of zgbtrf(1, 1).
+    Each block ends in the identity row, and the entries between blocks
+    are exact zeros, so partial pivoting never swaps across a block
+    boundary and the one call factors each block as a call of its own
+    would, bit for bit.  A zero LU pivot raises PreconditionError
+    (WELLPOSEDNESS_SUSPECT) naming its mode, the first singular one, as
+    a loop over the modes would.
+
+    Returns (factors, kl, ku, folds), as _solve_modes takes it: factors
+    are zgttrf's (dl, d, du, du2, ipiv) or zgbtrf's (ab, ipiv), and
+    folds _mode_band's row operations, each (row, by, m).
+    """
+    band, s, folds = _mode_band(grid, alpha, rows, terms, kl, ku)
+    if kl == ku == 1:
+        du, d, dl = (band[s + o].ravel() for o in (-1, 0, 1))
+        *factors, info = lapack.zgttrf(dl[:-1], d, du[1:], overwrite_dl=1, overwrite_d=1,
+                                       overwrite_du=1)
+    else:  # the first 2kl + ku + 1 lines, a copy when the unfolded reach needed more
+        ab = band.transpose(1, 2, 0).reshape(-1, len(band))[:, : 2 * kl + ku + 1].T
+        *factors, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:  # the pivot's 1-based row: the first singular mode's
+        raise PreconditionError(
+            f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // (grid.ny + 1)} is exactly singular")
+    return tuple(factors), kl, ku, tuple(folds)
+
+
+def _solve_modes(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """u with the problem's rows times u = rhs, through lu = _mode_lu(...).
+
+    Every row of rhs is read.  One rfft in x, the fold's row operations
+    on the spectrum, one zgttrs or zgbtrs call over every mode and one
+    irfft.
+    """
+    factors, kl, ku, folds = lu
+    spec = np.fft.rfft(rhs, axis=0)
+    for row, by, m in folds:
+        spec[:, row] -= m * spec[:, by]
+    if kl == ku == 1:
+        x = lapack.zgttrs(*factors, spec.reshape(-1, 1), overwrite_b=True)[0]
+    else:  # factors = (ab, ipiv)
+        x = lapack.zgbtrs(factors[0], kl, ku, spec.reshape(-1, 1), factors[1], overwrite_b=1)[0]
+    return np.fft.irfft(x.reshape(spec.shape), n=rhs.shape[0], axis=0)
+
+
+def _mode_systems(cs: CoefficientSet) -> tuple:
+    """The x-averaged L as _mode_band's problem: (grid, alpha, rows, terms, 1, 1).
 
     K, A and B are averaged over x (a field constant in x keeps its own
     row exactly), and the averaged L maps the mode exp(i*theta*i) times
-    a y-profile to the same mode: the x-neighbours of the assembled
-    stencils become the symbol east*s + west*conj(s), s the grid.x_symbol
-    of the shift to the east neighbour (offset 1, weight 1), and the
-    bottom row's u_x the grid.x_symbol of its (offset, weight) pairs
-    (operators._bottom_dx): each the rfft of its action on e_0.
-    What is left in y is tridiagonal, plus the identity top row and the
-    oblique bottom row (row 0), which reaches columns 0..3.  Subtracting
-    m3*(row 2) and then m2*(row 1) from row 0 clears its columns 3 and 2
-    and leaves a tridiagonal system with the same solution, once the
-    right-hand side takes the same two row operations
-    (FactorizedOperator._mode_solve).  The fold divides by the entries
-    (1, 2) and (2, 3), the north weights of y-rows 1 and 2, and m3's
-    numerator is the bottom row's weight of column 3: no mode changes
-    them, so m3 is one number, and a zero divisor stops the fold in
-    every mode, which raises PreconditionError naming x-mode 0 before
-    any division.
-
-    Returns (dl, d, du), the sub-, main and super-diagonal (lengths N-1,
-    N, N-1) of one matrix of order N = (nx//2 + 1)*(ny+1) whose diagonal
-    blocks are the systems, entry (r, c) of mode k at index
-    k*(ny+1) + min(r, c) and every entry that would couple two blocks
-    zero; and (m2, m3), m2 one per mode.
+    a y-profile to the same mode: the interior rows hold the south,
+    centre and north weights of the assembled stencil, and its east and
+    west neighbours become the terms east*s and west*conj(s), s the
+    symbol of the shift to the east neighbour.  The oblique bottom row
+    reaches columns 0..3, so the band folds it with rows 2 and then 1
+    to tridiagonal form; those folds divide by the north weights of
+    y-rows 2 and 1.
     """
     g = cs.grid
-    K, A, B = (
-        c.values[0] if flat else c.values.mean(axis=0)
-        for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant)
-    )
+    K, A, B = (c.values[0] if flat else c.values.mean(axis=0)
+               for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant))
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    dx, b_dy = _bottom_dx(cs.alpha, g.hx), _BOTTOM_DY / g.hy
-    if north[1] == 0.0 or north[2] == 0.0:
-        raise PreconditionError(
-            "WELLPOSEDNESS_SUSPECT: x-mode 0 is not foldable"
-            " to tridiagonal form (zero fold pivot)"
-        )
-    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx)[:, None]
-    # one row per mode; the off-diagonals get one padding entry per block,
-    # which is the zero between blocks (the last block's is cut off)
-    d = np.empty((shift.size, g.ny + 1), dtype=complex)
-    d[:, 0] = b_dy[0] + x_symbol(dx, g.nx)
-    d[:, 1:-1] = centre[1:-1] + east[1:-1] * shift + west[1:-1] * np.conj(shift)
-    d[:, -1] = 1.0
-    dl = np.zeros_like(d)
-    dl[:, :-2] = south[1:-1]
-    du = np.zeros_like(d)
-    du[:, 0] = b_dy[1]
-    du[:, 1:-1] = north[1:-1]
-    m3 = b_dy[3] / du[0, 2]
-    m2 = (b_dy[2] - m3 * d[:, 2]) / du[0, 1]
-    du[:, 0] -= m3 * dl[:, 1]
-    du[:, 0] -= m2 * d[:, 1]
-    d[:, 0] -= m2 * dl[:, 0]
-    return dl.ravel()[:-1], d.ravel(), du.ravel()[:-1], (m2, m3)
-
-
-def _factor_modes(cs: CoefficientSet):
-    """One zgttrf LU of the stacked, folded x-mode systems of _mode_systems(cs).
-
-    Returns the factors as zgttrs takes them (dl, d, du, du2, ipiv) and
-    the fold multipliers (m2, m3).  The systems are the diagonal blocks
-    of one tridiagonal matrix, one per rfft mode.  Each block ends in
-    the identity row, and the entries between blocks and beside that
-    row are exact zeros, so partial pivoting never swaps across a block
-    boundary and the one call factors each block as a call of its own
-    would, bit for bit.  A zero LU pivot raises PreconditionError naming
-    its mode, the first singular one, as a loop over the modes would.
-    """
-    dl, d, du, fold = _mode_systems(cs)
-    *lu, info = lapack.zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info > 0:
-        raise _singular_mode(info, cs.grid)
-    return lu, fold
-
-
-def _singular_mode(info: int, grid: GridSpec) -> PreconditionError:
-    """The error of a zero LU pivot in x-mode systems stacked ny+1 rows each.
-
-    info is LAPACK's (> 0): the pivot's 1-based row, so the first
-    singular mode is the one named.  FactorizedOperator and the Picard
-    step (nonlinear._factor_step) raise it.
-    """
-    mode = (info - 1) // (grid.ny + 1)
-    return PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {mode} is exactly singular")
+    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx)
+    rows = np.zeros((3, g.ny + 1))  # the entry (i, j) at rows[1 + i - j, j]
+    rows[0, 2:], rows[1, 1:-1], rows[2, :-2] = north[1:-1], centre[1:-1], south[1:-1]
+    return g, cs.alpha, rows, ((east, shift), (west, np.conj(shift))), 1, 1
 
 
 # every solve's residual over all rows must be at most this times ||f||
@@ -276,16 +373,17 @@ class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
     The rfft in x splits the x-averaged operator into nx//2 + 1 systems
-    in y (see _mode_systems).  Each one's oblique bottom row is folded
-    into tridiagonal form, and all are factored once, in one call of
-    LAPACK's zgttrf (partial pivoting: the diagonal is not dominant
-    where K < 0).  When K, A and B do not depend on x, that is L itself.
+    in y (see _mode_systems).  The mode builder folds each one's oblique
+    bottom row into tridiagonal form and factors all of them once, in one
+    call of LAPACK's zgttrf (_mode_lu; partial pivoting: the diagonal is
+    not dominant where K < 0).  When K, A and B do not depend on x, that
+    is L itself.
 
     solve is iterative refinement with the mode LUs (Wilkinson 1963;
     Concus-Golub 1973) from u = 0, whose residual is the right-hand side,
     since its wall rows are zero.  Step k sets u <- u + M^-1 r, M the mode
-    LUs and r _gate's residual: it folds r's bottom row the same way and
-    back-substitutes through the mode LUs, in one zgttrs call.  Step 0,
+    LUs and r _gate's residual: _solve_modes folds r's spectrum the same
+    way and back-substitutes through the mode LUs, in one zgttrs call.  Step 0,
     the plain mode-LU solve, is always kept, and it ends the loop when
     the residual over every row, walls included, passes the gate (_gate,
     RESIDUAL_TOL*||f||), as it does for every x-independent set.  A later
@@ -320,7 +418,7 @@ class FactorizedOperator:
     steps follow; a fallback to splu adds one product) and
     solve_s (its perf_counter time); and, from the constructor, the
     perf_counter times assemble_s (building L) and factor_s.  A
-    singular factorization of L (_singular_mode for a mode LU), or a
+    singular factorization of L (a zero pivot of a mode LU), or a
     zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
     those modes are the averaged operator's, it only sends the operator
@@ -335,7 +433,7 @@ class FactorizedOperator:
         self.stats: dict = {"assemble_s": t1 - t0, "matvecs": 0, "mode_solves": 0}
         self.method = "fourier"
         try:
-            self._modes = _factor_modes(cs)
+            self._modes = _mode_lu(*_mode_systems(cs))
         except PreconditionError as exc:
             if all(cs.x_constant):
                 raise
@@ -353,13 +451,7 @@ class FactorizedOperator:
     def _mode_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitution through the mode LUs, every row of rhs included."""
         self.stats["mode_solves"] += 1
-        g = self.cs.grid
-        spec = np.fft.rfft(rhs.reshape(g.shape), axis=0)
-        lu, (m2, m3) = self._modes
-        spec[:, 0] -= m3 * spec[:, 2]
-        spec[:, 0] -= m2 * spec[:, 1]
-        spec = lapack.zgttrs(*lu, spec.reshape(-1, 1), overwrite_b=True)[0]
-        return np.fft.irfft(spec.reshape(-1, g.ny + 1), n=g.nx, axis=0)
+        return _solve_modes(self._modes, rhs.reshape(self.cs.grid.shape))
 
     def _rows(self, u: np.ndarray) -> np.ndarray:
         """Every row of L times u, walls included, in the grid's shape."""
@@ -678,8 +770,10 @@ def energy_certificate(
     """Measure (L* v, u) / ||u||^2_(m,1) over admissible samples v, u = M^{-1} v.
 
     Also reports the measured constant of ||v||_(-m-1,0) <=
-    C^2 ||L* v||_(-m,-1).  Zero samples are skipped, and ValueError is
-    raised when no nonzero sample is left; positivity of every ratio is
+    C^2 ||L* v||_(-m,-1).  A sample on another grid than cs raises
+    ValueError naming both grids, before anything is built.  Zero
+    samples are skipped, and ValueError is raised when no nonzero
+    sample is left; positivity of every ratio is
     the certificate.  The samples run concurrently on _sample_workers
     threads, one contiguous chunk each: the first in the calling thread,
     the others in pool threads, each in a copy of the caller's context
@@ -696,6 +790,8 @@ def energy_certificate(
     to workers, the thread count, times wall_s, the time from dispatch
     to the joined results; and aux_iterations, one entry per sample.
     """
+    for k, v in enumerate(v_samples):
+        _check_grid(f"sample {k}", v.grid, cs)
     v_samples = [v for v in v_samples if l2_norm(v) > 0.0]
     if not v_samples:
         raise ValueError("energy_certificate: no nonzero sample was given")

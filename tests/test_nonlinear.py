@@ -454,7 +454,8 @@ def test_step_is_zgbsv_bit_for_bit(monkeypatch, n, alpha):
     ((ab, _, _),), ((_, _, _, b, _),) = factors, solves
     ref_lu, ref_piv, x, info = lapack.zgbsv(2, 2, ab, b)
     assert info == 0
-    assert np.array_equal(lu[0], ref_lu) and np.array_equal(lu[1], ref_piv)
+    (factored, piv), _, _, _ = lu[0]
+    assert np.array_equal(factored, ref_lu) and np.array_equal(piv, ref_piv)
     assert np.array_equal(d, np.fft.irfft(x.reshape(-1, g.ny + 1), n=g.nx, axis=0))
 
 
@@ -474,32 +475,34 @@ def _mode_systems(g, p, alpha):
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
 def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
-    # the folded template has no entry outside kl = ku = 2, and each mode's
+    # the folded band has no entry outside kl = ku = 2, and each mode's
     # folded band system (as zgbtrf and zgbtrs receive it) solves the
     # unfolded y-system: np.linalg.solve on the system read off _N_rows
     # columns
     from scipy.linalg import lapack
 
-    from mixedbvp.nonlinear import _step_bands
+    from mixedbvp.nonlinear import _step_pieces
+    from mixedbvp.solver import _mode_band
 
     g, p, f = _step_inputs(n)
     nyp, alpha = g.ny + 1, 0.6
     A = _mode_systems(g, p, alpha)
 
-    # mode 0 has both symbols 0, so its system is the template's, unfolded;
-    # folded as _step_bands folds it, nothing is left outside the band
-    # (measured: exactly 0), and inside it the template holds the rest
-    bands = _step_bands(g)
+    # mode 0 has both symbols 0, so its system is real; folded with the
+    # band's own mode-0 multipliers, nothing is left outside the band
+    # (measured: exactly 0), and inside it the band holds the rest
+    sigma, rows, _, _ = _step_pieces(g)
+    band, s, folds = _mode_band(g, alpha, rows, ((p, sigma),), 2, 2)
     folded = A[0].real.copy()
-    for row, by, c in bands.folds:
-        folded[row] -= c * folded[by]
+    for row, by, m in folds:
+        folded[row] -= m[0].real * folded[by]
     i, j = np.indices(folded.shape)
     inside = np.abs(i - j) <= 2
     assert np.abs(folded[~inside]).max() <= 1e-15 * np.abs(A[0].real).max()
     dense = np.zeros_like(folded)
-    dense[inside] = bands.template[j[inside], 4 + i[inside] - j[inside]].real
-    # a real band, with nothing in the fill rows 0..1 that zgbtrf writes
-    assert not bands.template.imag.any() and not bands.template[:, :2].any()
+    dense[inside] = band[s + i[inside] - j[inside], 0, j[inside]].real
+    # a real block, with every entry outside the band exactly zero in every mode
+    assert not band[:, 0].imag.any() and not band[: s - 2].any() and not band[s + 3 :].any()
     assert np.allclose(dense, np.where(inside, folded, 0.0), rtol=1e-15, atol=0.0)
 
     factors, solves = _spy_lapack(monkeypatch, "zgbtrf"), _spy_lapack(monkeypatch, "zgbtrs")
@@ -540,7 +543,7 @@ def test_passing_step_builds_no_gate_error(monkeypatch):
 def test_linear_step_forms_the_oblique_row_once(monkeypatch):
     # the gate alone forms the step's bottom row: one _oblique_row call per
     # step, counted through every module of the package that binds it (the
-    # grid's step bands, built first, read its symbol once per grid)
+    # grid's step pieces are built first)
     import sys
 
     from mixedbvp import nonlinear, operators
@@ -553,7 +556,7 @@ def test_linear_step_forms_the_oblique_row_once(monkeypatch):
         return real(*args)
 
     g, p, f = _step_inputs(32)
-    nonlinear._step_bands(g)
+    nonlinear._step_pieces(g)
     for name, module in list(sys.modules.items()):
         if name.startswith("mixedbvp") and getattr(module, "_oblique_row", None) is real:
             monkeypatch.setattr(module, "_oblique_row", counting)
@@ -561,18 +564,40 @@ def test_linear_step_forms_the_oblique_row_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_singular_step_mode_is_wellposedness_suspect(monkeypatch):
-    # with no top row every mode's system is singular; the first is named
-    from mixedbvp import nonlinear
+@pytest.mark.parametrize(
+    "singular",
+    [[(0, 0)], [(0, 32)], [(5, 7)], [(3, 32), (9, 0)], [(16, 32)], [(6, 1)], [(4, 31)],
+     [(2, 32), (7, 1)], [(8, 31), (12, 0)], [(11, 1), (15, 31)]],
+)
+def test_singular_step_mode_is_wellposedness_suspect(singular, monkeypatch):
+    # a zero column (mode k, y-node c) of the folded band makes that mode
+    # exactly singular; the one zgbtrf call over every mode names the
+    # first such mode, as a zgbtrf call per mode does, also at the first
+    # and last column of a block, at the nodes 0, 1 and ny-1 of the folded
+    # rows and past mode 0
+    from scipy.linalg import lapack
+
+    from mixedbvp import nonlinear, solver
     from mixedbvp.solver import PreconditionError
 
-    g, p, _ = _step_inputs(16)
-    bands = nonlinear._step_bands(g)
-    template = bands.template.copy()
-    template[-1, 4] = 0.0  # the top row's identity entry (ny, ny)
-    monkeypatch.setattr(nonlinear, "_step_bands", lambda grid: bands._replace(template=template))
-    with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode 0 is exactly singular"):
+    g, p, _ = _step_inputs(32)
+    nyp, real = g.ny + 1, solver._mode_band
+
+    def zeroed(*problem):
+        band, s, folds = real(*problem)
+        for k, c in singular:
+            band[:, k, c] = 0.0  # the entries (i, c) of mode k
+        return band, s, folds
+
+    monkeypatch.setattr(solver, "_mode_band", zeroed)
+    factors = _spy_lapack(monkeypatch, "zgbtrf")
+    with pytest.raises(PreconditionError, match="WELLPOSEDNESS_SUSPECT: x-mode") as exc:
         nonlinear._factor_step(g, p, 0.6)
+    ((ab, kl, ku),) = factors
+    blocks = [ab[:, k * nyp : (k + 1) * nyp] for k in range(g.nx // 2 + 1)]
+    first = next(k for k, block in enumerate(blocks) if lapack.zgbtrf(block, kl, ku)[-1] > 0)
+    assert first == min(k for k, _ in singular)
+    assert str(exc.value) == f"WELLPOSEDNESS_SUSPECT: x-mode {first} is exactly singular"
 
 
 @pytest.mark.parametrize("solve", ["ma", "darboux"])
@@ -613,7 +638,7 @@ def test_kept_lu_step_matches_a_fresh_factorization(monkeypatch, alpha):
     def picard(*profiles):
         solved = []
         monkeypatch.setattr(nonlinear, "_solve_step",
-                            lambda g, lu, *a: solved.append(lu[2]) or real_solve(g, lu, *a))
+                            lambda g, lu, *a: solved.append(lu[1]) or real_solve(g, lu, *a))
 
         def step_terms(dv):
             p = profiles[min(len(solved), len(profiles) - 1)]
@@ -825,17 +850,17 @@ def test_derivative_matrices_are_shared_per_grid():
     from mixedbvp import nonlinear
     from mixedbvp.grid import stencil_matrix
 
-    # built once: the ma solve's seam split builds them, its step bands
+    # built once: the ma solve's seam split builds them, its step pieces
     # slice the gate's blocks off them, and the darboux solve's split
-    # reuses them (its step bands are cached too)
+    # reuses them (its step pieces are cached too)
     nonlinear._derivative_matrices.cache_clear()
-    nonlinear._step_bands.cache_clear()
+    nonlinear._step_pieces.cache_clear()
     stencil_matrix.cache_clear()
     _cli_solve("ma", 32)
     _cli_solve("darboux", 32)
     info = nonlinear._derivative_matrices.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert nonlinear._step_bands.cache_info().misses == 1
+    assert nonlinear._step_pieces.cache_info().misses == 1
     # the walled y-stencils of both orders on 33 nodes, the periodic
     # x-stencils of both orders on 32 (the seam split's), and the walled
     # first-order x-stencil on 32 that darboux's Christoffel symbols add

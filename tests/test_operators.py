@@ -185,7 +185,7 @@ def test_apply_L_sums_every_term(preset):
 @pytest.mark.parametrize("preset", ["lower_order", "wedge"])
 def test_mode_systems_average_over_x(preset):
     # an x-dependent set gets the mode systems of its x-averaged copy, not of one row
-    from mixedbvp.solver import _mode_systems
+    from mixedbvp.solver import _mode_band, _mode_systems
 
     g = make_grid(16, 16)
     cs = preset_coefficients(preset, g, 0.01, 0.02)
@@ -193,9 +193,11 @@ def test_mode_systems_average_over_x(preset):
         Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)
     )
     averaged = CoefficientSet(K, A, B, cs.eps, cs.alpha)
-    (*own, (own_m2, own_m3)), (*avg, (avg_m2, avg_m3)) = _mode_systems(cs), _mode_systems(averaged)
-    for a, b in zip(own + [own_m2, own_m3], avg + [avg_m2, avg_m3]):
-        assert np.array_equal(a, b)
+    own, _, own_folds = _mode_band(*_mode_systems(cs))
+    avg, _, avg_folds = _mode_band(*_mode_systems(averaged))
+    assert np.array_equal(own, avg)
+    for (*at, m), (*avg_at, avg_m) in zip(own_folds, avg_folds, strict=True):
+        assert at == avg_at and np.array_equal(m, avg_m)
 
 
 def test_boundary_rows_kill_compatible_field():
@@ -843,12 +845,12 @@ def test_bottom_dx_overflow_names_alpha():
     # the assembled row and the mode systems weight _BOTTOM_DX through one
     # check, so both raise the one error naming alpha
     from mixedbvp.coeffs import AlphaRangeError
-    from mixedbvp.solver import _factor_modes
+    from mixedbvp.solver import _mode_lu, _mode_systems
 
     g = make_grid(16, 16)
     cs = preset_coefficients("tricomi", g, 1e-4, 1e308)
     messages = []
-    for build in (assemble_L, _factor_modes):
+    for build in (assemble_L, lambda cs: _mode_lu(*_mode_systems(cs))):
         with pytest.raises(AlphaRangeError, match="alpha = 1e\\+308") as exc:
             build(cs)
         messages.append(str(exc.value))
@@ -861,19 +863,30 @@ def _bottom_ux_readers(preset, alpha, g, u):
     from mixedbvp.operators import _BOTTOM_DY, _oblique_row
 
     cs = preset_coefficients(preset, g, 1e-2, alpha)
-    nyp = g.ny + 1
     assembled = (assemble_L(cs) @ u.ravel()).reshape(g.shape)[:, 0]
     assembled -= u[:, :4] @ _BOTTOM_DY / g.hy
-    dl, d, _, (m2, _) = solver._mode_systems(cs)
-    # row 0's diagonal is b_dy[0] + the symbol, less m2 times its fold entry
-    symbol = d[::nyp] + m2 * dl[::nyp] - _BOTTOM_DY[0] / g.hy
-    spec = np.fft.rfft(u[:, 0])
-    return {
-        "assembled": assembled,
-        "oblique_row": _oblique_row(u, alpha, 0.0, g),
-        "mode_systems": np.fft.irfft(symbol * spec, n=g.nx),
-        "step_bands": alpha * np.fft.irfft(nonlinear._step_bands(g).symbols[1] * spec, n=g.nx),
+    sigma, rows, _, _ = nonlinear._step_pieces(g)
+    problems = {
+        "mode_systems": solver._mode_systems(cs),
+        "step_band": (g, alpha, rows, ((0.25 * g.y, sigma),), 2, 2),
     }
+    spec = np.fft.rfft(u[:, 0])
+    readers = {"assembled": assembled, "oblique_row": _oblique_row(u, alpha, 0.0, g)}
+    for name, problem in problems.items():
+        symbol = _band_symbol(g, *solver._mode_band(*problem))
+        readers[name] = np.fft.irfft(symbol * spec, n=g.nx)
+    return readers
+
+
+def _band_symbol(g, band, s, folds):
+    # row 0's diagonal is b_dy[0] + the symbol, less each fold of row 0's
+    # multiple of its pivot row's entry at column 0 (rows past the band's
+    # lower reach have none)
+    from mixedbvp.operators import _BOTTOM_DY
+
+    below = [(by, m) for i, by, m in folds if i == 0 and by <= s // 2]
+    entry = band[s, :, 0] + sum(m * band[s + by, :, 0] for by, m in below)
+    return entry - _BOTTOM_DY[0] / g.hy
 
 
 # the one-sided second-order u_x, (3u_i - 4u_(i-1) + u_(i-2))/(2hx): its
@@ -889,7 +902,7 @@ def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
     # the doubled weights double all four, and the one-sided table gives
     # its own u_x in all four.  A reader with its own copy of the stencil,
     # or a pattern with slots laid out by hand, would not
-    from mixedbvp import nonlinear, operators
+    from mixedbvp import operators, solver
 
     g = make_grid(32, 32)
     u = np.random.default_rng(9).standard_normal(g.shape)
@@ -902,7 +915,7 @@ def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
             alpha * (3.0 * u0 - 4.0 * np.roll(u0, 1) + np.roll(u0, 2)) / (2.0 * g.hx),
         ),
     }
-    caches = (operators._bottom_dx_gather, operators._csr_pattern, nonlinear._step_bands)
+    caches = (operators._bottom_dx_gather, operators._csr_pattern, solver._band_start)
     patched = {}
     for table, (dx, _) in tables.items():
         monkeypatch.setattr(operators, "_BOTTOM_DX", dx)

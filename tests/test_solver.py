@@ -540,6 +540,23 @@ def test_singular_mode_is_wellposedness_suspect():
         FactorizedOperator(cs)
 
 
+def _mode_lu(cs):
+    """The mode LUs of cs's x-averaged L, as FactorizedOperator factors them."""
+    return solver._mode_lu(*solver._mode_systems(cs))
+
+
+def _folded_diagonals(cs):
+    """The stacked, folded systems of cs as zgttrf takes them, and the fold
+    multipliers (m2, m3), one per mode."""
+    band, s, ((_, _, m3), (_, _, m2)) = solver._mode_band(*solver._mode_systems(cs))
+    return _diagonals(band, s), (m2, m3)
+
+
+def _diagonals(band, s):
+    """(dl, d, du) of the stacked tridiagonal band, as zgttrf takes them."""
+    return band[s + 1].ravel()[:-1], band[s].ravel(), band[s - 1].ravel()[1:]
+
+
 def _per_mode_factors(dl, d, du, nyp):
     """zgttrf of each (ny+1)-block of the stacked folded systems, one call per x-mode."""
     from scipy.linalg import lapack
@@ -561,11 +578,11 @@ def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
     g = make_grid(n, n)
     nyp = g.ny + 1
     cs = preset_coefficients(preset, g, 1e-4, 0.02)
-    dl, d, du, (m2, m3) = solver._mode_systems(cs)
+    (dl, d, du), (m2, m3) = _folded_diagonals(cs)
     per_mode = _per_mode_factors(dl, d, du, nyp)
     assert all(lu[-1] == 0 for lu in per_mode)
-    (dl, d, du, du2, ipiv), fold = solver._factor_modes(cs)
-    assert np.array_equal(fold[0], m2) and fold[1] == m3
+    (dl, d, du, du2, ipiv), _, _, ((_, _, fold3), (_, _, fold2)) = _mode_lu(cs)
+    assert np.array_equal(fold2, m2) and np.array_equal(fold3, m3)
 
     def stacked(i, pad):  # per-mode arrays with the zeros between blocks
         parts = [np.append(lu[i], np.zeros(pad, lu[i].dtype)) for lu in per_mode]
@@ -581,7 +598,7 @@ def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
     rhs = np.random.default_rng(n).standard_normal(g.shape)
     spec = np.fft.rfft(rhs, axis=0)
     for k, lu in enumerate(per_mode):
-        spec[k, 0] -= m3 * spec[k, 2]
+        spec[k, 0] -= m3[k] * spec[k, 2]
         spec[k, 0] -= m2[k] * spec[k, 1]
         spec[k] = lapack.zgttrs(*lu[:5], spec[k])[0]
     loop = np.fft.irfft(spec, n=g.nx, axis=0)
@@ -592,7 +609,7 @@ def _dense_modes(cs):
     """Each x-mode's (ny+1)-system read off the assembled L of the x-averaged set.
 
     The oracle for the folded path: the unfolded system, 4-point bottom
-    row included, from the sparse assembly rather than from _mode_systems.
+    row included, from the sparse assembly rather than from the mode band.
     """
     from mixedbvp.operators import assemble_L
 
@@ -636,14 +653,6 @@ def test_mode_solve_matches_dense_unfolded_modes(preset, n):
     assert (res <= 1e-14 * scale).all()
 
 
-def _zero_column(dl, d, du, nyp, k, c):
-    """Zero column c of block k of the folded tridiagonal systems."""
-    i = k * nyp + c
-    d[i] = 0.0
-    dl[i : i + 1] = 0.0  # below the diagonal; past the end for the last column
-    du[i - 1 : i] = 0.0  # above it; empty for column 0 of block 0
-
-
 @pytest.mark.parametrize(
     "singular",
     [[(0, 0)], [(5, 7)], [(3, 32), (9, 0)], [(16, 32)], [(6, 2)], [(4, 3)], [(2, 32), (7, 3)],
@@ -657,15 +666,15 @@ def test_singular_stacked_mode_named_as_per_mode_loop(singular, monkeypatch):
     g = make_grid(32, 32)
     nyp = g.ny + 1
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
-    dl, d, du, fold = solver._mode_systems(cs)
+    band, s, folds = solver._mode_band(*solver._mode_systems(cs))
     for k, c in singular:
-        _zero_column(dl, d, du, nyp, k, c)
-    per_mode = _per_mode_factors(dl, d, du, nyp)
+        band[:, k, c] = 0.0  # the entries (i, c) of mode k
+    per_mode = _per_mode_factors(*_diagonals(band, s), nyp)
     first = next(k for k, lu in enumerate(per_mode) if lu[-1] > 0)
     assert first == min(k for k, _ in singular)
-    monkeypatch.setattr(solver, "_mode_systems", lambda cs: (dl.copy(), d.copy(), du.copy(), fold))
+    monkeypatch.setattr(solver, "_mode_band", lambda *problem: (band.copy(), s, folds))
     with pytest.raises(PreconditionError, match=f"WELLPOSEDNESS_SUSPECT: x-mode {first} is"):
-        solver._factor_modes(cs)
+        _mode_lu(cs)
 
 
 def _fold_pivot_zero_set(row, x_dependent):
@@ -899,6 +908,23 @@ def test_energy_certificate_needs_a_nonzero_sample(given):
     samples = {"zero": [Field.zeros(g)], "none": []}[given]
     with pytest.raises(ValueError, match="no nonzero sample was given"):
         energy_certificate(cs, mt, samples)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_energy_certificate_names_a_sample_on_another_grid(mixed):
+    # a 24x32 sample with 32x32 coefficients is named with both grids, alone
+    # or after a sample on the right grid, before any shared factor is built
+    g = make_grid(32, 32)
+    cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
+    mt = build_abc(cs, 10.0, 1)
+    other = random_smooth_samples(make_grid(24, 32), cs.alpha, 1, seed=3)
+    samples = random_smooth_samples(g, cs.alpha, 1, seed=3) + other if mixed else other
+    k = len(samples) - 1
+    message = f"^sample {k} holds a 24x32 grid, but the coefficients hold 32x32$"
+    with pytest.raises(ValueError, match=message):
+        energy_certificate(cs, mt, samples)
+    for owner, shared in ((cs, "adjoint_pieces"), (mt, "transport_plan"), (mt, "coupling")):
+        assert shared not in vars(owner)
 
 
 def test_energy_certificate_builds_one_transport_plan(monkeypatch):

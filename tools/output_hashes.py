@@ -7,10 +7,16 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 "<output> <sha1 of its float64 bytes>" for each (a count is printed as
 it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L (data, indices,
-indptr) and the factored x-mode systems of every preset
-(solver._factor_modes: the LU arrays as zgttrs takes them, the fold
-multipliers m2, and m3 broadcast to one complex entry per mode) at
-16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); each
+indptr) and the factored x-mode systems of every preset (one call
+of the x-mode band builder, solver._mode_lu, or on a tree without it
+solver._factor_modes: the LU arrays as zgttrs takes them and the fold
+multipliers m2 and m3, one complex entry per mode) at 16^2, 48^2 and
+47x48 (an odd nx on a grid that is not square); the folded band each
+zgttrf or zgbtrf call receives and the LU it returns (read by wrapping
+the LAPACK routines, so a tree with another builder prints the same
+lines) for linear tricomi and lower_order at 64^2, perfbench Linear(1)
+op 0 and the N(p) of the first Picard step from the ma and darboux CLI
+starts at 64^2; each
 periodic x-stencil of grid._X_STENCILS at nx 47 and 128, its action on
 a seeded field and its symbol; each table stencil's action along y,
 walls included (grid._apply_y), on a seeded field at ny 47 and 128, and
@@ -24,7 +30,9 @@ x-derivative part of CoefficientSet.adjoint_pieces (|2 K_x| and
 infinite_order at 47x48 and 192^2, whose K is constant in x; the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
-symbols (nonlinear._step_bands) at 64^2 and 128^2, and at each the d
+symbols (sigma of nonlinear._step_pieces and the oblique row's at
+alpha 1; nonlinear._step_bands on an older tree) at 64^2 and 128^2,
+and at each the d
 and residual of one step (nonlinear._solve_step through
 nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
 seeded right-hand side;
@@ -138,6 +146,66 @@ def print_krylov(name: str, rep) -> None:
     emit(f"{name}/gmres_residuals", stats["gmres_residuals"])
 
 
+def factor_calls(fn):
+    # fn()'s result and, for each zgttrf or zgbtrf call it made, the
+    # folded band that call received and the LU it returned (info left out)
+    from scipy.linalg import lapack
+
+    real = {name: getattr(lapack, name) for name in ("zgttrf", "zgbtrf")}
+    calls = []
+
+    def spy(name):
+        def call(*args, **kwargs):
+            band = [np.array(a) for a in args if isinstance(a, np.ndarray)]
+            out = real[name](*args, **kwargs)
+            calls.append((band, out[:-1]))
+            return out
+        return call
+
+    for name in real:
+        setattr(lapack, name, spy(name))
+    try:
+        return fn(), calls
+    finally:
+        for name, f in real.items():
+            setattr(lapack, name, f)
+
+
+def emit_band(name: str, call) -> None:
+    band, lu = call
+    emit(f"{name}/folded", *band)
+    emit(f"{name}/lu", *lu)
+
+
+def factor_modes(solver, cs):
+    # the linear mode LUs: one call of the mode builder or, on a tree
+    # without it, _factor_modes
+    if hasattr(solver, "_mode_lu"):
+        return solver._mode_lu(*solver._mode_systems(cs))
+    return solver._factor_modes(cs)
+
+
+def mode_lu(solver, cs):
+    # the linear mode LUs as zgttrs takes them and the fold multipliers m2
+    # and m3, one per mode, from the mode builder's (factors, kl, ku, folds)
+    # or, on a tree without it, from _factor_modes' pair
+    out = factor_modes(solver, cs)
+    if len(out) == 4:
+        factors, _, _, ((_, _, m3), (_, _, m2)) = out
+        return factors, m2, m3
+    lu, (m2, m3) = out
+    return lu, m2, np.broadcast_to(m3, m2.shape)
+
+
+def step_symbols(grid, nonlinear, operators, g):
+    # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha
+    # 1, from _step_pieces or, on a tree without the mode builder, _step_bands
+    if hasattr(nonlinear, "_step_bands"):
+        return nonlinear._step_bands(g).symbols
+    bottom = grid.x_symbol(operators._bottom_dx(1.0, g.hx), g.nx)
+    return np.array([nonlinear._step_pieces(g)[0], bottom])
+
+
 def x_stencil_outputs(grid, nx: int):
     # (name, action on a seeded field, symbol) of each periodic x-stencil at nx
     hx = 2.0 / nx
@@ -196,8 +264,8 @@ def main(tree: Path) -> None:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             mat = operators.assemble_L(cs)
             emit(f"assemble_L/{name}/{size}", mat.data, mat.indices, mat.indptr)
-            lu, (m2, m3) = solver._factor_modes(cs)
-            emit(f"mode_systems/{name}/{size}", *lu, m2, np.broadcast_to(m3, m2.shape))
+            lu, m2, m3 = mode_lu(solver, cs)
+            emit(f"mode_systems/{name}/{size}", *lu, m2, m3)
 
     for nx in (47, 128):
         for key, action, symbol in x_stencil_outputs(grid, nx):
@@ -232,12 +300,18 @@ def main(tree: Path) -> None:
             emit(f"oblique_row/64/alpha{alpha:g}/sgn{sgn:+g}", row)
     for n in (64, 128):
         g = grid.make_grid(n, n)
-        emit(f"step_bands/{n}/symbols", nonlinear._step_bands(g).symbols)
+        emit(f"step_bands/{n}/symbols", step_symbols(grid, nonlinear, operators, g))
         # the CLI start's profile, p = rho*y with rho 0.25, its alpha and a
         # seeded right-hand side
         lu = nonlinear._factor_step(g, 0.25 * g.y, 0.6)
         f = np.random.default_rng(n).standard_normal(g.shape)
         emit(f"step/{n}/solve", *nonlinear._solve_step(g, lu, 0.6, f))
+
+    g = grid.make_grid(64, 64)
+    for name in ("tricomi", "lower_order"):
+        cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
+        _, (call,) = factor_calls(lambda: factor_modes(solver, cs))
+        emit_band(f"band/linear/{name}/64", call)
 
     for n in (32, 64, 128):
         g = grid.make_grid(n, n)
@@ -333,7 +407,11 @@ def main(tree: Path) -> None:
         for name, (pair, solve) in runs.items():
             z_star, K = pair(g, cfg.rho)
             z0 = grid.Field(g, z_star.values + cli._perturbation(g).values)
-            rep = solve(K, nonlinear.GraphSurface(z0, cfg.rho), params=params)
+            rep, calls = factor_calls(
+                lambda: solve(K, nonlinear.GraphSurface(z0, cfg.rho), params=params)
+            )
+            if n == 64:  # N(p) of the first step
+                emit_band(f"band/picard/{name}/64", calls[0])
             emit(f"picard/{name}/{n}", rep.final_z.z.values, rep.residual_history)
             print_counts(f"picard/{name}/{n}", rep)
 
@@ -358,7 +436,9 @@ def main(tree: Path) -> None:
     lin = workloads.Linear(1)
     for i in range(10):
         inp = lin.inputs(i)
-        rep = lin.steps(inp)[0]()
+        rep, calls = factor_calls(lin.steps(inp)[0])
+        if i == 0:
+            emit_band("band/perfbench/linear/0", calls[0])
         emit(f"perfbench/linear/{i}", rep.u.values, rep.residual_norm, rep.apriori_ratio)
         print_krylov(f"perfbench/linear/{i}", rep)
     pic = workloads.Picard(1)
