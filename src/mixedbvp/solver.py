@@ -152,55 +152,46 @@ class ConvergenceTable:
 def _band_start(grid: GridSpec, alpha: float, rows: bytes, w: int, kl: int, ku: int) -> tuple:
     """What _mode_band starts from, kept per grid, alpha and rows.
 
-    template, one mode's entries before its terms: rows' lines, the
-    oblique row's _BOTTOM_DY/hy and the identity top row, the entry
-    (i, j) on line (s + i - j) mod n, s = kl + ku, LAPACK's line of the
-    diagonal.  n is LAPACK's 2kl + ku + 1 lines, or the unfolded reach
-    when that is wider, so no two entries of a column share a line: an
-    entry beyond LAPACK's lines wraps round onto a line that holds no
-    entry of its column, and the fold clears it.  Then the folds
-    (_fold_plan) and the oblique row's alpha*u_x on the rfft modes
-    (grid.x_symbol of operators._bottom_dx).
+    s, the band's line of the diagonal (_mode_band); template, one
+    mode's in-band entries before its terms, on the band's lines: rows'
+    lines, the oblique row's _BOTTOM_DY/hy and the identity top row;
+    the wall rows, each row with an entry past the band (read off the
+    unfolded pattern), in fold order; and the oblique row's alpha*u_x
+    on the rfft modes (grid.x_symbol of operators._bottom_dx).
+
+    The wall rows that reach right of the band come first, from the
+    last matrix row back to row 0, then those that reach only left of
+    it, from row 0 on, and each row's folds clear its farthest entry
+    right of the band first, then its farthest left of it: so a row is
+    folded before it serves another, and a folded row adds nothing past
+    the entry it clears.  Each wall row is (i, lo, its unfolded entries
+    on columns lo, lo + 1, ..., its in-band columns, its folds), a fold
+    (j, by, row by's in-band columns).  A fold whose pivot row by still
+    reaches past the band would subtract only the part of that row in
+    the band, so it raises ValueError naming both rows and (kl, ku).
     """
-    nyp, b_dy = grid.ny + 1, _BOTTOM_DY / grid.hy
-    s, n = kl + ku, max(2 * kl + ku + 1, 2 * w + 1, w + len(b_dy))
-    template = np.zeros((n, nyp))
-    template[(s - w + np.arange(2 * w + 1)) % n] = np.frombuffer(rows).reshape(-1, nyp)
-    template[(s - (c := np.arange(len(b_dy)))) % n, c] = b_dy  # row 0's entries (0, c)
-    template[s, -1] = 1.0
-    plan = _fold_plan((template != 0.0).tobytes(), n, grid.ny, w, kl, ku)
-    return template, plan, x_symbol(_bottom_dx(alpha, grid.hx), grid.nx)
-
-
-@lru_cache(maxsize=16)
-def _fold_plan(known: bytes, n: int, ny: int, w: int, kl: int, ku: int) -> tuple:
-    """The folds of _mode_band for a band whose entries may be nonzero where known is.
-
-    known holds the bytes of a bool array (n, ny + 1), laid out as
-    _band_start's template; the entries off the diagonal are the same in
-    every mode, so one mode shows which rows reach past the band, and
-    how far.  Kept per structure, which every linear problem on a grid
-    shares.  Returns one fold per entry beyond the band, in order: (i,
-    j, by, row by's columns, the pivot's line, the cleared entry's line,
-    and the lines of row by's columns in rows i and by).
-    """
-    s = kl + ku
-    line, col = np.nonzero(np.frombuffer(known, dtype=bool).reshape(n, ny + 1))
-    d = (line - s + n - 1 - w) % n - (n - 1 - w)  # each entry's i - j
-    # each row's farthest column right and left of the band (the last one a
-    # dict keeps)
-    right = dict(sorted(zip((col + d)[d < -ku].tolist(), col[d < -ku].tolist())))
-    left = dict(sorted(zip((col + d)[d > kl].tolist(), col[d > kl].tolist()), reverse=True))
-    # right of the band from the bottom row up, left of it from the top row
-    # down, each row's farthest entry first: a row is folded before it serves
-    # another, and a folded row adds nothing past the entry it clears
-    folds = [(i, j, j - ku) for i in sorted(right)[::-1] for j in range(right[i], i + ku, -1)]
-    folds += [(i, j, j + kl) for i in sorted(left) for j in range(left[i], i - kl)]
-    return tuple(
-        (i, j, by, c := np.arange(max(by - kl, 0), min(by + ku, ny) + 1),
-         (s + by - j) % n, (s + i - j) % n, (s + i - c) % n, (s + by - c) % n)
-        for i, j, by in folds
-    )
+    ny, b_dy, n = grid.ny, _BOTTOM_DY / grid.hy, 3 if kl == ku == 1 else 2 * kl + ku + 1
+    s, r = n - 1 - kl, max(w, len(b_dy) - 1, kl, ku)
+    unfolded = np.zeros((2 * r + 1, ny + 1))  # the entry (i, j) at unfolded[r + i - j, j]
+    unfolded[r - w : r + w + 1] = np.frombuffer(rows).reshape(-1, ny + 1)
+    unfolded[r - (c := np.arange(len(b_dy))), c] = b_dy  # row 0's entries (0, c)
+    unfolded[r, -1] = 1.0
+    template = np.pad(unfolded[r - ku : r + kl + 1], ((s - ku, 0), (0, 0)))
+    line, col = np.nonzero(unfolded)
+    row = col + line - r
+    right = sorted(set(row[line < r - ku].tolist()), reverse=True)
+    plan, order = [], right + sorted(set(row[line > r + kl].tolist()) - set(right))
+    for k, i in enumerate(order):
+        lo, hi = min(col[row == i].min(), max(i - kl, 0)), max(col[row == i].max(), min(i + ku, ny))
+        folds = [(j, j - ku) for j in range(hi, i + ku, -1)]
+        folds += [(j, j + kl) for j in range(lo, i - kl)]
+        if bad := [by for _, by in folds if by in order[k:]]:
+            raise ValueError(f"the x-mode band (kl, ku) = ({kl}, {ku}) cannot fold row {i}:"
+                             f" its pivot row {bad[0]} reaches past the band")
+        cols, inband = np.arange(lo, hi + 1), np.arange(max(i - kl, 0), min(i + ku, ny) + 1)
+        pivots = [(j, by, np.arange(max(by - kl, 0), min(by + ku, ny) + 1)) for j, by in folds]
+        plan.append((i, lo, unfolded[r + i - cols, cols], inband, pivots))
+    return s, template, tuple(plan), x_symbol(_bottom_dx(alpha, grid.hx), grid.nx)
 
 
 def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
@@ -217,41 +208,46 @@ def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, k
     columns 0..3 plus the mode's symbol of operators._bottom_dx(alpha)
     at (0, 0).  Row ny is the identity.
 
-    The rows that reach past the band are folded (_band_start, _fold_plan).
-    Each entry (i, j) beyond it, the farthest first, is cleared by row i
-    -= m*(row by), by = j - ku right of the band and j + kl left of it,
-    m the entry over by's entry at column j in each mode; the cleared
-    entry is set to exactly 0.  The same row operations on a right-hand
-    side (_solve_modes) leave the solution unchanged.  A zero divisor
-    raises PreconditionError naming the first mode it is zero in ("not
-    foldable") before any division.
+    Only the wall rows reach past the band (_band_start lists them).
+    Each is folded in a buffer of its own, one line of modes per column
+    it reaches, and then its in-band entries are written into the band:
+    each entry (i, j) beyond the band, the farthest first, is cleared by
+    row i -= m*(row by), by = j - ku right of the band and j + kl left
+    of it, m the entry over by's entry at column j in each mode, and the
+    cleared entry is left out of the band.  The same row operations on
+    a right-hand side (_solve_modes) leave the solution unchanged.  A
+    zero divisor raises PreconditionError naming the first mode it is
+    zero in ("not foldable") before any division.
 
-    Returns the band, s = kl + ku and the folds, each (i, by, m):
-    band[(s + i - j) % len(band), k, j] is mode k's entry (i, j), s
-    LAPACK's line of the diagonal, and every entry outside a block is
-    zero; len(band) is LAPACK's 2kl + ku + 1 lines, or the unfolded
-    reach when that is wider.  A tridiagonal band is laid out
-    line by line, so that zgttrf reads its three lines as they are; any
-    other as LAPACK's band storage, which zgbtrf factors in place.
+    Returns the band, s and the folds, each (i, by, m): band[s + i - j,
+    k, j] is mode k's entry (i, j), and every entry outside a block is
+    zero.  The band is exactly the storage its LAPACK routine reads: a
+    tridiagonal one zgttrf's three lines (du, d, dl), s = 1, each laid
+    out mode after mode; any other LAPACK's band storage, 2kl + ku + 1
+    lines with the diagonal on line s = kl + ku and the first kl lines
+    zero (the LU's fill), laid out column by column, which zgbtrf
+    factors in place.
     """
-    template, plan, bottom = _band_start(grid, alpha, rows.tobytes(), len(rows) // 2, kl, ku)
-    s, n, shape = kl + ku, len(template), (grid.nx // 2 + 1, grid.ny + 1)
+    s, template, walls, bottom = _band_start(grid, alpha, rows.tobytes(), len(rows) // 2, kl, ku)
+    n, shape, folds = len(template), (grid.nx // 2 + 1, grid.ny + 1), []
     band = (np.empty((n, *shape), dtype=complex) if kl == ku == 1
             else np.empty((*shape, n), dtype=complex).transpose(2, 0, 1))
     band[...] = template[:, None, :]
     for coefficient, symbol in terms:
         band[s, :, 1:-1] += coefficient[1:-1] * symbol[:, None]
     band[s, :, 0] += bottom
-    folds = []
-    for i, j, by, c, pivot_line, line, lines, by_lines in plan:
-        pivot = band[pivot_line, :, j]
-        if not pivot.all():
-            raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {np.argmin(pivot != 0)}"
-                                    " is not foldable to its band (zero fold pivot)")
-        m = band[line, :, j] / pivot
-        band[lines, :, c] -= m * band[by_lines, :, c]
-        band[line, :, j] = 0.0
-        folds.append((i, by, m))
+    for i, lo, entries, inband, pivots in walls:
+        row = np.full((len(entries), shape[0]), entries[:, None], dtype=complex)
+        row[i - lo] = band[s, :, i]  # the diagonal, with the terms: the one entry modes differ in
+        for j, by, c in pivots:
+            pivot = band[s + by - j, :, j]
+            if not pivot.all():
+                raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: x-mode {np.argmin(pivot != 0)}"
+                                        " is not foldable to its band (zero fold pivot)")
+            m = row[j - lo] / pivot
+            row[c[0] - lo : c[-1] + 1 - lo] -= m * band[s + by - c, :, c]
+            folds.append((i, by, m))
+        band[s + i - inband, :, inband] = row[inband[0] - lo : inband[-1] + 1 - lo]
     return band, s, folds
 
 
@@ -261,7 +257,9 @@ def _mode_lu(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku:
     The folded systems are the diagonal blocks of one band matrix.  A
     tridiagonal band is factored with zgttrf, any other with
     zgbtrf(kl, ku): zgttrf costs a quarter to a half of zgbtrf(1, 1).
-    Each block ends in the identity row, and the entries between blocks
+    Either routine factors the band's own memory, each of its lines
+    read as one vector over every mode's columns.  Each block ends in
+    the identity row, and the entries between blocks
     are exact zeros, so partial pivoting never swaps across a block
     boundary and the one call factors each block as a call of its own
     would, bit for bit.  A zero LU pivot raises PreconditionError
@@ -274,12 +272,11 @@ def _mode_lu(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku:
     """
     band, s, folds = _mode_band(grid, alpha, rows, terms, kl, ku)
     if kl == ku == 1:
-        du, d, dl = (band[s + o].ravel() for o in (-1, 0, 1))
+        du, d, dl = band.reshape(3, -1)
         *factors, info = lapack.zgttrf(dl[:-1], d, du[1:], overwrite_dl=1, overwrite_d=1,
                                        overwrite_du=1)
-    else:  # the first 2kl + ku + 1 lines, a copy when the unfolded reach needed more
-        ab = band.transpose(1, 2, 0).reshape(-1, len(band))[:, : 2 * kl + ku + 1].T
-        *factors, info = lapack.zgbtrf(ab, kl, ku, overwrite_ab=1)
+    else:  # a view of the band: LAPACK's (2kl + ku + 1, N) in column order
+        *factors, info = lapack.zgbtrf(band.reshape(len(band), -1), kl, ku, overwrite_ab=1)
     if info > 0:  # the pivot's 1-based row: the first singular mode's
         raise PreconditionError(
             f"WELLPOSEDNESS_SUSPECT: x-mode {(info - 1) // (grid.ny + 1)} is exactly singular")

@@ -881,10 +881,10 @@ def _bottom_ux_readers(preset, alpha, g, u):
 def _band_symbol(g, band, s, folds):
     # row 0's diagonal is b_dy[0] + the symbol, less each fold of row 0's
     # multiple of its pivot row's entry at column 0 (rows past the band's
-    # lower reach have none)
+    # lower reach kl, the band's last line less its diagonal's, have none)
     from mixedbvp.operators import _BOTTOM_DY
 
-    below = [(by, m) for i, by, m in folds if i == 0 and by <= s // 2]
+    below = [(by, m) for i, by, m in folds if i == 0 and by <= len(band) - 1 - s]
     entry = band[s, :, 0] + sum(m * band[s + by, :, 0] for by, m in below)
     return entry - _BOTTOM_DY[0] / g.hy
 

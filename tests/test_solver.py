@@ -723,6 +723,67 @@ def test_singular_averaged_mode_falls_back_to_splu():
     assert "x-mode 0 is exactly singular" in fac.stats["fallback_reason"]
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_fold_refuses_a_band_its_pivot_rows_reach_past(n):
+    # the Picard step's rows folded to other bands than its (2, 2): where a
+    # fold's pivot row still reaches past the band ((1, 1): the centred rows
+    # reach two nodes each way; (1, 2) and (2, 1): rows 2 and ny-1 reach
+    # left of it), the builder refuses, naming the rows and (kl, ku); where
+    # every pivot row lies in the band ((3, 3): no fold at all; (1, 3): each
+    # row folds left with the row below it, already folded), the solve is
+    # the (2, 2) band's
+    from mixedbvp.nonlinear import _step_pieces
+
+    g = make_grid(n, n)
+    sigma, rows, _, _ = _step_pieces(g)
+    p = 0.25 * g.y + 0.3
+    f = np.random.default_rng(n).standard_normal(g.shape)
+    f[:, [0, -1]] = 0.0
+
+    def solve(kl, ku):
+        return solver._solve_modes(solver._mode_lu(g, 0.6, rows, ((p, sigma),), kl, ku), f)
+
+    ref = solve(2, 2)
+    for kl, ku in ((1, 1), (1, 2), (2, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"(kl, ku) = ({kl}, {ku}) cannot fold row")):
+            solve(kl, ku)
+    # measured <= 2.5e-14 of max|ref|
+    for kl, ku in ((3, 3), (1, 3)):
+        assert np.abs(solve(kl, ku) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_band_is_its_lapack_routines_storage(monkeypatch):
+    # L's band at 128^2 is zgttrf's three lines, and the step's at 64^2
+    # LAPACK's 2kl + ku + 1 = 7 band lines, which zgbtrf factors in place:
+    # the array it receives is the band's own memory
+    from scipy.linalg import lapack
+
+    from mixedbvp.nonlinear import _factor_step
+
+    g = make_grid(128, 128)
+    cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
+    band, s, _ = solver._mode_band(*solver._mode_systems(cs))
+    assert band.shape == (3, 65, 129) and s == 1
+
+    real_band, real_zgbtrf, built, received = solver._mode_band, lapack.zgbtrf, [], []
+
+    def mode_band(*problem):
+        built.append(real_band(*problem))
+        return built[-1]
+
+    def zgbtrf(ab, *args, **kwargs):
+        received.append(ab)
+        return real_zgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_mode_band", mode_band)
+    monkeypatch.setattr(lapack, "zgbtrf", zgbtrf)
+    g = make_grid(64, 64)
+    _factor_step(g, 0.25 * g.y, 0.6)
+    ((band, s, _),), (ab,) = built, received
+    assert band.shape == (7, 33, 65) and s == 4
+    assert np.shares_memory(ab, band)
+
+
 def test_mms_recovery_and_orders():
     table = mms_convergence(
         tricomi_factory(0.01, 0.02),

@@ -8,9 +8,9 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L (data, indices,
 indptr) and the factored x-mode systems of every preset (one call
-of the x-mode band builder, solver._mode_lu, or on a tree without it
-solver._factor_modes: the LU arrays as zgttrs takes them and the fold
-multipliers m2 and m3, one complex entry per mode) at 16^2, 48^2 and
+of the x-mode band builder, solver._mode_lu: the LU arrays as zgttrs
+takes them and the fold multipliers m2 and m3, one complex entry per
+mode) at 16^2, 48^2 and
 47x48 (an odd nx on a grid that is not square); the folded band each
 zgttrf or zgbtrf call receives and the LU it returns (read by wrapping
 the LAPACK routines, so a tree with another builder prints the same
@@ -31,8 +31,7 @@ infinite_order at 47x48 and 192^2, whose K is constant in x; the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
 symbols (sigma of nonlinear._step_pieces and the oblique row's at
-alpha 1; nonlinear._step_bands on an older tree) at 64^2 and 128^2,
-and at each the d
+alpha 1) at 64^2 and 128^2, and at each the d
 and residual of one step (nonlinear._solve_step through
 nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
 seeded right-hand side;
@@ -177,31 +176,15 @@ def emit_band(name: str, call) -> None:
     emit(f"{name}/lu", *lu)
 
 
-def factor_modes(solver, cs):
-    # the linear mode LUs: one call of the mode builder or, on a tree
-    # without it, _factor_modes
-    if hasattr(solver, "_mode_lu"):
-        return solver._mode_lu(*solver._mode_systems(cs))
-    return solver._factor_modes(cs)
-
-
 def mode_lu(solver, cs):
     # the linear mode LUs as zgttrs takes them and the fold multipliers m2
     # and m3, one per mode, from the mode builder's (factors, kl, ku, folds)
-    # or, on a tree without it, from _factor_modes' pair
-    out = factor_modes(solver, cs)
-    if len(out) == 4:
-        factors, _, _, ((_, _, m3), (_, _, m2)) = out
-        return factors, m2, m3
-    lu, (m2, m3) = out
-    return lu, m2, np.broadcast_to(m3, m2.shape)
+    factors, _, _, ((_, _, m3), (_, _, m2)) = solver._mode_lu(*solver._mode_systems(cs))
+    return factors, m2, m3
 
 
 def step_symbols(grid, nonlinear, operators, g):
-    # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha
-    # 1, from _step_pieces or, on a tree without the mode builder, _step_bands
-    if hasattr(nonlinear, "_step_bands"):
-        return nonlinear._step_bands(g).symbols
+    # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha 1
     bottom = grid.x_symbol(operators._bottom_dx(1.0, g.hx), g.nx)
     return np.array([nonlinear._step_pieces(g)[0], bottom])
 
@@ -310,7 +293,7 @@ def main(tree: Path) -> None:
     g = grid.make_grid(64, 64)
     for name in ("tricomi", "lower_order"):
         cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
-        _, (call,) = factor_calls(lambda: factor_modes(solver, cs))
+        _, (call,) = factor_calls(lambda: solver._mode_lu(*solver._mode_systems(cs)))
         emit_band(f"band/linear/{name}/64", call)
 
     for n in (32, 64, 128):
