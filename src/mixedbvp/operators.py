@@ -7,11 +7,11 @@ order.  Its stencil weights are written once here: _interior_stencil for
 the interior rows, and for the bottom row the tables _BOTTOM_DY (u_y)
 and _BOTTOM_DX (u_x), which the assembled row, solver's x-mode systems,
 the oblique row of the residual gate and the samples (_oblique_row) and
-the Picard step's mode symbol all read.  The matrix's sparsity pattern
-is read off the same tables and _INTERIOR_SLOTS (_csr_pattern), so a
-u_x table with other offsets assembles with no other change; only the
-x-lines whose offsets wrap round the seam take their slots permuted.
-The operator and its formal adjoint are also applied pointwise,
+the Picard step's mode symbol all read.  The stencil is fixed on the
+periodic cylinder, so the matrix is stored as its diagonals, one per
+(x-offset, y-offset) of the tables and one more per offset that wraps
+round the seam: a u_x table with other offsets assembles with no other
+change.  The operator and its formal adjoint are also applied pointwise,
 matrix-free, with the same x-stencils.  The first-order transport
 solver marches downward from y = 1 with semi-Lagrangian steps and cubic
 periodic interpolation in x, which keeps the march stable for any
@@ -20,7 +20,6 @@ characteristic slope a/b.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isfinite
@@ -63,9 +62,6 @@ class AuxNonContractionError(RuntimeError):
 _BOTTOM_DY = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0
 # the oblique rows' 3-point centred u_x: (x-offset, weight over 2*hx) pairs
 _BOTTOM_DX = ((1, 1.0), (-1, -1.0))
-# the interior rows' (x-offset, y-offset) slots in column order: west, south,
-# centre, north and east
-_INTERIOR_SLOTS = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -91,71 +87,47 @@ def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
     return [(off, w * half) for off, w in _BOTTOM_DX]
 
 
-@lru_cache(maxsize=16)
-def _csr_pattern(grid: GridSpec) -> tuple[sp.csr_matrix, tuple, tuple]:
-    """The sparsity pattern of assemble_L on grid, as a matrix, and how to fill it.
-
-    Rows follow the field's layout, (i, j) -> i*(ny+1) + j.  Each x-line
-    holds one slot per (x-offset, y-node) of its rows: the bottom row's
-    terms (_BOTTOM_DX's offsets on node 0, then _BOTTOM_DY's nodes)
-    sorted by (offset, node), with terms on one slot summed; each
-    interior row's _INTERIOR_SLOTS; the top row's identity.  (order,
-    starts) sums the bottom terms into their slots (np.add.reduceat).
-    On the lines whose offsets wrap round the seam the slots are out of
-    column order; seam = (to, frm), flat slot positions, reorders those
-    lines alone (flat[to] = flat[frm]) so that every row's columns are
-    sorted: scipy then never sorts the indices in place.  The matrix's
-    int32 indices and indptr are shared by every matrix on the grid, so
-    they are not writeable; its data are zeros.
-    """
-    nx, nyp = grid.shape
-    terms = [(off, 0) for off, _ in _BOTTOM_DX] + [(0, k) for k in range(len(_BOTTOM_DY))]
-    order = np.lexsort(np.transpose(terms)[::-1])  # by (offset, node)
-    bottom, starts = np.unique(np.take(terms, order, axis=0), axis=0, return_index=True)
-    # row j's slots: _INTERIOR_SLOTS with their y-offsets taken from node j
-    interior = np.array(_INTERIOR_SLOTS) + [0, 1] * np.arange(1, nyp - 1)[:, None, None]
-    slots = np.concatenate((bottom, interior.reshape(-1, 2), [(0, nyp - 1)])).astype(np.int32)
-    rows = np.repeat(np.arange(nyp), [len(bottom)] + [len(_INTERIOR_SLOTS)] * (nyp - 2) + [1])
-    shifted = np.arange(nx, dtype=np.int32)[:, None] + slots[:, 0]
-    indices = shifted % nx * nyp + slots[:, 1]
-    wrap = np.flatnonzero((shifted % nx != shifted).any(axis=1))
-    perm = np.argsort(rows * (nx * nyp) + indices[wrap], axis=1)  # by (row, column)
-    first = wrap[:, None] * len(slots)  # the flat position of each such line's first slot
-    seam = (first + np.arange(len(slots))).ravel(), (first + perm).ravel()
-    indices = indices.ravel()
-    indices[seam[0]] = indices[seam[1]]
-    indptr = np.r_[0, np.cumsum(np.tile(np.bincount(rows), nx))]
-    pattern = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(nx * nyp,) * 2)
-    pattern.indices.flags.writeable = pattern.indptr.flags.writeable = False
-    return pattern, (order, starts), seam
-
-
-def assemble_L(cs: CoefficientSet) -> sp.csr_matrix:
+def assemble_L(cs: CoefficientSet) -> sp.dia_matrix:
     """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows.
 
-    The weights fill the slots of the grid's cached pattern (_csr_pattern),
-    one x-line per row of data.  The oblique bottom row is summed in
-    column order, so at a huge alpha its u_y terms round away (see
-    _oblique_row).  The matrix shares the pattern's read-only indices and
-    indptr: copy it before changing its structure.
+    Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
+    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4): a
+    term at x-offset dx and y-offset dy lies on diagonal dx*(ny+1) + dy,
+    and on the |dx| x-lines where dx wraps round the seam on its twin
+    (dx -+ nx)*(ny+1) + dy.  The terms are _interior_stencil's five on
+    the interior rows, the top row's identity, and the oblique bottom
+    row: _bottom_dx's u_x and _BOTTOM_DY's u_y, the two summed where
+    they share an entry.  Each diagonal holds column c's entry at c, the
+    rest zeros.  The offsets are sorted, so row r's entries, at columns
+    r + offset, come in column order, and scipy's product adds them in
+    that order, as a CSR product does; on a finite u the zeros leave its
+    sums' bits as they are.  At a huge alpha the oblique row's u_y terms
+    round away (see _oblique_row).
     """
     g = cs.grid
-    pattern, (order, starts), (to, frm) = _csr_pattern(g)
+    nx, nyp = g.shape
     K, A, B = (c.values[:, 1:-1] for c in (cs.K, cs.A, cs.B))
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    terms = np.concatenate(([w for _, w in _bottom_dx(cs.alpha, g.hx)], _BOTTOM_DY / g.hy))
-    bottom = np.add.reduceat(terms[order], starts)
-    data = np.empty(pattern.nnz).reshape(g.nx, -1)  # one x-line per row
-    data[:, : bottom.size], data[:, -1] = bottom, 1.0
-    interior = data[:, bottom.size : -1].reshape(*K.shape, -1)  # a view: each node's slots
-    for k, weight in enumerate((west, south, centre, north, east)):
-        interior[..., k] = weight
-    # a shallow copy shares the pattern scipy checked once; its constructor
-    # would check it again on every call, a third of a small assembly
-    mat = copy(pattern)
-    mat.data = data.ravel()
-    mat.data[to] = mat.data[frm]
-    return mat
+    bottom = {(dx, 0): w for dx, w in _bottom_dx(cs.alpha, g.hx)}
+    for k, w in enumerate(_BOTTOM_DY / g.hy):
+        bottom[0, k] = bottom.get((0, k), 0.0) + w
+    # (dx, dy, the rows' first y-node, their weights per x-line and y-node)
+    terms = [(-1, 0, 1, west), (0, -1, 1, south), (0, 0, 1, centre), (0, 1, 1, north),
+             (1, 0, 1, east), (0, 0, nyp - 1, np.ones((nx, 1)))]
+    terms += [(dx, dy, 0, np.full((nx, 1), w)) for (dx, dy), w in bottom.items()]
+    # column x-node c holds row x-node (c - s) mod nx, s = dx % nx: on
+    # diagonal s*nyp + dy where c >= s, on (s - nx)*nyp + dy where c < s
+    writes = []
+    for dx, dy, j, w in terms:
+        s, cols = dx % nx, slice(j + dy, j + dy + w.shape[1])
+        writes.append((s * nyp + dy, slice(s, nx), cols, w[: nx - s]))
+        if s:
+            writes.append(((s - nx) * nyp + dy, slice(0, s), cols, w[nx - s :]))
+    offsets = sorted({o for o, *_ in writes})
+    data = np.zeros((len(offsets), nx, nyp))  # diagonal, then its column's (x, y) node
+    for o, xs, ys, w in writes:
+        data[offsets.index(o), xs, ys] = w
+    return sp.dia_matrix((data.reshape(len(offsets), -1), offsets), shape=(nx * nyp,) * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -493,7 +493,7 @@ def test_gate_residual_takes_the_differenced_oblique_row():
             assert res == l2_norm(Field(g, r))
     rows = fac._rows(u)
     uy = u[0, :4] @ np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / g.hy
-    # the two seam lines sum their slots in another order
+    # the two seam lines sum their terms in another order
     assert np.all(rows[1:-1, 0] == 0.0) and np.allclose(wall, uy, rtol=1e-12)
 
 
@@ -620,7 +620,7 @@ def _dense_modes(cs):
         cs.eps,
         cs.alpha,
     )
-    rows = assemble_L(avg)[:nyp].tocoo()  # the x-line i = 0; the others are its shifts
+    rows = assemble_L(avg).tocsr()[:nyp].tocoo()  # the x-line i = 0; the others are its shifts
     i, c = np.divmod(rows.col, nyp)
     theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
     mats = np.zeros((theta.size, nyp, nyp), dtype=complex)

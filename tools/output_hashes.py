@@ -6,8 +6,9 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 <tree>/perfbench, runs a fixed set of solves and prints
 "<output> <sha1 of its float64 bytes>" for each (a count is printed as
 it is).  Run it on two checkouts and diff the printouts: an equal line
-is a bit-identical output.  Covered: the assembled L (data, indices,
-indptr) and the factored x-mode systems of every preset (one call
+is a bit-identical output.  Covered: the assembled L, as its product
+with one seeded field (so the line does not depend on how L is
+stored), and the factored x-mode systems of every preset (one call
 of the x-mode band builder, solver._mode_lu: the LU arrays as zgttrs
 takes them and the fold multipliers m2 and m3, one complex entry per
 mode) at 16^2, 48^2 and
@@ -245,8 +246,8 @@ def main(tree: Path) -> None:
         size = nx if nx == ny else f"{nx}x{ny}"
         for name in PRESETS:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
-            mat = operators.assemble_L(cs)
-            emit(f"assemble_L/{name}/{size}", mat.data, mat.indices, mat.indptr)
+            u = np.random.default_rng(nx * ny).standard_normal(nx * (ny + 1))
+            emit(f"assemble_L/{name}/{size}", operators.assemble_L(cs) @ u)
             lu, m2, m3 = mode_lu(solver, cs)
             emit(f"mode_systems/{name}/{size}", *lu, m2, m3)
 
