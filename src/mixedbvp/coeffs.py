@@ -18,7 +18,8 @@ from math import isfinite
 
 import numpy as np
 
-from .grid import Field, GridSpec, _x_constant, differentiate, load_field
+from .grid import (Field, GridSpec, _apply_x, _apply_y, _x_constant, _x_stencil, differentiate,
+                   load_field)
 
 
 class AlphaRangeError(ValueError):
@@ -96,20 +97,29 @@ def _min_report(name: str, margin: np.ndarray, grid: GridSpec, strict: bool) -> 
 
 
 def check_condition7(cs: CoefficientSet) -> ConditionReport:
-    """Interior sign condition K_y - alpha*K_x + 2*alpha*A >= eps^{1/4}(|K_x|+|K|+|A|)."""
-    Kx = differentiate(cs.K, "x", 1).values
-    Ky = differentiate(cs.K, "y", 1).values
-    K, A = cs.K.values, cs.A.values
+    """Interior sign condition K_y - alpha*K_x + 2*alpha*A >= eps^{1/4}(|K_x|+|K|+|A|).
+
+    K_x and K_y are differentiate's stencils (grid._apply_x, _apply_y),
+    and the margin is formed in place with the formula's operations in
+    its order.  A K_x or K_y that overflows raises differentiate's
+    GridError, any other overflow AlphaRangeError.
+    """
+    g, K, A = cs.grid, cs.K.values, cs.A.values
+    Kx = _apply_x(_x_stencil(1, g.nx), K, g.hx)
+    margin = _apply_y((1, 3), K, g.hy)  # K_y
+    term = np.empty_like(margin)
     with np.errstate(over="ignore", invalid="ignore"):
-        margin = (
-            Ky
-            - cs.alpha * Kx
-            + 2.0 * cs.alpha * A
-            - cs.eps**0.25 * (np.abs(Kx) + np.abs(K) + np.abs(A))
-        )
+        margin -= np.multiply(Kx, cs.alpha, out=term)
+        margin += np.multiply(A, 2.0 * cs.alpha, out=term)
+        np.abs(Kx, out=Kx)
+        Kx += np.abs(K, out=term)
+        Kx += np.abs(A, out=term)
+        Kx *= cs.eps**0.25
+        margin -= Kx
     if not np.isfinite(margin).all():
+        differentiate(cs.K, "x", 1), differentiate(cs.K, "y", 1)  # GridError if they overflow
         raise AlphaRangeError(cs.alpha, "the condition-7 margin")
-    return _min_report("condition7", margin, cs.grid, strict=False)
+    return _min_report("condition7", margin, g, strict=False)
 
 
 def check_alpha(cs: CoefficientSet) -> ConditionReport:

@@ -1,21 +1,23 @@
-"""Discrete operators: assembly, adjoint pairing, transport, auxiliary solve.
+"""Discrete operators: L's stencil and assembly, adjoint pairing, transport, auxiliary solve.
 
-The second-order operator is assembled as a sparse matrix with centered
-3-point stencils per direction, Dirichlet top row, and the oblique
-condition alpha*u_x + u_y on the bottom row, its u_y one-sided of third
-order.  Its stencil weights are written once here: _interior_stencil for
-the interior rows, and for the bottom row the tables _BOTTOM_DY (u_y)
-and _BOTTOM_DX (u_x), which the assembled row, solver's x-mode systems,
-the oblique row of the residual gate and the samples (_oblique_row) and
-the Picard step's mode symbol all read.  The stencil is fixed on the
-periodic cylinder, so the matrix is stored as its diagonals, one per
-(x-offset, y-offset) of the tables and one more per offset that wraps
-round the seam: a u_x table with other offsets assembles with no other
-change.  The operator and its formal adjoint are also applied pointwise,
-matrix-free, with the same x-stencils.  The first-order transport
-solver marches downward from y = 1 with semi-Lagrangian steps and cubic
-periodic interpolation in x, which keeps the march stable for any
-characteristic slope a/b.
+The second-order operator L has centered 3-point stencils per
+direction, Dirichlet top row, and the oblique condition alpha*u_x + u_y
+on the bottom row, its u_y one-sided of third order.  Its stencil
+weights are written once here: _interior_stencil for the interior rows,
+and for the bottom row the tables _BOTTOM_DY (u_y) and _BOTTOM_DX (u_x),
+which L's terms (_L_terms), solver's x-mode systems, the oblique row of
+the residual gate and the samples (_oblique_row) and the Picard step's
+mode symbol all read.  The stencil is fixed on the periodic cylinder,
+so the linear solve applies L's terms matrix-free (StencilL), bit for
+bit as the assembled matrix would, and the matrix, stored as its
+diagonals, one per (x-offset, y-offset) of the tables and one more per
+offset that wraps round the seam, is built only for a sparse LU: a u_x
+table with other offsets applies and assembles with no other change.
+The operator and its formal adjoint are also applied pointwise at every
+node, walls one-sided, with the same x-stencils.  The first-order
+transport solver marches downward from y = 1 with semi-Lagrangian steps
+and cubic periodic interpolation in x, which keeps the march stable for
+any characteristic slope a/b.
 """
 
 from __future__ import annotations
@@ -68,11 +70,31 @@ _BOTTOM_DX = ((1, 1.0), (-1, -1.0))
 # assembly
 # ---------------------------------------------------------------------------
 
-def _interior_stencil(K, A, B, eps: float, hx: float, hy: float):
+def _interior_stencil(K, A, B, eps: float, hx: float, hy: float) -> np.ndarray:
     """East, west, north, south and centre weights of the interior stencil
-    of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y."""
-    kx, ax, by = eps * K / hx**2, eps * A / (2 * hx), eps * B / (2 * hy)
-    return kx + ax, kx - ax, 1.0 / hy**2 + by, 1.0 / hy**2 - by, -2.0 * kx - 2.0 / hy**2
+    of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y, written in place into
+    one buffer, in that order.
+
+    K, A and B hold whole y-lines, walls included, (..., ny+1); the
+    buffer is (5, ..., ny+1), zero on the two wall nodes, so in the
+    field's flat layout each weight is one run over every x-line.
+    """
+    w = np.empty((5, *np.shape(K)))
+    east, west, north, south, centre = w
+    np.multiply(K, eps, out=centre)
+    centre /= hx**2  # kx
+    np.multiply(A, eps, out=west)
+    west /= 2 * hx  # ax
+    np.multiply(B, eps, out=south)
+    south /= 2 * hy  # by
+    np.add(centre, west, out=east)
+    np.subtract(centre, west, out=west)
+    np.add(south, 1.0 / hy**2, out=north)
+    np.subtract(1.0 / hy**2, south, out=south)
+    centre *= -2.0
+    centre -= 2.0 / hy**2
+    w[..., 0] = w[..., -1] = 0.0
+    return w
 
 
 def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
@@ -87,47 +109,121 @@ def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
     return [(off, w * half) for off, w in _BOTTOM_DX]
 
 
+def _L_terms(cs: CoefficientSet) -> tuple[list, list]:
+    """L's terms: (interior, walls).
+
+    interior holds _interior_stencil's five weights as (dx, dy, w): row
+    (i, j) takes w[i, j] times u at (i + dx, j + dy), w zero on the wall
+    rows.  walls holds (j, terms) for the wall rows of y-node j, each
+    term (dx, dy, weight) alike: the oblique bottom row's _bottom_dx
+    u_x and _BOTTOM_DY u_y, the two summed where they share an entry,
+    and the top row's identity.
+    """
+    g = cs.grid
+    east, west, north, south, centre = _interior_stencil(
+        cs.K.values, cs.A.values, cs.B.values, cs.eps, g.hx, g.hy)
+    interior = [(-1, 0, west), (0, -1, south), (0, 0, centre), (0, 1, north), (1, 0, east)]
+    bottom = {(dx, 0): w for dx, w in _bottom_dx(cs.alpha, g.hx)}
+    for k, w in enumerate(_BOTTOM_DY / g.hy):
+        bottom[0, k] = bottom.get((0, k), 0.0) + w
+    return interior, [(0, [(*o, w) for o, w in bottom.items()]), (g.ny, [(0, 0, 1.0)])]
+
+
 def assemble_L(cs: CoefficientSet) -> sp.dia_matrix:
     """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows.
 
     Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
-    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4): a
-    term at x-offset dx and y-offset dy lies on diagonal dx*(ny+1) + dy,
-    and on the |dx| x-lines where dx wraps round the seam on its twin
-    (dx -+ nx)*(ny+1) + dy.  The terms are _interior_stencil's five on
-    the interior rows, the top row's identity, and the oblique bottom
-    row: _bottom_dx's u_x and _BOTTOM_DY's u_y, the two summed where
-    they share an entry.  Each diagonal holds column c's entry at c, the
-    rest zeros.  The offsets are sorted, so row r's entries, at columns
-    r + offset, come in column order, and scipy's product adds them in
-    that order, as a CSR product does; on a finite u the zeros leave its
-    sums' bits as they are.  At a huge alpha the oblique row's u_y terms
-    round away (see _oblique_row).
+    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4), read
+    off the stencil form (StencilL): each of its interior steps is a run
+    of one diagonal, offset nodes - rows, and each wall entry lies on
+    the diagonal of its column less its row.  A term at x-offset dx and
+    y-offset dy is so on diagonal dx*(ny+1) + dy, and on the |dx|
+    x-lines where dx wraps round the seam on its twin
+    (dx -+ nx)*(ny+1) + dy.  Each diagonal holds column c's entry at c,
+    the rest zeros.  The offsets are sorted, so row r's entries, at
+    columns r + offset, come in column order, and scipy's product adds
+    them in that order, as a CSR product does; on a finite u the zeros
+    leave its sums' bits as they are.  At a huge alpha the oblique
+    row's u_y terms round away (see _oblique_row).  The linear solve
+    applies the stencil form and builds this matrix only for its sparse
+    LU.
     """
-    g = cs.grid
-    nx, nyp = g.shape
-    K, A, B = (c.values[:, 1:-1] for c in (cs.K, cs.A, cs.B))
-    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    bottom = {(dx, 0): w for dx, w in _bottom_dx(cs.alpha, g.hx)}
-    for k, w in enumerate(_BOTTOM_DY / g.hy):
-        bottom[0, k] = bottom.get((0, k), 0.0) + w
-    # (dx, dy, the rows' first y-node, their weights per x-line and y-node)
-    terms = [(-1, 0, 1, west), (0, -1, 1, south), (0, 0, 1, centre), (0, 1, 1, north),
-             (1, 0, 1, east), (0, 0, nyp - 1, np.ones((nx, 1)))]
-    terms += [(dx, dy, 0, np.full((nx, 1), w)) for (dx, dy), w in bottom.items()]
-    # column x-node c holds row x-node (c - s) mod nx, s = dx % nx: on
-    # diagonal s*nyp + dy where c >= s, on (s - nx)*nyp + dy where c < s
-    writes = []
-    for dx, dy, j, w in terms:
-        s, cols = dx % nx, slice(j + dy, j + dy + w.shape[1])
-        writes.append((s * nyp + dy, slice(s, nx), cols, w[: nx - s]))
-        if s:
-            writes.append(((s - nx) * nyp + dy, slice(0, s), cols, w[nx - s :]))
-    offsets = sorted({o for o, *_ in writes})
-    data = np.zeros((len(offsets), nx, nyp))  # diagonal, then its column's (x, y) node
-    for o, xs, ys, w in writes:
-        data[offsets.index(o), xs, ys] = w
-    return sp.dia_matrix((data.reshape(len(offsets), -1), offsets), shape=(nx * nyp,) * 2)
+    L, n, diagonals = StencilL(cs), cs.grid.nx * (cs.grid.ny + 1), {}
+    for rows, w, nodes in L._steps:
+        diagonals.setdefault(nodes.start - rows.start, np.zeros(n))[nodes] = w
+    for j, nodes, w in L._walls:  # after the steps: their zero weights cross the wall rows
+        offsets = nodes - np.arange(j, n, L.shape[1])
+        for o in np.unique(offsets).tolist():
+            diagonals.setdefault(o, np.zeros(n))[nodes[offsets == o]] = w[offsets == o]
+    offsets = sorted(diagonals)
+    return sp.dia_matrix((np.array([diagonals[o] for o in offsets]), offsets), shape=(n, n))
+
+
+@lru_cache(maxsize=16)
+def _stencil_plan(nx: int, nyp: int, interior: tuple, walls: tuple) -> tuple:
+    """StencilL's order of the terms on an nx x nyp grid, from their offsets.
+
+    interior holds the interior terms' (dx, dy), walls (j, its terms'
+    (dx, dy)) per wall row.  Returns (steps, walls): each step (rows, k,
+    nodes) adds interior term k's weights on the flat rows times u on
+    the flat nodes, in order; each wall row (j, nodes, order) gathers
+    u's nodes (terms, x-lines) in column order, order the terms' index
+    there.
+    """
+    steps = []
+    cuts = sorted({0, nx} | {-dx % nx for dx, _ in interior})
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = slice(lo * nyp + 1, hi * nyp - 1)
+        # a flat node index is its column, so the run's first row orders them
+        starts = sorted(((lo + dx) % nx * nyp + 1 + dy, k) for k, (dx, dy) in enumerate(interior))
+        steps += [(rows, k, slice(at, at + rows.stop - rows.start)) for at, k in starts]
+    plans = []
+    for j, offsets in walls:
+        dx, dy = np.array(offsets).T
+        nodes = (np.arange(nx) + dx[:, None]) % nx * nyp + j + dy[:, None]
+        order = np.argsort(nodes, axis=0)
+        plans.append((j, np.take_along_axis(nodes, order, 0), order))
+    return tuple(steps), tuple(plans)
+
+
+class StencilL:
+    """L held as its terms (_L_terms) and applied matrix-free (Saad 2003).
+
+    L @ u is every row of L times u, walls included, for u flat or in
+    the grid's shape, and it equals assemble_L(cs) @ u bit for bit on
+    every row: each row starts from zero and adds its terms in the
+    order of their columns, as scipy's product of the diagonals does.
+    A term's column x-node is (i + dx) mod nx, so that order is one
+    order along each run of x-lines between the lines where a term
+    wraps round the seam.  Over such a run each interior weight times
+    u is one slice of the flat field, from the run's first interior row
+    to its last; the wall rows it crosses have zero weights, so they
+    keep their zero.  Each wall row then adds its terms, gathered per
+    x-line in column order.  The order is kept per grid and offsets
+    (_stencil_plan).
+    """
+
+    def __init__(self, cs: CoefficientSet):
+        nx, nyp = self.shape = cs.grid.shape
+        interior, walls = _L_terms(cs)
+        steps, plans = _stencil_plan(nx, nyp, tuple(t[:2] for t in interior),
+                                     tuple((j, tuple(t[:2] for t in row)) for j, row in walls))
+        weights = [w.reshape(-1) for _, _, w in interior]
+        self._steps = [(rows, weights[k][rows], nodes) for rows, k, nodes in steps]
+        self._walls = [(j, nodes, np.array([w for _, _, w in row])[order])
+                       for (j, nodes, order), (_, row) in zip(plans, walls)]
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        flat = u.reshape(-1)
+        out = np.zeros(flat.shape)
+        for rows, w, nodes in self._steps:
+            part = out[rows]
+            part += w * flat[nodes]
+        for j, nodes, w in self._walls:
+            part = out[j :: self.shape[1]]
+            for term in w * flat[nodes]:
+                part += term
+        return out.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

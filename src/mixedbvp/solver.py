@@ -6,10 +6,11 @@ all modes in one LAPACK call and back-substitutes; when the
 coefficients depend on x, it refines that answer with the same LUs
 while each step halves the residual, then hands what is left to
 scipy's GMRES preconditioned by those LUs, with a sparse LU of the
-assembled matrix as the fallback.  This module alone knows the mode
-systems' layout: one builder (_mode_band, _mode_lu, _solve_modes)
-stacks, folds, factors and back-substitutes them, for L and for the
-Picard step of nonlinear alike.  The a priori constant of the
+assembled matrix as the fallback; every product with L is one
+product with its stencil (operators.StencilL).  This module alone
+knows the mode systems' layout: one builder (_mode_band, _mode_lu,
+_solve_modes) stacks, folds, factors and back-substitutes them, for L
+and for the Picard step of nonlinear alike.  The a priori constant of the
 well-posedness estimate is reported as the measured ratio
 ||u||_0 / ||f||_{H^1}.
 energy_certificate drives the duality chain: for adjoint-admissible
@@ -52,6 +53,7 @@ from .multiplier import FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
+    StencilL,
     _bottom_dx,
     _interior_stencil,
     _oblique_row,
@@ -149,34 +151,43 @@ class ConvergenceTable:
 
 
 @lru_cache(maxsize=16)
-def _band_start(grid: GridSpec, alpha: float, rows: bytes, w: int, kl: int, ku: int) -> tuple:
-    """What _mode_band starts from, kept per grid, alpha and rows.
+def _band_start(grid: GridSpec, alpha: float, pattern: bytes, w: int, kl: int, ku: int) -> tuple:
+    """What _mode_band starts from, kept per grid, alpha and pattern of rows.
 
-    s, the band's line of the diagonal (_mode_band); template, one
-    mode's in-band entries before its terms, on the band's lines: rows'
-    lines, the oblique row's _BOTTOM_DY/hy and the identity top row;
-    the wall rows, each row with an entry past the band (read off the
-    unfolded pattern), in fold order; and the oblique row's alpha*u_x
-    on the rfft modes (grid.x_symbol of operators._bottom_dx).
+    pattern is rows != 0, as bytes.  The plan reads rows' entries only
+    as indices into values = rows ++ tail, tail the oblique row's
+    _BOTTOM_DY/hy, then 1 and 0, so every problem on a grid whose rows
+    have one pattern shares one plan.  Returns s, the band's line of
+    the diagonal (_mode_band); template, one mode's in-band entries
+    before its terms, on the band's lines, as indices into values:
+    rows' lines, the oblique row's _BOTTOM_DY/hy and the identity top
+    row; the wall rows, each row with an entry past the band (read off
+    the unfolded pattern), in fold order; the oblique row's alpha*u_x on
+    the rfft modes (grid.x_symbol of operators._bottom_dx); and tail.
 
     The wall rows that reach right of the band come first, from the
     last matrix row back to row 0, then those that reach only left of
     it, from row 0 on, and each row's folds clear its farthest entry
     right of the band first, then its farthest left of it: so a row is
     folded before it serves another, and a folded row adds nothing past
-    the entry it clears.  Each wall row is (i, lo, its unfolded entries
-    on columns lo, lo + 1, ..., its in-band columns, its folds), a fold
-    (j, by, row by's in-band columns).  A fold whose pivot row by still
-    reaches past the band would subtract only the part of that row in
-    the band, so it raises ValueError naming both rows and (kl, ku).
+    the entry it clears.  Each wall row is (i, lo, the indices of its
+    unfolded entries on columns lo, lo + 1, ..., its in-band columns,
+    its folds), a fold (j, by, row by's in-band columns).  A fold whose
+    pivot row by still reaches past the band would subtract only the
+    part of that row in the band, so it raises ValueError naming both
+    rows and (kl, ku).
     """
     ny, b_dy, n = grid.ny, _BOTTOM_DY / grid.hy, 3 if kl == ku == 1 else 2 * kl + ku + 1
     s, r = n - 1 - kl, max(w, len(b_dy) - 1, kl, ku)
-    unfolded = np.zeros((2 * r + 1, ny + 1))  # the entry (i, j) at unfolded[r + i - j, j]
-    unfolded[r - w : r + w + 1] = np.frombuffer(rows).reshape(-1, ny + 1)
-    unfolded[r - (c := np.arange(len(b_dy))), c] = b_dy  # row 0's entries (0, c)
-    unfolded[r, -1] = 1.0
-    template = np.pad(unfolded[r - ku : r + kl + 1], ((s - ku, 0), (0, 0)))
+    tail, size = np.concatenate((b_dy, (1.0, 0.0))), (2 * w + 1) * (ny + 1)
+    # the entry (i, j) at index[r + i - j, j], as the index of its value: -1, the 0, off rows
+    index = np.full((2 * r + 1, ny + 1), -1)
+    index[r - w : r + w + 1] = np.arange(size).reshape(-1, ny + 1)
+    c = np.arange(len(b_dy))
+    index[r - c, c] = size + c  # row 0's entries (0, c)
+    index[r, -1] = size + len(b_dy)
+    unfolded = np.concatenate((np.frombuffer(pattern, dtype=bool), tail != 0))[index]
+    template = np.pad(index[r - ku : r + kl + 1], ((s - ku, 0), (0, 0)), constant_values=-1)
     line, col = np.nonzero(unfolded)
     row = col + line - r
     right = sorted(set(row[line < r - ku].tolist()), reverse=True)
@@ -190,8 +201,8 @@ def _band_start(grid: GridSpec, alpha: float, rows: bytes, w: int, kl: int, ku: 
                              f" its pivot row {bad[0]} reaches past the band")
         cols, inband = np.arange(lo, hi + 1), np.arange(max(i - kl, 0), min(i + ku, ny) + 1)
         pivots = [(j, by, np.arange(max(by - kl, 0), min(by + ku, ny) + 1)) for j, by in folds]
-        plan.append((i, lo, unfolded[r + i - cols, cols], inband, pivots))
-    return s, template, tuple(plan), x_symbol(_bottom_dx(alpha, grid.hx), grid.nx)
+        plan.append((i, lo, index[r + i - cols, cols], inband, pivots))
+    return s, template, tuple(plan), x_symbol(_bottom_dx(alpha, grid.hx), grid.nx), tail
 
 
 def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
@@ -228,16 +239,18 @@ def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, k
     zero (the LU's fill), laid out column by column, which zgbtrf
     factors in place.
     """
-    s, template, walls, bottom = _band_start(grid, alpha, rows.tobytes(), len(rows) // 2, kl, ku)
+    s, template, walls, bottom, tail = _band_start(grid, alpha, (rows != 0).tobytes(),
+                                                   len(rows) // 2, kl, ku)
+    values = np.concatenate((rows.reshape(-1), tail))
     n, shape, folds = len(template), (grid.nx // 2 + 1, grid.ny + 1), []
     band = (np.empty((n, *shape), dtype=complex) if kl == ku == 1
             else np.empty((*shape, n), dtype=complex).transpose(2, 0, 1))
-    band[...] = template[:, None, :]
+    band[...] = values[template][:, None, :]
     for coefficient, symbol in terms:
         band[s, :, 1:-1] += coefficient[1:-1] * symbol[:, None]
     band[s, :, 0] += bottom
     for i, lo, entries, inband, pivots in walls:
-        row = np.full((len(entries), shape[0]), entries[:, None], dtype=complex)
+        row = np.full((len(entries), shape[0]), values[entries][:, None], dtype=complex)
         row[i - lo] = band[s, :, i]  # the diagonal, with the terms: the one entry modes differ in
         for j, by, c in pivots:
             pivot = band[s + by - j, :, j]
@@ -307,7 +320,7 @@ def _mode_systems(cs: CoefficientSet) -> tuple:
     K, A and B are averaged over x (a field constant in x keeps its own
     row exactly), and the averaged L maps the mode exp(i*theta*i) times
     a y-profile to the same mode: the interior rows hold the south,
-    centre and north weights of the assembled stencil, and its east and
+    centre and north weights of L's stencil, and its east and
     west neighbours become the terms east*s and west*conj(s), s the
     symbol of the shift to the east neighbour.  The oblique bottom row
     reaches columns 0..3, so the band folds it with rows 2 and then 1
@@ -393,11 +406,12 @@ class FactorizedOperator:
     (Saad-Schultz 1986) solves L e = r, right-preconditioned by the mode
     LUs: D L M^-1 D^-1 y = D r / s with D the square root of each y-row's
     quadrature weight, so its Euclidean norm is the gate's, and s = max|r|,
-    so no square overflows; e = s M^-1 D^-1 y.  L is the assembled matrix
-    (operators.assemble_L), built here, before the mode LUs: every row of
-    L u is one sparse product, from which _gate forms the residual.  Past
-    GMRES_MAX_ITER steps, or when the gate still fails, the operator
-    falls back to a sparse LU of that same matrix for good;
+    so no square overflows; e = s M^-1 D^-1 y.  L is its stencil form
+    (operators.StencilL), built here, before the mode LUs: every row of
+    L u is one stencil product, bit for bit the assembled matrix's, from
+    which _gate forms the residual.  Past GMRES_MAX_ITER steps, or when
+    the gate still fails, the operator falls back for good to a sparse
+    LU of the assembled L (operators.assemble_L), built only then;
     stats["fallback_reason"] says why.  A solve whose last path fails
     the gate raises ResidualGateError (WELLPOSEDNESS_SUSPECT), built here
     from _gate's residual, which names the rows holding most of the
@@ -414,9 +428,9 @@ class FactorizedOperator:
     and k later refinement steps, one per step, and k + s + 3 when s GMRES
     steps follow; a fallback to splu adds one product) and
     solve_s (its perf_counter time); and, from the constructor, the
-    perf_counter times assemble_s (building L) and factor_s.  A
-    singular factorization of L (a zero pivot of a mode LU), or a
-    zero pivot of the fold, raises PreconditionError
+    perf_counter times assemble_s (building L's stencil form) and
+    factor_s.  A singular factorization of L (a zero pivot of a mode
+    LU), or a zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
     those modes are the averaged operator's, it only sends the operator
     to splu.
@@ -425,7 +439,7 @@ class FactorizedOperator:
     def __init__(self, cs: CoefficientSet):
         t0 = perf_counter()
         self.cs = cs
-        self._L = assemble_L(cs)
+        self._L = StencilL(cs)
         t1 = perf_counter()
         self.stats: dict = {"assemble_s": t1 - t0, "matvecs": 0, "mode_solves": 0}
         self.method = "fourier"
@@ -441,7 +455,7 @@ class FactorizedOperator:
         self.method = "splu"
         self.stats["fallback_reason"] = reason
         try:
-            self._lu = spla.splu(self._L.tocsc())
+            self._lu = spla.splu(assemble_L(self.cs).tocsc())
         except RuntimeError as exc:  # singular factorization
             raise PreconditionError(f"WELLPOSEDNESS_SUSPECT: {exc}") from exc
 
@@ -453,7 +467,7 @@ class FactorizedOperator:
     def _rows(self, u: np.ndarray) -> np.ndarray:
         """Every row of L times u, walls included, in the grid's shape."""
         self.stats["matvecs"] += 1
-        return (self._L @ u.ravel()).reshape(self.cs.grid.shape)
+        return self._L @ u
 
     def solve(self, f: Field) -> Field:
         """u with L u = f on the interior rows and the homogeneous wall conditions."""

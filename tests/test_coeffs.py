@@ -72,6 +72,66 @@ def test_condition7_refinement_stability():
     assert abs(mins[0] - mins[2]) < 1e-2
 
 
+def _condition7_through_fields(cs):
+    # the margin as differentiate's Fields of K_x and K_y and one
+    # expression formed it: the oracle for check_condition7
+    from mixedbvp.coeffs import _min_report
+
+    Kx = differentiate(cs.K, "x", 1).values
+    Ky = differentiate(cs.K, "y", 1).values
+    K, A = cs.K.values, cs.A.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = (
+            Ky
+            - cs.alpha * Kx
+            + 2.0 * cs.alpha * A
+            - cs.eps**0.25 * (np.abs(Kx) + np.abs(K) + np.abs(A))
+        )
+    if not np.isfinite(margin).all():
+        raise AlphaRangeError(cs.alpha, "the condition-7 margin")
+    return _min_report("condition7", margin, cs.grid, strict=False)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.02, 1.2, 1e200, 1e308])
+@pytest.mark.parametrize("eps", [1e-5, 1e-3, 0.05])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_condition7_margin_is_the_differentiate_formula(monkeypatch, preset, eps, alpha):
+    # formed in place from the stencils, the margin keeps the formula's
+    # bits at every node, so the report is the same; at 1e308 both raise
+    # (1e200 still leaves a finite margin)
+    from mixedbvp import coeffs
+
+    margins = []
+
+    def keep(name, margin, grid, strict):
+        margins.append(margin.copy())
+        return real(name, margin, grid, strict)
+
+    real = coeffs._min_report
+    monkeypatch.setattr(coeffs, "_min_report", keep)
+    for n in ((32, 32), (47, 48)):
+        cs = preset_coefficients(preset, make_grid(*n), eps, alpha)
+        if alpha == 1e308:
+            for check in (check_condition7, _condition7_through_fields):
+                with pytest.raises(AlphaRangeError, match="condition-7 margin"):
+                    check(cs)
+            continue
+        assert check_condition7(cs) == _condition7_through_fields(cs)
+        assert np.array_equal(margins[-2].view(np.int64), margins[-1].view(np.int64))
+
+
+def test_condition7_overflowing_k_y_is_a_grid_error():
+    # a K_y past the doubles is differentiate's error, as it was when the
+    # margin was formed from its Fields, not one naming alpha
+    from mixedbvp.grid import GridError
+
+    g = make_grid(16, 16)
+    z = Field.zeros(g)
+    K = Field(g, np.where(np.arange(g.ny + 1) % 2, 1.5e308, -1.5e308) + z.values)
+    with np.errstate(over="ignore"), pytest.raises(GridError, match="non-finite"):
+        check_condition7(CoefficientSet(K, z, z, 1e-3, 0.02))
+
+
 def test_alpha_condition_arithmetic():
     g = make_grid(32, 32)
     rep = check_alpha(tricomi(g, 1e-4, 0.02))

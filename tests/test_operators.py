@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixedbvp.coeffs import CoefficientSet, preset_coefficients
+from mixedbvp.coeffs import PRESET_NAMES, CoefficientSet, preset_coefficients
 from mixedbvp.grid import Field, inner_product, l2_norm, make_grid
 from mixedbvp.multiplier import MultiplierTriple, build_abc
 from mixedbvp.operators import (
     AuxNonContractionError,
+    StencilL,
     TransportError,
     _oblique_row,
     adjoint_defect,
@@ -130,6 +131,24 @@ def test_assembled_matrix_equals_coo_assembly(kind, n, alpha):
         assert np.array_equal((mat @ u).view(np.int64), (ref @ u).view(np.int64))
     if max(g.nx, g.ny) <= 48:
         assert np.array_equal(mat.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.02, 1.2, 1e50])
+@pytest.mark.parametrize("n", [16, pytest.param((47, 48), id="47x48"), 96, 128])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_stencil_product_equals_assembled_product(preset, n, alpha):
+    # StencilL adds each row's terms from zero in the order of their
+    # columns, as the product of the stored diagonals does, so bit for
+    # bit on every row, walls included, for u flat or in the grid's shape
+    g = make_grid(*n) if isinstance(n, tuple) else make_grid(n, n)
+    cs = preset_coefficients(preset, g, 1e-4, alpha)
+    mat, stencil = assemble_L(cs), StencilL(cs)
+    rng = np.random.default_rng(g.nx * g.ny)
+    for scale in (1e-3, 1.0, 1e4):
+        u = scale * rng.standard_normal(g.shape)
+        ref = (mat @ u.ravel()).view(np.int64)
+        assert np.array_equal((stencil @ u).ravel().view(np.int64), ref)
+        assert np.array_equal((stencil @ u.ravel()).view(np.int64), ref)
 
 
 def test_matrix_matches_apply_on_interior_rows():
@@ -860,7 +879,9 @@ def _bottom_ux_readers(preset, alpha, g, u):
         "step_band": (g, alpha, rows, ((0.25 * g.y, sigma),), 2, 2),
     }
     spec = np.fft.rfft(u[:, 0])
-    readers = {"assembled": assembled, "oblique_row": _oblique_row(u, alpha, 0.0, g)}
+    stencil = (StencilL(cs) @ u)[:, 0] - u[:, :4] @ _BOTTOM_DY / g.hy
+    readers = {"assembled": assembled, "stencil": stencil,
+               "oblique_row": _oblique_row(u, alpha, 0.0, g)}
     for name, problem in problems.items():
         symbol = _band_symbol(g, *solver._mode_band(*problem))
         readers[name] = np.fft.irfft(symbol * spec, n=g.nx)
@@ -886,11 +907,12 @@ _ONE_SIDED_DX = ((0, 3.0), (-1, -4.0), (-2, 1.0))
 @pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
 @pytest.mark.parametrize("alpha", [0.02, 0.2])
 def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
-    # the assembled row, _oblique_row and the two mode symbols agree on one
-    # random field, under _BOTTOM_DX and under each table put in its place:
-    # the doubled weights double all four, and the one-sided table gives
-    # its own u_x in all four.  A reader with its own copy of the stencil,
-    # or diagonals laid out by hand, would not
+    # the assembled row, the stencil product's, _oblique_row and the two
+    # mode symbols agree on one random field, under _BOTTOM_DX and under
+    # each table put in its place: the doubled weights double all five,
+    # and the one-sided table gives its own u_x in all five.  A reader
+    # with its own copy of the stencil, or diagonals laid out by hand,
+    # would not
     from mixedbvp import operators, solver
 
     g = make_grid(32, 32)
@@ -923,3 +945,6 @@ def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
         for table, (_, expect) in tables.items():
             err = np.abs(patched[table][name] - expect).max()
             assert err <= 2e-13 * np.abs(expect).max(), (table, name)
+    # the stencil product is the assembled one's, bit for bit, under every table
+    for readers in (ref, *patched.values()):
+        assert np.array_equal(readers["stencil"], readers["assembled"])

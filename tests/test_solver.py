@@ -784,6 +784,80 @@ def test_band_is_its_lapack_routines_storage(monkeypatch):
     assert np.shares_memory(ab, band)
 
 
+@pytest.mark.parametrize(
+    "problem, refined, krylov",
+    [
+        (("tricomi", 64, 1e-4, 0.02), False, False),
+        (("lower_order", 64, 1e-4, 0.02), True, False),
+        (("wedge", 64, 3e-2, 0.346), True, True),
+    ],
+)
+def test_fourier_solve_assembles_no_matrix(monkeypatch, problem, refined, krylov):
+    # every product of the mode-LU, refinement and GMRES steps is the
+    # stencil's: L is assembled only for the sparse LU
+    def refuse(cs):
+        raise AssertionError("the Fourier path assembled L")
+
+    monkeypatch.setattr(solver, "assemble_L", refuse)
+    cs, _, f = _smooth_problem(*problem)
+    stats = solve_linear(LinearProblem(cs, f), require_conditions=False).solver_stats
+    assert stats["method"] == "fourier"
+    assert (stats["refine_steps"] > 0, stats["gmres_iterations"] > 0) == (refined, krylov)
+
+
+def test_splu_fallback_factors_the_assembled_matrix(monkeypatch):
+    # the fallback assembles L once and factors that matrix
+    from mixedbvp.operators import assemble_L
+
+    assembled, factored = [], []
+    real_splu = solver.spla.splu
+
+    def assemble(cs):
+        assembled.append(assemble_L(cs))
+        return assembled[-1]
+
+    def splu(matrix):
+        factored.append(matrix)
+        return real_splu(matrix)
+
+    monkeypatch.setattr(solver, "GMRES_MAX_ITER", 0)
+    monkeypatch.setattr(solver, "assemble_L", assemble)
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    cs, _, f = _smooth_problem("lower_order", 32, 1e-4, 0.02)
+    fac = FactorizedOperator(cs)
+    assert assembled == []
+    fac.solve(f)
+    fac.solve(f)
+    (matrix,), (csc,) = assembled, factored
+    assert fac.method == "splu" and (csc != matrix.tocsc()).nnz == 0
+
+
+def test_band_plan_is_built_once_per_grid_and_pattern():
+    # fresh x-dependent sets on one grid and alpha share one plan, and so
+    # do the Picard steps of every profile p; the plan reads the rows'
+    # entries by index, so each band and fold is the one a fresh plan gives
+    from mixedbvp.nonlinear import _factor_step
+
+    g = make_grid(64, 64)
+    problems = [solver._mode_systems(preset_coefficients("lower_order", g, eps, 0.02))
+                for eps in (1e-5, 1e-4, 1e-3, 1e-2, 3e-2)]
+    fresh = []
+    for problem in problems:
+        solver._band_start.cache_clear()
+        fresh.append(solver._mode_band(*problem))
+    solver._band_start.cache_clear()
+    for problem, (band, s, folds) in zip(problems, fresh):
+        shared, shared_s, shared_folds = solver._mode_band(*problem)
+        assert shared.tobytes() == band.tobytes() and shared_s == s
+        assert [m.tobytes() for *_, m in shared_folds] == [m.tobytes() for *_, m in folds]
+    info = solver._band_start.cache_info()
+    assert (info.hits, info.misses) == (4, 1)
+    for k in range(5):
+        _factor_step(g, 0.25 * g.y + 0.1 * k, 0.6)
+    info = solver._band_start.cache_info()
+    assert (info.hits, info.misses) == (8, 2)
+
+
 def test_mms_recovery_and_orders():
     table = mms_convergence(
         tricomi_factory(0.01, 0.02),

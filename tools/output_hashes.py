@@ -8,7 +8,10 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L, as its product
 with one seeded field (so the line does not depend on how L is
-stored), and the factored x-mode systems of every preset (one call
+stored), and beside it the stencil form's product with the same
+field (operators.StencilL, left out on a tree without it; equal hashes
+show the two forms agree), and the factored x-mode systems of every
+preset (one call
 of the x-mode band builder, solver._mode_lu: the LU arrays as zgttrs
 takes them and the fold multipliers m2 and m3, one complex entry per
 mode) at 16^2, 48^2 and
@@ -248,6 +251,8 @@ def main(tree: Path) -> None:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             u = np.random.default_rng(nx * ny).standard_normal(nx * (ny + 1))
             emit(f"assemble_L/{name}/{size}", operators.assemble_L(cs) @ u)
+            if hasattr(operators, "StencilL"):  # a tree that applies L matrix-free
+                emit(f"stencil_L/{name}/{size}", operators.StencilL(cs) @ u)
             lu, m2, m3 = mode_lu(solver, cs)
             emit(f"mode_systems/{name}/{size}", *lu, m2, m3)
 
