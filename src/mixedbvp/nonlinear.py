@@ -10,13 +10,16 @@ the full nonlinear residual, and the linear solve produces the update.
 The step is type-II Anderson mixing of the map d -> d + update over the
 last ANDERSON_DEPTH steps, with mixing parameter THETA; with no history,
 or with ANDERSON_DEPTH = 0, it is the damped step d + THETA * update.
-The linear solve is two calls of the linear solver's mode builder:
-_factor_step builds, folds and factors the step operator N(p) with one
-zgbtrf call (solver._mode_lu), and _solve_step back-substitutes with
+The step operator N(p) is one record (operators.Rows, _step_record),
+L's kind with eps*K = p(y) and A = B = 0 on the (2, 5) stencils.  The
+linear solve is two calls of the linear solver's mode builder:
+_factor_step reads the band off the record, folds and factors it with
+one zgbtrf call (solver._mode_lu), and _solve_step back-substitutes with
 one zgbtrs call (solver._solve_modes) and answers to the linear
-solver's gate.  _picard keeps the LU and factors again only when the
-frozen profile has moved by more than STEP_LU_DRIFT (the chord method);
-the fixed point is the residual's, which the lagged LU does not move.  The report's stats
+solver's gate on the record's product (operators.StencilL).  _picard
+keeps the LU and factors again only when the frozen profile has moved
+by more than STEP_LU_DRIFT (the chord method); the fixed point is the
+residual's, which the lagged LU does not move.  The report's stats
 record per step, among others, the wall-row part of the stopping
 residual (wall_norm), the history the mixing used (mixing_depth) and
 whether the step factored (factored).
@@ -47,9 +50,9 @@ from scipy.linalg import lapack
 
 from . import solver
 from .coeffs import AlphaRangeError, condition7prime_margin
-from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, _x_stencil
-from .grid import stencil_product, x_symbol, x_terms
+from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, stencil_product
 from .norms import _line_factors
+from .operators import Rows, StencilL, _table, _wall_rows
 from .solver import ResidualGateError, _gate
 
 
@@ -387,63 +390,40 @@ class _SplitDerivatives:
         }
 
 
-@lru_cache(maxsize=16)
-def _step_pieces(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix, sp.csr_matrix]:
-    """What every Picard step on a grid shares: (sigma, rows, dx2, dy2).
+def _step_record(g: GridSpec, p: np.ndarray, alpha: float) -> Rows:
+    """The record (operators.Rows) of N(p), the Picard step's operator.
 
-    sigma, one entry per rfft mode: the symbol (grid.x_symbol) of the
-    periodic second derivative, grid._X_STENCILS' 5-point one, as the
-    residual's.  rows: the second-order graph stencil's entries of the
-    interior rows (read off _derivative_matrices) in LAPACK's band
-    layout, as solver._mode_band takes them.  dx2, dy2: the
-    second-order x and y blocks of _derivative_matrices, with which
-    _step_rows applies N for the gate.
+    N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
+    stencils, the (2, 5) entries of grid._X_STENCILS (operators._table):
+    p times the periodic d_xx, with its symbol (grid.x_symbol), and the
+    walled d_yy, the centred row inside and the table's near row and its
+    mirror on rows 1 and ny-1.  Row 0 is the oblique row alpha*d_x + d_y
+    and row ny the identity (operators._wall_rows).  Every weight is a
+    table weight over the denominator, as the residual's stencils
+    divide.
     """
-    dx, dy, _ = _derivative_matrices(grid)
-    y = dy[grid.ny + 1 :].toarray()
-    y[[0, -1]] = 0.0  # the band writes the wall rows itself
-    w = np.abs(np.subtract(*np.nonzero(y))).max()
-    # the entry (j + o, j) at rows[w + o, j]
-    rows = np.array([np.pad(y.diagonal(-o), (max(-o, 0), max(o, 0))) for o in range(-w, w + 1)])
-    sigma = x_symbol(x_terms(_x_stencil(2, grid.nx), grid.hx), grid.nx)
-    return sigma, rows, dx[grid.nx :], dy[grid.ny + 1 :]
-
-
-def _step_rows(g: GridSpec, p, d: np.ndarray) -> np.ndarray:
-    """N d on rows 1..ny (see _factor_step), as the step's gate reads it.
-
-    d_xx and d_yy are the products with the periodic 5-point x- and the
-    second-order graph stencil matrices (_step_pieces).  Row 0 holds
-    those products too: the gate (solver._gate) forms the oblique row
-    itself.
-    """
-    _, _, dx2, dy2 = _step_pieces(g)
-    rows = dx2 @ d
-    rows *= p
-    rows += (dy2 @ d.T).T
-    rows[:, -1] = d[:, -1]
-    return rows
+    (x, sigma), y = _table((2, 5), g)
+    px = np.zeros(g.ny + 1)
+    px[1:-1] = p[1:-1]
+    return Rows(g, ((px, x, sigma), *y), _wall_rows(g, alpha))
 
 
 def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
     """The LU of N(p), the Picard step's operator, as _solve_step takes it.
 
-    N d = p(y)*d_xx + d_yy on rows 1..ny-1, on the residual's own
-    stencils (the periodic 5-point d_xx in x, the second-order graph
-    stencil in y), the oblique row alpha*d_x + d_y of
-    operators._oblique_row on row 0 and d itself on row ny.  N commutes
-    with the x-shift, so it is one call of the linear solver's mode
-    builder (solver._mode_lu): the graph stencil's rows, the term
-    p*sigma (_step_pieces) and alpha.  The one-sided rows 1 and ny-1
-    and the oblique row reach one node past the centred rows, so the
-    band folds them to kl = ku = 2 and factors it with one zgbtrf call;
-    a zero pivot raises PreconditionError naming the first singular
-    mode.
+    N is its record (_step_record).  N commutes with the x-shift, so
+    its LU is one call of the linear solver's mode builder
+    (solver._mode_lu on solver._mode_problem of the record): the near
+    rows 1 and ny-1 and the oblique row reach one node past the centred
+    rows, so the band folds them to kl = ku = 2 and factors it with one
+    zgbtrf call; a zero pivot raises PreconditionError naming the first
+    singular mode.
 
-    Returns the mode LU and p.
+    Returns the mode LU, p and N applied as its record (StencilL), with
+    which _solve_step gates.
     """
-    sigma, rows, _, _ = _step_pieces(g)
-    return solver._mode_lu(g, alpha, rows, ((p, sigma),), 2, 2), p
+    N = _step_record(g, p, alpha)
+    return solver._mode_lu(*solver._mode_problem(N)), p, StencilL(N)
 
 
 def _solve_step(g: GridSpec, lu: tuple, alpha: float, f: np.ndarray) -> tuple[np.ndarray, float]:
@@ -452,16 +432,17 @@ def _solve_step(g: GridSpec, lu: tuple, alpha: float, f: np.ndarray) -> tuple[np
     f's wall rows are read as zero; solver._solve_modes takes one rfft,
     folds the spectrum, makes one zgbtrs call on every mode at once and
     takes one irfft.  The residual is solver._gate's, the one every
-    linear solve answers to, on N(p) d over rows 1..ny (_step_rows);
-    the gate forms row 0, the oblique row, itself.  When its norm
-    exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it is raised.
+    linear solve answers to, on N(p) d over every row (the record's
+    product, StencilL); the gate forms row 0, the oblique row, itself.
+    When its norm exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it
+    is raised.
     """
-    modes, p = lu
+    modes, _, N = lu
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
     d = solver._solve_modes(modes, rhs)
     fnorm = _l2_norm(g, f)
-    res, r = _gate(f, d, _step_rows(g, p, d), alpha, g)
+    res, r = _gate(f, d, N @ d, alpha, g)
     if res > solver.RESIDUAL_TOL * fnorm:
         raise ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, g, alpha)
     return d, res
@@ -556,10 +537,11 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
 
     A solve builds only what depends on its start: the seam carrier
     (_SplitDerivatives), the mixing's ring buffers and the kept LU; a
-    step that factors allocates its own band (_factor_step), and every
-    step its right-hand side (_solve_step).  chi, the inner region as a
-    slice and the wall rows' weight come from _residual_weights, and
-    the stencils, seam weights and step pieces from their own caches,
+    step that factors builds its record and allocates its own band
+    (_factor_step), and every step its right-hand side (_solve_step).
+    chi, the inner region as a slice and the wall rows' weight come from
+    _residual_weights, and the stencils, seam weights and the record's
+    table parts, band lines and line matrices from their own caches,
     all shared per grid.  The residual norms are taken on the bare
     arrays (grid._l2_norm), which still raise GridError on a non-finite
     entry.

@@ -1,31 +1,37 @@
-"""Discrete operators: L's stencil and assembly, adjoint pairing, transport, auxiliary solve.
+"""Discrete operators: the operator record and readers, adjoint pairing, transport, auxiliary solve.
 
-The second-order operator L has centered 3-point stencils per
-direction, Dirichlet top row, and the oblique condition alpha*u_x + u_y
-on the bottom row, its u_y one-sided of third order.  Its stencil
-weights are written once here: _interior_stencil for the interior rows,
-and for the bottom row the tables _BOTTOM_DY (u_y) and _BOTTOM_DX (u_x),
-which L's terms (_L_terms), solver's x-mode systems, the oblique row of
-the residual gate and the samples (_oblique_row) and the Picard step's
-mode symbol all read.  The stencil is fixed on the periodic cylinder,
-so the linear solve applies L's terms matrix-free (StencilL), bit for
-bit as the assembled matrix would, and the matrix, stored as its
-diagonals, one per (x-offset, y-offset) of the tables and one more per
-offset that wraps round the seam, is built only for a sparse LU: a u_x
-table with other offsets applies and assembles with no other change.
-The operator and its formal adjoint are also applied pointwise at every
-node, walls one-sided, with the same x-stencils.  The first-order
-transport solver marches downward from y = 1 with semi-Lagrangian steps
-and cubic periodic interpolation in x, which keeps the march stable for
-any characteristic slope a/b.
+An operator periodic in x and walled in y, L or the Picard step's N, is
+one record (Rows): its parts, each a coefficient times a stencil along
+x, with its symbol on the rfft modes, or along y, with its weights per
+y-row, the rows next to each wall included, and its wall rows, the
+oblique bottom row alpha*u_x + u_y from the tables _BOTTOM_DX (u_x) and
+_BOTTOM_DY (u_y, one-sided of third order) and the identity top row
+(_wall_rows).  L's record (_L_rows) holds _interior_stencil's five
+weights of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y, east and west
+with L's own neighbour factors; the Picard step's holds the (2, 5)
+entries of the stencil table (_table).  Every reader reads the record:
+the x-mode band (Rows.band, which solver's builder folds and factors);
+the product (StencilL), matrix-free, in column order, bit for bit as
+the assembled matrix would, for a record whose coefficients depend on
+x, and as Kronecker products of line matrices for one whose do not;
+and the matrix (assemble_L), stored as its diagonals, one per
+(x-offset, y-offset) and one more per offset that wraps round the
+seam, built only for a sparse LU and the tests.  The gate and the
+samples form the oblique row themselves (_oblique_row), u_x differenced
+before alpha scales it.  The operator and its formal adjoint are also
+applied pointwise at every node, walls one-sided, with the same
+x-stencils.  The first-order transport solver marches downward from
+y = 1 with semi-Lagrangian steps and cubic periodic interpolation in
+x, which keeps the march stable for any characteristic slope a/b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 from math import comb, isfinite
 from time import perf_counter
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,12 +43,16 @@ from .grid import (
     GridSpec,
     _apply_x,
     _apply_y,
+    _denominator,
     _x_constant,
     boundary_integral,
     inner_product,
     l2_norm,
     mode_power,
     rfft_part_weights,
+    stencil_matrix,
+    x_symbol,
+    x_terms,
 )
 from .multiplier import MultiplierTriple
 
@@ -67,8 +77,90 @@ _BOTTOM_DX = ((1, 1.0), (-1, -1.0))
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# the operator record: L's rows and the Picard step's, and their readers
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """An operator periodic in x and walled in y, as the rows it applies.
+
+    Every reader reads this one record: the product (StencilL), the
+    matrix (assemble_L) and the x-mode band (band, solver._mode_problem).
+    Each part is (coefficient, stencil, symbol): row (i, j) adds
+    coefficient * w * u[i + dx, j + dy] for each (dx, dy, w) of stencil,
+    whose terms run along one axis.  interior holds the parts of every
+    row but the wall rows, coefficient one value per node, (nx, ny+1),
+    or per y-row, (ny+1,), zero on the wall rows; a part along y may
+    take other offsets on the rows next to each wall (the Picard step's
+    near rows).  walls holds (j, parts) for each wall row j
+    (_wall_rows), coefficient a scalar.
+
+    symbol keeps the grouping the x-mode band reads: a part along x
+    carries its symbol on the rfft modes, and the band adds coefficient
+    * symbol to the diagonal.  L's parts along x are its two neighbours,
+    each with its own factor exp(+-i*theta), never bit-equal to
+    grid.x_symbol of the unit shift (ROADMAP aim 2); the Picard step's
+    is p(y) times the table's d_xx with its grid.x_symbol, and the
+    oblique row's u_x is alpha/(2hx) times _BOTTOM_DX with its own.  A
+    part along y has no symbol: its entries go on the y-systems as they
+    are.
+    """
+
+    grid: GridSpec
+    interior: tuple
+    walls: tuple
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, list, int, Callable]:
+        """(rows, x, kl, y): the x-mode systems of a record whose coefficients do not depend on x.
+
+        rows holds the parts along y, walls included, in LAPACK's band
+        storage, kl their reach on the middle row, the band the centred
+        rows fit in, and y() rows as an (ny+1, ny+1) matrix (_y_band).
+        x holds each part along x as (on, coefficient, stencil, symbol):
+        on all rows, slice(None), with its coefficient per y-row, or on
+        its wall row j with its scalar.
+        """
+        nyp = self.grid.ny + 1
+        parts = [(None, *part) for part in self.interior]
+        parts += [(j, *part) for j, row in self.walls for part in row]
+        plain = [(j, c, s) for j, c, s, symbol in parts if symbol is None]
+        if any(j is None and c.flags.writeable for j, c, _ in plain):  # L's, new with every set
+            rows, kl, y = _y_band.__wrapped__(nyp, plain)
+        else:  # read-only weights, the tables': kept
+            rows, kl, y = _y_band(nyp, tuple((j, c if j is not None else c.tobytes(), s)
+                                             for j, c, s in plain))
+        x = [(slice(None) if j is None else j, c, s, symbol)
+             for j, c, s, symbol in parts if symbol is not None]
+        return rows, x, kl, y
+
+
+@lru_cache(maxsize=16)
+def _y_band(nyp: int, parts: tuple) -> tuple[np.ndarray, int, Callable]:
+    """The parts along y of Rows.band, each (j, coefficient, stencil), in band storage.
+
+    j is a wall row with its scalar coefficient, or None for the other
+    rows with their coefficient, or its bytes.  The entry (i, j) is at
+    rows[w + i - j, j], w the parts' reach, kl is the reach of the parts
+    on the middle row, and y() builds rows as a CSR matrix once.  Kept
+    per parts where they cannot change, so the Picard steps on a grid,
+    whose parts along y are the tables' on every step, build both once.
+    """
+    w = max(abs(dy) for _, _, stencil in parts for _, dy, _ in stencil)
+    rows, kl = np.zeros((2 * w + 1, nyp)), 0
+    for j, c, stencil in parts:
+        c = np.frombuffer(c) if isinstance(c, bytes) else c
+        for _, dy, weight in stencil:
+            a, b = max(dy, 0), max(-dy, 0)
+            if j is None:
+                rows[w - dy, a : nyp - b] += (c if weight == 1.0 else c * weight)[b : nyp - a]
+                kl = max(kl, abs(dy) if c[nyp // 2] else 0)
+            else:
+                rows[w - dy, j + dy] += c * weight
+    rows.flags.writeable = False
+    diagonals = (rows[::-1], np.arange(-w, w + 1))
+    return rows, kl, cache(lambda: sp.dia_matrix(diagonals, shape=(nyp, nyp)).tocsr())
+
 
 def _interior_stencil(K, A, B, eps: float, hx: float, hy: float) -> np.ndarray:
     """East, west, north, south and centre weights of the interior stencil
@@ -100,8 +192,8 @@ def _interior_stencil(K, A, B, eps: float, hx: float, hy: float) -> np.ndarray:
 def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
     """_BOTTOM_DX's (x-offset, weight) pairs of alpha*u_x, alpha/(2*hx) taken in.
 
-    The assembled row and solver's x-mode systems read them, so a weight
-    that overflows raises one AlphaRangeError naming alpha for both.
+    Every record's oblique row reads them (_wall_rows), so a weight
+    that overflows raises one AlphaRangeError naming alpha for all.
     """
     half = alpha / (2 * hx)
     if not isfinite(half):
@@ -109,54 +201,82 @@ def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
     return [(off, w * half) for off, w in _BOTTOM_DX]
 
 
-def _L_terms(cs: CoefficientSet) -> tuple[list, list]:
-    """L's terms: (interior, walls).
+def _wall_rows(grid: GridSpec, alpha: float) -> tuple:
+    """The wall rows of every record, as Rows.walls lists them.
 
-    interior holds _interior_stencil's five weights as (dx, dy, w): row
-    (i, j) takes w[i, j] times u at (i + dx, j + dy), w zero on the wall
-    rows.  walls holds (j, terms) for the wall rows of y-node j, each
-    term (dx, dy, weight) alike: the oblique bottom row's _bottom_dx
-    u_x and _BOTTOM_DY u_y, the two summed where they share an entry,
-    and the top row's identity.
+    Row 0 is the oblique row alpha*u_x + u_y: u_x the terms of
+    _bottom_dx with their symbol (grid.x_symbol), u_y _BOTTOM_DY/hy on
+    the nodes 0..3.  Row ny is the identity.  Kept per grid, alpha and
+    _BOTTOM_DX, the table they read (_walls).
     """
-    g = cs.grid
-    east, west, north, south, centre = _interior_stencil(
-        cs.K.values, cs.A.values, cs.B.values, cs.eps, g.hx, g.hy)
-    interior = [(-1, 0, west), (0, -1, south), (0, 0, centre), (0, 1, north), (1, 0, east)]
-    bottom = {(dx, 0): w for dx, w in _bottom_dx(cs.alpha, g.hx)}
-    for k, w in enumerate(_BOTTOM_DY / g.hy):
-        bottom[0, k] = bottom.get((0, k), 0.0) + w
-    return interior, [(0, [(*o, w) for o, w in bottom.items()]), (g.ny, [(0, 0, 1.0)])]
+    return _walls(grid, alpha, _BOTTOM_DX)
 
 
-def assemble_L(cs: CoefficientSet) -> sp.dia_matrix:
-    """Discrete eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y with its boundary rows.
+@lru_cache(maxsize=16)
+def _walls(grid: GridSpec, alpha: float, table: tuple) -> tuple:
+    """_wall_rows with the u_x table in use; a raise is not kept."""
+    ux, uy = _bottom_dx(alpha, grid.hx), _BOTTOM_DY / grid.hy
+    symbol = x_symbol(ux, grid.nx)
+    symbol.flags.writeable = False
+    bottom = ((1.0, tuple((dx, 0, w) for dx, w in ux), symbol),
+              (1.0, tuple((0, k, w) for k, w in enumerate(uy)), None))
+    return (0, bottom), (grid.ny, ((1.0, ((0, 0, 1.0),), None),))
 
-    Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
-    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4), read
-    off the stencil form (StencilL): each of its interior steps is a run
-    of one diagonal, offset nodes - rows, and each wall entry lies on
-    the diagonal of its column less its row.  A term at x-offset dx and
-    y-offset dy is so on diagonal dx*(ny+1) + dy, and on the |dx|
-    x-lines where dx wraps round the seam on its twin
-    (dx -+ nx)*(ny+1) + dy.  Each diagonal holds column c's entry at c,
-    the rest zeros.  The offsets are sorted, so row r's entries, at
-    columns r + offset, come in column order, and scipy's product adds
-    them in that order, as a CSR product does; on a finite u the zeros
-    leave its sums' bits as they are.  At a huge alpha the oblique
-    row's u_y terms round away (see _oblique_row).  The linear solve
-    applies the stencil form and builds this matrix only for its sparse
-    LU.
+
+def _L_rows(cs: CoefficientSet, mean: bool = False) -> Rows:
+    """L's record: _interior_stencil's five weights, each one part, and the wall rows.
+
+    East and west, in that order, carry their neighbour's factor
+    exp(+-i*2*pi*k/nx) as their symbol.  With mean, K, A and B are
+    averaged over x first (a field constant in x keeps its own row
+    exactly), one value per y-row: the x-averaged L, whose x-mode band
+    FactorizedOperator factors.
     """
-    L, n, diagonals = StencilL(cs), cs.grid.nx * (cs.grid.ny + 1), {}
-    for rows, w, nodes in L._steps:
-        diagonals.setdefault(nodes.start - rows.start, np.zeros(n))[nodes] = w
-    for j, nodes, w in L._walls:  # after the steps: their zero weights cross the wall rows
-        offsets = nodes - np.arange(j, n, L.shape[1])
-        for o in np.unique(offsets).tolist():
-            diagonals.setdefault(o, np.zeros(n))[nodes[offsets == o]] = w[offsets == o]
-    offsets = sorted(diagonals)
-    return sp.dia_matrix((np.array([diagonals[o] for o in offsets]), offsets), shape=(n, n))
+    g, fields = cs.grid, (cs.K, cs.A, cs.B)
+    K, A, B = ([c.values[0] if flat else c.values.mean(axis=0)
+                for c, flat in zip(fields, cs.x_constant)] if mean else [c.values for c in fields])
+    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
+    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx)
+    interior = ((east, ((1, 0, 1.0),), shift), (west, ((-1, 0, 1.0),), np.conj(shift)),
+                *((c, ((0, dy, 1.0),), None) for c, dy in ((south, -1), (centre, 0), (north, 1))))
+    return Rows(g, interior, _wall_rows(g, cs.alpha))
+
+
+@lru_cache(maxsize=16)
+def _table(key: tuple[int, int], grid: GridSpec) -> tuple:
+    """A stencil of grid._X_STENCILS as parts, each weight over the denominator.
+
+    Along x, periodic: its stencil (grid.x_terms) and its symbol
+    (grid.x_symbol).  Along y, walled: one part per y-offset of
+    grid.stencil_matrix, its weight per y-row that row's entry at that
+    offset, near rows included, and 0 on the two wall rows, which are
+    each record's own (_wall_rows).
+    """
+    terms, m = x_terms(key, grid.hx), stencil_matrix(key, grid.ny + 1, True).toarray()
+    m /= _denominator(key, grid.hy)
+    m[[0, -1]] = 0.0
+    i, j = np.nonzero(m)
+    y = tuple((np.pad(np.diagonal(m, dy), (max(-dy, 0), max(dy, 0))), ((0, dy, 1.0),), None)
+              for dy in np.unique(j - i).tolist())
+    symbol = x_symbol(terms, grid.nx)
+    for a in (symbol, *(w for w, _, _ in y)):
+        a.flags.writeable = False
+    return (tuple((dx, 0, w) for dx, w in terms), symbol), y
+
+
+def _terms(parts) -> dict:
+    """The parts' terms summed per offset in order, {(dx, dy): weight}."""
+    terms = {}
+    for c, stencil, _ in parts:
+        for dx, dy, w in stencil:
+            t = c if w == 1.0 else c * w
+            terms[dx, dy] = terms[dx, dy] + t if (dx, dy) in terms else t
+    return terms
+
+
+def _record(op) -> Rows:
+    """op's record: op itself, or L's (_L_rows) for a CoefficientSet."""
+    return op if isinstance(op, Rows) else _L_rows(op)
 
 
 @lru_cache(maxsize=16)
@@ -168,15 +288,18 @@ def _stencil_plan(nx: int, nyp: int, interior: tuple, walls: tuple) -> tuple:
     nodes) adds interior term k's weights on the flat rows times u on
     the flat nodes, in order; each wall row (j, nodes, order) gathers
     u's nodes (terms, x-lines) in column order, order the terms' index
-    there.
+    there.  A term at y-offset dy leaves out the first -dy or the last
+    dy rows of each run, whose nodes would leave its x-lines: rows next
+    to a wall, where that term's weight is 0.
     """
     steps = []
     cuts = sorted({0, nx} | {-dx % nx for dx, _ in interior})
     for lo, hi in zip(cuts, cuts[1:]):
-        rows = slice(lo * nyp + 1, hi * nyp - 1)
         # a flat node index is its column, so the run's first row orders them
-        starts = sorted(((lo + dx) % nx * nyp + 1 + dy, k) for k, (dx, dy) in enumerate(interior))
-        steps += [(rows, k, slice(at, at + rows.stop - rows.start)) for at, k in starts]
+        for at, k in sorted(((lo + dx) % nx * nyp + dy, k) for k, (dx, dy) in enumerate(interior)):
+            a, b = max(-interior[k][1], 0), max(interior[k][1], 0)
+            rows, nodes = slice(lo * nyp + a, hi * nyp - b), at + a
+            steps.append((rows, k, slice(nodes, nodes + rows.stop - rows.start)))
     plans = []
     for j, offsets in walls:
         dx, dy = np.array(offsets).T
@@ -186,34 +309,78 @@ def _stencil_plan(nx: int, nyp: int, interior: tuple, walls: tuple) -> tuple:
     return tuple(steps), tuple(plans)
 
 
-class StencilL:
-    """L held as its terms (_L_terms) and applied matrix-free (Saad 2003).
+def _runs(op: Rows) -> tuple[list, list]:
+    """The record's terms in StencilL's order (_stencil_plan): (steps, walls).
 
-    L @ u is every row of L times u, walls included, for u flat or in
-    the grid's shape, and it equals assemble_L(cs) @ u bit for bit on
+    Each step (rows, weights, nodes) is a run of one interior term, each
+    wall row (j, nodes, weights) its terms gathered per x-line.
+    """
+    nx, nyp = op.grid.shape
+    interior, walls = _terms(op.interior), [(j, _terms(parts)) for j, parts in op.walls]
+    steps, plans = _stencil_plan(nx, nyp, tuple(interior), tuple((j, tuple(t)) for j, t in walls))
+    weights = [(w if w.ndim == 2 else np.broadcast_to(w, (nx, nyp))).reshape(-1)
+               for w in interior.values()]
+    return ([(rows, weights[k][rows], nodes) for rows, k, nodes in steps],
+            [(j, nodes, np.array(list(t.values()))[order])
+             for (j, nodes, order), (_, t) in zip(plans, walls)])
+
+
+@lru_cache(maxsize=32)
+def _x_matrix(nx: int, stencil: tuple) -> sp.csr_matrix:
+    """A stencil along x on nx periodic nodes, its weights as they are, (nx, nx)."""
+    return sp.csr_matrix(sum(w * np.roll(np.eye(nx), dx, axis=1) for dx, _, w in stencil))
+
+
+class StencilL:
+    """An operator's record (Rows; L's, _L_rows, for a CoefficientSet), applied.
+
+    op @ u is every row of the operator times u, walls included, for u
+    flat or in the grid's shape.  The path is read off the record.  A
+    record whose coefficients depend on x, L's, is applied matrix-free
+    (Saad 2003), and op @ u equals assemble_L(op) @ u bit for bit on
     every row: each row starts from zero and adds its terms in the
     order of their columns, as scipy's product of the diagonals does.
     A term's column x-node is (i + dx) mod nx, so that order is one
     order along each run of x-lines between the lines where a term
-    wraps round the seam.  Over such a run each interior weight times
-    u is one slice of the flat field, from the run's first interior row
-    to its last; the wall rows it crosses have zero weights, so they
-    keep their zero.  Each wall row then adds its terms, gathered per
-    x-line in column order.  The order is kept per grid and offsets
-    (_stencil_plan).
+    wraps round the seam.  Over such a run each interior weight times u
+    is one slice of the flat field; the wall rows it crosses have zero
+    weights, so they keep their zero.  Each wall row then adds its
+    terms, gathered per x-line in column order.  The order is kept per
+    grid and offsets (_stencil_plan).
+
+    A record whose coefficients do not depend on x, the Picard step's,
+    is applied as Kronecker products of line matrices (Rows.band): each
+    part along x as an (nx, nx) matrix (_x_matrix, kept per stencil)
+    times its coefficient, the first, an interior part (such a record
+    has one, as L's and the Picard step's do), on every row and a wall
+    row's on its row, plus the parts along y as one (ny+1, ny+1) matrix
+    (_y_band).  So the step's N d is p*(D_xx d) + D_yy d
+    on the rows where p reaches, as the line matrices sum it, with no
+    matrix of N to build, and equals assemble_L(op) @ u there to
+    round-off.
     """
 
-    def __init__(self, cs: CoefficientSet):
-        nx, nyp = self.shape = cs.grid.shape
-        interior, walls = _L_terms(cs)
-        steps, plans = _stencil_plan(nx, nyp, tuple(t[:2] for t in interior),
-                                     tuple((j, tuple(t[:2] for t in row)) for j, row in walls))
-        weights = [w.reshape(-1) for _, _, w in interior]
-        self._steps = [(rows, weights[k][rows], nodes) for rows, k, nodes in steps]
-        self._walls = [(j, nodes, np.array([w for _, _, w in row])[order])
-                       for (j, nodes, order), (_, row) in zip(plans, walls)]
+    def __init__(self, op):
+        op = _record(op)
+        nx, nyp = self.shape = op.grid.shape
+        self._y = None
+        if all(c.ndim < 2 for c, _, _ in op.interior):
+            _, x, _, y = op.band
+            self._y = y()
+            self._x = [(on, c, _x_matrix(nx, stencil)) for on, c, stencil, _ in x]
+        else:
+            self._steps, self._walls = _runs(op)
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        if self._y is not None:
+            v = u.reshape(self.shape)
+            (_, c, m), *rest = self._x
+            out = m @ v
+            out *= c
+            for on, c, m in rest:
+                out[:, on] += c * (m @ v[:, on])
+            out += (self._y @ v.T).T
+            return out.reshape(u.shape)
         flat = u.reshape(-1)
         out = np.zeros(flat.shape)
         for rows, w, nodes in self._steps:
@@ -225,6 +392,36 @@ class StencilL:
                 part += term
         return out.reshape(u.shape)
 
+
+def assemble_L(op) -> sp.dia_matrix:
+    """An operator's record (Rows; L's for a CoefficientSet) as a sparse matrix.
+
+    Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
+    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4), read
+    off StencilL's order of the record's terms (_runs): each interior
+    step is a run of one diagonal, offset nodes - rows, and each wall
+    row's entry lies on the diagonal of its column less its row.  A term
+    at x-offset dx and y-offset dy is so on diagonal dx*(ny+1) + dy, and
+    on the |dx| x-lines where dx wraps round the seam on its twin
+    (dx -+ nx)*(ny+1) + dy.  Each diagonal holds column c's entry at c,
+    the rest zeros.  The offsets are sorted, so row r's entries, at
+    columns r + offset, come in column order, and scipy's product adds
+    them in that order, as a CSR product does; on a finite u the zeros
+    leave its sums' bits as they are.  At a huge alpha the oblique
+    row's u_y terms round away (see _oblique_row).  The linear solve
+    builds it only for its sparse LU, and the tests read it as the
+    matrix of L and of the Picard step's N.
+    """
+    op = _record(op)
+    (steps, walls), n, diagonals = _runs(op), op.grid.nx * (op.grid.ny + 1), {}
+    for rows, w, nodes in steps:
+        diagonals.setdefault(nodes.start - rows.start, np.zeros(n))[nodes] = w
+    for j, nodes, w in walls:  # after the steps: their zero weights cross the wall rows
+        offsets = nodes - np.arange(j, n, op.grid.ny + 1)
+        for o in np.unique(offsets).tolist():
+            diagonals.setdefault(o, np.zeros(n))[nodes[offsets == o]] = w[offsets == o]
+    offsets = sorted(diagonals)
+    return sp.dia_matrix((np.array([diagonals[o] for o in offsets]), offsets), shape=(n, n))
 
 # ---------------------------------------------------------------------------
 # differential application (all rows, one-sided at the walls)

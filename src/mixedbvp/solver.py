@@ -7,10 +7,11 @@ coefficients depend on x, it refines that answer with the same LUs
 while each step halves the residual, then hands what is left to
 scipy's GMRES preconditioned by those LUs, with a sparse LU of the
 assembled matrix as the fallback; every product with L is one
-product with its stencil (operators.StencilL).  This module alone
-knows the mode systems' layout: one builder (_mode_band, _mode_lu,
-_solve_modes) stacks, folds, factors and back-substitutes them, for L
-and for the Picard step of nonlinear alike.  The a priori constant of the
+product with its record (operators.StencilL).  This module alone
+knows the mode systems' layout: one builder reads a problem off its
+record (_mode_problem) and stacks, folds, factors and back-substitutes
+it (_mode_band, _mode_lu, _solve_modes), for L and for the Picard step
+of nonlinear alike.  The a priori constant of the
 well-posedness estimate is reported as the measured ratio
 ||u||_0 / ||f||_{H^1}.
 energy_certificate drives the duality chain: for adjoint-admissible
@@ -47,15 +48,14 @@ from .grid import (
     differentiate,
     inner_product,
     l2_norm,
-    x_symbol,
 )
 from .multiplier import FormReport, MultiplierTriple, _interior_coefficients
 from .norms import NormOrder, _gram_factors, isotropic_norm, negative_norm, sobolev_norm
 from .operators import (
     _BOTTOM_DY,
+    Rows,
     StencilL,
-    _bottom_dx,
-    _interior_stencil,
+    _L_rows,
     _oblique_row,
     apply_L,
     apply_Lstar,
@@ -151,47 +151,29 @@ class ConvergenceTable:
 
 
 @lru_cache(maxsize=16)
-def _band_start(grid: GridSpec, alpha: float, pattern: bytes, w: int, kl: int, ku: int) -> tuple:
-    """What _mode_band starts from, kept per grid, alpha and pattern of rows.
+def _band_start(grid: GridSpec, pattern: bytes, w: int, kl: int, ku: int) -> tuple:
+    """The wall rows _mode_band folds, kept per grid and pattern of rows.
 
-    pattern is rows != 0, as bytes.  The plan reads rows' entries only
-    as indices into values = rows ++ tail, tail the oblique row's
-    _BOTTOM_DY/hy, then 1 and 0, so every problem on a grid whose rows
-    have one pattern shares one plan.  Returns s, the band's line of
-    the diagonal (_mode_band); template, one mode's in-band entries
-    before its terms, on the band's lines, as indices into values:
-    rows' lines, the oblique row's _BOTTOM_DY/hy and the identity top
-    row; the wall rows, each row with an entry past the band (read off
-    the unfolded pattern), in fold order; the oblique row's alpha*u_x on
-    the rfft modes (grid.x_symbol of operators._bottom_dx); and tail.
-
-    The wall rows that reach right of the band come first, from the
-    last matrix row back to row 0, then those that reach only left of
-    it, from row 0 on, and each row's folds clear its farthest entry
-    right of the band first, then its farthest left of it: so a row is
-    folded before it serves another, and a folded row adds nothing past
-    the entry it clears.  Each wall row is (i, lo, the indices of its
-    unfolded entries on columns lo, lo + 1, ..., its in-band columns,
-    its folds), a fold (j, by, row by's in-band columns).  A fold whose
-    pivot row by still reaches past the band would subtract only the
-    part of that row in the band, so it raises ValueError naming both
-    rows and (kl, ku).
+    pattern is rows != 0, as bytes, rows holding the entry (i, j) at
+    rows[w + i - j, j], so every problem on a grid whose rows have one
+    pattern shares one plan.  The wall rows are the rows with an entry
+    past the band, in fold order: those that reach right of the band
+    first, from the last matrix row back to row 0, then those that reach
+    only left of it, from row 0 on, and each row's folds clear its
+    farthest entry right of the band first, then its farthest left of
+    it: so a row is folded before it serves another, and a folded row
+    adds nothing past the entry it clears.  Each wall row is (i, lo, the
+    flat indices into rows of its entries on columns lo, lo + 1, ...,
+    its in-band columns, its folds), a fold (j, by, row by's in-band
+    columns).  A fold whose pivot row by still reaches past the band
+    would subtract only the part of that row in the band, so it raises
+    ValueError naming both rows and (kl, ku).
     """
-    ny, b_dy, n = grid.ny, _BOTTOM_DY / grid.hy, 3 if kl == ku == 1 else 2 * kl + ku + 1
-    s, r = n - 1 - kl, max(w, len(b_dy) - 1, kl, ku)
-    tail, size = np.concatenate((b_dy, (1.0, 0.0))), (2 * w + 1) * (ny + 1)
-    # the entry (i, j) at index[r + i - j, j], as the index of its value: -1, the 0, off rows
-    index = np.full((2 * r + 1, ny + 1), -1)
-    index[r - w : r + w + 1] = np.arange(size).reshape(-1, ny + 1)
-    c = np.arange(len(b_dy))
-    index[r - c, c] = size + c  # row 0's entries (0, c)
-    index[r, -1] = size + len(b_dy)
-    unfolded = np.concatenate((np.frombuffer(pattern, dtype=bool), tail != 0))[index]
-    template = np.pad(index[r - ku : r + kl + 1], ((s - ku, 0), (0, 0)), constant_values=-1)
-    line, col = np.nonzero(unfolded)
-    row = col + line - r
-    right = sorted(set(row[line < r - ku].tolist()), reverse=True)
-    plan, order = [], right + sorted(set(row[line > r + kl].tolist()) - set(right))
+    ny = grid.ny
+    line, col = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(2 * w + 1, ny + 1))
+    row = col + line - w
+    right = sorted(set(row[line < w - ku].tolist()), reverse=True)
+    plan, order = [], right + sorted(set(row[line > w + kl].tolist()) - set(right))
     for k, i in enumerate(order):
         lo, hi = min(col[row == i].min(), max(i - kl, 0)), max(col[row == i].max(), min(i + ku, ny))
         folds = [(j, j - ku) for j in range(hi, i + ku, -1)]
@@ -201,23 +183,23 @@ def _band_start(grid: GridSpec, alpha: float, pattern: bytes, w: int, kl: int, k
                              f" its pivot row {bad[0]} reaches past the band")
         cols, inband = np.arange(lo, hi + 1), np.arange(max(i - kl, 0), min(i + ku, ny) + 1)
         pivots = [(j, by, np.arange(max(by - kl, 0), min(by + ku, ny) + 1)) for j, by in folds]
-        plan.append((i, lo, index[r + i - cols, cols], inband, pivots))
-    return s, template, tuple(plan), x_symbol(_bottom_dx(alpha, grid.hx), grid.nx), tail
+        plan.append((i, int(lo), (w + i - cols) * (ny + 1) + cols, inband, pivots))
+    return tuple(plan)
 
 
-def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
+def _mode_band(grid: GridSpec, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
     """The y-systems of a problem's rfft x-modes, stacked and folded to the band (kl, ku).
 
     The problem commutes with the x-shift, so the rfft in x splits it
-    into one (ny+1)-system per mode k.  Rows 1..ny-1 of each hold the
-    entries of rows, which holds them as LAPACK's band storage does,
-    the entry (i, j) at rows[w + i - j, j] (rows has 2w + 1 lines and
-    ny + 1 columns, and no entry of rows 0 and ny), and on row i's
-    diagonal coefficient[i]*symbol[k] is added for each (coefficient,
-    symbol) of terms, in order, symbol one entry per mode (a
-    grid.x_symbol).  Row 0 is the oblique bottom row: _BOTTOM_DY/hy on
-    columns 0..3 plus the mode's symbol of operators._bottom_dx(alpha)
-    at (0, 0).  Row ny is the identity.
+    into one (ny+1)-system per mode k.  Each holds the entries of rows,
+    which holds them as LAPACK's band storage does, the entry (i, j) at
+    rows[w + i - j, j] (rows has 2w + 1 lines and ny + 1 columns, w at
+    least kl and ku), and for each (on, coefficient, symbol) of terms,
+    in order, coefficient times symbol[k] is added to the diagonal of
+    the rows on, a row or a slice of rows, coefficient one value per row
+    of on (a scalar for one row) and symbol one entry per mode (a
+    grid.x_symbol).
+    _mode_problem reads all of it off the problem's record.
 
     Only the wall rows reach past the band (_band_start lists them).
     Each is folded in a buffer of its own, one line of modes per column
@@ -239,18 +221,15 @@ def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, k
     zero (the LU's fill), laid out column by column, which zgbtrf
     factors in place.
     """
-    s, template, walls, bottom, tail = _band_start(grid, alpha, (rows != 0).tobytes(),
-                                                   len(rows) // 2, kl, ku)
-    values = np.concatenate((rows.reshape(-1), tail))
-    n, shape, folds = len(template), (grid.nx // 2 + 1, grid.ny + 1), []
+    w, n = len(rows) // 2, 3 if kl == ku == 1 else 2 * kl + ku + 1
+    s, shape, folds = n - 1 - kl, (grid.nx // 2 + 1, grid.ny + 1), []
     band = (np.empty((n, *shape), dtype=complex) if kl == ku == 1
             else np.empty((*shape, n), dtype=complex).transpose(2, 0, 1))
-    band[...] = values[template][:, None, :]
-    for coefficient, symbol in terms:
-        band[s, :, 1:-1] += coefficient[1:-1] * symbol[:, None]
-    band[s, :, 0] += bottom
-    for i, lo, entries, inband, pivots in walls:
-        row = np.full((len(entries), shape[0]), values[entries][:, None], dtype=complex)
+    band[...] = np.concatenate((np.zeros((s - ku, shape[1])), rows[w - ku : w + kl + 1]))[:, None]
+    for on, coefficient, symbol in terms:
+        band[s, :, on] += np.multiply.outer(symbol, coefficient)
+    for i, lo, entries, inband, pivots in _band_start(grid, (rows != 0).tobytes(), w, kl, ku):
+        row = np.full((len(entries), shape[0]), rows.reshape(-1)[entries][:, None], dtype=complex)
         row[i - lo] = band[s, :, i]  # the diagonal, with the terms: the one entry modes differ in
         for j, by, c in pivots:
             pivot = band[s + by - j, :, j]
@@ -264,7 +243,7 @@ def _mode_band(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, k
     return band, s, folds
 
 
-def _mode_lu(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
+def _mode_lu(grid: GridSpec, rows: np.ndarray, terms, kl: int, ku: int) -> tuple:
     """One LAPACK LU of every x-mode system of a problem, folded by _mode_band.
 
     The folded systems are the diagonal blocks of one band matrix.  A
@@ -283,7 +262,7 @@ def _mode_lu(grid: GridSpec, alpha: float, rows: np.ndarray, terms, kl: int, ku:
     are zgttrf's (dl, d, du, du2, ipiv) or zgbtrf's (ab, ipiv), and
     folds _mode_band's row operations, each (row, by, m).
     """
-    band, s, folds = _mode_band(grid, alpha, rows, terms, kl, ku)
+    band, s, folds = _mode_band(grid, rows, terms, kl, ku)
     if kl == ku == 1:
         du, d, dl = band.reshape(3, -1)
         *factors, info = lapack.zgttrf(dl[:-1], d, du[1:], overwrite_dl=1, overwrite_d=1,
@@ -314,27 +293,21 @@ def _solve_modes(lu: tuple, rhs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(x.reshape(spec.shape), n=rhs.shape[0], axis=0)
 
 
-def _mode_systems(cs: CoefficientSet) -> tuple:
-    """The x-averaged L as _mode_band's problem: (grid, alpha, rows, terms, 1, 1).
+def _mode_problem(op: Rows) -> tuple:
+    """A record whose coefficients do not depend on x (Rows) as _mode_band's problem.
 
-    K, A and B are averaged over x (a field constant in x keeps its own
-    row exactly), and the averaged L maps the mode exp(i*theta*i) times
-    a y-profile to the same mode: the interior rows hold the south,
-    centre and north weights of L's stencil, and its east and
-    west neighbours become the terms east*s and west*conj(s), s the
-    symbol of the shift to the east neighbour.  The oblique bottom row
-    reaches columns 0..3, so the band folds it with rows 2 and then 1
-    to tridiagonal form; those folds divide by the north weights of
-    y-rows 2 and 1.
+    Returns (grid, rows, terms, kl, ku), read off the record's band
+    (Rows.band): rows every part along y, walls included, in band
+    storage, and terms each part along x as the rows it reaches, its
+    coefficient there and its symbol, in order.  The band is the
+    centred rows' reach, kl = ku: 1 for L, whose oblique row reaches
+    columns 0..3 and is folded with rows 2 and then 1 to tridiagonal
+    form, those folds dividing by the north weights of y-rows 2 and 1;
+    2 for the Picard step, whose near rows and oblique row reach one
+    node past its centred rows.
     """
-    g = cs.grid
-    K, A, B = (c.values[0] if flat else c.values.mean(axis=0)
-               for c, flat in zip((cs.K, cs.A, cs.B), cs.x_constant))
-    east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx)
-    rows = np.zeros((3, g.ny + 1))  # the entry (i, j) at rows[1 + i - j, j]
-    rows[0, 2:], rows[1, 1:-1], rows[2, :-2] = north[1:-1], centre[1:-1], south[1:-1]
-    return g, cs.alpha, rows, ((east, shift), (west, np.conj(shift))), 1, 1
+    rows, x, kl, _ = op.band
+    return op.grid, rows, tuple((on, c, symbol) for on, c, _, symbol in x), kl, kl
 
 
 # every solve's residual over all rows must be at most this times ||f||
@@ -382,12 +355,13 @@ GMRES_MARGIN = 1e-2
 class FactorizedOperator:
     """Factorization of L, reused for every right-hand side.
 
-    The rfft in x splits the x-averaged operator into nx//2 + 1 systems
-    in y (see _mode_systems).  The mode builder folds each one's oblique
-    bottom row into tridiagonal form and factors all of them once, in one
-    call of LAPACK's zgttrf (_mode_lu; partial pivoting: the diagonal is
-    not dominant where K < 0).  When K, A and B do not depend on x, that
-    is L itself.
+    The rfft in x splits the x-averaged operator, the record of L with K,
+    A and B averaged over x (operators._L_rows), into nx//2 + 1 systems in
+    y (_mode_problem).  The mode builder folds each one's oblique bottom
+    row into tridiagonal form and factors all of them once, in one call
+    of LAPACK's zgttrf (_mode_lu; partial pivoting: the diagonal is not
+    dominant where K < 0).  When K, A and B do not depend on x, that is
+    L itself.
 
     solve is iterative refinement with the mode LUs (Wilkinson 1963;
     Concus-Golub 1973) from u = 0, whose residual is the right-hand side,
@@ -406,12 +380,13 @@ class FactorizedOperator:
     (Saad-Schultz 1986) solves L e = r, right-preconditioned by the mode
     LUs: D L M^-1 D^-1 y = D r / s with D the square root of each y-row's
     quadrature weight, so its Euclidean norm is the gate's, and s = max|r|,
-    so no square overflows; e = s M^-1 D^-1 y.  L is its stencil form
-    (operators.StencilL), built here, before the mode LUs: every row of
-    L u is one stencil product, bit for bit the assembled matrix's, from
-    which _gate forms the residual.  Past GMRES_MAX_ITER steps, or when
-    the gate still fails, the operator falls back for good to a sparse
-    LU of the assembled L (operators.assemble_L), built only then;
+    so no square overflows; e = s M^-1 D^-1 y.  L is its record applied
+    as its stencil (operators.StencilL), built here, before the mode LUs:
+    every row of L u is one stencil product, bit for bit the assembled
+    matrix's, from which _gate forms the residual.  Past GMRES_MAX_ITER
+    steps, or when the gate still fails, the operator falls back for
+    good to a sparse LU of the assembled L (operators.assemble_L),
+    built only then;
     stats["fallback_reason"] says why.  A solve whose last path fails
     the gate raises ResidualGateError (WELLPOSEDNESS_SUSPECT), built here
     from _gate's residual, which names the rows holding most of the
@@ -428,7 +403,7 @@ class FactorizedOperator:
     and k later refinement steps, one per step, and k + s + 3 when s GMRES
     steps follow; a fallback to splu adds one product) and
     solve_s (its perf_counter time); and, from the constructor, the
-    perf_counter times assemble_s (building L's stencil form) and
+    perf_counter times assemble_s (building L's record and its stencil form) and
     factor_s.  A singular factorization of L (a zero pivot of a mode
     LU), or a zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where
@@ -444,7 +419,7 @@ class FactorizedOperator:
         self.stats: dict = {"assemble_s": t1 - t0, "matvecs": 0, "mode_solves": 0}
         self.method = "fourier"
         try:
-            self._modes = _mode_lu(*_mode_systems(cs))
+            self._modes = _mode_lu(*_mode_problem(_L_rows(cs, mean=True)))
         except PreconditionError as exc:
             if all(cs.x_constant):
                 raise

@@ -361,12 +361,12 @@ def _step(g, p, alpha, f):
 
 
 def _N_rows(g, p, alpha, d):
-    # N d over every row: the step's rows 1..ny (_step_rows) and the
-    # oblique row 0, which the gate forms
-    from mixedbvp.nonlinear import _step_rows
-    from mixedbvp.operators import _oblique_row
+    # N d over every row: the product of the step's record on rows 1..ny
+    # and the oblique row 0, which the gate forms
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.operators import StencilL, _oblique_row
 
-    rows = _step_rows(g, p, d)
+    rows = StencilL(_step_record(g, p, alpha)) @ d
     rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
     return rows
 
@@ -391,14 +391,14 @@ def _spy_lapack(monkeypatch, name):
 def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha):
     # the one stacked zgbtrf and zgbtrs calls on the folded kl = ku = 2
     # band against one zgbsv call per x-mode, bit for bit, and against a
-    # sparse LU of N assembled from the gate's rows (_N_rows) applied to
-    # the identity's columns
+    # sparse LU of N assembled from the gate's rows (_N_rows, the record's
+    # product) applied to the identity's columns
     import scipy.sparse.linalg as spla
     from scipy.linalg import lapack
 
     from mixedbvp.grid import l2_norm
-    from mixedbvp.nonlinear import _step_rows
-    from mixedbvp.operators import _oblique_row
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.operators import StencilL, _oblique_row
     from mixedbvp.solver import _gate
 
     g, p, f = _step_inputs(n)
@@ -434,7 +434,7 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     # the top row and _oblique_row's, bit for bit
     u = np.random.default_rng(n + 1).standard_normal(g.shape)
     top, bottom = u[:, -1], _oblique_row(u, alpha, 1.0, g)
-    _, r = _gate(f, u, _step_rows(g, p, u), alpha, g)
+    _, r = _gate(f, u, StencilL(_step_record(g, p, alpha)) @ u, alpha, g)
     assert np.array_equal(r[:, 0], -bottom) and np.array_equal(r[:, -1], -top)
 
 
@@ -481,8 +481,8 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     # columns
     from scipy.linalg import lapack
 
-    from mixedbvp.nonlinear import _step_pieces
-    from mixedbvp.solver import _mode_band
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.solver import _mode_band, _mode_problem
 
     g, p, f = _step_inputs(n)
     nyp, alpha = g.ny + 1, 0.6
@@ -491,8 +491,7 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
     # mode 0 has both symbols 0, so its system is real; folded with the
     # band's own mode-0 multipliers, nothing is left outside the band
     # (measured: exactly 0), and inside it the band holds the rest
-    sigma, rows, _, _ = _step_pieces(g)
-    band, s, folds = _mode_band(g, alpha, rows, ((p, sigma),), 2, 2)
+    band, s, folds = _mode_band(*_mode_problem(_step_record(g, p, alpha)))
     folded = A[0].real.copy()
     for row, by, m in folds:
         folded[row] -= m[0].real * folded[by]
@@ -521,6 +520,95 @@ def test_folded_step_matches_dense_mode_solves(monkeypatch, n):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), k
 
 
+def _band_dense(rows, nyp):
+    # the (nyp, nyp) matrix held in band storage, the entry (i, j) at rows[w + i - j, j]
+    w = len(rows) // 2
+    line, j = np.indices(rows.shape)
+    i = line - w + j
+    inside = (i >= 0) & (i < nyp)
+    dense = np.zeros((nyp, nyp))
+    dense[i[inside], j[inside]] = rows[inside]
+    return dense
+
+
+def _table_matrix(stencil, n, h, walled):
+    # a stencil of grid._X_STENCILS on a line of n nodes over its denominator
+    from mixedbvp.grid import _denominator, stencil_matrix
+
+    return stencil_matrix(stencil, n, walled).toarray() / _denominator(stencil, h)
+
+
+@pytest.mark.parametrize("n", [16, 47, 64, 128])
+def test_step_band_is_read_off_its_record(n):
+    # N(p)'s x-mode problem, read off its record, bit for bit: its y-rows
+    # are the walled (2, 5) stencil over its denominator on rows 1..ny-1,
+    # with the oblique row's u_y on row 0 and the identity on row ny; its
+    # x-terms are p on rows 1..ny-1 with the periodic (2, 5) symbol, and
+    # the oblique row's u_x symbol on row 0
+    from mixedbvp.grid import x_symbol, x_terms
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.operators import _BOTTOM_DY, _bottom_dx
+    from mixedbvp.solver import _mode_problem
+
+    g = make_grid(n, n)
+    p, alpha, nyp = 0.25 * g.y + 0.1, 0.6, g.ny + 1
+    _, rows, ((on, c, sigma), (j, c0, bottom)), kl, ku = _mode_problem(_step_record(g, p, alpha))
+    assert (kl, ku) == (2, 2) and on == slice(None) and (j, c0) == (0, 1.0)
+    ref = _table_matrix((2, 5), nyp, g.hy, True)
+    ref[[0, -1]] = 0.0
+    ref[0, :4] = _BOTTOM_DY / g.hy
+    ref[-1, -1] = 1.0
+    assert np.array_equal(_band_dense(rows, nyp).view(np.int64), ref.view(np.int64))
+    sigma_ref = x_symbol(x_terms((2, 5), g.hx), g.nx)
+    bottom_ref = x_symbol(_bottom_dx(alpha, g.hx), g.nx)
+    assert np.array_equal(sigma.view(np.int64), sigma_ref.view(np.int64))
+    assert np.array_equal(c.view(np.int64), np.r_[0.0, p[1:-1], 0.0].view(np.int64))
+    assert np.array_equal(bottom.view(np.int64), bottom_ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [16, 47, 64, 128])
+def test_step_product_is_the_kronecker_oracle(n):
+    # N(p)'s record does not depend on x, so its product is the Kronecker
+    # form p*(D_xx (x) I) d + (I (x) D_yy) d on rows 1..ny-1, D the (2, 5)
+    # stencil matrices over their denominators, bit for bit; row ny is d's
+    import scipy.sparse as sp
+
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.operators import StencilL
+
+    g = make_grid(n, n)
+    p, d = 0.25 * g.y + 0.1, np.random.default_rng(n).standard_normal((n, n + 1))
+    dx = sp.csr_matrix(_table_matrix((2, 5), g.nx, g.hx, False))
+    dy = sp.csr_matrix(_table_matrix((2, 5), g.ny + 1, g.hy, True))
+    ref = p * (dx @ d) + (dy @ d.T).T
+    out = StencilL(_step_record(g, p, 0.6)) @ d
+    assert np.array_equal(out[:, 1:-1].view(np.int64), ref[:, 1:-1].view(np.int64))
+    assert np.array_equal(out[:, -1], d[:, -1])
+
+
+@pytest.mark.parametrize("n", [16, 47, 64])
+def test_assembled_step_matrix_is_its_record(n):
+    # assemble_L reads N(p)'s record too: its product is the record's
+    # Kronecker product to round-off (measured <= 2.5e-16 of max|N d| on
+    # 16^2, 47^2 and 64^2),
+    # and bit for bit the product of the same record with its coefficients
+    # one per node, which StencilL applies as its stencil, in column order
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.operators import Rows, StencilL, assemble_L
+
+    g = make_grid(n, n)
+    p, d = 0.25 * g.y + 0.1, np.random.default_rng(n).standard_normal((n, n + 1))
+    N = _step_record(g, p, 0.6)
+    mat = assemble_L(N)
+    ref = (mat @ d.ravel()).reshape(g.shape)
+    out = StencilL(N) @ d
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(out).max()
+    wide = Rows(g, tuple((np.broadcast_to(c, g.shape) if np.ndim(c) else c, s, symbol)
+                         for c, s, symbol in N.interior), N.walls)
+    assert np.array_equal((StencilL(wide) @ d).view(np.int64), ref.view(np.int64))
+    assert (assemble_L(wide) != mat).nnz == 0
+
+
 def test_passing_step_builds_no_gate_error(monkeypatch):
     # the gate returns its residual; the step builds the error only to raise it
     from mixedbvp import nonlinear, solver
@@ -543,7 +631,7 @@ def test_passing_step_builds_no_gate_error(monkeypatch):
 def test_linear_step_forms_the_oblique_row_once(monkeypatch):
     # the gate alone forms the step's bottom row: one _oblique_row call per
     # step, counted through every module of the package that binds it (the
-    # grid's step pieces are built first)
+    # step's record is built first, so its per-grid pieces are kept)
     import sys
 
     from mixedbvp import nonlinear, operators
@@ -556,7 +644,7 @@ def test_linear_step_forms_the_oblique_row_once(monkeypatch):
         return real(*args)
 
     g, p, f = _step_inputs(32)
-    nonlinear._step_pieces(g)
+    nonlinear._step_record(g, p, 0.6)
     for name, module in list(sys.modules.items()):
         if name.startswith("mixedbvp") and getattr(module, "_oblique_row", None) is real:
             monkeypatch.setattr(module, "_oblique_row", counting)
@@ -847,20 +935,20 @@ def test_split_derivatives_reject_a_non_finite_iterate(bad):
 
 
 def test_derivative_matrices_are_shared_per_grid():
-    from mixedbvp import nonlinear
+    from mixedbvp import nonlinear, operators
     from mixedbvp.grid import stencil_matrix
 
-    # built once: the ma solve's seam split builds them, its step pieces
-    # slice the gate's blocks off them, and the darboux solve's split
-    # reuses them (its step pieces are cached too)
+    # built once: the ma solve's seam split builds them and the darboux
+    # solve's split reuses them; the step reads its record, whose (2, 5)
+    # stencil parts both solves share (operators._table)
     nonlinear._derivative_matrices.cache_clear()
-    nonlinear._step_pieces.cache_clear()
+    operators._table.cache_clear()
     stencil_matrix.cache_clear()
     _cli_solve("ma", 32)
     _cli_solve("darboux", 32)
     info = nonlinear._derivative_matrices.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    assert nonlinear._step_pieces.cache_info().misses == 1
+    assert (info.misses, info.hits) == (1, 1)
+    assert operators._table.cache_info().misses == 1
     # the walled y-stencils of both orders on 33 nodes, the periodic
     # x-stencils of both orders on 32 (the seam split's), and the walled
     # first-order x-stencil on 32 that darboux's Christoffel symbols add

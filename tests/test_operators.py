@@ -71,36 +71,74 @@ def test_apply_matches_tricomi_operator_at_unit_scale():
 
 
 def _coo_assemble_L(cs):
-    # the COO assembly that L's first storage used, with the stencil
-    # weights written out as it formed them: the oracle for assemble_L
+    # the COO assembly of L's record (operators._L_rows), each part's
+    # terms written on the rows it covers and summed by the conversion:
+    # the oracle for assemble_L's diagonals, their seam twins and the
+    # wall rows' gathered entries
     import scipy.sparse as sp
+
+    from mixedbvp.operators import _L_rows
 
     g = cs.grid
     nx, nyp = g.shape
-    hx, hy, eps = g.hx, g.hy, cs.eps
-
-    def idx(i, j):
-        return (i % nx) * nyp + j
-
-    I, J = np.meshgrid(np.arange(nx), np.arange(1, nyp - 1), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    K, A, B = (c.values[I, J] for c in (cs.K, cs.A, cs.B))
-    centre = idx(I, J)
-    ii = np.arange(nx)
-    half = cs.alpha / (2 * hx)
-    dy = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / hy
-    entries = [
-        (centre, idx(I + 1, J), eps * K / hx**2 + eps * A / (2 * hx)),
-        (centre, idx(I - 1, J), eps * K / hx**2 - eps * A / (2 * hx)),
-        (centre, idx(I, J + 1), 1.0 / hy**2 + eps * B / (2 * hy)),
-        (centre, idx(I, J - 1), 1.0 / hy**2 - eps * B / (2 * hy)),
-        (centre, centre, -2.0 * eps * K / hx**2 - 2.0 / hy**2),
-        (idx(ii, nyp - 1), idx(ii, nyp - 1), np.ones(nx)),
-        (idx(ii, 0), idx(ii + 1, 0), np.full(nx, half)),
-        (idx(ii, 0), idx(ii - 1, 0), np.full(nx, -half)),
-    ] + [(idx(ii, 0), idx(ii, k), np.full(nx, dy[k])) for k in range(4)]
+    op = _L_rows(cs)
+    I, J = (m.ravel() for m in np.meshgrid(np.arange(nx), np.arange(nyp), indexing="ij"))
+    entries = []
+    for c, stencil, _ in op.interior:
+        weights = np.broadcast_to(c, g.shape).ravel()
+        inside = (J > 0) & (J < nyp - 1)
+        for dx, dy, w in stencil:
+            cols = (I + dx) % nx * nyp + J + dy
+            entries.append((I[inside] * nyp + J[inside], cols[inside], w * weights[inside]))
+    for j, parts in op.walls:
+        i = np.arange(nx)
+        for c, stencil, _ in parts:
+            for dx, dy, w in stencil:
+                entries.append((i * nyp + j, (i + dx) % nx * nyp + j + dy, np.full(nx, c * w)))
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     return sp.coo_matrix((vals, (rows, cols)), shape=(nx * nyp, nx * nyp)).tocsr()
+
+
+@pytest.mark.parametrize("preset", ["tricomi", "lower_order"])
+@pytest.mark.parametrize("n", [16, pytest.param((47, 48), id="47x48"), 64])
+def test_fourth_order_record_matches_its_kronecker_oracle(preset, n):
+    # a fourth-order L as a record, with no code of its own: its parts are
+    # the 5-point entries of the stencil table (operators._table), along x
+    # eps*K*d_xx and eps*A*d_x with their symbols, along y d_yy and
+    # eps*B*d_y, one part per y-offset with its weights per y-row, the
+    # near rows included, each coefficient one value per node and zero on
+    # the wall rows, and today's wall rows.  Its product is the Kronecker
+    # form from grid.stencil_matrix on rows 1..ny-1 to round-off (measured
+    # <= 3.0e-16 of max|L u|), its rows 0 and ny the wall rows', and
+    # assemble_L's product bit for bit
+    import scipy.sparse as sp
+
+    from mixedbvp.grid import _denominator, stencil_matrix
+    from mixedbvp.operators import Rows, _table, _wall_rows
+
+    g = make_grid(*n) if isinstance(n, tuple) else make_grid(n, n)
+    cs = preset_coefficients(preset, g, 1e-2, 0.2)
+    inner = np.ones(g.ny + 1)
+    inner[[0, -1]] = 0.0
+    K, A, B = (cs.eps * c.values * inner for c in (cs.K, cs.A, cs.B))
+    parts = [(c, *_table(key, g)[0]) for c, key in ((K, (2, 5)), (A, (1, 5)))]
+    parts += [(c * w, s, None) for c, key in ((np.ones(g.shape) * inner, (2, 5)), (B, (1, 5)))
+              for w, s, _ in _table(key, g)[1]]
+    op = Rows(g, tuple(parts), _wall_rows(g, cs.alpha))
+
+    def line(key, m, h, walled):
+        return sp.csr_matrix(stencil_matrix(key, m, walled).toarray() / _denominator(key, h))
+
+    u = np.random.default_rng(g.nx).standard_normal(g.shape)
+    ref = (K * (line((2, 5), g.nx, g.hx, False) @ u) + A * (line((1, 5), g.nx, g.hx, False) @ u)
+           + (line((2, 5), g.ny + 1, g.hy, True) @ u.T).T
+           + B * (line((1, 5), g.ny + 1, g.hy, True) @ u.T).T)
+    out = StencilL(op) @ u
+    scale = np.abs(ref[:, 1:-1]).max()
+    assert np.abs(out - ref)[:, 1:-1].max() <= 1e-13 * scale
+    assert np.abs(out[:, 0] - _oblique_row(u, cs.alpha, 1.0, g)).max() <= 1e-13 * scale
+    assert np.array_equal(out[:, -1], u[:, -1])
+    assert np.array_equal(out.ravel().view(np.int64), (assemble_L(op) @ u.ravel()).view(np.int64))
 
 
 def _picard_normal_form(g, alpha):
@@ -193,7 +231,8 @@ def test_apply_L_sums_every_term(preset):
 @pytest.mark.parametrize("preset", ["lower_order", "wedge"])
 def test_mode_systems_average_over_x(preset):
     # an x-dependent set gets the mode systems of its x-averaged copy, not of one row
-    from mixedbvp.solver import _mode_band, _mode_systems
+    from mixedbvp.operators import _L_rows
+    from mixedbvp.solver import _mode_band, _mode_problem
 
     g = make_grid(16, 16)
     cs = preset_coefficients(preset, g, 0.01, 0.02)
@@ -201,8 +240,8 @@ def test_mode_systems_average_over_x(preset):
         Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)
     )
     averaged = CoefficientSet(K, A, B, cs.eps, cs.alpha)
-    own, _, own_folds = _mode_band(*_mode_systems(cs))
-    avg, _, avg_folds = _mode_band(*_mode_systems(averaged))
+    own, _, own_folds = _mode_band(*_mode_problem(_L_rows(cs, mean=True)))
+    avg, _, avg_folds = _mode_band(*_mode_problem(_L_rows(averaged, mean=True)))
     assert np.array_equal(own, avg)
     for (*at, m), (*avg_at, avg_m) in zip(own_folds, avg_folds, strict=True):
         assert at == avg_at and np.array_equal(m, avg_m)
@@ -853,12 +892,13 @@ def test_bottom_dx_overflow_names_alpha():
     # the assembled row and the mode systems weight _BOTTOM_DX through one
     # check, so both raise the one error naming alpha
     from mixedbvp.coeffs import AlphaRangeError
-    from mixedbvp.solver import _mode_lu, _mode_systems
+    from mixedbvp.operators import _L_rows
+    from mixedbvp.solver import _mode_lu, _mode_problem
 
     g = make_grid(16, 16)
     cs = preset_coefficients("tricomi", g, 1e-4, 1e308)
     messages = []
-    for build in (assemble_L, lambda cs: _mode_lu(*_mode_systems(cs))):
+    for build in (assemble_L, lambda cs: _mode_lu(*_mode_problem(_L_rows(cs, mean=True)))):
         with pytest.raises(AlphaRangeError, match="alpha = 1e\\+308") as exc:
             build(cs)
         messages.append(str(exc.value))
@@ -867,16 +907,15 @@ def test_bottom_dx_overflow_names_alpha():
 
 def _bottom_ux_readers(preset, alpha, g, u):
     # the bottom row's alpha*u_x as each reader of _BOTTOM_DX forms it
-    from mixedbvp import nonlinear, solver
+    from mixedbvp import nonlinear, operators, solver
     from mixedbvp.operators import _BOTTOM_DY, _oblique_row
 
     cs = preset_coefficients(preset, g, 1e-2, alpha)
     assembled = (assemble_L(cs) @ u.ravel()).reshape(g.shape)[:, 0]
     assembled -= u[:, :4] @ _BOTTOM_DY / g.hy
-    sigma, rows, _, _ = nonlinear._step_pieces(g)
     problems = {
-        "mode_systems": solver._mode_systems(cs),
-        "step_band": (g, alpha, rows, ((0.25 * g.y, sigma),), 2, 2),
+        "mode_systems": solver._mode_problem(operators._L_rows(cs, mean=True)),
+        "step_band": solver._mode_problem(nonlinear._step_record(g, 0.25 * g.y, alpha)),
     }
     spec = np.fft.rfft(u[:, 0])
     stencil = (StencilL(cs) @ u)[:, 0] - u[:, :4] @ _BOTTOM_DY / g.hy

@@ -471,9 +471,9 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     # row constant in x reads 0 there whatever its u_y.  The gate's
     # residual is _oblique_row's row, bit for bit, for both solves
     # that answer to it: FactorizedOperator's product and the Picard
-    # step's rows (nonlinear._step_rows)
-    from mixedbvp.nonlinear import _step_rows
-    from mixedbvp.operators import _oblique_row
+    # step's, its record's (nonlinear._step_record)
+    from mixedbvp.nonlinear import _step_record
+    from mixedbvp.operators import StencilL, _oblique_row
     from mixedbvp.solver import _gate
 
     g = make_grid(16, 16)
@@ -485,7 +485,7 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     for alpha in (0.02, 1e50):
         fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
         wall = _oblique_row(u, alpha, 1.0, g)
-        for rows in (fac._rows(u), _step_rows(g, p, u)):
+        for rows in (fac._rows(u), StencilL(_step_record(g, p, alpha)) @ u):
             res, r = _gate(rhs, u, rows, alpha, g)
             assert np.array_equal(r[:, 0], -wall)
             assert np.array_equal(r[:, 1:-1], (rhs - rows)[:, 1:-1])
@@ -540,15 +540,22 @@ def test_singular_mode_is_wellposedness_suspect():
         FactorizedOperator(cs)
 
 
+def _mode_problem(cs):
+    """The mode problem of cs's x-averaged L, read off its record."""
+    from mixedbvp.operators import _L_rows
+
+    return solver._mode_problem(_L_rows(cs, mean=True))
+
+
 def _mode_lu(cs):
     """The mode LUs of cs's x-averaged L, as FactorizedOperator factors them."""
-    return solver._mode_lu(*solver._mode_systems(cs))
+    return solver._mode_lu(*_mode_problem(cs))
 
 
 def _folded_diagonals(cs):
     """The stacked, folded systems of cs as zgttrf takes them, and the fold
     multipliers (m2, m3), one per mode."""
-    band, s, ((_, _, m3), (_, _, m2)) = solver._mode_band(*solver._mode_systems(cs))
+    band, s, ((_, _, m3), (_, _, m2)) = solver._mode_band(*_mode_problem(cs))
     return _diagonals(band, s), (m2, m3)
 
 
@@ -606,21 +613,17 @@ def test_one_call_mode_lu_bit_identical_to_per_mode_loop(preset, n):
 
 
 def _dense_modes(cs):
-    """Each x-mode's (ny+1)-system read off the assembled L of the x-averaged set.
+    """Each x-mode's (ny+1)-system read off the assembled x-averaged L.
 
     The oracle for the folded path: the unfolded system, 4-point bottom
-    row included, from the sparse assembly rather than from the mode band.
+    row included, from the sparse assembly of the x-averaged L's record
+    rather than from the mode band.
     """
-    from mixedbvp.operators import assemble_L
+    from mixedbvp.operators import _L_rows, assemble_L
 
     g = cs.grid
     nyp = g.ny + 1
-    avg = CoefficientSet(
-        *(Field(g, np.broadcast_to(c.values.mean(axis=0), g.shape)) for c in (cs.K, cs.A, cs.B)),
-        cs.eps,
-        cs.alpha,
-    )
-    rows = assemble_L(avg).tocsr()[:nyp].tocoo()  # the x-line i = 0; the others are its shifts
+    rows = assemble_L(_L_rows(cs, mean=True)).tocsr()[:nyp].tocoo()  # x-line 0; the rest shift it
     i, c = np.divmod(rows.col, nyp)
     theta = 2.0 * PI * np.arange(g.nx // 2 + 1) / g.nx
     mats = np.zeros((theta.size, nyp, nyp), dtype=complex)
@@ -666,7 +669,7 @@ def test_singular_stacked_mode_named_as_per_mode_loop(singular, monkeypatch):
     g = make_grid(32, 32)
     nyp = g.ny + 1
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
-    band, s, folds = solver._mode_band(*solver._mode_systems(cs))
+    band, s, folds = solver._mode_band(*_mode_problem(cs))
     for k, c in singular:
         band[:, k, c] = 0.0  # the entries (i, c) of mode k
     per_mode = _per_mode_factors(*_diagonals(band, s), nyp)
@@ -732,16 +735,16 @@ def test_fold_refuses_a_band_its_pivot_rows_reach_past(n):
     # every pivot row lies in the band ((3, 3): no fold at all; (1, 3): each
     # row folds left with the row below it, already folded), the solve is
     # the (2, 2) band's
-    from mixedbvp.nonlinear import _step_pieces
+    from mixedbvp.nonlinear import _step_record
 
     g = make_grid(n, n)
-    sigma, rows, _, _ = _step_pieces(g)
     p = 0.25 * g.y + 0.3
+    _, rows, terms, _, _ = solver._mode_problem(_step_record(g, p, 0.6))
     f = np.random.default_rng(n).standard_normal(g.shape)
     f[:, [0, -1]] = 0.0
 
     def solve(kl, ku):
-        return solver._solve_modes(solver._mode_lu(g, 0.6, rows, ((p, sigma),), kl, ku), f)
+        return solver._solve_modes(solver._mode_lu(g, rows, terms, kl, ku), f)
 
     ref = solve(2, 2)
     for kl, ku in ((1, 1), (1, 2), (2, 1)):
@@ -762,7 +765,7 @@ def test_band_is_its_lapack_routines_storage(monkeypatch):
 
     g = make_grid(128, 128)
     cs = preset_coefficients("tricomi", g, 1e-4, 0.02)
-    band, s, _ = solver._mode_band(*solver._mode_systems(cs))
+    band, s, _ = solver._mode_band(*_mode_problem(cs))
     assert band.shape == (3, 65, 129) and s == 1
 
     real_band, real_zgbtrf, built, received = solver._mode_band, lapack.zgbtrf, [], []
@@ -839,7 +842,7 @@ def test_band_plan_is_built_once_per_grid_and_pattern():
     from mixedbvp.nonlinear import _factor_step
 
     g = make_grid(64, 64)
-    problems = [solver._mode_systems(preset_coefficients("lower_order", g, eps, 0.02))
+    problems = [_mode_problem(preset_coefficients("lower_order", g, eps, 0.02))
                 for eps in (1e-5, 1e-4, 1e-3, 1e-2, 3e-2)]
     fresh = []
     for problem in problems:

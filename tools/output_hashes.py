@@ -12,9 +12,11 @@ stored), and beside it the stencil form's product with the same
 field (operators.StencilL, left out on a tree without it; equal hashes
 show the two forms agree), and the factored x-mode systems of every
 preset (one call
-of the x-mode band builder, solver._mode_lu: the LU arrays as zgttrs
-takes them and the fold multipliers m2 and m3, one complex entry per
-mode) at 16^2, 48^2 and
+of the x-mode band builder, solver._mode_lu, on the problem read off
+the x-averaged L's record, solver._mode_problem of
+operators._L_rows(cs, mean=True), or solver._mode_systems on a tree
+without the record: the LU arrays as zgttrs takes them and the fold
+multipliers m2 and m3, one complex entry per mode) at 16^2, 48^2 and
 47x48 (an odd nx on a grid that is not square); the folded band each
 zgttrf or zgbtrf call receives and the LU it returns (read by wrapping
 the LAPACK routines, so a tree with another builder prints the same
@@ -34,8 +36,11 @@ x-derivative part of CoefficientSet.adjoint_pieces (|2 K_x| and
 infinite_order at 47x48 and 192^2, whose K is constant in x; the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
-symbols (sigma of nonlinear._step_pieces and the oblique row's at
-alpha 1) at 64^2 and 128^2, and at each the d
+symbols at alpha 1 (its d_xx symbol sigma and the oblique row's u_x
+symbol, the two parts along x of N's record, nonlinear._step_record;
+sigma of nonlinear._step_pieces and grid.x_symbol of
+operators._bottom_dx on a tree without it) at 64^2 and 128^2, and at
+each the d
 and residual of one step (nonlinear._solve_step through
 nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
 seeded right-hand side;
@@ -180,15 +185,25 @@ def emit_band(name: str, call) -> None:
     emit(f"{name}/lu", *lu)
 
 
-def mode_lu(solver, cs):
+def mode_lu(solver, operators, cs):
     # the linear mode LUs as zgttrs takes them and the fold multipliers m2
     # and m3, one per mode, from the mode builder's (factors, kl, ku, folds)
-    factors, _, _, ((_, _, m3), (_, _, m2)) = solver._mode_lu(*solver._mode_systems(cs))
+    # on the x-averaged L's record (solver._mode_systems on a tree without it)
+    if hasattr(solver, "_mode_problem"):
+        problem = solver._mode_problem(operators._L_rows(cs, mean=True))
+    else:
+        problem = solver._mode_systems(cs)
+    factors, _, _, ((_, _, m3), (_, _, m2)) = solver._mode_lu(*problem)
     return factors, m2, m3
 
 
 def step_symbols(grid, nonlinear, operators, g):
-    # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha 1
+    # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha
+    # 1, the two x-parts of N's record (nonlinear._step_pieces on a tree
+    # without it)
+    if hasattr(nonlinear, "_step_record"):
+        _, x, *_ = nonlinear._step_record(g, 0.25 * g.y, 1.0).band
+        return np.array([symbol for *_, symbol in x])
     bottom = grid.x_symbol(operators._bottom_dx(1.0, g.hx), g.nx)
     return np.array([nonlinear._step_pieces(g)[0], bottom])
 
@@ -253,7 +268,7 @@ def main(tree: Path) -> None:
             emit(f"assemble_L/{name}/{size}", operators.assemble_L(cs) @ u)
             if hasattr(operators, "StencilL"):  # a tree that applies L matrix-free
                 emit(f"stencil_L/{name}/{size}", operators.StencilL(cs) @ u)
-            lu, m2, m3 = mode_lu(solver, cs)
+            lu, m2, m3 = mode_lu(solver, operators, cs)
             emit(f"mode_systems/{name}/{size}", *lu, m2, m3)
 
     for nx in (47, 128):
@@ -299,7 +314,7 @@ def main(tree: Path) -> None:
     g = grid.make_grid(64, 64)
     for name in ("tricomi", "lower_order"):
         cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
-        _, (call,) = factor_calls(lambda: solver._mode_lu(*solver._mode_systems(cs)))
+        _, (call,) = factor_calls(lambda: mode_lu(solver, operators, cs))
         emit_band(f"band/linear/{name}/64", call)
 
     for n in (32, 64, 128):
