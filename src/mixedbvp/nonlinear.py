@@ -52,7 +52,7 @@ from . import solver
 from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, stencil_product
 from .norms import _line_factors
-from .operators import Rows, StencilL, _table, _wall_rows
+from .operators import Rows, StencilL, _bottom_ux, _table
 from .solver import ResidualGateError, _gate
 
 
@@ -398,14 +398,15 @@ def _step_record(g: GridSpec, p: np.ndarray, alpha: float) -> Rows:
     p times the periodic d_xx, with its symbol (grid.x_symbol), and the
     walled d_yy, the centred row inside and the table's near row and its
     mirror on rows 1 and ny-1.  Row 0 is the oblique row alpha*d_x + d_y
-    and row ny the identity (operators._wall_rows).  Every weight is a
-    table weight over the denominator, as the residual's stencils
-    divide.
+    (operators._bottom_ux and the table's wall lines) and row ny the
+    identity.  Every weight is a table weight over the denominator, as
+    the residual's stencils divide.  The lines, d_yy and the wall rows'
+    d_y and identity, are the table's, kept per grid, so their band and
+    line matrix are built once per grid; only p's part is the step's.
     """
-    (x, sigma), y = _table((2, 5), g)
-    px = np.zeros(g.ny + 1)
-    px[1:-1] = p[1:-1]
-    return Rows(g, ((px, x, sigma), *y), _wall_rows(g, alpha))
+    x, sigma, lines = _table((2, 5), g)
+    px = np.concatenate(([0.0], p[1:-1], [0.0]))
+    return Rows(g, ((slice(None), px, x, sigma), _bottom_ux(g, alpha)), lines)
 
 
 def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
@@ -540,11 +541,11 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     step that factors builds its record and allocates its own band
     (_factor_step), and every step its right-hand side (_solve_step).
     chi, the inner region as a slice and the wall rows' weight come from
-    _residual_weights, and the stencils, seam weights and the record's
-    table parts, band lines and line matrices from their own caches,
-    all shared per grid.  The residual norms are taken on the bare
-    arrays (grid._l2_norm), which still raise GridError on a non-finite
-    entry.
+    _residual_weights, and the stencils, seam weights, the table's
+    parts and lines (with their band and line matrix) and the oblique
+    row's u_x from their own caches, shared per grid (and alpha).  The
+    residual norms are taken on the bare arrays (grid._l2_norm), which
+    still raise GridError on a non-finite entry.
 
     diagnostics carries the residual of each linear solve (every row,
     walls included) and the reason the iteration gave up (None when it

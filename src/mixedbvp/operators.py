@@ -1,20 +1,21 @@
 """Discrete operators: the operator record and readers, adjoint pairing, transport, auxiliary solve.
 
 An operator periodic in x and walled in y, L or the Picard step's N, is
-one record (Rows): its parts, each a coefficient times a stencil along
-x, with its symbol on the rfft modes, or along y, with its weights per
-y-row, the rows next to each wall included, and its wall rows, the
-oblique bottom row alpha*u_x + u_y from the tables _BOTTOM_DX (u_x) and
-_BOTTOM_DY (u_y, one-sided of third order) and the identity top row
-(_wall_rows).  L's record (_L_rows) holds _interior_stencil's five
+one record (Rows): its parts along x, each a coefficient times a
+stencil with its symbol on the rfft modes, and its lines (Lines), the
+parts along y with their weights per y-row, the rows next to each wall
+included.  The wall rows are parts too: the oblique bottom row
+alpha*u_x + u_y, its u_x from the table _BOTTOM_DX (_bottom_ux) and its
+u_y from _BOTTOM_DY, one-sided of third order, and the identity top row
+(_wall_lines).  L's record (_L_rows) holds _interior_stencil's five
 weights of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y, east and west
 with L's own neighbour factors; the Picard step's holds the (2, 5)
 entries of the stencil table (_table).  Every reader reads the record:
-the x-mode band (Rows.band, which solver's builder folds and factors);
-the product (StencilL), matrix-free, in column order, bit for bit as
-the assembled matrix would, for a record whose coefficients depend on
-x, and as Kronecker products of line matrices for one whose do not;
-and the matrix (assemble_L), stored as its diagonals, one per
+the x-mode band (Lines.band and the parts' symbols, which solver's
+builder folds and factors); the product (StencilL), matrix-free, in
+column order, bit for bit as the assembled matrix would, for a record
+whose coefficients depend on x, and as line matrices for one whose do
+not; and the matrix (assemble_L), stored as its diagonals, one per
 (x-offset, y-offset) and one more per offset that wraps round the
 seam, built only for a sparse LU and the tests.  The gate and the
 samples form the oblique row themselves (_oblique_row), u_x differenced
@@ -28,10 +29,9 @@ x, which keeps the march stable for any characteristic slope a/b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from math import comb, isfinite
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,85 +81,77 @@ _BOTTOM_DX = ((1, 1.0), (-1, -1.0))
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
+class Lines:
+    """The parts along y of an operator record (Rows), its wall rows' included.
+
+    Each part is (on, coefficient, stencil): row (i, j) of on adds
+    coefficient * w * u[i, j + dy] for each (0, dy, w) of stencil.  on
+    is slice(None), every row, with the coefficient one value per node,
+    (nx, ny+1), or, where it does not depend on x, per y-row, (ny+1,),
+    and zero on the wall rows; or a wall row j, with a scalar.  A part
+    may take other offsets on the rows next to each wall, where the
+    others' weights are 0 (the Picard step's near rows).  The lines are
+    held apart from the parts along x so that a record whose lines stay,
+    the Picard step's (_table), builds their band and matrix once.
+    """
+
+    grid: GridSpec
+    parts: tuple
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, int]:
+        """(rows, kl) of lines whose coefficients do not depend on x.
+
+        rows holds them in LAPACK's band storage, the entry (i, j) at
+        rows[w + i - j, j], w their reach; kl is their reach on the
+        middle row, the band the centred rows fit in.
+        """
+        nyp = self.grid.ny + 1
+        w = max(abs(dy) for _, _, stencil in self.parts for _, dy, _ in stencil)
+        rows = np.zeros((2 * w + 1, nyp))
+        for on, c, stencil in self.parts:
+            for _, dy, weight in stencil:
+                if isinstance(on, slice):
+                    a, b = max(dy, 0), max(-dy, 0)
+                    rows[w - dy, a : nyp - b] += c[b : nyp - a] * weight
+                else:
+                    rows[w - dy, on + dy] += c * weight
+        # the middle row's entries (nyp // 2, j) at rows[k, nyp // 2 + w - k]
+        return rows, max(abs(k - w) for k in range(2 * w + 1) if rows[k, nyp // 2 + w - k])
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The band's rows as one (ny+1, ny+1) matrix, for the line product (StencilL)."""
+        rows = self.band[0][::-1]  # line k now holds diagonal k - w
+        offsets = np.arange(len(rows)) - len(rows) // 2
+        return sp.dia_matrix((rows, offsets), shape=(rows.shape[1],) * 2).tocsr()
+
+
+@dataclass(frozen=True, eq=False)
 class Rows:
     """An operator periodic in x and walled in y, as the rows it applies.
 
     Every reader reads this one record: the product (StencilL), the
-    matrix (assemble_L) and the x-mode band (band, solver._mode_problem).
-    Each part is (coefficient, stencil, symbol): row (i, j) adds
-    coefficient * w * u[i + dx, j + dy] for each (dx, dy, w) of stencil,
-    whose terms run along one axis.  interior holds the parts of every
-    row but the wall rows, coefficient one value per node, (nx, ny+1),
-    or per y-row, (ny+1,), zero on the wall rows; a part along y may
-    take other offsets on the rows next to each wall (the Picard step's
-    near rows).  walls holds (j, parts) for each wall row j
-    (_wall_rows), coefficient a scalar.
+    matrix (assemble_L) and the x-mode band (solver._mode_problem).
+    x holds the parts along x, each (on, coefficient, stencil, symbol),
+    on and coefficient as a part of the lines' (Lines), and stencil its
+    (dx, 0, w) terms; y holds the lines.  Every coefficient is one value
+    per node, or every one per y-row (a record whose coefficients do not
+    depend on x).
 
-    symbol keeps the grouping the x-mode band reads: a part along x
-    carries its symbol on the rfft modes, and the band adds coefficient
-    * symbol to the diagonal.  L's parts along x are its two neighbours,
-    each with its own factor exp(+-i*theta), never bit-equal to
-    grid.x_symbol of the unit shift (ROADMAP aim 2); the Picard step's
-    is p(y) times the table's d_xx with its grid.x_symbol, and the
-    oblique row's u_x is alpha/(2hx) times _BOTTOM_DX with its own.  A
-    part along y has no symbol: its entries go on the y-systems as they
-    are.
+    symbol keeps the grouping the x-mode band reads: the band adds
+    coefficient * symbol to the diagonal of the rows on.  L's parts
+    along x are its two neighbours, each with its own factor
+    exp(+-i*theta), never bit-equal to grid.x_symbol of the unit shift
+    (ROADMAP aim 2); the Picard step's is p(y) times the table's d_xx
+    with its grid.x_symbol; and the oblique row's u_x is alpha/(2hx)
+    times _BOTTOM_DX with its own (_bottom_ux).  The lines' entries go
+    on the y-systems as they are.
     """
 
     grid: GridSpec
-    interior: tuple
-    walls: tuple
-
-    @cached_property
-    def band(self) -> tuple[np.ndarray, list, int, Callable]:
-        """(rows, x, kl, y): the x-mode systems of a record whose coefficients do not depend on x.
-
-        rows holds the parts along y, walls included, in LAPACK's band
-        storage, kl their reach on the middle row, the band the centred
-        rows fit in, and y() rows as an (ny+1, ny+1) matrix (_y_band).
-        x holds each part along x as (on, coefficient, stencil, symbol):
-        on all rows, slice(None), with its coefficient per y-row, or on
-        its wall row j with its scalar.
-        """
-        nyp = self.grid.ny + 1
-        parts = [(None, *part) for part in self.interior]
-        parts += [(j, *part) for j, row in self.walls for part in row]
-        plain = [(j, c, s) for j, c, s, symbol in parts if symbol is None]
-        if any(j is None and c.flags.writeable for j, c, _ in plain):  # L's, new with every set
-            rows, kl, y = _y_band.__wrapped__(nyp, plain)
-        else:  # read-only weights, the tables': kept
-            rows, kl, y = _y_band(nyp, tuple((j, c if j is not None else c.tobytes(), s)
-                                             for j, c, s in plain))
-        x = [(slice(None) if j is None else j, c, s, symbol)
-             for j, c, s, symbol in parts if symbol is not None]
-        return rows, x, kl, y
-
-
-@lru_cache(maxsize=16)
-def _y_band(nyp: int, parts: tuple) -> tuple[np.ndarray, int, Callable]:
-    """The parts along y of Rows.band, each (j, coefficient, stencil), in band storage.
-
-    j is a wall row with its scalar coefficient, or None for the other
-    rows with their coefficient, or its bytes.  The entry (i, j) is at
-    rows[w + i - j, j], w the parts' reach, kl is the reach of the parts
-    on the middle row, and y() builds rows as a CSR matrix once.  Kept
-    per parts where they cannot change, so the Picard steps on a grid,
-    whose parts along y are the tables' on every step, build both once.
-    """
-    w = max(abs(dy) for _, _, stencil in parts for _, dy, _ in stencil)
-    rows, kl = np.zeros((2 * w + 1, nyp)), 0
-    for j, c, stencil in parts:
-        c = np.frombuffer(c) if isinstance(c, bytes) else c
-        for _, dy, weight in stencil:
-            a, b = max(dy, 0), max(-dy, 0)
-            if j is None:
-                rows[w - dy, a : nyp - b] += (c if weight == 1.0 else c * weight)[b : nyp - a]
-                kl = max(kl, abs(dy) if c[nyp // 2] else 0)
-            else:
-                rows[w - dy, j + dy] += c * weight
-    rows.flags.writeable = False
-    diagonals = (rows[::-1], np.arange(-w, w + 1))
-    return rows, kl, cache(lambda: sp.dia_matrix(diagonals, shape=(nyp, nyp)).tocsr())
+    x: tuple
+    y: Lines
 
 
 def _interior_stencil(K, A, B, eps: float, hx: float, hy: float) -> np.ndarray:
@@ -192,7 +184,7 @@ def _interior_stencil(K, A, B, eps: float, hx: float, hy: float) -> np.ndarray:
 def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
     """_BOTTOM_DX's (x-offset, weight) pairs of alpha*u_x, alpha/(2*hx) taken in.
 
-    Every record's oblique row reads them (_wall_rows), so a weight
+    Every record's oblique row reads them (_bottom_ux), so a weight
     that overflows raises one AlphaRangeError naming alpha for all.
     """
     half = alpha / (2 * hx)
@@ -201,26 +193,22 @@ def _bottom_dx(alpha: float, hx: float) -> list[tuple[int, float]]:
     return [(off, w * half) for off, w in _BOTTOM_DX]
 
 
-def _wall_rows(grid: GridSpec, alpha: float) -> tuple:
-    """The wall rows of every record, as Rows.walls lists them.
-
-    Row 0 is the oblique row alpha*u_x + u_y: u_x the terms of
-    _bottom_dx with their symbol (grid.x_symbol), u_y _BOTTOM_DY/hy on
-    the nodes 0..3.  Row ny is the identity.  Kept per grid, alpha and
-    _BOTTOM_DX, the table they read (_walls).
-    """
-    return _walls(grid, alpha, _BOTTOM_DX)
-
-
 @lru_cache(maxsize=16)
-def _walls(grid: GridSpec, alpha: float, table: tuple) -> tuple:
-    """_wall_rows with the u_x table in use; a raise is not kept."""
-    ux, uy = _bottom_dx(alpha, grid.hx), _BOTTOM_DY / grid.hy
-    symbol = x_symbol(ux, grid.nx)
-    symbol.flags.writeable = False
-    bottom = ((1.0, tuple((dx, 0, w) for dx, w in ux), symbol),
-              (1.0, tuple((0, k, w) for k, w in enumerate(uy)), None))
-    return (0, bottom), (grid.ny, ((1.0, ((0, 0, 1.0),), None),))
+def _bottom_ux(grid: GridSpec, alpha: float) -> tuple:
+    """The oblique row's alpha*u_x, a part along x on row 0: _bottom_dx with its symbol.
+
+    Kept per grid and alpha, as every operator and Picard step on them
+    reads it; a raise is not kept.
+    """
+    ux = _bottom_dx(alpha, grid.hx)
+    return 0, 1.0, tuple((dx, 0, w) for dx, w in ux), x_symbol(ux, grid.nx)
+
+
+def _wall_lines(grid: GridSpec) -> tuple:
+    """The wall rows' parts along y: the oblique row's u_y, _BOTTOM_DY/hy
+    on the nodes 0..3 of row 0, and the identity on row ny."""
+    uy = tuple((0, k, w) for k, w in enumerate(_BOTTOM_DY / grid.hy))
+    return (0, 1.0, uy), (grid.ny, 1.0, ((0, 0, 1.0),))
 
 
 def _L_rows(cs: CoefficientSet, mean: bool = False) -> Rows:
@@ -236,47 +224,41 @@ def _L_rows(cs: CoefficientSet, mean: bool = False) -> Rows:
     K, A, B = ([c.values[0] if flat else c.values.mean(axis=0)
                 for c, flat in zip(fields, cs.x_constant)] if mean else [c.values for c in fields])
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx)
-    interior = ((east, ((1, 0, 1.0),), shift), (west, ((-1, 0, 1.0),), np.conj(shift)),
-                *((c, ((0, dy, 1.0),), None) for c, dy in ((south, -1), (centre, 0), (north, 1))))
-    return Rows(g, interior, _wall_rows(g, cs.alpha))
+    shift, every = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx), slice(None)
+    x = ((every, east, ((1, 0, 1.0),), shift), (every, west, ((-1, 0, 1.0),), np.conj(shift)),
+         _bottom_ux(g, cs.alpha))
+    lines = ((every, c, ((0, dy, 1.0),)) for c, dy in ((south, -1), (centre, 0), (north, 1)))
+    return Rows(g, x, Lines(g, (*lines, *_wall_lines(g))))
 
 
 @lru_cache(maxsize=16)
 def _table(key: tuple[int, int], grid: GridSpec) -> tuple:
-    """A stencil of grid._X_STENCILS as parts, each weight over the denominator.
+    """A stencil of grid._X_STENCILS on the grid, each weight over the denominator.
 
-    Along x, periodic: its stencil (grid.x_terms) and its symbol
-    (grid.x_symbol).  Along y, walled: one part per y-offset of
-    grid.stencil_matrix, its weight per y-row that row's entry at that
-    offset, near rows included, and 0 on the two wall rows, which are
-    each record's own (_wall_rows).
+    Returns (stencil, symbol, lines).  Along x, periodic: its terms
+    (grid.x_terms) and their symbol (grid.x_symbol).  Along y, walled:
+    one part per y-offset of grid.stencil_matrix, its weight per y-row
+    that row's entry at that offset, near rows included, and 0 on the
+    two wall rows, which hold the wall rows of every record
+    (_wall_lines).
     """
     terms, m = x_terms(key, grid.hx), stencil_matrix(key, grid.ny + 1, True).toarray()
     m /= _denominator(key, grid.hy)
     m[[0, -1]] = 0.0
-    i, j = np.nonzero(m)
-    y = tuple((np.pad(np.diagonal(m, dy), (max(-dy, 0), max(dy, 0))), ((0, dy, 1.0),), None)
-              for dy in np.unique(j - i).tolist())
-    symbol = x_symbol(terms, grid.nx)
-    for a in (symbol, *(w for w, _, _ in y)):
-        a.flags.writeable = False
-    return (tuple((dx, 0, w) for dx, w in terms), symbol), y
+    y = tuple((slice(None), np.pad(np.diagonal(m, dy), (max(-dy, 0), max(dy, 0))), ((0, dy, 1.0),))
+              for dy in range(1 - len(m), len(m)) if np.diagonal(m, dy).any())
+    stencil = tuple((dx, 0, w) for dx, w in terms)
+    return stencil, x_symbol(terms, grid.nx), Lines(grid, (*y, *_wall_lines(grid)))
 
 
 def _terms(parts) -> dict:
     """The parts' terms summed per offset in order, {(dx, dy): weight}."""
     terms = {}
-    for c, stencil, _ in parts:
+    for _, c, stencil, *_ in parts:
         for dx, dy, w in stencil:
             t = c if w == 1.0 else c * w
             terms[dx, dy] = terms[dx, dy] + t if (dx, dy) in terms else t
     return terms
-
-
-def _record(op) -> Rows:
-    """op's record: op itself, or L's (_L_rows) for a CoefficientSet."""
-    return op if isinstance(op, Rows) else _L_rows(op)
 
 
 @lru_cache(maxsize=16)
@@ -310,13 +292,16 @@ def _stencil_plan(nx: int, nyp: int, interior: tuple, walls: tuple) -> tuple:
 
 
 def _runs(op: Rows) -> tuple[list, list]:
-    """The record's terms in StencilL's order (_stencil_plan): (steps, walls).
+    """The record's terms in column order (_stencil_plan): (steps, walls).
 
-    Each step (rows, weights, nodes) is a run of one interior term, each
-    wall row (j, nodes, weights) its terms gathered per x-line.
+    Each step (rows, weights, nodes) is a run of one interior term, a
+    weight one value per y-row spread over the x-lines, and each wall
+    row (j, nodes, weights) its terms gathered per x-line.
     """
-    nx, nyp = op.grid.shape
-    interior, walls = _terms(op.interior), [(j, _terms(parts)) for j, parts in op.walls]
+    (nx, nyp), parts = op.grid.shape, (*op.x, *op.y.parts)
+    interior = _terms(part for part in parts if isinstance(part[0], slice))
+    walls = [(j, _terms(part for part in parts if part[0] == j))
+             for j in sorted({on for on, *_ in parts if not isinstance(on, slice)})]
     steps, plans = _stencil_plan(nx, nyp, tuple(interior), tuple((j, tuple(t)) for j, t in walls))
     weights = [(w if w.ndim == 2 else np.broadcast_to(w, (nx, nyp))).reshape(-1)
                for w in interior.values()]
@@ -335,51 +320,49 @@ class StencilL:
     """An operator's record (Rows; L's, _L_rows, for a CoefficientSet), applied.
 
     op @ u is every row of the operator times u, walls included, for u
-    flat or in the grid's shape.  The path is read off the record.  A
-    record whose coefficients depend on x, L's, is applied matrix-free
-    (Saad 2003), and op @ u equals assemble_L(op) @ u bit for bit on
-    every row: each row starts from zero and adds its terms in the
-    order of their columns, as scipy's product of the diagonals does.
-    A term's column x-node is (i + dx) mod nx, so that order is one
-    order along each run of x-lines between the lines where a term
-    wraps round the seam.  Over such a run each interior weight times u
-    is one slice of the flat field; the wall rows it crosses have zero
-    weights, so they keep their zero.  Each wall row then adds its
-    terms, gathered per x-line in column order.  The order is kept per
-    grid and offsets (_stencil_plan).
+    flat or in the grid's shape.  A record with a coefficient one value
+    per node, L's, is applied matrix-free (Saad 2003), and op @ u
+    equals assemble_L(op) @ u bit for bit on every row: each row starts
+    from zero and adds its terms in the order of their columns, as
+    scipy's product of the diagonals does.  A term's column x-node is
+    (i + dx) mod nx, so that order is one order along each run of
+    x-lines between the lines where a term wraps round the seam.  Over
+    such a run each interior weight times u is one slice of the flat
+    field; the wall rows it crosses have zero weights, so they keep
+    their zero.  Each wall row then adds its terms, gathered per x-line
+    in column order.  The order is kept per grid and offsets
+    (_stencil_plan).
 
     A record whose coefficients do not depend on x, the Picard step's,
-    is applied as Kronecker products of line matrices (Rows.band): each
-    part along x as an (nx, nx) matrix (_x_matrix, kept per stencil)
-    times its coefficient, the first, an interior part (such a record
-    has one, as L's and the Picard step's do), on every row and a wall
-    row's on its row, plus the parts along y as one (ny+1, ny+1) matrix
-    (_y_band).  So the step's N d is p*(D_xx d) + D_yy d
-    on the rows where p reaches, as the line matrices sum it, with no
-    matrix of N to build, and equals assemble_L(op) @ u there to
-    round-off.
+    is applied as line matrices: its lines as one (ny+1, ny+1) matrix
+    (Lines.matrix, built once for lines that stay), and each part along
+    x as its coefficient times an (nx, nx) matrix (_x_matrix) on the
+    rows it covers.  So the step's N d is p*(D_xx d) + D_yy d, as the
+    line matrices sum it, and equals assemble_L(op) @ u to round-off.
+    Either path alone was measured slower end to end: the column order
+    for the Picard step, whose eleven terms each take a pass over the
+    field, made the perfbench picard workload a third slower, and the
+    diagonals for L, built for every operator, made linear a third
+    slower (CHANGES.md).
     """
 
     def __init__(self, op):
-        op = _record(op)
-        nx, nyp = self.shape = op.grid.shape
-        self._y = None
-        if all(c.ndim < 2 for c, _, _ in op.interior):
-            _, x, _, y = op.band
-            self._y = y()
-            self._x = [(on, c, _x_matrix(nx, stencil)) for on, c, stencil, _ in x]
-        else:
+        op = _L_rows(op) if isinstance(op, CoefficientSet) else op
+        nx, _ = self.shape = op.grid.shape
+        self._y = None if np.ndim(op.x[0][1]) == 2 else op.y.matrix  # per node: column order
+        if self._y is None:
             self._steps, self._walls = _runs(op)
+        else:
+            self._x = [(on, c, _x_matrix(nx, stencil)) for on, c, stencil, _ in op.x]
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         if self._y is not None:
             v = u.reshape(self.shape)
-            (_, c, m), *rest = self._x
-            out = m @ v
-            out *= c
-            for on, c, m in rest:
-                out[:, on] += c * (m @ v[:, on])
+            (_, c, m), *walls = self._x  # the interior part first, then the wall rows'
+            out = c * (m @ v)
             out += (self._y @ v.T).T
+            for on, c, m in walls:
+                out[:, on] += c * (m @ v[:, on])
             return out.reshape(u.shape)
         flat = u.reshape(-1)
         out = np.zeros(flat.shape)
@@ -398,11 +381,12 @@ def assemble_L(op) -> sp.dia_matrix:
 
     Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
     so the matrix is stored as its diagonals (Saad 2003, sec. 3.4), read
-    off StencilL's order of the record's terms (_runs): each interior
-    step is a run of one diagonal, offset nodes - rows, and each wall
-    row's entry lies on the diagonal of its column less its row.  A term
-    at x-offset dx and y-offset dy is so on diagonal dx*(ny+1) + dy, and
-    on the |dx| x-lines where dx wraps round the seam on its twin
+    off the record's terms in StencilL's column order (_runs), a weight
+    one value per y-row spread over the x-lines: each interior step is a
+    run of one diagonal, offset nodes - rows, and each wall row's entry
+    lies on the diagonal of its column less its row.  A term at
+    x-offset dx and y-offset dy is so on diagonal dx*(ny+1) + dy, and on
+    the |dx| x-lines where dx wraps round the seam on its twin
     (dx -+ nx)*(ny+1) + dy.  Each diagonal holds column c's entry at c,
     the rest zeros.  The offsets are sorted, so row r's entries, at
     columns r + offset, come in column order, and scipy's product adds
@@ -412,7 +396,7 @@ def assemble_L(op) -> sp.dia_matrix:
     builds it only for its sparse LU, and the tests read it as the
     matrix of L and of the Picard step's N.
     """
-    op = _record(op)
+    op = _L_rows(op) if isinstance(op, CoefficientSet) else op
     (steps, walls), n, diagonals = _runs(op), op.grid.nx * (op.grid.ny + 1), {}
     for rows, w, nodes in steps:
         diagonals.setdefault(nodes.start - rows.start, np.zeros(n))[nodes] = w

@@ -296,9 +296,9 @@ def _solve_modes(lu: tuple, rhs: np.ndarray) -> np.ndarray:
 def _mode_problem(op: Rows) -> tuple:
     """A record whose coefficients do not depend on x (Rows) as _mode_band's problem.
 
-    Returns (grid, rows, terms, kl, ku), read off the record's band
-    (Rows.band): rows every part along y, walls included, in band
-    storage, and terms each part along x as the rows it reaches, its
+    Returns (grid, rows, terms, kl, ku), read off the record: rows its
+    lines, walls included, in band storage (Lines.band, built once per
+    Lines), and terms each part along x as the rows it reaches, its
     coefficient there and its symbol, in order.  The band is the
     centred rows' reach, kl = ku: 1 for L, whose oblique row reaches
     columns 0..3 and is folded with rows 2 and then 1 to tridiagonal
@@ -306,8 +306,8 @@ def _mode_problem(op: Rows) -> tuple:
     2 for the Picard step, whose near rows and oblique row reach one
     node past its centred rows.
     """
-    rows, x, kl, _ = op.band
-    return op.grid, rows, tuple((on, c, symbol) for on, c, _, symbol in x), kl, kl
+    rows, kl = op.y.band
+    return op.grid, rows, [(on, c, symbol) for on, c, _, symbol in op.x], kl, kl
 
 
 # every solve's residual over all rows must be at most this times ||f||
@@ -381,9 +381,9 @@ class FactorizedOperator:
     LUs: D L M^-1 D^-1 y = D r / s with D the square root of each y-row's
     quadrature weight, so its Euclidean norm is the gate's, and s = max|r|,
     so no square overflows; e = s M^-1 D^-1 y.  L is its record applied
-    as its stencil (operators.StencilL), built here, before the mode LUs:
-    every row of L u is one stencil product, bit for bit the assembled
-    matrix's, from which _gate forms the residual.  Past GMRES_MAX_ITER
+    as its stencil, in column order (operators.StencilL), built here,
+    before the mode LUs: every row of L u is one stencil product, bit
+    for bit the assembled matrix's, from which _gate forms the residual.  Past GMRES_MAX_ITER
     steps, or when the gate still fails, the operator falls back for
     good to a sparse LU of the assembled L (operators.assemble_L),
     built only then;

@@ -594,7 +594,7 @@ def test_assembled_step_matrix_is_its_record(n):
     # and bit for bit the product of the same record with its coefficients
     # one per node, which StencilL applies as its stencil, in column order
     from mixedbvp.nonlinear import _step_record
-    from mixedbvp.operators import Rows, StencilL, assemble_L
+    from mixedbvp.operators import Lines, Rows, StencilL, assemble_L
 
     g = make_grid(n, n)
     p, d = 0.25 * g.y + 0.1, np.random.default_rng(n).standard_normal((n, n + 1))
@@ -603,8 +603,11 @@ def test_assembled_step_matrix_is_its_record(n):
     ref = (mat @ d.ravel()).reshape(g.shape)
     out = StencilL(N) @ d
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(out).max()
-    wide = Rows(g, tuple((np.broadcast_to(c, g.shape) if np.ndim(c) else c, s, symbol)
-                         for c, s, symbol in N.interior), N.walls)
+    every = slice(None)
+    wide = Rows(g, tuple((on, np.broadcast_to(c, g.shape) if on == every else c, *rest)
+                         for on, c, *rest in N.x),
+                Lines(g, tuple((on, np.broadcast_to(c, g.shape) if on == every else c, s)
+                               for on, c, s in N.y.parts)))
     assert np.array_equal((StencilL(wide) @ d).view(np.int64), ref.view(np.int64))
     assert (assemble_L(wide) != mat).nnz == 0
 

@@ -71,30 +71,34 @@ def test_apply_matches_tricomi_operator_at_unit_scale():
 
 
 def _coo_assemble_L(cs):
-    # the COO assembly of L's record (operators._L_rows), each part's
-    # terms written on the rows it covers and summed by the conversion:
-    # the oracle for assemble_L's diagonals, their seam twins and the
-    # wall rows' gathered entries
+    # the COO assembly that L's first storage used, with the stencil
+    # weights written out as it formed them: the oracle for assemble_L
     import scipy.sparse as sp
-
-    from mixedbvp.operators import _L_rows
 
     g = cs.grid
     nx, nyp = g.shape
-    op = _L_rows(cs)
-    I, J = (m.ravel() for m in np.meshgrid(np.arange(nx), np.arange(nyp), indexing="ij"))
-    entries = []
-    for c, stencil, _ in op.interior:
-        weights = np.broadcast_to(c, g.shape).ravel()
-        inside = (J > 0) & (J < nyp - 1)
-        for dx, dy, w in stencil:
-            cols = (I + dx) % nx * nyp + J + dy
-            entries.append((I[inside] * nyp + J[inside], cols[inside], w * weights[inside]))
-    for j, parts in op.walls:
-        i = np.arange(nx)
-        for c, stencil, _ in parts:
-            for dx, dy, w in stencil:
-                entries.append((i * nyp + j, (i + dx) % nx * nyp + j + dy, np.full(nx, c * w)))
+    hx, hy, eps = g.hx, g.hy, cs.eps
+
+    def idx(i, j):
+        return (i % nx) * nyp + j
+
+    I, J = np.meshgrid(np.arange(nx), np.arange(1, nyp - 1), indexing="ij")
+    I, J = I.ravel(), J.ravel()
+    K, A, B = (c.values[I, J] for c in (cs.K, cs.A, cs.B))
+    centre = idx(I, J)
+    ii = np.arange(nx)
+    half = cs.alpha / (2 * hx)
+    dy = np.array([-11.0, 18.0, -9.0, 2.0]) / 6.0 / hy
+    entries = [
+        (centre, idx(I + 1, J), eps * K / hx**2 + eps * A / (2 * hx)),
+        (centre, idx(I - 1, J), eps * K / hx**2 - eps * A / (2 * hx)),
+        (centre, idx(I, J + 1), 1.0 / hy**2 + eps * B / (2 * hy)),
+        (centre, idx(I, J - 1), 1.0 / hy**2 - eps * B / (2 * hy)),
+        (centre, centre, -2.0 * eps * K / hx**2 - 2.0 / hy**2),
+        (idx(ii, nyp - 1), idx(ii, nyp - 1), np.ones(nx)),
+        (idx(ii, 0), idx(ii + 1, 0), np.full(nx, half)),
+        (idx(ii, 0), idx(ii - 1, 0), np.full(nx, -half)),
+    ] + [(idx(ii, 0), idx(ii, k), np.full(nx, dy[k])) for k in range(4)]
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     return sp.coo_matrix((vals, (rows, cols)), shape=(nx * nyp, nx * nyp)).tocsr()
 
@@ -114,17 +118,18 @@ def test_fourth_order_record_matches_its_kronecker_oracle(preset, n):
     import scipy.sparse as sp
 
     from mixedbvp.grid import _denominator, stencil_matrix
-    from mixedbvp.operators import Rows, _table, _wall_rows
+    from mixedbvp.operators import Lines, Rows, _bottom_ux, _table, _wall_lines
 
     g = make_grid(*n) if isinstance(n, tuple) else make_grid(n, n)
     cs = preset_coefficients(preset, g, 1e-2, 0.2)
     inner = np.ones(g.ny + 1)
     inner[[0, -1]] = 0.0
     K, A, B = (cs.eps * c.values * inner for c in (cs.K, cs.A, cs.B))
-    parts = [(c, *_table(key, g)[0]) for c, key in ((K, (2, 5)), (A, (1, 5)))]
-    parts += [(c * w, s, None) for c, key in ((np.ones(g.shape) * inner, (2, 5)), (B, (1, 5)))
-              for w, s, _ in _table(key, g)[1]]
-    op = Rows(g, tuple(parts), _wall_rows(g, cs.alpha))
+    every = slice(None)
+    x = [(every, c, *_table(key, g)[:2]) for c, key in ((K, (2, 5)), (A, (1, 5)))]
+    lines = [(every, c * w, s) for c, key in ((np.ones(g.shape) * inner, (2, 5)), (B, (1, 5)))
+             for on, w, s in _table(key, g)[2].parts if on == every]
+    op = Rows(g, (*x, _bottom_ux(g, cs.alpha)), Lines(g, (*lines, *_wall_lines(g))))
 
     def line(key, m, h, walled):
         return sp.csr_matrix(stencil_matrix(key, m, walled).toarray() / _denominator(key, h))
@@ -965,7 +970,7 @@ def test_oblique_ux_readers_all_read_bottom_dx(monkeypatch, preset, alpha):
             alpha * (3.0 * u0 - 4.0 * np.roll(u0, 1) + np.roll(u0, 2)) / (2.0 * g.hx),
         ),
     }
-    caches = (operators._bottom_dx_gather, solver._band_start)
+    caches = (operators._bottom_dx_gather, operators._bottom_ux, solver._band_start)
     patched = {}
     for table, (dx, _) in tables.items():
         monkeypatch.setattr(operators, "_BOTTOM_DX", dx)

@@ -8,9 +8,9 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 it is).  Run it on two checkouts and diff the printouts: an equal line
 is a bit-identical output.  Covered: the assembled L, as its product
 with one seeded field (so the line does not depend on how L is
-stored), and beside it the stencil form's product with the same
-field (operators.StencilL, left out on a tree without it; equal hashes
-show the two forms agree), and the factored x-mode systems of every
+stored), and beside it operators.StencilL's product with the same
+field (left out on a tree without it; equal hashes show the product
+and the matrix agree), and the factored x-mode systems of every
 preset (one call
 of the x-mode band builder, solver._mode_lu, on the problem read off
 the x-averaged L's record, solver._mode_problem of
@@ -202,8 +202,7 @@ def step_symbols(grid, nonlinear, operators, g):
     # 1, the two x-parts of N's record (nonlinear._step_pieces on a tree
     # without it)
     if hasattr(nonlinear, "_step_record"):
-        _, x, *_ = nonlinear._step_record(g, 0.25 * g.y, 1.0).band
-        return np.array([symbol for *_, symbol in x])
+        return np.array([symbol for *_, symbol in nonlinear._step_record(g, 0.25 * g.y, 1.0).x])
     bottom = grid.x_symbol(operators._bottom_dx(1.0, g.hx), g.nx)
     return np.array([nonlinear._step_pieces(g)[0], bottom])
 
