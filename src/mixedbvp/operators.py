@@ -12,12 +12,14 @@ weights of eps*K*u_xx + u_yy + eps*A*u_x + eps*B*u_y, east and west
 with L's own neighbour factors; the Picard step's holds the (2, 5)
 entries of the stencil table (_table).  Every reader reads the record:
 the x-mode band (Lines.band and the parts' symbols, which solver's
-builder folds and factors); the product (StencilL), matrix-free, in
-column order, bit for bit as the assembled matrix would, for a record
-whose coefficients depend on x, and as line matrices for one whose do
-not; and the matrix (assemble_L), stored as its diagonals, one per
-(x-offset, y-offset) and one more per offset that wraps round the
-seam, built only for a sparse LU and the tests.  The gate and the
+builder folds and factors); and, through one plan of runs of its
+diagonals (_stencil_plan: each term one run on the diagonal of its
+(x-offset, y-offset) and a seam twin where the x-offset wraps, in
+column order), the product (StencilL), matrix-free, bit for bit as the
+assembled matrix would, for a record whose coefficients depend on x,
+and the matrix (assemble_L), the same runs in one buffer of diagonals,
+built only for a sparse LU and the tests.  A record whose coefficients
+do not depend on x is applied as line matrices instead.  The gate and the
 samples form the oblique row themselves (_oblique_row), u_x differenced
 before alpha scales it.  The operator and its formal adjoint are also
 applied pointwise at every node, walls one-sided, with the same
@@ -140,10 +142,11 @@ class Rows:
     depend on x).
 
     symbol keeps the grouping the x-mode band reads: the band adds
-    coefficient * symbol to the diagonal of the rows on.  L's parts
-    along x are its two neighbours, each with its own factor
+    coefficient * symbol to the diagonal of the rows on.  The x-averaged
+    L's parts along x are its two neighbours, each with its own factor
     exp(+-i*theta), never bit-equal to grid.x_symbol of the unit shift
-    (ROADMAP aim 2); the Picard step's is p(y) times the table's d_xx
+    (ROADMAP aim 2); L's per node, which no band reads, carry None.  The
+    Picard step's is p(y) times the table's d_xx
     with its grid.x_symbol; and the oblique row's u_x is alpha/(2hx)
     times _BOTTOM_DX with its own (_bottom_ux).  The lines' entries go
     on the y-systems as they are.
@@ -214,19 +217,21 @@ def _wall_lines(grid: GridSpec) -> tuple:
 def _L_rows(cs: CoefficientSet, mean: bool = False) -> Rows:
     """L's record: _interior_stencil's five weights, each one part, and the wall rows.
 
-    East and west, in that order, carry their neighbour's factor
-    exp(+-i*2*pi*k/nx) as their symbol.  With mean, K, A and B are
-    averaged over x first (a field constant in x keeps its own row
-    exactly), one value per y-row: the x-averaged L, whose x-mode band
-    FactorizedOperator factors.
+    With mean, K, A and B are averaged over x first (a field constant
+    in x keeps its own row exactly), one value per y-row: the x-averaged
+    L, whose x-mode band FactorizedOperator factors, and east and west,
+    in that order, carry their neighbour's factor exp(+-i*2*pi*k/nx) as
+    their symbol.  Without it, the record the product and the matrix
+    read, they carry None: neither reads a symbol.
     """
     g, fields = cs.grid, (cs.K, cs.A, cs.B)
     K, A, B = ([c.values[0] if flat else c.values.mean(axis=0)
                 for c, flat in zip(fields, cs.x_constant)] if mean else [c.values for c in fields])
     east, west, north, south, centre = _interior_stencil(K, A, B, cs.eps, g.hx, g.hy)
-    shift, every = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx), slice(None)
-    x = ((every, east, ((1, 0, 1.0),), shift), (every, west, ((-1, 0, 1.0),), np.conj(shift)),
-         _bottom_ux(g, cs.alpha))
+    every = slice(None)
+    shift = np.exp(1j * 2.0 * np.pi * np.arange(g.nx // 2 + 1) / g.nx) if mean else None
+    x = ((every, east, ((1, 0, 1.0),), shift),
+         (every, west, ((-1, 0, 1.0),), np.conj(shift) if mean else None), _bottom_ux(g, cs.alpha))
     lines = ((every, c, ((0, dy, 1.0),)) for c, dy in ((south, -1), (centre, 0), (north, 1)))
     return Rows(g, x, Lines(g, (*lines, *_wall_lines(g))))
 
@@ -263,51 +268,51 @@ def _terms(parts) -> dict:
 
 @lru_cache(maxsize=16)
 def _stencil_plan(nx: int, nyp: int, interior: tuple, walls: tuple) -> tuple:
-    """StencilL's order of the terms on an nx x nyp grid, from their offsets.
+    """The runs of a record's terms on an nx x nyp grid, in column order.
 
     interior holds the interior terms' (dx, dy), walls (j, its terms'
-    (dx, dy)) per wall row.  Returns (steps, walls): each step (rows, k,
-    nodes) adds interior term k's weights on the flat rows times u on
-    the flat nodes, in order; each wall row (j, nodes, order) gathers
-    u's nodes (terms, x-lines) in column order, order the terms' index
-    there.  A term at y-offset dy leaves out the first -dy or the last
-    dy rows of each run, whose nodes would leave its x-lines: rows next
-    to a wall, where that term's weight is 0.
+    (dx, dy)) per wall row; term k counts the interior's first, then
+    each wall row's.  Returns the runs (offset, rows, cols, k): term k
+    on the flat rows times u on the flat columns cols = rows + offset,
+    for its x-lines where dx does not wrap on diagonal dx*nyp + dy, and
+    for the |dx| x-lines where it wraps round the seam on its twin
+    (dx -+ nx)*nyp + dy.  An interior run is every row of its x-lines,
+    less the first -dy or the last dy, whose columns would leave the
+    field (rows next to a wall, where that term's weight is 0); a wall
+    row's takes every nyp-th.  A row's column is its row plus the
+    offset, so the runs sorted by offset, a wall row's after the
+    interior's at the same offset, add every row's terms in column order.
     """
-    steps = []
-    cuts = sorted({0, nx} | {-dx % nx for dx, _ in interior})
-    for lo, hi in zip(cuts, cuts[1:]):
-        # a flat node index is its column, so the run's first row orders them
-        for at, k in sorted(((lo + dx) % nx * nyp + dy, k) for k, (dx, dy) in enumerate(interior)):
-            a, b = max(-interior[k][1], 0), max(interior[k][1], 0)
-            rows, nodes = slice(lo * nyp + a, hi * nyp - b), at + a
-            steps.append((rows, k, slice(nodes, nodes + rows.stop - rows.start)))
-    plans = []
-    for j, offsets in walls:
-        dx, dy = np.array(offsets).T
-        nodes = (np.arange(nx) + dx[:, None]) % nx * nyp + j + dy[:, None]
-        order = np.argsort(nodes, axis=0)
-        plans.append((j, np.take_along_axis(nodes, order, 0), order))
-    return tuple(steps), tuple(plans)
+    runs = []
+    terms = [(None, t) for t in interior] + [(j, t) for j, offsets in walls for t in offsets]
+    for k, (j, (dx, dy)) in enumerate(terms):
+        # the x-lines a..b where dx does not wrap, and its twin's below or above them
+        a, b = max(-dx, 0), nx - max(dx, 0)
+        for lo, hi, ox in ((a, b, dx), (0, a, dx + nx), (b, nx, dx - nx)):
+            if lo < hi:
+                rows = (slice(lo * nyp + max(-dy, 0), hi * nyp - max(dy, 0)) if j is None
+                        else slice(lo * nyp + j, (hi - 1) * nyp + j + 1, nyp))
+                o = ox * nyp + dy
+                runs.append((o, rows, slice(rows.start + o, rows.stop + o, rows.step), k))
+    return tuple(sorted(runs, key=lambda run: run[0]))
 
 
-def _runs(op: Rows) -> tuple[list, list]:
-    """The record's terms in column order (_stencil_plan): (steps, walls).
+def _runs(op: Rows) -> list:
+    """The record's terms as runs of its diagonals in column order (_stencil_plan).
 
-    Each step (rows, weights, nodes) is a run of one interior term, a
-    weight one value per y-row spread over the x-lines, and each wall
-    row (j, nodes, weights) its terms gathered per x-line.
+    Each run (offset, rows, cols, weights) adds weights * u[cols] to the
+    flat rows: an interior weight one value per node on the rows (one
+    value per y-row spread over the x-lines), a wall row's one scalar.
     """
     (nx, nyp), parts = op.grid.shape, (*op.x, *op.y.parts)
     interior = _terms(part for part in parts if isinstance(part[0], slice))
     walls = [(j, _terms(part for part in parts if part[0] == j))
              for j in sorted({on for on, *_ in parts if not isinstance(on, slice)})]
-    steps, plans = _stencil_plan(nx, nyp, tuple(interior), tuple((j, tuple(t)) for j, t in walls))
     weights = [(w if w.ndim == 2 else np.broadcast_to(w, (nx, nyp))).reshape(-1)
-               for w in interior.values()]
-    return ([(rows, weights[k][rows], nodes) for rows, k, nodes in steps],
-            [(j, nodes, np.array(list(t.values()))[order])
-             for (j, nodes, order), (_, t) in zip(plans, walls)])
+               for w in interior.values()] + [w for _, t in walls for w in t.values()]
+    plan = _stencil_plan(nx, nyp, tuple(interior), tuple((j, tuple(t)) for j, t in walls))
+    return [(o, rows, cols, weights[k][rows] if k < len(interior) else weights[k])
+            for o, rows, cols, k in plan]
 
 
 @lru_cache(maxsize=32)
@@ -321,17 +326,16 @@ class StencilL:
 
     op @ u is every row of the operator times u, walls included, for u
     flat or in the grid's shape.  A record with a coefficient one value
-    per node, L's, is applied matrix-free (Saad 2003), and op @ u
-    equals assemble_L(op) @ u bit for bit on every row: each row starts
-    from zero and adds its terms in the order of their columns, as
-    scipy's product of the diagonals does.  A term's column x-node is
-    (i + dx) mod nx, so that order is one order along each run of
-    x-lines between the lines where a term wraps round the seam.  Over
-    such a run each interior weight times u is one slice of the flat
-    field; the wall rows it crosses have zero weights, so they keep
-    their zero.  Each wall row then adds its terms, gathered per x-line
-    in column order.  The order is kept per grid and offsets
-    (_stencil_plan).
+    per node, L's, is applied matrix-free (Saad 2003) as the runs of its
+    diagonals (_runs), the plan assemble_L writes: each run adds its
+    weights times one slice of the flat field, contiguous for an
+    interior term and every (ny+1)-th node for a wall row's.  Each row
+    so starts from zero and adds its terms in the order of their
+    columns, as scipy's product of the diagonals does, and op @ u equals
+    assemble_L(op) @ u bit for bit on every row.  An interior run crosses
+    wall rows whose weights are 0: on a finite u they leave the sums'
+    bits as they are, as the diagonals' zeros do.  The plan is kept per
+    grid and offsets (_stencil_plan).
 
     A record whose coefficients do not depend on x, the Picard step's,
     is applied as line matrices: its lines as one (ny+1, ny+1) matrix
@@ -339,9 +343,9 @@ class StencilL:
     x as its coefficient times an (nx, nx) matrix (_x_matrix) on the
     rows it covers.  So the step's N d is p*(D_xx d) + D_yy d, as the
     line matrices sum it, and equals assemble_L(op) @ u to round-off.
-    Either path alone was measured slower end to end: the column order
-    for the Picard step, whose eleven terms each take a pass over the
-    field, made the perfbench picard workload a third slower, and the
+    Either path alone was measured slower end to end: the runs for the
+    Picard step, whose eleven terms each take a pass over the field,
+    made the perfbench picard workload a third slower, and the
     diagonals for L, built for every operator, made linear a third
     slower (CHANGES.md).
     """
@@ -349,9 +353,9 @@ class StencilL:
     def __init__(self, op):
         op = _L_rows(op) if isinstance(op, CoefficientSet) else op
         nx, _ = self.shape = op.grid.shape
-        self._y = None if np.ndim(op.x[0][1]) == 2 else op.y.matrix  # per node: column order
+        self._y = None if np.ndim(op.x[0][1]) == 2 else op.y.matrix  # per node: the runs
         if self._y is None:
-            self._steps, self._walls = _runs(op)
+            self._runs = _runs(op)
         else:
             self._x = [(on, c, _x_matrix(nx, stencil)) for on, c, stencil, _ in op.x]
 
@@ -366,13 +370,9 @@ class StencilL:
             return out.reshape(u.shape)
         flat = u.reshape(-1)
         out = np.zeros(flat.shape)
-        for rows, w, nodes in self._steps:
+        for _, rows, cols, w in self._runs:
             part = out[rows]
-            part += w * flat[nodes]
-        for j, nodes, w in self._walls:
-            part = out[j :: self.shape[1]]
-            for term in w * flat[nodes]:
-                part += term
+            part += w * flat[cols]
         return out.reshape(u.shape)
 
 
@@ -380,32 +380,27 @@ def assemble_L(op) -> sp.dia_matrix:
     """An operator's record (Rows; L's for a CoefficientSet) as a sparse matrix.
 
     Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
-    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4), read
-    off the record's terms in StencilL's column order (_runs), a weight
-    one value per y-row spread over the x-lines: each interior step is a
-    run of one diagonal, offset nodes - rows, and each wall row's entry
-    lies on the diagonal of its column less its row.  A term at
-    x-offset dx and y-offset dy is so on diagonal dx*(ny+1) + dy, and on
-    the |dx| x-lines where dx wraps round the seam on its twin
-    (dx -+ nx)*(ny+1) + dy.  Each diagonal holds column c's entry at c,
-    the rest zeros.  The offsets are sorted, so row r's entries, at
-    columns r + offset, come in column order, and scipy's product adds
-    them in that order, as a CSR product does; on a finite u the zeros
-    leave its sums' bits as they are.  At a huge alpha the oblique
-    row's u_y terms round away (see _oblique_row).  The linear solve
-    builds it only for its sparse LU, and the tests read it as the
-    matrix of L and of the Picard step's N.
+    so the matrix is stored as its diagonals (Saad 2003, sec. 3.4): the
+    runs StencilL applies (_runs), each written into one buffer at its
+    diagonal's line and its columns.  A term at x-offset dx and y-offset
+    dy is so on diagonal dx*(ny+1) + dy, and on the |dx| x-lines where
+    dx wraps round the seam on its twin (dx -+ nx)*(ny+1) + dy.  Each
+    diagonal holds column c's entry at c, the rest zeros; a wall row's
+    runs come after the interior's zero weights there.  The offsets are
+    sorted, so row r's entries, at columns r + offset, come in column
+    order, and scipy's product adds them in that order, as a CSR product
+    does; on a finite u the zeros leave its sums' bits as they are.  At
+    a huge alpha the oblique row's u_y terms round away (see
+    _oblique_row).  The linear solve builds it only for its sparse LU,
+    and the tests read it as the matrix of L and of the Picard step's N.
     """
     op = _L_rows(op) if isinstance(op, CoefficientSet) else op
-    (steps, walls), n, diagonals = _runs(op), op.grid.nx * (op.grid.ny + 1), {}
-    for rows, w, nodes in steps:
-        diagonals.setdefault(nodes.start - rows.start, np.zeros(n))[nodes] = w
-    for j, nodes, w in walls:  # after the steps: their zero weights cross the wall rows
-        offsets = nodes - np.arange(j, n, op.grid.ny + 1)
-        for o in np.unique(offsets).tolist():
-            diagonals.setdefault(o, np.zeros(n))[nodes[offsets == o]] = w[offsets == o]
-    offsets = sorted(diagonals)
-    return sp.dia_matrix((np.array([diagonals[o] for o in offsets]), offsets), shape=(n, n))
+    runs, n = _runs(op), op.grid.nx * (op.grid.ny + 1)
+    offsets = sorted({o for o, *_ in runs})
+    data = np.zeros((len(offsets), n))
+    for o, _, cols, w in runs:
+        data[offsets.index(o), cols] = w
+    return sp.dia_matrix((data, offsets), shape=(n, n))
 
 # ---------------------------------------------------------------------------
 # differential application (all rows, one-sided at the walls)

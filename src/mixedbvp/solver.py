@@ -381,9 +381,10 @@ class FactorizedOperator:
     LUs: D L M^-1 D^-1 y = D r / s with D the square root of each y-row's
     quadrature weight, so its Euclidean norm is the gate's, and s = max|r|,
     so no square overflows; e = s M^-1 D^-1 y.  L is its record applied
-    as its stencil, in column order (operators.StencilL), built here,
-    before the mode LUs: every row of L u is one stencil product, bit
-    for bit the assembled matrix's, from which _gate forms the residual.  Past GMRES_MAX_ITER
+    as the runs of its diagonals (operators.StencilL, the plan
+    assemble_L writes too), built here, before the mode LUs: every row
+    of L u is one product, bit for bit the assembled matrix's, from
+    which _gate forms the residual.  Past GMRES_MAX_ITER
     steps, or when the gate still fails, the operator falls back for
     good to a sparse LU of the assembled L (operators.assemble_L),
     built only then;
@@ -403,7 +404,7 @@ class FactorizedOperator:
     and k later refinement steps, one per step, and k + s + 3 when s GMRES
     steps follow; a fallback to splu adds one product) and
     solve_s (its perf_counter time); and, from the constructor, the
-    perf_counter times assemble_s (building L's record and its stencil form) and
+    perf_counter times assemble_s (building L's record and its product, StencilL) and
     factor_s.  A singular factorization of L (a zero pivot of a mode
     LU), or a zero pivot of the fold, raises PreconditionError
     (WELLPOSEDNESS_SUSPECT) naming the mode; for an x-dependent L, where

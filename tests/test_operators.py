@@ -146,6 +146,57 @@ def test_fourth_order_record_matches_its_kronecker_oracle(preset, n):
     assert np.array_equal(out.ravel().view(np.int64), (assemble_L(op) @ u.ravel()).view(np.int64))
 
 
+@pytest.mark.parametrize("n", [16, pytest.param((47, 48), id="47x48"), 64])
+def test_wall_row_seam_twin_spans_two_x_lines(n):
+    # L's record, its coefficients one value per node, with the (1, 5)
+    # d_x added to the bottom row: its offsets +-2 wrap round the seam on
+    # two x-lines, so each has a seam twin two x-lines long on that row.  The
+    # product is assemble_L's bit for bit, rows 1..ny-1 the Kronecker
+    # form from grid.stencil_matrix and row 0 its terms written out, to
+    # round-off (measured <= 2.9e-16 of max|L u|)
+    import scipy.sparse as sp
+
+    from mixedbvp.grid import _denominator, stencil_matrix
+    from mixedbvp.operators import _BOTTOM_DY, Rows, _L_rows, _table
+
+    g = make_grid(*n) if isinstance(n, tuple) else make_grid(n, n)
+    cs = preset_coefficients("lower_order", g, 1e-2, 0.2)
+    L, c = _L_rows(cs), 0.7
+    op = Rows(g, (*L.x, (0, c, *_table((1, 5), g)[:2])), L.y)
+
+    def line(key, m, h, walled):
+        return sp.csr_matrix(stencil_matrix(key, m, walled).toarray() / _denominator(key, h))
+
+    u = np.random.default_rng(g.nx).standard_normal(g.shape)
+    out = StencilL(op) @ u
+    assert np.array_equal(out.ravel().view(np.int64), (assemble_L(op) @ u.ravel()).view(np.int64))
+    K, A, B = (cs.eps * f.values for f in (cs.K, cs.A, cs.B))
+    ref = (K * (line((2, 3), g.nx, g.hx, False) @ u) + A * (line((1, 3), g.nx, g.hx, False) @ u)
+           + (line((2, 3), g.ny + 1, g.hy, True) @ u.T).T
+           + B * (line((1, 3), g.ny + 1, g.hy, True) @ u.T).T)
+    scale = np.abs(out).max()
+    assert np.abs(out - ref)[:, 1:-1].max() <= 1e-13 * scale
+    at = lambda dx: np.roll(u[:, 0], -dx)  # at(dx)[i] = u[i + dx, 0]
+    row0 = (cs.alpha * (at(1) - at(-1)) / (2 * g.hx) + u[:, :4] @ _BOTTOM_DY / g.hy
+            + c * (8 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * g.hx))
+    assert np.abs(out[:, 0] - row0).max() <= 1e-13 * scale
+    assert np.array_equal(out[:, -1], u[:, -1])
+
+
+def test_stencil_plan_is_built_once_per_grid_and_offsets():
+    # 30 operators on one grid share their terms' offsets, so they read
+    # one run plan; each builds only its weights
+    from mixedbvp.operators import _stencil_plan
+
+    g = make_grid(128, 128)
+    _stencil_plan.cache_clear()
+    for i in range(30):
+        cs = preset_coefficients("lower_order", g, 1e-4 * (1 + i), 0.02 * (1 + i))
+        StencilL(cs)
+    info = _stencil_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 29)
+
+
 def _picard_normal_form(g, alpha):
     # K constant in x, A = 0.3*K and B = 0: each coefficient is one x-line
     K = Field(g, np.broadcast_to(4.0 * g.y, g.shape).copy())

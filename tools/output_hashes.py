@@ -6,18 +6,16 @@ imports mixedbvp from <tree>/src and the benchmark workloads from
 <tree>/perfbench, runs a fixed set of solves and prints
 "<output> <sha1 of its float64 bytes>" for each (a count is printed as
 it is).  Run it on two checkouts and diff the printouts: an equal line
-is a bit-identical output.  Covered: the assembled L, as its product
-with one seeded field (so the line does not depend on how L is
+is a bit-identical output.  The tree must hold the operator record
+(operators.Rows and its readers).  Covered: the assembled L, as its
+product with one seeded field (so the line does not depend on how L is
 stored), and beside it operators.StencilL's product with the same
-field (left out on a tree without it; equal hashes show the product
-and the matrix agree), and the factored x-mode systems of every
-preset (one call
-of the x-mode band builder, solver._mode_lu, on the problem read off
-the x-averaged L's record, solver._mode_problem of
-operators._L_rows(cs, mean=True), or solver._mode_systems on a tree
-without the record: the LU arrays as zgttrs takes them and the fold
-multipliers m2 and m3, one complex entry per mode) at 16^2, 48^2 and
-47x48 (an odd nx on a grid that is not square); the folded band each
+field (equal hashes show the product and the matrix agree), and the
+factored x-mode systems of every preset (one call of the x-mode band
+builder, solver._mode_lu, on the problem read off the x-averaged L's
+record, solver._mode_problem of operators._L_rows(cs, mean=True): the
+LU arrays as zgttrs takes them and the fold multipliers m2 and m3, one
+complex entry per mode) at 16^2, 48^2 and 47x48 (an odd nx on a grid that is not square); the folded band each
 zgttrf or zgbtrf call receives and the LU it returns (read by wrapping
 the LAPACK routines, so a tree with another builder prints the same
 lines) for linear tricomi and lower_order at 64^2, perfbench Linear(1)
@@ -37,9 +35,8 @@ infinite_order at 47x48 and 192^2, whose K is constant in x; the
 oblique bottom row (operators._oblique_row) of one seeded 64^2 field at
 alpha 0.02 and 1e50, forward and adjoint, the Picard step's x-mode
 symbols at alpha 1 (its d_xx symbol sigma and the oblique row's u_x
-symbol, the two parts along x of N's record, nonlinear._step_record;
-sigma of nonlinear._step_pieces and grid.x_symbol of
-operators._bottom_dx on a tree without it) at 64^2 and 128^2, and at
+symbol, the two parts along x of N's record, nonlinear._step_record)
+at 64^2 and 128^2, and at
 each the d
 and residual of one step (nonlinear._solve_step through
 nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
@@ -188,23 +185,16 @@ def emit_band(name: str, call) -> None:
 def mode_lu(solver, operators, cs):
     # the linear mode LUs as zgttrs takes them and the fold multipliers m2
     # and m3, one per mode, from the mode builder's (factors, kl, ku, folds)
-    # on the x-averaged L's record (solver._mode_systems on a tree without it)
-    if hasattr(solver, "_mode_problem"):
-        problem = solver._mode_problem(operators._L_rows(cs, mean=True))
-    else:
-        problem = solver._mode_systems(cs)
+    # on the x-averaged L's record
+    problem = solver._mode_problem(operators._L_rows(cs, mean=True))
     factors, _, _, ((_, _, m3), (_, _, m2)) = solver._mode_lu(*problem)
     return factors, m2, m3
 
 
-def step_symbols(grid, nonlinear, operators, g):
+def step_symbols(nonlinear, g):
     # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha
-    # 1, the two x-parts of N's record (nonlinear._step_pieces on a tree
-    # without it)
-    if hasattr(nonlinear, "_step_record"):
-        return np.array([symbol for *_, symbol in nonlinear._step_record(g, 0.25 * g.y, 1.0).x])
-    bottom = grid.x_symbol(operators._bottom_dx(1.0, g.hx), g.nx)
-    return np.array([nonlinear._step_pieces(g)[0], bottom])
+    # 1, the two x-parts of N's record
+    return np.array([symbol for *_, symbol in nonlinear._step_record(g, 0.25 * g.y, 1.0).x])
 
 
 def x_stencil_outputs(grid, nx: int):
@@ -265,8 +255,7 @@ def main(tree: Path) -> None:
             cs = coeffs.preset_coefficients(name, g, EPS, ALPHA)
             u = np.random.default_rng(nx * ny).standard_normal(nx * (ny + 1))
             emit(f"assemble_L/{name}/{size}", operators.assemble_L(cs) @ u)
-            if hasattr(operators, "StencilL"):  # a tree that applies L matrix-free
-                emit(f"stencil_L/{name}/{size}", operators.StencilL(cs) @ u)
+            emit(f"stencil_L/{name}/{size}", operators.StencilL(cs) @ u)
             lu, m2, m3 = mode_lu(solver, operators, cs)
             emit(f"mode_systems/{name}/{size}", *lu, m2, m3)
 
@@ -303,7 +292,7 @@ def main(tree: Path) -> None:
             emit(f"oblique_row/64/alpha{alpha:g}/sgn{sgn:+g}", row)
     for n in (64, 128):
         g = grid.make_grid(n, n)
-        emit(f"step_bands/{n}/symbols", step_symbols(grid, nonlinear, operators, g))
+        emit(f"step_bands/{n}/symbols", step_symbols(nonlinear, g))
         # the CLI start's profile, p = rho*y with rho 0.25, its alpha and a
         # seeded right-hand side
         lu = nonlinear._factor_step(g, 0.25 * g.y, 0.6)
