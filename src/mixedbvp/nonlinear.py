@@ -16,7 +16,8 @@ linear solve is two calls of the linear solver's mode builder:
 _factor_step reads the band off the record, folds and factors it with
 one zgbtrf call (solver._mode_lu), and _solve_step back-substitutes with
 one zgbtrs call (solver._solve_modes) and answers to the linear
-solver's gate on the record's product (operators.StencilL).  _picard
+solver's gate on N's product off the residual's own derivative
+matrices (_step_product, the same numbers as the record's).  _picard
 keeps the LU and factors again only when the frozen profile has moved
 by more than STEP_LU_DRIFT (the chord method); the fixed point is the
 residual's, which the lagged LU does not move.  The report's stats
@@ -52,7 +53,7 @@ from . import solver
 from .coeffs import AlphaRangeError, condition7prime_margin
 from .grid import Field, GridError, GridSpec, _l2_norm, _quadrature_row, stencil_product
 from .norms import _line_factors
-from .operators import Rows, StencilL, _bottom_ux, _table
+from .operators import Rows, _bottom_ux, _table
 from .solver import ResidualGateError, _gate
 
 
@@ -301,14 +302,16 @@ def _seam_weights(grid: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=16)
-def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """The stencils of _SplitDerivatives as sparse matrices.
+def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, ...]:
+    """The stencils of _SplitDerivatives and of _step_product as sparse matrices.
 
     x: norms._line_factors of orders 1 over 2 (the periodic 5-point
     stencils of grid._X_STENCILS), (2 nx, nx), applied from the left to
     an (nx, ny+1) array.  y: the walled 5-point ones (the graph
     stencils), first over second order, (2 (ny+1), ny+1), applied from
     the left to the transposed array, and the first-order block alone.
+    Then the second-order blocks alone, D_xx and D_yy, which the Picard
+    step's product reads.
     Each entry is a table weight divided by the denominator
     (grid.stencil_product on the identity), as the field path divides;
     a scipy matrix divided by a scalar would multiply by the reciprocal
@@ -317,7 +320,7 @@ def _derivative_matrices(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     eye = np.eye(grid.ny + 1)
     dx = sp.csr_matrix(np.vstack(_line_factors(grid, 2, False)[1:]))
     dy = sp.csr_matrix(np.vstack([stencil_product((k, 5), eye, grid.hy, True) for k in (1, 2)]))
-    return dx, dy, dy[: len(eye)]
+    return dx, dy, dy[: len(eye)], dx[grid.nx :], dy[len(eye) :]
 
 
 class _SplitDerivatives:
@@ -350,7 +353,7 @@ class _SplitDerivatives:
             )
         self.grid = g
         self.base = z0.values.copy()
-        self._dx, self._dy, self._dy1 = _derivative_matrices(g)
+        self._dx, self._dy, self._dy1, _, _ = _derivative_matrices(g)
         # sextic extrapolation of value and slope to the seam x = 1; a slope
         # jump misjudged by delta reappears as delta/h noise in the periodic
         # second difference, so the jump estimate must be high order
@@ -401,12 +404,32 @@ def _step_record(g: GridSpec, p: np.ndarray, alpha: float) -> Rows:
     (operators._bottom_ux and the table's wall lines) and row ny the
     identity.  Every weight is a table weight over the denominator, as
     the residual's stencils divide.  The lines, d_yy and the wall rows'
-    d_y and identity, are the table's, kept per grid, so their band and
-    line matrix are built once per grid; only p's part is the step's.
+    d_y and identity, are the table's, kept per grid, so their band is
+    built once per grid; only p's part is the step's.  The step's band
+    (solver._mode_problem) and the tests' matrix (operators.assemble_L)
+    read it; the gate reads the same rows through _step_product.
     """
     x, sigma, lines = _table((2, 5), g)
     px = np.concatenate(([0.0], p[1:-1], [0.0]))
     return Rows(g, ((slice(None), px, x, sigma), _bottom_ux(g, alpha)), lines)
+
+
+def _step_product(g: GridSpec, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """N(p) d on rows 1..ny, as the Picard step's gate reads it.
+
+    Rows 1..ny-1 are p*(D_xx d) + D_yy d, two sparse products with the
+    second-order blocks of _derivative_matrices, the residual's own
+    stencils: bit for bit the Kronecker form of the record
+    (_step_record), whose eleven terms as runs (operators.StencilL)
+    would each take a pass over the field.  Row ny is d's, the
+    identity; row 0 is left as the products leave it, since the gate
+    forms the oblique row itself (solver._gate).
+    """
+    *_, dxx, dyy = _derivative_matrices(g)
+    out = p * (dxx @ d)
+    out += (dyy @ d.T).T
+    out[:, -1] = d[:, -1]
+    return out
 
 
 def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
@@ -420,11 +443,9 @@ def _factor_step(g: GridSpec, p: np.ndarray, alpha: float) -> tuple:
     zgbtrf call; a zero pivot raises PreconditionError naming the first
     singular mode.
 
-    Returns the mode LU, p and N applied as its record (StencilL), with
-    which _solve_step gates.
+    Returns the mode LU and p, at which _solve_step gates (_step_product).
     """
-    N = _step_record(g, p, alpha)
-    return solver._mode_lu(*solver._mode_problem(N)), p, StencilL(N)
+    return solver._mode_lu(*solver._mode_problem(_step_record(g, p, alpha))), p
 
 
 def _solve_step(g: GridSpec, lu: tuple, alpha: float, f: np.ndarray) -> tuple[np.ndarray, float]:
@@ -433,17 +454,17 @@ def _solve_step(g: GridSpec, lu: tuple, alpha: float, f: np.ndarray) -> tuple[np
     f's wall rows are read as zero; solver._solve_modes takes one rfft,
     folds the spectrum, makes one zgbtrs call on every mode at once and
     takes one irfft.  The residual is solver._gate's, the one every
-    linear solve answers to, on N(p) d over every row (the record's
-    product, StencilL); the gate forms row 0, the oblique row, itself.
+    linear solve answers to, on N(p) d over rows 1..ny (_step_product);
+    the gate forms row 0, the oblique row, itself.
     When its norm exceeds RESIDUAL_TOL*||f||, a ResidualGateError of it
     is raised.
     """
-    modes, _, N = lu
+    modes, p = lu
     rhs = f.copy()
     rhs[:, [0, -1]] = 0.0
     d = solver._solve_modes(modes, rhs)
     fnorm = _l2_norm(g, f)
-    res, r = _gate(f, d, N @ d, alpha, g)
+    res, r = _gate(f, d, _step_product(g, p, d), alpha, g)
     if res > solver.RESIDUAL_TOL * fnorm:
         raise ResidualGateError(res / (fnorm if fnorm > 0 else 1.0), r, g, alpha)
     return d, res
@@ -541,11 +562,12 @@ def _picard(z0: GraphSurface, step_terms, params: NonlinearParams) -> IterationR
     step that factors builds its record and allocates its own band
     (_factor_step), and every step its right-hand side (_solve_step).
     chi, the inner region as a slice and the wall rows' weight come from
-    _residual_weights, and the stencils, seam weights, the table's
-    parts and lines (with their band and line matrix) and the oblique
-    row's u_x from their own caches, shared per grid (and alpha).  The
-    residual norms are taken on the bare arrays (grid._l2_norm), which
-    still raise GridError on a non-finite entry.
+    _residual_weights, and the derivative matrices (which the gate's
+    product reads too), seam weights, the table's parts and lines (with
+    their band) and the oblique row's u_x from their own caches, shared
+    per grid (and alpha).  The residual norms are taken on the bare
+    arrays (grid._l2_norm), which still raise GridError on a non-finite
+    entry.
 
     diagnostics carries the residual of each linear solve (every row,
     walls included) and the reason the iteration gave up (None when it

@@ -16,16 +16,17 @@ builder folds and factors); and, through one plan of runs of its
 diagonals (_stencil_plan: each term one run on the diagonal of its
 (x-offset, y-offset) and a seam twin where the x-offset wraps, in
 column order), the product (StencilL), matrix-free, bit for bit as the
-assembled matrix would, for a record whose coefficients depend on x,
-and the matrix (assemble_L), the same runs in one buffer of diagonals,
-built only for a sparse LU and the tests.  A record whose coefficients
-do not depend on x is applied as line matrices instead.  The gate and the
-samples form the oblique row themselves (_oblique_row), u_x differenced
-before alpha scales it.  The operator and its formal adjoint are also
-applied pointwise at every node, walls one-sided, with the same
-x-stencils.  The first-order transport solver marches downward from
-y = 1 with semi-Lagrangian steps and cubic periodic interpolation in
-x, which keeps the march stable for any characteristic slope a/b.
+assembled matrix would, and the matrix (assemble_L), the same runs
+summed into one buffer of diagonals, built only for a sparse LU and
+the tests.  The Picard step's gate applies its N off the residual's
+own derivative matrices instead (nonlinear._step_product).  The gate
+and the samples form the oblique row themselves (_oblique_row), u_x
+differenced before alpha scales it.  The operator and its formal
+adjoint are also applied pointwise at every node, walls one-sided,
+with the same x-stencils.  The first-order transport solver marches
+downward from y = 1 with semi-Lagrangian steps and cubic periodic
+interpolation in x, which keeps the march stable for any
+characteristic slope a/b.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Lines:
     may take other offsets on the rows next to each wall, where the
     others' weights are 0 (the Picard step's near rows).  The lines are
     held apart from the parts along x so that a record whose lines stay,
-    the Picard step's (_table), builds their band and matrix once.
+    the Picard step's (_table), builds their band once.
     """
 
     grid: GridSpec
@@ -121,20 +122,15 @@ class Lines:
         # the middle row's entries (nyp // 2, j) at rows[k, nyp // 2 + w - k]
         return rows, max(abs(k - w) for k in range(2 * w + 1) if rows[k, nyp // 2 + w - k])
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The band's rows as one (ny+1, ny+1) matrix, for the line product (StencilL)."""
-        rows = self.band[0][::-1]  # line k now holds diagonal k - w
-        offsets = np.arange(len(rows)) - len(rows) // 2
-        return sp.dia_matrix((rows, offsets), shape=(rows.shape[1],) * 2).tocsr()
-
 
 @dataclass(frozen=True, eq=False)
 class Rows:
     """An operator periodic in x and walled in y, as the rows it applies.
 
     Every reader reads this one record: the product (StencilL), the
-    matrix (assemble_L) and the x-mode band (solver._mode_problem).
+    matrix (assemble_L) and the x-mode band (solver._mode_problem); the
+    Picard step's gate alone applies N off its derivative matrices
+    (nonlinear._step_product).
     x holds the parts along x, each (on, coefficient, stencil, symbol),
     on and coefficient as a part of the lines' (Lines), and stencil its
     (dx, 0, w) terms; y holds the lines.  Every coefficient is one value
@@ -315,59 +311,27 @@ def _runs(op: Rows) -> list:
             for o, rows, cols, k in plan]
 
 
-@lru_cache(maxsize=32)
-def _x_matrix(nx: int, stencil: tuple) -> sp.csr_matrix:
-    """A stencil along x on nx periodic nodes, its weights as they are, (nx, nx)."""
-    return sp.csr_matrix(sum(w * np.roll(np.eye(nx), dx, axis=1) for dx, _, w in stencil))
-
-
 class StencilL:
     """An operator's record (Rows; L's, _L_rows, for a CoefficientSet), applied.
 
     op @ u is every row of the operator times u, walls included, for u
-    flat or in the grid's shape.  A record with a coefficient one value
-    per node, L's, is applied matrix-free (Saad 2003) as the runs of its
-    diagonals (_runs), the plan assemble_L writes: each run adds its
-    weights times one slice of the flat field, contiguous for an
-    interior term and every (ny+1)-th node for a wall row's.  Each row
-    so starts from zero and adds its terms in the order of their
+    flat or in the grid's shape, applied matrix-free (Saad 2003) as the
+    runs of its diagonals (_runs), the plan assemble_L writes: each run
+    adds its weights times one slice of the flat field, contiguous for
+    an interior term and every (ny+1)-th node for a wall row's.  Each
+    row so starts from zero and adds its terms in the order of their
     columns, as scipy's product of the diagonals does, and op @ u equals
-    assemble_L(op) @ u bit for bit on every row.  An interior run crosses
-    wall rows whose weights are 0: on a finite u they leave the sums'
-    bits as they are, as the diagonals' zeros do.  The plan is kept per
-    grid and offsets (_stencil_plan).
-
-    A record whose coefficients do not depend on x, the Picard step's,
-    is applied as line matrices: its lines as one (ny+1, ny+1) matrix
-    (Lines.matrix, built once for lines that stay), and each part along
-    x as its coefficient times an (nx, nx) matrix (_x_matrix) on the
-    rows it covers.  So the step's N d is p*(D_xx d) + D_yy d, as the
-    line matrices sum it, and equals assemble_L(op) @ u to round-off.
-    Either path alone was measured slower end to end: the runs for the
-    Picard step, whose eleven terms each take a pass over the field,
-    made the perfbench picard workload a third slower, and the
-    diagonals for L, built for every operator, made linear a third
-    slower (CHANGES.md).
+    assemble_L(op) @ u bit for bit on every row.  An interior run
+    crosses wall rows whose weights are 0: on a finite u they leave the
+    sums' bits as they are, as the diagonals' zeros do.  The plan is
+    kept per grid and offsets (_stencil_plan).  L's diagonals built for
+    every operator made perfbench linear a third slower (CHANGES.md).
     """
 
     def __init__(self, op):
-        op = _L_rows(op) if isinstance(op, CoefficientSet) else op
-        nx, _ = self.shape = op.grid.shape
-        self._y = None if np.ndim(op.x[0][1]) == 2 else op.y.matrix  # per node: the runs
-        if self._y is None:
-            self._runs = _runs(op)
-        else:
-            self._x = [(on, c, _x_matrix(nx, stencil)) for on, c, stencil, _ in op.x]
+        self._runs = _runs(_L_rows(op) if isinstance(op, CoefficientSet) else op)
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        if self._y is not None:
-            v = u.reshape(self.shape)
-            (_, c, m), *walls = self._x  # the interior part first, then the wall rows'
-            out = c * (m @ v)
-            out += (self._y @ v.T).T
-            for on, c, m in walls:
-                out[:, on] += c * (m @ v[:, on])
-            return out.reshape(u.shape)
         flat = u.reshape(-1)
         out = np.zeros(flat.shape)
         for _, rows, cols, w in self._runs:
@@ -381,8 +345,10 @@ def assemble_L(op) -> sp.dia_matrix:
 
     Rows and columns follow the field's layout, (i, j) -> i*(ny+1) + j,
     so the matrix is stored as its diagonals (Saad 2003, sec. 3.4): the
-    runs StencilL applies (_runs), each written into one buffer at its
-    diagonal's line and its columns.  A term at x-offset dx and y-offset
+    runs StencilL applies (_runs), each added into one zero buffer at
+    its diagonal's line and its columns, so runs that share a diagonal
+    (at nx = 4, a term at dx = 2 and the seam twin of one at dx = -2)
+    are summed there.  A term at x-offset dx and y-offset
     dy is so on diagonal dx*(ny+1) + dy, and on the |dx| x-lines where
     dx wraps round the seam on its twin (dx -+ nx)*(ny+1) + dy.  Each
     diagonal holds column c's entry at c, the rest zeros; a wall row's
@@ -399,7 +365,7 @@ def assemble_L(op) -> sp.dia_matrix:
     offsets = sorted({o for o, *_ in runs})
     data = np.zeros((len(offsets), n))
     for o, _, cols, w in runs:
-        data[offsets.index(o), cols] = w
+        data[offsets.index(o), cols] += w
     return sp.dia_matrix((data, offsets), shape=(n, n))
 
 # ---------------------------------------------------------------------------

@@ -361,12 +361,12 @@ def _step(g, p, alpha, f):
 
 
 def _N_rows(g, p, alpha, d):
-    # N d over every row: the product of the step's record on rows 1..ny
-    # and the oblique row 0, which the gate forms
-    from mixedbvp.nonlinear import _step_record
-    from mixedbvp.operators import StencilL, _oblique_row
+    # N d over every row: the step's product on rows 1..ny and the oblique
+    # row 0, which the gate forms
+    from mixedbvp.nonlinear import _step_product
+    from mixedbvp.operators import _oblique_row
 
-    rows = StencilL(_step_record(g, p, alpha)) @ d
+    rows = _step_product(g, p, d)
     rows[:, 0] = _oblique_row(d, alpha, 1.0, g)
     return rows
 
@@ -397,8 +397,8 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     from scipy.linalg import lapack
 
     from mixedbvp.grid import l2_norm
-    from mixedbvp.nonlinear import _step_record
-    from mixedbvp.operators import StencilL, _oblique_row
+    from mixedbvp.nonlinear import _step_product
+    from mixedbvp.operators import _oblique_row
     from mixedbvp.solver import _gate
 
     g, p, f = _step_inputs(n)
@@ -434,7 +434,7 @@ def test_linear_step_matches_per_mode_and_assembled_solves(monkeypatch, n, alpha
     # the top row and _oblique_row's, bit for bit
     u = np.random.default_rng(n + 1).standard_normal(g.shape)
     top, bottom = u[:, -1], _oblique_row(u, alpha, 1.0, g)
-    _, r = _gate(f, u, StencilL(_step_record(g, p, alpha)) @ u, alpha, g)
+    _, r = _gate(f, u, _step_product(g, p, u), alpha, g)
     assert np.array_equal(r[:, 0], -bottom) and np.array_equal(r[:, -1], -top)
 
 
@@ -568,31 +568,28 @@ def test_step_band_is_read_off_its_record(n):
 
 @pytest.mark.parametrize("n", [16, 47, 64, 128])
 def test_step_product_is_the_kronecker_oracle(n):
-    # N(p)'s record does not depend on x, so its product is the Kronecker
+    # N(p) does not depend on x, so the step's product is the Kronecker
     # form p*(D_xx (x) I) d + (I (x) D_yy) d on rows 1..ny-1, D the (2, 5)
     # stencil matrices over their denominators, bit for bit; row ny is d's
     import scipy.sparse as sp
 
-    from mixedbvp.nonlinear import _step_record
-    from mixedbvp.operators import StencilL
+    from mixedbvp.nonlinear import _step_product
 
     g = make_grid(n, n)
     p, d = 0.25 * g.y + 0.1, np.random.default_rng(n).standard_normal((n, n + 1))
     dx = sp.csr_matrix(_table_matrix((2, 5), g.nx, g.hx, False))
     dy = sp.csr_matrix(_table_matrix((2, 5), g.ny + 1, g.hy, True))
     ref = p * (dx @ d) + (dy @ d.T).T
-    out = StencilL(_step_record(g, p, 0.6)) @ d
+    out = _step_product(g, p, d)
     assert np.array_equal(out[:, 1:-1].view(np.int64), ref[:, 1:-1].view(np.int64))
     assert np.array_equal(out[:, -1], d[:, -1])
 
 
 @pytest.mark.parametrize("n", [16, 47, 64])
 def test_assembled_step_matrix_is_its_record(n):
-    # assemble_L reads N(p)'s record too: its product is the record's
-    # Kronecker product to round-off (measured <= 2.5e-16 of max|N d| on
-    # 16^2, 47^2 and 64^2),
-    # and bit for bit the product of the same record with its coefficients
-    # one per node, which StencilL applies as its stencil, in column order
+    # assemble_L reads N(p)'s record too: StencilL applies the same runs,
+    # so its product is the matrix's bit for bit, as is the product of
+    # the same record with its coefficients one per node
     from mixedbvp.nonlinear import _step_record
     from mixedbvp.operators import Lines, Rows, StencilL, assemble_L
 
@@ -602,7 +599,7 @@ def test_assembled_step_matrix_is_its_record(n):
     mat = assemble_L(N)
     ref = (mat @ d.ravel()).reshape(g.shape)
     out = StencilL(N) @ d
-    assert np.abs(out - ref).max() <= 1e-13 * np.abs(out).max()
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
     every = slice(None)
     wide = Rows(g, tuple((on, np.broadcast_to(c, g.shape) if on == every else c, *rest)
                          for on, c, *rest in N.x),
@@ -653,6 +650,20 @@ def test_linear_step_forms_the_oblique_row_once(monkeypatch):
             monkeypatch.setattr(module, "_oblique_row", counting)
     _step(g, p, 0.6, f)
     assert len(calls) == 1
+
+
+def test_picard_solve_builds_no_stencil_product(monkeypatch):
+    # the step's gate reads _step_product, off the residual's own
+    # derivative matrices, so no solve builds a StencilL for its record
+    from mixedbvp import operators
+
+    built = []
+    init = operators.StencilL.__init__
+    monkeypatch.setattr(operators.StencilL, "__init__",
+                        lambda self, op: built.append(op) or init(self, op))
+    for solve in ("ma", "darboux"):
+        assert _cli_solve(solve, 32)[1].iterations > 0
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -886,8 +897,7 @@ def _stencil_composition(split, d):
         "zxy": czx1 + px1,
         "zyy": cz2 + p2,
     }
-    dx, dy, dy1 = (abs(m) for m in _derivative_matrices(g))
-    dy2 = dy[g.ny + 1 :]
+    dx, dy, dy1, dxx, dyy = (abs(m) for m in _derivative_matrices(g))
 
     def along_y(m, *vs):
         return sum((m @ np.abs(v).T).T for v in vs)
@@ -896,9 +906,9 @@ def _stencil_composition(split, d):
     scale = {
         "zx": np.abs(czx) + ax[:nx],
         "zy": along_y(dy1, cz, p),
-        "zxx": np.abs(czxx) + ax[nx:],
+        "zxx": np.abs(czxx) + dxx @ np.abs(p),
         "zxy": along_y(dy1, czx, ax[:nx]),
-        "zyy": along_y(dy2, cz, p),
+        "zyy": along_y(dyy, cz, p),
     }
     return ref, scale
 
@@ -941,16 +951,16 @@ def test_derivative_matrices_are_shared_per_grid():
     from mixedbvp import nonlinear, operators
     from mixedbvp.grid import stencil_matrix
 
-    # built once: the ma solve's seam split builds them and the darboux
-    # solve's split reuses them; the step reads its record, whose (2, 5)
-    # stencil parts both solves share (operators._table)
+    # built once: the ma solve's seam split builds them, and the darboux
+    # solve's split and every step's product (_step_product) read them;
+    # the step's band reads its record, whose (2, 5) stencil parts both
+    # solves share (operators._table)
     nonlinear._derivative_matrices.cache_clear()
     operators._table.cache_clear()
     stencil_matrix.cache_clear()
-    _cli_solve("ma", 32)
-    _cli_solve("darboux", 32)
+    steps = sum(_cli_solve(solve, 32)[1].iterations for solve in ("ma", "darboux"))
     info = nonlinear._derivative_matrices.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 1 + steps)
     assert operators._table.cache_info().misses == 1
     # the walled y-stencils of both orders on 33 nodes, the periodic
     # x-stencils of both orders on 32 (the seam split's), and the walled
@@ -960,8 +970,8 @@ def test_derivative_matrices_are_shared_per_grid():
     large = nonlinear._derivative_matrices(make_grid(48, 48))
     assert nonlinear._derivative_matrices.cache_info().misses == 2
     assert small is not large
-    assert [m.shape for m in small] == [(64, 32), (66, 33), (33, 33)]
-    assert [m.shape for m in large] == [(96, 48), (98, 49), (49, 49)]
+    assert [m.shape for m in small] == [(64, 32), (66, 33), (33, 33), (32, 32), (33, 33)]
+    assert [m.shape for m in large] == [(96, 48), (98, 49), (49, 49), (48, 48), (49, 49)]
 
 
 def test_metric_geometry_and_seam_weights_are_built_once(monkeypatch):

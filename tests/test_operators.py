@@ -146,11 +146,13 @@ def test_fourth_order_record_matches_its_kronecker_oracle(preset, n):
     assert np.array_equal(out.ravel().view(np.int64), (assemble_L(op) @ u.ravel()).view(np.int64))
 
 
-@pytest.mark.parametrize("n", [16, pytest.param((47, 48), id="47x48"), 64])
+@pytest.mark.parametrize("n", [4, 16, pytest.param((47, 48), id="47x48"), 64])
 def test_wall_row_seam_twin_spans_two_x_lines(n):
     # L's record, its coefficients one value per node, with the (1, 5)
     # d_x added to the bottom row: its offsets +-2 wrap round the seam on
-    # two x-lines, so each has a seam twin two x-lines long on that row.  The
+    # two x-lines, so each has a seam twin two x-lines long on that row
+    # (at nx = 4 the twin of -2 shares the diagonal of +2, and the matrix
+    # adds both runs, as the product does).  The
     # product is assemble_L's bit for bit, rows 1..ny-1 the Kronecker
     # form from grid.stencil_matrix and row 0 its terms written out, to
     # round-off (measured <= 2.9e-16 of max|L u|)

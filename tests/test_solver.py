@@ -471,9 +471,9 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     # row constant in x reads 0 there whatever its u_y.  The gate's
     # residual is _oblique_row's row, bit for bit, for both solves
     # that answer to it: FactorizedOperator's product and the Picard
-    # step's, its record's (nonlinear._step_record)
-    from mixedbvp.nonlinear import _step_record
-    from mixedbvp.operators import StencilL, _oblique_row
+    # step's (nonlinear._step_product)
+    from mixedbvp.nonlinear import _step_product
+    from mixedbvp.operators import _oblique_row
     from mixedbvp.solver import _gate
 
     g = make_grid(16, 16)
@@ -485,7 +485,7 @@ def test_gate_residual_takes_the_differenced_oblique_row():
     for alpha in (0.02, 1e50):
         fac = FactorizedOperator(preset_coefficients("tricomi", g, 1e-4, alpha))
         wall = _oblique_row(u, alpha, 1.0, g)
-        for rows in (fac._rows(u), StencilL(_step_record(g, p, alpha)) @ u):
+        for rows in (fac._rows(u), _step_product(g, p, u)):
             res, r = _gate(rhs, u, rows, alpha, g)
             assert np.array_equal(r[:, 0], -wall)
             assert np.array_equal(r[:, 1:-1], (rhs - rows)[:, 1:-1])

@@ -40,7 +40,10 @@ at 64^2 and 128^2, and at
 each the d
 and residual of one step (nonlinear._solve_step through
 nonlinear._factor_step) at the profile p = y/4 with alpha 0.6 and a
-seeded right-hand side;
+seeded right-hand side, and rows 1..ny of the product the step's gate
+reads (nonlinear._step_product; on a tree without it, the step's
+record applied, operators.StencilL of nonlinear._step_record) at the
+same p on a seeded field;
 solve_linear's u, residual and a priori ratio; phi (build_abc's, from
 multiplier.solve_phi) of every preset at 64^2, so a diff shows which
 preset's phi moved, and the interior and the boundary form entries of
@@ -191,6 +194,14 @@ def mode_lu(solver, operators, cs):
     return factors, m2, m3
 
 
+def step_product(nonlinear, operators, g, p, d):
+    # rows 1..ny of N(p) d as the Picard step's gate reads it; a tree
+    # without nonlinear._step_product applies the step's record instead
+    if hasattr(nonlinear, "_step_product"):
+        return nonlinear._step_product(g, p, d)[:, 1:]
+    return (operators.StencilL(nonlinear._step_record(g, p, 0.6)) @ d)[:, 1:]
+
+
 def step_symbols(nonlinear, g):
     # the Picard step's d_xx symbol and the oblique row's u_x symbol at alpha
     # 1, the two x-parts of N's record
@@ -298,6 +309,8 @@ def main(tree: Path) -> None:
         lu = nonlinear._factor_step(g, 0.25 * g.y, 0.6)
         f = np.random.default_rng(n).standard_normal(g.shape)
         emit(f"step/{n}/solve", *nonlinear._solve_step(g, lu, 0.6, f))
+        d = np.random.default_rng(n + 1).standard_normal(g.shape)
+        emit(f"step/{n}/product", step_product(nonlinear, operators, g, 0.25 * g.y, d))
 
     g = grid.make_grid(64, 64)
     for name in ("tricomi", "lower_order"):
